@@ -33,7 +33,6 @@ from .exact import (
     det_exact,
     det_poly,
     discrete_sum,
-    lagrange_interpolate,
     mat_mul,
     mat_pow,
     poly_at_matrix,

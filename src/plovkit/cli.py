@@ -197,8 +197,11 @@ def base_report(command: str, name: Optional[str], matrix: Optional[RatMatrix]):
 def emit(report: dict, out_path: Optional[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputFormatError(f"cannot write report: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -288,7 +291,7 @@ def cmd_powersum(args) -> int:
         "poly": enc_poly(result.poly),
         "degree": result.degree,
         "leading_coeff": enc_frac(result.leading_coeff),
-        "profile_degree": result.profile_degree,
+        "profile_degree": result.degree,
         "brute_force_checks": checks,
     }
     emit(report, args.out)
@@ -405,11 +408,26 @@ def cmd_selftest(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 by default; bad flags are invalid input
+    # argparse exits with status 2 by default; bad flags are invalid input,
+    # reported on one line like every other error
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"{self.prog}: error: {message} (see --help)", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--h", choices=["identity", "random"], default="identity")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=9)
+    p.add_argument("--samples", type=_at_least(1), default=9)
     p.set_defaults(fn=cmd_powersum)
 
     p = sub.add_parser("growth", help="growth exponents in chosen exterior degrees")
@@ -449,8 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the documented randomized check suite")
     p.add_argument("--out")
-    p.add_argument("--max-size", type=int, default=8, dest="max_size")
-    p.add_argument("--cases", type=int, default=50)
+    # the self-checks draw matrices of dimension 2..max_size
+    p.add_argument("--max-size", type=_at_least(2), default=8, dest="max_size")
+    p.add_argument("--cases", type=_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_selftest)
 

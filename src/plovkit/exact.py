@@ -8,12 +8,15 @@ by the rest of the library:
     ('t' for characteristic polynomials, 'n'/'m' for growth polynomials),
   * `RatMatrix` / `PolyMatrix` -- immutable square matrices over Q and
     over Q[n],
-  * fraction-free determinants, exact rank, characteristic polynomials,
-  * `discrete_sum` -- the exact map q(m) -> Q(n) with Q(n) = sum of q(m)
-    for m = 0..n-1, via the binomial-basis identity
-    sum_{m<n} C(m,i) = C(n,i+1),
-  * `det_poly` -- determinant of a polynomial matrix by evaluation at
-    consecutive integers and Lagrange interpolation,
+  * fraction-free determinants and exact rank,
+  * polynomials rebuilt from exact values at the nodes 0..D by a single
+    interpolation routine (forward differences into the binomial basis,
+    expanded by Horner's rule):
+      - `char_poly` -- det(t*I - M) from its values at t = 0..K,
+      - `discrete_sum` -- the exact map q(m) -> Q(n) with Q(n) = sum of
+        q(m) for m = 0..n-1, from the partial sums at n = 0..deg q + 1,
+      - `det_poly` -- determinant of a polynomial matrix from exact
+        determinants at n = 0..D, plus one verification node,
   * `compound_matrix` -- the matrix of all r-by-r minors.
 """
 
@@ -231,50 +234,49 @@ def binom_poly(j: int, var: str) -> UniPoly:
     return result * Fraction(1, factorial(j))
 
 
-def lagrange_interpolate(
-    points: Sequence[tuple[Scalar, Scalar]], var: str
-) -> UniPoly:
-    """The unique polynomial of degree < len(points) through the points."""
-    xs = [_frac(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    full = UniPoly.constant(1, var)
-    for x in xs:
-        full = full * (UniPoly.variable(var) - UniPoly.constant(x, var))
-    result = UniPoly.zero(var)
-    for x, y in points:
-        y = _frac(y)
-        if y == 0:
-            continue
-        basis = full.exact_div(
-            UniPoly.variable(var) - UniPoly.constant(x, var)
-        )
-        result = result + basis * (y / basis(x))
-    return result
+def _interpolate(values: Sequence[Scalar], var: str) -> UniPoly:
+    """The polynomial of degree < len(values) that takes values[x] at
+    x = 0, 1, ..., D.
+
+    Forward differences give the coefficients a_i in the binomial basis,
+    p(x) = sum_i a_i C(x, i), and Horner's rule with
+    C(x, i+1) = C(x, i) (x - i) / (i + 1) expands them; no polynomial
+    division is needed.  Denominators are cleared once and D! is divided
+    out at the end, so the loops run on integers.
+    """
+    d = len(values) - 1
+    scale = lcm(*(v.denominator for v in values))
+    diffs = [int(v * scale) for v in values]
+    newton = []
+    while diffs:
+        newton.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    # scale * d! * p(x) = sum_i newton[i] * (d!/i!) * x(x-1)...(x-i+1)
+    acc: list[int] = []
+    weight = 1  # d!/i!
+    for i in range(d, -1, -1):
+        shifted = [0] + acc
+        for j, c in enumerate(acc):
+            shifted[j] -= i * c
+        shifted[0] += newton[i] * weight
+        acc = shifted
+        weight *= i
+    denominator = scale * factorial(d)
+    return UniPoly.from_coeffs((Fraction(c, denominator) for c in acc), var)
 
 
 def discrete_sum(q: UniPoly) -> UniPoly:
     """Exact discrete summation: returns Q in n with Q(n) = sum_{m=0}^{n-1} q(m).
 
-    Works by converting q to the binomial basis with Newton forward
-    differences and using sum_{m<n} C(m,i) = C(n,i+1), so the degree of
-    the result is deg q + 1 for nonzero q.
+    Q has degree deg q + 1 for nonzero q, so it is interpolated from the
+    partial sums Q(0), ..., Q(deg q + 1).
     """
     if q.var != "m":
         raise ValueError("discrete_sum expects a polynomial in 'm'")
-    if q.is_zero():
-        return UniPoly.zero("n")
-    d = q.degree()
-    diffs = [q(x) for x in range(d + 1)]
-    newton = [diffs[0]]
-    for _ in range(d):
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        newton.append(diffs[0])
-    result = UniPoly.zero("n")
-    for i, a in enumerate(newton):
-        if a:
-            result = result + binom_poly(i + 1, "n") * a
-    return result
+    partial = [Fraction(0)]
+    for m in range(len(q.coeffs)):
+        partial.append(partial[-1] + q(m))
+    return _interpolate(partial, "n")
 
 
 # ---------------------------------------------------------------------------
@@ -517,13 +519,12 @@ def rank_exact(m: RatMatrix) -> int:
 def char_poly(m: RatMatrix) -> UniPoly:
     """Characteristic polynomial det(t*I - M), monic of degree = dimension.
 
-    Computed by evaluating the shifted determinant at t = 0..K and
-    interpolating; the monic-degree property is re-verified.
+    Computed by evaluating det(x*I - M) at x = 0..K and interpolating
+    the K + 1 values; the monic-degree property is re-verified.
     """
     k = m.dimension
     ident = RatMatrix.identity(k)
-    points = [(x, det_exact(ident * x - m)) for x in range(k + 1)]
-    p = lagrange_interpolate(points, "t")
+    p = _interpolate([det_exact(ident * x - m) for x in range(k + 1)], "t")
     if p.degree() != k or p.leading() != 1:
         raise CrossCheckError("characteristic polynomial is not monic of full degree")
     return p
@@ -627,7 +628,7 @@ def det_poly(m: PolyMatrix, degree_bound: int) -> UniPoly:
     """Exact determinant of a polynomial matrix in the variable n.
 
     Evaluates the matrix at the consecutive integers 0..degree_bound,
-    takes exact determinants, and Lagrange-interpolates.  One extra node
+    takes exact determinants, and interpolates them.  One extra node
     re-verifies the interpolation, so an undersized bound (a caller bug)
     fails loudly instead of returning a wrong polynomial.
     """
@@ -635,8 +636,9 @@ def det_poly(m: PolyMatrix, degree_bound: int) -> UniPoly:
         raise ValueError("det_poly expects entries in the variable 'n'")
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    points = [(x, det_exact(m.eval_at(x))) for x in range(degree_bound + 1)]
-    p = lagrange_interpolate(points, "n")
+    p = _interpolate(
+        [det_exact(m.eval_at(x)) for x in range(degree_bound + 1)], "n"
+    )
     probe = degree_bound + 1
     if p(probe) != det_exact(m.eval_at(probe)):
         raise CrossCheckError(

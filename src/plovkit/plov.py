@@ -111,12 +111,11 @@ def growth_exponent(m: RatMatrix, r: int) -> int:
     """Growth exponent in exterior degree r: the maximum degree in n over
     all r-by-r minors of U(n), the symbolic n-th power of the unipotent
     iterate U = M^N.  Along that iterate the r-th compound of M^n grows
-    like n to this exponent."""
+    like n to this exponent.  The block sizes of U are read off the
+    Jordan profile of M, as in `analyze`."""
     if not 1 <= r <= m.dimension:
         raise ValueError(f"degree {r} out of range 1..{m.dimension}")
-    _, u = unipotent_power(m)
-    profile = unipotent_block_profile(u)
-    return _max_minor_degree(profile.unipotent_block_sizes(), r)
+    return _max_minor_degree(jordan_profile(m).unipotent_block_sizes(), r)
 
 
 def symbolic_unipotent_power(u: RatMatrix) -> PolyMatrix:
@@ -251,7 +250,8 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
     for r in degrees:
         if not 1 <= r <= dim:
             raise ValueError(f"degree {r} out of range 1..{dim}")
-    exponents = {r: growth_exponent(m, r) for r in degrees}
+    sizes = profile.unipotent_block_sizes()
+    exponents = {r: _max_minor_degree(sizes, r) for r in degrees}
     compound2_block = max_block_compound2(m)
 
     checks: list[BoundCheck] = []

@@ -63,7 +63,6 @@ class PowerSumResult:
     poly: UniPoly
     degree: int
     leading_coeff: Fraction
-    profile_degree: int
 
 
 def _nilpotent_powers(a: RatMatrix) -> list[RatMatrix]:
@@ -124,25 +123,19 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     mismatch can only come from an arithmetic bug and raises
     CrossCheckError.
     """
-    k = a.dimension
     s = power_sum_matrix(a, h)
-    poly = det_poly(s, k * (2 * k - 1))
+    poly = det_poly(s, s.det_degree_bound())
     profile = jordan_profile(a)
-    profile_degree = sum(m * size * size for _, size, m in profile.entries)
-    if poly.degree() != profile_degree:
+    degree = sum(m * size * size for _, size, m in profile.entries)
+    if poly.degree() != degree:
         raise CrossCheckError(
             f"power-sum determinant degree {poly.degree()} "
-            f"differs from profile degree {profile_degree}"
+            f"differs from profile degree {degree}"
         )
     leading = poly.leading()
     if leading <= 0:
         raise CrossCheckError("power-sum determinant has nonpositive leading term")
-    return PowerSumResult(
-        poly=poly,
-        degree=profile_degree,
-        leading_coeff=leading,
-        profile_degree=profile_degree,
-    )
+    return PowerSumResult(poly=poly, degree=degree, leading_coeff=leading)
 
 
 def power_sum_brute(a: RatMatrix, h: RatMatrix, n: int) -> Fraction:

@@ -1,10 +1,15 @@
 """Tests for input parsing, report serialization, and CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import plovkit
 from plovkit.cli import main, parse_input
 from plovkit.errors import InputFormatError
 
@@ -108,6 +113,7 @@ def test_powersum_golden_case(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)["powersum"]
     assert report["degree"] == 4
+    assert report["profile_degree"] == report["degree"]
     assert report["leading_coeff"] == "1/12"
     assert all(c["matches"] for c in report["brute_force_checks"])
     assert [c["value"] for c in report["brute_force_checks"][:2]] == [1, 5]
@@ -121,6 +127,7 @@ def test_powersum_random_form_seeded(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)["powersum"]
     assert report["degree"] == 4  # degree independent of the form
+    assert report["profile_degree"] == report["degree"]
     assert all(c["matches"] for c in report["brute_force_checks"])
 
 
@@ -250,3 +257,69 @@ def test_selftest_reduced(tmp_path, capsys):
     from plovkit.selfcheck import SELFTEST_SUITE_SIZE
 
     assert report["suite_size"] == SELFTEST_SUITE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract: a bad flag value or an unwritable --out is one line on
+# stderr and exit 1, never a traceback
+
+
+def run_process(args, cwd):
+    src = str(Path(plovkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "plovkit.cli", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def assert_one_line_exit_1(done):
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.strip().splitlines()) == 1
+    assert done.stdout == ""
+
+
+def test_powersum_zero_samples_is_rejected(tmp_path):
+    path = write_doc(tmp_path, {"matrix": [[1, 1], [0, 1]]})
+    done = run_process(["powersum", "--input", path, "--samples", "0"], tmp_path)
+    assert_one_line_exit_1(done)
+    assert "--samples" in done.stderr
+
+
+def test_selftest_zero_max_size_is_rejected(tmp_path):
+    done = run_process(["selftest", "--max-size", "0"], tmp_path)
+    assert_one_line_exit_1(done)
+    assert "--max-size" in done.stderr
+
+
+def test_unwritable_out_path_is_one_line_error(tmp_path):
+    path = write_doc(tmp_path, {"matrix": [[1, 1], [0, 1]]})
+    out = str(tmp_path / "missing-dir" / "r.json")
+    done = run_process(["analyze", "--input", path, "--out", out], tmp_path)
+    assert_one_line_exit_1(done)
+    assert "cannot write report" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["selftest", "--max-size", "1"],
+        ["selftest", "--cases", "0"],
+        ["selftest", "--cases", "-3"],
+        ["powersum", "--input", "x.json", "--samples", "-1"],
+        ["powersum", "--input", "x.json", "--samples", "two"],
+    ],
+)
+def test_small_counts_are_rejected_at_parse_time(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_smallest_selftest_counts_run(capsys):
+    code, out, _ = run_cli(["selftest", "--max-size", "2", "--cases", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["selftest"]["max_size"] == 2

@@ -2,7 +2,8 @@
 
 Derived expectations are computed by independent oracles kept in this
 file: cofactor expansion for determinants, literal summation for
-discrete sums, and reduced-echelon kernels for rank-nullity.
+discrete sums, brute-force determinants for interpolated polynomials,
+and reduced-echelon kernels for rank-nullity.
 """
 
 import random
@@ -22,12 +23,12 @@ from plovkit import (
     det_exact,
     det_poly,
     discrete_sum,
-    lagrange_interpolate,
     mat_mul,
     mat_pow,
     rank_exact,
 )
 from plovkit.errors import CrossCheckError, DimensionMismatchError
+from plovkit.exact import _interpolate
 from plovkit.randgen import conjugate, random_integer_matrix, random_unimodular
 
 
@@ -94,10 +95,20 @@ def test_divmod_exact_and_inexact():
         p.exact_div(t - UniPoly.constant(2, "t"))
 
 
-def test_lagrange_recovers_polynomial():
-    p = UniPoly.from_coeffs([Fraction(1, 3), 0, -2, 1], "n")
-    points = [(x, p(x)) for x in range(4)]
-    assert lagrange_interpolate(points, "n") == p
+def test_interpolate_recovers_polynomial():
+    cubic = UniPoly.from_coeffs([Fraction(1, 3), 0, -2, 1], "n")
+    constant = UniPoly.constant(Fraction(-7, 2), "n")
+    zero = UniPoly.zero("n")
+    wide = UniPoly.from_coeffs(
+        [Fraction(k * k - 40, k + 1) for k in range(12)], "n"
+    )
+    for p in (cubic, constant, zero, wide):
+        # exactly enough nodes, then surplus nodes, which change nothing
+        for nodes in (len(p.coeffs) or 1, len(p.coeffs) + 3):
+            values = [p(x) for x in range(nodes)]
+            assert _interpolate(values, "n") == p
+    assert _interpolate([5], "t") == UniPoly.constant(5, "t")
+    assert _interpolate([0, 0, 0], "t").is_zero()
 
 
 def test_binom_poly_values():
@@ -235,6 +246,24 @@ def test_char_poly_of_companion_is_the_polynomial():
     assert char_poly(RatMatrix.companion(p)) == p
 
 
+def test_char_poly_matches_shifted_determinants_off_the_nodes():
+    # char_poly interpolates det(x*I - M) at x = 0..k; check it against
+    # direct determinants at rational and negative nodes outside 0..k
+    rng = random.Random(2025)
+    for _ in range(20):
+        k = rng.randint(1, 6)
+        m = RatMatrix.from_rows(
+            [
+                [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)]
+                for _ in range(k)
+            ]
+        )
+        p = char_poly(m)
+        ident = RatMatrix.identity(k)
+        for x in (-3, -1, Fraction(1, 2), Fraction(-7, 3), k + 1, k + 5, 40):
+            assert p(x) == det_exact(ident * x - m)
+
+
 def test_char_poly_similarity_invariance():
     rng = random.Random(2024)
     for _ in range(15):
@@ -261,10 +290,10 @@ def test_discrete_sum_linear():
 
 def test_discrete_sum_squares_by_direct_oracle():
     q = UniPoly.from_coeffs([0, 0, 1], "m")
-    direct = [(n, sum(Fraction(m * m) for m in range(n))) for n in range(1, 6)]
-    expected = lagrange_interpolate([(0, 0)] + direct, "n")
     result = discrete_sum(q)
-    assert result == expected
+    # the four interpolation nodes 0..3 and many nodes beyond them
+    for n in range(0, 30):
+        assert result(n) == sum(Fraction(m * m) for m in range(n))
     # closed form n(n-1)(2n-1)/6
     closed = poly_n(0, Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3))
     assert result == closed
@@ -308,7 +337,7 @@ def test_det_poly_constant_identity():
     assert det_poly(m, 0) == one
 
 
-def test_det_poly_power_sum_matrix_by_brute_interpolation():
+def test_det_poly_power_sum_matrix_by_brute_force():
     # S(n) for the size-2 unipotent block with the identity form
     n = UniPoly.variable("n")
     half = Fraction(1, 2)
@@ -316,18 +345,16 @@ def test_det_poly_power_sum_matrix_by_brute_interpolation():
     s11 = poly_n(0, Fraction(7, 6), Fraction(-1, 2), Fraction(1, 3))
     m = PolyMatrix.from_rows([[n, s01], [s01, s11]], "n")
     result = det_poly(m, 4)
-    # oracle: brute-force determinant values at n = 1..9, then interpolate
+    # oracle: brute-force determinants of the literal sums at n = 1..9,
+    # which include nodes beyond the interpolation nodes 0..4
     a = RatMatrix.jordan_block(1, 2)
-    values = []
     for n0 in range(1, 10):
         acc = RatMatrix.zero(2)
         p = RatMatrix.identity(2)
         for _ in range(n0):
             acc = acc + mat_mul(p.transpose(), p)
             p = mat_mul(p, a)
-        values.append((n0, det_exact(acc)))
-    oracle = lagrange_interpolate([(0, 0)] + values[:4], "n")
-    assert result == oracle
+        assert result(n0) == det_exact(acc)
     assert result == poly_n(0, 0, Fraction(11, 12), 0, Fraction(1, 12))
 
 

@@ -25,6 +25,7 @@ from plovkit.jordan import HalfProfile
 from plovkit.randgen import (
     conjugate,
     random_paired_unipotent,
+    random_pseudo_analytic,
     random_unimodular,
     random_unipotent,
     rational_root_block,
@@ -116,6 +117,26 @@ def test_exponent_on_quasi_unipotent_iterate():
     cube = m ** 3
     for r in range(1, 5):
         assert growth_exponent(m, r) == growth_exponent_by_minors(cube, r)
+
+
+def test_analyze_exponents_match_minor_enumeration_on_quasi_unipotent():
+    # analyze reads exponents off the profile; the oracle enumerates the
+    # minors of the literal unipotent iterate, for orders 1, 2, 3, 4, 6
+    rng = random.Random(26)
+    orders = set()
+    mixed = 0
+    for _ in range(12):
+        genus = rng.randint(2, 3)
+        m, _ = random_pseudo_analytic(
+            rng, genus, conjugated=True, allow_orders=(1, 2, 3, 4, 6)
+        )
+        report = analyze(m)
+        orders.add(report.verdict.order)
+        mixed += len(report.verdict.cyclotomic_factorization) > 1
+        for r in range(1, 2 * genus + 1):
+            assert report.exponents[r] == growth_exponent_by_minors(m, r)
+            assert growth_exponent(m, r) == report.exponents[r]
+    assert len(orders) > 2 and mixed
 
 
 def test_exponent_bounds_even_and_odd():

@@ -186,7 +186,6 @@ def test_degree_law_random():
         a, sizes = random_unipotent(rng, k)
         result = power_sum_det(a, RatMatrix.identity(k))
         assert result.degree == sum(s * s for s in sizes)
-        assert result.profile_degree == result.degree
 
 
 def test_degree_independent_of_form():

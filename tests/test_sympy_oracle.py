@@ -1,0 +1,75 @@
+"""Differential checks against sympy, an independent computer algebra system.
+
+`char_poly` and `det_poly` rebuild polynomials from exact values at the
+integer nodes 0..D; sympy expands the same determinants symbolically.
+The library itself stays stdlib-only: this module is test-only and is
+skipped when sympy is not installed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from plovkit import PolyMatrix, RatMatrix, UniPoly, char_poly, det_poly  # noqa: E402
+
+
+def to_sympy(x: Fraction):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def to_sympy_poly(p: UniPoly, symbol):
+    return sum(
+        (to_sympy(c) * symbol**i for i, c in enumerate(p.coeffs)), sympy.Integer(0)
+    )
+
+
+def coeffs_of(expr, symbol) -> tuple[Fraction, ...]:
+    """Coefficients of a sympy polynomial expression, lowest degree first,
+    without trailing zeros (the `UniPoly` convention)."""
+    coeffs = [
+        Fraction(int(c.p), int(c.q))
+        for c in reversed(sympy.Poly(expr, symbol).all_coeffs())
+    ]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+
+def test_char_poly_matches_sympy_charpoly():
+    rng = random.Random(301)
+    t = sympy.Symbol("t")
+    for _ in range(30):
+        k = rng.randint(1, 6)
+        rows = [[random_rational(rng) for _ in range(k)] for _ in range(k)]
+        ours = char_poly(RatMatrix.from_rows(rows))
+        theirs = sympy.Matrix([[to_sympy(x) for x in row] for row in rows])
+        assert ours.coeffs == coeffs_of(theirs.charpoly(t).as_expr(), t)
+
+
+def test_det_poly_matches_sympy_determinant():
+    rng = random.Random(302)
+    n = sympy.Symbol("n")
+    for _ in range(30):
+        k = rng.randint(1, 6)
+        rows = [
+            [
+                UniPoly.from_coeffs(
+                    [random_rational(rng) for _ in range(rng.randint(0, 3))], "n"
+                )
+                for _ in range(k)
+            ]
+            for _ in range(k)
+        ]
+        m = PolyMatrix.from_rows(rows, "n")
+        ours = det_poly(m, m.det_degree_bound())
+        theirs = sympy.Matrix(
+            [[to_sympy_poly(p, n) for p in row] for row in rows]
+        ).det(method="domain-ge")
+        assert ours.coeffs == coeffs_of(sympy.expand(theirs), n)
