@@ -62,7 +62,9 @@ from .plov import (
     growth_exponent,
     growth_exponent_by_minors,
     max_block_compound2,
+    max_block_compound2_literal,
     plov_of,
+    second_compound_block_sizes,
     symbolic_unipotent_power,
 )
 from .powersum import (

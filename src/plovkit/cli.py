@@ -31,8 +31,8 @@ from .errors import (
     PreconditionError,
 )
 from .exact import RatMatrix, UniPoly
-from .jordan import HalfProfile, JordanProfile
-from .plov import AnalysisReport, analyze, growth_exponent
+from .jordan import HalfProfile, JordanProfile, jordan_profile
+from .plov import AnalysisReport, analyze, max_minor_degree
 from .powersum import power_sum_brute, power_sum_det
 from .selfcheck import SELFTEST_SUITE_SIZE, run_selftest
 
@@ -258,8 +258,11 @@ def cmd_analyze(args) -> int:
             f"plov = {result.plov}, kJ = {result.kJ}, kf = {result.kf}, "
             f"max block on degree-2 cohomology = {result.max_block_n1}"
         )
-    held = sum(1 for c in result.bound_checks if c.holds)
-    lines.append(f"bound checks: {held}/{len(result.bound_checks)} hold")
+    if result.bound_checks:
+        held = sum(1 for c in result.bound_checks if c.holds)
+        lines.append(f"bound checks: {held}/{len(result.bound_checks)} hold")
+    else:
+        lines.append("bound checks: none (they need a pseudo-analytic profile)")
     summary(lines)
     return 0 if result.all_bounds_hold() else 3
 
@@ -314,7 +317,8 @@ def cmd_growth(args) -> int:
     if degrees is None:
         raise InputFormatError("--degrees is required for the growth command")
     order, _ = unipotent_power(matrix)
-    exponents = {r: growth_exponent(matrix, r) for r in degrees}
+    sizes = jordan_profile(matrix).unipotent_block_sizes()
+    exponents = {r: max_minor_degree(sizes, r) for r in degrees}
     report = base_report("growth", name, matrix)
     report["growth"] = {
         "unipotent_order": order,

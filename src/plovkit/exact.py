@@ -520,11 +520,18 @@ def char_poly(m: RatMatrix) -> UniPoly:
     """Characteristic polynomial det(t*I - M), monic of degree = dimension.
 
     Computed by evaluating det(x*I - M) at x = 0..K and interpolating
-    the K + 1 values; the monic-degree property is re-verified.
+    the K + 1 values; the monic-degree property is re-verified.  -M is
+    formed once, and each node only adds x on its diagonal.
     """
     k = m.dimension
-    ident = RatMatrix.identity(k)
-    p = _interpolate([det_exact(ident * x - m) for x in range(k + 1)], "t")
+    neg = [tuple(-c for c in row) for row in m.entries]
+    values = []
+    for x in range(k + 1):
+        shifted = tuple(
+            row[:i] + (row[i] + x,) + row[i + 1 :] for i, row in enumerate(neg)
+        )
+        values.append(det_exact(RatMatrix(shifted)))
+    p = _interpolate(values, "t")
     if p.degree() != k or p.leading() != 1:
         raise CrossCheckError("characteristic polynomial is not monic of full degree")
     return p

@@ -18,6 +18,13 @@ I = {1..r'}, J = {k-r'+1..k} therefore realizes the maximum degree
 r'(k - r'); the nonvanishing of its leading coefficient is re-verified
 at runtime.  A direct enumeration of all symbolic minors is kept as
 `growth_exponent_by_minors` for cross-checking.
+
+The Jordan type of the second compound of U follows from U's block
+sizes by sl_2 Clebsch-Gordan over Q: Lambda^2 J_a is the sum of
+J_{2a-3-4t} and J_a (x) J_b is the sum of J_{a+b-1-2t}.  `analyze` reads
+the largest second-compound block off the profile this way; the rank
+sequences on the literal compound are kept as
+`max_block_compound2_literal` for cross-checking.
 """
 
 from __future__ import annotations
@@ -88,8 +95,10 @@ def _single_block_minor_degree(k: int, r: int) -> int:
     return r * (k - r)
 
 
-def _max_minor_degree(block_sizes: Sequence[int], r: int) -> int:
-    """Max total minor degree over distributions of r rows among blocks."""
+def max_minor_degree(block_sizes: Sequence[int], r: int) -> int:
+    """Growth exponent in degree r from the block sizes of the unipotent
+    iterate: max total minor degree over distributions of r rows among
+    blocks."""
     best = [None] * (r + 1)
     best[0] = 0
     for k in block_sizes:
@@ -115,7 +124,7 @@ def growth_exponent(m: RatMatrix, r: int) -> int:
     Jordan profile of M, as in `analyze`."""
     if not 1 <= r <= m.dimension:
         raise ValueError(f"degree {r} out of range 1..{m.dimension}")
-    return _max_minor_degree(jordan_profile(m).unipotent_block_sizes(), r)
+    return max_minor_degree(jordan_profile(m).unipotent_block_sizes(), r)
 
 
 def symbolic_unipotent_power(u: RatMatrix) -> PolyMatrix:
@@ -172,11 +181,43 @@ def growth_exponent_by_minors(m: RatMatrix, r: int) -> int:
     return int(best)
 
 
+def second_compound_block_sizes(block_sizes: Sequence[int]) -> list[int]:
+    """Jordan block sizes (descending, with multiplicity) of the second
+    compound of a unipotent U with the given block sizes, by sl_2
+    Clebsch-Gordan: each block J_a gives Lambda^2 J_a = sum of
+    J_{2a-3-4t} (t >= 0 while the size is positive), and each unordered
+    pair of distinct blocks J_a, J_b gives J_a (x) J_b = sum of
+    J_{a+b-1-2t} (t = 0..min(a, b)-1).  The sizes are re-verified to fill
+    C(d, 2), d = sum of the input sizes."""
+    sizes = list(block_sizes)
+    out: list[int] = []
+    for i, a in enumerate(sizes):
+        out.extend(range(2 * a - 3, 0, -4))
+        for b in sizes[i + 1 :]:
+            out.extend(range(a + b - 1, abs(a - b), -2))
+    d = sum(sizes)
+    if sum(out) != d * (d - 1) // 2:
+        raise CrossCheckError(
+            f"second-compound blocks fill {sum(out)}, expected C({d}, 2)"
+        )
+    return sorted(out, reverse=True)
+
+
 def max_block_compound2(m: RatMatrix) -> int:
-    """Maximum Jordan block size of the second compound of M, computed by
-    rank sequences on the literal compound of the unipotent iterate.  For
-    pseudo-analytic M this equals 2*kJ + 1 where kJ + 1 is the largest
-    half-profile block."""
+    """Maximum Jordan block size of the second compound of M along the
+    unipotent iterate, read off the Jordan profile of M by Clebsch-Gordan
+    (`second_compound_block_sizes`).  For pseudo-analytic M this equals
+    2*kJ + 1 where kJ + 1 is the largest half-profile block.  The literal
+    construction is `max_block_compound2_literal`."""
+    if m.dimension < 2:
+        raise ValueError("second compound requires dimension >= 2")
+    sizes = jordan_profile(m).unipotent_block_sizes()
+    return max(second_compound_block_sizes(sizes))
+
+
+def max_block_compound2_literal(m: RatMatrix) -> int:
+    """Oracle for `max_block_compound2`: rank sequences on the literal
+    second compound of the unipotent iterate."""
     if m.dimension < 2:
         raise ValueError("second compound requires dimension >= 2")
     _, u = unipotent_power(m)
@@ -225,7 +266,7 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
 
     Raises NotQuasiUnipotentError or OddDimensionError; a quasi-unipotent
     but non-pseudo-analytic input still yields a report, with the
-    half-profile invariants absent.
+    half-profile invariants and the bound checks absent.
     """
     dim = m.dimension
     if dim % 2:
@@ -251,9 +292,10 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
         if not 1 <= r <= dim:
             raise ValueError(f"degree {r} out of range 1..{dim}")
     sizes = profile.unipotent_block_sizes()
-    exponents = {r: _max_minor_degree(sizes, r) for r in degrees}
-    compound2_block = max_block_compound2(m)
+    exponents = {r: max_minor_degree(sizes, r) for r in degrees}
+    compound2_block = max(second_compound_block_sizes(sizes))
 
+    # the paper's bounds hold for pseudo-analytic profiles only
     checks: list[BoundCheck] = []
     if pseudo:
         checks.append(
@@ -271,17 +313,16 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
                     plov <= 2 * (g // 2) + g,
                 )
             )
-    for r in degrees:
-        if r % 2 == 0:
-            half_r = r // 2
-            checks.append(
-                BoundCheck(
-                    f"even_degree_exponent_bound_r{r}",
-                    f"exponent[{r}] <= 2*{half_r}*(g-{half_r})",
-                    exponents[r] <= 2 * half_r * (g - half_r),
+        for r in degrees:
+            if r % 2 == 0:
+                half_r = r // 2
+                checks.append(
+                    BoundCheck(
+                        f"even_degree_exponent_bound_r{r}",
+                        f"exponent[{r}] <= 2*{half_r}*(g-{half_r})",
+                        exponents[r] <= 2 * half_r * (g - half_r),
+                    )
                 )
-            )
-    if pseudo:
         checks.append(
             BoundCheck(
                 "compound2_block_identity",

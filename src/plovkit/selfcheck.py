@@ -30,7 +30,12 @@ from .exact import (
     rank_exact,
 )
 from .jordan import jordan_profile
-from .plov import growth_exponent, growth_exponent_by_minors, max_block_compound2
+from .plov import (
+    growth_exponent,
+    growth_exponent_by_minors,
+    max_block_compound2,
+    max_block_compound2_literal,
+)
 from .powersum import power_sum_brute, power_sum_det
 
 
@@ -221,7 +226,8 @@ def _check_second_compound_blocks(rng: random.Random, max_size: int, cases: int)
         kj = max(half_sizes) - 1
         if growth_exponent(m, 2) != 2 * kj:
             return CheckResult("second_compound_growth_and_blocks", False, count)
-        if max_block_compound2(m) != 2 * kj + 1:
+        literal = max_block_compound2_literal(m)
+        if literal != 2 * kj + 1 or literal != max_block_compound2(m):
             return CheckResult("second_compound_growth_and_blocks", False, count)
     return CheckResult("second_compound_growth_and_blocks", True, count)
 

@@ -20,6 +20,7 @@ from plovkit import (
     hilbert_matrix,
     jordan_profile,
     max_block_compound2,
+    max_block_compound2_literal,
     plov_of,
     plov_via_model,
     power_sum_brute,
@@ -162,6 +163,7 @@ def test_criterion_06_second_compound_growth():
             kj = max(half_sizes) - 1
             assert growth_exponent(m, 2) == 2 * kj
             assert max_block_compound2(m) == 2 * kj + 1
+            assert max_block_compound2_literal(m) == 2 * kj + 1
             for r in range(1, g + 1):
                 assert growth_exponent(m, 2 * r) <= 2 * r * (g - r)
 

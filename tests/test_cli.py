@@ -87,6 +87,33 @@ def test_analyze_quad_block(tmp_path, capsys):
     assert "plov = 4" in err
 
 
+def test_analyze_single_block_not_pseudo_analytic_exits_0(tmp_path, capsys):
+    # J_4 has exponent[2] = 4 > 2*1*(2-1); the paper's even-degree bound is
+    # for pseudo-analytic profiles only, so no bound check is reported
+    j4 = {"matrix": [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]}
+    path = write_doc(tmp_path, j4)
+    code, out, err = run_cli(["analyze", "--input", path], capsys)
+    assert code == 0
+    analysis = json.loads(out)["analysis"]
+    assert analysis["pseudo_analytic"] is False
+    assert analysis["exponents"]["2"] == 4
+    assert analysis["bound_checks"] == []
+    assert "bound checks: none" in err
+
+
+def test_analyze_paired_blocks_report_even_degree_checks(tmp_path, capsys):
+    path = write_doc(tmp_path, QUAD)
+    code, out, _ = run_cli(["analyze", "--input", path], capsys)
+    assert code == 0
+    checks = json.loads(out)["analysis"]["bound_checks"]
+    even = [c for c in checks if c["name"].startswith("even_degree_exponent_bound")]
+    assert [c["name"] for c in even] == [
+        "even_degree_exponent_bound_r2",
+        "even_degree_exponent_bound_r4",
+    ]
+    assert all(c["holds"] for c in even)
+
+
 def test_analyze_identity(tmp_path, capsys):
     path = write_doc(tmp_path, {"matrix": [[1, 0], [0, 1]]})
     code, out, _ = run_cli(["analyze", "--input", path], capsys)
@@ -144,6 +171,26 @@ def test_growth_reports_exponents(tmp_path, capsys):
     code, out, _ = run_cli(["growth", "--input", path, "--degrees", "1,2,4"], capsys)
     assert code == 0
     assert json.loads(out)["growth"]["exponents"] == {"1": 1, "2": 2, "4": 0}
+
+
+def test_growth_builds_the_profile_once(tmp_path, capsys, monkeypatch):
+    import plovkit.cli
+
+    calls = []
+    real = plovkit.cli.jordan_profile
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(plovkit.cli, "jordan_profile", counting)
+    path = write_doc(tmp_path, QUAD)
+    code, out, _ = run_cli(
+        ["growth", "--input", path, "--degrees", "1,2,3,4"], capsys
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["growth"]["exponents"] == {"1": 1, "2": 2, "3": 1, "4": 0}
 
 
 def test_model_standard_form(tmp_path, capsys):

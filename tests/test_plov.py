@@ -12,13 +12,18 @@ import pytest
 from plovkit import (
     RatMatrix,
     analyze,
+    compound_matrix,
     growth_exponent,
     growth_exponent_by_minors,
     half_profile,
     jordan_profile,
     max_block_compound2,
+    max_block_compound2_literal,
     plov_of,
+    second_compound_block_sizes,
     symbolic_unipotent_power,
+    unipotent_block_profile,
+    unipotent_power,
 )
 from plovkit.errors import NotQuasiUnipotentError, OddDimensionError
 from plovkit.jordan import HalfProfile
@@ -26,6 +31,7 @@ from plovkit.randgen import (
     conjugate,
     random_paired_unipotent,
     random_pseudo_analytic,
+    random_quasi_unipotent,
     random_unimodular,
     random_unipotent,
     rational_root_block,
@@ -172,9 +178,10 @@ def test_symbolic_power_equals_integer_powers():
 
 
 def test_max_block_compound2_examples():
-    assert max_block_compound2(RatMatrix.identity(4)) == 1
-    assert max_block_compound2(blocks(2, 2)) == 3
-    assert max_block_compound2(blocks(3, 3)) == 5
+    for route in (max_block_compound2, max_block_compound2_literal):
+        assert route(RatMatrix.identity(4)) == 1
+        assert route(blocks(2, 2)) == 3
+        assert route(blocks(3, 3)) == 5
 
 
 def test_max_block_compound2_matches_doubling_rule():
@@ -183,6 +190,47 @@ def test_max_block_compound2_matches_doubling_rule():
         m, half_sizes = random_paired_unipotent(rng, rng.randint(1, 4))
         kj = max(half_sizes) - 1
         assert max_block_compound2(m) == 2 * kj + 1
+        assert max_block_compound2_literal(m) == 2 * kj + 1
+
+
+def test_second_compound_block_sizes_small_cases():
+    assert second_compound_block_sizes([1]) == []
+    assert second_compound_block_sizes([2]) == [1]
+    assert second_compound_block_sizes([3]) == [3]
+    assert second_compound_block_sizes([4]) == [5, 1]
+    assert second_compound_block_sizes([5]) == [7, 3]
+    # Lambda^2 J_2 twice, plus J_2 (x) J_2 = J_3 + J_1
+    assert second_compound_block_sizes([2, 2]) == [3, 1, 1, 1]
+    assert second_compound_block_sizes([3, 1]) == [3, 3]
+    assert second_compound_block_sizes([1, 1, 1]) == [1, 1, 1]
+
+
+def _literal_second_compound_sizes(m):
+    _, u = unipotent_power(m)
+    return unipotent_block_profile(compound_matrix(u, 2)).unipotent_block_sizes()
+
+
+def test_second_compound_block_sizes_match_literal_compound():
+    # full Jordan type, not only the maximum, on unipotent, quasi-unipotent
+    # and pseudo-analytic inputs with order-3/4/6 blocks
+    rng = random.Random(30)
+    cases = []
+    for dim in range(2, 8):
+        cases.append(random_unipotent(rng, dim)[0])
+        cases.append(random_quasi_unipotent(rng, dim))
+    for genus in (1, 2, 3):
+        for _ in range(2):
+            cases.append(
+                random_pseudo_analytic(
+                    rng, genus, conjugated=True, allow_orders=(1, 2, 3, 4, 6)
+                )[0]
+            )
+    for order, size in ((3, 2), (4, 3), (6, 2)):
+        root = rational_root_block(order, size)
+        cases.append(conjugate(root, random_unimodular(rng, root.dimension)))
+    for m in cases:
+        sizes = jordan_profile(m).unipotent_block_sizes()
+        assert second_compound_block_sizes(sizes) == _literal_second_compound_sizes(m)
 
 
 # ---------------------------------------------------------------------------
