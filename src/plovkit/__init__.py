@@ -80,10 +80,10 @@ from .powersum import (
 from .cohomology import (
     ModelGrowthResult,
     TwoForm,
-    TwoFormPoly,
     VanishingScanReport,
-    delta_n,
+    delta_at,
     intersection_poly,
+    pfaffian,
     plov_via_model,
     pullback2,
     vanishing_scan,

@@ -83,6 +83,11 @@ def parse_input(data: bytes | str) -> tuple[Optional[str], RatMatrix]:
         raise InputFormatError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except ValueError as exc:
+        # e.g. an integer literal beyond Python's digit limit
+        raise InputFormatError(f"unreadable JSON: {exc}")
+    except RecursionError:
+        raise InputFormatError("unreadable JSON: arrays or objects nested too deeply")
     if not isinstance(doc, dict):
         raise InputFormatError("input document must be a JSON object")
     unknown = set(doc) - {"name", "matrix"}
@@ -346,9 +351,7 @@ def cmd_model(args) -> int:
     else:
         import random
 
-        from .selfcheck import randgen_two_form
-
-        form = randgen_two_form(random.Random(args.seed), genus)
+        form = randgen.randgen_two_form(random.Random(args.seed), genus)
         form_desc = f"random (seed {args.seed})"
     model = plov_via_model(u, form)
     scan = vanishing_scan(u, form)
@@ -491,9 +494,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CrossCheckError as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
         return 3
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PlovkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,14 +8,19 @@ The pullback along a matrix M substitutes columns:
 
 extended bilinearly, so pullback2(A*B) = pullback2(A) o pullback2(B).
 Summing pullbacks of a form H along powers of a unipotent M gives the
-divisor polynomial
+divisor class
 
-    Delta_n = sum_{i=0}^{kf} C(n, i+1) N^i H,   N = pullback2(M, .) - id,
+    Delta_x = sum_{i=0}^{kf} C(x, i+1) N^i H,   N = pullback2(M, .) - id,
 
-whose top self-intersection (the coefficient of e_1 ^ ... ^ e_2g in the
-g-fold wedge) is a polynomial in n.  Its degree is the model-side volume
-growth; intersection numbers are kept as raw wedge coefficients, since
-every contract here concerns degrees and vanishing only.
+at each integer x >= 0 (`delta_at`).  Its top self-intersection (the
+coefficient of e_1 ^ ... ^ e_2g in the g-fold wedge) is a polynomial in
+x, reported in the variable n, whose degree is the model-side volume
+growth.  For one form w the top coefficient of w^g is g! * Pf(A_w), so
+`intersection_poly` evaluates that at the nodes x = 0..D and
+interpolates.  The literal wedge expansion, `wedge_coefficient`, serves
+the vanishing scan and is the oracle for the Pfaffian.  Intersection
+numbers are kept as raw wedge coefficients, since every contract here
+concerns degrees and vanishing only.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 from typing import Optional, Sequence
 
 from .errors import (
@@ -32,7 +38,7 @@ from .errors import (
     NotPseudoAnalyticError,
     NotUnipotentError,
 )
-from .exact import RatMatrix, Scalar, UniPoly, _frac, binom_poly
+from .exact import RatMatrix, Scalar, UniPoly, _frac, _interpolate
 from .cyclotomic import is_unipotent
 from .jordan import half_profile, pseudo_analytic_check, unipotent_block_profile
 from .plov import plov_of
@@ -124,62 +130,6 @@ class TwoForm:
         return f"TwoForm({terms})"
 
 
-class TwoFormPoly:
-    """Alternating 2-form whose coefficients are polynomials in n."""
-
-    __slots__ = ("genus", "_coeffs")
-
-    def __init__(self, genus: int, coeffs: Optional[dict[Pair, UniPoly]] = None):
-        if genus < 1:
-            raise ValueError("genus must be positive")
-        self.genus = genus
-        cleaned: dict[Pair, UniPoly] = {}
-        for pair, value in (coeffs or {}).items():
-            if value.var != "n":
-                raise ValueError("coefficients must be polynomials in 'n'")
-            if not value.is_zero():
-                cleaned[_check_pair(pair, genus)] = value
-        self._coeffs = cleaned
-
-    def coefficient(self, i: int, j: int) -> UniPoly:
-        return self._coeffs.get((i, j), UniPoly.zero("n"))
-
-    def items(self) -> list[tuple[Pair, UniPoly]]:
-        return sorted(self._coeffs.items())
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def eval_at(self, x: Scalar) -> TwoForm:
-        return TwoForm(
-            self.genus, {pair: p(x) for pair, p in self._coeffs.items()}
-        )
-
-    def __add__(self, other: "TwoFormPoly") -> "TwoFormPoly":
-        if self.genus != other.genus:
-            raise DimensionMismatchError("genus mismatch between 2-forms")
-        out = dict(self._coeffs)
-        for pair, p in other._coeffs.items():
-            out[pair] = out.get(pair, UniPoly.zero("n")) + p
-        return TwoFormPoly(self.genus, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TwoFormPoly)
-            and self.genus == other.genus
-            and self._coeffs == other._coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.genus, tuple(sorted(self._coeffs.items()))))
-
-
-def scale_form(form: TwoForm, poly: UniPoly) -> TwoFormPoly:
-    return TwoFormPoly(
-        form.genus, {pair: poly * v for pair, v in form.items()}
-    )
-
-
 def pullback2(m: RatMatrix, form: TwoForm) -> TwoForm:
     """Pullback of a 2-form along M by column substitution:
     e_i ^ e_j |-> (M e_i) ^ (M e_j), extended bilinearly."""
@@ -224,14 +174,76 @@ def nilpotent_chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
             raise CrossCheckError("pullback nilpotency bound exceeded")
 
 
-def delta_n(m: RatMatrix, h: TwoForm) -> TwoFormPoly:
-    """The divisor polynomial Delta_n = sum_i C(n, i+1) N^i H; evaluated
-    at any integer x >= 0 it equals sum_{m=0}^{x-1} pullback2(M^m, H)."""
-    chain = nilpotent_chain(m, h)
-    result = TwoFormPoly(h.genus)
+def delta_at(chain: Sequence[TwoForm], x: int) -> TwoForm:
+    """Delta_x = sum_i C(x, i+1) chain[i] at an integer x >= 0; for
+    chain = nilpotent_chain(M, H) it equals sum_{m=0}^{x-1} pullback2(M^m, H)."""
+    total = TwoForm(chain[0].genus)
     for i, form in enumerate(chain):
-        result = result + scale_form(form, binom_poly(i + 1, "n"))
+        total = total + comb(x, i + 1) * form
+    return total
+
+
+def pfaffian(form: TwoForm) -> Fraction:
+    """Pfaffian of the skew matrix A with A[i][j] = coefficient(i, j) for
+    i < j, so that the top coefficient of form^g is g! * pfaffian(form).
+
+    Skew elimination: pivot on the 2x2 block (k, k+1), multiply in its
+    entry p = A[k][k+1], and replace the trailing block by its skew Schur
+    complement, updating the upper triangle and mirroring into the lower."""
+    n = 2 * form.genus
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), v in form.items():
+        a[i - 1][j - 1] = v
+        a[j - 1][i - 1] = -v
+    result = Fraction(1)
+    for k in range(0, n, 2):
+        pivot = next((j for j in range(k + 1, n) if a[k][j]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k + 1:
+            # swapping index k+1 with the pivot in rows and columns
+            # flips the sign of the Pfaffian
+            a[k + 1], a[pivot] = a[pivot], a[k + 1]
+            for row in a:
+                row[k + 1], row[pivot] = row[pivot], row[k + 1]
+            result = -result
+        row_k, row_k1 = a[k], a[k + 1]
+        p = row_k[k + 1]
+        result *= p
+        for i in range(k + 2, n):
+            u, w = row_k1[i] / p, row_k[i] / p
+            if not u and not w:
+                continue
+            row_i = a[i]
+            for j in range(i + 1, n):
+                v = u * row_k[j] - w * row_k1[j]
+                if v:
+                    row_i[j] += v
+                    a[j][i] -= v
     return result
+
+
+def intersection_poly(m: RatMatrix, h: TwoForm) -> UniPoly:
+    """The raw top coefficient of Delta_n^g as a polynomial in n (no
+    normalization; only degrees and vanishing are contractual).
+
+    Every coefficient of Delta_x has degree at most len(chain) = kf + 1 in
+    x, so the g-fold wedge has degree at most D = g * len(chain).  It is
+    interpolated from g! * Pf(Delta_x) at x = 0..D, and one extra node
+    re-verifies the interpolation."""
+    chain = nilpotent_chain(m, h)
+    scale = factorial(h.genus)
+    bound = h.genus * len(chain)
+
+    def top(x: int) -> Fraction:
+        return scale * pfaffian(delta_at(chain, x))
+
+    poly = _interpolate([top(x) for x in range(bound + 1)], "n")
+    if poly(bound + 1) != top(bound + 1):
+        raise CrossCheckError(
+            "intersection_poly verification node mismatch (degree bound too small?)"
+        )
+    return poly
 
 
 def _merge_sign(indices: tuple[int, ...], pair: Pair) -> int:
@@ -245,12 +257,21 @@ def _merge_sign(indices: tuple[int, ...], pair: Pair) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _top_wedge(terms: Sequence[list], genus: int, zero, unit):
-    """Coefficient of e_1 ^ ... ^ e_2g in the wedge of g 2-forms given as
-    item lists; generic over the coefficient arithmetic."""
-    state = {(): unit}
-    for items in terms:
-        nxt: dict[tuple[int, ...], object] = {}
+def wedge_coefficient(forms: Sequence[TwoForm]) -> Fraction:
+    """Top wedge coefficient of g constant 2-forms on a genus-g space, by
+    literal expansion over the sets of indices used so far: the kernel of
+    the vanishing scan and the oracle for g! * pfaffian."""
+    if not forms:
+        raise DimensionMismatchError("need at least one form")
+    g = forms[0].genus
+    if len(forms) != g:
+        raise DimensionMismatchError(f"need exactly g = {g} forms")
+    for f in forms:
+        if f.genus != g:
+            raise DimensionMismatchError("genus mismatch among forms")
+    state = {(): Fraction(1)}
+    for items in [f.items() for f in forms]:
+        nxt: dict[tuple[int, ...], Fraction] = {}
         for indices, acc in state.items():
             for pair, coeff in items:
                 sign = _merge_sign(indices, pair)
@@ -263,41 +284,8 @@ def _top_wedge(terms: Sequence[list], genus: int, zero, unit):
                 else:
                     nxt[key] = term
         state = nxt
-    top = tuple(range(1, 2 * genus + 1))
-    return state.get(top, zero)
-
-
-def intersection_poly(classes: Sequence[TwoFormPoly]) -> UniPoly:
-    """Wedge g polynomial 2-forms on a genus-g space and return the raw
-    coefficient of the top form e_1 ^ ... ^ e_2g (no normalization; only
-    degrees and vanishing are contractual)."""
-    if not classes:
-        raise DimensionMismatchError("need at least one class")
-    g = classes[0].genus
-    if len(classes) != g:
-        raise DimensionMismatchError(
-            f"need exactly g = {g} classes, got {len(classes)}"
-        )
-    for c in classes:
-        if c.genus != g:
-            raise DimensionMismatchError("genus mismatch among classes")
-    return _top_wedge(
-        [c.items() for c in classes], g, UniPoly.zero("n"),
-        UniPoly.constant(1, "n"),
-    )
-
-
-def wedge_coefficient(forms: Sequence[TwoForm]) -> Fraction:
-    """Top wedge coefficient of g constant 2-forms on a genus-g space."""
-    if not forms:
-        raise DimensionMismatchError("need at least one form")
-    g = forms[0].genus
-    if len(forms) != g:
-        raise DimensionMismatchError(f"need exactly g = {g} forms")
-    for f in forms:
-        if f.genus != g:
-            raise DimensionMismatchError("genus mismatch among forms")
-    return _top_wedge([f.items() for f in forms], g, Fraction(0), Fraction(1))
+    top = tuple(range(1, 2 * g + 1))
+    return state.get(top, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -322,8 +310,7 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
             "model growth needs a conjugate-splitting block profile"
         )
     expected = plov_of(half_profile(profile))
-    delta = delta_n(m, h)
-    poly = intersection_poly([delta] * h.genus)
+    poly = intersection_poly(m, h)
     if poly.is_zero():
         raise DegenerateFormError(
             "top self-intersection of Delta_n is identically zero"

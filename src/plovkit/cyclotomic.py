@@ -25,6 +25,10 @@ from typing import Optional
 from .errors import CrossCheckError, NotQuasiUnipotentError
 from .exact import RatMatrix, UniPoly, char_poly, mat_mul, mat_pow
 
+# verdicts are cached per matrix so that one `analyze` computes each once;
+# the bound keeps a long-running process from holding every matrix it saw
+VERDICT_CACHE_SIZE = 32
+
 
 def euler_phi(n: int) -> int:
     """Euler's totient by trial-division factorization."""
@@ -113,7 +117,7 @@ def is_unipotent(m: RatMatrix) -> bool:
         power *= 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERDICT_CACHE_SIZE)
 def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
     """Decide quasi-unipotency by stripping cyclotomic factors from the
     characteristic polynomial.

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .cohomology import TwoForm
 from .cyclotomic import cyclotomic_poly, euler_phi
 from .exact import RatMatrix, mat_mul
 
@@ -217,3 +218,16 @@ def random_mixed_matrix(rng: random.Random, dimension: int) -> RatMatrix:
         remaining -= size
     m = RatMatrix.block_diag(*pieces)
     return conjugate(m, random_unimodular(rng, dimension))
+
+
+def randgen_two_form(rng: random.Random, genus: int) -> TwoForm:
+    """Random nonzero 2-form with small integer coefficients."""
+    while True:
+        coeffs = {}
+        for i in range(1, 2 * genus + 1):
+            for j in range(i + 1, 2 * genus + 1):
+                if rng.random() < 0.5:
+                    coeffs[(i, j)] = rng.randint(-2, 2)
+        form = TwoForm(genus, coeffs)
+        if not form.is_zero():
+            return form

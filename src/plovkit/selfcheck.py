@@ -265,7 +265,7 @@ def _check_pullback_functorial(rng: random.Random, max_size: int, cases: int) ->
     for _ in range(count):
         genus = rng.randint(1, 3)
         m = randgen.random_integer_matrix(rng, 2 * genus, span=2)
-        h = randgen_two_form(rng, genus)
+        h = randgen.randgen_two_form(rng, genus)
         iterated = h
         power = RatMatrix.identity(2 * genus)
         for step in range(1, 7):
@@ -274,19 +274,6 @@ def _check_pullback_functorial(rng: random.Random, max_size: int, cases: int) ->
             if pullback2(power, h) != iterated:
                 return CheckResult("pullback_power_functoriality", False, count)
     return CheckResult("pullback_power_functoriality", True, count)
-
-
-def randgen_two_form(rng: random.Random, genus: int) -> TwoForm:
-    """Random nonzero 2-form with small integer coefficients."""
-    while True:
-        coeffs = {}
-        for i in range(1, 2 * genus + 1):
-            for j in range(i + 1, 2 * genus + 1):
-                if rng.random() < 0.5:
-                    coeffs[(i, j)] = rng.randint(-2, 2)
-        form = TwoForm(genus, coeffs)
-        if not form.is_zero():
-            return form
 
 
 #: The documented suite: every `selftest` run executes exactly these.

@@ -370,3 +370,48 @@ def test_smallest_selftest_counts_run(capsys):
     code, out, _ = run_cli(["selftest", "--max-size", "2", "--cases", "1"], capsys)
     assert code == 0
     assert json.loads(out)["selftest"]["max_size"] == 2
+
+
+# JSON that Python's decoder itself refuses: too deeply nested for its
+# recursion limit, or an integer beyond its digit limit
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"matrix": [[' + "7" * 5_000 + "]]}",
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_undecodable_json_is_one_line_error(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    done = run_process(["analyze", "--input", str(path)], tmp_path)
+    assert_one_line_exit_1(done)
+    assert "unreadable JSON" in done.stderr
+
+
+def test_parse_input_is_total_on_arbitrary_input():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+        max_leaves=20,
+    )
+    documents = st.one_of(
+        st.builds(json.dumps, json_values),
+        st.builds(lambda grid: json.dumps({"matrix": grid}), json_values),
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.one_of(st.text(), st.binary(), documents))
+    def check(data):
+        try:
+            parse_input(data)
+        except InputFormatError:
+            pass
+
+    check()

@@ -1,11 +1,13 @@
-"""Tests for the exterior-algebra model: pullbacks, divisor polynomials,
-intersection numbers, and the vanishing scan.
+"""Tests for the exterior-algebra model: pullbacks, divisor classes,
+Pfaffians, intersection numbers, and the vanishing scan.
 
 Oracles: literal substitution for pullbacks, summation over matrix powers
-for the divisor polynomial, and hand sign bookkeeping for small wedges.
+for the divisor classes, hand sign bookkeeping for small wedges, and the
+literal wedge expansion for the Pfaffian route.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,14 +16,14 @@ import pytest
 from plovkit import (
     RatMatrix,
     TwoForm,
-    TwoFormPoly,
     UniPoly,
-    delta_n,
+    delta_at,
     half_profile,
     intersection_poly,
     jordan_profile,
     mat_mul,
     mat_pow,
+    pfaffian,
     plov_of,
     plov_via_model,
     power_sum_det,
@@ -30,13 +32,14 @@ from plovkit import (
     wedge_coefficient,
 )
 from plovkit.errors import (
+    CrossCheckError,
     DegenerateFormError,
     DimensionMismatchError,
     NotPseudoAnalyticError,
     NotUnipotentError,
 )
-from plovkit.randgen import random_paired_unipotent
-from plovkit.selfcheck import randgen_two_form
+from plovkit.cohomology import nilpotent_chain
+from plovkit.randgen import random_paired_unipotent, randgen_two_form
 
 
 def poly_n(*coeffs):
@@ -46,6 +49,30 @@ def poly_n(*coeffs):
 def quad_block():
     j12 = RatMatrix.jordan_block(1, 2)
     return RatMatrix.block_diag(j12, j12)
+
+
+def telescoped_delta(m, h, x):
+    """Delta_x as the literal sum of pullback2(M^m, H) over m < x."""
+    acc = TwoForm(h.genus)
+    power = RatMatrix.identity(2 * h.genus)
+    for _ in range(x):
+        acc = acc + pullback2(power, h)
+        power = mat_mul(power, m)
+    return acc
+
+
+def random_rational_form(rng, g):
+    """2-form with rational coefficients and a random density."""
+    density = rng.choice([0.2, 0.5, 0.9])
+    return TwoForm(
+        g,
+        {
+            (i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for i in range(1, 2 * g + 1)
+            for j in range(i + 1, 2 * g + 1)
+            if rng.random() < density
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -118,23 +145,29 @@ def test_pullback_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# divisor polynomials
+# divisor classes at integer nodes
 
 
 def test_delta_identity_matrix():
     h = TwoForm.standard(2)
-    d = delta_n(RatMatrix.identity(4), h)
-    n = UniPoly.variable("n")
-    assert d == TwoFormPoly(2, {pair: n * v for pair, v in h.items()})
+    chain = nilpotent_chain(RatMatrix.identity(4), h)
+    for x in range(8):
+        assert delta_at(chain, x) == x * h
 
 
 def test_delta_quad_block_coefficients():
-    m = quad_block()
-    d = delta_n(m, TwoForm.standard(2))
-    assert d.coefficient(1, 3) == poly_n(0, Fraction(7, 6), Fraction(-1, 2), Fraction(1, 3))
-    assert d.coefficient(1, 4) == poly_n(0, Fraction(-1, 2), Fraction(1, 2))
-    assert d.coefficient(2, 3) == poly_n(0, Fraction(-1, 2), Fraction(1, 2))
-    assert d.coefficient(2, 4) == poly_n(0, 1)
+    chain = nilpotent_chain(quad_block(), TwoForm.standard(2))
+    expected = {
+        (1, 3): poly_n(0, Fraction(7, 6), Fraction(-1, 2), Fraction(1, 3)),
+        (1, 4): poly_n(0, Fraction(-1, 2), Fraction(1, 2)),
+        (2, 3): poly_n(0, Fraction(-1, 2), Fraction(1, 2)),
+        (2, 4): poly_n(0, 1),
+    }
+    for x in range(8):
+        d = delta_at(chain, x)
+        for (i, j), p in expected.items():
+            assert d.coefficient(i, j) == p(x)
+        assert d == TwoForm(2, {pair: p(x) for pair, p in expected.items()})
 
 
 def test_delta_evaluates_to_h_at_one():
@@ -143,7 +176,7 @@ def test_delta_evaluates_to_h_at_one():
         g = rng.randint(1, 3)
         m, _ = random_paired_unipotent(rng, g)
         h = randgen_two_form(rng, g)
-        assert delta_n(m, h).eval_at(1) == h
+        assert delta_at(nilpotent_chain(m, h), 1) == h
 
 
 def test_delta_telescoping_oracle():
@@ -152,19 +185,17 @@ def test_delta_telescoping_oracle():
         g = rng.randint(1, 3)
         m, _ = random_paired_unipotent(rng, g)
         h = randgen_two_form(rng, g)
-        d = delta_n(m, h)
+        chain = nilpotent_chain(m, h)
         for n0 in range(0, 9):
-            acc = TwoForm(g)
-            power = RatMatrix.identity(2 * g)
-            for _ in range(n0):
-                acc = acc + pullback2(power, h)
-                power = mat_mul(power, m)
-            assert d.eval_at(n0) == acc
+            assert delta_at(chain, n0) == telescoped_delta(m, h, n0)
 
 
 def test_delta_rejects_non_unipotent():
+    m, h = RatMatrix.jordan_block(-1, 2), TwoForm.basis(1, 1, 2)
     with pytest.raises(NotUnipotentError):
-        delta_n(RatMatrix.jordan_block(-1, 2), TwoForm.basis(1, 1, 2))
+        nilpotent_chain(m, h)
+    with pytest.raises(NotUnipotentError):
+        intersection_poly(m, h)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +204,21 @@ def test_delta_rejects_non_unipotent():
 
 def test_intersection_genus_one():
     c = poly_n(3, 1)
-    form = TwoFormPoly(1, {(1, 2): c})
-    assert intersection_poly([form]) == c
+    for x in range(5):
+        form = TwoForm(1, {(1, 2): c(x)})
+        assert wedge_coefficient([form]) == c(x)
+        assert pfaffian(form) == c(x)
 
 
 def test_intersection_sign_bookkeeping_oracle():
     # coefficient of e1^e2^e3^e4 in w^w for
     # w = a e1^e3 + b e1^e4 + c e2^e3 + d e2^e4 is 2(bc - ad)
     a, b, c, d = (poly_n(2), poly_n(0, 1), poly_n(5), poly_n(1, 1))
-    w = TwoFormPoly(2, {(1, 3): a, (1, 4): b, (2, 3): c, (2, 4): d})
-    two = UniPoly.constant(2, "n")
-    assert intersection_poly([w, w]) == two * (b * c - a * d)
+    for x in range(5):
+        w = TwoForm(2, {(1, 3): a(x), (1, 4): b(x), (2, 3): c(x), (2, 4): d(x)})
+        expected = 2 * (b(x) * c(x) - a(x) * d(x))
+        assert wedge_coefficient([w, w]) == expected
+        assert 2 * pfaffian(w) == expected
     # independent permutation-sign oracle on constant forms
     rng = random.Random(66)
     for _ in range(6):
@@ -205,21 +240,62 @@ def test_intersection_sign_bookkeeping_oracle():
 
 
 def test_intersection_delta_self_wedge_closed_form():
-    m = quad_block()
-    d = delta_n(m, TwoForm.standard(2))
-    result = intersection_poly([d, d])
+    result = intersection_poly(quad_block(), TwoForm.standard(2))
     # -(1/6) n^2 (n^2 + 11), degree 4 with leading coefficient -1/6
     assert result == poly_n(0, 0, Fraction(-11, 6), 0, Fraction(-1, 6))
     assert result.degree() == 4
     assert result.leading() == Fraction(-1, 6)
 
 
+def test_intersection_poly_verification_node(monkeypatch):
+    # values that no polynomial of degree <= D takes at 0..D+1 must raise
+    import plovkit.cohomology as cohomology
+
+    monkeypatch.setattr(
+        cohomology, "delta_at", lambda chain, x: 2**x * TwoForm.basis(1, 1, 2)
+    )
+    with pytest.raises(CrossCheckError):
+        intersection_poly(RatMatrix.identity(2), TwoForm.basis(1, 1, 2))
+
+
 def test_intersection_arity_checks():
-    w = TwoFormPoly(2, {(1, 3): poly_n(1)})
+    w = TwoForm(2, {(1, 3): 1})
     with pytest.raises(DimensionMismatchError):
-        intersection_poly([w])
+        wedge_coefficient([w])
     with pytest.raises(DimensionMismatchError):
-        intersection_poly([w, w, w])
+        wedge_coefficient([w, w, w])
+
+
+def test_pfaffian_matches_literal_wedge():
+    # the top coefficient of w^g is g! Pf(w)
+    rng = random.Random(71)
+    for _ in range(60):
+        g = rng.randint(1, 5)
+        w = random_rational_form(rng, g)
+        assert math.factorial(g) * pfaffian(w) == wedge_coefficient([w] * g)
+
+
+def test_pfaffian_small_cases():
+    assert pfaffian(TwoForm(3)) == 0
+    # a zero leading row leaves the Pfaffian zero
+    assert pfaffian(TwoForm(2, {(2, 3): 1, (2, 4): 5, (3, 4): 2})) == 0
+    # the standard form needs a pivot swap at every block
+    assert pfaffian(TwoForm.standard(3)) == -1
+    assert pfaffian(TwoForm(2, {(1, 2): 3, (3, 4): Fraction(1, 2)})) == Fraction(3, 2)
+
+
+def test_intersection_poly_matches_literal_wedge_of_telescoped_sum():
+    # independent of both the chain and the Pfaffian: Delta_x is the sum
+    # of pullbacks along M^m, wedged literally
+    rng = random.Random(72)
+    for _ in range(10):
+        g = rng.randint(1, 4)
+        m, _ = random_paired_unipotent(rng, g)
+        h = rng.choice([TwoForm.standard(g), randgen_two_form(rng, g)])
+        poly = intersection_poly(m, h)
+        for x in range(7):
+            delta = telescoped_delta(m, h, x)
+            assert poly(x) == wedge_coefficient([delta] * g)
 
 
 # ---------------------------------------------------------------------------

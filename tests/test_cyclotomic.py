@@ -17,6 +17,7 @@ from plovkit import (
     quasi_unipotency,
     unipotent_power,
 )
+from plovkit.cyclotomic import VERDICT_CACHE_SIZE
 from plovkit.errors import NotQuasiUnipotentError
 from plovkit.randgen import random_mixed_matrix
 
@@ -197,3 +198,17 @@ def test_quasi_unipotency_transfers_to_second_compound():
         a = quasi_unipotency(m).is_quasi_unipotent
         b = quasi_unipotency(compound_matrix(m, 2)).is_quasi_unipotent
         assert a == b
+
+
+def test_verdict_cache_is_bounded():
+    assert VERDICT_CACHE_SIZE < 100
+    for a in range(100):
+        quasi_unipotency(RatMatrix.from_rows([[1, a], [0, 1]]))
+    info = quasi_unipotency.cache_info()
+    assert info.maxsize == VERDICT_CACHE_SIZE
+    assert info.currsize <= VERDICT_CACHE_SIZE
+
+
+def test_verdict_cache_serves_repeats():
+    m = RatMatrix.from_rows([[0, -1], [1, 0]])
+    assert quasi_unipotency(m) is quasi_unipotency(m)

@@ -81,6 +81,20 @@ def _cases() -> list[tuple[str, object, list[str]]]:
                 ["model", "--form", "random", "--seed", str(i)],
             )
         )
+    # g = 5 and 6, where the intersection polynomial needs the most work;
+    # fixed shapes, since random draws there often have a long chain and a
+    # vanishing scan of many seconds
+    for i, half_sizes in enumerate(([3, 1, 1], [2, 1, 1, 1, 1]), start=4):
+        genus = sum(half_sizes)
+        m = randgen.paired_unipotent(half_sizes)
+        cases.append((f"model-standard-{i:02d}-g{genus}", m, ["model"]))
+        cases.append(
+            (
+                f"model-random-{i:02d}-g{genus}",
+                m,
+                ["model", "--form", "random", "--seed", str(i)],
+            )
+        )
     return cases
 
 

@@ -2,6 +2,8 @@
 
 `char_poly` and `det_poly` rebuild polynomials from exact values at the
 integer nodes 0..D; sympy expands the same determinants symbolically.
+`pfaffian` eliminates on 2x2 blocks; its square is checked against
+sympy's determinant of the skew matrix.
 The library itself stays stdlib-only: this module is test-only and is
 skipped when sympy is not installed.
 """
@@ -13,7 +15,15 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from plovkit import PolyMatrix, RatMatrix, UniPoly, char_poly, det_poly  # noqa: E402
+from plovkit import (  # noqa: E402
+    PolyMatrix,
+    RatMatrix,
+    TwoForm,
+    UniPoly,
+    char_poly,
+    det_poly,
+    pfaffian,
+)
 
 
 def to_sympy(x: Fraction):
@@ -73,3 +83,23 @@ def test_det_poly_matches_sympy_determinant():
             [[to_sympy_poly(p, n) for p in row] for row in rows]
         ).det(method="domain-ge")
         assert ours.coeffs == coeffs_of(sympy.expand(theirs), n)
+
+
+def test_pfaffian_squared_matches_sympy_determinant():
+    rng = random.Random(303)
+    for _ in range(30):
+        g = rng.randint(1, 4)
+        k = 2 * g
+        density = rng.choice([0.3, 0.7, 1.0])
+        coeffs = {
+            (i, j): random_rational(rng)
+            for i in range(1, k + 1)
+            for j in range(i + 1, k + 1)
+            if rng.random() < density
+        }
+        skew = sympy.zeros(k, k)
+        for (i, j), v in coeffs.items():
+            skew[i - 1, j - 1] = to_sympy(v)
+            skew[j - 1, i - 1] = -to_sympy(v)
+        pf = pfaffian(TwoForm(g, coeffs))
+        assert to_sympy(pf * pf) == skew.det(method="bareiss")
