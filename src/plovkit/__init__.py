@@ -23,16 +23,13 @@ from .errors import (
 )
 from .exact import (
     NEG_INF,
-    PolyMatrix,
     RatMatrix,
     Rational,
     UniPoly,
-    binom_poly,
     char_poly,
     compound_matrix,
     det_exact,
     det_poly,
-    discrete_sum,
     mat_mul,
     mat_pow,
     poly_at_matrix,
@@ -65,7 +62,6 @@ from .plov import (
     max_block_compound2_literal,
     plov_of,
     second_compound_block_sizes,
-    symbolic_unipotent_power,
 )
 from .powersum import (
     PowerSumResult,

@@ -138,8 +138,11 @@ def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
             continue
         phi_n = cyclotomic_poly(n)
         mult = 0
-        while phi_n.divides(p):
-            p = p.exact_div(phi_n)
+        while True:
+            q, r = divmod(p, phi_n)
+            if not r.is_zero():
+                break
+            p = q
             mult += 1
         if mult:
             factors.append((n, mult))

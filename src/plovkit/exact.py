@@ -5,18 +5,16 @@ no floating point appears anywhere.  This module is the substrate shared
 by the rest of the library:
 
   * `UniPoly` -- dense univariate polynomial over Q with a variable tag
-    ('t' for characteristic polynomials, 'n'/'m' for growth polynomials),
-  * `RatMatrix` / `PolyMatrix` -- immutable square matrices over Q and
-    over Q[n],
+    ('t' for characteristic polynomials, 'n' for growth polynomials),
+  * `RatMatrix` -- immutable square matrices over Q,
   * fraction-free determinants and exact rank,
   * polynomials rebuilt from exact values at the nodes 0..D by a single
     interpolation routine (forward differences into the binomial basis,
     expanded by Horner's rule):
       - `char_poly` -- det(t*I - M) from its values at t = 0..K,
-      - `discrete_sum` -- the exact map q(m) -> Q(n) with Q(n) = sum of
-        q(m) for m = 0..n-1, from the partial sums at n = 0..deg q + 1,
-      - `det_poly` -- determinant of a polynomial matrix from exact
-        determinants at n = 0..D, plus one verification node,
+      - `det_poly` -- the determinant of a matrix whose entries are
+        polynomials in n, given as a callable x -> matrix at x, from
+        exact determinants at n = 0..D, plus one verification node,
   * `compound_matrix` -- the matrix of all r-by-r minors.
 """
 
@@ -26,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CrossCheckError, DimensionMismatchError
 
@@ -100,9 +98,6 @@ class UniPoly:
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def retag(self, var: str) -> "UniPoly":
-        return UniPoly(self.coeffs, var)
 
     def _check_var(self, other: "UniPoly") -> None:
         if self.var != other.var:
@@ -189,11 +184,6 @@ class UniPoly:
             UniPoly.from_coeffs(rem, self.var),
         )
 
-    def divides(self, other: "UniPoly") -> bool:
-        """True when self divides other exactly."""
-        _, r = divmod(other, self)
-        return r.is_zero()
-
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         q, r = divmod(self, other)
         if not r.is_zero():
@@ -221,17 +211,6 @@ class UniPoly:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
-
-
-def binom_poly(j: int, var: str) -> UniPoly:
-    """The binomial coefficient C(x, j) as a polynomial in x."""
-    if j < 0:
-        raise ValueError("binomial index must be nonnegative")
-    result = UniPoly.constant(1, var)
-    x = UniPoly.variable(var)
-    for i in range(j):
-        result = result * (x - UniPoly.constant(i, var))
-    return result * Fraction(1, factorial(j))
 
 
 def _interpolate(values: Sequence[Scalar], var: str) -> UniPoly:
@@ -263,20 +242,6 @@ def _interpolate(values: Sequence[Scalar], var: str) -> UniPoly:
         weight *= i
     denominator = scale * factorial(d)
     return UniPoly.from_coeffs((Fraction(c, denominator) for c in acc), var)
-
-
-def discrete_sum(q: UniPoly) -> UniPoly:
-    """Exact discrete summation: returns Q in n with Q(n) = sum_{m=0}^{n-1} q(m).
-
-    Q has degree deg q + 1 for nonzero q, so it is interpolated from the
-    partial sums Q(0), ..., Q(deg q + 1).
-    """
-    if q.var != "m":
-        raise ValueError("discrete_sum expects a polynomial in 'm'")
-    partial = [Fraction(0)]
-    for m in range(len(q.coeffs)):
-        partial.append(partial[-1] + q(m))
-    return _interpolate(partial, "n")
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +318,6 @@ class RatMatrix:
     @property
     def dimension(self) -> int:
         return len(self.entries)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(tuple(zip(*self.entries)))
@@ -586,68 +548,22 @@ def compound_matrix(m: RatMatrix, r: int) -> RatMatrix:
     )
 
 
-# ---------------------------------------------------------------------------
-# matrices over Q[n]
+def det_poly(matrix_at: Callable[[int], RatMatrix], degree_bound: int) -> UniPoly:
+    """Exact determinant, as a polynomial in n, of a matrix whose entries
+    are polynomials in n; ``matrix_at(x)`` is that matrix at the integer x.
 
-
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Immutable square matrix of UniPoly entries sharing one variable."""
-
-    entries: tuple[tuple[UniPoly, ...], ...]
-    var: str
-
-    @staticmethod
-    def from_rows(rows: Iterable[Iterable[UniPoly]], var: str) -> "PolyMatrix":
-        grid = tuple(tuple(row) for row in rows)
-        k = len(grid)
-        if k == 0 or any(len(row) != k for row in grid):
-            raise DimensionMismatchError("matrix must be square and nonempty")
-        for row in grid:
-            for p in row:
-                if p.var != var:
-                    raise ValueError(
-                        f"entry variable {p.var!r} does not match {var!r}"
-                    )
-        return PolyMatrix(grid, var)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-    def eval_at(self, x: Scalar) -> RatMatrix:
-        return RatMatrix(
-            tuple(tuple(p(x) for p in row) for row in self.entries)
-        )
-
-    def det_degree_bound(self) -> int:
-        """Upper bound on deg det: sum over rows of the max entry degree."""
-        total = 0
-        for row in self.entries:
-            degs = [p.degree() for p in row if not p.is_zero()]
-            if not degs:
-                return 0
-            total += max(degs)
-        return total
-
-
-def det_poly(m: PolyMatrix, degree_bound: int) -> UniPoly:
-    """Exact determinant of a polynomial matrix in the variable n.
-
-    Evaluates the matrix at the consecutive integers 0..degree_bound,
-    takes exact determinants, and interpolates them.  One extra node
-    re-verifies the interpolation, so an undersized bound (a caller bug)
-    fails loudly instead of returning a wrong polynomial.
+    Takes exact determinants at the consecutive integers 0..degree_bound
+    and interpolates them.  One extra node re-verifies the interpolation,
+    so an undersized bound (a caller bug) fails loudly instead of
+    returning a wrong polynomial.
     """
-    if m.var != "n":
-        raise ValueError("det_poly expects entries in the variable 'n'")
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     p = _interpolate(
-        [det_exact(m.eval_at(x)) for x in range(degree_bound + 1)], "n"
+        [det_exact(matrix_at(x)) for x in range(degree_bound + 1)], "n"
     )
     probe = degree_bound + 1
-    if p(probe) != det_exact(m.eval_at(probe)):
+    if p(probe) != det_exact(matrix_at(probe)):
         raise CrossCheckError(
             "det_poly verification node mismatch (degree bound too small?)"
         )

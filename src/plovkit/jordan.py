@@ -48,12 +48,6 @@ class JordanProfile:
     def max_block_size(self) -> int:
         return max(k for _, k, _ in self.entries)
 
-    def multiplicity(self, order: int, size: int) -> int:
-        for n, k, m in self.entries:
-            if (n, k) == (order, size):
-                return m
-        return 0
-
     def unipotent_block_sizes(self) -> list[int]:
         """Block sizes of the unipotent iterate M^N, with multiplicity:
         each (n, k, m) entry contributes phi(n)*m blocks of size k."""

@@ -4,8 +4,8 @@ For a quasi-unipotent matrix acting on a 2g-dimensional space whose
 Jordan profile splits into conjugate halves with block sizes k_i, the
 polynomial volume growth is sum k_i^2.  The growth exponent in exterior
 degree r is the degree in n of the fastest-growing r-by-r minor of the
-n-th power of the unipotent iterate, written as the exact polynomial
-matrix U(n) = sum_i C(n,i) (U-I)^i.
+n-th power of the unipotent iterate U; the entries of U^n = sum_i C(n,i)
+(U-I)^i are polynomials in n.
 
 Minors of a block-diagonal unipotent matrix vanish unless the row and
 column sets meet every block in equal numbers, so the maximal minor
@@ -16,8 +16,9 @@ whose leading coefficient is det(1/(j-i)!), nonzero exactly when the
 sorted rows and columns interleave (i_b <= j_b).  The extreme choice
 I = {1..r'}, J = {k-r'+1..k} therefore realizes the maximum degree
 r'(k - r'); the nonvanishing of its leading coefficient is re-verified
-at runtime.  A direct enumeration of all symbolic minors is kept as
-`growth_exponent_by_minors` for cross-checking.
+at runtime.  `growth_exponent_by_minors` keeps a direct enumeration of
+all minors for cross-checking: each minor is interpolated from its exact
+values on the literal powers U^x at integer nodes.
 
 The Jordan type of the second compound of U follows from U's block
 sizes by sl_2 Clebsch-Gordan over Q: Lambda^2 J_a is the sum of
@@ -44,14 +45,12 @@ from .errors import (
 )
 from .exact import (
     NEG_INF,
-    PolyMatrix,
     RatMatrix,
-    UniPoly,
-    binom_poly,
     compound_matrix,
     det_exact,
     det_poly,
     mat_mul,
+    submatrix,
 )
 from .jordan import (
     HalfProfile,
@@ -118,8 +117,8 @@ def max_minor_degree(block_sizes: Sequence[int], r: int) -> int:
 
 def growth_exponent(m: RatMatrix, r: int) -> int:
     """Growth exponent in exterior degree r: the maximum degree in n over
-    all r-by-r minors of U(n), the symbolic n-th power of the unipotent
-    iterate U = M^N.  Along that iterate the r-th compound of M^n grows
+    all r-by-r minors of U^n, the n-th power of the unipotent iterate
+    U = M^N.  Along that iterate the r-th compound of M^n grows
     like n to this exponent.  The block sizes of U are read off the
     Jordan profile of M, as in `analyze`."""
     if not 1 <= r <= m.dimension:
@@ -127,57 +126,41 @@ def growth_exponent(m: RatMatrix, r: int) -> int:
     return max_minor_degree(jordan_profile(m).unipotent_block_sizes(), r)
 
 
-def symbolic_unipotent_power(u: RatMatrix) -> PolyMatrix:
-    """The polynomial matrix U(n) = sum_i C(n,i) (U-I)^i, which equals
-    U^x at every integer x >= 0."""
-    k = u.dimension
-    nil = u - RatMatrix.identity(k)
-    terms = []
-    power = RatMatrix.identity(k)
-    i = 0
-    while True:
-        if all(c == 0 for row in power.entries for c in row):
-            break
-        terms.append((binom_poly(i, "n"), power))
-        if i >= k - 1:
-            break
-        power = mat_mul(power, nil)
-        i += 1
-    zero = UniPoly.zero("n")
-    rows = []
-    for a in range(k):
-        row = []
-        for b in range(k):
-            p = zero
-            for coeff_poly, mat in terms:
-                c = mat.entries[a][b]
-                if c:
-                    p = p + coeff_poly * c
-            row.append(p)
-        rows.append(row)
-    return PolyMatrix.from_rows(rows, "n")
-
-
 def growth_exponent_by_minors(m: RatMatrix, r: int) -> int:
     """Direct oracle for `growth_exponent`: enumerate every r-by-r minor
-    of U(n) symbolically and take the maximum degree.  Exponential in the
-    dimension; intended for cross-checks on small matrices."""
+    of U^n and take the maximum degree in n.  Each minor is interpolated
+    from its values on the literal powers U^x (built by `mat_mul`); entry
+    (i, j) of U^n has degree at most rowdeg[i], the largest d with row i
+    of (U-I)^d nonzero, so a minor on the rows I has degree at most the
+    sum of rowdeg[i] over I.  Exponential in the dimension; intended for
+    cross-checks on small matrices."""
     if not 1 <= r <= m.dimension:
         raise ValueError(f"degree {r} out of range 1..{m.dimension}")
     _, u = unipotent_power(m)
-    sym = symbolic_unipotent_power(u)
     k = u.dimension
+    nil = u - RatMatrix.identity(k)
+    rowdeg = [0] * k
+    power = nil
+    for d in range(1, k):
+        for i, row in enumerate(power.entries):
+            if any(row):
+                rowdeg[i] = d
+        power = mat_mul(power, nil)
+    # U^x for x = 0..D + 1, D the largest bound (one verification node)
+    powers = [RatMatrix.identity(k)]
+    for _ in range(sum(sorted(rowdeg)[k - r :]) + 1):
+        powers.append(mat_mul(powers[-1], u))
     best = NEG_INF
     for rows in itertools.combinations(range(k), r):
+        bound = sum(rowdeg[i] for i in rows)
         for cols in itertools.combinations(range(k), r):
-            sub = PolyMatrix.from_rows(
-                [[sym.entries[i][j] for j in cols] for i in rows], "n"
+            minor = det_poly(
+                lambda x: submatrix(powers[x], rows, cols), bound
             )
-            minor = det_poly(sub, sub.det_degree_bound())
             if minor.degree() > best:
                 best = minor.degree()
     if best is NEG_INF:
-        raise CrossCheckError("all minors vanished (impossible: U(0) = I)")
+        raise CrossCheckError("all minors vanished (impossible: U^0 = I)")
     return int(best)
 
 

@@ -8,17 +8,23 @@ similarity.  The leading coefficient for a single block of size k is
 (prod_{i<k} i!)^2 / prod_{i<2k} i!, a Hilbert-matrix determinant in
 disguise.
 
+With N = A - I, A^m = sum_i C(m, i) N^i, and C(m, i) C(m, j) =
+sum_s C(s, i) C(i, s - j) C(m, s); summing C(m, s) over m < n gives
+C(n, s + 1).  So S(n) = sum_s C(n, s + 1) B_s with constant matrices
+B_s = sum_{i,j} C(s, i) C(i, s - j) (N^i)^T H N^j, and P(n) is
+interpolated from exact determinants of S at integer nodes.
+
 Hermitian forms are restricted to rational symmetric positive definite
 matrices so that all arithmetic stays in Q; the degree law is insensitive
 to this restriction.  `power_sum_brute` keeps a literal-summation oracle
-alongside the symbolic route.
+alongside the binomial route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 from .errors import (
     CrossCheckError,
@@ -27,13 +33,10 @@ from .errors import (
     NotUnipotentError,
 )
 from .exact import (
-    PolyMatrix,
     RatMatrix,
     UniPoly,
-    binom_poly,
     det_exact,
     det_poly,
-    discrete_sum,
     mat_mul,
     submatrix,
 )
@@ -79,13 +82,14 @@ def _nilpotent_powers(a: RatMatrix) -> list[RatMatrix]:
     return powers
 
 
-def power_sum_matrix(a: RatMatrix, h: RatMatrix) -> PolyMatrix:
-    """S(n) in the variable n with S(x) = sum_{m=0}^{x-1} (A^m)^T H A^m at
-    every integer x >= 0.
+def power_sum_matrix(a: RatMatrix, h: RatMatrix) -> list[RatMatrix]:
+    """The constant matrices [B_0, ..., B_{2L-2}] with
+    S(x) = sum_j C(x, j + 1) B_j = sum_{m=0}^{x-1} (A^m)^T H A^m at every
+    integer x >= 0, where L is the number of powers of N = A - I up to the
+    last nonzero one.
 
-    A^m is expanded in the binomial basis sum_i C(m,i) N^i, the product
-    collected entrywise as a polynomial in m, and summed exactly with
-    `discrete_sum`; entry (i, j) has degree at most 2K - 1.
+    B_s = sum over max(i, j) <= s <= i + j of C(s, i) C(i, s - j) T_ij with
+    T_ij = (N^i)^T H N^j; the sums skip zero entries and use int weights.
     """
     if a.dimension != h.dimension:
         raise DimensionMismatchError("matrix and form dimensions differ")
@@ -94,37 +98,71 @@ def power_sum_matrix(a: RatMatrix, h: RatMatrix) -> PolyMatrix:
     ensure_spd(h)
     k = a.dimension
     powers = _nilpotent_powers(a)
-    binoms = [binom_poly(i, "m") for i in range(len(powers))]
-    zero_m = UniPoly.zero("m")
-    entry_polys = [[zero_m for _ in range(k)] for _ in range(k)]
+    sums = [[Fraction(0)] * (k * k) for _ in range(2 * len(powers) - 1)]
     for i, ni in enumerate(powers):
         left = mat_mul(ni.transpose(), h)
         for j, nj in enumerate(powers):
-            term = mat_mul(left, nj)
-            weight = binoms[i] * binoms[j]
-            for row in range(k):
-                for col in range(k):
-                    c = term.entries[row][col]
-                    if c:
-                        entry_polys[row][col] = (
-                            entry_polys[row][col] + weight * c
-                        )
-    rows = [
-        [discrete_sum(entry_polys[row][col]) for col in range(k)]
-        for row in range(k)
+            term = [
+                (row * k + col, c)
+                for row, line in enumerate(mat_mul(left, nj).entries)
+                for col, c in enumerate(line)
+                if c
+            ]
+            for s in range(max(i, j), i + j + 1):
+                weight = comb(s, i) * comb(i, s - j)
+                acc = sums[s]
+                for idx, c in term:
+                    acc[idx] += weight * c
+    return [
+        RatMatrix(tuple(tuple(flat[r * k : (r + 1) * k]) for r in range(k)))
+        for flat in sums
     ]
-    return PolyMatrix.from_rows(rows, "n")
 
 
 def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     """det S(n) with the degree law re-verified at runtime.
 
-    The degree must equal sum k_i^2 over the Jordan profile of A; a
-    mismatch can only come from an arithmetic bug and raises
-    CrossCheckError.
+    S(x) is evaluated from the B_j of `power_sum_matrix`; row r of S has
+    degree at most max{j + 1 : row r of B_j is nonzero}, and the sum of
+    these row degrees bounds the degree of the determinant.  The degree
+    must equal sum k_i^2 over the Jordan profile of A; a mismatch can
+    only come from an arithmetic bug and raises CrossCheckError.
     """
-    s = power_sum_matrix(a, h)
-    poly = det_poly(s, s.det_degree_bound())
+    bs = power_sum_matrix(a, h)
+    k = a.dimension
+    bound = sum(
+        max((j + 1 for j, b in enumerate(bs) if any(b.entries[r])), default=0)
+        for r in range(k)
+    )
+    # scale * B_j as lists of nonzero (flat index, int) entries
+    scale = lcm(*(c.denominator for b in bs for line in b.entries for c in line))
+    terms = [
+        [
+            (r * k + col, int(c * scale))
+            for r, line in enumerate(b.entries)
+            for col, c in enumerate(line)
+            if c
+        ]
+        for b in bs
+    ]
+
+    def s_at(x: int) -> RatMatrix:
+        acc = [0] * (k * k)
+        weight = 1  # C(x, j) before the update, C(x, j + 1) after it
+        for j, term in enumerate(terms):
+            weight = weight * (x - j) // (j + 1)
+            if not weight:
+                break
+            for idx, c in term:
+                acc[idx] += weight * c
+        return RatMatrix(
+            tuple(
+                tuple(Fraction(v, scale) for v in acc[r * k : (r + 1) * k])
+                for r in range(k)
+            )
+        )
+
+    poly = det_poly(s_at, bound)
     profile = jordan_profile(a)
     degree = sum(m * size * size for _, size, m in profile.entries)
     if poly.degree() != degree:

@@ -11,21 +11,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 from typing import Callable
 
 from . import randgen
 from .cohomology import TwoForm, plov_via_model, pullback2, vanishing_scan
 from .cyclotomic import cyclotomic_poly, quasi_unipotency
 from .exact import (
-    PolyMatrix,
     RatMatrix,
     UniPoly,
     char_poly,
     compound_matrix,
     det_exact,
     det_poly,
-    discrete_sum,
     mat_mul,
     rank_exact,
 )
@@ -36,7 +34,7 @@ from .plov import (
     max_block_compound2,
     max_block_compound2_literal,
 )
-from .powersum import power_sum_brute, power_sum_det
+from .powersum import power_sum_brute, power_sum_det, power_sum_matrix
 
 
 @dataclass(frozen=True)
@@ -51,20 +49,24 @@ def _scaled(cases: int, weight: float, minimum: int = 3) -> int:
     return max(minimum, int(cases * weight))
 
 
-def _check_discrete_sum(rng: random.Random, max_size: int, cases: int) -> CheckResult:
-    count = _scaled(cases, 0.5)
+def _check_power_sum_matrix(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+    count = _scaled(cases, 0.15)
     for _ in range(count):
-        deg = rng.randint(0, 6)
-        q = UniPoly.from_coeffs(
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg + 1)],
-            "m",
-        )
-        summed = discrete_sum(q)
-        for n in range(0, 21):
-            direct = sum((q(m) for m in range(n)), Fraction(0))
-            if summed(n) != direct:
-                return CheckResult("discrete_sum_matches_direct_sums", False, count)
-    return CheckResult("discrete_sum_matches_direct_sums", True, count)
+        dim = rng.randint(1, min(5, max_size))
+        a, _ = randgen.random_unipotent(rng, dim)
+        h = randgen.random_spd(rng, dim)
+        bs = power_sum_matrix(a, h)
+        direct = RatMatrix.zero(dim)
+        power = RatMatrix.identity(dim)
+        for x in range(13):
+            summed = RatMatrix.zero(dim)
+            for j, b in enumerate(bs):
+                summed = summed + b * comb(x, j + 1)
+            if summed != direct:
+                return CheckResult("power_sum_matrix_matches_direct_sums", False, count)
+            direct = direct + mat_mul(mat_mul(power.transpose(), h), power)
+            power = mat_mul(power, a)
+    return CheckResult("power_sum_matrix_matches_direct_sums", True, count)
 
 
 def _check_det_poly(rng: random.Random, max_size: int, cases: int) -> CheckResult:
@@ -80,11 +82,15 @@ def _check_det_poly(rng: random.Random, max_size: int, cases: int) -> CheckResul
             ]
             for _ in range(k)
         ]
-        m = PolyMatrix.from_rows(rows, "n")
-        p = det_poly(m, m.det_degree_bound())
+
+        def at(x: int) -> RatMatrix:
+            return RatMatrix(tuple(tuple(p(x) for p in row) for row in rows))
+
+        bound = sum(max(0, *(len(p.coeffs) - 1 for p in row)) for row in rows)
+        p = det_poly(at, bound)
         for _ in range(10):
             x = rng.randint(-30, 30)
-            if p(x) != det_exact(m.eval_at(x)):
+            if p(x) != det_exact(at(x)):
                 return CheckResult("det_poly_matches_pointwise_det", False, count)
     return CheckResult("det_poly_matches_pointwise_det", True, count)
 
@@ -278,7 +284,7 @@ def _check_pullback_functorial(rng: random.Random, max_size: int, cases: int) ->
 
 #: The documented suite: every `selftest` run executes exactly these.
 SELFTEST_CHECKS: tuple[tuple[str, Callable], ...] = (
-    ("discrete_sum_matches_direct_sums", _check_discrete_sum),
+    ("power_sum_matrix_matches_direct_sums", _check_power_sum_matrix),
     ("det_poly_matches_pointwise_det", _check_det_poly),
     ("char_poly_similarity_invariant", _check_char_poly_similarity),
     ("rank_nullity_consistency", _check_rank_nullity),

@@ -1,5 +1,7 @@
 """Tests for input parsing, report serialization, and CLI exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -413,5 +415,82 @@ def test_parse_input_is_total_on_arbitrary_input():
             parse_input(data)
         except InputFormatError:
             pass
+
+    check()
+
+
+def test_every_argv_exits_with_a_documented_code(tmp_path):
+    # in-process `main` on argv drawn from the subcommands, their flags,
+    # small or non-numeric values and a few fixed files: it returns, or
+    # raises SystemExit, with a code in {0, 1, 2, 3}; nothing else escapes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    files = {
+        "valid.json": json.dumps({"matrix": [[1, 1], [0, 1]]}),
+        "malformed.json": "{not json",
+        "float.json": json.dumps({"matrix": [[1, 0.5], [0, 1]]}),
+        "not-quasi-unipotent.json": json.dumps({"matrix": [[2, 0], [0, 1]]}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = [str(tmp_path / name) for name in [*files, "missing.json"]]
+    outs = [str(tmp_path / "out.json"), str(tmp_path / "no" / "out.json"), str(tmp_path)]
+    numbers = ["0", "1", "2", "3", "-1", "x", "", "1.5", "1,2", "2,,1"]
+    choices = ["identity", "random", "standard", "x"]
+    pools = {
+        "--input": paths,
+        "--out": outs,
+        "--degrees": numbers,
+        "--h": choices,
+        "--form": choices,
+        "--seed": numbers,
+        "--samples": numbers,
+        "--max-size": numbers,
+        "--cases": numbers,
+    }
+    command_flags = {
+        "analyze": ["--input", "--out", "--degrees"],
+        "powersum": ["--input", "--out", "--h", "--seed", "--samples"],
+        "growth": ["--input", "--out", "--degrees"],
+        "model": ["--input", "--out", "--form", "--seed"],
+        "selftest": ["--out", "--max-size", "--cases", "--seed"],
+    }
+    # a stray token: any flag or value, or a bad subcommand
+    token = st.sampled_from(
+        [*pools, "--version", "--help", "bogus", *numbers, *choices, *paths, *outs]
+    )
+
+    # selftest starts from the smallest counts, and a drawn value (at most
+    # 3) overrides them, so each run is short
+    small = {"selftest": ["--max-size", "2", "--cases", "1"]}
+
+    def argv_for(command):
+        pair = st.sampled_from(command_flags[command]).flatmap(
+            lambda flag: st.tuples(st.just(flag), st.sampled_from(pools[flag]))
+        )
+        return st.builds(
+            lambda pairs, stray: [
+                command, *small.get(command, []), *(t for p in pairs for t in p), *stray
+            ],
+            st.lists(pair, max_size=4, unique_by=lambda p: p[0]),
+            st.lists(token, max_size=1),
+        )
+
+    argvs = st.sampled_from([*command_flags, None]).flatmap(
+        lambda command: argv_for(command) if command else st.lists(token, max_size=3)
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(argvs)
+    def check(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code)
 
     check()

@@ -2,8 +2,8 @@
 
 Derived expectations are computed by independent oracles kept in this
 file: cofactor expansion for determinants, literal summation for
-discrete sums, brute-force determinants for interpolated polynomials,
-and reduced-echelon kernels for rank-nullity.
+power sums, brute-force determinants for interpolated polynomials, and
+reduced-echelon kernels for rank-nullity.
 """
 
 import random
@@ -13,16 +13,13 @@ import pytest
 
 from plovkit import (
     NEG_INF,
-    PolyMatrix,
     RatMatrix,
     UniPoly,
-    binom_poly,
     char_poly,
     compound_matrix,
     cyclotomic_poly,
     det_exact,
     det_poly,
-    discrete_sum,
     mat_mul,
     mat_pow,
     rank_exact,
@@ -109,14 +106,6 @@ def test_interpolate_recovers_polynomial():
             assert _interpolate(values, "n") == p
     assert _interpolate([5], "t") == UniPoly.constant(5, "t")
     assert _interpolate([0, 0, 0], "t").is_zero()
-
-
-def test_binom_poly_values():
-    b3 = binom_poly(3, "n")
-    for x in range(10):
-        from math import comb
-
-        assert b3(x) == comb(x, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -274,67 +263,27 @@ def test_char_poly_similarity_invariance():
 
 
 # ---------------------------------------------------------------------------
-# discrete summation
+# determinants of polynomial matrices, from their values at integer nodes
 
 
-def test_discrete_sum_constant():
-    assert discrete_sum(UniPoly.constant(1, "m")) == poly_n(0, 1)
+def poly_rows_at(rows, x):
+    """The matrix of UniPoly entries `rows` evaluated at x."""
+    return RatMatrix(tuple(tuple(p(x) for p in row) for row in rows))
 
 
-def test_discrete_sum_linear():
-    # sum_{m<n} m = n(n-1)/2
-    assert discrete_sum(UniPoly.variable("m")) == poly_n(
-        0, Fraction(-1, 2), Fraction(1, 2)
-    )
-
-
-def test_discrete_sum_squares_by_direct_oracle():
-    q = UniPoly.from_coeffs([0, 0, 1], "m")
-    result = discrete_sum(q)
-    # the four interpolation nodes 0..3 and many nodes beyond them
-    for n in range(0, 30):
-        assert result(n) == sum(Fraction(m * m) for m in range(n))
-    # closed form n(n-1)(2n-1)/6
-    closed = poly_n(0, Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3))
-    assert result == closed
-
-
-def test_discrete_sum_random_property():
-    rng = random.Random(55)
-    for _ in range(20):
-        deg = rng.randint(0, 6)
-        q = UniPoly.from_coeffs(
-            [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(deg + 1)],
-            "m",
-        )
-        summed = discrete_sum(q)
-        if not q.is_zero():
-            assert summed.degree() == q.degree() + 1
-        for n in range(0, 21):
-            assert summed(n) == sum((q(m) for m in range(n)), Fraction(0))
-
-
-def test_discrete_sum_requires_variable_m():
-    with pytest.raises(ValueError):
-        discrete_sum(UniPoly.variable("n"))
-
-
-# ---------------------------------------------------------------------------
-# polynomial matrices
+def row_degree_bound(rows):
+    """Sum over rows of the largest entry degree (0 for a zero row)."""
+    return sum(max(0, *(len(p.coeffs) - 1 for p in row)) for row in rows)
 
 
 def test_det_poly_diag():
-    n = UniPoly.variable("n")
-    zero = UniPoly.zero("n")
-    m = PolyMatrix.from_rows([[n, zero], [zero, n]], "n")
-    assert det_poly(m, 2) == poly_n(0, 0, 1)
+    assert det_poly(lambda x: RatMatrix.from_rows([[x, 0], [0, x]]), 2) == poly_n(
+        0, 0, 1
+    )
 
 
 def test_det_poly_constant_identity():
-    one = UniPoly.constant(1, "n")
-    zero = UniPoly.zero("n")
-    m = PolyMatrix.from_rows([[one, zero], [zero, one]], "n")
-    assert det_poly(m, 0) == one
+    assert det_poly(lambda x: RatMatrix.identity(2), 0) == poly_n(1)
 
 
 def test_det_poly_power_sum_matrix_by_brute_force():
@@ -343,8 +292,7 @@ def test_det_poly_power_sum_matrix_by_brute_force():
     half = Fraction(1, 2)
     s01 = half * n * n - half * n
     s11 = poly_n(0, Fraction(7, 6), Fraction(-1, 2), Fraction(1, 3))
-    m = PolyMatrix.from_rows([[n, s01], [s01, s11]], "n")
-    result = det_poly(m, 4)
+    result = det_poly(lambda x: poly_rows_at([[n, s01], [s01, s11]], x), 4)
     # oracle: brute-force determinants of the literal sums at n = 1..9,
     # which include nodes beyond the interpolation nodes 0..4
     a = RatMatrix.jordan_block(1, 2)
@@ -371,26 +319,24 @@ def test_det_poly_matches_pointwise_dets():
             ]
             for _ in range(k)
         ]
-        m = PolyMatrix.from_rows(rows, "n")
-        p = det_poly(m, m.det_degree_bound())
+        p = det_poly(lambda x: poly_rows_at(rows, x), row_degree_bound(rows))
         for _ in range(10):
             x = rng.randint(-25, 25)
-            assert p(x) == det_exact(m.eval_at(x))
+            assert p(x) == det_exact(poly_rows_at(rows, x))
 
 
-def test_det_poly_rejects_wrong_variable():
-    t = UniPoly.variable("t")
+def test_det_poly_rejects_negative_bound():
     with pytest.raises(ValueError):
-        det_poly(PolyMatrix.from_rows([[t]], "t"), 1)
+        det_poly(lambda x: RatMatrix.identity(1), -1)
 
 
 def test_det_poly_undersized_bound_fails_loudly():
-    n = UniPoly.variable("n")
-    zero = UniPoly.zero("n")
-    m = PolyMatrix.from_rows([[n * n, zero], [zero, n * n]], "n")
+    def at(x):
+        return RatMatrix.from_rows([[x * x, 0], [0, x * x]])
+
     with pytest.raises(CrossCheckError):
-        det_poly(m, 2)  # true degree is 4
-    assert det_poly(m, 4) == poly_n(0, 0, 0, 0, 1)
+        det_poly(at, 2)  # true degree is 4
+    assert det_poly(at, 4) == poly_n(0, 0, 0, 0, 1)
 
 
 def test_rank_on_rational_entries():

@@ -1,8 +1,9 @@
 """Tests for volume growth, growth exponents, and the analysis pipeline.
 
 The independent oracle for growth exponents is the literal enumeration of
-all r-by-r symbolic minors (`growth_exponent_by_minors`); the fast
-block-decomposition route must agree with it everywhere it is feasible.
+all r-by-r minors of the powers U^x at integer nodes
+(`growth_exponent_by_minors`); the fast block-decomposition route must
+agree with it everywhere it is feasible.
 """
 
 import random
@@ -21,7 +22,6 @@ from plovkit import (
     max_block_compound2_literal,
     plov_of,
     second_compound_block_sizes,
-    symbolic_unipotent_power,
     unipotent_block_profile,
     unipotent_power,
 )
@@ -162,15 +162,6 @@ def test_exponent_rejects_bad_degree():
         growth_exponent(RatMatrix.identity(2), 0)
     with pytest.raises(ValueError):
         growth_exponent(RatMatrix.identity(2), 3)
-
-
-def test_symbolic_power_equals_integer_powers():
-    rng = random.Random(25)
-    for _ in range(6):
-        m, _ = random_unipotent(rng, rng.randint(1, 5))
-        sym = symbolic_unipotent_power(m)
-        for x in range(7):
-            assert sym.eval_at(x) == m**x
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Tests for power-sum matrices, their determinants, and the degree law.
 
 `power_sum_brute` (literal summation, no symbolic shortcut) is the oracle
-for the symbolic route throughout; the Hilbert/cofactor checks keep the
-determinant backends honest against each other.
+for the binomial route S(x) = sum_j C(x, j+1) B_j throughout; the
+Hilbert/cofactor checks keep the determinant backends honest against
+each other.
 """
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -30,6 +31,7 @@ from plovkit.errors import (
     NotSymmetricPositiveDefiniteError,
     NotUnipotentError,
 )
+from plovkit.exact import _interpolate
 from plovkit.powersum import ensure_spd
 from plovkit.randgen import (
     conjugate,
@@ -77,29 +79,35 @@ def test_spd_rejects_asymmetric_and_indefinite():
 # the power-sum matrix
 
 
+def sum_at(bs, x):
+    """S(x) = sum_j C(x, j+1) B_j with `RatMatrix` arithmetic."""
+    acc = RatMatrix.zero(bs[0].dimension)
+    for j, b in enumerate(bs):
+        acc = acc + b * comb(x, j + 1)
+    return acc
+
+
 def test_power_sum_matrix_identity_input():
     for k in (1, 2, 4):
-        s = power_sum_matrix(RatMatrix.identity(k), RatMatrix.identity(k))
-        n = UniPoly.variable("n")
-        for i in range(k):
-            for j in range(k):
-                assert s.entries[i][j] == (n if i == j else UniPoly.zero("n"))
+        bs = power_sum_matrix(RatMatrix.identity(k), RatMatrix.identity(k))
+        # S(x) = x * I
+        assert bs == [RatMatrix.identity(k)]
 
 
 def test_power_sum_matrix_size2_block_against_summation_oracle():
     a = RatMatrix.jordan_block(1, 2)
     i2 = RatMatrix.identity(2)
-    s = power_sum_matrix(a, i2)
-    for n in range(1, 6):
-        assert s.eval_at(n) == brute_sum_matrix(a, i2, n)
-    assert s.entries[0][0] == poly_n(0, 1)
-    assert s.entries[0][1] == poly_n(0, Fraction(-1, 2), Fraction(1, 2))
-    assert s.entries[1][0] == s.entries[0][1]
-    assert s.entries[1][1] == poly_n(
-        0, Fraction(7, 6), Fraction(-1, 2), Fraction(1, 3)
-    )
-    assert s.eval_at(1) == i2
-    assert s.eval_at(2) == RatMatrix.from_rows([[2, 1], [1, 3]])
+    bs = power_sum_matrix(a, i2)
+    for n in range(0, 6):
+        assert sum_at(bs, n) == brute_sum_matrix(a, i2, n)
+    # S(x) = x I + C(x, 2) [[0, 1], [1, 1]] + C(x, 3) [[0, 0], [0, 2]]
+    assert bs == [
+        i2,
+        RatMatrix.from_rows([[0, 1], [1, 1]]),
+        RatMatrix.from_rows([[0, 0], [0, 2]]),
+    ]
+    assert sum_at(bs, 1) == i2
+    assert sum_at(bs, 2) == RatMatrix.from_rows([[2, 1], [1, 3]])
 
 
 def test_power_sum_matrix_entry_degree_bound():
@@ -107,10 +115,10 @@ def test_power_sum_matrix_entry_degree_bound():
     for _ in range(6):
         k = rng.randint(1, 5)
         a, _ = random_unipotent(rng, k)
-        s = power_sum_matrix(a, RatMatrix.identity(k))
-        for row in s.entries:
-            for p in row:
-                assert p.is_zero() or p.degree() <= 2 * k - 1
+        bs = power_sum_matrix(a, RatMatrix.identity(k))
+        # entries of S have degree at most 2k - 1
+        assert 1 <= len(bs) <= 2 * k - 1
+        assert any(any(row) for row in bs[-1].entries)
 
 
 def test_power_sum_matrix_rejects_non_unipotent():
@@ -119,18 +127,36 @@ def test_power_sum_matrix_rejects_non_unipotent():
 
 
 def test_entry_degree_law_single_block():
-    # entry (i, j) has degree exactly i + j - 1 with leading coefficient
-    # 1/((i-1)! (j-1)! (i+j-1))
+    # B_{i+j-2}[i][j] = C(i+j-2, i-1) and B_s[i][j] = 0 for s > i+j-2, so
+    # entry (i, j) of S has degree exactly i + j - 1 with leading
+    # coefficient C(i+j-2, i-1)/(i+j-1)! = 1/((i-1)! (j-1)! (i+j-1))
     for k in (2, 3, 4):
-        s = power_sum_matrix(RatMatrix.jordan_block(1, k), RatMatrix.identity(k))
+        bs = power_sum_matrix(RatMatrix.jordan_block(1, k), RatMatrix.identity(k))
+        assert len(bs) == 2 * k - 1
+        values = [sum_at(bs, x) for x in range(2 * k)]
         for i in range(1, k + 1):
             for j in range(1, k + 1):
-                p = s.entries[i - 1][j - 1]
+                top = i + j - 2
+                assert bs[top].entries[i - 1][j - 1] == comb(top, i - 1)
+                for s in range(top + 1, len(bs)):
+                    assert bs[s].entries[i - 1][j - 1] == 0
+                p = _interpolate([v.entries[i - 1][j - 1] for v in values], "n")
                 assert p.degree() == i + j - 1
-                expected = Fraction(
+                assert p.leading() == Fraction(
                     1, factorial(i - 1) * factorial(j - 1) * (i + j - 1)
                 )
-                assert p.leading() == expected
+
+
+def test_power_sum_matrix_matches_brute_force_entrywise():
+    # conjugated unipotent A, random SPD H, dimensions 1-6, x = 0..12
+    rng = random.Random(49)
+    for k in range(1, 7):
+        for _ in range(2):
+            a, _ = random_unipotent(rng, k)
+            h = random_spd(rng, k)
+            bs = power_sum_matrix(a, h)
+            for x in range(13):
+                assert sum_at(bs, x) == brute_sum_matrix(a, h, x)
 
 
 # ---------------------------------------------------------------------------

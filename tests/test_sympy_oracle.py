@@ -3,7 +3,9 @@
 `char_poly` and `det_poly` rebuild polynomials from exact values at the
 integer nodes 0..D; sympy expands the same determinants symbolically.
 `pfaffian` eliminates on 2x2 blocks; its square is checked against
-sympy's determinant of the skew matrix.
+sympy's determinant of the skew matrix.  `jordan_profile` reads block
+sizes off rank sequences; sympy's Jordan form of the unipotent iterate
+gives them independently.
 The library itself stays stdlib-only: this module is test-only and is
 skipped when sympy is not installed.
 """
@@ -16,14 +18,17 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from plovkit import (  # noqa: E402
-    PolyMatrix,
     RatMatrix,
     TwoForm,
     UniPoly,
     char_poly,
     det_poly,
+    jordan_profile,
     pfaffian,
+    unipotent_power,
 )
+from plovkit.randgen import random_quasi_unipotent  # noqa: E402
+from tests.test_exact import poly_rows_at, row_degree_bound  # noqa: E402
 
 
 def to_sympy(x: Fraction):
@@ -77,8 +82,7 @@ def test_det_poly_matches_sympy_determinant():
             ]
             for _ in range(k)
         ]
-        m = PolyMatrix.from_rows(rows, "n")
-        ours = det_poly(m, m.det_degree_bound())
+        ours = det_poly(lambda x: poly_rows_at(rows, x), row_degree_bound(rows))
         theirs = sympy.Matrix(
             [[to_sympy_poly(p, n) for p in row] for row in rows]
         ).det(method="domain-ge")
@@ -103,3 +107,24 @@ def test_pfaffian_squared_matches_sympy_determinant():
             skew[j - 1, i - 1] = -to_sympy(v)
         pf = pfaffian(TwoForm(g, coeffs))
         assert to_sympy(pf * pf) == skew.det(method="bareiss")
+
+
+def jordan_block_sizes(j) -> list[int]:
+    """Block sizes of a sympy Jordan form, read off its superdiagonal."""
+    sizes = [1]
+    for i in range(j.rows - 1):
+        if j[i, i + 1] == 0:
+            sizes.append(1)
+        else:
+            sizes[-1] += 1
+    return sorted(sizes, reverse=True)
+
+
+def test_jordan_block_sizes_match_sympy_jordan_form():
+    rng = random.Random(304)
+    for _ in range(20):
+        m = random_quasi_unipotent(rng, rng.randint(2, 6))
+        _, u = unipotent_power(m)
+        theirs = sympy.Matrix([[to_sympy(x) for x in row] for row in u.entries])
+        _, j = theirs.jordan_form()
+        assert jordan_profile(m).unipotent_block_sizes() == jordan_block_sizes(j)
