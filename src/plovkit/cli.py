@@ -285,12 +285,10 @@ def cmd_powersum(args) -> int:
         h = randgen.random_spd(random.Random(args.seed), k)
         h_desc = f"random (G^T G + I, seed {args.seed})"
     result = power_sum_det(u, h)
-    checks = []
-    for n in range(1, args.samples + 1):
-        brute = power_sum_brute(u, h, n)
-        checks.append(
-            {"n": n, "value": enc_frac(brute), "matches": result.poly(n) == brute}
-        )
+    checks = [
+        {"n": n, "value": enc_frac(brute), "matches": result.poly(n) == brute}
+        for n, brute in enumerate(power_sum_brute(u, h, args.samples), start=1)
+    ]
     report = base_report("powersum", name, matrix)
     report["powersum"] = {
         "unipotent_order": order,

@@ -7,7 +7,8 @@ by the rest of the library:
   * `UniPoly` -- dense univariate polynomial over Q with a variable tag
     ('t' for characteristic polynomials, 'n' for growth polynomials),
   * `RatMatrix` -- immutable square matrices over Q,
-  * fraction-free determinants and exact rank,
+  * one fraction-free (Bareiss) row echelon routine, which gives both
+    the exact determinant and the exact rank,
   * polynomials rebuilt from exact values at the nodes 0..D by a single
     interpolation routine (forward differences into the binomial basis,
     expanded by Horner's rule):
@@ -408,12 +409,16 @@ def mat_pow(a: RatMatrix, e: int) -> RatMatrix:
     return result
 
 
-def det_exact(m: RatMatrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _echelon(m: RatMatrix) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) row echelon form of m.
 
-    Each row is scaled to integers first and the scaling divided back out
-    at the end, so all intermediate arithmetic stays in Z with the usual
-    Bareiss control on entry growth.
+    Each row is scaled to integers first, so all arithmetic stays in Z
+    with the usual Bareiss control on entry growth.  A column with no
+    pivot is skipped; the divisions stay exact, because every entry after
+    a step is a minor of the scaled matrix on the pivot rows and columns
+    so far.  Returns (rank, last, scale): `last` is the last pivot with
+    the sign of the row swaps and `scale` the product of the row scales,
+    so det(m) = last / scale when the rank is full.
     """
     k = m.dimension
     scale = 1
@@ -421,61 +426,38 @@ def det_exact(m: RatMatrix) -> Fraction:
     for row in m.entries:
         d = lcm(*(c.denominator for c in row))
         scale *= d
-        a.append([int(c * d) for c in row])
+        a.append([c.numerator * (d // c.denominator) for c in row])
     sign = 1
     prev = 1
-    for col in range(k - 1):
-        piv = next((r for r in range(col, k) if a[r][col]), None)
+    rank = 0
+    for col in range(k):
+        piv = next((r for r in range(rank, k) if a[r][col]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
             sign = -sign
-        pivot = a[col][col]
-        for r in range(col + 1, k):
-            head = a[r][col]
+        crow = a[rank]
+        pivot = crow[col]
+        for r in range(rank + 1, k):
             arow = a[r]
-            crow = a[col]
+            head = arow[col]
             for c in range(col + 1, k):
                 arow[c] = (arow[c] * pivot - head * crow[c]) // prev
-            arow[col] = 0
         prev = pivot
-    return Fraction(sign * a[k - 1][k - 1], scale)
+        rank += 1
+    return rank, sign * prev, scale
+
+
+def det_exact(m: RatMatrix) -> Fraction:
+    """Exact determinant, read off the fraction-free row echelon form."""
+    rank, last, scale = _echelon(m)
+    return Fraction(last, scale) if rank == m.dimension else Fraction(0)
 
 
 def rank_exact(m: RatMatrix) -> int:
-    """Rank over Q by exact Gaussian elimination on sparse rows."""
-    rows = []
-    for row in m.entries:
-        sparse = {j: c for j, c in enumerate(row) if c}
-        if sparse:
-            rows.append(sparse)
-    rank = 0
-    while rows:
-        col = min(min(r) for r in rows)
-        # choose the shortest row pivoting on col to limit fill-in
-        piv_idx = min(
-            (i for i, r in enumerate(rows) if col in r),
-            key=lambda i: len(rows[i]),
-        )
-        piv = rows.pop(piv_idx)
-        pval = piv[col]
-        rank += 1
-        next_rows = []
-        for r in rows:
-            head = r.get(col)
-            if head:
-                f = head / pval
-                for j, c in piv.items():
-                    v = r.get(j, Fraction(0)) - f * c
-                    if v:
-                        r[j] = v
-                    elif j in r:
-                        del r[j]
-            if r:
-                next_rows.append(r)
-        rows = next_rows
-    return rank
+    """Rank over Q, read off the fraction-free row echelon form."""
+    return _echelon(m)[0]
 
 
 def char_poly(m: RatMatrix) -> UniPoly:

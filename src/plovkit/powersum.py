@@ -176,9 +176,10 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     return PowerSumResult(poly=poly, degree=degree, leading_coeff=leading)
 
 
-def power_sum_brute(a: RatMatrix, h: RatMatrix, n: int) -> Fraction:
-    """Literal summation oracle: det of sum_{m=0}^{n-1} (A^m)^T H A^m with
-    no symbolic shortcut."""
+def power_sum_brute(a: RatMatrix, h: RatMatrix, n: int) -> list[Fraction]:
+    """Literal summation oracle: [det S(1), ..., det S(n)] with
+    S(x) = sum_{m=0}^{x-1} (A^m)^T H A^m, from one pass over the partial
+    sums and no symbolic shortcut."""
     if a.dimension != h.dimension:
         raise DimensionMismatchError("matrix and form dimensions differ")
     ensure_spd(h)
@@ -187,10 +188,12 @@ def power_sum_brute(a: RatMatrix, h: RatMatrix, n: int) -> Fraction:
     k = a.dimension
     acc = RatMatrix.zero(k)
     power = RatMatrix.identity(k)
+    dets = []
     for _ in range(n):
         acc = acc + mat_mul(mat_mul(power.transpose(), h), power)
+        dets.append(det_exact(acc))
         power = mat_mul(power, a)
-    return det_exact(acc)
+    return dets
 
 
 def single_block_leading_coeff(k: int) -> Fraction:

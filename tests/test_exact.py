@@ -179,11 +179,45 @@ def test_det_matches_cofactor_on_random_rational_matrices():
         assert det_exact(RatMatrix.from_rows(rows)) == cofactor_det(rows)
 
 
+def rank_deficient_rows(rng, k):
+    """A k-by-k rational product (k x r)(r x k) with random r <= k.  Some
+    columns of the right factor are multiples (possibly zero) of earlier
+    ones and the columns are shuffled, so columns without a pivot fall
+    anywhere, not only after the last pivot."""
+    r = rng.randint(0, k)
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    left = [[entry() for _ in range(r)] for _ in range(k)]
+    right_cols = []
+    for _ in range(k):
+        if right_cols and rng.random() < 0.4:
+            f = entry()
+            right_cols.append([f * x for x in rng.choice(right_cols)])
+        else:
+            right_cols.append([entry() for _ in range(r)])
+    rng.shuffle(right_cols)
+    return [
+        [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in right_cols]
+        for row in left
+    ]
+
+
 def test_rank_cases():
     assert rank_exact(RatMatrix.zero(3)) == 0
     assert rank_exact(RatMatrix.identity(4)) == 4
     j3 = RatMatrix.jordan_block(1, 3)
     assert rank_exact(j3 - RatMatrix.identity(3)) == 2
+    assert rank_exact(RatMatrix.zero(1)) == 0
+    assert det_exact(RatMatrix.zero(1)) == 0
+    zero_first_col = RatMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 7]])
+    assert rank_exact(zero_first_col) == 2
+    assert det_exact(zero_first_col) == 0
+    # the only column without a pivot is the last: col 3 = col 1 + 2 col 2
+    last_col_free = RatMatrix.from_rows([[1, 0, 1], [2, 1, 4], [0, 3, 6]])
+    assert rank_exact(last_col_free) == 2
+    assert det_exact(last_col_free) == 0
 
 
 def rref_kernel_dim(m):
@@ -213,6 +247,10 @@ def test_rank_plus_nullity_is_dimension():
     for _ in range(30):
         k = rng.randint(1, 6)
         m = random_integer_matrix(rng, k, span=2)
+        assert rank_exact(m) + rref_kernel_dim(m) == k
+    for _ in range(60):
+        k = rng.randint(1, 9)
+        m = RatMatrix.from_rows(rank_deficient_rows(rng, k))
         assert rank_exact(m) + rref_kernel_dim(m) == k
 
 

@@ -2,6 +2,9 @@
 
 `char_poly` and `det_poly` rebuild polynomials from exact values at the
 integer nodes 0..D; sympy expands the same determinants symbolically.
+`det_exact` and `rank_exact` read one fraction-free row echelon form;
+sympy's Bareiss determinant and rank check them on rank-deficient
+rational products with shuffled columns.
 `pfaffian` eliminates on 2x2 blocks; its square is checked against
 sympy's determinant of the skew matrix.  `jordan_profile` reads block
 sizes off rank sequences; sympy's Jordan form of the unipotent iterate
@@ -22,13 +25,19 @@ from plovkit import (  # noqa: E402
     TwoForm,
     UniPoly,
     char_poly,
+    det_exact,
     det_poly,
     jordan_profile,
     pfaffian,
+    rank_exact,
     unipotent_power,
 )
 from plovkit.randgen import random_quasi_unipotent  # noqa: E402
-from tests.test_exact import poly_rows_at, row_degree_bound  # noqa: E402
+from tests.test_exact import (  # noqa: E402
+    poly_rows_at,
+    rank_deficient_rows,
+    row_degree_bound,
+)
 
 
 def to_sympy(x: Fraction):
@@ -60,12 +69,17 @@ def random_rational(rng: random.Random) -> Fraction:
 def test_char_poly_matches_sympy_charpoly():
     rng = random.Random(301)
     t = sympy.Symbol("t")
-    for _ in range(30):
-        k = rng.randint(1, 6)
-        rows = [[random_rational(rng) for _ in range(k)] for _ in range(k)]
-        ours = char_poly(RatMatrix.from_rows(rows))
+    for trial in range(60):
+        if trial < 30:
+            k = rng.randint(1, 6)
+            rows = [[random_rational(rng) for _ in range(k)] for _ in range(k)]
+        else:
+            rows = rank_deficient_rows(rng, rng.randint(1, 9))
+        ours = RatMatrix.from_rows(rows)
         theirs = sympy.Matrix([[to_sympy(x) for x in row] for row in rows])
-        assert ours.coeffs == coeffs_of(theirs.charpoly(t).as_expr(), t)
+        assert char_poly(ours).coeffs == coeffs_of(theirs.charpoly(t).as_expr(), t)
+        assert rank_exact(ours) == theirs.rank()
+        assert to_sympy(det_exact(ours)) == theirs.det(method="bareiss")
 
 
 def test_det_poly_matches_sympy_determinant():
