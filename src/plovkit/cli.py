@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__, randgen
-from .cohomology import TwoForm, plov_via_model, vanishing_scan
+from .cohomology import TwoForm, nilpotent_chain, plov_via_model, vanishing_scan
 from .cyclotomic import QuasiUnipotencyVerdict, unipotent_power
 from .errors import (
     CrossCheckError,
@@ -351,8 +351,9 @@ def cmd_model(args) -> int:
 
         form = randgen.randgen_two_form(random.Random(args.seed), genus)
         form_desc = f"random (seed {args.seed})"
-    model = plov_via_model(u, form)
-    scan = vanishing_scan(u, form)
+    chain = nilpotent_chain(u, form)
+    model = plov_via_model(u, form, chain)
+    scan = vanishing_scan(u, form, chain)
     report = base_report("model", name, matrix)
     report["model"] = {
         "unipotent_order": order,

@@ -17,8 +17,19 @@ coefficient of e_1 ^ ... ^ e_2g in the g-fold wedge) is a polynomial in
 x, reported in the variable n, whose degree is the model-side volume
 growth.  For one form w the top coefficient of w^g is g! * Pf(A_w), so
 `intersection_poly` evaluates that at the nodes x = 0..D and
-interpolates.  The literal wedge expansion, `wedge_coefficient`, serves
-the vanishing scan and is the oracle for the Pfaffian.  Intersection
+interpolates.
+
+The vanishing scan needs mixed products of chain forms.  2-forms
+commute, so such a product depends only on the multiset alpha of its
+factors, and by polarization of the symmetric g-linear top wedge
+
+    top(prod_i w_i^alpha_i)
+        = sum_{0 != beta <= alpha} (-1)^(g - |beta|) prod_i C(alpha_i, beta_i)
+          * Pf(sum_i beta_i w_i)
+
+(`polarized_wedge`); the Pfaffians are shared across multisets.  The
+literal wedge expansion, `wedge_coefficient`, is only the oracle for
+both Pfaffian routes, in the self-test and the tests.  Intersection
 numbers are kept as raw wedge coefficients, since every contract here
 concerns degrees and vanishing only.
 """
@@ -28,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Optional, Sequence
 
 from .errors import (
@@ -37,11 +48,12 @@ from .errors import (
     DimensionMismatchError,
     NotPseudoAnalyticError,
     NotUnipotentError,
+    PreconditionError,
 )
 from .exact import RatMatrix, Scalar, UniPoly, _frac, _interpolate
 from .cyclotomic import is_unipotent
 from .jordan import half_profile, pseudo_analytic_check, unipotent_block_profile
-from .plov import plov_of
+from .plov import plov_of, second_compound_block_sizes
 
 Pair = tuple[int, int]
 
@@ -49,7 +61,7 @@ Pair = tuple[int, int]
 def _check_pair(pair: Pair, g: int) -> Pair:
     i, j = pair
     if not (1 <= i < j <= 2 * g):
-        raise ValueError(f"index pair {pair} out of range for genus {g}")
+        raise DimensionMismatchError(f"index pair {pair} out of range for genus {g}")
     return (i, j)
 
 
@@ -61,7 +73,7 @@ class TwoForm:
 
     def __init__(self, genus: int, coeffs: Optional[dict[Pair, Scalar]] = None):
         if genus < 1:
-            raise ValueError("genus must be positive")
+            raise PreconditionError("genus must be positive")
         self.genus = genus
         cleaned: dict[Pair, Fraction] = {}
         for pair, value in (coeffs or {}).items():
@@ -73,6 +85,17 @@ class TwoForm:
     @staticmethod
     def basis(genus: int, i: int, j: int) -> "TwoForm":
         return TwoForm(genus, {(i, j): 1})
+
+    @staticmethod
+    def combination(forms: Sequence["TwoForm"], weights: Sequence[int]) -> "TwoForm":
+        """sum_i weights[i] * forms[i] over forms of one genus."""
+        out: dict[Pair, Fraction] = {}
+        for form, w in zip(forms, weights):
+            if w:
+                form._check_genus(forms[0])
+                for pair, v in form._coeffs.items():
+                    out[pair] = out.get(pair, 0) + w * v
+        return TwoForm(forms[0].genus, out)
 
     @staticmethod
     def standard(genus: int) -> "TwoForm":
@@ -162,7 +185,7 @@ def nilpotent_chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
     if not is_unipotent(m):
         raise NotUnipotentError("the divisor polynomial needs a unipotent matrix")
     if h.is_zero():
-        raise ValueError("the 2-form must be nonzero")
+        raise DegenerateFormError("the 2-form must be nonzero")
     chain = [h]
     bound = h.genus * (2 * h.genus - 1)  # dim of the space of 2-forms
     while True:
@@ -177,10 +200,7 @@ def nilpotent_chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
 def delta_at(chain: Sequence[TwoForm], x: int) -> TwoForm:
     """Delta_x = sum_i C(x, i+1) chain[i] at an integer x >= 0; for
     chain = nilpotent_chain(M, H) it equals sum_{m=0}^{x-1} pullback2(M^m, H)."""
-    total = TwoForm(chain[0].genus)
-    for i, form in enumerate(chain):
-        total = total + comb(x, i + 1) * form
-    return total
+    return TwoForm.combination(chain, [comb(x, i + 1) for i in range(len(chain))])
 
 
 def pfaffian(form: TwoForm) -> Fraction:
@@ -223,15 +243,19 @@ def pfaffian(form: TwoForm) -> Fraction:
     return result
 
 
-def intersection_poly(m: RatMatrix, h: TwoForm) -> UniPoly:
+def intersection_poly(
+    m: RatMatrix, h: TwoForm, chain: Optional[Sequence[TwoForm]] = None
+) -> UniPoly:
     """The raw top coefficient of Delta_n^g as a polynomial in n (no
-    normalization; only degrees and vanishing are contractual).
+    normalization; only degrees and vanishing are contractual).  ``chain``
+    is nilpotent_chain(m, h) when the caller already holds it.
 
     Every coefficient of Delta_x has degree at most len(chain) = kf + 1 in
     x, so the g-fold wedge has degree at most D = g * len(chain).  It is
     interpolated from g! * Pf(Delta_x) at x = 0..D, and one extra node
     re-verifies the interpolation."""
-    chain = nilpotent_chain(m, h)
+    if chain is None:
+        chain = nilpotent_chain(m, h)
     scale = factorial(h.genus)
     bound = h.genus * len(chain)
 
@@ -257,10 +281,37 @@ def _merge_sign(indices: tuple[int, ...], pair: Pair) -> int:
     return -1 if inversions % 2 else 1
 
 
+def polarized_wedge(
+    forms: Sequence[TwoForm],
+    alpha: Sequence[int],
+    pfaffians: dict[tuple[int, ...], Fraction],
+) -> Fraction:
+    """Top wedge coefficient of prod_i forms[i]^alpha[i] (|alpha| = g) by
+    polarization: the sum over 0 != beta <= alpha of
+    (-1)^(g - |beta|) * prod_i C(alpha_i, beta_i) * Pf(sum_i beta_i forms[i]).
+    ``pfaffians`` memoizes Pf by beta, so callers share it across the
+    multisets of one family of forms."""
+    g = forms[0].genus
+    if len(alpha) != len(forms) or sum(alpha) != g:
+        raise DimensionMismatchError(f"need one count per form, summing to g = {g}")
+    total = Fraction(0)
+    for beta in itertools.product(*(range(a + 1) for a in alpha)):
+        size = sum(beta)
+        if not size:
+            continue
+        pf = pfaffians.get(beta)
+        if pf is None:
+            pf = pfaffians[beta] = pfaffian(TwoForm.combination(forms, beta))
+        if pf:
+            term = prod(comb(a, b) for a, b in zip(alpha, beta)) * pf
+            total += term if (g - size) % 2 == 0 else -term
+    return total
+
+
 def wedge_coefficient(forms: Sequence[TwoForm]) -> Fraction:
     """Top wedge coefficient of g constant 2-forms on a genus-g space, by
-    literal expansion over the sets of indices used so far: the kernel of
-    the vanishing scan and the oracle for g! * pfaffian."""
+    literal expansion over the sets of indices used so far: the oracle for
+    g! * pfaffian and for `polarized_wedge`."""
     if not forms:
         raise DimensionMismatchError("need at least one form")
     g = forms[0].genus
@@ -299,18 +350,33 @@ class ModelGrowthResult:
     matches_profile: bool
 
 
-def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
+def plov_via_model(
+    m: RatMatrix, h: TwoForm, chain: Optional[Sequence[TwoForm]] = None
+) -> ModelGrowthResult:
     """Volume growth read off the model: the degree in n of the g-fold
     wedge of Delta_n.  Always at most the profile value sum k_i^2; whether
     equality holds depends on the chosen form and is reported as a flag,
-    not asserted."""
+    not asserted.  ``chain`` is nilpotent_chain(m, h) when the caller
+    already holds it.
+
+    The chain is also checked against the paper's bound on Jordan blocks
+    of N^1 inside Lambda^2 H^1: its length is at most the largest block of
+    the second compound, read off the same profile by Clebsch-Gordan."""
     profile = unipotent_block_profile(m)
     if not pseudo_analytic_check(profile):
         raise NotPseudoAnalyticError(
             "model growth needs a conjugate-splitting block profile"
         )
     expected = plov_of(half_profile(profile))
-    poly = intersection_poly(m, h)
+    if chain is None:
+        chain = nilpotent_chain(m, h)
+    largest = max(second_compound_block_sizes(profile.unipotent_block_sizes()))
+    if len(chain) > largest:
+        raise CrossCheckError(
+            f"nilpotent chain of length {len(chain)} exceeds the largest "
+            f"second-compound block {largest}"
+        )
+    poly = intersection_poly(m, h, chain)
     if poly.is_zero():
         raise DegenerateFormError(
             "top self-intersection of Delta_n is identically zero"
@@ -343,19 +409,33 @@ class VanishingScanReport:
     violations: tuple[tuple[int, ...], ...]
 
 
-def vanishing_scan(m: RatMatrix, h: TwoForm) -> VanishingScanReport:
+def vanishing_scan(
+    m: RatMatrix, h: TwoForm, chain: Optional[Sequence[TwoForm]] = None
+) -> VanishingScanReport:
     """Evaluate every product N^{i_1}H ^ ... ^ N^{i_g}H with all
     0 <= i_j <= kf and record the tuples above the strict threshold
-    sum i_j > g*kf/2 together with their (expected zero) values."""
-    chain = nilpotent_chain(m, h)
+    sum i_j > g*kf/2 together with their (expected zero) values.  Each
+    multiset of indices is evaluated once, by `polarized_wedge` over
+    Pfaffians shared within the scan.  ``chain`` is nilpotent_chain(m, h)
+    when the caller already holds it."""
+    if chain is None:
+        chain = nilpotent_chain(m, h)
     kf = len(chain) - 1
     g = h.genus
+    pfaffians: dict[tuple[int, ...], Fraction] = {}
+    values: dict[tuple[int, ...], Fraction] = {}
     scanned = []
     violations = []
     for combo in itertools.product(range(kf + 1), repeat=g):
         if 2 * sum(combo) <= g * kf:
             continue
-        value = wedge_coefficient([chain[i] for i in combo])
+        key = tuple(sorted(combo))
+        value = values.get(key)
+        if value is None:
+            alpha = [0] * (kf + 1)
+            for i in combo:
+                alpha[i] += 1
+            value = values[key] = polarized_wedge(chain, alpha, pfaffians)
         scanned.append((combo, value))
         if value != 0:
             violations.append(combo)

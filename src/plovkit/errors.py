@@ -43,7 +43,8 @@ class OddDimensionError(PreconditionError):
 
 
 class DegenerateFormError(PreconditionError):
-    """The chosen 2-form produced an identically zero top intersection."""
+    """The chosen 2-form is zero or produced an identically zero top
+    intersection."""
 
 
 class CrossCheckError(PlovkitError):

@@ -195,6 +195,25 @@ def test_growth_builds_the_profile_once(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["growth"]["exponents"] == {"1": 1, "2": 2, "3": 1, "4": 0}
 
 
+def test_model_builds_the_chain_once(tmp_path, capsys, monkeypatch):
+    import plovkit.cli
+    import plovkit.cohomology
+
+    calls = []
+    real = plovkit.cohomology.nilpotent_chain
+
+    def counting(m, h):
+        calls.append(m)
+        return real(m, h)
+
+    monkeypatch.setattr(plovkit.cli, "nilpotent_chain", counting)
+    monkeypatch.setattr(plovkit.cohomology, "nilpotent_chain", counting)
+    path = write_doc(tmp_path, QUAD)
+    code, _, _ = run_cli(["model", "--input", path], capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_model_standard_form(tmp_path, capsys):
     path = write_doc(tmp_path, QUAD)
     code, out, _ = run_cli(["model", "--input", path], capsys)

@@ -37,8 +37,10 @@ from plovkit.errors import (
     DimensionMismatchError,
     NotPseudoAnalyticError,
     NotUnipotentError,
+    PreconditionError,
 )
-from plovkit.cohomology import nilpotent_chain
+from plovkit.cohomology import nilpotent_chain, polarized_wedge
+from plovkit.plov import second_compound_block_sizes
 from plovkit.randgen import random_paired_unipotent, randgen_two_form
 
 
@@ -73,6 +75,48 @@ def random_rational_form(rng, g):
             if rng.random() < density
         },
     )
+
+
+def dense_rational_form(rng, g):
+    """2-form with a nonzero rational coefficient on every pair."""
+    return TwoForm(
+        g,
+        {
+            (i, j): Fraction(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 3))
+            for i in range(1, 2 * g + 1)
+            for j in range(i + 1, 2 * g + 1)
+        },
+    )
+
+
+def literal_scan(chain, g):
+    """The scan's (tuple, value) pairs by literal ordered wedge expansion."""
+    kf = len(chain) - 1
+    return tuple(
+        (t, wedge_coefficient([chain[i] for i in t]))
+        for t in itertools.product(range(kf + 1), repeat=g)
+        if 2 * sum(t) > g * kf
+    )
+
+
+# ---------------------------------------------------------------------------
+# 2-forms
+
+
+def test_two_form_rejects_pair_out_of_range():
+    for pair in [(0, 1), (2, 2), (3, 2), (1, 5)]:
+        with pytest.raises(DimensionMismatchError):
+            TwoForm(2, {pair: 1})
+
+
+def test_two_form_rejects_nonpositive_genus():
+    with pytest.raises(PreconditionError):
+        TwoForm(0)
+
+
+def test_chain_rejects_zero_form():
+    with pytest.raises(DegenerateFormError):
+        nilpotent_chain(quad_block(), TwoForm(2))
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +401,27 @@ def test_model_standard_form_achieves_profile_value():
         assert result.degree == sum(k * k for k in half_sizes)
 
 
+def test_chain_length_meets_second_compound_bound():
+    # the paper's item (3): the chain is at most as long as the largest
+    # block of Lambda^2 U, 2kJ + 1, and as long for the standard form
+    rng = random.Random(71)
+    for _ in range(12):
+        g = rng.randint(1, 4)
+        m, half_sizes = random_paired_unipotent(rng, g)
+        largest = max(second_compound_block_sizes(half_sizes * 2))
+        assert largest == 2 * max(half_sizes) - 1
+        assert len(nilpotent_chain(m, TwoForm.standard(g))) == largest
+        assert len(nilpotent_chain(m, randgen_two_form(rng, g))) <= largest
+
+
+def test_model_chain_beyond_compound_block_is_cross_check_failure(monkeypatch):
+    import plovkit.cohomology as cohomology
+
+    monkeypatch.setattr(cohomology, "second_compound_block_sizes", lambda sizes: [2])
+    with pytest.raises(CrossCheckError):
+        plov_via_model(quad_block(), TwoForm.standard(2))
+
+
 def test_consistency_triangle():
     rng = random.Random(69)
     for _ in range(8):
@@ -399,6 +464,53 @@ def test_scan_threshold_is_strict():
     assert (1, 1) not in [t for t, _ in report.scanned]
     nh = pullback2(m, h) - h
     assert wedge_coefficient([nh, nh]) != 0
+
+
+def test_polarized_wedge_matches_literal_wedge():
+    # arbitrary forms, not from a chain, so most products are nonzero
+    rng = random.Random(72)
+    nonzero = total = 0
+    for g in range(2, 6):
+        forms = [dense_rational_form(rng, g) for _ in range(3)]
+        pfaffians = {}
+        for multiset in itertools.combinations_with_replacement(range(3), g):
+            alpha = [multiset.count(i) for i in range(3)]
+            value = polarized_wedge(forms, alpha, pfaffians)
+            assert value == wedge_coefficient([forms[i] for i in multiset])
+            nonzero += value != 0
+            total += 1
+    assert nonzero > total // 2
+
+
+def test_polarized_wedge_arity_checks():
+    w = TwoForm.standard(2)
+    with pytest.raises(DimensionMismatchError):
+        polarized_wedge([w, w], [1, 0], {})
+    with pytest.raises(DimensionMismatchError):
+        polarized_wedge([w, w], [2], {})
+
+
+def test_scan_matches_literal_ordered_scan():
+    rng = random.Random(73)
+    for _ in range(6):
+        g = rng.randint(1, 4)
+        m, _ = random_paired_unipotent(rng, g)
+        for h in (TwoForm.standard(g), randgen_two_form(rng, g)):
+            chain = nilpotent_chain(m, h)
+            assert vanishing_scan(m, h).scanned == literal_scan(chain, g)
+
+
+def test_scan_fans_out_nonzero_values_in_order():
+    # arbitrary forms in place of a chain, so most scanned values are
+    # nonzero and a scan that skips the computation fails
+    rng = random.Random(74)
+    for g in (2, 3, 4):
+        forms = [dense_rational_form(rng, g) for _ in range(3)]
+        report = vanishing_scan(RatMatrix.identity(2 * g), forms[0], forms)
+        expected = literal_scan(forms, g)
+        assert report.scanned == expected
+        assert report.violations == tuple(t for t, v in expected if v)
+        assert len(report.violations) > len(expected) // 2
 
 
 def test_scan_clean_on_random_paired_profiles():
