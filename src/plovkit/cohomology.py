@@ -243,21 +243,18 @@ def pfaffian(form: TwoForm) -> Fraction:
     return result
 
 
-def intersection_poly(
-    m: RatMatrix, h: TwoForm, chain: Optional[Sequence[TwoForm]] = None
-) -> UniPoly:
-    """The raw top coefficient of Delta_n^g as a polynomial in n (no
-    normalization; only degrees and vanishing are contractual).  ``chain``
-    is nilpotent_chain(m, h) when the caller already holds it.
+def intersection_poly(chain: Sequence[TwoForm]) -> UniPoly:
+    """The raw top coefficient of Delta_n^g for chain = nilpotent_chain(M, H)
+    as a polynomial in n (no normalization; only degrees and vanishing are
+    contractual).
 
     Every coefficient of Delta_x has degree at most len(chain) = kf + 1 in
     x, so the g-fold wedge has degree at most D = g * len(chain).  It is
     interpolated from g! * Pf(Delta_x) at x = 0..D, and one extra node
     re-verifies the interpolation."""
-    if chain is None:
-        chain = nilpotent_chain(m, h)
-    scale = factorial(h.genus)
-    bound = h.genus * len(chain)
+    genus = chain[0].genus
+    scale = factorial(genus)
+    bound = genus * len(chain)
 
     def top(x: int) -> Fraction:
         return scale * pfaffian(delta_at(chain, x))
@@ -356,8 +353,8 @@ def plov_via_model(
     """Volume growth read off the model: the degree in n of the g-fold
     wedge of Delta_n.  Always at most the profile value sum k_i^2; whether
     equality holds depends on the chosen form and is reported as a flag,
-    not asserted.  ``chain`` is nilpotent_chain(m, h) when the caller
-    already holds it.
+    not asserted.  A caller that already holds nilpotent_chain(m, h) passes
+    it as ``chain``; it must be that chain, since h is then not read.
 
     The chain is also checked against the paper's bound on Jordan blocks
     of N^1 inside Lambda^2 H^1: its length is at most the largest block of
@@ -376,7 +373,7 @@ def plov_via_model(
             f"nilpotent chain of length {len(chain)} exceeds the largest "
             f"second-compound block {largest}"
         )
-    poly = intersection_poly(m, h, chain)
+    poly = intersection_poly(chain)
     if poly.is_zero():
         raise DegenerateFormError(
             "top self-intersection of Delta_n is identically zero"
@@ -414,14 +411,18 @@ def vanishing_scan(
 ) -> VanishingScanReport:
     """Evaluate every product N^{i_1}H ^ ... ^ N^{i_g}H with all
     0 <= i_j <= kf and record the tuples above the strict threshold
-    sum i_j > g*kf/2 together with their (expected zero) values.  Each
-    multiset of indices is evaluated once, by `polarized_wedge` over
-    Pfaffians shared within the scan.  ``chain`` is nilpotent_chain(m, h)
-    when the caller already holds it."""
-    if chain is None:
-        chain = nilpotent_chain(m, h)
+    sum i_j > g*kf/2 together with their (expected zero) values.  A caller
+    that already holds nilpotent_chain(m, h) passes it as ``chain``; it
+    must be that chain, since m and h are then not read."""
+    return _scan(nilpotent_chain(m, h) if chain is None else chain)
+
+
+def _scan(chain: Sequence[TwoForm]) -> VanishingScanReport:
+    """The scan over the products of any family of forms of one genus, in
+    the role of the chain.  Each multiset of indices is evaluated once, by
+    `polarized_wedge` over Pfaffians shared within the scan."""
     kf = len(chain) - 1
-    g = h.genus
+    g = chain[0].genus
     pfaffians: dict[tuple[int, ...], Fraction] = {}
     values: dict[tuple[int, ...], Fraction] = {}
     scanned = []

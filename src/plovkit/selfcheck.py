@@ -18,6 +18,7 @@ from typing import Callable
 from . import randgen
 from .cohomology import (
     TwoForm,
+    _scan,
     nilpotent_chain,
     plov_via_model,
     pullback2,
@@ -262,9 +263,11 @@ def _check_model_triangle(rng: random.Random, max_size: int, cases: int) -> Chec
     return CheckResult("model_degree_ceiling_and_triangle", True, count)
 
 
-def _literal_scan(chain, genus: int):
-    """The scan's (tuple, value) pairs by literal ordered wedge expansion."""
+def literal_scan(chain) -> tuple:
+    """The vanishing scan's (tuple, value) pairs over a family of forms, by
+    literal ordered wedge expansion of every tuple."""
     kf = len(chain) - 1
+    genus = chain[0].genus
     return tuple(
         (t, wedge_coefficient([chain[i] for i in t]))
         for t in itertools.product(range(kf + 1), repeat=genus)
@@ -278,11 +281,18 @@ def _check_vanishing_scan(rng: random.Random, max_size: int, cases: int) -> Chec
         genus = rng.randint(1, 4)
         m, _ = randgen.random_paired_unipotent(rng, genus)
         h = TwoForm.standard(genus)
-        report = vanishing_scan(m, h)
+        chain = nilpotent_chain(m, h)
+        report = vanishing_scan(m, h, chain)
         if report.violations:
             return CheckResult("vanishing_scan_clean", False, count)
         # the literal expansion is exponential in g, so it checks g <= 3
-        if genus <= 3 and report.scanned != _literal_scan(nilpotent_chain(m, h), genus):
+        if genus <= 3 and report.scanned != literal_scan(chain):
+            return CheckResult("vanishing_scan_clean", False, count)
+    # on a chain every scanned value is 0; random forms in its place give
+    # nonzero values, and odd g tells the sign of the polarization apart
+    for genus in (2, 3):
+        forms = [randgen.randgen_two_form(rng, genus) for _ in range(3)]
+        if _scan(forms).scanned != literal_scan(forms):
             return CheckResult("vanishing_scan_clean", False, count)
     return CheckResult("vanishing_scan_clean", True, count)
 

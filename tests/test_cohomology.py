@@ -39,9 +39,10 @@ from plovkit.errors import (
     NotUnipotentError,
     PreconditionError,
 )
-from plovkit.cohomology import nilpotent_chain, polarized_wedge
+from plovkit.cohomology import _scan, nilpotent_chain, polarized_wedge
 from plovkit.plov import second_compound_block_sizes
 from plovkit.randgen import random_paired_unipotent, randgen_two_form
+from plovkit.selfcheck import literal_scan
 
 
 def poly_n(*coeffs):
@@ -86,16 +87,6 @@ def dense_rational_form(rng, g):
             for i in range(1, 2 * g + 1)
             for j in range(i + 1, 2 * g + 1)
         },
-    )
-
-
-def literal_scan(chain, g):
-    """The scan's (tuple, value) pairs by literal ordered wedge expansion."""
-    kf = len(chain) - 1
-    return tuple(
-        (t, wedge_coefficient([chain[i] for i in t]))
-        for t in itertools.product(range(kf + 1), repeat=g)
-        if 2 * sum(t) > g * kf
     )
 
 
@@ -239,7 +230,7 @@ def test_delta_rejects_non_unipotent():
     with pytest.raises(NotUnipotentError):
         nilpotent_chain(m, h)
     with pytest.raises(NotUnipotentError):
-        intersection_poly(m, h)
+        intersection_poly(nilpotent_chain(m, h))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +275,7 @@ def test_intersection_sign_bookkeeping_oracle():
 
 
 def test_intersection_delta_self_wedge_closed_form():
-    result = intersection_poly(quad_block(), TwoForm.standard(2))
+    result = intersection_poly(nilpotent_chain(quad_block(), TwoForm.standard(2)))
     # -(1/6) n^2 (n^2 + 11), degree 4 with leading coefficient -1/6
     assert result == poly_n(0, 0, Fraction(-11, 6), 0, Fraction(-1, 6))
     assert result.degree() == 4
@@ -298,8 +289,9 @@ def test_intersection_poly_verification_node(monkeypatch):
     monkeypatch.setattr(
         cohomology, "delta_at", lambda chain, x: 2**x * TwoForm.basis(1, 1, 2)
     )
+    chain = nilpotent_chain(RatMatrix.identity(2), TwoForm.basis(1, 1, 2))
     with pytest.raises(CrossCheckError):
-        intersection_poly(RatMatrix.identity(2), TwoForm.basis(1, 1, 2))
+        intersection_poly(chain)
 
 
 def test_intersection_arity_checks():
@@ -336,7 +328,7 @@ def test_intersection_poly_matches_literal_wedge_of_telescoped_sum():
         g = rng.randint(1, 4)
         m, _ = random_paired_unipotent(rng, g)
         h = rng.choice([TwoForm.standard(g), randgen_two_form(rng, g)])
-        poly = intersection_poly(m, h)
+        poly = intersection_poly(nilpotent_chain(m, h))
         for x in range(7):
             delta = telescoped_delta(m, h, x)
             assert poly(x) == wedge_coefficient([delta] * g)
@@ -497,7 +489,7 @@ def test_scan_matches_literal_ordered_scan():
         m, _ = random_paired_unipotent(rng, g)
         for h in (TwoForm.standard(g), randgen_two_form(rng, g)):
             chain = nilpotent_chain(m, h)
-            assert vanishing_scan(m, h).scanned == literal_scan(chain, g)
+            assert vanishing_scan(m, h).scanned == literal_scan(chain)
 
 
 def test_scan_fans_out_nonzero_values_in_order():
@@ -506,8 +498,8 @@ def test_scan_fans_out_nonzero_values_in_order():
     rng = random.Random(74)
     for g in (2, 3, 4):
         forms = [dense_rational_form(rng, g) for _ in range(3)]
-        report = vanishing_scan(RatMatrix.identity(2 * g), forms[0], forms)
-        expected = literal_scan(forms, g)
+        report = _scan(forms)
+        expected = literal_scan(forms)
         assert report.scanned == expected
         assert report.violations == tuple(t for t, v in expected if v)
         assert len(report.violations) > len(expected) // 2
