@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Optional
 
-from .errors import CrossCheckError, NotQuasiUnipotentError
+from .errors import CrossCheckError, NotQuasiUnipotentError, PreconditionError
 from .exact import RatMatrix, UniPoly, char_poly, mat_mul, mat_pow
 
 # verdicts are cached per matrix so that one `analyze` computes each once;
@@ -33,7 +33,7 @@ VERDICT_CACHE_SIZE = 32
 def euler_phi(n: int) -> int:
     """Euler's totient by trial-division factorization."""
     if n < 1:
-        raise ValueError("totient argument must be positive")
+        raise PreconditionError("totient argument must be positive")
     result = n
     p = 2
     while p * p <= n:
@@ -77,13 +77,43 @@ def cyclotomic_poly(n: int) -> UniPoly:
     it).
     """
     if n < 1:
-        raise ValueError("cyclotomic index must be positive")
+        raise PreconditionError("cyclotomic index must be positive")
     p = UniPoly.from_coeffs([-1] + [0] * (n - 1) + [1], "t")
     for d in _proper_divisors(n):
         p = p.exact_div(cyclotomic_poly(d))
     if p.degree() != euler_phi(n) or not p.is_integral():
         raise CrossCheckError(f"cyclotomic polynomial {n} failed sanity checks")
     return p
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_ints(n: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_n, lowest degree first."""
+    return tuple(int(c) for c in cyclotomic_poly(n).coeffs)
+
+
+@lru_cache(maxsize=None)
+def _candidate_indices(d: int) -> tuple[int, ...]:
+    """The indices n <= 2*d^2 with phi(n) <= d, in increasing order: every
+    cyclotomic factor of a degree-d polynomial is some Phi_n with n here."""
+    return tuple(n for n in range(1, 2 * d * d + 1) if euler_phi(n) <= d)
+
+
+def _divide_monic(p: list[int], q: tuple[int, ...]) -> Optional[list[int]]:
+    """p / q in Z[t] for a monic q, or None when q does not divide p.
+    Coefficient lists are lowest degree first."""
+    dq = len(q) - 1
+    if len(p) <= dq:
+        return None
+    rem = list(p)
+    quot = [0] * (len(p) - dq)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + dq]
+        quot[i] = c
+        if c:
+            for j in range(dq):
+                rem[i + j] -= c * q[j]
+    return None if any(rem[:dq]) else quot
 
 
 @dataclass(frozen=True)
@@ -104,12 +134,13 @@ class QuasiUnipotencyVerdict:
 
 
 def is_unipotent(m: RatMatrix) -> bool:
-    """True when (M - I)^K = 0, checked by repeated squaring."""
+    """True when (M - I)^K = 0, checked by repeated squaring.  M - I is
+    nilpotent exactly when the integer matrix num - den*I is."""
     k = m.dimension
-    b = m - RatMatrix.identity(k)
+    b = RatMatrix(m.num) - RatMatrix.identity(k) * m.den
     power = 1
     while True:
-        if all(c == 0 for row in b.entries for c in row):
+        if not any(map(any, b.num)):
             return True
         if power >= k:
             return False
@@ -124,32 +155,29 @@ def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
 
     The verdict is total: non-integral characteristic polynomials yield an
     immediate negative with the characteristic polynomial as residual.
-    The minimality of the returned order (the lcm of the cyclotomic
-    indices present) is re-verified on maximal proper divisors as cheap
-    insurance against arithmetic bugs.
+    An integral one is stripped on integer coefficient lists; every Phi_n
+    is monic, so each division is exact in Z.  The minimality of the
+    returned order (the lcm of the cyclotomic indices present) is
+    re-verified on maximal proper divisors as cheap insurance against
+    arithmetic bugs.
     """
-    p = char_poly(m)
-    if not p.is_integral():
-        return QuasiUnipotencyVerdict(False, residual=p)
-    d = m.dimension
+    char = char_poly(m)
+    if not char.is_integral():
+        return QuasiUnipotencyVerdict(False, residual=char)
+    p = [int(c) for c in char.coeffs]
     factors: list[tuple[int, int]] = []
-    for n in range(1, 2 * d * d + 1):
-        if euler_phi(n) > d:
-            continue
-        phi_n = cyclotomic_poly(n)
+    for n in _candidate_indices(m.dimension):
+        phi_n = _cyclotomic_ints(n)
         mult = 0
-        while True:
-            q, r = divmod(p, phi_n)
-            if not r.is_zero():
-                break
+        while (q := _divide_monic(p, phi_n)) is not None:
             p = q
             mult += 1
         if mult:
             factors.append((n, mult))
-        if p.degree() == 0:
+        if len(p) == 1:
             break
-    if p.degree() != 0:
-        return QuasiUnipotencyVerdict(False, residual=p)
+    if len(p) != 1:
+        return QuasiUnipotencyVerdict(False, residual=UniPoly.from_coeffs(p, "t"))
     order = lcm(*(n for n, _ in factors))
     for q in _prime_factors(order):
         if is_unipotent(mat_pow(m, order // q)):

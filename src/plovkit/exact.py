@@ -1,14 +1,20 @@
 """Exact rational scalars, univariate polynomials, and square matrices.
 
-Everything in this package is computed over Q with `fractions.Fraction`;
-no floating point appears anywhere.  This module is the substrate shared
-by the rest of the library:
+Everything in this package is computed exactly over Q; no floating
+point appears anywhere.  This module is the substrate shared by the rest
+of the library:
 
   * `UniPoly` -- dense univariate polynomial over Q with a variable tag
     ('t' for characteristic polynomials, 'n' for growth polynomials),
-  * `RatMatrix` -- immutable square matrices over Q,
-  * one fraction-free (Bareiss) row echelon routine, which gives both
-    the exact determinant and the exact rank,
+    with `fractions.Fraction` coefficients,
+  * `RatMatrix` -- immutable square matrices over Q, stored as integer
+    rows `num` over one positive common denominator `den` in lowest
+    terms, so the matrix kernel (products, powers, sums, minors,
+    eliminations) runs on Python ints; `.entries` is a cached read-only
+    view of the same matrix as rows of `Fraction`s,
+  * one fraction-free (Bareiss) row echelon routine on the integer rows,
+    which gives both the exact determinant, det(num) / den^K, and the
+    exact rank, rank(num),
   * polynomials rebuilt from exact values at the nodes 0..D by a single
     interpolation routine (forward differences into the binomial basis,
     expanded by Horner's rule):
@@ -24,10 +30,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from functools import cached_property
+from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import CrossCheckError, DimensionMismatchError
+from .errors import CrossCheckError, DimensionMismatchError, PreconditionError
 
 #: The scalar type used everywhere: arbitrary-precision rational numbers,
 #: always in lowest terms with positive denominator.
@@ -102,7 +109,7 @@ class UniPoly:
 
     def _check_var(self, other: "UniPoly") -> None:
         if self.var != other.var:
-            raise ValueError(
+            raise PreconditionError(
                 f"variable mismatch: {self.var!r} vs {other.var!r}"
             )
 
@@ -147,7 +154,7 @@ class UniPoly:
 
     def __pow__(self, e: int) -> "UniPoly":
         if e < 0:
-            raise ValueError("negative polynomial power")
+            raise PreconditionError("negative polynomial power")
         result = UniPoly.constant(1, self.var)
         base = self
         while e:
@@ -188,7 +195,7 @@ class UniPoly:
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         q, r = divmod(self, other)
         if not r.is_zero():
-            raise ValueError("inexact polynomial division")
+            raise PreconditionError("inexact polynomial division")
         return q
 
     def __str__(self) -> str:
@@ -214,9 +221,9 @@ class UniPoly:
         return text
 
 
-def _interpolate(values: Sequence[Scalar], var: str) -> UniPoly:
-    """The polynomial of degree < len(values) that takes values[x] at
-    x = 0, 1, ..., D.
+def _interpolate(values: Sequence[Scalar], var: str, den: int = 1) -> UniPoly:
+    """The polynomial of degree < len(values) that takes values[x] / den
+    at x = 0, 1, ..., D.
 
     Forward differences give the coefficients a_i in the binomial basis,
     p(x) = sum_i a_i C(x, i), and Horner's rule with
@@ -241,7 +248,7 @@ def _interpolate(values: Sequence[Scalar], var: str) -> UniPoly:
         shifted[0] += newton[i] * weight
         acc = shifted
         weight *= i
-    denominator = scale * factorial(d)
+    denominator = scale * den * factorial(d)
     return UniPoly.from_coeffs((Fraction(c, denominator) for c in acc), var)
 
 
@@ -251,27 +258,66 @@ def _interpolate(values: Sequence[Scalar], var: str) -> UniPoly:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable square matrix over Q, stored as a tuple of row tuples."""
+    """Immutable square matrix over Q, stored as integer rows over one
+    common denominator: the matrix is ``num / den``.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    The storage is canonical: ``den`` is positive and
+    gcd(den, every entry of ``num``) = 1, so equal matrices have equal
+    fields, and equality and hashing work by value.  ``RatMatrix(num, den)``
+    takes integer row tuples (anything else raises TypeError) and reduces
+    them; `from_rows` builds a matrix from rational entries.
+    """
+
+    num: tuple[tuple[int, ...], ...]
+    den: int = 1
+
+    def __post_init__(self):
+        den = self.den
+        if den == 0:
+            raise ZeroDivisionError("matrix denominator is zero")
+        try:
+            # with den = 1 this only checks that every entry is an integer
+            g = gcd(den, *itertools.chain.from_iterable(self.num))
+        except TypeError:
+            raise TypeError(
+                "RatMatrix rows hold ints; build rational entries with from_rows"
+            ) from None
+        if den < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(
+                self, "num", tuple(tuple(x // g for x in row) for row in self.num)
+            )
+            object.__setattr__(self, "den", den // g)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as rows of `Fraction`s, built on first use."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Scalar]]) -> "RatMatrix":
-        grid = tuple(tuple(_frac(x) for x in row) for row in rows)
+        grid = [[_frac(x) for x in row] for row in rows]
         k = len(grid)
         if k == 0 or any(len(row) != k for row in grid):
             raise DimensionMismatchError("matrix must be square and nonempty")
-        return RatMatrix(grid)
-
-    @staticmethod
-    def identity(k: int) -> "RatMatrix":
-        return RatMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+        den = lcm(*(c.denominator for row in grid for c in row))
+        return RatMatrix(
+            tuple(
+                tuple(c.numerator * (den // c.denominator) for c in row)
+                for row in grid
+            ),
+            den,
         )
 
     @staticmethod
+    def identity(k: int) -> "RatMatrix":
+        return RatMatrix(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
+
+    @staticmethod
     def zero(k: int) -> "RatMatrix":
-        return RatMatrix.from_rows([[0] * k for _ in range(k)])
+        return RatMatrix(((0,) * k,) * k)
 
     @staticmethod
     def jordan_block(eigenvalue: Scalar, size: int) -> "RatMatrix":
@@ -289,7 +335,9 @@ class RatMatrix:
         """Companion matrix of a monic polynomial of degree >= 1."""
         d = p.degree()
         if d is NEG_INF or d < 1 or p.leading() != 1:
-            raise ValueError("companion matrix needs a monic nonconstant polynomial")
+            raise PreconditionError(
+                "companion matrix needs a monic nonconstant polynomial"
+            )
         return RatMatrix.from_rows(
             [
                 [
@@ -307,57 +355,56 @@ class RatMatrix:
     @staticmethod
     def block_diag(*blocks: "RatMatrix") -> "RatMatrix":
         k = sum(b.dimension for b in blocks)
-        rows = [[Fraction(0)] * k for _ in range(k)]
+        if k == 0:
+            raise DimensionMismatchError("matrix must be square and nonempty")
+        den = lcm(*(b.den for b in blocks))
+        rows = [[0] * k for _ in range(k)]
         offset = 0
         for b in blocks:
-            for i in range(b.dimension):
-                for j in range(b.dimension):
-                    rows[offset + i][offset + j] = b.entries[i][j]
+            f = den // b.den
+            for i, row in enumerate(b.num):
+                rows[offset + i][offset : offset + b.dimension] = [f * x for x in row]
             offset += b.dimension
-        return RatMatrix.from_rows(rows)
+        return RatMatrix(tuple(map(tuple, rows)), den)
 
     @property
     def dimension(self) -> int:
-        return len(self.entries)
+        return len(self.num)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(zip(*self.entries)))
+        return RatMatrix(tuple(zip(*self.num)), self.den)
 
     def is_integral(self) -> bool:
-        return all(
-            c.denominator == 1 for row in self.entries for c in row
-        )
+        return self.den == 1
 
     def trace(self) -> Fraction:
-        return sum(
-            (self.entries[i][i] for i in range(self.dimension)),
-            Fraction(0),
+        return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
+
+    def _plus(self, other: "RatMatrix", sign: int) -> "RatMatrix":
+        _check_same_dim(self, other)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return RatMatrix(
+            tuple(
+                tuple(fa * x + fb * y for x, y in zip(ra, rb))
+                for ra, rb in zip(self.num, other.num)
+            ),
+            den,
         )
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        _check_same_dim(self, other)
-        return RatMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        _check_same_dim(self, other)
-        return RatMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
             return mat_mul(self, other)
         c = _frac(other)
         return RatMatrix(
-            tuple(tuple(a * c for a in row) for row in self.entries)
+            tuple(tuple(c.numerator * x for x in row) for row in self.num),
+            self.den * c.denominator,
         )
 
     def __rmul__(self, other):
@@ -375,28 +422,29 @@ def _check_same_dim(a: RatMatrix, b: RatMatrix) -> None:
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Exact matrix product; skips zero entries, which keeps products of
-    the sparse nilpotent matrices used elsewhere cheap."""
+    """Exact matrix product: the integer rows are multiplied and the
+    denominators too, then reduced by one gcd pass (none when the product
+    of the denominators is 1).  Zero entries are skipped, which keeps
+    products of the sparse nilpotent matrices used elsewhere cheap."""
     _check_same_dim(a, b)
     k = a.dimension
-    brows = b.entries
+    brows = b.num
     out = []
-    for arow in a.entries:
-        acc = [Fraction(0)] * k
+    for arow in a.num:
+        acc = [0] * k
         for idx, aval in enumerate(arow):
             if aval:
-                brow = brows[idx]
-                for j, bval in enumerate(brow):
+                for j, bval in enumerate(brows[idx]):
                     if bval:
                         acc[j] += aval * bval
         out.append(tuple(acc))
-    return RatMatrix(tuple(out))
+    return RatMatrix(tuple(out), a.den * b.den)
 
 
 def mat_pow(a: RatMatrix, e: int) -> RatMatrix:
     """a**e by binary exponentiation; a**0 is the identity."""
     if e < 0:
-        raise ValueError("negative matrix power")
+        raise PreconditionError("negative matrix power")
     result = RatMatrix.identity(a.dimension)
     base = a
     while e:
@@ -409,24 +457,19 @@ def mat_pow(a: RatMatrix, e: int) -> RatMatrix:
     return result
 
 
-def _echelon(m: RatMatrix) -> tuple[int, int, int]:
-    """Fraction-free (Bareiss) row echelon form of m.
+def _echelon(num: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) row echelon form of an integer matrix.
 
-    Each row is scaled to integers first, so all arithmetic stays in Z
-    with the usual Bareiss control on entry growth.  A column with no
-    pivot is skipped; the divisions stay exact, because every entry after
-    a step is a minor of the scaled matrix on the pivot rows and columns
-    so far.  Returns (rank, last, scale): `last` is the last pivot with
-    the sign of the row swaps and `scale` the product of the row scales,
-    so det(m) = last / scale when the rank is full.
+    All arithmetic stays in Z with the usual Bareiss control on entry
+    growth.  A column with no pivot is skipped; the divisions stay exact,
+    because every entry after a step is a minor of the matrix on the
+    pivot rows and columns so far.  A row with a zero in the pivot column
+    is only rescaled by pivot / prev, and left as it is when that is 1.
+    Returns (rank, last): `last` is the last pivot with the sign of the
+    row swaps, which is the determinant when the rank is full.
     """
-    k = m.dimension
-    scale = 1
-    a = []
-    for row in m.entries:
-        d = lcm(*(c.denominator for c in row))
-        scale *= d
-        a.append([c.numerator * (d // c.denominator) for c in row])
+    a = [list(row) for row in num]
+    k = len(a)
     sign = 1
     prev = 1
     rank = 0
@@ -442,40 +485,49 @@ def _echelon(m: RatMatrix) -> tuple[int, int, int]:
         for r in range(rank + 1, k):
             arow = a[r]
             head = arow[col]
-            for c in range(col + 1, k):
-                arow[c] = (arow[c] * pivot - head * crow[c]) // prev
+            if head:
+                for c in range(col + 1, k):
+                    arow[c] = (arow[c] * pivot - head * crow[c]) // prev
+            elif pivot != prev:
+                for c in range(col + 1, k):
+                    arow[c] = arow[c] * pivot // prev
         prev = pivot
         rank += 1
-    return rank, sign * prev, scale
+    return rank, sign * prev
 
 
 def det_exact(m: RatMatrix) -> Fraction:
-    """Exact determinant, read off the fraction-free row echelon form."""
-    rank, last, scale = _echelon(m)
-    return Fraction(last, scale) if rank == m.dimension else Fraction(0)
+    """Exact determinant: det(num) / den^k, with det(num) read off the
+    fraction-free row echelon form."""
+    rank, last = _echelon(m.num)
+    k = m.dimension
+    return Fraction(last, m.den**k) if rank == k else Fraction(0)
 
 
 def rank_exact(m: RatMatrix) -> int:
-    """Rank over Q, read off the fraction-free row echelon form."""
-    return _echelon(m)[0]
+    """Rank over Q: the rank of the integer rows, read off the
+    fraction-free row echelon form."""
+    return _echelon(m.num)[0]
 
 
 def char_poly(m: RatMatrix) -> UniPoly:
     """Characteristic polynomial det(t*I - M), monic of degree = dimension.
 
-    Computed by evaluating det(x*I - M) at x = 0..K and interpolating
-    the K + 1 values; the monic-degree property is re-verified.  -M is
-    formed once, and each node only adds x on its diagonal.
+    Computed by evaluating det(x*I - M) = det(x*den*I - num) / den^K at
+    x = 0..K and interpolating the K + 1 values; the monic-degree property
+    is re-verified.  Every node is an integer matrix: -num is formed once,
+    and each node only adds x*den on its diagonal.
     """
     k = m.dimension
-    neg = [tuple(-c for c in row) for row in m.entries]
+    neg = [tuple(-c for c in row) for row in m.num]
     values = []
     for x in range(k + 1):
-        shifted = tuple(
-            row[:i] + (row[i] + x,) + row[i + 1 :] for i, row in enumerate(neg)
+        shift = x * m.den
+        node = tuple(
+            row[:i] + (row[i] + shift,) + row[i + 1 :] for i, row in enumerate(neg)
         )
-        values.append(det_exact(RatMatrix(shifted)))
-    p = _interpolate(values, "t")
+        values.append(det_exact(RatMatrix(node)))
+    p = _interpolate(values, "t", m.den**k)
     if p.degree() != k or p.leading() != 1:
         raise CrossCheckError("characteristic polynomial is not monic of full degree")
     return p
@@ -496,38 +548,37 @@ def poly_at_matrix(p: UniPoly, m: RatMatrix) -> RatMatrix:
 def submatrix(
     m: RatMatrix, rows: Sequence[int], cols: Sequence[int]
 ) -> RatMatrix:
-    return RatMatrix(
-        tuple(tuple(m.entries[i][j] for j in cols) for i in rows)
-    )
+    return RatMatrix(tuple(tuple(m.num[i][j] for j in cols) for i in rows), m.den)
 
 
 def compound_matrix(m: RatMatrix, r: int) -> RatMatrix:
     """The r-th compound: all r-by-r minors, row and column index sets in
     lexicographic order.  Represents the induced action on the r-th
-    exterior power."""
+    exterior power.  The minors are taken of the integer rows, over the
+    common denominator den^r."""
     k = m.dimension
     if not 1 <= r <= k:
-        raise ValueError(f"compound order {r} out of range 1..{k}")
+        raise DimensionMismatchError(f"compound order {r} out of range 1..{k}")
     if r == 1:
         return m
     combos = list(itertools.combinations(range(k), r))
+    e = m.num
     if r == 2:
-        e = m.entries
-        return RatMatrix(
-            tuple(
-                tuple(
-                    e[a][c] * e[b][d] - e[a][d] * e[b][c]
-                    for (c, d) in combos
-                )
-                for (a, b) in combos
-            )
+        minors = tuple(
+            tuple(e[a][c] * e[b][d] - e[a][d] * e[b][c] for (c, d) in combos)
+            for (a, b) in combos
         )
-    return RatMatrix(
-        tuple(
-            tuple(det_exact(submatrix(m, rows, cols)) for cols in combos)
+    else:
+        minors = tuple(
+            tuple(
+                det_exact(
+                    RatMatrix(tuple(tuple(e[i][j] for j in cols) for i in rows))
+                ).numerator
+                for cols in combos
+            )
             for rows in combos
         )
-    )
+    return RatMatrix(minors, m.den**r)
 
 
 def det_poly(matrix_at: Callable[[int], RatMatrix], degree_bound: int) -> UniPoly:
@@ -540,7 +591,7 @@ def det_poly(matrix_at: Callable[[int], RatMatrix], degree_bound: int) -> UniPol
     returning a wrong polynomial.
     """
     if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
+        raise PreconditionError("degree bound must be nonnegative")
     p = _interpolate(
         [det_exact(matrix_at(x)) for x in range(degree_bound + 1)], "n"
     )

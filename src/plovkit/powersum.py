@@ -74,7 +74,7 @@ def _nilpotent_powers(a: RatMatrix) -> list[RatMatrix]:
     nil = a - RatMatrix.identity(k)
     powers = [RatMatrix.identity(k)]
     current = nil
-    while any(c for row in current.entries for c in row):
+    while any(map(any, current.num)):
         powers.append(current)
         if len(powers) > k:
             raise NotUnipotentError("matrix is not unipotent")
@@ -89,7 +89,9 @@ def power_sum_matrix(a: RatMatrix, h: RatMatrix) -> list[RatMatrix]:
     last nonzero one.
 
     B_s = sum over max(i, j) <= s <= i + j of C(s, i) C(i, s - j) T_ij with
-    T_ij = (N^i)^T H N^j; the sums skip zero entries and use int weights.
+    T_ij = (N^i)^T H N^j; the sums skip zero entries and run on the integer
+    rows over one common denominator, D^2 * den(H) with D the lcm of the
+    denominators of the powers of N.
     """
     if a.dimension != h.dimension:
         raise DimensionMismatchError("matrix and form dimensions differ")
@@ -98,13 +100,16 @@ def power_sum_matrix(a: RatMatrix, h: RatMatrix) -> list[RatMatrix]:
     ensure_spd(h)
     k = a.dimension
     powers = _nilpotent_powers(a)
-    sums = [[Fraction(0)] * (k * k) for _ in range(2 * len(powers) - 1)]
+    den = lcm(*(p.den for p in powers)) ** 2 * h.den
+    sums = [[0] * (k * k) for _ in range(2 * len(powers) - 1)]
     for i, ni in enumerate(powers):
         left = mat_mul(ni.transpose(), h)
         for j, nj in enumerate(powers):
+            t = mat_mul(left, nj)
+            f = den // t.den
             term = [
-                (row * k + col, c)
-                for row, line in enumerate(mat_mul(left, nj).entries)
+                (row * k + col, f * c)
+                for row, line in enumerate(t.num)
                 for col, c in enumerate(line)
                 if c
             ]
@@ -114,7 +119,7 @@ def power_sum_matrix(a: RatMatrix, h: RatMatrix) -> list[RatMatrix]:
                 for idx, c in term:
                     acc[idx] += weight * c
     return [
-        RatMatrix(tuple(tuple(flat[r * k : (r + 1) * k]) for r in range(k)))
+        RatMatrix(tuple(tuple(flat[r * k : (r + 1) * k]) for r in range(k)), den)
         for flat in sums
     ]
 
@@ -131,15 +136,15 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     bs = power_sum_matrix(a, h)
     k = a.dimension
     bound = sum(
-        max((j + 1 for j, b in enumerate(bs) if any(b.entries[r])), default=0)
+        max((j + 1 for j, b in enumerate(bs) if any(b.num[r])), default=0)
         for r in range(k)
     )
     # scale * B_j as lists of nonzero (flat index, int) entries
-    scale = lcm(*(c.denominator for b in bs for line in b.entries for c in line))
+    scale = lcm(*(b.den for b in bs))
     terms = [
         [
-            (r * k + col, int(c * scale))
-            for r, line in enumerate(b.entries)
+            (r * k + col, c * (scale // b.den))
+            for r, line in enumerate(b.num)
             for col, c in enumerate(line)
             if c
         ]
@@ -156,10 +161,7 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
             for idx, c in term:
                 acc[idx] += weight * c
         return RatMatrix(
-            tuple(
-                tuple(Fraction(v, scale) for v in acc[r * k : (r + 1) * k])
-                for r in range(k)
-            )
+            tuple(tuple(acc[r * k : (r + 1) * k]) for r in range(k)), scale
         )
 
     poly = det_poly(s_at, bound)

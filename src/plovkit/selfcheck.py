@@ -93,7 +93,7 @@ def _check_det_poly(rng: random.Random, max_size: int, cases: int) -> CheckResul
         ]
 
         def at(x: int) -> RatMatrix:
-            return RatMatrix(tuple(tuple(p(x) for p in row) for row in rows))
+            return RatMatrix.from_rows([[p(x) for p in row] for row in rows])
 
         bound = sum(max(0, *(len(p.coeffs) - 1 for p in row)) for row in rows)
         p = det_poly(at, bound)

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import plovkit
-from plovkit.cli import main, parse_input
+from plovkit.cli import enc_matrix, main, parse_input
 from plovkit.errors import InputFormatError
+from plovkit.exact import RatMatrix
 
 
 def run_cli(args, capsys):
@@ -511,5 +512,73 @@ def test_every_argv_exits_with_a_documented_code(tmp_path):
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2, 3), (argv, code)
+
+    check()
+
+
+def test_encoded_matrix_parses_back_to_itself():
+    # enc_matrix reads the Fraction view of the integer-row storage, and
+    # parse_input rebuilds the storage from the encoded entries
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    rationals = st.builds(
+        Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**12)
+    )
+    matrices = st.integers(1, 5).flatmap(
+        lambda k: st.lists(
+            st.lists(rationals, min_size=k, max_size=k), min_size=k, max_size=k
+        )
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(matrices)
+    def check(rows):
+        m = RatMatrix.from_rows(rows)
+        name, back = parse_input(json.dumps({"matrix": enc_matrix(m)}))
+        assert name is None
+        assert back == m
+        assert back.entries == tuple(map(tuple, rows))
+
+    check()
+
+
+def test_float_anywhere_in_the_matrix_exits_1(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    argv_tails = {
+        "analyze": [],
+        "powersum": [],
+        "growth": ["--degrees", "1"],
+        "model": [],
+    }
+    cases = st.integers(1, 4).flatmap(
+        lambda k: st.tuples(
+            st.lists(
+                st.lists(st.integers(-5, 5), min_size=k, max_size=k),
+                min_size=k,
+                max_size=k,
+            ),
+            st.integers(0, k - 1),
+            st.integers(0, k - 1),
+            st.floats(),
+            st.sampled_from(sorted(argv_tails)),
+        )
+    )
+    path = tmp_path / "input.json"
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(cases)
+    def check(case):
+        grid, i, j, value, command = case
+        grid[i][j] = value
+        path.write_text(json.dumps({"matrix": grid}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--input", str(path), *argv_tails[command]])
+        assert code == 1
+        assert err.getvalue().count("\n") == 1
+        assert f"floating-point entry at row {i + 1}, column {j + 1}" in err.getvalue()
 
     check()

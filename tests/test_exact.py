@@ -8,6 +8,7 @@ reduced-echelon kernels for rank-nullity.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,11 +21,14 @@ from plovkit import (
     cyclotomic_poly,
     det_exact,
     det_poly,
+    is_unipotent,
     mat_mul,
     mat_pow,
+    quasi_unipotency,
     rank_exact,
 )
-from plovkit.errors import CrossCheckError, DimensionMismatchError
+from plovkit.errors import CrossCheckError, DimensionMismatchError, PreconditionError
+from plovkit.cyclotomic import euler_phi
 from plovkit.exact import _interpolate
 from plovkit.randgen import conjugate, random_integer_matrix, random_unimodular
 
@@ -76,7 +80,7 @@ def test_poly_arithmetic_and_eval():
 
 
 def test_variable_mixing_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         UniPoly.variable("t") + UniPoly.variable("n")
 
 
@@ -88,7 +92,7 @@ def test_divmod_exact_and_inexact():
     assert q == t + one and r.is_zero()
     _, r2 = divmod(p, t - UniPoly.constant(2, "t"))
     assert not r2.is_zero()
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         p.exact_div(t - UniPoly.constant(2, "t"))
 
 
@@ -306,7 +310,7 @@ def test_char_poly_similarity_invariance():
 
 def poly_rows_at(rows, x):
     """The matrix of UniPoly entries `rows` evaluated at x."""
-    return RatMatrix(tuple(tuple(p(x) for p in row) for row in rows))
+    return RatMatrix.from_rows([[p(x) for p in row] for row in rows])
 
 
 def row_degree_bound(rows):
@@ -364,7 +368,7 @@ def test_det_poly_matches_pointwise_dets():
 
 
 def test_det_poly_rejects_negative_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         det_poly(lambda x: RatMatrix.identity(1), -1)
 
 
@@ -407,3 +411,177 @@ def test_compound_top_order_is_determinant():
     top = compound_matrix(m, 4)
     assert top.dimension == 1
     assert top.entries[0][0] == det_exact(m)
+
+
+# ---------------------------------------------------------------------------
+# the integer-row storage against plain-Fraction references
+
+
+def frac_mul(a, b):
+    """Reference product of two Fraction grids."""
+    return [
+        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def frac_eliminate(rows):
+    """Reference Gaussian elimination on Fractions: (rank, determinant)."""
+    a = [list(row) for row in rows]
+    k = len(a)
+    det = Fraction(1)
+    rank = 0
+    for col in range(k):
+        piv = next((r for r in range(rank, k) if a[r][col]), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = -det
+        pivot = a[rank][col]
+        det *= pivot
+        for r in range(rank + 1, k):
+            f = a[r][col] / pivot
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank, det
+
+
+def frac_det(rows):
+    return frac_eliminate(rows)[1]
+
+
+def frac_rank(rows):
+    return frac_eliminate(rows)[0]
+
+
+def mixed_rows(rng, k):
+    """A k-by-k grid with mixed denominators and signs; a third of the
+    draws are rank deficient."""
+    if rng.random() < 1 / 3:
+        return rank_deficient_rows(rng, k)
+    return [
+        [
+            Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 9]))
+            for _ in range(k)
+        ]
+        for _ in range(k)
+    ]
+
+
+def test_kernel_matches_fraction_references():
+    rng = random.Random(808)
+    for _ in range(60):
+        k = rng.randint(1, 7)
+        a_rows, b_rows = mixed_rows(rng, k), mixed_rows(rng, k)
+        a, b = RatMatrix.from_rows(a_rows), RatMatrix.from_rows(b_rows)
+        assert a.entries == tuple(map(tuple, a_rows))
+        assert mat_mul(a, b) == RatMatrix.from_rows(frac_mul(a_rows, b_rows))
+        assert det_exact(a) == frac_det(a_rows)
+        assert rank_exact(a) == frac_rank(a_rows)
+        e = rng.randint(0, 5)
+        power = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+        for _ in range(e):
+            power = frac_mul(power, a_rows)
+        assert mat_pow(a, e) == RatMatrix.from_rows(power)
+        # k + 1 points off the interpolation nodes fix the monic char poly
+        p = char_poly(a)
+        for x in (Fraction(-1, 2), Fraction(7, 3), -5, *range(k + 1, 2 * k)):
+            shifted = [
+                [(x if i == j else 0) - c for j, c in enumerate(row)]
+                for i, row in enumerate(a_rows)
+            ]
+            assert p(x) == frac_det(shifted)
+
+
+def frac_is_unipotent(rows):
+    k = len(rows)
+    nil = [[c - (i == j) for j, c in enumerate(row)] for i, row in enumerate(rows)]
+    power = nil
+    for _ in range(k - 1):
+        power = frac_mul(power, nil)
+    return not any(any(row) for row in power)
+
+
+def test_is_unipotent_matches_fraction_reference():
+    rng = random.Random(809)
+    for _ in range(40):
+        k = rng.randint(1, 6)
+        # a rational conjugate of an upper-triangular matrix with diagonal
+        # 1 (unipotent) or with one diagonal entry moved off 1
+        upper = [
+            [
+                Fraction(int(i == j)) if i >= j
+                else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                for j in range(k)
+            ]
+            for i in range(k)
+        ]
+        if rng.random() < 0.5:
+            i = rng.randrange(k)
+            upper[i][i] = Fraction(rng.choice([-1, 2, 3]), rng.choice([1, 2]))
+        while True:
+            s = RatMatrix.from_rows(mixed_rows(rng, k))
+            if det_exact(s):
+                break
+        m = conjugate(RatMatrix.from_rows(upper), s)
+        assert is_unipotent(m) == frac_is_unipotent(m.entries)
+
+
+def assert_canonical(m):
+    assert m.den > 0
+    assert gcd(m.den, *(x for row in m.num for x in row)) == 1
+
+
+def test_storage_is_canonical():
+    half = RatMatrix.from_rows([[Fraction(2, 4), 0], [0, Fraction(-6, 4)]])
+    same = RatMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(-3, 2)]])
+    raw = RatMatrix(((-2, 0), (0, 6)), -4)
+    assert half == same == raw
+    assert hash(half) == hash(same) == hash(raw)
+    assert raw.num == ((1, 0), (0, -3)) and raw.den == 2
+    assert RatMatrix(((0, 0), (0, 0)), 6) == RatMatrix.zero(2)
+    assert RatMatrix.zero(2).den == 1
+    # Fraction rows would run through the integer kernel unnoticed
+    with pytest.raises(TypeError):
+        RatMatrix(((Fraction(1, 2), 0), (0, 1)))
+    with pytest.raises(ZeroDivisionError):
+        RatMatrix(((1,),), 0)
+    rng = random.Random(810)
+    for _ in range(30):
+        k = rng.randint(1, 5)
+        a = RatMatrix.from_rows(mixed_rows(rng, k))
+        b = RatMatrix.from_rows(mixed_rows(rng, k))
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        for m in (a, b, mat_mul(a, b), a + b, a - b, a - a, a * c, c * b):
+            assert_canonical(m)
+
+
+def test_verdict_cache_hits_across_constructions():
+    rows = [[Fraction(1, 2), Fraction(3, 4)], [-2, Fraction(5, 3)]]
+    quasi_unipotency.cache_clear()
+    quasi_unipotency(RatMatrix.from_rows(rows))
+    scaled = [[x * 12 for x in row] for row in rows]
+    again = RatMatrix(tuple(tuple(int(x) for x in row) for row in scaled), 12)
+    quasi_unipotency(again)
+    info = quasi_unipotency.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: UniPoly.variable("t") ** -1, PreconditionError),
+        (lambda: mat_pow(RatMatrix.identity(2), -1), PreconditionError),
+        (lambda: RatMatrix.companion(UniPoly.constant(1)), PreconditionError),
+        (lambda: compound_matrix(RatMatrix.identity(2), 3), DimensionMismatchError),
+        (lambda: compound_matrix(RatMatrix.identity(2), 0), DimensionMismatchError),
+        (lambda: euler_phi(0), PreconditionError),
+        (lambda: cyclotomic_poly(0), PreconditionError),
+    ],
+)
+def test_out_of_contract_calls_raise_library_errors(call, error):
+    with pytest.raises(error):
+        call()
