@@ -1,12 +1,15 @@
 """Exterior-algebra model of degree-2 cohomology classes.
 
 Divisor classes are modeled as alternating 2-forms on a 2g-dimensional
-space, written in the ordered basis e_i ^ e_j with 1 <= i < j <= 2g.
-The pullback along a matrix M substitutes columns:
+space, written in the ordered basis e_i ^ e_j with 1 <= i < j <= 2g and
+held as skew-symmetric `RatMatrix`es A, with A[i][j] the coefficient of
+e_i ^ e_j, so that the forms share `exact`'s integer-row matrix kernel.
+The pullback along a matrix M, e_i ^ e_j |-> (M e_i) ^ (M e_j) extended
+bilinearly, is the congruence
 
-    e_i ^ e_j  |->  (M e_i) ^ (M e_j),
+    A  |->  M A M^T,
 
-extended bilinearly, so pullback2(A*B) = pullback2(A) o pullback2(B).
+so pullback2(A*B) = pullback2(A) o pullback2(B).
 Summing pullbacks of a form H along powers of a unipotent M gives the
 divisor class
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Optional, Sequence
 
 from .errors import (
@@ -50,7 +53,7 @@ from .errors import (
     NotUnipotentError,
     PreconditionError,
 )
-from .exact import RatMatrix, Scalar, UniPoly, _frac, _interpolate
+from .exact import RatMatrix, Scalar, UniPoly, _frac, _interpolate, mat_mul
 from .cyclotomic import is_unipotent
 from .jordan import half_profile, pseudo_analytic_check, unipotent_block_profile
 from .plov import plov_of, second_compound_block_sizes
@@ -65,22 +68,32 @@ def _check_pair(pair: Pair, g: int) -> Pair:
     return (i, j)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class TwoForm:
     """Alternating 2-form with rational coefficients on ordered pairs
-    (i, j), 1 <= i < j <= 2g.  Values are immutable after construction."""
+    (i, j), 1 <= i < j <= 2g, held as its skew-symmetric matrix A with
+    A[i-1][j-1] = coefficient(i, j) = -A[j-1][i-1].  Equality and hashing
+    go by the matrix, so they work by value."""
 
-    __slots__ = ("genus", "_coeffs")
+    matrix: RatMatrix
 
     def __init__(self, genus: int, coeffs: Optional[dict[Pair, Scalar]] = None):
         if genus < 1:
             raise PreconditionError("genus must be positive")
-        self.genus = genus
-        cleaned: dict[Pair, Fraction] = {}
+        rows = [[0] * (2 * genus) for _ in range(2 * genus)]
         for pair, value in (coeffs or {}).items():
             v = _frac(value)
             if v:
-                cleaned[_check_pair(pair, genus)] = v
-        self._coeffs = cleaned
+                i, j = _check_pair(pair, genus)
+                rows[i - 1][j - 1], rows[j - 1][i - 1] = v, -v
+        object.__setattr__(self, "matrix", RatMatrix.from_rows(rows))
+
+    @staticmethod
+    def _of(matrix: RatMatrix) -> "TwoForm":
+        """The form whose skew matrix is ``matrix`` (not re-checked)."""
+        form = object.__new__(TwoForm)
+        object.__setattr__(form, "matrix", matrix)
+        return form
 
     @staticmethod
     def basis(genus: int, i: int, j: int) -> "TwoForm":
@@ -88,14 +101,21 @@ class TwoForm:
 
     @staticmethod
     def combination(forms: Sequence["TwoForm"], weights: Sequence[int]) -> "TwoForm":
-        """sum_i weights[i] * forms[i] over forms of one genus."""
-        out: dict[Pair, Fraction] = {}
-        for form, w in zip(forms, weights):
-            if w:
-                form._check_genus(forms[0])
-                for pair, v in form._coeffs.items():
-                    out[pair] = out.get(pair, 0) + w * v
-        return TwoForm(forms[0].genus, out)
+        """sum_i weights[i] * forms[i] over forms of one genus, summed on
+        integer rows over one common denominator."""
+        n = forms[0].matrix.dimension
+        used = [(f.matrix, w) for f, w in zip(forms, weights) if w]
+        den = lcm(*(m.den for m, _ in used))
+        acc = [[0] * n for _ in range(n)]
+        for m, w in used:
+            if m.dimension != n:
+                raise DimensionMismatchError("genus mismatch between 2-forms")
+            c = w * (den // m.den)
+            for arow, row in zip(acc, m.num):
+                for j, x in enumerate(row):
+                    if x:
+                        arow[j] += c * x
+        return TwoForm._of(RatMatrix(tuple(map(tuple, acc)), den))
 
     @staticmethod
     def standard(genus: int) -> "TwoForm":
@@ -103,48 +123,37 @@ class TwoForm:
         presented as two identical blocks on coordinates (1..g | g+1..2g)."""
         return TwoForm(genus, {(j, genus + j): 1 for j in range(1, genus + 1)})
 
+    @property
+    def genus(self) -> int:
+        return self.matrix.dimension // 2
+
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self._coeffs.get((i, j), Fraction(0))
+        _check_pair((i, j), self.genus)
+        return Fraction(self.matrix.num[i - 1][j - 1], self.matrix.den)
 
     def items(self) -> list[tuple[Pair, Fraction]]:
-        return sorted(self._coeffs.items())
+        """The nonzero coefficients, by pair in lexicographic order."""
+        den = self.matrix.den
+        return [
+            ((i + 1, j + 1), Fraction(v, den))
+            for i, row in enumerate(self.matrix.num)
+            for j, v in enumerate(row[i + 1 :], i + 1)
+            if v
+        ]
 
     def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TwoForm)
-            and self.genus == other.genus
-            and self._coeffs == other._coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.genus, tuple(sorted(self._coeffs.items()))))
+        return not any(map(any, self.matrix.num))
 
     def __add__(self, other: "TwoForm") -> "TwoForm":
-        self._check_genus(other)
-        out = dict(self._coeffs)
-        for pair, v in other._coeffs.items():
-            out[pair] = out.get(pair, Fraction(0)) + v
-        return TwoForm(self.genus, out)
+        return TwoForm._of(self.matrix + other.matrix)
 
     def __sub__(self, other: "TwoForm") -> "TwoForm":
-        self._check_genus(other)
-        out = dict(self._coeffs)
-        for pair, v in other._coeffs.items():
-            out[pair] = out.get(pair, Fraction(0)) - v
-        return TwoForm(self.genus, out)
+        return TwoForm._of(self.matrix - other.matrix)
 
     def __mul__(self, scalar: Scalar) -> "TwoForm":
-        c = _frac(scalar)
-        return TwoForm(self.genus, {p: v * c for p, v in self._coeffs.items()})
+        return TwoForm._of(self.matrix * _frac(scalar))
 
     __rmul__ = __mul__
-
-    def _check_genus(self, other: "TwoForm") -> None:
-        if self.genus != other.genus:
-            raise DimensionMismatchError("genus mismatch between 2-forms")
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -154,29 +163,9 @@ class TwoForm:
 
 
 def pullback2(m: RatMatrix, form: TwoForm) -> TwoForm:
-    """Pullback of a 2-form along M by column substitution:
-    e_i ^ e_j |-> (M e_i) ^ (M e_j), extended bilinearly."""
-    g = form.genus
-    if m.dimension != 2 * g:
-        raise DimensionMismatchError(
-            f"matrix dimension {m.dimension} does not match genus {g}"
-        )
-    e = m.entries
-    out: dict[Pair, Fraction] = {}
-    for (i, j), c in form.items():
-        col_i = [e[a][i - 1] for a in range(2 * g)]
-        col_j = [e[a][j - 1] for a in range(2 * g)]
-        for a in range(2 * g):
-            via = col_i[a]
-            vjb = col_j[a]
-            if not via and not vjb:
-                continue
-            for b in range(a + 1, 2 * g):
-                v = via * col_j[b] - col_i[b] * vjb
-                if v:
-                    key = (a + 1, b + 1)
-                    out[key] = out.get(key, Fraction(0)) + c * v
-    return TwoForm(g, out)
+    """Pullback of a 2-form along M, e_i ^ e_j |-> (M e_i) ^ (M e_j)
+    extended bilinearly: the congruence M A M^T on its skew matrix A."""
+    return TwoForm._of(mat_mul(mat_mul(m, form.matrix), m.transpose()))
 
 
 def nilpotent_chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
@@ -204,43 +193,45 @@ def delta_at(chain: Sequence[TwoForm], x: int) -> TwoForm:
 
 
 def pfaffian(form: TwoForm) -> Fraction:
-    """Pfaffian of the skew matrix A with A[i][j] = coefficient(i, j) for
-    i < j, so that the top coefficient of form^g is g! * pfaffian(form).
+    """Pfaffian of the skew matrix A of the form, so that the top
+    coefficient of form^g is g! * pfaffian(form).
 
-    Skew elimination: pivot on the 2x2 block (k, k+1), multiply in its
-    entry p = A[k][k+1], and replace the trailing block by its skew Schur
-    complement, updating the upper triangle and mirroring into the lower."""
-    n = 2 * form.genus
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), v in form.items():
-        a[i - 1][j - 1] = v
-        a[j - 1][i - 1] = -v
-    result = Fraction(1)
+    Fraction-free skew elimination on the integer rows: pivot on the 2x2
+    block (k, k+1) with p = a[k][k+1], swapping index k+1 with a later
+    one (a sign flip) when that entry is zero, and replace each trailing
+    entry a[i][j] by (p a[i][j] + a[k+1][i] a[k][j] - a[k][i] a[k+1][j])
+    divided by the previous pivot.  The division is exact, since every
+    entry is then the Pfaffian of A on the pivot indices so far and i, j;
+    the last pivot is Pf(num), and Pf(A) = Pf(num) / den^g."""
+    a = [list(row) for row in form.matrix.num]
+    n = len(a)
+    sign = 1
+    prev = 1
     for k in range(0, n, 2):
-        pivot = next((j for j in range(k + 1, n) if a[k][j]), None)
+        row_k = a[k]
+        pivot = next((j for j in range(k + 1, n) if row_k[j]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != k + 1:
-            # swapping index k+1 with the pivot in rows and columns
-            # flips the sign of the Pfaffian
             a[k + 1], a[pivot] = a[pivot], a[k + 1]
-            for row in a:
+            for row in a[k:]:
                 row[k + 1], row[pivot] = row[pivot], row[k + 1]
-            result = -result
-        row_k, row_k1 = a[k], a[k + 1]
+            sign = -sign
+        row_k1 = a[k + 1]
         p = row_k[k + 1]
-        result *= p
+        tail_k, tail_k1 = row_k[k + 2 :], row_k1[k + 2 :]
+        # the update is skew in (i, j), so updating whole trailing rows
+        # keeps the matrix skew; a row with u = w = 0 is only rescaled
         for i in range(k + 2, n):
-            u, w = row_k1[i] / p, row_k[i] / p
-            if not u and not w:
+            u, w = row_k1[i], row_k[i]
+            if not u and not w and p == prev:
                 continue
-            row_i = a[i]
-            for j in range(i + 1, n):
-                v = u * row_k[j] - w * row_k1[j]
-                if v:
-                    row_i[j] += v
-                    a[j][i] -= v
-    return result
+            a[i][k + 2 :] = [
+                (p * x + u * y - w * z) // prev
+                for x, y, z in zip(a[i][k + 2 :], tail_k, tail_k1)
+            ]
+        prev = p
+    return Fraction(sign * prev, form.matrix.den**form.genus)
 
 
 def intersection_poly(chain: Sequence[TwoForm]) -> UniPoly:

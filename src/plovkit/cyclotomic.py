@@ -69,27 +69,26 @@ def _prime_factors(n: int) -> list[int]:
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> UniPoly:
     """The n-th cyclotomic polynomial in t: monic, integer coefficients,
-    degree phi(n).
-
-    Computed by dividing t^n - 1 by the cyclotomic polynomials of all
-    proper divisors of n; the division is exact.  Results are memoized,
-    and the memo is a pure cache (results are identical with and without
-    it).
-    """
-    if n < 1:
-        raise PreconditionError("cyclotomic index must be positive")
-    p = UniPoly.from_coeffs([-1] + [0] * (n - 1) + [1], "t")
-    for d in _proper_divisors(n):
-        p = p.exact_div(cyclotomic_poly(d))
-    if p.degree() != euler_phi(n) or not p.is_integral():
-        raise CrossCheckError(f"cyclotomic polynomial {n} failed sanity checks")
-    return p
+    degree phi(n).  Results are memoized, and the memo is a pure cache
+    (results are identical with and without it)."""
+    return UniPoly.from_coeffs(_cyclotomic_ints(n), "t")
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_ints(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, lowest degree first."""
-    return tuple(int(c) for c in cyclotomic_poly(n).coeffs)
+    """Integer coefficients of Phi_n, lowest degree first: t^n - 1 divided
+    by Phi_d for every proper divisor d of n, on integer lists.  Every
+    division must be exact, and the degree must come out as phi(n)."""
+    if n < 1:
+        raise PreconditionError("cyclotomic index must be positive")
+    p = [-1] + [0] * (n - 1) + [1]
+    for d in _proper_divisors(n):
+        p = _divide_monic(p, _cyclotomic_ints(d))
+        if p is None:
+            raise CrossCheckError(f"Phi_{d} leaves a remainder in t^{n} - 1")
+    if len(p) - 1 != euler_phi(n):
+        raise CrossCheckError(f"cyclotomic polynomial {n} has the wrong degree")
+    return tuple(p)
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,11 @@ of the library:
   * `RatMatrix` -- immutable square matrices over Q, stored as integer
     rows `num` over one positive common denominator `den` in lowest
     terms, so the matrix kernel (products, powers, sums, minors,
-    eliminations) runs on Python ints; `.entries` is a cached read-only
-    view of the same matrix as rows of `Fraction`s,
+    eliminations) runs on Python ints, and so do the 2-forms of
+    `cohomology`, which are skew-symmetric `RatMatrix`es; `.entries` is
+    a cached read-only view of the same matrix as rows of `Fraction`s,
+    read by the report encoder (`cli.enc_matrix`) and the oracles in
+    `plov`, `randgen` and `selfcheck`, never by the kernel,
   * one fraction-free (Bareiss) row echelon routine on the integer rows,
     which gives both the exact determinant, det(num) / den^K, and the
     exact rank, rank(num),
@@ -169,34 +172,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             value = value * x + c
         return value
-
-    def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        self._check_var(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quot = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        dlead = other.coeffs[-1]
-        dlen = len(other.coeffs)
-        while len(rem) >= dlen:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            q = rem[-1] / dlead
-            quot[len(rem) - dlen] = q
-            for i, c in enumerate(other.coeffs):
-                rem[len(rem) - dlen + i] -= q * c
-            rem.pop()
-        return (
-            UniPoly.from_coeffs(quot, self.var),
-            UniPoly.from_coeffs(rem, self.var),
-        )
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise PreconditionError("inexact polynomial division")
-        return q
 
     def __str__(self) -> str:
         if self.is_zero():

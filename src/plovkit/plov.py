@@ -40,8 +40,10 @@ from typing import Optional, Sequence
 from .cyclotomic import QuasiUnipotencyVerdict, quasi_unipotency, unipotent_power
 from .errors import (
     CrossCheckError,
+    DimensionMismatchError,
     NotQuasiUnipotentError,
     OddDimensionError,
+    PreconditionError,
 )
 from .exact import (
     NEG_INF,
@@ -75,7 +77,7 @@ def _single_block_minor_degree(k: int, r: int) -> int:
     if r == 0:
         return 0
     if not 1 <= r <= k:
-        raise ValueError("minor order out of range for block size")
+        raise DimensionMismatchError("minor order out of range for block size")
     rows = range(1, r + 1)
     cols = range(k - r + 1, k + 1)
     lead = det_exact(
@@ -122,7 +124,7 @@ def growth_exponent(m: RatMatrix, r: int) -> int:
     like n to this exponent.  The block sizes of U are read off the
     Jordan profile of M, as in `analyze`."""
     if not 1 <= r <= m.dimension:
-        raise ValueError(f"degree {r} out of range 1..{m.dimension}")
+        raise DimensionMismatchError(f"degree {r} out of range 1..{m.dimension}")
     return max_minor_degree(jordan_profile(m).unipotent_block_sizes(), r)
 
 
@@ -135,7 +137,7 @@ def growth_exponent_by_minors(m: RatMatrix, r: int) -> int:
     sum of rowdeg[i] over I.  Exponential in the dimension; intended for
     cross-checks on small matrices."""
     if not 1 <= r <= m.dimension:
-        raise ValueError(f"degree {r} out of range 1..{m.dimension}")
+        raise DimensionMismatchError(f"degree {r} out of range 1..{m.dimension}")
     _, u = unipotent_power(m)
     k = u.dimension
     nil = u - RatMatrix.identity(k)
@@ -193,7 +195,7 @@ def max_block_compound2(m: RatMatrix) -> int:
     2*kJ + 1 where kJ + 1 is the largest half-profile block.  The literal
     construction is `max_block_compound2_literal`."""
     if m.dimension < 2:
-        raise ValueError("second compound requires dimension >= 2")
+        raise PreconditionError("second compound requires dimension >= 2")
     sizes = jordan_profile(m).unipotent_block_sizes()
     return max(second_compound_block_sizes(sizes))
 
@@ -202,7 +204,7 @@ def max_block_compound2_literal(m: RatMatrix) -> int:
     """Oracle for `max_block_compound2`: rank sequences on the literal
     second compound of the unipotent iterate."""
     if m.dimension < 2:
-        raise ValueError("second compound requires dimension >= 2")
+        raise PreconditionError("second compound requires dimension >= 2")
     _, u = unipotent_power(m)
     profile = unipotent_block_profile(compound_matrix(u, 2))
     return profile.max_block_size
@@ -273,7 +275,7 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
     degrees = sorted(set(degrees))
     for r in degrees:
         if not 1 <= r <= dim:
-            raise ValueError(f"degree {r} out of range 1..{dim}")
+            raise DimensionMismatchError(f"degree {r} out of range 1..{dim}")
     sizes = profile.unipotent_block_sizes()
     exponents = {r: max_minor_degree(sizes, r) for r in degrees}
     compound2_block = max(second_compound_block_sizes(sizes))

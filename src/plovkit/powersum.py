@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatchError,
     NotSymmetricPositiveDefiniteError,
     NotUnipotentError,
+    PreconditionError,
 )
 from .exact import (
     RatMatrix,
@@ -186,7 +187,7 @@ def power_sum_brute(a: RatMatrix, h: RatMatrix, n: int) -> list[Fraction]:
         raise DimensionMismatchError("matrix and form dimensions differ")
     ensure_spd(h)
     if n < 1:
-        raise ValueError("need at least one summand")
+        raise PreconditionError("need at least one summand")
     k = a.dimension
     acc = RatMatrix.zero(k)
     power = RatMatrix.identity(k)
@@ -202,7 +203,7 @@ def single_block_leading_coeff(k: int) -> Fraction:
     """Leading coefficient of det S(n) for a single Jordan block of size k
     with the identity form: (prod_{i=1}^{k-1} i!)^2 / prod_{i=1}^{2k-1} i!."""
     if k < 1:
-        raise ValueError("block size must be positive")
+        raise PreconditionError("block size must be positive")
     num = 1
     for i in range(1, k):
         num *= factorial(i)
@@ -215,7 +216,7 @@ def single_block_leading_coeff(k: int) -> Fraction:
 def hilbert_matrix(k: int) -> RatMatrix:
     """The k-by-k matrix with entries 1/(i + j - 1)."""
     if k < 1:
-        raise ValueError("size must be positive")
+        raise PreconditionError("size must be positive")
     return RatMatrix.from_rows(
         [[Fraction(1, i + j + 1) for j in range(k)] for i in range(k)]
     )

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .cohomology import TwoForm
 from .cyclotomic import cyclotomic_poly, euler_phi
+from .errors import PreconditionError
 from .exact import RatMatrix, mat_mul
 
 # unimodular basis changes stay small so that conjugated matrices keep
@@ -55,7 +56,7 @@ def invert_unimodular(s: RatMatrix) -> RatMatrix:
     for col in range(k):
         piv = next((r for r in range(col, k) if left[r][col]), None)
         if piv is None:
-            raise ValueError("matrix is singular")
+            raise PreconditionError("matrix is singular")
         left[col], left[piv] = left[piv], left[col]
         right[col], right[piv] = right[piv], right[col]
         inv = 1 / left[col][col]
@@ -137,7 +138,7 @@ def random_pseudo_analytic(
     """
     orders = [n for n in allow_orders if euler_phi(n) <= 2]
     if not orders:
-        raise ValueError("need at least one order with totient at most 2")
+        raise PreconditionError("need at least one order with totient at most 2")
     half_sizes: list[int] = []
     pieces: list[RatMatrix] = []
     remaining = genus

@@ -51,14 +51,17 @@ class CheckResult:
     name: str
     passed: bool
     cases: int
-    detail: str = ""
+
+
+#: What a check returns: (passed, number of cases drawn).
+Outcome = tuple[bool, int]
 
 
 def _scaled(cases: int, weight: float, minimum: int = 3) -> int:
     return max(minimum, int(cases * weight))
 
 
-def _check_power_sum_matrix(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_power_sum_matrix(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.15)
     for _ in range(count):
         dim = rng.randint(1, min(5, max_size))
@@ -72,13 +75,13 @@ def _check_power_sum_matrix(rng: random.Random, max_size: int, cases: int) -> Ch
             for j, b in enumerate(bs):
                 summed = summed + b * comb(x, j + 1)
             if summed != direct:
-                return CheckResult("power_sum_matrix_matches_direct_sums", False, count)
+                return False, count
             direct = direct + mat_mul(mat_mul(power.transpose(), h), power)
             power = mat_mul(power, a)
-    return CheckResult("power_sum_matrix_matches_direct_sums", True, count)
+    return True, count
 
 
-def _check_det_poly(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_det_poly(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.2)
     for _ in range(count):
         k = rng.randint(1, 5)
@@ -100,19 +103,19 @@ def _check_det_poly(rng: random.Random, max_size: int, cases: int) -> CheckResul
         for _ in range(10):
             x = rng.randint(-30, 30)
             if p(x) != det_exact(at(x)):
-                return CheckResult("det_poly_matches_pointwise_det", False, count)
-    return CheckResult("det_poly_matches_pointwise_det", True, count)
+                return False, count
+    return True, count
 
 
-def _check_char_poly_similarity(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_char_poly_similarity(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.3)
     for _ in range(count):
         k = rng.randint(1, min(6, max_size))
         m = randgen.random_integer_matrix(rng, k)
         s = randgen.random_unimodular(rng, k)
         if char_poly(randgen.conjugate(m, s)) != char_poly(m):
-            return CheckResult("char_poly_similarity_invariant", False, count)
-    return CheckResult("char_poly_similarity_invariant", True, count)
+            return False, count
+    return True, count
 
 
 def _kernel_dimension(m: RatMatrix) -> int:
@@ -140,17 +143,17 @@ def _kernel_dimension(m: RatMatrix) -> int:
     return k - pivots
 
 
-def _check_rank_nullity(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_rank_nullity(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.3)
     for _ in range(count):
         k = rng.randint(1, min(6, max_size))
         m = randgen.random_integer_matrix(rng, k, span=2)
         if rank_exact(m) + _kernel_dimension(m) != k:
-            return CheckResult("rank_nullity_consistency", False, count)
-    return CheckResult("rank_nullity_consistency", True, count)
+            return False, count
+    return True, count
 
 
-def _check_cyclotomic_products(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_cyclotomic_products(rng: random.Random, max_size: int, cases: int) -> Outcome:
     for n in range(1, 41):
         product = UniPoly.constant(1, "t")
         for d in range(1, n + 1):
@@ -158,11 +161,11 @@ def _check_cyclotomic_products(rng: random.Random, max_size: int, cases: int) ->
                 product = product * cyclotomic_poly(d)
         xn_minus_1 = UniPoly.from_coeffs([-1] + [0] * (n - 1) + [1], "t")
         if product != xn_minus_1:
-            return CheckResult("cyclotomic_product_identity", False, 40)
-    return CheckResult("cyclotomic_product_identity", True, 40)
+            return False, 40
+    return True, 40
 
 
-def _check_compound_equivalence(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_compound_equivalence(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.3)
     for _ in range(count):
         dim = rng.choice([4, 6])
@@ -170,33 +173,33 @@ def _check_compound_equivalence(rng: random.Random, max_size: int, cases: int) -
         a = quasi_unipotency(m).is_quasi_unipotent
         b = quasi_unipotency(compound_matrix(m, 2)).is_quasi_unipotent
         if a != b:
-            return CheckResult("quasi_unipotency_matches_second_compound", False, count)
-    return CheckResult("quasi_unipotency_matches_second_compound", True, count)
+            return False, count
+    return True, count
 
 
-def _check_profile_similarity(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_profile_similarity(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.3)
     for _ in range(count):
         dim = rng.randint(2, min(6, max_size))
         m, _ = randgen.random_unipotent(rng, dim, conjugated=False)
         s = randgen.random_unimodular(rng, dim)
         if jordan_profile(randgen.conjugate(m, s)) != jordan_profile(m):
-            return CheckResult("jordan_profile_similarity_invariant", False, count)
-    return CheckResult("jordan_profile_similarity_invariant", True, count)
+            return False, count
+    return True, count
 
 
-def _check_power_sum_degree_law(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_power_sum_degree_law(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 1.0)
     for _ in range(count):
         dim = rng.randint(1, max_size)
         m, sizes = randgen.random_unipotent(rng, dim)
         result = power_sum_det(m, RatMatrix.identity(dim))
         if result.degree != sum(k * k for k in sizes):
-            return CheckResult("power_sum_degree_law", False, count)
-    return CheckResult("power_sum_degree_law", True, count)
+            return False, count
+    return True, count
 
 
-def _check_power_sum_h_independence(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_power_sum_h_independence(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.15)
     for _ in range(count):
         dim = rng.randint(1, min(5, max_size))
@@ -205,11 +208,11 @@ def _check_power_sum_h_independence(rng: random.Random, max_size: int, cases: in
         for _ in range(3):
             h = randgen.random_spd(rng, dim)
             if power_sum_det(m, h).degree != expected:
-                return CheckResult("power_sum_form_independence", False, count)
-    return CheckResult("power_sum_form_independence", True, count)
+                return False, count
+    return True, count
 
 
-def _check_power_sum_brute(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_power_sum_brute(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.15)
     for _ in range(count):
         dim = rng.randint(1, min(5, max_size))
@@ -217,36 +220,36 @@ def _check_power_sum_brute(rng: random.Random, max_size: int, cases: int) -> Che
         h = randgen.random_spd(rng, dim)
         poly = power_sum_det(m, h).poly
         if [poly(n) for n in range(1, 13)] != power_sum_brute(m, h, 12):
-            return CheckResult("power_sum_matches_brute_force", False, count)
-    return CheckResult("power_sum_matches_brute_force", True, count)
+            return False, count
+    return True, count
 
 
-def _check_growth_exponents(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_growth_exponents(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.1)
     for _ in range(count):
         dim = rng.randint(2, min(5, max_size))
         m, _ = randgen.random_unipotent(rng, dim)
         for r in range(1, dim + 1):
             if growth_exponent(m, r) != growth_exponent_by_minors(m, r):
-                return CheckResult("growth_exponent_matches_minor_enumeration", False, count)
-    return CheckResult("growth_exponent_matches_minor_enumeration", True, count)
+                return False, count
+    return True, count
 
 
-def _check_second_compound_blocks(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_second_compound_blocks(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.1)
     for _ in range(count):
         genus = rng.randint(1, 4)
         m, half_sizes = randgen.random_paired_unipotent(rng, genus)
         kj = max(half_sizes) - 1
         if growth_exponent(m, 2) != 2 * kj:
-            return CheckResult("second_compound_growth_and_blocks", False, count)
+            return False, count
         literal = max_block_compound2_literal(m)
         if literal != 2 * kj + 1 or literal != max_block_compound2(m):
-            return CheckResult("second_compound_growth_and_blocks", False, count)
-    return CheckResult("second_compound_growth_and_blocks", True, count)
+            return False, count
+    return True, count
 
 
-def _check_model_triangle(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_model_triangle(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.1)
     for _ in range(count):
         genus = rng.randint(1, 4)
@@ -255,12 +258,12 @@ def _check_model_triangle(rng: random.Random, max_size: int, cases: int) -> Chec
         model = plov_via_model(m, h)
         expected = sum(k * k for k in half_sizes)
         if model.degree > expected:
-            return CheckResult("model_degree_ceiling_and_triangle", False, count)
+            return False, count
         if model.matches_profile:
             ps = power_sum_det(m, RatMatrix.identity(2 * genus))
             if not (2 * model.degree == ps.degree == 2 * expected):
-                return CheckResult("model_degree_ceiling_and_triangle", False, count)
-    return CheckResult("model_degree_ceiling_and_triangle", True, count)
+                return False, count
+    return True, count
 
 
 def literal_scan(chain) -> tuple:
@@ -275,7 +278,7 @@ def literal_scan(chain) -> tuple:
     )
 
 
-def _check_vanishing_scan(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_vanishing_scan(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.1)
     for _ in range(count):
         genus = rng.randint(1, 4)
@@ -284,20 +287,20 @@ def _check_vanishing_scan(rng: random.Random, max_size: int, cases: int) -> Chec
         chain = nilpotent_chain(m, h)
         report = vanishing_scan(m, h, chain)
         if report.violations:
-            return CheckResult("vanishing_scan_clean", False, count)
+            return False, count
         # the literal expansion is exponential in g, so it checks g <= 3
         if genus <= 3 and report.scanned != literal_scan(chain):
-            return CheckResult("vanishing_scan_clean", False, count)
+            return False, count
     # on a chain every scanned value is 0; random forms in its place give
     # nonzero values, and odd g tells the sign of the polarization apart
     for genus in (2, 3):
         forms = [randgen.randgen_two_form(rng, genus) for _ in range(3)]
         if _scan(forms).scanned != literal_scan(forms):
-            return CheckResult("vanishing_scan_clean", False, count)
-    return CheckResult("vanishing_scan_clean", True, count)
+            return False, count
+    return True, count
 
 
-def _check_pullback_functorial(rng: random.Random, max_size: int, cases: int) -> CheckResult:
+def _check_pullback_functorial(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.2)
     for _ in range(count):
         genus = rng.randint(1, 3)
@@ -309,12 +312,12 @@ def _check_pullback_functorial(rng: random.Random, max_size: int, cases: int) ->
             iterated = pullback2(m, iterated)
             power = mat_mul(power, m)
             if pullback2(power, h) != iterated:
-                return CheckResult("pullback_power_functoriality", False, count)
-    return CheckResult("pullback_power_functoriality", True, count)
+                return False, count
+    return True, count
 
 
 #: The documented suite: every `selftest` run executes exactly these.
-SELFTEST_CHECKS: tuple[tuple[str, Callable], ...] = (
+SELFTEST_CHECKS: tuple[tuple[str, Callable[..., Outcome]], ...] = (
     ("power_sum_matrix_matches_direct_sums", _check_power_sum_matrix),
     ("det_poly_matches_pointwise_det", _check_det_poly),
     ("char_poly_similarity_invariant", _check_char_poly_similarity),
@@ -337,12 +340,10 @@ SELFTEST_SUITE_SIZE = len(SELFTEST_CHECKS)
 
 def run_selftest(max_size: int = 8, cases: int = 50, seed: int = 0) -> list[CheckResult]:
     """Run every documented check with per-check derived seeds, so the
-    outcome is independent of execution order."""
+    outcome is independent of execution order.  Each check returns
+    (passed, cases); its result is named after its `SELFTEST_CHECKS` entry."""
     results = []
     for index, (name, fn) in enumerate(SELFTEST_CHECKS):
         rng = random.Random((seed, index, name).__repr__())
-        result = fn(rng, max_size, cases)
-        if result.name != name:
-            result = CheckResult(name, result.passed, result.cases, result.detail)
-        results.append(result)
+        results.append(CheckResult(name, *fn(rng, max_size, cases)))
     return results

@@ -90,6 +90,33 @@ def dense_rational_form(rng, g):
     )
 
 
+def swap_forcing_form(rng, g):
+    """Dense integer 2-form, g >= 2, whose Pfaffian on e_1..e_4 vanishes:
+    after the first 2x2 pivot the entry (3, 4) is zero, so the
+    elimination must swap in a later pivot."""
+    k = 2 * g
+    while True:
+        a = {
+            (i, j): rng.choice([-1, 1]) * rng.randint(1, 5)
+            for i in range(1, k + 1)
+            for j in range(i + 1, k + 1)
+        }
+        a[(1, 2)] = 1
+        a[(3, 4)] = a[(1, 3)] * a[(2, 4)] - a[(1, 4)] * a[(2, 3)]
+        if a[(3, 4)]:
+            return TwoForm(g, a)
+
+
+def rescaled(form, d):
+    """D A D for D = diag(1/d_1, ..., 1/d_2g): coefficient (i, j) divided
+    by d_i * d_j.  Every sub-Pfaffian keeps its vanishing, and the
+    Pfaffian is divided by prod(d)."""
+    return TwoForm(
+        form.genus,
+        {(i, j): v / (d[i - 1] * d[j - 1]) for (i, j), v in form.items()},
+    )
+
+
 # ---------------------------------------------------------------------------
 # 2-forms
 
@@ -103,6 +130,39 @@ def test_two_form_rejects_pair_out_of_range():
 def test_two_form_rejects_nonpositive_genus():
     with pytest.raises(PreconditionError):
         TwoForm(0)
+
+
+def test_two_form_compares_and_hashes_by_value():
+    rng = random.Random(60)
+    half = TwoForm(2, {(1, 2): Fraction(2, 4), (3, 4): 3})
+    assert half == TwoForm(2, {(1, 2): Fraction(1, 2), (3, 4): 3, (1, 3): 0})
+    assert hash(half) == hash(TwoForm(2, {(3, 4): 3, (1, 2): Fraction(1, 2)}))
+    assert half == Fraction(1, 2) * TwoForm(2, {(1, 2): 1, (3, 4): 6})
+    assert half != TwoForm(3, {(1, 2): Fraction(1, 2), (3, 4): 3})
+    for _ in range(6):
+        g = rng.randint(1, 3)
+        h, w = random_rational_form(rng, g), randgen_two_form(rng, g)
+        x = rng.randint(-3, 5)
+        combined = TwoForm.combination([h, w, h], [x - 1, 0, 1])
+        assert combined == x * h == h * x
+        assert hash(combined) == hash(x * h)
+        assert len({combined, x * h, h * x}) == 1
+        assert TwoForm.combination([h, w], [2, -1]) == h + h - w
+        assert TwoForm.combination([h, w], [0, 0]).is_zero()
+        # items() lists the nonzero coefficients in lexicographic order
+        items = h.items()
+        assert [p for p, _ in items] == sorted(p for p, _ in items)
+        assert all(v for _, v in items)
+        assert TwoForm(g, dict(items)) == h
+        assert all(h.coefficient(i, j) == v for (i, j), v in items)
+
+
+def test_two_form_coefficient_rejects_pair_out_of_range():
+    w = TwoForm.standard(2)
+    assert w.coefficient(1, 3) == 1 and w.coefficient(1, 2) == 0
+    for pair in [(3, 1), (0, 1), (1, 5)]:
+        with pytest.raises(DimensionMismatchError):
+            w.coefficient(*pair)
 
 
 def test_chain_rejects_zero_form():
@@ -318,6 +378,24 @@ def test_pfaffian_small_cases():
     # the standard form needs a pivot swap at every block
     assert pfaffian(TwoForm.standard(3)) == -1
     assert pfaffian(TwoForm(2, {(1, 2): 3, (3, 4): Fraction(1, 2)})) == Fraction(3, 2)
+
+
+def test_pfaffian_with_pivot_swap_matches_literal_wedge():
+    # g = 6 on dense forms whose leading 4x4 Pfaffian vanishes: the
+    # fraction-free elimination swaps after its first step and divides
+    # by several pivots other than +-1; the rescaled forms carry mixed
+    # denominators, which the den^g scaling must undo
+    rng = random.Random(75)
+    for _ in range(3):
+        w = swap_forcing_form(rng, 6)
+        d = [rng.randint(1, 4) for _ in range(12)]
+        scaled = rescaled(w, d)
+        assert scaled.matrix.den > 1
+        pf = pfaffian(w)
+        assert pf != 0 and pf.denominator == 1
+        assert pfaffian(scaled) == pf / math.prod(d)
+        for form in (w, scaled):
+            assert math.factorial(6) * pfaffian(form) == wedge_coefficient([form] * 6)
 
 
 def test_intersection_poly_matches_literal_wedge_of_telescoped_sum():

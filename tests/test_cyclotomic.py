@@ -17,8 +17,9 @@ from plovkit import (
     quasi_unipotency,
     unipotent_power,
 )
-from plovkit.cyclotomic import VERDICT_CACHE_SIZE
-from plovkit.errors import NotQuasiUnipotentError
+import plovkit.cyclotomic as cyclotomic
+from plovkit.cyclotomic import VERDICT_CACHE_SIZE, _divide_monic
+from plovkit.errors import CrossCheckError, NotQuasiUnipotentError
 from plovkit.randgen import random_mixed_matrix
 
 
@@ -39,12 +40,13 @@ def test_cyclotomic_1():
 
 
 def test_cyclotomic_6_by_division_oracle():
-    # oracle: divide t^6 - 1 by Phi_1 * Phi_2 * Phi_3 built by hand
+    # oracle: Phi_6 is t^6 - 1 divided by Phi_1 * Phi_2 * Phi_3 built by
+    # hand, checked as the product
     phi1 = poly_t(-1, 1)
     phi2 = poly_t(1, 1)
     phi3 = poly_t(1, 1, 1)
-    expected = x_to_the_n_minus_1(6).exact_div(phi1 * phi2 * phi3)
-    assert expected == poly_t(1, -1, 1)
+    expected = poly_t(1, -1, 1)
+    assert expected * phi1 * phi2 * phi3 == x_to_the_n_minus_1(6)
     assert cyclotomic_poly(6) == expected
 
 
@@ -52,9 +54,22 @@ def test_cyclotomic_8_by_division_oracle():
     phi1 = poly_t(-1, 1)
     phi2 = poly_t(1, 1)
     phi4 = poly_t(1, 0, 1)
-    expected = x_to_the_n_minus_1(8).exact_div(phi1 * phi2 * phi4)
-    assert expected == poly_t(1, 0, 0, 0, 1)
+    expected = poly_t(1, 0, 0, 0, 1)
+    assert expected * phi1 * phi2 * phi4 == x_to_the_n_minus_1(8)
     assert cyclotomic_poly(8) == expected
+
+
+def test_divide_monic_exact_and_inexact():
+    # t^2 - 1 = (t - 1)(t + 1); coefficient lists lowest degree first
+    assert _divide_monic([-1, 0, 1], (-1, 1)) == [1, 1]
+    assert _divide_monic([-1, 0, 1], (-2, 1)) is None
+    assert _divide_monic([1, 1], (1, 1, 1)) is None
+
+
+def test_cyclotomic_inexact_division_is_cross_check_failure(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "_divide_monic", lambda p, q: None)
+    with pytest.raises(CrossCheckError):
+        cyclotomic._cyclotomic_ints.__wrapped__(6)
 
 
 def test_cyclotomic_degree_and_integrality():

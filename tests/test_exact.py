@@ -84,18 +84,6 @@ def test_variable_mixing_rejected():
         UniPoly.variable("t") + UniPoly.variable("n")
 
 
-def test_divmod_exact_and_inexact():
-    t = UniPoly.variable("t")
-    one = UniPoly.constant(1, "t")
-    p = (t - one) * (t + one)
-    q, r = divmod(p, t - one)
-    assert q == t + one and r.is_zero()
-    _, r2 = divmod(p, t - UniPoly.constant(2, "t"))
-    assert not r2.is_zero()
-    with pytest.raises(PreconditionError):
-        p.exact_div(t - UniPoly.constant(2, "t"))
-
-
 def test_interpolate_recovers_polynomial():
     cubic = UniPoly.from_coeffs([Fraction(1, 3), 0, -2, 1], "n")
     constant = UniPoly.constant(Fraction(-7, 2), "n")

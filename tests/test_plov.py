@@ -25,8 +25,14 @@ from plovkit import (
     unipotent_block_profile,
     unipotent_power,
 )
-from plovkit.errors import NotQuasiUnipotentError, OddDimensionError
+from plovkit.errors import (
+    DimensionMismatchError,
+    NotQuasiUnipotentError,
+    OddDimensionError,
+    PreconditionError,
+)
 from plovkit.jordan import HalfProfile
+from plovkit.plov import _single_block_minor_degree
 from plovkit.randgen import (
     conjugate,
     random_paired_unipotent,
@@ -158,10 +164,31 @@ def test_exponent_bounds_even_and_odd():
 
 
 def test_exponent_rejects_bad_degree():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatchError):
         growth_exponent(RatMatrix.identity(2), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatchError):
         growth_exponent(RatMatrix.identity(2), 3)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (
+            lambda: growth_exponent_by_minors(RatMatrix.identity(2), 3),
+            DimensionMismatchError,
+        ),
+        (lambda: analyze(RatMatrix.identity(2), [0]), DimensionMismatchError),
+        (lambda: _single_block_minor_degree(2, 3), DimensionMismatchError),
+        (lambda: max_block_compound2(RatMatrix.identity(1)), PreconditionError),
+        (
+            lambda: max_block_compound2_literal(RatMatrix.identity(1)),
+            PreconditionError,
+        ),
+    ],
+)
+def test_out_of_contract_calls_raise_library_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 # ---------------------------------------------------------------------------

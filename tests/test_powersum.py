@@ -30,6 +30,7 @@ from plovkit import (
 from plovkit.errors import (
     NotSymmetricPositiveDefiniteError,
     NotUnipotentError,
+    PreconditionError,
 )
 from plovkit.exact import _interpolate
 from plovkit.powersum import ensure_spd
@@ -306,3 +307,16 @@ def test_hilbert_relates_to_leading_coeff():
         )
         assert det_exact(weighted) == single_block_leading_coeff(k)
         assert det_exact(weighted) * scale * scale == hilbert_det(k)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: power_sum_brute(RatMatrix.identity(2), RatMatrix.identity(2), 0),
+        lambda: single_block_leading_coeff(0),
+        lambda: hilbert_matrix(0),
+    ],
+)
+def test_out_of_contract_calls_raise_library_errors(call):
+    with pytest.raises(PreconditionError):
+        call()

@@ -5,10 +5,10 @@ integer nodes 0..D; sympy expands the same determinants symbolically.
 `det_exact` and `rank_exact` read one fraction-free row echelon form;
 sympy's Bareiss determinant and rank check them on rank-deficient
 rational products with shuffled columns.
-`pfaffian` eliminates on 2x2 blocks; its square is checked against
-sympy's determinant of the skew matrix.  `jordan_profile` reads block
-sizes off rank sequences; sympy's Jordan form of the unipotent iterate
-gives them independently.
+`pfaffian` eliminates fraction-free on 2x2 blocks; its square is
+checked against sympy's determinant of the skew matrix.
+`jordan_profile` reads block sizes off rank sequences; sympy's Jordan
+form of the unipotent iterate gives them independently.
 The library itself stays stdlib-only: this module is test-only and is
 skipped when sympy is not installed.
 """
@@ -33,6 +33,7 @@ from plovkit import (  # noqa: E402
     unipotent_power,
 )
 from plovkit.randgen import random_quasi_unipotent  # noqa: E402
+from tests.test_cohomology import rescaled, swap_forcing_form  # noqa: E402
 from tests.test_exact import (  # noqa: E402
     poly_rows_at,
     rank_deficient_rows,
@@ -121,6 +122,22 @@ def test_pfaffian_squared_matches_sympy_determinant():
             skew[j - 1, i - 1] = -to_sympy(v)
         pf = pfaffian(TwoForm(g, coeffs))
         assert to_sympy(pf * pf) == skew.det(method="bareiss")
+
+
+def test_pfaffian_squared_matches_sympy_determinant_after_pivot_swap():
+    # g = 6, dense integer forms that need a pivot swap after the first
+    # step, and their rescalings with mixed denominators
+    rng = random.Random(304)
+    for _ in range(3):
+        w = swap_forcing_form(rng, 6)
+        for form in (w, rescaled(w, [rng.randint(1, 4) for _ in range(12)])):
+            skew = sympy.zeros(12, 12)
+            for (i, j), v in form.items():
+                skew[i - 1, j - 1] = to_sympy(v)
+                skew[j - 1, i - 1] = -to_sympy(v)
+            pf = pfaffian(form)
+            assert pf != 0
+            assert to_sympy(pf * pf) == skew.det(method="bareiss")
 
 
 def jordan_block_sizes(j) -> list[int]:
