@@ -18,13 +18,16 @@ of the library:
   * one fraction-free (Bareiss) row echelon routine on the integer rows,
     which gives both the exact determinant, det(num) / den^K, and the
     exact rank, rank(num),
+  * `char_poly` -- det(t*I - M) from one Hessenberg reduction of the
+    integer rows modulo a Mersenne prime above twice a Hadamard bound on
+    the coefficients (several primes joined by the Chinese remainder
+    theorem when the bound is past the table), which is exact,
   * polynomials rebuilt from exact values at the nodes 0..D by a single
     interpolation routine (forward differences into the binomial basis,
-    expanded by Horner's rule):
-      - `char_poly` -- det(t*I - M) from its values at t = 0..K,
-      - `det_poly` -- the determinant of a matrix whose entries are
-        polynomials in n, given as a callable x -> matrix at x, from
-        exact determinants at n = 0..D, plus one verification node,
+    expanded by Horner's rule); `det_poly` gives this way the
+    determinant of a matrix whose entries are polynomials in n, given as
+    a callable x -> matrix at x, from exact determinants at n = 0..D,
+    plus one verification node,
   * `compound_matrix` -- the matrix of all r-by-r minors.
 """
 
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CrossCheckError, DimensionMismatchError, PreconditionError
@@ -196,9 +200,9 @@ class UniPoly:
         return text
 
 
-def _interpolate(values: Sequence[Scalar], var: str, den: int = 1) -> UniPoly:
-    """The polynomial of degree < len(values) that takes values[x] / den
-    at x = 0, 1, ..., D.
+def _interpolate(values: Sequence[Scalar], var: str) -> UniPoly:
+    """The polynomial of degree < len(values) that takes values[x] at
+    x = 0, 1, ..., D.
 
     Forward differences give the coefficients a_i in the binomial basis,
     p(x) = sum_i a_i C(x, i), and Horner's rule with
@@ -223,7 +227,7 @@ def _interpolate(values: Sequence[Scalar], var: str, den: int = 1) -> UniPoly:
         shifted[0] += newton[i] * weight
         acc = shifted
         weight *= i
-    denominator = scale * den * factorial(d)
+    denominator = scale * factorial(d)
     return UniPoly.from_coeffs((Fraction(c, denominator) for c in acc), var)
 
 
@@ -485,27 +489,130 @@ def rank_exact(m: RatMatrix) -> int:
     return _echelon(m.num)[0]
 
 
+#: The exponents e of every Mersenne prime 2^e - 1 up to e = 4423, the
+#: moduli of `char_poly`; the tests prove each one prime by Lucas-Lehmer.
+MERSENNE_EXPONENTS = (
+    2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127,
+    521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+)
+_MERSENNE_PRIMES = tuple((1 << e) - 1 for e in MERSENNE_EXPONENTS)
+
+
+def _moduli(bound: int) -> list[int]:
+    """Table primes whose product exceeds 2*bound: the smallest single
+    prime that does, or else the largest primes of the table, as many as
+    needed."""
+    single = next((p for p in _MERSENNE_PRIMES if p > 2 * bound), None)
+    if single is not None:
+        return [single]
+    chosen, product = [], 1
+    for p in reversed(_MERSENNE_PRIMES):
+        chosen.append(p)
+        product *= p
+        if product > 2 * bound:
+            return chosen
+    raise PreconditionError(
+        f"char_poly: coefficient bound of {bound.bit_length()} bits exceeds "
+        "the product of the Mersenne prime table"
+    )
+
+
+def _char_poly_mod(num: Sequence[Sequence[int]], p: int) -> list[int]:
+    """det(t*I - A) mod p for an integer matrix A, coefficients in 0..p-1,
+    lowest degree first.
+
+    A is reduced to upper Hessenberg form H by similarity over F_p: for
+    each column m - 1, a row with a nonzero entry below the diagonal is
+    swapped up to row m (with the matching column swap), each later row i
+    loses u_i times row m, and column m gains sum_i u_i times column i.
+    The column update is done once per column: the elementary matrices
+    of one column commute and none of them moves column m - 1.  The
+    entries that the row updates would clear below the subdiagonal are
+    left as they are, since nothing reads them again.  Then the
+    recurrence p_0 = 1,
+    p_{m+1} = (t - H[m][m]) p_m - sum_{i<m} H[i][m] H[i+1][i]...H[m][m-1] p_i
+    gives det(t*I - H) (H. Cohen, GTM 138, Algorithm 2.2.9).
+    """
+    h = [[x % p for x in row] for row in num]
+    k = len(h)
+    for m in range(1, k - 1):
+        piv = next((i for i in range(m, k) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        prow = h[m]
+        inv = pow(prow[m - 1], -1, p)
+        tail = prow[m:]
+        us = []
+        for i in range(m + 1, k):
+            row = h[i]
+            u = row[m - 1] * inv % p
+            us.append(u)
+            if u:
+                row[m:] = [(a - u * b) % p for a, b in zip(row[m:], tail)]
+        if any(us):
+            for row in h:
+                row[m] = (row[m] + sum(map(mul, us, row[m + 1 :]))) % p
+    polys = [[1]]
+    for m in range(k):
+        prev = polys[m]
+        nxt = [0] + prev
+        diag = h[m][m]
+        for d, c in enumerate(prev):
+            nxt[d] -= diag * c
+        chain = 1
+        for i in range(m - 1, -1, -1):
+            chain = chain * h[i + 1][i] % p
+            if not chain:
+                break
+            c = h[i][m] * chain % p
+            if c:
+                for d, a in enumerate(polys[i]):
+                    nxt[d] -= c * a
+        polys.append([c % p for c in nxt])
+    return polys[k]
+
+
 def char_poly(m: RatMatrix) -> UniPoly:
     """Characteristic polynomial det(t*I - M), monic of degree = dimension.
 
-    Computed by evaluating det(x*I - M) = det(x*den*I - num) / den^K at
-    x = 0..K and interpolating the K + 1 values; the monic-degree property
-    is re-verified.  Every node is an integer matrix: -num is formed once,
-    and each node only adds x*den on its diagonal.
+    With M = num/den, det(t*I - M) = sum_k c_k t^k / den^(K-k), where
+    c_k is the coefficient of the integer polynomial det(t*I - num).  Up
+    to sign, c_k is a sum of principal minors of num, so by Hadamard
+    |c_k| <= B = prod_i (1 + sum_j |num[i][j]|).  Each c_k is computed
+    modulo table primes whose product P exceeds 2B (`_char_poly_mod`,
+    one Hessenberg reduction per prime; one prime unless B is past the
+    table), combined by the Chinese remainder theorem and read as the
+    residue of least absolute value, which is exact.  The trace law
+    c_(K-1) = -tr(num), taken on the integer rows, is re-verified.
     """
     k = m.dimension
-    neg = [tuple(-c for c in row) for row in m.num]
-    values = []
-    for x in range(k + 1):
-        shift = x * m.den
-        node = tuple(
-            row[:i] + (row[i] + shift,) + row[i + 1 :] for i, row in enumerate(neg)
+    num = m.num
+    bound = 1
+    for row in num:
+        bound *= 1 + sum(map(abs, row))
+    coeffs = [0] * (k + 1)
+    modulus = 1
+    for p in _moduli(bound):
+        inv = pow(modulus, -1, p)
+        coeffs = [
+            c + modulus * ((r - c) * inv % p)
+            for c, r in zip(coeffs, _char_poly_mod(num, p))
+        ]
+        modulus *= p
+    half = modulus // 2
+    coeffs = [c - modulus if c > half else c for c in coeffs]
+    if coeffs[k - 1] != -sum(row[i] for i, row in enumerate(num)):
+        raise CrossCheckError(
+            f"char_poly: trace law c_(K-1) = -tr(M) fails at dimension {k}"
         )
-        values.append(det_exact(RatMatrix(node)))
-    p = _interpolate(values, "t", m.den**k)
-    if p.degree() != k or p.leading() != 1:
-        raise CrossCheckError("characteristic polynomial is not monic of full degree")
-    return p
+    den = m.den
+    return UniPoly(
+        tuple(Fraction(c, den ** (k - i)) for i, c in enumerate(coeffs)), "t"
+    )
 
 
 def poly_at_matrix(p: UniPoly, m: RatMatrix) -> RatMatrix:

@@ -2,8 +2,9 @@
 
 Derived expectations are computed by independent oracles kept in this
 file: cofactor expansion for determinants, literal summation for
-power sums, brute-force determinants for interpolated polynomials, and
-reduced-echelon kernels for rank-nullity.
+power sums, brute-force determinants for interpolated polynomials, the
+node route (Bareiss determinants at x = 0..K, interpolated) for
+characteristic polynomials, and reduced-echelon kernels for rank-nullity.
 """
 
 import random
@@ -29,7 +30,8 @@ from plovkit import (
 )
 from plovkit.errors import CrossCheckError, DimensionMismatchError, PreconditionError
 from plovkit.cyclotomic import euler_phi
-from plovkit.exact import _interpolate
+from plovkit import exact
+from plovkit.exact import MERSENNE_EXPONENTS, _char_poly_mod, _interpolate, _moduli
 from plovkit.randgen import conjugate, random_integer_matrix, random_unimodular
 
 
@@ -266,8 +268,8 @@ def test_char_poly_of_companion_is_the_polynomial():
 
 
 def test_char_poly_matches_shifted_determinants_off_the_nodes():
-    # char_poly interpolates det(x*I - M) at x = 0..k; check it against
-    # direct determinants at rational and negative nodes outside 0..k
+    # check char_poly against direct determinants det(x*I - M) at
+    # rational, negative and large nodes
     rng = random.Random(2025)
     for _ in range(20):
         k = rng.randint(1, 6)
@@ -290,6 +292,190 @@ def test_char_poly_similarity_invariance():
         m = random_integer_matrix(rng, k)
         s = random_unimodular(rng, k)
         assert char_poly(conjugate(m, s)) == char_poly(m)
+
+
+def node_oracle(m):
+    """det(t*I - M) by the node route: Bareiss determinants of the
+    integer matrices x*den*I - num at x = 0..K, interpolated, over den^K."""
+    k = m.dimension
+    values = [
+        det_exact(
+            RatMatrix(
+                tuple(
+                    tuple((x * m.den if i == j else 0) - c for j, c in enumerate(row))
+                    for i, row in enumerate(m.num)
+                )
+            )
+        )
+        for x in range(k + 1)
+    ]
+    scale = m.den**k
+    return UniPoly.from_coeffs(
+        (c / scale for c in _interpolate(values, "t").coeffs), "t"
+    )
+
+
+def coefficient_bound(m):
+    bound = 1
+    for row in m.num:
+        bound *= 1 + sum(map(abs, row))
+    return bound
+
+
+def oracle_inputs(rng, k):
+    """Mixed denominators, zero rows and columns, nilpotent and rank
+    deficient k-by-k inputs."""
+    rows = mixed_rows(rng, k)
+    for _ in range(rng.randint(1, 2)):
+        i, j = rng.randrange(k), rng.randrange(k)
+        rows[i] = [Fraction(0)] * k
+        for row in rows:
+            row[j] = Fraction(0)
+    strict = RatMatrix.from_rows(
+        [
+            [
+                Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if j > i else 0
+                for j in range(k)
+            ]
+            for i in range(k)
+        ]
+    )
+    return [
+        RatMatrix.from_rows(mixed_rows(rng, k)),
+        RatMatrix.from_rows(rows),
+        conjugate(strict, random_unimodular(rng, k)),
+        RatMatrix.from_rows(rank_deficient_rows(rng, k)),
+    ]
+
+
+def test_char_poly_matches_the_node_oracle():
+    rng = random.Random(4423)
+    for k in range(1, 25):
+        for m in oracle_inputs(rng, k):
+            p = char_poly(m)
+            assert p == node_oracle(m)
+            assert p.degree() == k and p.leading() == 1
+
+
+def test_char_poly_of_nilpotent_and_zero_matrices_is_a_power_of_t():
+    rng = random.Random(61)
+    for k in (1, 7, 16):
+        nilpotent = oracle_inputs(rng, k)[2]
+        assert char_poly(nilpotent) == UniPoly.variable("t") ** k
+        assert char_poly(RatMatrix.zero(k)) == UniPoly.variable("t") ** k
+
+
+def test_char_poly_of_scalar_matrices_meets_the_bound_terms():
+    # det(t*I + r*I) = (t + r)^K has the coefficients C(K, k) r^(K-k), the
+    # very terms of the bound (1 + r)^K; r = 2^60 - 2 at K = 1 puts 2B one
+    # below the modulus 2^61 - 1 and c_0 right under half of it
+    cases = [(1, 2**60 - 2, 1), (1, -(2**60 - 2), 1), (2, 2**29, 1), (5, 3, 7)]
+    cases += [(k, r, d) for k in (3, 9, 24) for r in (1, -2, 1000) for d in (1, 4)]
+    for k, r, d in cases:
+        m = RatMatrix.identity(k) * Fraction(-r, d)
+        bound = coefficient_bound(m)
+        assert _moduli(bound)[0] > 2 * bound
+        expected = UniPoly.from_coeffs([Fraction(r, d), 1], "t") ** k
+        assert char_poly(m) == expected == node_oracle(m)
+    assert _moduli(2**60 - 1) == [2**61 - 1]
+    assert _moduli(2**60) == [2**89 - 1]
+
+
+def test_char_poly_mod_searches_for_a_pivot():
+    # rows 1..K-2 of the first column are nonzero multiples of p or 0,
+    # so the reduction mod p must take its first pivot from row K-1
+    rng = random.Random(8191)
+    for p in (127, 8191):
+        for k in range(3, 9):
+            rows = [[rng.randint(-50, 50) for _ in range(k)] for _ in range(k)]
+            for i in range(2, k - 1):
+                rows[i][0] = p * rng.randint(-3, 3)
+            rows[1][0] = p * rng.randint(1, 3)
+            rows[k - 1][0] = 1
+            m = RatMatrix(tuple(map(tuple, rows)))
+            expected = [int(c) % p for c in node_oracle(m).coeffs]
+            assert _char_poly_mod(m.num, p) == expected
+
+
+def test_char_poly_runs_the_crt_path_past_the_table():
+    # multiples of the table prime q = 2^4253 - 1 in the first column put
+    # the bound past the largest prime 2^4423 - 1, so several table primes
+    # are combined; modulo q those entries vanish, which forces a pivot
+    # search
+    rng = random.Random(4253)
+    q = 2**4253 - 1
+    for k in (3, 4, 5):
+        rows = [[rng.getrandbits(1200) - 2**1199 for _ in range(k)] for _ in range(k)]
+        for i in range(1, k - 1):
+            rows[i][0] = q * (i + 1)
+        for den in (1, 3**500):
+            m = RatMatrix(tuple(map(tuple, rows)), den)
+            moduli = _moduli(coefficient_bound(m))
+            assert len(moduli) > 1 and q in moduli
+            assert char_poly(m) == node_oracle(m)
+
+
+def test_char_poly_beyond_the_whole_table_is_out_of_contract():
+    with pytest.raises(PreconditionError, match="char_poly"):
+        char_poly(RatMatrix(((2**20000,),)))
+
+
+def test_char_poly_makes_no_determinant_call(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(exact, "det_exact", counting("det_exact", exact.det_exact))
+    monkeypatch.setattr(exact, "_echelon", counting("_echelon", exact._echelon))
+    rng = random.Random(3)
+    for k in (1, 6, 18):
+        char_poly(RatMatrix.from_rows(mixed_rows(rng, k)))
+    assert calls == []
+    exact.det_exact(RatMatrix.identity(2))
+    assert calls == ["det_exact", "_echelon"]
+
+
+def test_char_poly_trace_check_names_the_law(monkeypatch):
+    monkeypatch.setattr(exact, "_char_poly_mod", lambda num, p: [0] * len(num) + [1])
+    with pytest.raises(CrossCheckError, match="char_poly: trace law"):
+        char_poly(RatMatrix.identity(3))
+
+
+def is_prime_exponent(e):
+    return e >= 2 and all(e % d for d in range(2, int(e**0.5) + 1))
+
+
+def lucas_lehmer(e):
+    """True when 2^e - 1 is prime, for a prime exponent e (Lucas-Lehmer:
+    s_0 = 4, s_(i+1) = s_i^2 - 2, and 2^e - 1 | s_(e-2) for odd e).  Since
+    2^e = 1 modulo 2^e - 1, a number is reduced by adding its high bits,
+    from bit e on, to its low e bits."""
+    if e == 2:
+        return True
+    modulus = (1 << e) - 1
+    s = 4
+    for _ in range(e - 2):
+        s = s * s - 2
+        s = (s & modulus) + (s >> e)
+        if s >= modulus:
+            s -= modulus
+    return s % modulus == 0
+
+
+def test_every_table_modulus_is_a_mersenne_prime():
+    assert list(MERSENNE_EXPONENTS) == sorted(set(MERSENNE_EXPONENTS))
+    assert MERSENNE_EXPONENTS[-1] >= 4423
+    for e in MERSENNE_EXPONENTS:
+        assert is_prime_exponent(e) and lucas_lehmer(e), e
+    # the test rejects composite Mersenne numbers with prime exponents
+    composite = (11, 23, 29, 37, 4409)
+    assert all(map(is_prime_exponent, composite))
+    assert not any(map(lucas_lehmer, composite))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +660,7 @@ def test_kernel_matches_fraction_references():
         for _ in range(e):
             power = frac_mul(power, a_rows)
         assert mat_pow(a, e) == RatMatrix.from_rows(power)
-        # k + 1 points off the interpolation nodes fix the monic char poly
+        # k + 1 points fix the monic char poly
         p = char_poly(a)
         for x in (Fraction(-1, 2), Fraction(7, 3), -5, *range(k + 1, 2 * k)):
             shifted = [

@@ -1,7 +1,8 @@
 """Differential checks against sympy, an independent computer algebra system.
 
-`char_poly` and `det_poly` rebuild polynomials from exact values at the
-integer nodes 0..D; sympy expands the same determinants symbolically.
+`char_poly` reduces the matrix to Hessenberg form modulo a prime, and
+`det_poly` rebuilds a polynomial from exact values at the integer nodes
+0..D; sympy expands the same determinants symbolically.
 `det_exact` and `rank_exact` read one fraction-free row echelon form;
 sympy's Bareiss determinant and rank check them on rank-deficient
 rational products with shuffled columns.
