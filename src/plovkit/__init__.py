@@ -4,8 +4,9 @@ plovkit decides quasi-unipotency by cyclotomic factorization, extracts
 exact Jordan profiles by rank sequences, computes polynomial volume
 growth (sum of squared half-profile block sizes), growth exponents of
 compound actions, determinants of power sums, and an exterior-algebra
-model of intersection numbers -- all over Q, with independent brute-force
-oracles alongside the symbolic routes.
+model of intersection numbers -- all over Q.  The independent
+brute-force oracles for these routes live in `plovkit.selfcheck`, which
+the package does not import; the CLI loads it only for `selftest`.
 """
 
 from .errors import (
@@ -27,7 +28,6 @@ from .exact import (
     Rational,
     UniPoly,
     char_poly,
-    compound_matrix,
     det_exact,
     det_poly,
     mat_mul,
@@ -46,7 +46,6 @@ from .cyclotomic import (
 from .jordan import (
     HalfProfile,
     JordanProfile,
-    double_profile,
     half_profile,
     jordan_profile,
     pseudo_analytic_check,
@@ -57,21 +56,16 @@ from .plov import (
     BoundCheck,
     analyze,
     growth_exponent,
-    growth_exponent_by_minors,
     max_block_compound2,
-    max_block_compound2_literal,
     plov_of,
     second_compound_block_sizes,
 )
 from .powersum import (
     PowerSumResult,
     ensure_spd,
-    hilbert_det,
-    hilbert_matrix,
     power_sum_brute,
     power_sum_det,
     power_sum_matrix,
-    single_block_leading_coeff,
 )
 from .cohomology import (
     ModelGrowthResult,
@@ -83,7 +77,6 @@ from .cohomology import (
     plov_via_model,
     pullback2,
     vanishing_scan,
-    wedge_coefficient,
 )
 
 __version__ = "0.1.0"

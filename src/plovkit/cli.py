@@ -4,8 +4,8 @@ Input documents are JSON of the form
 
     {"name": "optional label", "matrix": [[1, "1/2"], [0, 1]]}
 
-with integer or "p/q" string entries; floating-point literals are
-rejected so that every number stays exact end to end.  Reports are JSON
+with integer or "p"/"p/q" string entries in ASCII digits; floating-point
+literals are rejected so that every number stays exact end to end.  Reports are JSON
 on stdout (or --out FILE) with rationals serialized as integers or "p/q"
 strings, plus a short human-readable summary on stderr.
 
@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import __version__, randgen
+from . import __version__
 from .cohomology import TwoForm, nilpotent_chain, plov_via_model, vanishing_scan
 from .cyclotomic import QuasiUnipotencyVerdict, unipotent_power
 from .errors import (
@@ -34,9 +34,8 @@ from .exact import RatMatrix, UniPoly
 from .jordan import HalfProfile, JordanProfile, jordan_profile
 from .plov import AnalysisReport, analyze, max_minor_degree
 from .powersum import power_sum_brute, power_sum_det
-from .selfcheck import SELFTEST_SUITE_SIZE, run_selftest
 
-_ENTRY_RE = r"^[+-]?\d+(/\d+)?$"
+_ENTRY_RE = r"[+-]?[0-9]+(/[0-9]+)?"
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +55,7 @@ def parse_entry(raw, row: int, col: int) -> Fraction:
     if isinstance(raw, str):
         import re
 
-        if not re.match(_ENTRY_RE, raw):
+        if not re.fullmatch(_ENTRY_RE, raw):
             raise InputFormatError(
                 f"unparseable entry {raw!r} at {position}; expected 'p' or 'p/q'"
             )
@@ -282,6 +281,8 @@ def cmd_powersum(args) -> int:
     else:
         import random
 
+        from . import randgen
+
         h = randgen.random_spd(random.Random(args.seed), k)
         h_desc = f"random (G^T G + I, seed {args.seed})"
     result = power_sum_det(u, h)
@@ -349,6 +350,8 @@ def cmd_model(args) -> int:
     else:
         import random
 
+        from . import randgen
+
         form = randgen.randgen_two_form(random.Random(args.seed), genus)
         form_desc = f"random (seed {args.seed})"
     chain = nilpotent_chain(u, form)
@@ -386,6 +389,8 @@ def cmd_model(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selfcheck import SELFTEST_SUITE_SIZE, run_selftest
+
     results = run_selftest(max_size=args.max_size, cases=args.cases, seed=args.seed)
     passed = sum(1 for r in results if r.passed)
     report = base_report("selftest", None, None)

@@ -31,8 +31,8 @@ factors, and by polarization of the symmetric g-linear top wedge
           * Pf(sum_i beta_i w_i)
 
 (`polarized_wedge`); the Pfaffians are shared across multisets.  The
-literal wedge expansion, `wedge_coefficient`, is only the oracle for
-both Pfaffian routes, in the self-test and the tests.  Intersection
+literal wedge expansion, `selfcheck.wedge_coefficient`, is the oracle
+for both Pfaffian routes, in the self-test and the tests.  Intersection
 numbers are kept as raw wedge coefficients, since every contract here
 concerns degrees and vanishing only.
 """
@@ -258,17 +258,6 @@ def intersection_poly(chain: Sequence[TwoForm]) -> UniPoly:
     return poly
 
 
-def _merge_sign(indices: tuple[int, ...], pair: Pair) -> int:
-    """Sign of sorting indices + pair into ascending order; 0 on repeats."""
-    i, j = pair
-    if i in indices or j in indices:
-        return 0
-    inversions = sum(1 for t in indices if t > i) + sum(
-        1 for t in indices if t > j
-    )
-    return -1 if inversions % 2 else 1
-
-
 def polarized_wedge(
     forms: Sequence[TwoForm],
     alpha: Sequence[int],
@@ -294,37 +283,6 @@ def polarized_wedge(
             term = prod(comb(a, b) for a, b in zip(alpha, beta)) * pf
             total += term if (g - size) % 2 == 0 else -term
     return total
-
-
-def wedge_coefficient(forms: Sequence[TwoForm]) -> Fraction:
-    """Top wedge coefficient of g constant 2-forms on a genus-g space, by
-    literal expansion over the sets of indices used so far: the oracle for
-    g! * pfaffian and for `polarized_wedge`."""
-    if not forms:
-        raise DimensionMismatchError("need at least one form")
-    g = forms[0].genus
-    if len(forms) != g:
-        raise DimensionMismatchError(f"need exactly g = {g} forms")
-    for f in forms:
-        if f.genus != g:
-            raise DimensionMismatchError("genus mismatch among forms")
-    state = {(): Fraction(1)}
-    for items in [f.items() for f in forms]:
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for indices, acc in state.items():
-            for pair, coeff in items:
-                sign = _merge_sign(indices, pair)
-                if sign == 0:
-                    continue
-                key = tuple(sorted(indices + pair))
-                term = acc * coeff if sign > 0 else -(acc * coeff)
-                if key in nxt:
-                    nxt[key] = nxt[key] + term
-                else:
-                    nxt[key] = term
-        state = nxt
-    top = tuple(range(1, 2 * g + 1))
-    return state.get(top, Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -31,19 +31,12 @@ VERDICT_CACHE_SIZE = 32
 
 
 def euler_phi(n: int) -> int:
-    """Euler's totient by trial-division factorization."""
+    """Euler's totient, n * prod (1 - 1/p) over the primes p dividing n."""
     if n < 1:
         raise PreconditionError("totient argument must be positive")
     result = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 

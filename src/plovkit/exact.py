@@ -13,8 +13,8 @@ of the library:
     eliminations) runs on Python ints, and so do the 2-forms of
     `cohomology`, which are skew-symmetric `RatMatrix`es; `.entries` is
     a cached read-only view of the same matrix as rows of `Fraction`s,
-    read by the report encoder (`cli.enc_matrix`) and the oracles in
-    `plov`, `randgen` and `selfcheck`, never by the kernel,
+    read by the report encoder (`cli.enc_matrix`), by `randgen` and by
+    the oracles in `selfcheck`, never by the kernel,
   * one fraction-free (Bareiss) row echelon routine on the integer rows,
     which gives both the exact determinant, det(num) / den^K, and the
     exact rank, rank(num),
@@ -27,8 +27,7 @@ of the library:
     expanded by Horner's rule); `det_poly` gives this way the
     determinant of a matrix whose entries are polynomials in n, given as
     a callable x -> matrix at x, from exact determinants at n = 0..D,
-    plus one verification node,
-  * `compound_matrix` -- the matrix of all r-by-r minors.
+    plus one verification node.
 """
 
 from __future__ import annotations
@@ -631,36 +630,6 @@ def submatrix(
     m: RatMatrix, rows: Sequence[int], cols: Sequence[int]
 ) -> RatMatrix:
     return RatMatrix(tuple(tuple(m.num[i][j] for j in cols) for i in rows), m.den)
-
-
-def compound_matrix(m: RatMatrix, r: int) -> RatMatrix:
-    """The r-th compound: all r-by-r minors, row and column index sets in
-    lexicographic order.  Represents the induced action on the r-th
-    exterior power.  The minors are taken of the integer rows, over the
-    common denominator den^r."""
-    k = m.dimension
-    if not 1 <= r <= k:
-        raise DimensionMismatchError(f"compound order {r} out of range 1..{k}")
-    if r == 1:
-        return m
-    combos = list(itertools.combinations(range(k), r))
-    e = m.num
-    if r == 2:
-        minors = tuple(
-            tuple(e[a][c] * e[b][d] - e[a][d] * e[b][c] for (c, d) in combos)
-            for (a, b) in combos
-        )
-    else:
-        minors = tuple(
-            tuple(
-                det_exact(
-                    RatMatrix(tuple(tuple(e[i][j] for j in cols) for i in rows))
-                ).numerator
-                for cols in combos
-            )
-            for rows in combos
-        )
-    return RatMatrix(minors, m.den**r)
 
 
 def det_poly(matrix_at: Callable[[int], RatMatrix], degree_bound: int) -> UniPoly:

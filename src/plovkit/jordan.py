@@ -70,12 +70,6 @@ class HalfProfile:
     def max_block_size(self) -> int:
         return max(k for _, k, _ in self.entries)
 
-    def block_sizes(self) -> list[int]:
-        sizes: list[int] = []
-        for _, k, count in self.entries:
-            sizes.extend([k] * count)
-        return sorted(sizes, reverse=True)
-
 
 def _block_size_counts(b: RatMatrix, phi: int, algebraic_mult: int,
                        dimension: int) -> dict[int, int]:
@@ -124,8 +118,8 @@ def jordan_profile(m: RatMatrix) -> JordanProfile:
 
 
 def unipotent_block_profile(m: RatMatrix) -> JordanProfile:
-    """Jordan profile of a unipotent matrix without the cyclotomic search;
-    used on large compound matrices where the verdict is already known."""
+    """Jordan profile of a unipotent matrix without the cyclotomic search,
+    for callers that already hold a unipotent matrix."""
     if not is_unipotent(m):
         raise NotUnipotentError("matrix is not unipotent")
     k_dim = m.dimension
@@ -166,12 +160,3 @@ def half_profile(profile: JordanProfile) -> HalfProfile:
     if genus != profile.dimension // 2:
         raise CrossCheckError("half profile does not fill half the dimension")
     return HalfProfile(tuple(entries), genus)
-
-
-def double_profile(half: HalfProfile) -> JordanProfile:
-    """Inverse of half_profile: rebuild the full profile of J + conj(J)."""
-    entries = []
-    for n, k, count in half.entries:
-        m = 2 * count if n <= 2 else 2 * count // euler_phi(n)
-        entries.append((n, k, m))
-    return JordanProfile(tuple(sorted(entries)), 2 * half.genus)

@@ -16,28 +16,27 @@ whose leading coefficient is det(1/(j-i)!), nonzero exactly when the
 sorted rows and columns interleave (i_b <= j_b).  The extreme choice
 I = {1..r'}, J = {k-r'+1..k} therefore realizes the maximum degree
 r'(k - r'); the nonvanishing of its leading coefficient is re-verified
-at runtime.  `growth_exponent_by_minors` keeps a direct enumeration of
-all minors for cross-checking: each minor is interpolated from its exact
-values on the literal powers U^x at integer nodes.
+at runtime.  The oracle `selfcheck.growth_exponent_by_minors`
+enumerates every minor instead, each interpolated from its exact values
+on the literal powers U^x at integer nodes.
 
 The Jordan type of the second compound of U follows from U's block
 sizes by sl_2 Clebsch-Gordan over Q: Lambda^2 J_a is the sum of
 J_{2a-3-4t} and J_a (x) J_b is the sum of J_{a+b-1-2t}.  `analyze` reads
-the largest second-compound block off the profile this way; the rank
-sequences on the literal compound are kept as
-`max_block_compound2_literal` for cross-checking.
+the largest second-compound block off the profile this way; the oracle
+`selfcheck.max_block_compound2_literal` takes rank sequences on the
+literal compound instead.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
-from .cyclotomic import QuasiUnipotencyVerdict, quasi_unipotency, unipotent_power
+from .cyclotomic import QuasiUnipotencyVerdict, quasi_unipotency
 from .errors import (
     CrossCheckError,
     DimensionMismatchError,
@@ -45,22 +44,13 @@ from .errors import (
     OddDimensionError,
     PreconditionError,
 )
-from .exact import (
-    NEG_INF,
-    RatMatrix,
-    compound_matrix,
-    det_exact,
-    det_poly,
-    mat_mul,
-    submatrix,
-)
+from .exact import RatMatrix, det_exact
 from .jordan import (
     HalfProfile,
     JordanProfile,
     half_profile,
     jordan_profile,
     pseudo_analytic_check,
-    unipotent_block_profile,
 )
 
 
@@ -128,44 +118,6 @@ def growth_exponent(m: RatMatrix, r: int) -> int:
     return max_minor_degree(jordan_profile(m).unipotent_block_sizes(), r)
 
 
-def growth_exponent_by_minors(m: RatMatrix, r: int) -> int:
-    """Direct oracle for `growth_exponent`: enumerate every r-by-r minor
-    of U^n and take the maximum degree in n.  Each minor is interpolated
-    from its values on the literal powers U^x (built by `mat_mul`); entry
-    (i, j) of U^n has degree at most rowdeg[i], the largest d with row i
-    of (U-I)^d nonzero, so a minor on the rows I has degree at most the
-    sum of rowdeg[i] over I.  Exponential in the dimension; intended for
-    cross-checks on small matrices."""
-    if not 1 <= r <= m.dimension:
-        raise DimensionMismatchError(f"degree {r} out of range 1..{m.dimension}")
-    _, u = unipotent_power(m)
-    k = u.dimension
-    nil = u - RatMatrix.identity(k)
-    rowdeg = [0] * k
-    power = nil
-    for d in range(1, k):
-        for i, row in enumerate(power.entries):
-            if any(row):
-                rowdeg[i] = d
-        power = mat_mul(power, nil)
-    # U^x for x = 0..D + 1, D the largest bound (one verification node)
-    powers = [RatMatrix.identity(k)]
-    for _ in range(sum(sorted(rowdeg)[k - r :]) + 1):
-        powers.append(mat_mul(powers[-1], u))
-    best = NEG_INF
-    for rows in itertools.combinations(range(k), r):
-        bound = sum(rowdeg[i] for i in rows)
-        for cols in itertools.combinations(range(k), r):
-            minor = det_poly(
-                lambda x: submatrix(powers[x], rows, cols), bound
-            )
-            if minor.degree() > best:
-                best = minor.degree()
-    if best is NEG_INF:
-        raise CrossCheckError("all minors vanished (impossible: U^0 = I)")
-    return int(best)
-
-
 def second_compound_block_sizes(block_sizes: Sequence[int]) -> list[int]:
     """Jordan block sizes (descending, with multiplicity) of the second
     compound of a unipotent U with the given block sizes, by sl_2
@@ -193,21 +145,11 @@ def max_block_compound2(m: RatMatrix) -> int:
     unipotent iterate, read off the Jordan profile of M by Clebsch-Gordan
     (`second_compound_block_sizes`).  For pseudo-analytic M this equals
     2*kJ + 1 where kJ + 1 is the largest half-profile block.  The literal
-    construction is `max_block_compound2_literal`."""
+    construction is the oracle `selfcheck.max_block_compound2_literal`."""
     if m.dimension < 2:
         raise PreconditionError("second compound requires dimension >= 2")
     sizes = jordan_profile(m).unipotent_block_sizes()
     return max(second_compound_block_sizes(sizes))
-
-
-def max_block_compound2_literal(m: RatMatrix) -> int:
-    """Oracle for `max_block_compound2`: rank sequences on the literal
-    second compound of the unipotent iterate."""
-    if m.dimension < 2:
-        raise PreconditionError("second compound requires dimension >= 2")
-    _, u = unipotent_power(m)
-    profile = unipotent_block_profile(compound_matrix(u, 2))
-    return profile.max_block_size
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ determinant P(n) is a polynomial whose degree equals sum k_i^2 over the
 Jordan block sizes k_i of A -- independent of H and invariant under
 similarity.  The leading coefficient for a single block of size k is
 (prod_{i<k} i!)^2 / prod_{i<2k} i!, a Hilbert-matrix determinant in
-disguise.
+disguise; both closed forms are oracles in `selfcheck`
+(`single_block_leading_coeff`, `hilbert_det`).
 
 With N = A - I, A^m = sum_i C(m, i) N^i, and C(m, i) C(m, j) =
 sum_s C(s, i) C(i, s - j) C(m, s); summing C(m, s) over m < n gives
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 from .errors import (
     CrossCheckError,
@@ -42,7 +43,7 @@ from .exact import (
     submatrix,
 )
 from .cyclotomic import is_unipotent
-from .jordan import jordan_profile
+from .jordan import unipotent_block_profile
 
 
 def ensure_spd(h: RatMatrix) -> RatMatrix:
@@ -131,8 +132,10 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     S(x) is evaluated from the B_j of `power_sum_matrix`; row r of S has
     degree at most max{j + 1 : row r of B_j is nonzero}, and the sum of
     these row degrees bounds the degree of the determinant.  The degree
-    must equal sum k_i^2 over the Jordan profile of A; a mismatch can
-    only come from an arithmetic bug and raises CrossCheckError.
+    must equal sum k_i^2 over the Jordan blocks of A, read by
+    `unipotent_block_profile` since A is already known to be unipotent; a
+    mismatch can only come from an arithmetic bug and raises
+    CrossCheckError.
     """
     bs = power_sum_matrix(a, h)
     k = a.dimension
@@ -166,7 +169,7 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
         )
 
     poly = det_poly(s_at, bound)
-    profile = jordan_profile(a)
+    profile = unipotent_block_profile(a)
     degree = sum(m * size * size for _, size, m in profile.entries)
     if poly.degree() != degree:
         raise CrossCheckError(
@@ -197,42 +200,3 @@ def power_sum_brute(a: RatMatrix, h: RatMatrix, n: int) -> list[Fraction]:
         dets.append(det_exact(acc))
         power = mat_mul(power, a)
     return dets
-
-
-def single_block_leading_coeff(k: int) -> Fraction:
-    """Leading coefficient of det S(n) for a single Jordan block of size k
-    with the identity form: (prod_{i=1}^{k-1} i!)^2 / prod_{i=1}^{2k-1} i!."""
-    if k < 1:
-        raise PreconditionError("block size must be positive")
-    num = 1
-    for i in range(1, k):
-        num *= factorial(i)
-    den = 1
-    for i in range(1, 2 * k):
-        den *= factorial(i)
-    return Fraction(num * num, den)
-
-
-def hilbert_matrix(k: int) -> RatMatrix:
-    """The k-by-k matrix with entries 1/(i + j - 1)."""
-    if k < 1:
-        raise PreconditionError("size must be positive")
-    return RatMatrix.from_rows(
-        [[Fraction(1, i + j + 1) for j in range(k)] for i in range(k)]
-    )
-
-
-def hilbert_det(k: int) -> Fraction:
-    """Determinant of the k-by-k Hilbert matrix, cross-checked against the
-    factorial closed form (prod_{i<k} i!)^4 / prod_{i<2k} i!."""
-    value = det_exact(hilbert_matrix(k))
-    num = 1
-    for i in range(1, k):
-        num *= factorial(i)
-    den = 1
-    for i in range(1, 2 * k):
-        den *= factorial(i)
-    closed = Fraction(num**4, den)
-    if value != closed:
-        raise CrossCheckError("Hilbert determinant disagrees with closed form")
-    return value

@@ -1,4 +1,12 @@
-"""Named randomized self-checks behind the `selftest` CLI command.
+"""The oracles and the named randomized self-checks behind `selftest`.
+
+The oracles are the literal constructions that the fast routes of the
+product modules stand in for: the compound matrix of all minors, the
+ordered wedge expansion, growth exponents from every minor, rank
+sequences on the literal second compound, the power-sum closed forms,
+a reduced-echelon nullity and the literal vanishing scan.  No product
+module imports this one; the CLI loads it only for `selftest`, and the
+tests import the oracles from here.
 
 Each check draws its cases from an explicit seeded generator and compares
 an implementation route against an independent one (brute-force sums,
@@ -12,38 +20,240 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb
-from typing import Callable
+from fractions import Fraction
+from math import comb, factorial
+from typing import Callable, Sequence
 
 from . import randgen
 from .cohomology import (
+    Pair,
     TwoForm,
     _scan,
     nilpotent_chain,
     plov_via_model,
     pullback2,
     vanishing_scan,
-    wedge_coefficient,
 )
-from .cyclotomic import cyclotomic_poly, quasi_unipotency
+from .cyclotomic import cyclotomic_poly, quasi_unipotency, unipotent_power
+from .errors import CrossCheckError, DimensionMismatchError, PreconditionError
 from .exact import (
+    NEG_INF,
     RatMatrix,
     UniPoly,
     char_poly,
-    compound_matrix,
     det_exact,
     det_poly,
     mat_mul,
     rank_exact,
+    submatrix,
 )
-from .jordan import jordan_profile
-from .plov import (
-    growth_exponent,
-    growth_exponent_by_minors,
-    max_block_compound2,
-    max_block_compound2_literal,
-)
+from .jordan import jordan_profile, unipotent_block_profile
+from .plov import growth_exponent, max_block_compound2
 from .powersum import power_sum_brute, power_sum_det, power_sum_matrix
+
+
+# ---------------------------------------------------------------------------
+# oracles: literal constructions behind the fast routes
+
+
+def compound_matrix(m: RatMatrix, r: int) -> RatMatrix:
+    """The r-th compound: all r-by-r minors, row and column index sets in
+    lexicographic order.  Represents the induced action on the r-th
+    exterior power.  The minors are taken of the integer rows, over the
+    common denominator den^r."""
+    k = m.dimension
+    if not 1 <= r <= k:
+        raise DimensionMismatchError(f"compound order {r} out of range 1..{k}")
+    if r == 1:
+        return m
+    combos = list(itertools.combinations(range(k), r))
+    e = m.num
+    if r == 2:
+        minors = tuple(
+            tuple(e[a][c] * e[b][d] - e[a][d] * e[b][c] for (c, d) in combos)
+            for (a, b) in combos
+        )
+    else:
+        minors = tuple(
+            tuple(
+                det_exact(
+                    RatMatrix(tuple(tuple(e[i][j] for j in cols) for i in rows))
+                ).numerator
+                for cols in combos
+            )
+            for rows in combos
+        )
+    return RatMatrix(minors, m.den**r)
+
+
+def _merge_sign(indices: tuple[int, ...], pair: Pair) -> int:
+    """Sign of sorting indices + pair into ascending order; 0 on repeats."""
+    i, j = pair
+    if i in indices or j in indices:
+        return 0
+    inversions = sum(1 for t in indices if t > i) + sum(
+        1 for t in indices if t > j
+    )
+    return -1 if inversions % 2 else 1
+
+
+def wedge_coefficient(forms: Sequence[TwoForm]) -> Fraction:
+    """Top wedge coefficient of g constant 2-forms on a genus-g space, by
+    literal expansion over the sets of indices used so far: the oracle for
+    g! * pfaffian and for `polarized_wedge`."""
+    if not forms:
+        raise DimensionMismatchError("need at least one form")
+    g = forms[0].genus
+    if len(forms) != g:
+        raise DimensionMismatchError(f"need exactly g = {g} forms")
+    for f in forms:
+        if f.genus != g:
+            raise DimensionMismatchError("genus mismatch among forms")
+    state = {(): Fraction(1)}
+    for items in [f.items() for f in forms]:
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for indices, acc in state.items():
+            for pair, coeff in items:
+                sign = _merge_sign(indices, pair)
+                if sign == 0:
+                    continue
+                key = tuple(sorted(indices + pair))
+                term = acc * coeff if sign > 0 else -(acc * coeff)
+                if key in nxt:
+                    nxt[key] = nxt[key] + term
+                else:
+                    nxt[key] = term
+        state = nxt
+    top = tuple(range(1, 2 * g + 1))
+    return state.get(top, Fraction(0))
+
+
+def growth_exponent_by_minors(m: RatMatrix, r: int) -> int:
+    """Direct oracle for `growth_exponent`: enumerate every r-by-r minor
+    of U^n and take the maximum degree in n.  Each minor is interpolated
+    from its values on the literal powers U^x (built by `mat_mul`); entry
+    (i, j) of U^n has degree at most rowdeg[i], the largest d with row i
+    of (U-I)^d nonzero, so a minor on the rows I has degree at most the
+    sum of rowdeg[i] over I.  Exponential in the dimension; intended for
+    cross-checks on small matrices."""
+    if not 1 <= r <= m.dimension:
+        raise DimensionMismatchError(f"degree {r} out of range 1..{m.dimension}")
+    _, u = unipotent_power(m)
+    k = u.dimension
+    nil = u - RatMatrix.identity(k)
+    rowdeg = [0] * k
+    power = nil
+    for d in range(1, k):
+        for i, row in enumerate(power.entries):
+            if any(row):
+                rowdeg[i] = d
+        power = mat_mul(power, nil)
+    # U^x for x = 0..D + 1, D the largest bound (one verification node)
+    powers = [RatMatrix.identity(k)]
+    for _ in range(sum(sorted(rowdeg)[k - r :]) + 1):
+        powers.append(mat_mul(powers[-1], u))
+    best = NEG_INF
+    for rows in itertools.combinations(range(k), r):
+        bound = sum(rowdeg[i] for i in rows)
+        for cols in itertools.combinations(range(k), r):
+            minor = det_poly(
+                lambda x: submatrix(powers[x], rows, cols), bound
+            )
+            if minor.degree() > best:
+                best = minor.degree()
+    if best is NEG_INF:
+        raise CrossCheckError("all minors vanished (impossible: U^0 = I)")
+    return int(best)
+
+
+def max_block_compound2_literal(m: RatMatrix) -> int:
+    """Oracle for `max_block_compound2`: rank sequences on the literal
+    second compound of the unipotent iterate."""
+    if m.dimension < 2:
+        raise PreconditionError("second compound requires dimension >= 2")
+    _, u = unipotent_power(m)
+    profile = unipotent_block_profile(compound_matrix(u, 2))
+    return profile.max_block_size
+
+
+def single_block_leading_coeff(k: int) -> Fraction:
+    """Leading coefficient of det S(n) for a single Jordan block of size k
+    with the identity form: (prod_{i=1}^{k-1} i!)^2 / prod_{i=1}^{2k-1} i!."""
+    if k < 1:
+        raise PreconditionError("block size must be positive")
+    num = 1
+    for i in range(1, k):
+        num *= factorial(i)
+    den = 1
+    for i in range(1, 2 * k):
+        den *= factorial(i)
+    return Fraction(num * num, den)
+
+
+def hilbert_matrix(k: int) -> RatMatrix:
+    """The k-by-k matrix with entries 1/(i + j - 1)."""
+    if k < 1:
+        raise PreconditionError("size must be positive")
+    return RatMatrix.from_rows(
+        [[Fraction(1, i + j + 1) for j in range(k)] for i in range(k)]
+    )
+
+
+def hilbert_det(k: int) -> Fraction:
+    """Determinant of the k-by-k Hilbert matrix, cross-checked against the
+    factorial closed form (prod_{i<k} i!)^4 / prod_{i<2k} i!."""
+    value = det_exact(hilbert_matrix(k))
+    num = 1
+    for i in range(1, k):
+        num *= factorial(i)
+    den = 1
+    for i in range(1, 2 * k):
+        den *= factorial(i)
+    closed = Fraction(num**4, den)
+    if value != closed:
+        raise CrossCheckError("Hilbert determinant disagrees with closed form")
+    return value
+
+
+def _kernel_dimension(m: RatMatrix) -> int:
+    """Nullity via an independent reduced-echelon computation."""
+    k = m.dimension
+    rows = [list(row) for row in m.entries]
+    pivots = 0
+    col = 0
+    r = 0
+    while r < k and col < k:
+        piv = next((i for i in range(r, k) if rows[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(k):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots += 1
+        r += 1
+        col += 1
+    return k - pivots
+
+
+def literal_scan(chain) -> tuple:
+    """The vanishing scan's (tuple, value) pairs over a family of forms, by
+    literal ordered wedge expansion of every tuple."""
+    kf = len(chain) - 1
+    genus = chain[0].genus
+    return tuple(
+        (t, wedge_coefficient([chain[i] for i in t]))
+        for t in itertools.product(range(kf + 1), repeat=genus)
+        if 2 * sum(t) > genus * kf
+    )
+
+
+# ---------------------------------------------------------------------------
+# the self-test suite
 
 
 @dataclass(frozen=True)
@@ -123,31 +333,6 @@ def _check_char_poly_similarity(rng: random.Random, max_size: int, cases: int) -
         if p(x) != det_exact(RatMatrix.identity(k) * x - m):
             return False, count
     return True, count
-
-
-def _kernel_dimension(m: RatMatrix) -> int:
-    """Nullity via an independent reduced-echelon computation."""
-    k = m.dimension
-    rows = [list(row) for row in m.entries]
-    pivots = 0
-    col = 0
-    r = 0
-    while r < k and col < k:
-        piv = next((i for i in range(r, k) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(k):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots += 1
-        r += 1
-        col += 1
-    return k - pivots
 
 
 def _check_rank_nullity(rng: random.Random, max_size: int, cases: int) -> Outcome:
@@ -271,18 +456,6 @@ def _check_model_triangle(rng: random.Random, max_size: int, cases: int) -> Outc
             if not (2 * model.degree == ps.degree == 2 * expected):
                 return False, count
     return True, count
-
-
-def literal_scan(chain) -> tuple:
-    """The vanishing scan's (tuple, value) pairs over a family of forms, by
-    literal ordered wedge expansion of every tuple."""
-    kf = len(chain) - 1
-    genus = chain[0].genus
-    return tuple(
-        (t, wedge_coefficient([chain[i] for i in t]))
-        for t in itertools.product(range(kf + 1), repeat=genus)
-        if 2 * sum(t) > genus * kf
-    )
 
 
 def _check_vanishing_scan(rng: random.Random, max_size: int, cases: int) -> Outcome:

@@ -13,20 +13,15 @@ from plovkit import (
     RatMatrix,
     UniPoly,
     analyze,
-    compound_matrix,
     growth_exponent,
     half_profile,
-    hilbert_det,
-    hilbert_matrix,
     jordan_profile,
     max_block_compound2,
-    max_block_compound2_literal,
     plov_of,
     plov_via_model,
     power_sum_brute,
     power_sum_det,
     quasi_unipotency,
-    single_block_leading_coeff,
     vanishing_scan,
 )
 from plovkit.cohomology import TwoForm
@@ -40,6 +35,13 @@ from plovkit.randgen import (
     rational_root_block,
     unipotent_from_sizes,
     conjugate,
+)
+from plovkit.selfcheck import (
+    compound_matrix,
+    hilbert_det,
+    hilbert_matrix,
+    max_block_compound2_literal,
+    single_block_leading_coeff,
 )
 from tests.test_exact import cofactor_det
 

@@ -64,6 +64,19 @@ def test_parse_rejects_decimal_strings():
         parse_input(json.dumps({"matrix": [["1.5", 0], [0, 1]]}))
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["1\n", "\u0661/\u0662"],
+    ids=["trailing-newline", "arabic-indic-digits"],
+)
+def test_entry_outside_ascii_p_or_p_over_q_exits_1(tmp_path, capsys, entry):
+    path = write_doc(tmp_path, {"matrix": [[entry, 0], [0, 1]]})
+    code, out, err = run_cli(["analyze", "--input", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert "unparseable entry" in err
+
+
 def test_parse_rejects_malformed_json_with_line():
     with pytest.raises(InputFormatError, match="line"):
         parse_input("{not json")

@@ -29,7 +29,6 @@ from plovkit import (
     power_sum_det,
     pullback2,
     vanishing_scan,
-    wedge_coefficient,
 )
 from plovkit.errors import (
     CrossCheckError,
@@ -42,7 +41,7 @@ from plovkit.errors import (
 from plovkit.cohomology import _scan, nilpotent_chain, polarized_wedge
 from plovkit.plov import second_compound_block_sizes
 from plovkit.randgen import random_paired_unipotent, randgen_two_form
-from plovkit.selfcheck import literal_scan
+from plovkit.selfcheck import literal_scan, wedge_coefficient
 
 
 def poly_n(*coeffs):

@@ -9,7 +9,6 @@ from plovkit import (
     RatMatrix,
     UniPoly,
     char_poly,
-    compound_matrix,
     cyclotomic_poly,
     euler_phi,
     is_unipotent,
@@ -21,6 +20,7 @@ import plovkit.cyclotomic as cyclotomic
 from plovkit.cyclotomic import VERDICT_CACHE_SIZE, _divide_monic
 from plovkit.errors import CrossCheckError, NotQuasiUnipotentError
 from plovkit.randgen import random_mixed_matrix
+from plovkit.selfcheck import compound_matrix
 
 
 def poly_t(*coeffs):

@@ -18,7 +18,6 @@ from plovkit import (
     RatMatrix,
     UniPoly,
     char_poly,
-    compound_matrix,
     cyclotomic_poly,
     det_exact,
     det_poly,
@@ -33,6 +32,7 @@ from plovkit.cyclotomic import euler_phi
 from plovkit import exact
 from plovkit.exact import MERSENNE_EXPONENTS, _char_poly_mod, _interpolate, _moduli
 from plovkit.randgen import conjugate, random_integer_matrix, random_unimodular
+from plovkit.selfcheck import compound_matrix
 
 
 def cofactor_det(rows):

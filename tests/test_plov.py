@@ -13,13 +13,10 @@ import pytest
 from plovkit import (
     RatMatrix,
     analyze,
-    compound_matrix,
     growth_exponent,
-    growth_exponent_by_minors,
     half_profile,
     jordan_profile,
     max_block_compound2,
-    max_block_compound2_literal,
     plov_of,
     second_compound_block_sizes,
     unipotent_block_profile,
@@ -42,6 +39,11 @@ from plovkit.randgen import (
     random_unipotent,
     rational_root_block,
     unipotent_from_sizes,
+)
+from plovkit.selfcheck import (
+    compound_matrix,
+    growth_exponent_by_minors,
+    max_block_compound2_literal,
 )
 
 

@@ -17,15 +17,12 @@ from plovkit import (
     UniPoly,
     det_exact,
     half_profile,
-    hilbert_det,
-    hilbert_matrix,
     jordan_profile,
     mat_mul,
     plov_of,
     power_sum_brute,
     power_sum_det,
     power_sum_matrix,
-    single_block_leading_coeff,
 )
 from plovkit.errors import (
     NotSymmetricPositiveDefiniteError,
@@ -41,6 +38,11 @@ from plovkit.randgen import (
     random_unimodular,
     random_unipotent,
     unipotent_from_sizes,
+)
+from plovkit.selfcheck import (
+    hilbert_det,
+    hilbert_matrix,
+    single_block_leading_coeff,
 )
 from tests.test_exact import cofactor_det
 
