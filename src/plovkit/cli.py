@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -134,15 +135,14 @@ def enc_poly(p: UniPoly):
 
 
 def enc_verdict(v: QuasiUnipotencyVerdict):
-    out = {"is_quasi_unipotent": v.is_quasi_unipotent}
-    if v.is_quasi_unipotent:
-        out["order"] = v.order
-        out["cyclotomic_factorization"] = [
+    """A positive verdict: `analyze` raises on a negative one."""
+    return {
+        "is_quasi_unipotent": v.is_quasi_unipotent,
+        "order": v.order,
+        "cyclotomic_factorization": [
             {"order": n, "multiplicity": m} for n, m in v.cyclotomic_factorization
-        ]
-    else:
-        out["residual"] = enc_poly(v.residual)
-    return out
+        ],
+    }
 
 
 def enc_profile(p: JordanProfile):
@@ -200,14 +200,20 @@ def base_report(command: str, name: Optional[str], matrix: Optional[RatMatrix]):
 
 def emit(report: dict, out_path: Optional[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        try:
+    try:
+        if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise InputFormatError(f"cannot write report: {exc}")
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out_path:
+            # the flush at exit would fail again: drop what stdout buffers
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise InputFormatError(f"cannot write report: {exc}")
 
 
 def summary(lines: list[str]) -> None:
@@ -318,8 +324,6 @@ def cmd_powersum(args) -> int:
 def cmd_growth(args) -> int:
     name, matrix = _load(args.input)
     degrees = _parse_degrees(args.degrees, matrix.dimension)
-    if degrees is None:
-        raise InputFormatError("--degrees is required for the growth command")
     order, _ = unipotent_power(matrix)
     sizes = jordan_profile(matrix).unipotent_block_sizes()
     exponents = {r: max_minor_degree(sizes, r) for r in degrees}
@@ -478,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the documented randomized check suite")
     p.add_argument("--out")
-    # the self-checks draw matrices of dimension 2..max_size
+    # the self-checks draw dimensions up to max_size (3 where a law needs it)
     p.add_argument("--max-size", type=_at_least(2), default=8, dest="max_size")
     p.add_argument("--cases", type=_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)

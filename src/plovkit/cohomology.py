@@ -53,7 +53,7 @@ from .errors import (
     NotUnipotentError,
     PreconditionError,
 )
-from .exact import RatMatrix, Scalar, UniPoly, _frac, _interpolate, mat_mul
+from .exact import RatMatrix, Scalar, UniPoly, _frac, interpolate_checked, mat_mul
 from .cyclotomic import is_unipotent
 from .jordan import half_profile, pseudo_analytic_check, unipotent_block_profile
 from .plov import plov_of, second_compound_block_sizes
@@ -250,12 +250,7 @@ def intersection_poly(chain: Sequence[TwoForm]) -> UniPoly:
     def top(x: int) -> Fraction:
         return scale * pfaffian(delta_at(chain, x))
 
-    poly = _interpolate([top(x) for x in range(bound + 1)], "n")
-    if poly(bound + 1) != top(bound + 1):
-        raise CrossCheckError(
-            "intersection_poly verification node mismatch (degree bound too small?)"
-        )
-    return poly
+    return interpolate_checked(top, bound, "intersection_poly")
 
 
 def polarized_wedge(

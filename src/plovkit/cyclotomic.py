@@ -183,14 +183,20 @@ def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
     )
 
 
-def unipotent_power(m: RatMatrix) -> tuple[int, RatMatrix]:
-    """Return (N, M^N) where N is the least exponent making M unipotent."""
+def require_quasi_unipotent(m: RatMatrix) -> QuasiUnipotencyVerdict:
+    """The positive verdict of `quasi_unipotency`; a negative one raises
+    NotQuasiUnipotentError naming the residual factor."""
     verdict = quasi_unipotency(m)
     if not verdict.is_quasi_unipotent:
         raise NotQuasiUnipotentError(
-            "matrix is not quasi-unipotent; residual factor "
-            f"{verdict.residual}"
+            f"matrix is not quasi-unipotent; residual factor {verdict.residual}"
         )
+    return verdict
+
+
+def unipotent_power(m: RatMatrix) -> tuple[int, RatMatrix]:
+    """Return (N, M^N) where N is the least exponent making M unipotent."""
+    verdict = require_quasi_unipotent(m)
     u = mat_pow(m, verdict.order)
     if not is_unipotent(u):
         raise CrossCheckError("claimed unipotent power is not unipotent")

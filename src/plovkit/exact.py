@@ -24,10 +24,9 @@ of the library:
     theorem when the bound is past the table), which is exact,
   * polynomials rebuilt from exact values at the nodes 0..D by a single
     interpolation routine (forward differences into the binomial basis,
-    expanded by Horner's rule); `det_poly` gives this way the
-    determinant of a matrix whose entries are polynomials in n, given as
-    a callable x -> matrix at x, from exact determinants at n = 0..D,
-    plus one verification node.
+    expanded by Horner's rule) that `interpolate_checked` re-verifies at
+    the node D + 1, naming its caller when they differ; `det_poly` and
+    `cohomology.intersection_poly` are both built on it.
 """
 
 from __future__ import annotations
@@ -134,9 +133,6 @@ class UniPoly:
             (self.coefficient(i) - other.coefficient(i) for i in range(n)),
             self.var,
         )
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs), self.var)
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
@@ -351,9 +347,6 @@ class RatMatrix:
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(tuple(zip(*self.num)), self.den)
-
-    def is_integral(self) -> bool:
-        return self.den == 1
 
     def trace(self) -> Fraction:
         return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
@@ -632,23 +625,26 @@ def submatrix(
     return RatMatrix(tuple(tuple(m.num[i][j] for j in cols) for i in rows), m.den)
 
 
+def interpolate_checked(
+    value_at: Callable[[int], Scalar], degree_bound: int, caller: str
+) -> UniPoly:
+    """The polynomial in n through value_at(x) at x = 0..degree_bound,
+    re-verified at one more node: an undersized bound (a caller bug)
+    raises a CrossCheckError naming `caller`."""
+    if degree_bound < 0:
+        raise PreconditionError("degree bound must be nonnegative")
+    p = _interpolate([value_at(x) for x in range(degree_bound + 1)], "n")
+    if p(degree_bound + 1) != value_at(degree_bound + 1):
+        raise CrossCheckError(
+            f"{caller} verification node mismatch (degree bound too small?)"
+        )
+    return p
+
+
 def det_poly(matrix_at: Callable[[int], RatMatrix], degree_bound: int) -> UniPoly:
     """Exact determinant, as a polynomial in n, of a matrix whose entries
     are polynomials in n; ``matrix_at(x)`` is that matrix at the integer x.
-
-    Takes exact determinants at the consecutive integers 0..degree_bound
-    and interpolates them.  One extra node re-verifies the interpolation,
-    so an undersized bound (a caller bug) fails loudly instead of
-    returning a wrong polynomial.
-    """
-    if degree_bound < 0:
-        raise PreconditionError("degree bound must be nonnegative")
-    p = _interpolate(
-        [det_exact(matrix_at(x)) for x in range(degree_bound + 1)], "n"
+    Interpolated from exact determinants at n = 0..degree_bound."""
+    return interpolate_checked(
+        lambda x: det_exact(matrix_at(x)), degree_bound, "det_poly"
     )
-    probe = degree_bound + 1
-    if p(probe) != det_exact(matrix_at(probe)):
-        raise CrossCheckError(
-            "det_poly verification node mismatch (degree bound too small?)"
-        )
-    return p

@@ -19,12 +19,11 @@ from .cyclotomic import (
     cyclotomic_poly,
     euler_phi,
     is_unipotent,
-    quasi_unipotency,
+    require_quasi_unipotent,
 )
 from .errors import (
     CrossCheckError,
     NotPseudoAnalyticError,
-    NotQuasiUnipotentError,
     NotUnipotentError,
     OddDimensionError,
 )
@@ -99,11 +98,7 @@ def _block_size_counts(b: RatMatrix, phi: int, algebraic_mult: int,
 
 def jordan_profile(m: RatMatrix) -> JordanProfile:
     """Exact Jordan profile of a quasi-unipotent matrix via rank sequences."""
-    verdict = quasi_unipotency(m)
-    if not verdict.is_quasi_unipotent:
-        raise NotQuasiUnipotentError(
-            "Jordan profile requires a quasi-unipotent matrix"
-        )
+    verdict = require_quasi_unipotent(m)
     k_dim = m.dimension
     entries: list[tuple[int, int, int]] = []
     for n, mult in verdict.cyclotomic_factorization:

@@ -16,9 +16,11 @@ whose leading coefficient is det(1/(j-i)!), nonzero exactly when the
 sorted rows and columns interleave (i_b <= j_b).  The extreme choice
 I = {1..r'}, J = {k-r'+1..k} therefore realizes the maximum degree
 r'(k - r'); the nonvanishing of its leading coefficient is re-verified
-at runtime.  The oracle `selfcheck.growth_exponent_by_minors`
-enumerates every minor instead, each interpolated from its exact values
-on the literal powers U^x at integer nodes.
+at runtime.  As r'(k - r') is concave in r' (increments k - 2r' - 1),
+the best split of r rows over the blocks takes the r largest increments.
+The oracle `selfcheck.growth_exponent_by_minors` enumerates every minor
+instead, each interpolated from its exact values on the literal powers
+U^x at integer nodes.
 
 The Jordan type of the second compound of U follows from U's block
 sizes by sl_2 Clebsch-Gordan over Q: Lambda^2 J_a is the sum of
@@ -30,17 +32,17 @@ literal compound instead.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
-from .cyclotomic import QuasiUnipotencyVerdict, quasi_unipotency
+from .cyclotomic import QuasiUnipotencyVerdict, require_quasi_unipotent
 from .errors import (
     CrossCheckError,
     DimensionMismatchError,
-    NotQuasiUnipotentError,
     OddDimensionError,
     PreconditionError,
 )
@@ -88,23 +90,20 @@ def _single_block_minor_degree(k: int, r: int) -> int:
 
 def max_minor_degree(block_sizes: Sequence[int], r: int) -> int:
     """Growth exponent in degree r from the block sizes of the unipotent
-    iterate: max total minor degree over distributions of r rows among
-    blocks."""
-    best = [None] * (r + 1)
-    best[0] = 0
-    for k in block_sizes:
-        updated = list(best)
-        for used in range(r + 1):
-            if best[used] is None:
-                continue
-            for take in range(1, min(k, r - used) + 1):
-                cand = best[used] + _single_block_minor_degree(k, take)
-                if updated[used + take] is None or cand > updated[used + take]:
-                    updated[used + take] = cand
-        best = updated
-    if best[r] is None:
-        raise CrossCheckError("no admissible minor found (impossible for r <= K)")
-    return best[r]
+    iterate: the max of sum t_i (k_i - t_i) over t_i <= k_i rows with
+    sum t_i = r.  Each term is concave in t_i, with increments k_i - 2t - 1
+    that strictly fall, so the max adds up the r largest increments over
+    all blocks (a prefix of each block's own); each block given t_i > 0
+    rows re-verifies its leading coefficient."""
+    total = sum(block_sizes)
+    if not 0 <= r <= total:
+        raise DimensionMismatchError(f"degree {r} out of range 0..{total}")
+    steps = sorted(
+        ((k - 2 * t - 1, i) for i, k in enumerate(block_sizes) for t in range(k)),
+        reverse=True,
+    )
+    rows = Counter(i for _, i in steps[:r])
+    return sum(_single_block_minor_degree(block_sizes[i], t) for i, t in rows.items())
 
 
 def growth_exponent(m: RatMatrix, r: int) -> int:
@@ -199,11 +198,7 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
     if dim % 2:
         raise OddDimensionError(f"dimension {dim} is odd; expected 2g")
     g = dim // 2
-    verdict = quasi_unipotency(m)
-    if not verdict.is_quasi_unipotent:
-        raise NotQuasiUnipotentError(
-            f"matrix is not quasi-unipotent; residual factor {verdict.residual}"
-        )
+    verdict = require_quasi_unipotent(m)
     profile = jordan_profile(m)
     pseudo = pseudo_analytic_check(profile)
     half = half_profile(profile) if pseudo else None

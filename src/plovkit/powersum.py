@@ -71,15 +71,14 @@ class PowerSumResult:
 
 
 def _nilpotent_powers(a: RatMatrix) -> list[RatMatrix]:
-    """[I, N, N^2, ...] for N = A - I, up to the last nonzero power."""
+    """[I, N, N^2, ...] for N = A - I, up to the last nonzero power; the
+    caller has checked that A is unipotent, so N is nilpotent."""
     k = a.dimension
     nil = a - RatMatrix.identity(k)
     powers = [RatMatrix.identity(k)]
     current = nil
     while any(map(any, current.num)):
         powers.append(current)
-        if len(powers) > k:
-            raise NotUnipotentError("matrix is not unipotent")
         current = mat_mul(current, nil)
     return powers
 

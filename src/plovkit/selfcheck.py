@@ -294,7 +294,7 @@ def _check_power_sum_matrix(rng: random.Random, max_size: int, cases: int) -> Ou
 def _check_det_poly(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.2)
     for _ in range(count):
-        k = rng.randint(1, 5)
+        k = rng.randint(1, min(5, max_size))
         rows = [
             [
                 UniPoly.from_coeffs(
@@ -360,7 +360,8 @@ def _check_cyclotomic_products(rng: random.Random, max_size: int, cases: int) ->
 def _check_compound_equivalence(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.3)
     for _ in range(count):
-        dim = rng.choice([4, 6])
+        # at dimension 2 the second compound is det M, so the law needs 3
+        dim = min(rng.choice([4, 6]), max(3, max_size))
         m = randgen.random_mixed_matrix(rng, dim)
         a = quasi_unipotency(m).is_quasi_unipotent
         b = quasi_unipotency(compound_matrix(m, 2)).is_quasi_unipotent
@@ -430,7 +431,7 @@ def _check_growth_exponents(rng: random.Random, max_size: int, cases: int) -> Ou
 def _check_second_compound_blocks(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.1)
     for _ in range(count):
-        genus = rng.randint(1, 4)
+        genus = rng.randint(1, min(4, max_size // 2))
         m, half_sizes = randgen.random_paired_unipotent(rng, genus)
         kj = max(half_sizes) - 1
         if growth_exponent(m, 2) != 2 * kj:
@@ -444,7 +445,7 @@ def _check_second_compound_blocks(rng: random.Random, max_size: int, cases: int)
 def _check_model_triangle(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.1)
     for _ in range(count):
-        genus = rng.randint(1, 4)
+        genus = rng.randint(1, min(4, max_size // 2))
         m, half_sizes = randgen.random_paired_unipotent(rng, genus)
         h = TwoForm.standard(genus)
         model = plov_via_model(m, h)
@@ -461,7 +462,7 @@ def _check_model_triangle(rng: random.Random, max_size: int, cases: int) -> Outc
 def _check_vanishing_scan(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.1)
     for _ in range(count):
-        genus = rng.randint(1, 4)
+        genus = rng.randint(1, min(4, max_size // 2))
         m, _ = randgen.random_paired_unipotent(rng, genus)
         h = TwoForm.standard(genus)
         chain = nilpotent_chain(m, h)
@@ -473,7 +474,8 @@ def _check_vanishing_scan(rng: random.Random, max_size: int, cases: int) -> Outc
             return False, count
     # on a chain every scanned value is 0; random forms in its place give
     # nonzero values, and odd g tells the sign of the polarization apart
-    for genus in (2, 3):
+    half = max_size // 2
+    for genus in (min(2, half), min(3, half)):
         forms = [randgen.randgen_two_form(rng, genus) for _ in range(3)]
         if _scan(forms).scanned != literal_scan(forms):
             return False, count
@@ -483,7 +485,7 @@ def _check_vanishing_scan(rng: random.Random, max_size: int, cases: int) -> Outc
 def _check_pullback_functorial(rng: random.Random, max_size: int, cases: int) -> Outcome:
     count = _scaled(cases, 0.2)
     for _ in range(count):
-        genus = rng.randint(1, 3)
+        genus = rng.randint(1, min(3, max_size // 2))
         m = randgen.random_integer_matrix(rng, 2 * genus, span=2)
         h = randgen.randgen_two_form(rng, genus)
         iterated = h

@@ -347,11 +347,18 @@ def test_selftest_reduced(tmp_path, capsys):
 
 
 def run_process(args, cwd):
+    return run_process_to(subprocess.PIPE, args, cwd)
+
+
+def run_process_to(stdout, args, cwd):
+    """Run the CLI in a fresh interpreter with its stdout on `stdout` (a
+    file, a descriptor or subprocess.PIPE) and its stderr captured."""
     src = str(Path(plovkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
         [sys.executable, "-m", "plovkit.cli", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+        cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        timeout=60,
     )
 
 
@@ -359,7 +366,8 @@ def assert_one_line_exit_1(done):
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert len(done.stderr.strip().splitlines()) == 1
-    assert done.stdout == ""
+    # None when stdout was not captured
+    assert done.stdout in ("", None)
 
 
 def test_powersum_zero_samples_is_rejected(tmp_path):
@@ -381,6 +389,29 @@ def test_unwritable_out_path_is_one_line_error(tmp_path):
     done = run_process(["analyze", "--input", path, "--out", out], tmp_path)
     assert_one_line_exit_1(done)
     assert "cannot write report" in done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_is_one_line_error(tmp_path):
+    path = write_doc(tmp_path, {"matrix": [[1, 1], [0, 1]]})
+    with open("/dev/full", "w") as full:
+        done = run_process_to(full, ["analyze", "--input", path], tmp_path)
+    assert_one_line_exit_1(done)
+    assert "error: cannot write report: " in done.stderr
+    assert "Exception ignored" not in done.stderr
+
+
+def test_closed_stdout_pipe_is_one_line_error(tmp_path):
+    path = write_doc(tmp_path, QUAD)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_process_to(write_end, ["model", "--input", path], tmp_path)
+    finally:
+        os.close(write_end)
+    assert_one_line_exit_1(done)
+    assert "error: cannot write report: " in done.stderr
+    assert "Exception ignored" not in done.stderr
 
 
 @pytest.mark.parametrize(
@@ -405,6 +436,22 @@ def test_smallest_selftest_counts_run(capsys):
     code, out, _ = run_cli(["selftest", "--max-size", "2", "--cases", "1"], capsys)
     assert code == 0
     assert json.loads(out)["selftest"]["max_size"] == 2
+
+
+def test_selftest_max_size_bounds_every_matrix(monkeypatch):
+    from plovkit.selfcheck import run_selftest
+
+    sizes = []
+    post_init = RatMatrix.__post_init__
+
+    def recording(self):
+        sizes.append(len(self.num))
+        post_init(self)
+
+    monkeypatch.setattr(RatMatrix, "__post_init__", recording)
+    results = run_selftest(max_size=3, cases=3)
+    assert [r.name for r in results if not r.passed] == []
+    assert max(sizes) == 3
 
 
 # JSON that Python's decoder itself refuses: too deeply nested for its

@@ -349,7 +349,7 @@ def test_intersection_poly_verification_node(monkeypatch):
         cohomology, "delta_at", lambda chain, x: 2**x * TwoForm.basis(1, 1, 2)
     )
     chain = nilpotent_chain(RatMatrix.identity(2), TwoForm.basis(1, 1, 2))
-    with pytest.raises(CrossCheckError):
+    with pytest.raises(CrossCheckError, match="intersection_poly"):
         intersection_poly(chain)
 
 

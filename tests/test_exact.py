@@ -550,7 +550,7 @@ def test_det_poly_undersized_bound_fails_loudly():
     def at(x):
         return RatMatrix.from_rows([[x * x, 0], [0, x * x]])
 
-    with pytest.raises(CrossCheckError):
+    with pytest.raises(CrossCheckError, match="det_poly"):
         det_poly(at, 2)  # true degree is 4
     assert det_poly(at, 4) == poly_n(0, 0, 0, 0, 1)
 

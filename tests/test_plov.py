@@ -6,6 +6,7 @@ all r-by-r minors of the powers U^x at integer nodes
 agree with it everywhere it is feasible.
 """
 
+import itertools
 import random
 
 import pytest
@@ -29,10 +30,11 @@ from plovkit.errors import (
     PreconditionError,
 )
 from plovkit.jordan import HalfProfile
-from plovkit.plov import _single_block_minor_degree
+from plovkit.plov import _single_block_minor_degree, max_minor_degree
 from plovkit.randgen import (
     conjugate,
     random_paired_unipotent,
+    random_partition,
     random_pseudo_analytic,
     random_quasi_unipotent,
     random_unimodular,
@@ -165,6 +167,34 @@ def test_exponent_bounds_even_and_odd():
             assert odd <= r * (g - r) + (r - 1) * (g - r + 1)
 
 
+def minor_degrees_by_distribution(sizes):
+    """{r: max of sum t_i (k_i - t_i)} over every distribution of r rows
+    with t_i <= k_i, by enumeration."""
+    best = {}
+    for ts in itertools.product(*(range(k + 1) for k in sizes)):
+        r = sum(ts)
+        value = sum(t * (k - t) for t, k in zip(ts, sizes))
+        best[r] = max(best.get(r, value), value)
+    return best
+
+
+def test_max_minor_degree_matches_every_distribution():
+    rng = random.Random(2208)
+    for _ in range(80):
+        sizes = random_partition(rng, rng.randint(1, 12))
+        rng.shuffle(sizes)
+        expected = minor_degrees_by_distribution(sizes)
+        assert sorted(expected) == list(range(sum(sizes) + 1))
+        for r, degree in expected.items():
+            assert max_minor_degree(sizes, r) == degree, (sizes, r)
+
+
+def test_max_minor_degree_rejects_more_rows_than_the_dimension():
+    assert max_minor_degree([2, 1], 3) == 0  # det U^n = 1
+    with pytest.raises(DimensionMismatchError):
+        max_minor_degree([2, 1], 4)
+
+
 def test_exponent_rejects_bad_degree():
     with pytest.raises(DimensionMismatchError):
         growth_exponent(RatMatrix.identity(2), 0)
@@ -293,6 +323,12 @@ def test_analyze_rejects_odd_dimension():
 def test_analyze_rejects_non_quasi_unipotent():
     with pytest.raises(NotQuasiUnipotentError):
         analyze(RatMatrix.from_rows([[0, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("route", [analyze, jordan_profile, unipotent_power])
+def test_non_quasi_unipotent_error_names_the_residual(route):
+    with pytest.raises(NotQuasiUnipotentError, match=r"residual factor t\^2 - t - 1$"):
+        route(RatMatrix.from_rows([[0, 1], [1, 1]]))
 
 
 def test_analyze_order_two_paired_blocks():
