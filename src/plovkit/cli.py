@@ -16,8 +16,11 @@ Exit codes: 0 success, 1 invalid input, 2 precondition violated,
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -36,7 +39,7 @@ from .jordan import HalfProfile, JordanProfile, jordan_profile
 from .plov import AnalysisReport, analyze, max_minor_degree
 from .powersum import power_sum_brute, power_sum_det
 
-_ENTRY_RE = r"[+-]?[0-9]+(/[0-9]+)?"
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +57,7 @@ def parse_entry(raw, row: int, col: int) -> Fraction:
             f"floating-point entry at {position}; use an integer or 'p/q' string"
         )
     if isinstance(raw, str):
-        import re
-
-        if not re.fullmatch(_ENTRY_RE, raw):
+        if not _ENTRY.fullmatch(raw):
             raise InputFormatError(
                 f"unparseable entry {raw!r} at {position}; expected 'p' or 'p/q'"
             )
@@ -198,27 +199,99 @@ def base_report(command: str, name: Optional[str], matrix: Optional[RatMatrix]):
     return report
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def encode_report(report: dict) -> str:
+    """The text of `json.dumps(report, indent=2, sort_keys=True)`, built
+    as one list of parts joined once.  A value no report holds (a float,
+    a tuple, a non-string key) raises `CrossCheckError`."""
+    parts: list[str] = []
+    put = parts.append
+
+    def enc(v, nl: str) -> None:
+        t = type(v)
+        if t is str:
+            put(_quote(v))
+        elif t is int:
+            put(int.__repr__(v))
+        elif t is dict and v:
+            inner = nl + "  "
+            sep = "{" + inner
+            for key in sorted(v):
+                if type(key) is not str:
+                    raise TypeError(f"key {key!r}")
+                put(sep + _quote(key) + ": ")
+                enc(v[key], inner)
+                sep = "," + inner
+            put(nl + "}")
+        elif t is list and v:
+            inner = nl + "  "
+            if {*map(type, v)} == {int}:
+                put("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]")
+                return
+            sep = "[" + inner
+            for x in v:
+                put(sep)
+                enc(x, inner)
+                sep = "," + inner
+            put(nl + "]")
+        elif t is dict or t is list:
+            put("{}" if t is dict else "[]")
+        elif v is None or t is bool:
+            put("null" if v is None else "true" if v else "false")
+        else:
+            raise TypeError(f"value {v!r} of type {t.__name__}")
+
+    try:
+        enc(report, "\n")
+    except TypeError as exc:  # also keys of mixed types, which do not sort
+        raise CrossCheckError(f"emit: not a report value: {exc}")
+    return "".join(parts)
+
+
+def _write(stream, text: str) -> None:
+    """Write and flush `text` to a standard stream, or raise OSError.
+
+    A stream is None when its descriptor was closed at startup.  After a
+    failed write the descriptor points at the null device: the flush at
+    exit would otherwise fail again on what the stream still buffers."""
+    if stream is None:
+        raise OSError(errno.EBADF, "stream closed at startup")
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        try:
+            fd = stream.fileno()
+        except (OSError, ValueError):  # no descriptor: nothing is flushed at exit
+            raise exc from None
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        raise
+
+
 def emit(report: dict, out_path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = encode_report(report) + "\n"
     try:
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _write(sys.stdout, text)
     except OSError as exc:
-        if not out_path:
-            # the flush at exit would fail again: drop what stdout buffers
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
         raise InputFormatError(f"cannot write report: {exc}")
 
 
 def summary(lines: list[str]) -> None:
-    for line in lines:
-        print(line, file=sys.stderr)
+    """Write advisory lines to stderr: the summary and the one-line error
+    messages.  A failed write is ignored, so the exit code reflects the
+    computation, not the state of stderr."""
+    try:
+        _write(sys.stderr, "".join(line + "\n" for line in lines))
+    except OSError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +499,19 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 by default; bad flags are invalid input,
     # reported on one line like every other error
     def error(self, message):
-        print(f"{self.prog}: error: {message} (see --help)", file=sys.stderr)
+        summary([f"{self.prog}: error: {message} (see --help)"])
         raise SystemExit(1)
+
+    # argparse ignores a failed write of --help or --version and exits 0
+    # with nothing written; like a failed report write, it is exit 1
+    def _print_message(self, message, file=None):
+        if not message:
+            return
+        try:
+            _write(file, message)
+        except OSError as exc:
+            summary([f"error: cannot write output: {exc}"])
+            raise SystemExit(1)
 
 
 def _at_least(low: int):
@@ -445,7 +529,15 @@ def _at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Building reads nothing from argv or the environment, so one instance
+    serves every call of `main`.  `set_defaults(fn=cmd_*)` binds the command
+    functions when the parser is built: replacing `cli.cmd_*` afterwards
+    (say, with monkeypatch) does not change what `main` runs.
+    """
     parser = _Parser(
         prog="plovkit",
         description="Exact dynamical invariants of quasi-unipotent rational matrices.",
@@ -497,13 +589,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.fn(args)
     except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        summary([f"error: {exc}"])
         return 1
     except CrossCheckError as exc:
-        print(f"internal cross-check failure: {exc}", file=sys.stderr)
+        summary([f"internal cross-check failure: {exc}"])
         return 3
     except PlovkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        summary([f"error: {exc}"])
         return 2
 
 

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import plovkit
-from plovkit.cli import enc_matrix, main, parse_input
-from plovkit.errors import InputFormatError
+from plovkit.cli import build_parser, enc_matrix, encode_report, main, parse_input
+from plovkit.errors import CrossCheckError, InputFormatError
 from plovkit.exact import RatMatrix
 
 
@@ -350,15 +350,17 @@ def run_process(args, cwd):
     return run_process_to(subprocess.PIPE, args, cwd)
 
 
-def run_process_to(stdout, args, cwd):
+def run_process_to(stdout, args, cwd, stderr=subprocess.PIPE, close_fd=None):
     """Run the CLI in a fresh interpreter with its stdout on `stdout` (a
-    file, a descriptor or subprocess.PIPE) and its stderr captured."""
+    file, a descriptor or subprocess.PIPE), its stderr on `stderr`, and
+    descriptor `close_fd`, if given, closed before it starts."""
     src = str(Path(plovkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
         [sys.executable, "-m", "plovkit.cli", *args],
-        cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        cwd=cwd, env=env, stdout=stdout, stderr=stderr, text=True,
         timeout=60,
+        preexec_fn=None if close_fd is None else lambda: os.close(close_fd),
     )
 
 
@@ -393,12 +395,79 @@ def test_unwritable_out_path_is_one_line_error(tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_full_stdout_is_one_line_error(tmp_path):
+    # argparse itself swallows a failed write of --version or --help
     path = write_doc(tmp_path, {"matrix": [[1, 1], [0, 1]]})
+    for args, message in [
+        (["analyze", "--input", path], "error: cannot write report: "),
+        (["--version"], "error: cannot write output: "),
+        (["--help"], "error: cannot write output: "),
+    ]:
+        with open("/dev/full", "w") as full:
+            done = run_process_to(full, args, tmp_path)
+        assert_one_line_exit_1(done)
+        assert message in done.stderr
+        assert "Exception ignored" not in done.stderr
+
+
+class _FullStream(io.StringIO):
+    """A stream whose every write fails as on a full device."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, capsys, monkeypatch):
+    # the summary and the one-line error messages are advisory: a failed
+    # write to stderr leaves the report and the exit code as they were
+    path = write_doc(tmp_path, QUAD)
+    expected = json.loads(run_cli(["analyze", "--input", path], capsys)[1])
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    assert main(["analyze", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
+    assert main(["analyze", "--input", str(tmp_path / "missing.json")]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_or_closed_stderr_exits_0(tmp_path):
+    # with descriptor 2 closed Python starts with sys.stderr None, and
+    # print(file=None) would append the summary to the report on stdout
+    args = ["analyze", "--input", write_doc(tmp_path, QUAD)]
+    expected = run_process(args, tmp_path).stdout
+    assert json.loads(expected)["analysis"]["plov"] == 4
     with open("/dev/full", "w") as full:
-        done = run_process_to(full, ["analyze", "--input", path], tmp_path)
-    assert_one_line_exit_1(done)
-    assert "error: cannot write report: " in done.stderr
-    assert "Exception ignored" not in done.stderr
+        on_full = run_process_to(subprocess.PIPE, args, tmp_path, stderr=full)
+    closed = run_process_to(subprocess.PIPE, args, tmp_path, stderr=None, close_fd=2)
+    for done in (on_full, closed):
+        assert done.returncode == 0
+        assert done.stdout == expected
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor in the child")
+def test_closed_stdout_descriptor_is_one_line_error(tmp_path):
+    # descriptor 1 closed at startup leaves sys.stdout None
+    path = write_doc(tmp_path, QUAD)
+    for args in (["analyze", "--input", path], ["--version"]):
+        done = run_process_to(None, args, tmp_path, close_fd=1)
+        assert_one_line_exit_1(done)
+        assert "error: cannot write " in done.stderr
+
+
+def test_one_parser_per_process_carries_no_state(tmp_path, capsys):
+    # the parser is built once; a run with every powersum flag set must not
+    # leak into the next run that leaves them at their defaults
+    assert build_parser() is build_parser()
+    path = write_doc(tmp_path, {"matrix": [[1, 1], [0, 1]]})
+    for args in (
+        ["powersum", "--input", path, "--h", "random", "--seed", "5", "--samples", "3"],
+        ["powersum", "--input", path],
+    ):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert out == run_process(args, tmp_path).stdout
 
 
 def test_closed_stdout_pipe_is_one_line_error(tmp_path):
@@ -642,3 +711,63 @@ def test_float_anywhere_in_the_matrix_exits_1(tmp_path):
         assert f"floating-point entry at row {i + 1}, column {j + 1}" in err.getvalue()
 
     check()
+
+
+def test_encoder_matches_json_dumps():
+    # json.dumps with indent and sorted keys is the oracle for the report
+    # text; booleans inside int lists must miss the flat-int fast path
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    texts = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f') | st.characters())
+    ints = st.integers() | st.integers(-(2**200), 2**200)
+    leaves = (
+        st.none() | st.booleans() | ints | texts | st.lists(ints | st.booleans())
+    )
+    values = st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(texts, inner, max_size=4),
+        max_leaves=20,
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(values)
+    def check(value):
+        assert encode_report(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"x": 0.5},
+        {"x": [1, 2.0]},
+        {"x": (1, 2)},
+        {"x": Fraction(1, 2)},
+        {"x": {1: 2}},
+        {"x": {1: 2, "a": 3}},
+        {"x": {"y": b"z"}},
+    ],
+    ids=["float", "float-in-int-list", "tuple", "fraction", "int-key", "mixed-keys", "bytes"],
+)
+def test_encoder_rejects_what_no_report_holds(value):
+    with pytest.raises(CrossCheckError, match="^emit: "):
+        encode_report(value)
+
+
+def test_non_report_value_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    import plovkit.cli
+
+    real = plovkit.cli.base_report
+
+    def with_float(*args):
+        return {**real(*args), "stray": 0.5}
+
+    monkeypatch.setattr(plovkit.cli, "base_report", with_float)
+    path = write_doc(tmp_path, QUAD)
+    code, out, err = run_cli(["analyze", "--input", path], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("internal cross-check failure: emit: ")
