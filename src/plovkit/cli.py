@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 invalid input, 2 precondition violated,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import json
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .cohomology import TwoForm, nilpotent_chain, plov_via_model, vanishing_scan
-from .cyclotomic import QuasiUnipotencyVerdict, unipotent_power
+from .cyclotomic import QuasiUnipotencyVerdict, require_quasi_unipotent, unipotent_power
 from .errors import (
     CrossCheckError,
     InputFormatError,
@@ -284,6 +285,18 @@ def emit(report: dict, out_path: Optional[str]) -> None:
         raise InputFormatError(f"cannot write report: {exc}")
 
 
+@contextlib.contextmanager
+def _unlimited_digits():
+    """Lift Python's limit on the digits of an int written as text, which
+    guards the parsing of input, while an exact result is reported."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def summary(lines: list[str]) -> None:
     """Write advisory lines to stderr: the summary and the one-line error
     messages.  A failed write is ignored, so the exit code reflects the
@@ -365,30 +378,31 @@ def cmd_powersum(args) -> int:
         h = randgen.random_spd(random.Random(args.seed), k)
         h_desc = f"random (G^T G + I, seed {args.seed})"
     result = power_sum_det(u, h)
-    checks = [
-        {"n": n, "value": enc_frac(brute), "matches": result.poly(n) == brute}
-        for n, brute in enumerate(power_sum_brute(u, h, args.samples), start=1)
-    ]
-    report = base_report("powersum", name, matrix)
-    report["powersum"] = {
-        "unipotent_order": order,
-        "form": h_desc,
-        "form_matrix": enc_matrix(h),
-        "poly": enc_poly(result.poly),
-        "degree": result.degree,
-        "leading_coeff": enc_frac(result.leading_coeff),
-        "profile_degree": result.degree,
-        "brute_force_checks": checks,
-    }
-    emit(report, args.out)
-    all_match = all(c["matches"] for c in checks)
-    summary(
-        [
-            f"power-sum determinant degree {result.degree} "
-            f"(leading coefficient {enc_frac(result.leading_coeff)})",
-            f"brute-force agreement at n = 1..{args.samples}: {all_match}",
+    with _unlimited_digits():
+        checks = [
+            {"n": n, "value": enc_frac(brute), "matches": result.poly(n) == brute}
+            for n, brute in enumerate(power_sum_brute(u, h, args.samples), start=1)
         ]
-    )
+        report = base_report("powersum", name, matrix)
+        report["powersum"] = {
+            "unipotent_order": order,
+            "form": h_desc,
+            "form_matrix": enc_matrix(h),
+            "poly": enc_poly(result.poly),
+            "degree": result.degree,
+            "leading_coeff": enc_frac(result.leading_coeff),
+            "profile_degree": result.degree,
+            "brute_force_checks": checks,
+        }
+        emit(report, args.out)
+        all_match = all(c["matches"] for c in checks)
+        summary(
+            [
+                f"power-sum determinant degree {result.degree} "
+                f"(leading coefficient {enc_frac(result.leading_coeff)})",
+                f"brute-force agreement at n = 1..{args.samples}: {all_match}",
+            ]
+        )
     if not all_match:
         raise CrossCheckError("symbolic power sum disagrees with brute force")
     return 0
@@ -397,7 +411,7 @@ def cmd_powersum(args) -> int:
 def cmd_growth(args) -> int:
     name, matrix = _load(args.input)
     degrees = _parse_degrees(args.degrees, matrix.dimension)
-    order, _ = unipotent_power(matrix)
+    order = require_quasi_unipotent(matrix).order
     sizes = jordan_profile(matrix).unipotent_block_sizes()
     exponents = {r: max_minor_degree(sizes, r) for r in degrees}
     report = base_report("growth", name, matrix)
@@ -434,34 +448,35 @@ def cmd_model(args) -> int:
     chain = nilpotent_chain(u, form)
     model = plov_via_model(u, form, chain)
     scan = vanishing_scan(u, form, chain)
-    report = base_report("model", name, matrix)
-    report["model"] = {
-        "unipotent_order": order,
-        "form": form_desc,
-        "form_coefficients": [
-            {"i": i, "j": j, "value": enc_frac(v)} for (i, j), v in form.items()
-        ],
-        "intersection_poly": enc_poly(model.poly),
-        "degree": model.degree,
-        "profile_plov": model.profile_plov,
-        "matches_profile": model.matches_profile,
-        "vanishing_scan": {
-            "kf": scan.kf,
-            "scanned": [
-                {"tuple": list(t), "value": enc_frac(v)} for t, v in scan.scanned
+    with _unlimited_digits():
+        report = base_report("model", name, matrix)
+        report["model"] = {
+            "unipotent_order": order,
+            "form": form_desc,
+            "form_coefficients": [
+                {"i": i, "j": j, "value": enc_frac(v)} for (i, j), v in form.items()
             ],
-            "violations": [list(t) for t in scan.violations],
-        },
-    }
-    emit(report, args.out)
-    summary(
-        [
-            f"model growth degree {model.degree} "
-            f"(profile value {model.profile_plov}, equality: {model.matches_profile})",
-            f"vanishing scan: {len(scan.scanned)} products above threshold, "
-            f"{len(scan.violations)} violations",
-        ]
-    )
+            "intersection_poly": enc_poly(model.poly),
+            "degree": model.degree,
+            "profile_plov": model.profile_plov,
+            "matches_profile": model.matches_profile,
+            "vanishing_scan": {
+                "kf": scan.kf,
+                "scanned": [
+                    {"tuple": list(t), "value": enc_frac(v)} for t, v in scan.scanned
+                ],
+                "violations": [list(t) for t in scan.violations],
+            },
+        }
+        emit(report, args.out)
+        summary(
+            [
+                f"model growth degree {model.degree} "
+                f"(profile value {model.profile_plov}, equality: {model.matches_profile})",
+                f"vanishing scan: {len(scan.scanned)} products above threshold, "
+                f"{len(scan.violations)} violations",
+            ]
+        )
     return 0
 
 

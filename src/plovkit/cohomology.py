@@ -15,7 +15,10 @@ divisor class
 
     Delta_x = sum_{i=0}^{kf} C(x, i+1) N^i H,   N = pullback2(M, .) - id,
 
-at each integer x >= 0 (`delta_at`).  Its top self-intersection (the
+at each integer x >= 0 (`delta_at`).  The chain [H, N H, N^2 H, ...] is
+`exact.congruence_chain` and the weighted sums come from
+`exact.combiner`, the pair that also builds the symmetric power sum
+S(n) in `powersum`.  The top self-intersection of Delta_x (the
 coefficient of e_1 ^ ... ^ e_2g in the g-fold wedge) is a polynomial in
 x, reported in the variable n, whose degree is the model-side volume
 growth.  For one form w the top coefficient of w^g is g! * Pf(A_w), so
@@ -42,8 +45,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
-from typing import Optional, Sequence
+from math import comb, factorial, prod
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     CrossCheckError,
@@ -53,7 +56,16 @@ from .errors import (
     NotUnipotentError,
     PreconditionError,
 )
-from .exact import RatMatrix, Scalar, UniPoly, _frac, interpolate_checked, mat_mul
+from .exact import (
+    RatMatrix,
+    Scalar,
+    UniPoly,
+    _frac,
+    combiner,
+    congruence_chain,
+    interpolate_checked,
+    mat_mul,
+)
 from .cyclotomic import is_unipotent
 from .jordan import half_profile, pseudo_analytic_check, unipotent_block_profile
 from .plov import plov_of, second_compound_block_sizes
@@ -98,24 +110,6 @@ class TwoForm:
     @staticmethod
     def basis(genus: int, i: int, j: int) -> "TwoForm":
         return TwoForm(genus, {(i, j): 1})
-
-    @staticmethod
-    def combination(forms: Sequence["TwoForm"], weights: Sequence[int]) -> "TwoForm":
-        """sum_i weights[i] * forms[i] over forms of one genus, summed on
-        integer rows over one common denominator."""
-        n = forms[0].matrix.dimension
-        used = [(f.matrix, w) for f, w in zip(forms, weights) if w]
-        den = lcm(*(m.den for m, _ in used))
-        acc = [[0] * n for _ in range(n)]
-        for m, w in used:
-            if m.dimension != n:
-                raise DimensionMismatchError("genus mismatch between 2-forms")
-            c = w * (den // m.den)
-            for arow, row in zip(acc, m.num):
-                for j, x in enumerate(row):
-                    if x:
-                        arow[j] += c * x
-        return TwoForm._of(RatMatrix(tuple(map(tuple, acc)), den))
 
     @staticmethod
     def standard(genus: int) -> "TwoForm":
@@ -170,26 +164,20 @@ def pullback2(m: RatMatrix, form: TwoForm) -> TwoForm:
 
 def nilpotent_chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
     """[H, N H, N^2 H, ...] for N = pullback2(M, .) - id, up to the last
-    nonzero term; finite because the operator is nilpotent for unipotent M."""
+    nonzero term: `exact.congruence_chain` on the skew matrix of H, finite
+    because the operator is nilpotent for unipotent M."""
     if not is_unipotent(m):
         raise NotUnipotentError("the divisor polynomial needs a unipotent matrix")
     if h.is_zero():
         raise DegenerateFormError("the 2-form must be nonzero")
-    chain = [h]
-    bound = h.genus * (2 * h.genus - 1)  # dim of the space of 2-forms
-    while True:
-        nxt = pullback2(m, chain[-1]) - chain[-1]
-        if nxt.is_zero():
-            return chain
-        chain.append(nxt)
-        if len(chain) > bound:
-            raise CrossCheckError("pullback nilpotency bound exceeded")
+    return [TwoForm._of(x) for x in congruence_chain(m, h.matrix)]
 
 
 def delta_at(chain: Sequence[TwoForm], x: int) -> TwoForm:
     """Delta_x = sum_i C(x, i+1) chain[i] at an integer x >= 0; for
     chain = nilpotent_chain(M, H) it equals sum_{m=0}^{x-1} pullback2(M^m, H)."""
-    return TwoForm.combination(chain, [comb(x, i + 1) for i in range(len(chain))])
+    weights = [comb(x, i + 1) for i in range(len(chain))]
+    return TwoForm._of(combiner([f.matrix for f in chain])(weights))
 
 
 def pfaffian(form: TwoForm) -> Fraction:
@@ -241,30 +229,34 @@ def intersection_poly(chain: Sequence[TwoForm]) -> UniPoly:
 
     Every coefficient of Delta_x has degree at most len(chain) = kf + 1 in
     x, so the g-fold wedge has degree at most D = g * len(chain).  It is
-    interpolated from g! * Pf(Delta_x) at x = 0..D, and one extra node
-    re-verifies the interpolation."""
+    interpolated from g! * Pf(Delta_x) at x = 0..D, with every Delta_x
+    from one combiner over the chain, and one extra node re-verifies the
+    interpolation."""
     genus = chain[0].genus
     scale = factorial(genus)
     bound = genus * len(chain)
+    combine = combiner([f.matrix for f in chain])
 
     def top(x: int) -> Fraction:
-        return scale * pfaffian(delta_at(chain, x))
+        weights = [comb(x, i + 1) for i in range(len(chain))]
+        return scale * pfaffian(TwoForm._of(combine(weights)))
 
     return interpolate_checked(top, bound, "intersection_poly")
 
 
 def polarized_wedge(
-    forms: Sequence[TwoForm],
+    combine: Callable[[Sequence[int]], RatMatrix],
     alpha: Sequence[int],
     pfaffians: dict[tuple[int, ...], Fraction],
 ) -> Fraction:
     """Top wedge coefficient of prod_i forms[i]^alpha[i] (|alpha| = g) by
     polarization: the sum over 0 != beta <= alpha of
     (-1)^(g - |beta|) * prod_i C(alpha_i, beta_i) * Pf(sum_i beta_i forms[i]).
-    ``pfaffians`` memoizes Pf by beta, so callers share it across the
+    ``combine`` is `exact.combiner` over the skew matrices of the forms,
+    and ``pfaffians`` memoizes Pf by beta; callers share both across the
     multisets of one family of forms."""
-    g = forms[0].genus
-    if len(alpha) != len(forms) or sum(alpha) != g:
+    g = combine.dimension // 2
+    if len(alpha) != combine.count or sum(alpha) != g:
         raise DimensionMismatchError(f"need one count per form, summing to g = {g}")
     total = Fraction(0)
     for beta in itertools.product(*(range(a + 1) for a in alpha)):
@@ -273,7 +265,7 @@ def polarized_wedge(
             continue
         pf = pfaffians.get(beta)
         if pf is None:
-            pf = pfaffians[beta] = pfaffian(TwoForm.combination(forms, beta))
+            pf = pfaffians[beta] = pfaffian(TwoForm._of(combine(beta)))
         if pf:
             term = prod(comb(a, b) for a, b in zip(alpha, beta)) * pf
             total += term if (g - size) % 2 == 0 else -term
@@ -364,9 +356,11 @@ def vanishing_scan(
 def _scan(chain: Sequence[TwoForm]) -> VanishingScanReport:
     """The scan over the products of any family of forms of one genus, in
     the role of the chain.  Each multiset of indices is evaluated once, by
-    `polarized_wedge` over Pfaffians shared within the scan."""
+    `polarized_wedge` over one combiner and Pfaffians shared within the
+    scan."""
     kf = len(chain) - 1
     g = chain[0].genus
+    combine = combiner([f.matrix for f in chain])
     pfaffians: dict[tuple[int, ...], Fraction] = {}
     values: dict[tuple[int, ...], Fraction] = {}
     scanned = []
@@ -380,7 +374,7 @@ def _scan(chain: Sequence[TwoForm]) -> VanishingScanReport:
             alpha = [0] * (kf + 1)
             for i in combo:
                 alpha[i] += 1
-            value = values[key] = polarized_wedge(chain, alpha, pfaffians)
+            value = values[key] = polarized_wedge(combine, alpha, pfaffians)
         scanned.append((combo, value))
         if value != 0:
             violations.append(combo)

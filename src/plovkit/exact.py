@@ -15,6 +15,9 @@ of the library:
     a cached read-only view of the same matrix as rows of `Fraction`s,
     read by the report encoder (`cli.enc_matrix`), by `randgen` and by
     the oracles in `selfcheck`, never by the kernel,
+  * sums of pullbacks, the symmetric S(n) of `powersum` and the
+    alternating Delta_n of `cohomology`: `congruence_chain`, the D^i X
+    of D X = M X M^T - X, weighted by one `combiner`,
   * one fraction-free (Bareiss) row echelon routine on the integer rows,
     which gives both the exact determinant, det(num) / den^K, and the
     exact rank, rank(num),
@@ -426,6 +429,53 @@ def mat_pow(a: RatMatrix, e: int) -> RatMatrix:
             base = mat_mul(base, base)
         e >>= 1
     return result
+
+
+def congruence_chain(m: RatMatrix, x: RatMatrix) -> list[RatMatrix]:
+    """[X, D X, D^2 X, ...] for D X = M X M^T - X, up to the last nonzero
+    term, so that sum_{j<n} M^j X (M^j)^T = sum_i C(n, i + 1) D^i X.  For
+    unipotent M = I + N, D = (1 + L)(1 + R) - 1 with the commuting
+    L X = N X and R X = X N^T, so D^(2K - 1) = 0; else CrossCheckError."""
+    mt = m.transpose()
+    chain = [x]
+    for _ in range(2 * m.dimension - 1):
+        nxt = mat_mul(mat_mul(m, chain[-1]), mt) - chain[-1]
+        if not any(map(any, nxt.num)):
+            return chain
+        chain.append(nxt)
+    raise CrossCheckError(
+        f"congruence_chain: D^(2K - 1) X is nonzero at dimension K = {m.dimension}"
+    )
+
+
+def combiner(mats: Sequence[RatMatrix]) -> Callable[[Sequence[int]], RatMatrix]:
+    """The map from integer weights w, one per matrix, to sum_i w_i mats[i].
+    The nonzero entries are put over one common denominator once, and a
+    call adds up the entries of the matrices with a nonzero weight.  The
+    map carries ``count`` and ``dimension``; mixed dimensions, or weights
+    of another length, raise DimensionMismatchError."""
+    dims = {m.dimension for m in mats}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"combiner: dimensions {sorted(dims)}")
+    (k,) = dims
+    den = lcm(*(m.den for m in mats))
+    terms = [
+        [(i, v * (den // m.den)) for i, v in enumerate(itertools.chain(*m.num)) if v]
+        for m in mats
+    ]
+
+    def combine(weights: Sequence[int]) -> RatMatrix:
+        if len(weights) != len(terms):
+            raise DimensionMismatchError(f"combiner: {len(weights)} weights")
+        acc = [0] * (k * k)
+        for w, term in zip(weights, terms):
+            if w:
+                for i, v in term:
+                    acc[i] += w * v
+        return RatMatrix(tuple(tuple(acc[r : r + k]) for r in range(0, k * k, k)), den)
+
+    combine.count, combine.dimension = len(mats), k
+    return combine
 
 
 def _echelon(num: Sequence[Sequence[int]]) -> tuple[int, int]:

@@ -9,23 +9,23 @@ similarity.  The leading coefficient for a single block of size k is
 disguise; both closed forms are oracles in `selfcheck`
 (`single_block_leading_coeff`, `hilbert_det`).
 
-With N = A - I, A^m = sum_i C(m, i) N^i, and C(m, i) C(m, j) =
-sum_s C(s, i) C(i, s - j) C(m, s); summing C(m, s) over m < n gives
-C(n, s + 1).  So S(n) = sum_s C(n, s + 1) B_s with constant matrices
-B_s = sum_{i,j} C(s, i) C(i, s - j) (N^i)^T H N^j, and P(n) is
-interpolated from exact determinants of S at integer nodes.
+With D X = A^T X A - X, sum_{m<n} (A^m)^T X A^m = sum_s C(n, s + 1) D^s X
+for every X, so S(n) = sum_s C(n, s + 1) B_s with the constant matrices
+B_s = D^s H of `exact.congruence_chain` (on A^T), and P(n) is
+interpolated from exact determinants of S at integer nodes, with S
+evaluated by one `exact.combiner`.
 
 Hermitian forms are restricted to rational symmetric positive definite
 matrices so that all arithmetic stays in Q; the degree law is insensitive
 to this restriction.  `power_sum_brute` keeps a literal-summation oracle
-alongside the binomial route.
+alongside the chain route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .errors import (
     CrossCheckError,
@@ -37,6 +37,8 @@ from .errors import (
 from .exact import (
     RatMatrix,
     UniPoly,
+    combiner,
+    congruence_chain,
     det_exact,
     det_poly,
     mat_mul,
@@ -70,71 +72,30 @@ class PowerSumResult:
     leading_coeff: Fraction
 
 
-def _nilpotent_powers(a: RatMatrix) -> list[RatMatrix]:
-    """[I, N, N^2, ...] for N = A - I, up to the last nonzero power; the
-    caller has checked that A is unipotent, so N is nilpotent."""
-    k = a.dimension
-    nil = a - RatMatrix.identity(k)
-    powers = [RatMatrix.identity(k)]
-    current = nil
-    while any(map(any, current.num)):
-        powers.append(current)
-        current = mat_mul(current, nil)
-    return powers
-
-
 def power_sum_matrix(a: RatMatrix, h: RatMatrix) -> list[RatMatrix]:
-    """The constant matrices [B_0, ..., B_{2L-2}] with
+    """The constant matrices [B_0, B_1, ...] with
     S(x) = sum_j C(x, j + 1) B_j = sum_{m=0}^{x-1} (A^m)^T H A^m at every
-    integer x >= 0, where L is the number of powers of N = A - I up to the
-    last nonzero one.
-
-    B_s = sum over max(i, j) <= s <= i + j of C(s, i) C(i, s - j) T_ij with
-    T_ij = (N^i)^T H N^j; the sums skip zero entries and run on the integer
-    rows over one common denominator, D^2 * den(H) with D the lcm of the
-    denominators of the powers of N.
+    integer x >= 0: B_s = D^s H for D X = A^T X A - X, up to the last
+    nonzero one.
     """
     if a.dimension != h.dimension:
         raise DimensionMismatchError("matrix and form dimensions differ")
     if not is_unipotent(a):
         raise NotUnipotentError("power sums require a unipotent matrix")
     ensure_spd(h)
-    k = a.dimension
-    powers = _nilpotent_powers(a)
-    den = lcm(*(p.den for p in powers)) ** 2 * h.den
-    sums = [[0] * (k * k) for _ in range(2 * len(powers) - 1)]
-    for i, ni in enumerate(powers):
-        left = mat_mul(ni.transpose(), h)
-        for j, nj in enumerate(powers):
-            t = mat_mul(left, nj)
-            f = den // t.den
-            term = [
-                (row * k + col, f * c)
-                for row, line in enumerate(t.num)
-                for col, c in enumerate(line)
-                if c
-            ]
-            for s in range(max(i, j), i + j + 1):
-                weight = comb(s, i) * comb(i, s - j)
-                acc = sums[s]
-                for idx, c in term:
-                    acc[idx] += weight * c
-    return [
-        RatMatrix(tuple(tuple(flat[r * k : (r + 1) * k]) for r in range(k)), den)
-        for flat in sums
-    ]
+    return congruence_chain(a.transpose(), h)
 
 
 def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     """det S(n) with the degree law re-verified at runtime.
 
-    S(x) is evaluated from the B_j of `power_sum_matrix`; row r of S has
-    degree at most max{j + 1 : row r of B_j is nonzero}, and the sum of
-    these row degrees bounds the degree of the determinant.  The degree
-    must equal sum k_i^2 over the Jordan blocks of A, read by
-    `unipotent_block_profile` since A is already known to be unipotent; a
-    mismatch can only come from an arithmetic bug and raises
-    CrossCheckError.
+    S(x) is evaluated from the B_j of `power_sum_matrix` by one combiner;
+    row r of S has degree at most max{j + 1 : row r of B_j is nonzero},
+    and the sum of these row degrees bounds the degree of the
+    determinant.  The degree must equal sum k_i^2 over the Jordan blocks
+    of A, read by `unipotent_block_profile` since A is already known to
+    be unipotent; a mismatch can only come from an arithmetic bug and
+    raises CrossCheckError.
     """
     bs = power_sum_matrix(a, h)
     k = a.dimension
@@ -142,32 +103,10 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
         max((j + 1 for j, b in enumerate(bs) if any(b.num[r])), default=0)
         for r in range(k)
     )
-    # scale * B_j as lists of nonzero (flat index, int) entries
-    scale = lcm(*(b.den for b in bs))
-    terms = [
-        [
-            (r * k + col, c * (scale // b.den))
-            for r, line in enumerate(b.num)
-            for col, c in enumerate(line)
-            if c
-        ]
-        for b in bs
-    ]
-
-    def s_at(x: int) -> RatMatrix:
-        acc = [0] * (k * k)
-        weight = 1  # C(x, j) before the update, C(x, j + 1) after it
-        for j, term in enumerate(terms):
-            weight = weight * (x - j) // (j + 1)
-            if not weight:
-                break
-            for idx, c in term:
-                acc[idx] += weight * c
-        return RatMatrix(
-            tuple(tuple(acc[r * k : (r + 1) * k]) for r in range(k)), scale
-        )
-
-    poly = det_poly(s_at, bound)
+    combine = combiner(bs)
+    poly = det_poly(
+        lambda x: combine([comb(x, j + 1) for j in range(len(bs))]), bound
+    )
     profile = unipotent_block_profile(a)
     degree = sum(m * size * size for _, size, m in profile.entries)
     if poly.degree() != degree:

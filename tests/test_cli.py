@@ -209,6 +209,29 @@ def test_growth_builds_the_profile_once(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["growth"]["exponents"] == {"1": 1, "2": 2, "3": 1, "4": 0}
 
 
+def test_growth_reads_the_order_without_the_unipotent_power(
+    tmp_path, capsys, monkeypatch
+):
+    import plovkit.cli
+    import plovkit.cyclotomic
+
+    calls = []
+    real = plovkit.cyclotomic.unipotent_power
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(plovkit.cli, "unipotent_power", counting)
+    monkeypatch.setattr(plovkit.cyclotomic, "unipotent_power", counting)
+    order_six = [[0, -1, 0, 0], [1, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 1]]
+    path = write_doc(tmp_path, {"matrix": order_six})
+    code, out, _ = run_cli(["growth", "--input", path, "--degrees", "1,2"], capsys)
+    assert code == 0
+    assert calls == []
+    assert json.loads(out)["growth"]["unipotent_order"] == 6
+
+
 def test_model_builds_the_chain_once(tmp_path, capsys, monkeypatch):
     import plovkit.cli
     import plovkit.cohomology
@@ -541,6 +564,35 @@ def test_undecodable_json_is_one_line_error(tmp_path, text):
     done = run_process(["analyze", "--input", str(path)], tmp_path)
     assert_one_line_exit_1(done)
     assert "unreadable JSON" in done.stderr
+
+
+def test_report_numbers_past_the_digit_limit_are_written(tmp_path, capsys):
+    # a valid 3,000-digit entry whose power-sum determinant has a leading
+    # coefficient of 6,000 digits; the limit still guards the input above
+    big = 10**3000 - 1
+    path = write_doc(tmp_path, {"matrix": [[1, big], [0, 1]]})
+    args = ["powersum", "--input", path, "--samples", "1"]
+    done = run_process(args, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    limit = sys.get_int_max_str_digits()
+    assert main(args) == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert capsys.readouterr().out == done.stdout
+    sys.set_int_max_str_digits(0)
+    try:
+        report = json.loads(done.stdout)["powersum"]
+        assert Fraction(report["leading_coeff"]) == Fraction(big**2, 12)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert report["brute_force_checks"][0]["matches"] is True
+    # the intersection polynomial of J + J with a 2,500-digit link
+    big = 10**2500 - 1
+    quad = [[1, big, 0, 0], [0, 1, 0, 0], [0, 0, 1, big], [0, 0, 0, 1]]
+    path = write_doc(tmp_path, {"matrix": quad})
+    done = run_process(["model", "--input", path], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_parse_input_is_total_on_arbitrary_input():

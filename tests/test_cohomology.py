@@ -39,6 +39,7 @@ from plovkit.errors import (
     PreconditionError,
 )
 from plovkit.cohomology import _scan, nilpotent_chain, polarized_wedge
+from plovkit.exact import combiner
 from plovkit.plov import second_compound_block_sizes
 from plovkit.randgen import random_paired_unipotent, randgen_two_form
 from plovkit.selfcheck import literal_scan, wedge_coefficient
@@ -142,12 +143,12 @@ def test_two_form_compares_and_hashes_by_value():
         g = rng.randint(1, 3)
         h, w = random_rational_form(rng, g), randgen_two_form(rng, g)
         x = rng.randint(-3, 5)
-        combined = TwoForm.combination([h, w, h], [x - 1, 0, 1])
-        assert combined == x * h == h * x
-        assert hash(combined) == hash(x * h)
-        assert len({combined, x * h, h * x}) == 1
-        assert TwoForm.combination([h, w], [2, -1]) == h + h - w
-        assert TwoForm.combination([h, w], [0, 0]).is_zero()
+        combined = combiner([h.matrix, w.matrix, h.matrix])([x - 1, 0, 1])
+        assert combined == (x * h).matrix == (h * x).matrix
+        assert hash(combined) == hash((x * h).matrix)
+        assert len({combined, (x * h).matrix, (h * x).matrix}) == 1
+        assert combiner([h.matrix, w.matrix])([2, -1]) == (h + h - w).matrix
+        assert combiner([h.matrix, w.matrix])([0, 0]) == TwoForm(g).matrix
         # items() lists the nonzero coefficients in lexicographic order
         items = h.items()
         assert [p for p, _ in items] == sorted(p for p, _ in items)
@@ -342,11 +343,12 @@ def test_intersection_delta_self_wedge_closed_form():
 
 
 def test_intersection_poly_verification_node(monkeypatch):
-    # values that no polynomial of degree <= D takes at 0..D+1 must raise
+    # values that no polynomial of degree <= D takes at 0..D+1 must raise;
+    # on this chain Delta_x = x * e1^e2, so the fake Pfaffian is 2^x
     import plovkit.cohomology as cohomology
 
     monkeypatch.setattr(
-        cohomology, "delta_at", lambda chain, x: 2**x * TwoForm.basis(1, 1, 2)
+        cohomology, "pfaffian", lambda form: Fraction(2 ** int(form.coefficient(1, 2)))
     )
     chain = nilpotent_chain(RatMatrix.identity(2), TwoForm.basis(1, 1, 2))
     with pytest.raises(CrossCheckError, match="intersection_poly"):
@@ -541,10 +543,11 @@ def test_polarized_wedge_matches_literal_wedge():
     nonzero = total = 0
     for g in range(2, 6):
         forms = [dense_rational_form(rng, g) for _ in range(3)]
+        combine = combiner([f.matrix for f in forms])
         pfaffians = {}
         for multiset in itertools.combinations_with_replacement(range(3), g):
             alpha = [multiset.count(i) for i in range(3)]
-            value = polarized_wedge(forms, alpha, pfaffians)
+            value = polarized_wedge(combine, alpha, pfaffians)
             assert value == wedge_coefficient([forms[i] for i in multiset])
             nonzero += value != 0
             total += 1
@@ -553,10 +556,11 @@ def test_polarized_wedge_matches_literal_wedge():
 
 def test_polarized_wedge_arity_checks():
     w = TwoForm.standard(2)
+    combine = combiner([w.matrix, w.matrix])
     with pytest.raises(DimensionMismatchError):
-        polarized_wedge([w, w], [1, 0], {})
+        polarized_wedge(combine, [1, 0], {})
     with pytest.raises(DimensionMismatchError):
-        polarized_wedge([w, w], [2], {})
+        polarized_wedge(combine, [2], {})
 
 
 def test_scan_matches_literal_ordered_scan():

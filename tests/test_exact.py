@@ -9,7 +9,7 @@ characteristic polynomials, and reduced-echelon kernels for rank-nullity.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -731,6 +731,70 @@ def test_storage_is_canonical():
         c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
         for m in (a, b, mat_mul(a, b), a + b, a - b, a - a, a * c, c * b):
             assert_canonical(m)
+
+
+def test_congruence_chain_and_combiner_sum_pullbacks():
+    # sum_{j<n} M^j X (M^j)^T, summed literally, against the chain weighted
+    # by C(n, i + 1); rational unipotent M and rational X
+    rng = random.Random(820)
+    for _ in range(40):
+        k = rng.randint(1, 6)
+        upper = [[int(i == j) for j in range(k)] for i in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                upper[i][j] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        m = conjugate(RatMatrix.from_rows(upper), random_unimodular(rng, k))
+        x = RatMatrix.from_rows(mixed_rows(rng, k))
+        chain = exact.congruence_chain(m, x)
+        assert chain[0] == x and 1 <= len(chain) <= 2 * k - 1
+        combine = exact.combiner(chain)
+        literal, power = RatMatrix.zero(k), RatMatrix.identity(k)
+        for n in range(6):
+            assert combine([comb(n, i + 1) for i in range(len(chain))]) == literal
+            literal = literal + mat_mul(mat_mul(power, x), power.transpose())
+            power = mat_mul(power, m)
+
+
+def test_congruence_chain_raises_past_the_nilpotency_bound():
+    for k in (1, 2, 3):
+        two = RatMatrix.identity(k) * 2
+        with pytest.raises(CrossCheckError, match=f"congruence_chain.*K = {k}"):
+            exact.congruence_chain(two, RatMatrix.identity(k))
+
+
+def test_combiner_rejects_mixed_dimensions_and_wrong_weight_lengths():
+    with pytest.raises(DimensionMismatchError):
+        exact.combiner([RatMatrix.identity(2), RatMatrix.identity(3)])
+    with pytest.raises(DimensionMismatchError):
+        exact.combiner([])
+    combine = exact.combiner([RatMatrix.identity(2), RatMatrix.zero(2)])
+    for weights in ([1], [1, 2, 3], []):
+        with pytest.raises(DimensionMismatchError):
+            combine(weights)
+
+
+def test_combiner_is_canonical_over_mixed_denominators():
+    rng = random.Random(830)
+    for _ in range(30):
+        k = rng.randint(1, 5)
+        mats = [RatMatrix.from_rows(mixed_rows(rng, k)) for _ in range(3)]
+        mats.append(mats[0] * Fraction(1, rng.randint(2, 9)))
+        combine = exact.combiner(mats)
+        assert (combine.count, combine.dimension) == (len(mats), k)
+        weights = [rng.randint(-3, 3) for _ in mats]
+        expected = RatMatrix.zero(k)
+        for w, m in zip(weights, mats):
+            expected = expected + m * w
+        total = combine(weights)
+        assert total == expected
+        assert_canonical(total)
+        zero = combine([0] * len(mats))
+        assert zero == RatMatrix.zero(k) and zero.den == 1
+    # weights that cancel, or that clear the common denominator, give den 1
+    half = RatMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(1, 6)]])
+    assert exact.combiner([half, half * 2])([2, -1]) == RatMatrix.zero(2)
+    cleared = exact.combiner([half, half * 3])([6, 0])
+    assert (cleared.num, cleared.den) == (((3, 2), (0, 1)), 1)
 
 
 def test_verdict_cache_hits_across_constructions():

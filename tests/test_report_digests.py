@@ -95,6 +95,16 @@ def _cases() -> list[tuple[str, object, list[str]]]:
                 ["model", "--form", "random", "--seed", str(i)],
             )
         )
+    # the dimensions the powersum benchmark reaches: conjugated inputs of
+    # dimension 6-8 and the single block [8]
+    for i, dim in enumerate((6, 7, 8), start=5):
+        m, _ = randgen.random_unipotent(rng, dim)
+        argv = ["powersum"]
+        if dim % 2 == 0:
+            argv += ["--h", "random", "--seed", str(i)]
+        cases.append((f"powersum-conj-{i:02d}-d{dim}", m, argv))
+    block = randgen.unipotent_from_sizes([8])
+    cases.append(("powersum-block-08-d8", block, ["powersum"]))
     return cases
 
 

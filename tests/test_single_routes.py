@@ -1,10 +1,12 @@
-"""Two jobs keep one route each in `src/plovkit`, checked on its source.
+"""Three jobs keep one route each in `src/plovkit`, checked on its source.
 
 A negative quasi-unipotency verdict becomes `NotQuasiUnipotentError` in
 one place, `cyclotomic.require_quasi_unipotent`, which every caller goes
 through.  Polynomials are rebuilt from exact values only through
 `exact.interpolate_checked`, which re-verifies them at one more node, so
-no module but `exact` references the private `_interpolate`.
+no module but `exact` references the private `_interpolate`.  Both sums
+of pullbacks, S(n) in `powersum` and Delta_n in `cohomology`, are built
+from `exact.congruence_chain` and `exact.combiner`.
 """
 
 import ast
@@ -56,3 +58,29 @@ def test_only_exact_references_the_raw_interpolation():
         if references(node, "_interpolate")
     }
     assert users == {"exact.py"}
+
+
+def test_sums_of_pullbacks_share_one_chain_and_one_combiner():
+    trees = dict(parsed_sources())
+    functions = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_nilpotent_powers" not in functions
+    two_form = next(
+        node
+        for node in ast.walk(trees["cohomology.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "TwoForm"
+    )
+    methods = {node.name for node in two_form.body if isinstance(node, ast.FunctionDef)}
+    assert "combination" not in methods
+    for module in ("powersum.py", "cohomology.py"):
+        imported = {
+            alias.name
+            for node in ast.walk(trees[module])
+            if isinstance(node, ast.ImportFrom) and node.module == "exact"
+            for alias in node.names
+        }
+        assert {"congruence_chain", "combiner"} <= imported, module
