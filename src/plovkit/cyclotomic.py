@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import lcm, log10
 from typing import Optional
 
 from .errors import CrossCheckError, NotQuasiUnipotentError, PreconditionError
@@ -149,9 +149,11 @@ def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
     immediate negative with the characteristic polynomial as residual.
     An integral one is stripped on integer coefficient lists; every Phi_n
     is monic, so each division is exact in Z.  The minimality of the
-    returned order (the lcm of the cyclotomic indices present) is
-    re-verified on maximal proper divisors as cheap insurance against
-    arithmetic bugs.
+    returned order N (the lcm of the cyclotomic indices present) is
+    checked on P = M^(N/q) for each prime q dividing N: a unipotent K x K
+    matrix has trace K, so tr P != K proves P is not unipotent at the cost
+    of one power and one trace.  Only when tr P = K does `is_unipotent`
+    decide, and a unipotent P raises CrossCheckError.
     """
     char = char_poly(m)
     if not char.is_integral():
@@ -172,7 +174,8 @@ def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
         return QuasiUnipotencyVerdict(False, residual=UniPoly.from_coeffs(p, "t"))
     order = lcm(*(n for n, _ in factors))
     for q in _prime_factors(order):
-        if is_unipotent(mat_pow(m, order // q)):
+        power = mat_pow(m, order // q)
+        if power.trace() == m.dimension and is_unipotent(power):
             raise CrossCheckError(
                 "order minimality check failed: a proper divisor already works"
             )
@@ -189,9 +192,21 @@ def require_quasi_unipotent(m: RatMatrix) -> QuasiUnipotencyVerdict:
     verdict = quasi_unipotency(m)
     if not verdict.is_quasi_unipotent:
         raise NotQuasiUnipotentError(
-            f"matrix is not quasi-unipotent; residual factor {verdict.residual}"
+            f"matrix is not quasi-unipotent; residual factor {_name(verdict.residual)}"
         )
     return verdict
+
+
+def _name(p: UniPoly) -> str:
+    """str(p), or, when a coefficient is past the int-to-str digit limit,
+    p's degree and the digit count of its largest numerator or denominator."""
+    try:
+        return str(p)
+    except ValueError:
+        big = max(max(abs(c.numerator), c.denominator) for c in p.coeffs)
+        e = int(log10(big))  # off by at most one; the comparisons settle it
+        digits = e + (big >= 10**e) + (big >= 10 ** (e + 1))
+        return f"of degree {p.degree()} with coefficients of up to {digits} digits"
 
 
 def unipotent_power(m: RatMatrix) -> tuple[int, RatMatrix]:

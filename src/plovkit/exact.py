@@ -416,18 +416,21 @@ def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 
 def mat_pow(a: RatMatrix, e: int) -> RatMatrix:
-    """a**e by binary exponentiation; a**0 is the identity."""
+    """a**e by binary exponentiation; a**0 is the identity.  The result
+    starts from a power of a, never from I, so a**e costs
+    e.bit_length() + popcount(e) - 2 products."""
     if e < 0:
         raise PreconditionError("negative matrix power")
-    result = RatMatrix.identity(a.dimension)
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base_needed = e > 1
-        if base_needed:
-            base = mat_mul(base, base)
+    if e == 0:
+        return RatMatrix.identity(a.dimension)
+    while not e & 1:
+        a = mat_mul(a, a)
         e >>= 1
+    result = a
+    while e := e >> 1:
+        a = mat_mul(a, a)
+        if e & 1:
+            result = mat_mul(result, a)
     return result
 
 

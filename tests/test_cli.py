@@ -595,6 +595,25 @@ def test_report_numbers_past_the_digit_limit_are_written(tmp_path, capsys):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["powersum"], ["growth", "--degrees", "1"], ["model"]],
+    ids=["analyze", "powersum", "growth", "model"],
+)
+def test_residual_past_the_digit_limit_is_one_line_exit_2(tmp_path, command):
+    # valid 2,501-digit entries; the residual (t - 10^2500)^2 has a
+    # 5,001-digit constant term, too long for str under the default limit
+    big = 10**2500
+    path = write_doc(tmp_path, {"matrix": [[big, 0], [0, big]]})
+    done = run_process([*command, "--input", path], tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: matrix is not quasi-unipotent; residual factor of degree 2"
+        " with coefficients of up to 5001 digits\n"
+    )
+
+
 def test_parse_input_is_total_on_arbitrary_input():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

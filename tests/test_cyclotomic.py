@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -19,7 +20,12 @@ from plovkit import (
 import plovkit.cyclotomic as cyclotomic
 from plovkit.cyclotomic import VERDICT_CACHE_SIZE, _divide_monic
 from plovkit.errors import CrossCheckError, NotQuasiUnipotentError
-from plovkit.randgen import random_mixed_matrix
+from plovkit.randgen import (
+    conjugate,
+    random_mixed_matrix,
+    random_quasi_unipotent,
+    random_unimodular,
+)
 from plovkit.selfcheck import compound_matrix
 
 
@@ -227,3 +233,73 @@ def test_verdict_cache_is_bounded():
 def test_verdict_cache_serves_repeats():
     m = RatMatrix.from_rows([[0, -1], [1, 0]])
     assert quasi_unipotency(m) is quasi_unipotency(m)
+
+
+def test_order_minimality_failure_goes_through_is_unipotent(monkeypatch):
+    # an order twice the true one: M^(order/2) is unipotent, so its trace is
+    # K and the witness defers to is_unipotent, which must raise
+    block = RatMatrix.block_diag(
+        RatMatrix.companion(cyclotomic_poly(3)),
+        RatMatrix.companion(cyclotomic_poly(4)),
+        RatMatrix.jordan_block(1, 2),
+    )
+    m = conjugate(block, random_unimodular(random.Random(15), 6))
+    calls = []
+    real_is_unipotent = cyclotomic.is_unipotent
+    monkeypatch.setattr(
+        cyclotomic, "is_unipotent", lambda p: calls.append(p) or real_is_unipotent(p)
+    )
+    monkeypatch.setattr(cyclotomic, "lcm", lambda *ns: 2 * lcm(*ns))
+    quasi_unipotency.cache_clear()
+    with pytest.raises(
+        CrossCheckError,
+        match="^order minimality check failed: a proper divisor already works$",
+    ):
+        quasi_unipotency(m)
+    assert calls == [mat_pow(m, 12)]
+    quasi_unipotency.cache_clear()
+
+
+def test_order_minimality_check_costs_one_power_per_prime(monkeypatch):
+    # a conjugated dimension-18 matrix of order 12 = 2^2 * 3: two powers,
+    # M^6 and M^4, and the trace rules both out without is_unipotent
+    block = RatMatrix.block_diag(
+        RatMatrix.companion(cyclotomic_poly(12)),
+        RatMatrix.companion(cyclotomic_poly(4)),
+        RatMatrix.companion(cyclotomic_poly(3)),
+        RatMatrix.companion(cyclotomic_poly(6)),
+        RatMatrix.jordan_block(-1, 3),
+        RatMatrix.jordan_block(1, 5),
+    )
+    m = conjugate(block, random_unimodular(random.Random(12), 18))
+    counts = {"is_unipotent": 0, "mat_pow": 0}
+    for name in counts:
+        real = getattr(cyclotomic, name)
+
+        def counted(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cyclotomic, name, counted)
+    quasi_unipotency.cache_clear()
+    verdict = quasi_unipotency(m)
+    assert verdict.order == 12 and m.dimension == 18
+    assert counts == {"is_unipotent": 0, "mat_pow": 2}
+
+
+def test_trace_witness_agrees_with_is_unipotent():
+    # soundness needs only "unipotent => trace K"; the converse holds for
+    # quasi-unipotent matrices (roots of unity summing to K are all 1), and
+    # it is what lets the fallback stay unused on correct orders
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(200):
+        m = random_quasi_unipotent(rng, rng.randint(1, 8))
+        k, order = m.dimension, quasi_unipotency(m).order
+        for e in range(1, 2 * order + 1):
+            if 2 * order % e == 0:
+                p = mat_pow(m, e)
+                unipotent = is_unipotent(p)
+                assert (p.trace() == k) == unipotent, (m, e)
+                seen.add(unipotent)
+    assert seen == {True, False}

@@ -670,6 +670,23 @@ def test_kernel_matches_fraction_references():
             assert p(x) == frac_det(shifted)
 
 
+def test_mat_pow_product_count(monkeypatch):
+    # the result starts from a power of the base, not from I: squarings for
+    # every bit below the top, one product for every set bit past the first
+    a_rows = [[Fraction(1, 2), 1, 0], [0, 1, Fraction(-2, 3)], [1, 0, 1]]
+    a = RatMatrix.from_rows(a_rows)
+    calls = []
+    real_mul = exact.mat_mul
+    monkeypatch.setattr(exact, "mat_mul", lambda x, y: calls.append(1) or real_mul(x, y))
+    assert mat_pow(a, 0) == RatMatrix.identity(3) and not calls
+    power = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    for e in range(1, 41):
+        power = frac_mul(power, a_rows)
+        calls.clear()
+        assert mat_pow(a, e) == RatMatrix.from_rows(power)
+        assert len(calls) == e.bit_length() + e.bit_count() - 2, e
+
+
 def frac_is_unipotent(rows):
     k = len(rows)
     nil = [[c - (i == j) for j, c in enumerate(row)] for i, row in enumerate(rows)]
