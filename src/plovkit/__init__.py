@@ -65,7 +65,6 @@ from .powersum import (
     ensure_spd,
     power_sum_brute,
     power_sum_det,
-    power_sum_matrix,
 )
 from .cohomology import (
     ModelGrowthResult,
@@ -76,6 +75,7 @@ from .cohomology import (
     pfaffian,
     plov_via_model,
     pullback2,
+    scan_chain,
     vanishing_scan,
 )
 

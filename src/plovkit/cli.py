@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .cohomology import TwoForm, nilpotent_chain, plov_via_model, vanishing_scan
+from .cohomology import TwoForm, plov_via_model, scan_chain
 from .cyclotomic import QuasiUnipotencyVerdict, require_quasi_unipotent, unipotent_power
 from .errors import (
     CrossCheckError,
@@ -445,9 +445,8 @@ def cmd_model(args) -> int:
 
         form = randgen.randgen_two_form(random.Random(args.seed), genus)
         form_desc = f"random (seed {args.seed})"
-    chain = nilpotent_chain(u, form)
-    model = plov_via_model(u, form, chain)
-    scan = vanishing_scan(u, form, chain)
+    model = plov_via_model(u, form)
+    scan = scan_chain(model.chain)
     with _unlimited_digits():
         report = base_report("model", name, matrix)
         report["model"] = {

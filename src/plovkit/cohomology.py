@@ -18,12 +18,14 @@ divisor class
 at each integer x >= 0 (`delta_at`).  The chain [H, N H, N^2 H, ...] is
 `exact.congruence_chain` and the weighted sums come from
 `exact.combiner`, the pair that also builds the symmetric power sum
-S(n) in `powersum`.  The top self-intersection of Delta_x (the
-coefficient of e_1 ^ ... ^ e_2g in the g-fold wedge) is a polynomial in
-x, reported in the variable n, whose degree is the model-side volume
-growth.  For one form w the top coefficient of w^g is g! * Pf(A_w), so
-`intersection_poly` evaluates that at the nodes x = 0..D and
-interpolates.
+S(n) in `powersum`.  M is proved unipotent once per entry point, by
+the rank sequence of `jordan.unipotent_block_profile`; `plov_via_model`
+returns its chain for `scan_chain` to reuse.  The top self-intersection
+of Delta_x (the coefficient of e_1 ^ ... ^ e_2g in the g-fold wedge) is
+a polynomial in x, reported in the variable n, whose degree is the
+model-side volume growth.  For one form w the top coefficient of w^g is
+g! * Pf(A_w), so `intersection_poly` evaluates that at the nodes
+x = 0..D and interpolates.
 
 The vanishing scan needs mixed products of chain forms.  2-forms
 commute, so such a product depends only on the multiset alpha of its
@@ -52,8 +54,6 @@ from .errors import (
     CrossCheckError,
     DegenerateFormError,
     DimensionMismatchError,
-    NotPseudoAnalyticError,
-    NotUnipotentError,
     PreconditionError,
 )
 from .exact import (
@@ -66,8 +66,7 @@ from .exact import (
     interpolate_checked,
     mat_mul,
 )
-from .cyclotomic import is_unipotent
-from .jordan import half_profile, pseudo_analytic_check, unipotent_block_profile
+from .jordan import half_profile, unipotent_block_profile
 from .plov import plov_of, second_compound_block_sizes
 
 Pair = tuple[int, int]
@@ -165,9 +164,14 @@ def pullback2(m: RatMatrix, form: TwoForm) -> TwoForm:
 def nilpotent_chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
     """[H, N H, N^2 H, ...] for N = pullback2(M, .) - id, up to the last
     nonzero term: `exact.congruence_chain` on the skew matrix of H, finite
-    because the operator is nilpotent for unipotent M."""
-    if not is_unipotent(m):
-        raise NotUnipotentError("the divisor polynomial needs a unipotent matrix")
+    because the operator is nilpotent for unipotent M.  The gate is
+    `unipotent_block_profile`, whose rank sequence proves M unipotent."""
+    unipotent_block_profile(m)
+    return _chain(m, h)
+
+
+def _chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
+    """`nilpotent_chain` for an M already proved unipotent."""
     if h.is_zero():
         raise DegenerateFormError("the 2-form must be nonzero")
     return [TwoForm._of(x) for x in congruence_chain(m, h.matrix)]
@@ -176,6 +180,8 @@ def nilpotent_chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
 def delta_at(chain: Sequence[TwoForm], x: int) -> TwoForm:
     """Delta_x = sum_i C(x, i+1) chain[i] at an integer x >= 0; for
     chain = nilpotent_chain(M, H) it equals sum_{m=0}^{x-1} pullback2(M^m, H)."""
+    if x < 0:
+        raise PreconditionError(f"Delta_x needs an integer x >= 0, not {x}")
     weights = [comb(x, i + 1) for i in range(len(chain))]
     return TwoForm._of(combiner([f.matrix for f in chain])(weights))
 
@@ -232,10 +238,10 @@ def intersection_poly(chain: Sequence[TwoForm]) -> UniPoly:
     interpolated from g! * Pf(Delta_x) at x = 0..D, with every Delta_x
     from one combiner over the chain, and one extra node re-verifies the
     interpolation."""
-    genus = chain[0].genus
+    combine = combiner([f.matrix for f in chain])
+    genus = combine.dimension // 2
     scale = factorial(genus)
     bound = genus * len(chain)
-    combine = combiner([f.matrix for f in chain])
 
     def top(x: int) -> Fraction:
         weights = [comb(x, i + 1) for i in range(len(chain))]
@@ -275,34 +281,28 @@ def polarized_wedge(
 @dataclass(frozen=True)
 class ModelGrowthResult:
     """Degree of the g-fold self-intersection of Delta_n, with the
-    profile-side value it is compared against."""
+    profile-side value it is compared against and the chain it came from."""
 
     degree: int
     poly: UniPoly
     profile_plov: int
     matches_profile: bool
+    chain: tuple[TwoForm, ...]
 
 
-def plov_via_model(
-    m: RatMatrix, h: TwoForm, chain: Optional[Sequence[TwoForm]] = None
-) -> ModelGrowthResult:
+def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
     """Volume growth read off the model: the degree in n of the g-fold
     wedge of Delta_n.  Always at most the profile value sum k_i^2; whether
     equality holds depends on the chosen form and is reported as a flag,
-    not asserted.  A caller that already holds nilpotent_chain(m, h) passes
-    it as ``chain``; it must be that chain, since h is then not read.
+    not asserted.  Its gate is M's Jordan profile, through
+    `unipotent_block_profile` and `half_profile`.
 
     The chain is also checked against the paper's bound on Jordan blocks
     of N^1 inside Lambda^2 H^1: its length is at most the largest block of
     the second compound, read off the same profile by Clebsch-Gordan."""
     profile = unipotent_block_profile(m)
-    if not pseudo_analytic_check(profile):
-        raise NotPseudoAnalyticError(
-            "model growth needs a conjugate-splitting block profile"
-        )
     expected = plov_of(half_profile(profile))
-    if chain is None:
-        chain = nilpotent_chain(m, h)
+    chain = tuple(_chain(m, h))
     largest = max(second_compound_block_sizes(profile.unipotent_block_sizes()))
     if len(chain) > largest:
         raise CrossCheckError(
@@ -324,6 +324,7 @@ def plov_via_model(
         poly=poly,
         profile_plov=expected,
         matches_profile=degree == expected,
+        chain=chain,
     )
 
 
@@ -342,25 +343,22 @@ class VanishingScanReport:
     violations: tuple[tuple[int, ...], ...]
 
 
-def vanishing_scan(
-    m: RatMatrix, h: TwoForm, chain: Optional[Sequence[TwoForm]] = None
-) -> VanishingScanReport:
+def vanishing_scan(m: RatMatrix, h: TwoForm) -> VanishingScanReport:
     """Evaluate every product N^{i_1}H ^ ... ^ N^{i_g}H with all
     0 <= i_j <= kf and record the tuples above the strict threshold
-    sum i_j > g*kf/2 together with their (expected zero) values.  A caller
-    that already holds nilpotent_chain(m, h) passes it as ``chain``; it
-    must be that chain, since m and h are then not read."""
-    return _scan(nilpotent_chain(m, h) if chain is None else chain)
+    sum i_j > g*kf/2 together with their (expected zero) values:
+    `scan_chain` on nilpotent_chain(m, h)."""
+    return scan_chain(nilpotent_chain(m, h))
 
 
-def _scan(chain: Sequence[TwoForm]) -> VanishingScanReport:
-    """The scan over the products of any family of forms of one genus, in
-    the role of the chain.  Each multiset of indices is evaluated once, by
-    `polarized_wedge` over one combiner and Pfaffians shared within the
-    scan."""
-    kf = len(chain) - 1
-    g = chain[0].genus
+def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
+    """The scan over the products of any nonempty family of forms of one
+    genus, in the role of the chain.  Each multiset of indices is
+    evaluated once, by `polarized_wedge` over one combiner and Pfaffians
+    shared within the scan."""
     combine = combiner([f.matrix for f in chain])
+    kf = len(chain) - 1
+    g = combine.dimension // 2
     pfaffians: dict[tuple[int, ...], Fraction] = {}
     values: dict[tuple[int, ...], Fraction] = {}
     scanned = []

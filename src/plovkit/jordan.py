@@ -15,12 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import (
-    cyclotomic_poly,
-    euler_phi,
-    is_unipotent,
-    require_quasi_unipotent,
-)
+from .cyclotomic import cyclotomic_poly, euler_phi, require_quasi_unipotent
 from .errors import (
     CrossCheckError,
     NotPseudoAnalyticError,
@@ -70,17 +65,23 @@ class HalfProfile:
         return max(k for _, k, _ in self.entries)
 
 
-def _block_size_counts(b: RatMatrix, phi: int, algebraic_mult: int,
+def _block_size_counts(b: RatMatrix, phi: int, algebraic_mult: int | None,
                        dimension: int) -> dict[int, int]:
     """Block sizes from the rank sequence of powers of B = Phi_n(M):
-    returns {size: multiplicity per primitive root}."""
-    target = dimension - phi * algebraic_mult
+    returns {size: multiplicity per primitive root}.  With
+    ``algebraic_mult`` None, B = M - I for an M only claimed unipotent, and
+    a rank that stalls above 0 disproves the claim."""
+    target = 0 if algebraic_mult is None else dimension - phi * algebraic_mult
     ge_counts: list[int] = []  # ge_counts[j-1] = blocks of size >= j per root
     prev_rank = dimension
     power = b
     while prev_rank > target:
         r = rank_exact(power)
         drop = prev_rank - r
+        if not drop and algebraic_mult is None:
+            raise NotUnipotentError(
+                f"matrix is not unipotent: the ranks of powers of M - I stall at {r}"
+            )
         if drop <= 0 or drop % phi:
             raise CrossCheckError("rank sequence inconsistent with totient")
         ge_counts.append(drop // phi)
@@ -113,13 +114,12 @@ def jordan_profile(m: RatMatrix) -> JordanProfile:
 
 
 def unipotent_block_profile(m: RatMatrix) -> JordanProfile:
-    """Jordan profile of a unipotent matrix without the cyclotomic search,
-    for callers that already hold a unipotent matrix."""
-    if not is_unipotent(m):
-        raise NotUnipotentError("matrix is not unipotent")
+    """Jordan profile of a matrix claimed unipotent, without the cyclotomic
+    search.  Its rank sequence of M - I is the one proof of the claim, so
+    it gates every caller: a stall above rank 0 raises NotUnipotentError."""
     k_dim = m.dimension
     b = m - RatMatrix.identity(k_dim)
-    counts = _block_size_counts(b, 1, k_dim, k_dim)
+    counts = _block_size_counts(b, 1, None, k_dim)
     entries = tuple((1, size, c) for size, c in sorted(counts.items()))
     return JordanProfile(entries, k_dim)
 

