@@ -328,6 +328,31 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
     )
 
 
+#: The most ordered tuples `scan_chain` evaluates: it keeps every one, so
+#: a larger scan (two paired 7 x 7 blocks give 30,137,596) would exhaust
+#: memory.
+SCAN_LIMIT = 10**6
+
+
+def scan_size(genus: int, kf: int) -> int:
+    """How many tuples in {0..kf}^genus have index sum above genus*kf/2.
+
+    i |-> kf - i swaps the tuples above and below the middle, so this is
+    half of (kf+1)^genus less the tuples on it, counted by
+    inclusion-exclusion over the entries forced past kf."""
+    total, middle = divmod(genus * kf, 2)
+    on_middle = 0
+    if not middle:
+        on_middle = sum(
+            (-1) ** j
+            * comb(genus, j)
+            * comb(total - j * (kf + 1) + genus - 1, genus - 1)
+            for j in range(genus + 1)
+            if j * (kf + 1) <= total
+        )
+    return ((kf + 1) ** genus - on_middle) // 2
+
+
 @dataclass(frozen=True)
 class VanishingScanReport:
     """Scan of the products N^{i_1} H ^ ... ^ N^{i_g} H over the tuples
@@ -355,10 +380,16 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
     """The scan over the products of any nonempty family of forms of one
     genus, in the role of the chain.  Each multiset of indices is
     evaluated once, by `polarized_wedge` over one combiner and Pfaffians
-    shared within the scan."""
+    shared within the scan.  A scan of more than `SCAN_LIMIT` tuples
+    raises `PreconditionError` before any is evaluated."""
     combine = combiner([f.matrix for f in chain])
     kf = len(chain) - 1
     g = combine.dimension // 2
+    size = scan_size(g, kf)
+    if size > SCAN_LIMIT:
+        raise PreconditionError(
+            f"vanishing scan of {size} products exceeds the limit of {SCAN_LIMIT}"
+        )
     pfaffians: dict[tuple[int, ...], Fraction] = {}
     values: dict[tuple[int, ...], Fraction] = {}
     scanned = []

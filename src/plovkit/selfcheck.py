@@ -10,9 +10,10 @@ tests import the oracles from here.
 
 Each check draws its cases from an explicit seeded generator and compares
 an implementation route against an independent one (brute-force sums,
-literal minor enumeration, pointwise evaluation).  The suite size is
-fixed: `selftest` always runs every check, with `cases`/`max_size` only
-scaling how many random instances each check draws.
+literal minor enumeration, pointwise evaluation).  Most checks are one
+case predicate under `_each`, the one sampling loop: it draws a weighted
+share of `cases` instances up to `max_size` and stops at the first
+failure.  `selftest` always runs every check, so the suite size is fixed.
 """
 
 from __future__ import annotations
@@ -266,83 +267,81 @@ class CheckResult:
 #: What a check returns: (passed, number of cases drawn).
 Outcome = tuple[bool, int]
 
-
-def _scaled(cases: int, weight: float, minimum: int = 3) -> int:
-    return max(minimum, int(cases * weight))
-
-
-def _check_power_sum_matrix(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    count = _scaled(cases, 0.15)
-    for _ in range(count):
-        dim = rng.randint(1, min(5, max_size))
-        a, _ = randgen.random_unipotent(rng, dim)
-        h = randgen.random_spd(rng, dim)
-        bs = congruence_chain(a.transpose(), h)
-        direct = RatMatrix.zero(dim)
-        power = RatMatrix.identity(dim)
-        for x in range(13):
-            summed = RatMatrix.zero(dim)
-            for j, b in enumerate(bs):
-                summed = summed + b * comb(x, j + 1)
-            if summed != direct:
-                return False, count
-            direct = direct + mat_mul(mat_mul(power.transpose(), h), power)
-            power = mat_mul(power, a)
-    return True, count
+#: A check, called as check(rng, max_size, cases).
+Check = Callable[[random.Random, int, int], Outcome]
 
 
-def _check_det_poly(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    count = _scaled(cases, 0.2)
-    for _ in range(count):
-        k = rng.randint(1, min(5, max_size))
-        rows = [
-            [
-                UniPoly.from_coeffs(
-                    [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))], "n"
-                )
-                for _ in range(k)
-            ]
+def _each(weight: float, case: Callable[[random.Random, int], bool]) -> Check:
+    """The check that draws max(3, int(cases * weight)) cases and judges
+    each with `case(rng, max_size)`, stopping at the first failure."""
+
+    def check(rng: random.Random, max_size: int, cases: int) -> Outcome:
+        count = max(3, int(cases * weight))
+        return all(case(rng, max_size) for _ in range(count)), count
+
+    return check
+
+
+def _power_sum_matrix(rng: random.Random, max_size: int) -> bool:
+    dim = rng.randint(1, min(5, max_size))
+    a, _ = randgen.random_unipotent(rng, dim)
+    h = randgen.random_spd(rng, dim)
+    bs = congruence_chain(a.transpose(), h)
+    direct = RatMatrix.zero(dim)
+    power = RatMatrix.identity(dim)
+    for x in range(13):
+        summed = RatMatrix.zero(dim)
+        for j, b in enumerate(bs):
+            summed = summed + b * comb(x, j + 1)
+        if summed != direct:
+            return False
+        direct = direct + mat_mul(mat_mul(power.transpose(), h), power)
+        power = mat_mul(power, a)
+    return True
+
+
+def _det_poly(rng: random.Random, max_size: int) -> bool:
+    k = rng.randint(1, min(5, max_size))
+    rows = [
+        [
+            UniPoly.from_coeffs(
+                [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))], "n"
+            )
             for _ in range(k)
         ]
+        for _ in range(k)
+    ]
 
-        def at(x: int) -> RatMatrix:
-            return RatMatrix.from_rows([[p(x) for p in row] for row in rows])
+    def at(x: int) -> RatMatrix:
+        return RatMatrix.from_rows([[p(x) for p in row] for row in rows])
 
-        bound = sum(max(0, *(len(p.coeffs) - 1 for p in row)) for row in rows)
-        p = det_poly(at, bound)
-        for _ in range(10):
-            x = rng.randint(-30, 30)
-            if p(x) != det_exact(at(x)):
-                return False, count
-    return True, count
+    bound = sum(max(0, *(len(p.coeffs) - 1 for p in row)) for row in rows)
+    p = det_poly(at, bound)
+    for _ in range(10):
+        x = rng.randint(-30, 30)
+        if p(x) != det_exact(at(x)):
+            return False
+    return True
 
 
-def _check_char_poly_similarity(rng: random.Random, max_size: int, cases: int) -> Outcome:
+def _char_poly_similarity(rng: random.Random, max_size: int) -> bool:
     """char_poly is invariant under similarity, and at one integer node
     x < 0 it equals the Bareiss determinant det(x*I - M), a route that
     shares nothing with the modular Hessenberg reduction."""
-    count = _scaled(cases, 0.3)
-    for _ in range(count):
-        k = rng.randint(1, min(6, max_size))
-        m = randgen.random_integer_matrix(rng, k)
-        s = randgen.random_unimodular(rng, k)
-        p = char_poly(m)
-        if char_poly(randgen.conjugate(m, s)) != p:
-            return False, count
-        x = -rng.randint(1, 40)
-        if p(x) != det_exact(RatMatrix.identity(k) * x - m):
-            return False, count
-    return True, count
+    k = rng.randint(1, min(6, max_size))
+    m = randgen.random_integer_matrix(rng, k)
+    s = randgen.random_unimodular(rng, k)
+    p = char_poly(m)
+    if char_poly(randgen.conjugate(m, s)) != p:
+        return False
+    x = -rng.randint(1, 40)
+    return p(x) == det_exact(RatMatrix.identity(k) * x - m)
 
 
-def _check_rank_nullity(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    count = _scaled(cases, 0.3)
-    for _ in range(count):
-        k = rng.randint(1, min(6, max_size))
-        m = randgen.random_integer_matrix(rng, k, span=2)
-        if rank_exact(m) + _kernel_dimension(m) != k:
-            return False, count
-    return True, count
+def _rank_nullity(rng: random.Random, max_size: int) -> bool:
+    k = rng.randint(1, min(6, max_size))
+    m = randgen.random_integer_matrix(rng, k, span=2)
+    return rank_exact(m) + _kernel_dimension(m) == k
 
 
 def _check_cyclotomic_products(rng: random.Random, max_size: int, cases: int) -> Outcome:
@@ -357,121 +356,96 @@ def _check_cyclotomic_products(rng: random.Random, max_size: int, cases: int) ->
     return True, 40
 
 
-def _check_compound_equivalence(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    count = _scaled(cases, 0.3)
-    for _ in range(count):
-        # at dimension 2 the second compound is det M, so the law needs 3
-        dim = min(rng.choice([4, 6]), max(3, max_size))
-        m = randgen.random_mixed_matrix(rng, dim)
-        a = quasi_unipotency(m).is_quasi_unipotent
-        b = quasi_unipotency(compound_matrix(m, 2)).is_quasi_unipotent
-        if a != b:
-            return False, count
-    return True, count
+def _compound_equivalence(rng: random.Random, max_size: int) -> bool:
+    # at dimension 2 the second compound is det M, so the law needs 3
+    dim = min(rng.choice([4, 6]), max(3, max_size))
+    m = randgen.random_mixed_matrix(rng, dim)
+    a = quasi_unipotency(m).is_quasi_unipotent
+    return a == quasi_unipotency(compound_matrix(m, 2)).is_quasi_unipotent
 
 
-def _check_profile_similarity(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    count = _scaled(cases, 0.3)
-    for _ in range(count):
-        dim = rng.randint(2, min(6, max_size))
-        m, _ = randgen.random_unipotent(rng, dim, conjugated=False)
-        s = randgen.random_unimodular(rng, dim)
-        if jordan_profile(randgen.conjugate(m, s)) != jordan_profile(m):
-            return False, count
-    return True, count
+def _profile_similarity(rng: random.Random, max_size: int) -> bool:
+    dim = rng.randint(2, min(6, max_size))
+    m, _ = randgen.random_unipotent(rng, dim, conjugated=False)
+    s = randgen.random_unimodular(rng, dim)
+    return jordan_profile(randgen.conjugate(m, s)) == jordan_profile(m)
 
 
-def _check_power_sum_degree_law(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    count = _scaled(cases, 1.0)
-    for _ in range(count):
-        dim = rng.randint(1, max_size)
-        m, sizes = randgen.random_unipotent(rng, dim)
-        result = power_sum_det(m, RatMatrix.identity(dim))
-        if result.degree != sum(k * k for k in sizes):
-            return False, count
-    return True, count
+def _power_sum_degree_law(rng: random.Random, max_size: int) -> bool:
+    dim = rng.randint(1, max_size)
+    m, sizes = randgen.random_unipotent(rng, dim)
+    result = power_sum_det(m, RatMatrix.identity(dim))
+    return result.degree == sum(k * k for k in sizes)
 
 
-def _check_power_sum_h_independence(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    count = _scaled(cases, 0.15)
-    for _ in range(count):
-        dim = rng.randint(1, min(5, max_size))
-        m, sizes = randgen.random_unipotent(rng, dim)
-        expected = sum(k * k for k in sizes)
-        for _ in range(3):
-            h = randgen.random_spd(rng, dim)
-            if power_sum_det(m, h).degree != expected:
-                return False, count
-    return True, count
-
-
-def _check_power_sum_brute(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    count = _scaled(cases, 0.15)
-    for _ in range(count):
-        dim = rng.randint(1, min(5, max_size))
-        m, _ = randgen.random_unipotent(rng, dim)
+def _power_sum_h_independence(rng: random.Random, max_size: int) -> bool:
+    dim = rng.randint(1, min(5, max_size))
+    m, sizes = randgen.random_unipotent(rng, dim)
+    expected = sum(k * k for k in sizes)
+    for _ in range(3):
         h = randgen.random_spd(rng, dim)
-        poly = power_sum_det(m, h).poly
-        if [poly(n) for n in range(1, 13)] != power_sum_brute(m, h, 12):
-            return False, count
-    return True, count
+        if power_sum_det(m, h).degree != expected:
+            return False
+    return True
 
 
-def _check_growth_exponents(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    count = _scaled(cases, 0.1)
-    for _ in range(count):
-        dim = rng.randint(2, min(5, max_size))
-        m, _ = randgen.random_unipotent(rng, dim)
-        for r in range(1, dim + 1):
-            if growth_exponent(m, r) != growth_exponent_by_minors(m, r):
-                return False, count
-    return True, count
+def _power_sum_brute(rng: random.Random, max_size: int) -> bool:
+    dim = rng.randint(1, min(5, max_size))
+    m, _ = randgen.random_unipotent(rng, dim)
+    h = randgen.random_spd(rng, dim)
+    poly = power_sum_det(m, h).poly
+    return [poly(n) for n in range(1, 13)] == power_sum_brute(m, h, 12)
 
 
-def _check_second_compound_blocks(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    count = _scaled(cases, 0.1)
-    for _ in range(count):
-        genus = rng.randint(1, min(4, max_size // 2))
-        m, half_sizes = randgen.random_paired_unipotent(rng, genus)
-        kj = max(half_sizes) - 1
-        if growth_exponent(m, 2) != 2 * kj:
-            return False, count
-        literal = max_block_compound2_literal(m)
-        if literal != 2 * kj + 1 or literal != max_block_compound2(m):
-            return False, count
-    return True, count
+def _growth_exponents(rng: random.Random, max_size: int) -> bool:
+    dim = rng.randint(2, min(5, max_size))
+    m, _ = randgen.random_unipotent(rng, dim)
+    for r in range(1, dim + 1):
+        if growth_exponent(m, r) != growth_exponent_by_minors(m, r):
+            return False
+    return True
 
 
-def _check_model_triangle(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    count = _scaled(cases, 0.1)
-    for _ in range(count):
-        genus = rng.randint(1, min(4, max_size // 2))
-        m, half_sizes = randgen.random_paired_unipotent(rng, genus)
-        h = TwoForm.standard(genus)
-        model = plov_via_model(m, h)
-        expected = sum(k * k for k in half_sizes)
-        if model.degree > expected:
-            return False, count
-        if model.matches_profile:
-            ps = power_sum_det(m, RatMatrix.identity(2 * genus))
-            if not (2 * model.degree == ps.degree == 2 * expected):
-                return False, count
-    return True, count
+def _second_compound_blocks(rng: random.Random, max_size: int) -> bool:
+    genus = rng.randint(1, min(4, max_size // 2))
+    m, half_sizes = randgen.random_paired_unipotent(rng, genus)
+    kj = max(half_sizes) - 1
+    if growth_exponent(m, 2) != 2 * kj:
+        return False
+    literal = max_block_compound2_literal(m)
+    return literal == 2 * kj + 1 == max_block_compound2(m)
+
+
+def _model_triangle(rng: random.Random, max_size: int) -> bool:
+    genus = rng.randint(1, min(4, max_size // 2))
+    m, half_sizes = randgen.random_paired_unipotent(rng, genus)
+    h = TwoForm.standard(genus)
+    model = plov_via_model(m, h)
+    expected = sum(k * k for k in half_sizes)
+    if model.degree > expected:
+        return False
+    if model.matches_profile:
+        ps = power_sum_det(m, RatMatrix.identity(2 * genus))
+        return 2 * model.degree == ps.degree == 2 * expected
+    return True
+
+
+def _vanishing_scan(rng: random.Random, max_size: int) -> bool:
+    genus = rng.randint(1, min(4, max_size // 2))
+    m, _ = randgen.random_paired_unipotent(rng, genus)
+    h = TwoForm.standard(genus)
+    chain = nilpotent_chain(m, h)
+    report = scan_chain(chain)
+    if report.violations:
+        return False
+    # the literal expansion is exponential in g, so it checks g <= 3
+    return genus > 3 or report.scanned == literal_scan(chain)
 
 
 def _check_vanishing_scan(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    count = _scaled(cases, 0.1)
-    for _ in range(count):
-        genus = rng.randint(1, min(4, max_size // 2))
-        m, _ = randgen.random_paired_unipotent(rng, genus)
-        h = TwoForm.standard(genus)
-        chain = nilpotent_chain(m, h)
-        report = scan_chain(chain)
-        if report.violations:
-            return False, count
-        # the literal expansion is exponential in g, so it checks g <= 3
-        if genus <= 3 and report.scanned != literal_scan(chain):
-            return False, count
+    passed, count = _each(0.1, _vanishing_scan)(rng, max_size, cases)
+    if not passed:
+        return False, count
     # on a chain every scanned value is 0; random forms in its place give
     # nonzero values, and odd g tells the sign of the polarization apart
     half = max_size // 2
@@ -482,39 +456,37 @@ def _check_vanishing_scan(rng: random.Random, max_size: int, cases: int) -> Outc
     return True, count
 
 
-def _check_pullback_functorial(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    count = _scaled(cases, 0.2)
-    for _ in range(count):
-        genus = rng.randint(1, min(3, max_size // 2))
-        m = randgen.random_integer_matrix(rng, 2 * genus, span=2)
-        h = randgen.randgen_two_form(rng, genus)
-        iterated = h
-        power = RatMatrix.identity(2 * genus)
-        for step in range(1, 7):
-            iterated = pullback2(m, iterated)
-            power = mat_mul(power, m)
-            if pullback2(power, h) != iterated:
-                return False, count
-    return True, count
+def _pullback_functorial(rng: random.Random, max_size: int) -> bool:
+    genus = rng.randint(1, min(3, max_size // 2))
+    m = randgen.random_integer_matrix(rng, 2 * genus, span=2)
+    h = randgen.randgen_two_form(rng, genus)
+    iterated = h
+    power = RatMatrix.identity(2 * genus)
+    for step in range(1, 7):
+        iterated = pullback2(m, iterated)
+        power = mat_mul(power, m)
+        if pullback2(power, h) != iterated:
+            return False
+    return True
 
 
 #: The documented suite: every `selftest` run executes exactly these.
-SELFTEST_CHECKS: tuple[tuple[str, Callable[..., Outcome]], ...] = (
-    ("power_sum_matrix_matches_direct_sums", _check_power_sum_matrix),
-    ("det_poly_matches_pointwise_det", _check_det_poly),
-    ("char_poly_similarity_invariant", _check_char_poly_similarity),
-    ("rank_nullity_consistency", _check_rank_nullity),
+SELFTEST_CHECKS: tuple[tuple[str, Check], ...] = (
+    ("power_sum_matrix_matches_direct_sums", _each(0.15, _power_sum_matrix)),
+    ("det_poly_matches_pointwise_det", _each(0.2, _det_poly)),
+    ("char_poly_similarity_invariant", _each(0.3, _char_poly_similarity)),
+    ("rank_nullity_consistency", _each(0.3, _rank_nullity)),
     ("cyclotomic_product_identity", _check_cyclotomic_products),
-    ("quasi_unipotency_matches_second_compound", _check_compound_equivalence),
-    ("jordan_profile_similarity_invariant", _check_profile_similarity),
-    ("power_sum_degree_law", _check_power_sum_degree_law),
-    ("power_sum_form_independence", _check_power_sum_h_independence),
-    ("power_sum_matches_brute_force", _check_power_sum_brute),
-    ("growth_exponent_matches_minor_enumeration", _check_growth_exponents),
-    ("second_compound_growth_and_blocks", _check_second_compound_blocks),
-    ("model_degree_ceiling_and_triangle", _check_model_triangle),
+    ("quasi_unipotency_matches_second_compound", _each(0.3, _compound_equivalence)),
+    ("jordan_profile_similarity_invariant", _each(0.3, _profile_similarity)),
+    ("power_sum_degree_law", _each(1.0, _power_sum_degree_law)),
+    ("power_sum_form_independence", _each(0.15, _power_sum_h_independence)),
+    ("power_sum_matches_brute_force", _each(0.15, _power_sum_brute)),
+    ("growth_exponent_matches_minor_enumeration", _each(0.1, _growth_exponents)),
+    ("second_compound_growth_and_blocks", _each(0.1, _second_compound_blocks)),
+    ("model_degree_ceiling_and_triangle", _each(0.1, _model_triangle)),
     ("vanishing_scan_clean", _check_vanishing_scan),
-    ("pullback_power_functoriality", _check_pullback_functorial),
+    ("pullback_power_functoriality", _each(0.2, _pullback_functorial)),
 )
 
 SELFTEST_SUITE_SIZE = len(SELFTEST_CHECKS)

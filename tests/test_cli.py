@@ -872,3 +872,94 @@ def test_non_report_value_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("internal cross-check failure: emit: ")
+
+
+# ---------------------------------------------------------------------------
+# exit 3: a failed internal cross-check
+
+
+def test_powersum_brute_force_mismatch_exits_3(tmp_path, capsys, monkeypatch):
+    import plovkit.cli
+
+    real = plovkit.cli.power_sum_brute
+    monkeypatch.setattr(
+        plovkit.cli, "power_sum_brute", lambda *a: [v + 1 for v in real(*a)]
+    )
+    path = write_doc(tmp_path, QUAD)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(["powersum", "--input", path, "--out", str(out_path)], capsys)
+    assert code == 3
+    assert out == ""
+    checks = json.loads(out_path.read_text())["powersum"]["brute_force_checks"]
+    assert len(checks) == 9 and not any(c["matches"] for c in checks)
+    assert "brute-force agreement at n = 1..9: False" in err
+    errors = [line for line in err.splitlines() if "failure" in line]
+    assert errors == [
+        "internal cross-check failure: symbolic power sum disagrees with brute force"
+    ]
+
+
+def test_analyze_failing_bound_check_exits_3(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    import plovkit.cli
+
+    real = plovkit.cli.analyze
+
+    def failing(*args):
+        report = real(*args)
+        first, *rest = report.bound_checks
+        broken = dataclasses.replace(first, holds=False)
+        return dataclasses.replace(report, bound_checks=(broken, *rest))
+
+    monkeypatch.setattr(plovkit.cli, "analyze", failing)
+    path = write_doc(tmp_path, QUAD)
+    code, out, err = run_cli(["analyze", "--input", path], capsys)
+    assert code == 3
+    checks = json.loads(out)["analysis"]["bound_checks"]
+    assert [c["holds"] for c in checks] == [False] + [True] * (len(checks) - 1)
+    assert f"bound checks: {len(checks) - 1}/{len(checks)} hold" in err
+
+
+@pytest.mark.parametrize("command", ["powersum", "model"])
+def test_unipotent_power_that_is_not_unipotent_exits_3(
+    tmp_path, capsys, monkeypatch, command
+):
+    import plovkit.cyclotomic
+
+    monkeypatch.setattr(plovkit.cyclotomic, "is_unipotent", lambda m: False)
+    path = write_doc(tmp_path, QUAD)
+    code, out, err = run_cli([command, "--input", path], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "internal cross-check failure: claimed unipotent power is not unipotent\n"
+
+
+def test_model_scan_past_the_limit_exits_2_at_once(tmp_path):
+    """[7] pairs two 7 x 7 blocks: a scan of 30,137,596 tuples, which
+    would exhaust memory.  It runs in a child capped at 1 GiB of address
+    space, so a missing guard fails the test, not the machine."""
+    import resource
+    import time
+
+    from plovkit.randgen import paired_unipotent
+
+    path = write_doc(tmp_path, {"matrix": enc_matrix(paired_unipotent([7]))})
+    src = str(Path(plovkit.__file__).resolve().parents[1])
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "plovkit.cli", "model", "--input", path],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=10, preexec_fn=cap,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: vanishing scan of 30137596 products exceeds the limit of 1000000\n"
+    )
+    assert elapsed < 1.0

@@ -40,10 +40,11 @@ from plovkit.errors import (
     OddDimensionError,
     PreconditionError,
 )
-from plovkit.cohomology import nilpotent_chain, polarized_wedge
+from plovkit import cohomology
+from plovkit.cohomology import nilpotent_chain, polarized_wedge, scan_size
 from plovkit.exact import combiner
 from plovkit.plov import second_compound_block_sizes
-from plovkit.randgen import random_paired_unipotent, randgen_two_form
+from plovkit.randgen import paired_unipotent, random_paired_unipotent, randgen_two_form
 from plovkit.selfcheck import literal_scan, wedge_coefficient
 
 
@@ -628,3 +629,50 @@ def test_scan_clean_on_random_paired_profiles():
 def test_out_of_contract_calls_raise_library_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the size of a scan, counted before it runs
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield []
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield [k, *rest]
+
+
+def test_scan_size_counts_the_tuples_above_the_middle():
+    for g in range(1, 6):
+        for kf in range(9):
+            brute = sum(
+                1
+                for t in itertools.product(range(kf + 1), repeat=g)
+                if 2 * sum(t) > g * kf
+            )
+            assert scan_size(g, kf) == brute, (g, kf)
+    assert scan_size(6, 10) == 841_324
+    assert scan_size(7, 12) == 30_137_596
+
+
+def test_scan_size_is_the_length_of_every_scan_up_to_genus_4():
+    shapes = [sizes for g in range(1, 5) for sizes in _partitions(g)]
+    assert len(shapes) == 1 + 2 + 3 + 5
+    for sizes in shapes:
+        g = sum(sizes)
+        chain = nilpotent_chain(paired_unipotent(sizes), TwoForm.standard(g))
+        assert scan_size(g, len(chain) - 1) == len(scan_chain(chain).scanned), sizes
+
+
+def test_scan_past_the_limit_is_refused_before_it_runs(monkeypatch):
+    chain = nilpotent_chain(paired_unipotent([3]), TwoForm.standard(3))
+    size = scan_size(3, len(chain) - 1)
+    monkeypatch.setattr(cohomology, "SCAN_LIMIT", size)
+    assert len(scan_chain(chain).scanned) == size
+    monkeypatch.setattr(cohomology, "SCAN_LIMIT", size - 1)
+    monkeypatch.setattr(cohomology, "polarized_wedge", None)
+    limit = f"{size} products exceeds the limit of {size - 1}$"
+    with pytest.raises(PreconditionError, match=limit):
+        scan_chain(chain)
