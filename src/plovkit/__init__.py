@@ -25,7 +25,6 @@ from .errors import (
 from .exact import (
     NEG_INF,
     RatMatrix,
-    Rational,
     UniPoly,
     char_poly,
     det_exact,

@@ -360,7 +360,10 @@ def cmd_analyze(args) -> int:
     else:
         lines.append("bound checks: none (they need a pseudo-analytic profile)")
     summary(lines)
-    return 0 if result.all_bounds_hold() else 3
+    failed = [c.name for c in result.bound_checks if not c.holds]
+    if failed:
+        raise CrossCheckError(f"bound checks failed: {', '.join(failed)}")
+    return 0
 
 
 def cmd_powersum(args) -> int:

@@ -150,10 +150,11 @@ def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
     An integral one is stripped on integer coefficient lists; every Phi_n
     is monic, so each division is exact in Z.  The minimality of the
     returned order N (the lcm of the cyclotomic indices present) is
-    checked on P = M^(N/q) for each prime q dividing N: a unipotent K x K
-    matrix has trace K, so tr P != K proves P is not unipotent at the cost
-    of one power and one trace.  Only when tr P = K does `is_unipotent`
-    decide, and a unipotent P raises CrossCheckError.
+    checked on P = M^(N/q) for each prime q dividing N.  The division
+    proves that the eigenvalues of P are K roots of unity, and K roots of
+    unity sum to K only when all of them are 1, so tr P = K means P is
+    unipotent and raises CrossCheckError, at the cost of one power and
+    one trace per prime.
     """
     char = char_poly(m)
     if not char.is_integral():
@@ -174,8 +175,7 @@ def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
         return QuasiUnipotencyVerdict(False, residual=UniPoly.from_coeffs(p, "t"))
     order = lcm(*(n for n, _ in factors))
     for q in _prime_factors(order):
-        power = mat_pow(m, order // q)
-        if power.trace() == m.dimension and is_unipotent(power):
+        if mat_pow(m, order // q).trace() == m.dimension:
             raise CrossCheckError(
                 "order minimality check failed: a proper divisor already works"
             )

@@ -4,9 +4,11 @@ Everything in this package is computed exactly over Q; no floating
 point appears anywhere.  This module is the substrate shared by the rest
 of the library:
 
-  * `UniPoly` -- dense univariate polynomial over Q with a variable tag
-    ('t' for characteristic polynomials, 'n' for growth polynomials),
-    with `fractions.Fraction` coefficients,
+  * `UniPoly` -- dense univariate polynomial over Q with
+    `fractions.Fraction` coefficients, a value type that is built from
+    coefficients or by interpolation, evaluated and printed; its
+    variable tag ('t' for characteristic polynomials, 'n' for growth
+    polynomials) names the indeterminate in `str` and in reports,
   * `RatMatrix` -- immutable square matrices over Q, stored as integer
     rows `num` over one positive common denominator `den` in lowest
     terms, so the matrix kernel (products, powers, sums, minors,
@@ -44,10 +46,6 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CrossCheckError, DimensionMismatchError, PreconditionError
 
-#: The scalar type used everywhere: arbitrary-precision rational numbers,
-#: always in lowest terms with positive denominator.
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 #: Degree of the zero polynomial, strictly below every integer.
@@ -72,8 +70,9 @@ class UniPoly:
 
     ``coeffs[i]`` is the coefficient of the i-th power of the variable;
     the trailing coefficient is nonzero unless the polynomial is zero.
-    The variable tag guards against accidentally mixing polynomials in
-    different indeterminates.
+    The variable tag names the indeterminate in `str` and in reports.
+    There is no polynomial arithmetic: a `UniPoly` is built, evaluated
+    at exact rationals and printed, and compares and hashes by value.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -85,18 +84,6 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         return UniPoly(tuple(cs), var)
-
-    @staticmethod
-    def zero(var: str = "t") -> "UniPoly":
-        return UniPoly((), var)
-
-    @staticmethod
-    def constant(c: Scalar, var: str = "t") -> "UniPoly":
-        return UniPoly.from_coeffs([c], var)
-
-    @staticmethod
-    def variable(var: str = "t") -> "UniPoly":
-        return UniPoly((Fraction(0), Fraction(1)), var)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -115,61 +102,8 @@ class UniPoly:
         """True when every coefficient is an integer."""
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def _check_var(self, other: "UniPoly") -> None:
-        if self.var != other.var:
-            raise PreconditionError(
-                f"variable mismatch: {self.var!r} vs {other.var!r}"
-            )
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        self._check_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly.from_coeffs(
-            (self.coefficient(i) + other.coefficient(i) for i in range(n)),
-            self.var,
-        )
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        self._check_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly.from_coeffs(
-            (self.coefficient(i) - other.coefficient(i) for i in range(n)),
-            self.var,
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            self._check_var(other)
-            if self.is_zero() or other.is_zero():
-                return UniPoly.zero(self.var)
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return UniPoly.from_coeffs(out, self.var)
-        c = _frac(other)
-        if c == 0:
-            return UniPoly.zero(self.var)
-        return UniPoly(tuple(a * c for a in self.coeffs), self.var)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "UniPoly":
-        if e < 0:
-            raise PreconditionError("negative polynomial power")
-        result = UniPoly.constant(1, self.var)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __call__(self, x: Scalar) -> Fraction:
+        x = _frac(x)
         value = Fraction(0)
         for c in reversed(self.coeffs):
             value = value * x + c
@@ -383,9 +317,6 @@ class RatMatrix:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __pow__(self, e: int) -> "RatMatrix":
-        return mat_pow(self, e)
 
 
 def _check_same_dim(a: RatMatrix, b: RatMatrix) -> None:

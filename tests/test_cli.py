@@ -919,6 +919,9 @@ def test_analyze_failing_bound_check_exits_3(tmp_path, capsys, monkeypatch):
     checks = json.loads(out)["analysis"]["bound_checks"]
     assert [c["holds"] for c in checks] == [False] + [True] * (len(checks) - 1)
     assert f"bound checks: {len(checks) - 1}/{len(checks)} hold" in err
+    assert err.splitlines()[-1] == (
+        "internal cross-check failure: bound checks failed: volume_growth_upper_bound"
+    )
 
 
 @pytest.mark.parametrize("command", ["powersum", "model"])

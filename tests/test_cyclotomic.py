@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -37,6 +37,15 @@ def x_to_the_n_minus_1(n):
     return UniPoly.from_coeffs([-1] + [0] * (n - 1) + [1], "t")
 
 
+def is_product(factors, target):
+    """prod(factors) == target as polynomials: the degrees add up, and the
+    values agree at deg + 1 integer nodes."""
+    deg = target.degree()
+    return sum(f.degree() for f in factors) == deg and all(
+        prod(f(x) for f in factors) == target(x) for x in range(deg + 1)
+    )
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 
@@ -52,7 +61,7 @@ def test_cyclotomic_6_by_division_oracle():
     phi2 = poly_t(1, 1)
     phi3 = poly_t(1, 1, 1)
     expected = poly_t(1, -1, 1)
-    assert expected * phi1 * phi2 * phi3 == x_to_the_n_minus_1(6)
+    assert is_product([expected, phi1, phi2, phi3], x_to_the_n_minus_1(6))
     assert cyclotomic_poly(6) == expected
 
 
@@ -61,7 +70,7 @@ def test_cyclotomic_8_by_division_oracle():
     phi2 = poly_t(1, 1)
     phi4 = poly_t(1, 0, 1)
     expected = poly_t(1, 0, 0, 0, 1)
-    assert expected * phi1 * phi2 * phi4 == x_to_the_n_minus_1(8)
+    assert is_product([expected, phi1, phi2, phi4], x_to_the_n_minus_1(8))
     assert cyclotomic_poly(8) == expected
 
 
@@ -88,11 +97,8 @@ def test_cyclotomic_degree_and_integrality():
 
 def test_cyclotomic_product_identity_up_to_40():
     for n in range(1, 41):
-        product = UniPoly.constant(1, "t")
-        for d in range(1, n + 1):
-            if n % d == 0:
-                product = product * cyclotomic_poly(d)
-        assert product == x_to_the_n_minus_1(n)
+        factors = [cyclotomic_poly(d) for d in range(1, n + 1) if n % d == 0]
+        assert is_product(factors, x_to_the_n_minus_1(n))
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +161,11 @@ def test_verdict_factorization_reconstructs_char_poly():
             assert v.residual is not None and v.residual.degree() >= 1
             continue
         seen_yes += 1
-        product = UniPoly.constant(1, "t")
-        for n, mult in v.cyclotomic_factorization:
-            product = product * cyclotomic_poly(n) ** mult
-        assert product == char_poly(m)
+        factors = [
+            cyclotomic_poly(n) for n, mult in v.cyclotomic_factorization
+            for _ in range(mult)
+        ]
+        assert is_product(factors, char_poly(m))
         total = sum(mult * euler_phi(n) for n, mult in v.cyclotomic_factorization)
         assert total == m.dimension
     assert seen_yes >= 3
@@ -235,9 +242,9 @@ def test_verdict_cache_serves_repeats():
     assert quasi_unipotency(m) is quasi_unipotency(m)
 
 
-def test_order_minimality_failure_goes_through_is_unipotent(monkeypatch):
+def test_order_minimality_failure_is_settled_by_the_trace(monkeypatch):
     # an order twice the true one: M^(order/2) is unipotent, so its trace is
-    # K and the witness defers to is_unipotent, which must raise
+    # K, which raises by itself, without an is_unipotent call
     block = RatMatrix.block_diag(
         RatMatrix.companion(cyclotomic_poly(3)),
         RatMatrix.companion(cyclotomic_poly(4)),
@@ -256,7 +263,29 @@ def test_order_minimality_failure_goes_through_is_unipotent(monkeypatch):
         match="^order minimality check failed: a proper divisor already works$",
     ):
         quasi_unipotency(m)
-    assert calls == [mat_pow(m, 12)]
+    assert calls == []
+    quasi_unipotency.cache_clear()
+
+
+def test_a_power_of_trace_k_fails_the_order_minimality_check(monkeypatch):
+    # a power that is not unipotent but has trace K contradicts the proved
+    # factorization (K roots of unity sum to K only when all are 1); the
+    # check must name it rather than pass over it
+    m = RatMatrix.block_diag(
+        RatMatrix.companion(cyclotomic_poly(3)), RatMatrix.jordan_block(1, 2)
+    )
+    k = m.dimension
+    fake = RatMatrix.block_diag(
+        RatMatrix.from_rows([[2, 0], [0, 0]]), RatMatrix.identity(k - 2)
+    )
+    assert fake.trace() == k and not is_unipotent(fake)
+    monkeypatch.setattr(cyclotomic, "mat_pow", lambda a, e: fake)
+    quasi_unipotency.cache_clear()
+    with pytest.raises(
+        CrossCheckError,
+        match="^order minimality check failed: a proper divisor already works$",
+    ):
+        quasi_unipotency(m)
     quasi_unipotency.cache_clear()
 
 
@@ -288,9 +317,9 @@ def test_order_minimality_check_costs_one_power_per_prime(monkeypatch):
 
 
 def test_trace_witness_agrees_with_is_unipotent():
-    # soundness needs only "unipotent => trace K"; the converse holds for
+    # "unipotent => trace K" always holds; the converse holds for
     # quasi-unipotent matrices (roots of unity summing to K are all 1), and
-    # it is what lets the fallback stay unused on correct orders
+    # the order minimality check rests on it alone
     rng = random.Random(2024)
     seen = set()
     for _ in range(200):

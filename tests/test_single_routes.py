@@ -9,7 +9,9 @@ them.  Polynomials are rebuilt from exact values only through
 `exact.interpolate_checked`, which re-verifies them at one more node, so
 no module but `exact` references the private `_interpolate`.  Both sums
 of pullbacks, S(n) in `powersum` and Delta_n in `cohomology`, are built
-from `exact.congruence_chain` and `exact.combiner`.
+from `exact.congruence_chain` and `exact.combiner`.  A `UniPoly` is
+built, evaluated and printed, with no ring operations, and matrix powers
+go through `exact.mat_pow` alone.
 """
 
 import ast
@@ -40,6 +42,22 @@ def references(node, name):
     if isinstance(node, (ast.Import, ast.ImportFrom)):
         return any(alias.name.split(".")[-1] == name for alias in node.names)
     return False
+
+
+def class_members(tree, name):
+    """The names a class body binds, by `def` or by assignment."""
+    body = next(
+        node.body
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == name
+    )
+    return {node.name for node in body if isinstance(node, ast.FunctionDef)} | {
+        target.id
+        for node in body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
 
 
 def raise_sites(error):
@@ -128,3 +146,14 @@ def test_sums_of_pullbacks_share_one_chain_and_one_combiner():
             for alias in node.names
         }
         assert {"congruence_chain", "combiner"} <= imported, module
+
+
+def test_polynomials_have_no_ring_operations_and_matrices_no_power_operator():
+    exact = dict(parsed_sources())["exact.py"]
+    ring = {"zero", "constant", "variable", "_check_var", "__add__", "__sub__"}
+    ring |= {"__mul__", "__rmul__", "__pow__"}
+    assert class_members(exact, "UniPoly") & ring == set()
+    assert "__pow__" not in class_members(exact, "RatMatrix")
+    assert "__mul__" in class_members(exact, "RatMatrix")  # the walk sees methods
+    assert not hasattr(plovkit, "Rational")
+    assert not hasattr(plovkit.exact, "Rational")
