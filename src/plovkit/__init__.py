@@ -69,7 +69,6 @@ from .cohomology import (
     ModelGrowthResult,
     TwoForm,
     VanishingScanReport,
-    delta_at,
     intersection_poly,
     pfaffian,
     plov_via_model,

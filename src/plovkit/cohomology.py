@@ -15,7 +15,7 @@ divisor class
 
     Delta_x = sum_{i=0}^{kf} C(x, i+1) N^i H,   N = pullback2(M, .) - id,
 
-at each integer x >= 0 (`delta_at`).  The chain [H, N H, N^2 H, ...] is
+at each integer x >= 0.  The chain [H, N H, N^2 H, ...] is
 `exact.congruence_chain` and the weighted sums come from
 `exact.combiner`, the pair that also builds the symmetric power sum
 S(n) in `powersum`.  M is proved unipotent once per entry point, by
@@ -35,7 +35,7 @@ factors, and by polarization of the symmetric g-linear top wedge
         = sum_{0 != beta <= alpha} (-1)^(g - |beta|) prod_i C(alpha_i, beta_i)
           * Pf(sum_i beta_i w_i)
 
-(`polarized_wedge`); the Pfaffians are shared across multisets.  The
+(in `scan_chain`); the Pfaffians are shared across multisets.  The
 literal wedge expansion, `selfcheck.wedge_coefficient`, is the oracle
 for both Pfaffian routes, in the self-test and the tests.  Intersection
 numbers are kept as raw wedge coefficients, since every contract here
@@ -48,7 +48,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     CrossCheckError,
@@ -72,19 +72,13 @@ from .plov import plov_of, second_compound_block_sizes
 Pair = tuple[int, int]
 
 
-def _check_pair(pair: Pair, g: int) -> Pair:
-    i, j = pair
-    if not (1 <= i < j <= 2 * g):
-        raise DimensionMismatchError(f"index pair {pair} out of range for genus {g}")
-    return (i, j)
-
-
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False)
 class TwoForm:
     """Alternating 2-form with rational coefficients on ordered pairs
     (i, j), 1 <= i < j <= 2g, held as its skew-symmetric matrix A with
-    A[i-1][j-1] = coefficient(i, j) = -A[j-1][i-1].  Equality and hashing
-    go by the matrix, so they work by value."""
+    A[i-1][j-1] = the coefficient of e_i ^ e_j = -A[j-1][i-1].  Every key
+    must be such a pair, whatever its value.  Equality and hashing go by
+    the matrix, so they work by value."""
 
     matrix: RatMatrix
 
@@ -93,10 +87,18 @@ class TwoForm:
             raise PreconditionError("genus must be positive")
         rows = [[0] * (2 * genus) for _ in range(2 * genus)]
         for pair, value in (coeffs or {}).items():
+            if not (
+                isinstance(pair, tuple)
+                and len(pair) == 2
+                and all(isinstance(x, int) for x in pair)
+                and 1 <= pair[0] < pair[1] <= 2 * genus
+            ):
+                raise DimensionMismatchError(
+                    f"{pair!r} is not an index pair 1 <= i < j <= {2 * genus}"
+                )
+            i, j = pair
             v = _frac(value)
-            if v:
-                i, j = _check_pair(pair, genus)
-                rows[i - 1][j - 1], rows[j - 1][i - 1] = v, -v
+            rows[i - 1][j - 1], rows[j - 1][i - 1] = v, -v
         object.__setattr__(self, "matrix", RatMatrix.from_rows(rows))
 
     @staticmethod
@@ -107,10 +109,6 @@ class TwoForm:
         return form
 
     @staticmethod
-    def basis(genus: int, i: int, j: int) -> "TwoForm":
-        return TwoForm(genus, {(i, j): 1})
-
-    @staticmethod
     def standard(genus: int) -> "TwoForm":
         """sum_{j<=g} e_j ^ e_{g+j}: the pairing form adapted to a matrix
         presented as two identical blocks on coordinates (1..g | g+1..2g)."""
@@ -119,10 +117,6 @@ class TwoForm:
     @property
     def genus(self) -> int:
         return self.matrix.dimension // 2
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        _check_pair((i, j), self.genus)
-        return Fraction(self.matrix.num[i - 1][j - 1], self.matrix.den)
 
     def items(self) -> list[tuple[Pair, Fraction]]:
         """The nonzero coefficients, by pair in lexicographic order."""
@@ -136,23 +130,6 @@ class TwoForm:
 
     def is_zero(self) -> bool:
         return not any(map(any, self.matrix.num))
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm._of(self.matrix + other.matrix)
-
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm._of(self.matrix - other.matrix)
-
-    def __mul__(self, scalar: Scalar) -> "TwoForm":
-        return TwoForm._of(self.matrix * _frac(scalar))
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "TwoForm(0)"
-        terms = " + ".join(f"{v}*e{i}^e{j}" for (i, j), v in self.items())
-        return f"TwoForm({terms})"
 
 
 def pullback2(m: RatMatrix, form: TwoForm) -> TwoForm:
@@ -175,15 +152,6 @@ def _chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
     if h.is_zero():
         raise DegenerateFormError("the 2-form must be nonzero")
     return [TwoForm._of(x) for x in congruence_chain(m, h.matrix)]
-
-
-def delta_at(chain: Sequence[TwoForm], x: int) -> TwoForm:
-    """Delta_x = sum_i C(x, i+1) chain[i] at an integer x >= 0; for
-    chain = nilpotent_chain(M, H) it equals sum_{m=0}^{x-1} pullback2(M^m, H)."""
-    if x < 0:
-        raise PreconditionError(f"Delta_x needs an integer x >= 0, not {x}")
-    weights = [comb(x, i + 1) for i in range(len(chain))]
-    return TwoForm._of(combiner([f.matrix for f in chain])(weights))
 
 
 def pfaffian(form: TwoForm) -> Fraction:
@@ -239,7 +207,7 @@ def intersection_poly(chain: Sequence[TwoForm]) -> UniPoly:
     from one combiner over the chain, and one extra node re-verifies the
     interpolation."""
     combine = combiner([f.matrix for f in chain])
-    genus = combine.dimension // 2
+    genus = chain[0].genus
     scale = factorial(genus)
     bound = genus * len(chain)
 
@@ -248,34 +216,6 @@ def intersection_poly(chain: Sequence[TwoForm]) -> UniPoly:
         return scale * pfaffian(TwoForm._of(combine(weights)))
 
     return interpolate_checked(top, bound, "intersection_poly")
-
-
-def polarized_wedge(
-    combine: Callable[[Sequence[int]], RatMatrix],
-    alpha: Sequence[int],
-    pfaffians: dict[tuple[int, ...], Fraction],
-) -> Fraction:
-    """Top wedge coefficient of prod_i forms[i]^alpha[i] (|alpha| = g) by
-    polarization: the sum over 0 != beta <= alpha of
-    (-1)^(g - |beta|) * prod_i C(alpha_i, beta_i) * Pf(sum_i beta_i forms[i]).
-    ``combine`` is `exact.combiner` over the skew matrices of the forms,
-    and ``pfaffians`` memoizes Pf by beta; callers share both across the
-    multisets of one family of forms."""
-    g = combine.dimension // 2
-    if len(alpha) != combine.count or sum(alpha) != g:
-        raise DimensionMismatchError(f"need one count per form, summing to g = {g}")
-    total = Fraction(0)
-    for beta in itertools.product(*(range(a + 1) for a in alpha)):
-        size = sum(beta)
-        if not size:
-            continue
-        pf = pfaffians.get(beta)
-        if pf is None:
-            pf = pfaffians[beta] = pfaffian(TwoForm._of(combine(beta)))
-        if pf:
-            term = prod(comb(a, b) for a, b in zip(alpha, beta)) * pf
-            total += term if (g - size) % 2 == 0 else -term
-    return total
 
 
 @dataclass(frozen=True)
@@ -378,13 +318,14 @@ def vanishing_scan(m: RatMatrix, h: TwoForm) -> VanishingScanReport:
 
 def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
     """The scan over the products of any nonempty family of forms of one
-    genus, in the role of the chain.  Each multiset of indices is
-    evaluated once, by `polarized_wedge` over one combiner and Pfaffians
-    shared within the scan.  A scan of more than `SCAN_LIMIT` tuples
-    raises `PreconditionError` before any is evaluated."""
+    genus, in the role of the chain.  Each multiset alpha of indices is
+    evaluated once, by polarization over one combiner, with the Pfaffians
+    memoized by beta and shared within the scan.  A scan of more than
+    `SCAN_LIMIT` tuples raises `PreconditionError` before any is
+    evaluated."""
     combine = combiner([f.matrix for f in chain])
     kf = len(chain) - 1
-    g = combine.dimension // 2
+    g = chain[0].genus
     size = scan_size(g, kf)
     if size > SCAN_LIMIT:
         raise PreconditionError(
@@ -400,10 +341,19 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
         key = tuple(sorted(combo))
         value = values.get(key)
         if value is None:
-            alpha = [0] * (kf + 1)
-            for i in combo:
-                alpha[i] += 1
-            value = values[key] = polarized_wedge(combine, alpha, pfaffians)
+            alpha = [combo.count(i) for i in range(kf + 1)]
+            value = Fraction(0)
+            for beta in itertools.product(*(range(a + 1) for a in alpha)):
+                weight = sum(beta)
+                if not weight:
+                    continue
+                pf = pfaffians.get(beta)
+                if pf is None:
+                    pf = pfaffians[beta] = pfaffian(TwoForm._of(combine(beta)))
+                if pf:
+                    term = prod(comb(a, b) for a, b in zip(alpha, beta)) * pf
+                    value += term if (g - weight) % 2 == 0 else -term
+            values[key] = value
         scanned.append((combo, value))
         if value != 0:
             violations.append(combo)

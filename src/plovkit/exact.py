@@ -385,9 +385,9 @@ def congruence_chain(m: RatMatrix, x: RatMatrix) -> list[RatMatrix]:
 def combiner(mats: Sequence[RatMatrix]) -> Callable[[Sequence[int]], RatMatrix]:
     """The map from integer weights w, one per matrix, to sum_i w_i mats[i].
     The nonzero entries are put over one common denominator once, and a
-    call adds up the entries of the matrices with a nonzero weight.  The
-    map carries ``count`` and ``dimension``; mixed dimensions, or weights
-    of another length, raise DimensionMismatchError."""
+    call adds up the entries of the matrices with a nonzero weight.  Mixed
+    dimensions, no matrices, or weights of another length raise
+    DimensionMismatchError."""
     dims = {m.dimension for m in mats}
     if len(dims) != 1:
         raise DimensionMismatchError(f"combiner: dimensions {sorted(dims)}")
@@ -408,7 +408,6 @@ def combiner(mats: Sequence[RatMatrix]) -> Callable[[Sequence[int]], RatMatrix]:
                     acc[i] += w * v
         return RatMatrix(tuple(tuple(acc[r : r + k]) for r in range(0, k * k, k)), den)
 
-    combine.count, combine.dimension = len(mats), k
     return combine
 
 

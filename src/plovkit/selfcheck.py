@@ -101,7 +101,7 @@ def _merge_sign(indices: tuple[int, ...], pair: Pair) -> int:
 def wedge_coefficient(forms: Sequence[TwoForm]) -> Fraction:
     """Top wedge coefficient of g constant 2-forms on a genus-g space, by
     literal expansion over the sets of indices used so far: the oracle for
-    g! * pfaffian and for `polarized_wedge`."""
+    g! * pfaffian and for the polarization in `scan_chain`."""
     if not forms:
         raise DimensionMismatchError("need at least one form")
     g = forms[0].genus

@@ -9,6 +9,7 @@ literal wedge expansion for the Pfaffian route.
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from plovkit import (
     RatMatrix,
     TwoForm,
     UniPoly,
-    delta_at,
     half_profile,
     intersection_poly,
     jordan_profile,
@@ -41,7 +41,7 @@ from plovkit.errors import (
     PreconditionError,
 )
 from plovkit import cohomology
-from plovkit.cohomology import nilpotent_chain, polarized_wedge, scan_size
+from plovkit.cohomology import nilpotent_chain, scan_size
 from plovkit.exact import combiner
 from plovkit.plov import second_compound_block_sizes
 from plovkit.randgen import paired_unipotent, random_paired_unipotent, randgen_two_form
@@ -57,12 +57,20 @@ def quad_block():
     return RatMatrix.block_diag(j12, j12)
 
 
+def delta(chain, x):
+    """The skew matrix of Delta_x = sum_i C(x, i+1) chain[i], by the call
+    `intersection_poly` makes."""
+    weights = [math.comb(x, i + 1) for i in range(len(chain))]
+    return combiner([f.matrix for f in chain])(weights)
+
+
 def telescoped_delta(m, h, x):
-    """Delta_x as the literal sum of pullback2(M^m, H) over m < x."""
-    acc = TwoForm(h.genus)
+    """The skew matrix of Delta_x as the literal sum of pullback2(M^m, H)
+    over m < x."""
+    acc = RatMatrix.zero(2 * h.genus)
     power = RatMatrix.identity(2 * h.genus)
     for _ in range(x):
-        acc = acc + pullback2(power, h)
+        acc = acc + pullback2(power, h).matrix
         power = mat_mul(power, m)
     return acc
 
@@ -140,32 +148,47 @@ def test_two_form_compares_and_hashes_by_value():
     half = TwoForm(2, {(1, 2): Fraction(2, 4), (3, 4): 3})
     assert half == TwoForm(2, {(1, 2): Fraction(1, 2), (3, 4): 3, (1, 3): 0})
     assert hash(half) == hash(TwoForm(2, {(3, 4): 3, (1, 2): Fraction(1, 2)}))
-    assert half == Fraction(1, 2) * TwoForm(2, {(1, 2): 1, (3, 4): 6})
+    assert half.matrix == TwoForm(2, {(1, 2): 1, (3, 4): 6}).matrix * Fraction(1, 2)
     assert half != TwoForm(3, {(1, 2): Fraction(1, 2), (3, 4): 3})
+    assert repr(half) == f"TwoForm(matrix={half.matrix!r})"
     for _ in range(6):
         g = rng.randint(1, 3)
         h, w = random_rational_form(rng, g), randgen_two_form(rng, g)
         x = rng.randint(-3, 5)
         combined = combiner([h.matrix, w.matrix, h.matrix])([x - 1, 0, 1])
-        assert combined == (x * h).matrix == (h * x).matrix
-        assert hash(combined) == hash((x * h).matrix)
-        assert len({combined, (x * h).matrix, (h * x).matrix}) == 1
-        assert combiner([h.matrix, w.matrix])([2, -1]) == (h + h - w).matrix
+        assert combined == x * h.matrix == h.matrix * x
+        assert hash(combined) == hash(h.matrix * x)
+        assert len({combined, x * h.matrix, h.matrix * x}) == 1
+        assert combiner([h.matrix, w.matrix])([2, -1]) == h.matrix + h.matrix - w.matrix
         assert combiner([h.matrix, w.matrix])([0, 0]) == TwoForm(g).matrix
         # items() lists the nonzero coefficients in lexicographic order
         items = h.items()
         assert [p for p, _ in items] == sorted(p for p, _ in items)
         assert all(v for _, v in items)
         assert TwoForm(g, dict(items)) == h
-        assert all(h.coefficient(i, j) == v for (i, j), v in items)
+        a = h.matrix.entries
+        assert all(a[i - 1][j - 1] == v == -a[j - 1][i - 1] for (i, j), v in items)
 
 
 def test_two_form_coefficient_rejects_pair_out_of_range():
     w = TwoForm.standard(2)
-    assert w.coefficient(1, 3) == 1 and w.coefficient(1, 2) == 0
+    assert w.matrix.entries[0][2] == 1 and w.matrix.entries[0][1] == 0
+    # a zero coefficient does not excuse its key
     for pair in [(3, 1), (0, 1), (1, 5)]:
         with pytest.raises(DimensionMismatchError):
-            w.coefficient(*pair)
+            TwoForm(2, {pair: 0})
+
+
+@pytest.mark.parametrize("coeffs", [{(5, 9): 0}, {(1, 2, 3): 1}, {1: 1}, {(1, 2.0): 1}])
+def test_two_form_checks_every_key_whatever_its_value(coeffs):
+    (key,) = coeffs
+    with pytest.raises(DimensionMismatchError, match=re.escape(repr(key))):
+        TwoForm(2, coeffs)
+
+
+def test_two_form_rejects_inexact_values():
+    with pytest.raises(TypeError):
+        TwoForm(2, {(1, 2): 0.5})
 
 
 def test_chain_rejects_zero_form():
@@ -187,14 +210,14 @@ def test_pullback_identity_fixes_everything():
 
 def test_pullback_block_leader_fixed():
     m = quad_block()
-    w = TwoForm.basis(2, 1, 3)
+    w = TwoForm(2, {(1, 3): 1})
     assert pullback2(m, w) == w
 
 
 def test_pullback_substitution_example():
     # M e2 = e1 + e2 and M e4 = e3 + e4, so e2^e4 expands to four terms
     m = quad_block()
-    w = TwoForm.basis(2, 2, 4)
+    w = TwoForm(2, {(2, 4): 1})
     expected = TwoForm(2, {(1, 3): 1, (1, 4): 1, (2, 3): 1, (2, 4): 1})
     assert pullback2(m, w) == expected
 
@@ -239,7 +262,7 @@ def test_pullback_power_functoriality():
 
 def test_pullback_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        pullback2(RatMatrix.identity(2), TwoForm.basis(2, 1, 2))
+        pullback2(RatMatrix.identity(2), TwoForm(2, {(1, 2): 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +273,7 @@ def test_delta_identity_matrix():
     h = TwoForm.standard(2)
     chain = nilpotent_chain(RatMatrix.identity(4), h)
     for x in range(8):
-        assert delta_at(chain, x) == x * h
+        assert delta(chain, x) == h.matrix * x
 
 
 def test_delta_quad_block_coefficients():
@@ -262,10 +285,10 @@ def test_delta_quad_block_coefficients():
         (2, 4): poly_n(0, 1),
     }
     for x in range(8):
-        d = delta_at(chain, x)
+        d = delta(chain, x)
         for (i, j), p in expected.items():
-            assert d.coefficient(i, j) == p(x)
-        assert d == TwoForm(2, {pair: p(x) for pair, p in expected.items()})
+            assert d.entries[i - 1][j - 1] == p(x)
+        assert d == TwoForm(2, {pair: p(x) for pair, p in expected.items()}).matrix
 
 
 def test_delta_evaluates_to_h_at_one():
@@ -274,7 +297,7 @@ def test_delta_evaluates_to_h_at_one():
         g = rng.randint(1, 3)
         m, _ = random_paired_unipotent(rng, g)
         h = randgen_two_form(rng, g)
-        assert delta_at(nilpotent_chain(m, h), 1) == h
+        assert delta(nilpotent_chain(m, h), 1) == h.matrix
 
 
 def test_delta_telescoping_oracle():
@@ -285,11 +308,11 @@ def test_delta_telescoping_oracle():
         h = randgen_two_form(rng, g)
         chain = nilpotent_chain(m, h)
         for n0 in range(0, 9):
-            assert delta_at(chain, n0) == telescoped_delta(m, h, n0)
+            assert delta(chain, n0) == telescoped_delta(m, h, n0)
 
 
 def test_delta_rejects_non_unipotent():
-    m, h = RatMatrix.jordan_block(-1, 2), TwoForm.basis(1, 1, 2)
+    m, h = RatMatrix.jordan_block(-1, 2), TwoForm(1, {(1, 2): 1})
     with pytest.raises(NotUnipotentError):
         nilpotent_chain(m, h)
     with pytest.raises(NotUnipotentError):
@@ -351,9 +374,9 @@ def test_intersection_poly_verification_node(monkeypatch):
     import plovkit.cohomology as cohomology
 
     monkeypatch.setattr(
-        cohomology, "pfaffian", lambda form: Fraction(2 ** int(form.coefficient(1, 2)))
+        cohomology, "pfaffian", lambda form: Fraction(2 ** int(form.matrix.entries[0][1]))
     )
-    chain = nilpotent_chain(RatMatrix.identity(2), TwoForm.basis(1, 1, 2))
+    chain = nilpotent_chain(RatMatrix.identity(2), TwoForm(1, {(1, 2): 1}))
     with pytest.raises(CrossCheckError, match="intersection_poly"):
         intersection_poly(chain)
 
@@ -412,8 +435,8 @@ def test_intersection_poly_matches_literal_wedge_of_telescoped_sum():
         h = rng.choice([TwoForm.standard(g), randgen_two_form(rng, g)])
         poly = intersection_poly(nilpotent_chain(m, h))
         for x in range(7):
-            delta = telescoped_delta(m, h, x)
-            assert poly(x) == wedge_coefficient([delta] * g)
+            literal = TwoForm._of(telescoped_delta(m, h, x))
+            assert poly(x) == wedge_coefficient([literal] * g)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +460,7 @@ def test_model_quad_block_standard_form():
 
 def test_model_degenerate_form_raises():
     with pytest.raises(DegenerateFormError):
-        plov_via_model(quad_block(), TwoForm.basis(2, 1, 3))
+        plov_via_model(quad_block(), TwoForm(2, {(1, 3): 1}))
 
 
 def test_model_undershooting_form_reports_flag():
@@ -449,7 +472,7 @@ def test_model_undershooting_form_reports_flag():
 
 def test_model_rejects_non_pseudo_analytic():
     with pytest.raises(NotPseudoAnalyticError):
-        plov_via_model(RatMatrix.jordan_block(1, 2), TwoForm.basis(1, 1, 2))
+        plov_via_model(RatMatrix.jordan_block(1, 2), TwoForm(1, {(1, 2): 1}))
 
 
 def test_model_degree_ceiling_random_forms():
@@ -547,34 +570,27 @@ def test_scan_threshold_is_strict():
     h = TwoForm.standard(2)
     report = vanishing_scan(m, h)
     assert (1, 1) not in [t for t, _ in report.scanned]
-    nh = pullback2(m, h) - h
+    nh = TwoForm._of(pullback2(m, h).matrix - h.matrix)
     assert wedge_coefficient([nh, nh]) != 0
 
 
 def test_polarized_wedge_matches_literal_wedge():
-    # arbitrary forms, not from a chain, so most products are nonzero
+    # arbitrary forms, not from a chain, so most products are nonzero; the
+    # reversed family scans the multisets below the middle
     rng = random.Random(72)
     nonzero = total = 0
     for g in range(2, 6):
         forms = [dense_rational_form(rng, g) for _ in range(3)]
-        combine = combiner([f.matrix for f in forms])
-        pfaffians = {}
-        for multiset in itertools.combinations_with_replacement(range(3), g):
-            alpha = [multiset.count(i) for i in range(3)]
-            value = polarized_wedge(combine, alpha, pfaffians)
-            assert value == wedge_coefficient([forms[i] for i in multiset])
-            nonzero += value != 0
-            total += 1
+        for family in (forms, forms[::-1]):
+            oracle = {}
+            for combo, value in scan_chain(family).scanned:
+                multiset = tuple(sorted(combo))
+                if multiset not in oracle:
+                    oracle[multiset] = wedge_coefficient([family[i] for i in multiset])
+                    nonzero += value != 0
+                    total += 1
+                assert value == oracle[multiset]
     assert nonzero > total // 2
-
-
-def test_polarized_wedge_arity_checks():
-    w = TwoForm.standard(2)
-    combine = combiner([w.matrix, w.matrix])
-    with pytest.raises(DimensionMismatchError):
-        polarized_wedge(combine, [1, 0], {})
-    with pytest.raises(DimensionMismatchError):
-        polarized_wedge(combine, [2], {})
 
 
 def test_scan_matches_literal_ordered_scan():
@@ -613,11 +629,12 @@ def test_scan_clean_on_random_paired_profiles():
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: delta_at(nilpotent_chain(quad_block(), TwoForm.standard(2)), -1),
-         PreconditionError),
-        (lambda: delta_at([], 0), DimensionMismatchError),
         (lambda: intersection_poly([]), DimensionMismatchError),
         (lambda: scan_chain([]), DimensionMismatchError),
+        (lambda: intersection_poly([TwoForm.standard(1), TwoForm.standard(2)]),
+         DimensionMismatchError),
+        (lambda: scan_chain([TwoForm.standard(2), TwoForm.standard(1)]),
+         DimensionMismatchError),
         (lambda: nilpotent_chain(quad_block(), TwoForm.standard(1)),
          DimensionMismatchError),
         (lambda: plov_via_model(RatMatrix.identity(3), TwoForm.standard(1)),
@@ -672,7 +689,7 @@ def test_scan_past_the_limit_is_refused_before_it_runs(monkeypatch):
     monkeypatch.setattr(cohomology, "SCAN_LIMIT", size)
     assert len(scan_chain(chain).scanned) == size
     monkeypatch.setattr(cohomology, "SCAN_LIMIT", size - 1)
-    monkeypatch.setattr(cohomology, "polarized_wedge", None)
+    monkeypatch.setattr(cohomology, "pfaffian", None)
     limit = f"{size} products exceeds the limit of {size - 1}$"
     with pytest.raises(PreconditionError, match=limit):
         scan_chain(chain)

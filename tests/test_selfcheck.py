@@ -14,6 +14,7 @@ import pytest
 
 import plovkit.selfcheck as selfcheck
 from plovkit.cli import main
+from plovkit.cohomology import TwoForm
 from plovkit.exact import RatMatrix, UniPoly
 from plovkit.selfcheck import SELFTEST_CHECKS
 
@@ -123,7 +124,7 @@ FAULTS = {
     ),
     "pullback_power_functoriality": (
         "pullback2",
-        lambda real: lambda m, form: real(m, form) * 2,
+        lambda real: lambda m, form: TwoForm._of(real(m, form).matrix * 2),
     ),
 }
 

@@ -11,7 +11,10 @@ no module but `exact` references the private `_interpolate`.  Both sums
 of pullbacks, S(n) in `powersum` and Delta_n in `cohomology`, are built
 from `exact.congruence_chain` and `exact.combiner`.  A `UniPoly` is
 built, evaluated and printed, with no ring operations, and matrix powers
-go through `exact.mat_pow` alone.
+go through `exact.mat_pow` alone.  A `TwoForm` is built, read and handed
+to `pfaffian` or `pullback2`, with no arithmetic of its own; Delta_x and
+the polarized wedges are built inside `intersection_poly` and
+`scan_chain` alone.
 """
 
 import ast
@@ -157,3 +160,18 @@ def test_polynomials_have_no_ring_operations_and_matrices_no_power_operator():
     assert "__mul__" in class_members(exact, "RatMatrix")  # the walk sees methods
     assert not hasattr(plovkit, "Rational")
     assert not hasattr(plovkit.exact, "Rational")
+
+
+def test_two_forms_have_no_arithmetic_and_the_scan_polarizes_inline():
+    cohomology = dict(parsed_sources())["cohomology.py"]
+    arithmetic = {"basis", "coefficient", "__add__", "__sub__", "__mul__", "__rmul__"}
+    assert class_members(cohomology, "TwoForm") & arithmetic == set()
+    assert "is_zero" in class_members(cohomology, "TwoForm")  # the walk sees methods
+    functions = {
+        node.name for node in ast.walk(cohomology) if isinstance(node, ast.FunctionDef)
+    }
+    assert functions & {"delta_at", "polarized_wedge"} == set()
+    assert "scan_chain" in functions
+    assert not hasattr(plovkit, "delta_at")
+    combine = plovkit.exact.combiner([plovkit.RatMatrix.identity(2)])
+    assert not hasattr(combine, "count") and not hasattr(combine, "dimension")
