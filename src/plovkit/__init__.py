@@ -23,7 +23,6 @@ from .errors import (
     PreconditionError,
 )
 from .exact import (
-    NEG_INF,
     RatMatrix,
     UniPoly,
     char_poly,

@@ -32,8 +32,8 @@ from .cyclotomic import QuasiUnipotencyVerdict, require_quasi_unipotent, unipote
 from .errors import (
     CrossCheckError,
     InputFormatError,
+    OddDimensionError,
     PlovkitError,
-    PreconditionError,
 )
 from .exact import RatMatrix, UniPoly
 from .jordan import HalfProfile, JordanProfile, jordan_profile
@@ -131,7 +131,7 @@ def enc_poly(p: UniPoly):
     return {
         "variable": p.var,
         "coefficients": [enc_frac(c) for c in p.coeffs],
-        "degree": None if p.is_zero() else int(p.degree()),
+        "degree": None if p.is_zero() else p.degree(),
         "text": str(p),
     }
 
@@ -436,7 +436,7 @@ def cmd_model(args) -> int:
     name, matrix = _load(args.input)
     order, u = unipotent_power(matrix)
     if u.dimension % 2:
-        raise PreconditionError(f"dimension {u.dimension} is odd; expected 2g")
+        raise OddDimensionError(f"dimension {u.dimension} is odd; expected 2g")
     genus = u.dimension // 2
     if args.form == "standard":
         form = TwoForm.standard(genus)
@@ -478,6 +478,10 @@ def cmd_model(args) -> int:
                 f"vanishing scan: {len(scan.scanned)} products above threshold, "
                 f"{len(scan.violations)} violations",
             ]
+        )
+    if scan.violations:
+        raise CrossCheckError(
+            f"vanishing scan: {len(scan.violations)} nonzero products above the threshold"
         )
     return 0
 

@@ -254,7 +254,7 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
         raise DegenerateFormError(
             "top self-intersection of Delta_n is identically zero"
         )
-    degree = int(poly.degree())
+    degree = poly.degree()
     if degree > expected:
         raise CrossCheckError(
             f"model degree {degree} exceeds profile bound {expected}"
@@ -302,7 +302,6 @@ class VanishingScanReport:
     ``violations`` collects the tuples with a nonzero value (expected
     empty)."""
 
-    genus: int
     kf: int
     scanned: tuple[tuple[tuple[int, ...], Fraction], ...]
     violations: tuple[tuple[int, ...], ...]
@@ -358,7 +357,6 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
         if value != 0:
             violations.append(combo)
     return VanishingScanReport(
-        genus=g,
         kf=kf,
         scanned=tuple(scanned),
         violations=tuple(violations),

@@ -6,9 +6,10 @@ of the library:
 
   * `UniPoly` -- dense univariate polynomial over Q with
     `fractions.Fraction` coefficients, a value type that is built from
-    coefficients or by interpolation, evaluated and printed; its
-    variable tag ('t' for characteristic polynomials, 'n' for growth
-    polynomials) names the indeterminate in `str` and in reports,
+    coefficients or by interpolation, evaluated and printed, whose
+    `degree()` is an int (-1 for the zero polynomial); its variable tag
+    ('t' for characteristic polynomials, 'n' for growth polynomials)
+    names the indeterminate in `str` and in reports,
   * `RatMatrix` -- immutable square matrices over Q, stored as integer
     rows `num` over one positive common denominator `den` in lowest
     terms, so the matrix kernel (products, powers, sums, minors,
@@ -48,9 +49,6 @@ from .errors import CrossCheckError, DimensionMismatchError, PreconditionError
 
 Scalar = Union[int, Fraction]
 
-#: Degree of the zero polynomial, strictly below every integer.
-NEG_INF = float("-inf")
-
 
 def _frac(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
@@ -88,15 +86,12 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self):
-        """Degree of the polynomial; NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def degree(self) -> int:
+        """Degree of the polynomial; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     def leading(self) -> Fraction:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
@@ -245,14 +240,14 @@ class RatMatrix:
     def companion(p: UniPoly) -> "RatMatrix":
         """Companion matrix of a monic polynomial of degree >= 1."""
         d = p.degree()
-        if d is NEG_INF or d < 1 or p.leading() != 1:
+        if d < 1 or p.leading() != 1:
             raise PreconditionError(
                 "companion matrix needs a monic nonconstant polynomial"
             )
         return RatMatrix.from_rows(
             [
                 [
-                    -p.coefficient(i)
+                    -p.coeffs[i]
                     if j == d - 1
                     else 1
                     if i == j + 1

@@ -38,10 +38,6 @@ class JordanProfile:
     entries: tuple[tuple[int, int, int], ...]
     dimension: int
 
-    @property
-    def max_block_size(self) -> int:
-        return max(k for _, k, _ in self.entries)
-
     def unipotent_block_sizes(self) -> list[int]:
         """Block sizes of the unipotent iterate M^N, with multiplicity:
         each (n, k, m) entry contributes phi(n)*m blocks of size k."""
@@ -59,10 +55,6 @@ class HalfProfile:
 
     entries: tuple[tuple[int, int, int], ...]
     genus: int
-
-    @property
-    def max_block_size(self) -> int:
-        return max(k for _, k, _ in self.entries)
 
 
 def _block_size_counts(b: RatMatrix, phi: int, algebraic_mult: int | None,

@@ -183,9 +183,6 @@ class AnalysisReport:
     exponents: dict[int, int]
     bound_checks: tuple[BoundCheck, ...]
 
-    def all_bounds_hold(self) -> bool:
-        return all(check.holds for check in self.bound_checks)
-
 
 def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisReport:
     """Run the full pipeline on an even-dimensional matrix.
@@ -203,7 +200,7 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
     pseudo = pseudo_analytic_check(profile)
     half = half_profile(profile) if pseudo else None
     plov = plov_of(half) if pseudo else None
-    kj = half.max_block_size - 1 if pseudo else None
+    kj = max(k for _, k, _ in half.entries) - 1 if pseudo else None
     kf = 2 * kj if pseudo else None
     max_block_n1 = 2 * kj + 1 if pseudo else None
 

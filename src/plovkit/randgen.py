@@ -30,13 +30,11 @@ def random_partition(rng: random.Random, total: int) -> list[int]:
     return sorted(parts, reverse=True)
 
 
-def random_unimodular(rng: random.Random, k: int, steps: int | None = None) -> RatMatrix:
-    """Random integer matrix with determinant +-1 (products of shears and
-    row swaps)."""
+def random_unimodular(rng: random.Random, k: int) -> RatMatrix:
+    """Random integer matrix with determinant +-1 (products of k + 3
+    shears and row swaps)."""
     rows = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    if steps is None:
-        steps = k + 3
-    for _ in range(steps):
+    for _ in range(k + 3):
         if k >= 2 and rng.random() < 0.25:
             i, j = rng.sample(range(k), 2)
             rows[i], rows[j] = rows[j], rows[i]

@@ -37,7 +37,6 @@ from .cohomology import (
 from .cyclotomic import cyclotomic_poly, quasi_unipotency, unipotent_power
 from .errors import CrossCheckError, DimensionMismatchError, PreconditionError
 from .exact import (
-    NEG_INF,
     RatMatrix,
     UniPoly,
     char_poly,
@@ -153,18 +152,17 @@ def growth_exponent_by_minors(m: RatMatrix, r: int) -> int:
     powers = [RatMatrix.identity(k)]
     for _ in range(sum(sorted(rowdeg)[k - r :]) + 1):
         powers.append(mat_mul(powers[-1], u))
-    best = NEG_INF
+    best = -1
     for rows in itertools.combinations(range(k), r):
         bound = sum(rowdeg[i] for i in rows)
         for cols in itertools.combinations(range(k), r):
             minor = det_poly(
                 lambda x: submatrix(powers[x], rows, cols), bound
             )
-            if minor.degree() > best:
-                best = minor.degree()
-    if best is NEG_INF:
+            best = max(best, minor.degree())
+    if best < 0:
         raise CrossCheckError("all minors vanished (impossible: U^0 = I)")
-    return int(best)
+    return best
 
 
 def max_block_compound2_literal(m: RatMatrix) -> int:
@@ -174,7 +172,7 @@ def max_block_compound2_literal(m: RatMatrix) -> int:
         raise PreconditionError("second compound requires dimension >= 2")
     _, u = unipotent_power(m)
     profile = unipotent_block_profile(compound_matrix(u, 2))
-    return profile.max_block_size
+    return max(k for _, k, _ in profile.entries)
 
 
 def single_block_leading_coeff(k: int) -> Fraction:

@@ -13,7 +13,7 @@ import pytest
 
 import plovkit
 from plovkit.cli import build_parser, enc_matrix, encode_report, main, parse_input
-from plovkit.errors import CrossCheckError, InputFormatError
+from plovkit.errors import CrossCheckError, InputFormatError, OddDimensionError
 from plovkit.exact import RatMatrix
 
 
@@ -289,6 +289,36 @@ def test_model_standard_form(tmp_path, capsys):
     assert report["degree"] == 4
     assert report["matches_profile"] is True
     assert report["vanishing_scan"]["violations"] == []
+
+
+def test_model_odd_dimension_raises_the_analyze_error(tmp_path, capsys):
+    path = write_doc(tmp_path, {"matrix": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]})
+    args = build_parser().parse_args(["model", "--input", path])
+    with pytest.raises(OddDimensionError, match="^dimension 3 is odd; expected 2g$"):
+        args.fn(args)
+    code, out, err = run_cli(["model", "--input", path], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: dimension 3 is odd; expected 2g\n"
+
+
+def test_readme_synopsis_lists_every_option_of_each_subcommand():
+    import argparse
+    import re
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Subcommands:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    listed = {
+        line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+        for line in block.splitlines()
+    }
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    defined = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert listed == defined
 
 
 def test_invalid_input_exits_1(tmp_path, capsys):
@@ -644,6 +674,26 @@ def test_residual_past_the_digit_limit_is_one_line_exit_2(tmp_path, command):
     )
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["powersum", "--samples", "1"], ["growth", "--degrees", "1"], ["model"]],
+    ids=["analyze", "powersum", "growth", "model"],
+)
+def test_char_poly_past_the_prime_table_is_one_line_exit_2(tmp_path, capsys, command):
+    # a valid unipotent input whose char_poly coefficient bound, 19,934
+    # bits, is past the 19,265 bits of the Mersenne prime table
+    b = 10**3000 - 1
+    quad = [[1, b, 0, 0], [0, 1, 0, 0], [0, 0, 1, b], [0, 0, 0, 1]]
+    path = write_doc(tmp_path, {"matrix": quad})
+    code, out, err = run_cli([*command, "--input", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: char_poly: coefficient bound of 19934 bits exceeds the product"
+        " of the Mersenne prime table\n"
+    )
+
+
 def test_parse_input_is_total_on_arbitrary_input():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -921,6 +971,35 @@ def test_analyze_failing_bound_check_exits_3(tmp_path, capsys, monkeypatch):
     assert f"bound checks: {len(checks) - 1}/{len(checks)} hold" in err
     assert err.splitlines()[-1] == (
         "internal cross-check failure: bound checks failed: volume_growth_upper_bound"
+    )
+
+
+def test_model_nonzero_scanned_value_exits_3(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    import plovkit.cli
+
+    real = plovkit.cli.scan_chain
+
+    def failing(chain):
+        report = real(chain)
+        (first, _), *rest = report.scanned
+        return dataclasses.replace(
+            report, scanned=((first, Fraction(1)), *rest), violations=(first,)
+        )
+
+    monkeypatch.setattr(plovkit.cli, "scan_chain", failing)
+    path = write_doc(tmp_path, QUAD)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(["model", "--input", path, "--out", str(out_path)], capsys)
+    assert code == 3
+    assert out == ""
+    scan = json.loads(out_path.read_text())["model"]["vanishing_scan"]
+    assert scan["violations"] == [[1, 2]]
+    assert scan["scanned"][0] == {"tuple": [1, 2], "value": 1}
+    assert "3 products above threshold, 1 violations" in err
+    assert err.splitlines()[-1] == (
+        "internal cross-check failure: vanishing scan: 1 nonzero products above the threshold"
     )
 
 

@@ -294,7 +294,7 @@ def test_analyze_identity():
     assert report.plov == 1
     assert report.kJ == 0 and report.kf == 0 and report.max_block_n1 == 1
     assert report.exponents[1] == 0
-    assert report.all_bounds_hold()
+    assert all(c.holds for c in report.bound_checks)
 
 
 def test_analyze_even_golden_case():
@@ -306,14 +306,14 @@ def test_analyze_even_golden_case():
     assert quad and quad[0].holds
     # the bound holds with equality: plov = 4 = 2*floor(2/2) + 2
     assert report.plov == 2 * (report.genus // 2) + report.genus
-    assert report.all_bounds_hold()
+    assert all(c.holds for c in report.bound_checks)
 
 
 def test_analyze_odd_golden_case():
     report = analyze(blocks(2, 1, 2, 1))
     assert report.genus == 3
     assert report.plov == 5 == 2 * report.genus - 1
-    assert report.all_bounds_hold()
+    assert all(c.holds for c in report.bound_checks)
 
 
 def test_analyze_rejects_odd_dimension():

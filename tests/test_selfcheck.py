@@ -43,7 +43,7 @@ def _shifted(real, delta):
 
 def _plus_one(p):
     """The polynomial p + 1, in p's variable."""
-    return UniPoly.from_coeffs([p.coefficient(0) + 1, *p.coeffs[1:]], p.var)
+    return UniPoly.from_coeffs([p.coeffs[0] + 1, *p.coeffs[1:]], p.var)
 
 
 def _replaced(real, **fields):
@@ -120,7 +120,7 @@ FAULTS = {
     ),
     "vanishing_scan_clean": (
         "scan_chain",
-        lambda real: _replaced(real, violations=lambda r: ((0,) * r.genus,)),
+        lambda real: _replaced(real, violations=lambda r: (r.scanned[0][0],)),
     ),
     "pullback_power_functoriality": (
         "pullback2",

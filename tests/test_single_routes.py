@@ -14,7 +14,8 @@ built, evaluated and printed, with no ring operations, and matrix powers
 go through `exact.mat_pow` alone.  A `TwoForm` is built, read and handed
 to `pfaffian` or `pullback2`, with no arithmetic of its own; Delta_x and
 the polarized wedges are built inside `intersection_poly` and
-`scan_chain` alone.
+`scan_chain` alone.  The records keep only the members some route
+reads, and the degree of the zero polynomial is the int -1.
 """
 
 import ast
@@ -175,3 +176,22 @@ def test_two_forms_have_no_arithmetic_and_the_scan_polarizes_inline():
     assert not hasattr(plovkit, "delta_at")
     combine = plovkit.exact.combiner([plovkit.RatMatrix.identity(2)])
     assert not hasattr(combine, "count") and not hasattr(combine, "dimension")
+
+
+def test_records_keep_only_what_the_routes_read():
+    import dataclasses
+    import inspect
+
+    from plovkit.randgen import random_unimodular
+
+    assert not hasattr(plovkit, "NEG_INF")
+    assert not hasattr(plovkit.exact, "NEG_INF")
+    zero = plovkit.UniPoly.from_coeffs([])
+    assert zero.degree() == -1 and type(zero.degree()) is int
+    assert not hasattr(plovkit.UniPoly, "coefficient")
+    assert not hasattr(plovkit.JordanProfile, "max_block_size")
+    assert not hasattr(plovkit.HalfProfile, "max_block_size")
+    assert not hasattr(plovkit.AnalysisReport, "all_bounds_hold")
+    scan_fields = {f.name for f in dataclasses.fields(plovkit.VanishingScanReport)}
+    assert scan_fields == {"kf", "scanned", "violations"}
+    assert list(inspect.signature(random_unimodular).parameters) == ["rng", "k"]
