@@ -9,8 +9,8 @@ literals are rejected so that every number stays exact end to end.  Reports are 
 on stdout (or --out FILE) with rationals serialized as integers or "p/q"
 strings, plus a short human-readable summary on stderr.
 
-Exit codes: 0 success, 1 invalid input, 2 precondition violated,
-3 internal cross-check failure.
+Exit codes: 0 success, 1 invalid input, 2 precondition violated or out
+of memory, 3 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -617,6 +617,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except PlovkitError as exc:
         summary([f"error: {exc}"])
+        return 2
+    except MemoryError:
+        summary(["error: out of memory"])
         return 2
 
 

@@ -25,7 +25,7 @@ of Delta_x (the coefficient of e_1 ^ ... ^ e_2g in the g-fold wedge) is
 a polynomial in x, reported in the variable n, whose degree is the
 model-side volume growth.  For one form w the top coefficient of w^g is
 g! * Pf(A_w), so `intersection_poly` evaluates that at the nodes
-x = 0..D and interpolates.
+x = 0..D, D = plov + 1 from M's half profile, and interpolates.
 
 The vanishing scan needs mixed products of chain forms.  2-forms
 commute, so such a product depends only on the multiset alpha of its
@@ -196,26 +196,27 @@ def pfaffian(form: TwoForm) -> Fraction:
     return Fraction(sign * prev, form.matrix.den**form.genus)
 
 
-def intersection_poly(chain: Sequence[TwoForm]) -> UniPoly:
+def intersection_poly(chain: Sequence[TwoForm], degree_bound: int) -> UniPoly:
     """The raw top coefficient of Delta_n^g for chain = nilpotent_chain(M, H)
     as a polynomial in n (no normalization; only degrees and vanishing are
     contractual).
 
-    Every coefficient of Delta_x has degree at most len(chain) = kf + 1 in
-    x, so the g-fold wedge has degree at most D = g * len(chain).  It is
-    interpolated from g! * Pf(Delta_x) at x = 0..D, with every Delta_x
-    from one combiner over the chain, and one extra node re-verifies the
-    interpolation."""
+    In a Jordan basis of M, entry (i, j) of Delta_x has degree at most
+    d_i + d_j + 1 in x, d_i the depth of i in its block, so Pf(Delta_x)
+    has degree at most g + sum k(k - 1)/2 over M's blocks (a change of
+    basis scales it by a constant): plov for a paired profile, and
+    `plov_via_model` passes degree_bound = plov + 1.  It is interpolated
+    from g! * Pf(Delta_x) at x = 0..degree_bound, with every Delta_x from
+    one combiner over the chain, and one extra node re-verifies it."""
     combine = combiner([f.matrix for f in chain])
     genus = chain[0].genus
     scale = factorial(genus)
-    bound = genus * len(chain)
 
     def top(x: int) -> Fraction:
         weights = [comb(x, i + 1) for i in range(len(chain))]
         return scale * pfaffian(TwoForm._of(combine(weights)))
 
-    return interpolate_checked(top, bound, "intersection_poly")
+    return interpolate_checked(top, degree_bound, "intersection_poly")
 
 
 @dataclass(frozen=True)
@@ -249,7 +250,7 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
             f"nilpotent chain of length {len(chain)} exceeds the largest "
             f"second-compound block {largest}"
         )
-    poly = intersection_poly(chain)
+    poly = intersection_poly(chain, expected + 1)
     if poly.is_zero():
         raise DegenerateFormError(
             "top self-intersection of Delta_n is identically zero"
@@ -280,6 +281,8 @@ def scan_size(genus: int, kf: int) -> int:
     i |-> kf - i swaps the tuples above and below the middle, so this is
     half of (kf+1)^genus less the tuples on it, counted by
     inclusion-exclusion over the entries forced past kf."""
+    if genus < 1 or kf < 0:
+        raise PreconditionError("scan_size needs genus >= 1 and kf >= 0")
     total, middle = divmod(genus * kf, 2)
     on_middle = 0
     if not middle:

@@ -32,7 +32,9 @@ of the library:
     interpolation routine (forward differences into the binomial basis,
     expanded by Horner's rule) that `interpolate_checked` re-verifies at
     the node D + 1, naming its caller when they differ; `det_poly` and
-    `cohomology.intersection_poly` are both built on it.
+    `cohomology.intersection_poly` are both built on it, and their product
+    callers read D off the Jordan profile: sum k_i^2 + 1 in
+    `powersum.power_sum_det`, plov + 1 in `cohomology.plov_via_model`.
 """
 
 from __future__ import annotations
@@ -170,8 +172,10 @@ class RatMatrix:
     The storage is canonical: ``den`` is positive and
     gcd(den, every entry of ``num``) = 1, so equal matrices have equal
     fields, and equality and hashing work by value.  ``RatMatrix(num, den)``
-    takes integer row tuples (anything else raises TypeError) and reduces
-    them; `from_rows` builds a matrix from rational entries.
+    takes k >= 1 integer row tuples of length k (a non-integer raises
+    TypeError, any other shape DimensionMismatchError) and reduces them;
+    every constructor goes through it, and `from_rows` builds a matrix
+    from rational entries.
     """
 
     num: tuple[tuple[int, ...], ...]
@@ -188,6 +192,8 @@ class RatMatrix:
             raise TypeError(
                 "RatMatrix rows hold ints; build rational entries with from_rows"
             ) from None
+        if {*map(len, self.num)} != {len(self.num)}:
+            raise DimensionMismatchError("matrix must be square and nonempty")
         if den < 0:
             g = -g
         if g != 1:
@@ -205,9 +211,6 @@ class RatMatrix:
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Scalar]]) -> "RatMatrix":
         grid = [[_frac(x) for x in row] for row in rows]
-        k = len(grid)
-        if k == 0 or any(len(row) != k for row in grid):
-            raise DimensionMismatchError("matrix must be square and nonempty")
         den = lcm(*(c.denominator for row in grid for c in row))
         return RatMatrix(
             tuple(
@@ -261,8 +264,6 @@ class RatMatrix:
     @staticmethod
     def block_diag(*blocks: "RatMatrix") -> "RatMatrix":
         k = sum(b.dimension for b in blocks)
-        if k == 0:
-            raise DimensionMismatchError("matrix must be square and nonempty")
         den = lcm(*(b.den for b in blocks))
         rows = [[0] * k for _ in range(k)]
         offset = 0

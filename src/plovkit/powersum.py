@@ -76,27 +76,23 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     """det S(n) with the degree law re-verified at runtime.
 
     S(x) is evaluated from the B_j of `exact.congruence_chain` on A^T by
-    one combiner; row r of S has degree at most max{j + 1 : row r of B_j
-    is nonzero}, and the sum of these row degrees bounds the degree of
-    the determinant.  The degree must equal sum k_i^2 over the Jordan
-    blocks of A, read by `unipotent_block_profile`, which is also the gate
-    that proves A unipotent; a mismatch raises CrossCheckError.
+    one combiner.  In a Jordan basis, entry (i, j) of S(x) has degree at
+    most d_i + d_j + 1, d_i the depth of i in its block, so det S has
+    degree at most sum k_i^2 over the blocks (a change of basis scales it
+    by a constant); it is interpolated on that bound plus one.  The degree
+    must equal sum k_i^2, read by `unipotent_block_profile`, which is also
+    the gate that proves A unipotent; a mismatch raises CrossCheckError.
     """
     if a.dimension != h.dimension:
         raise DimensionMismatchError("matrix and form dimensions differ")
     profile = unipotent_block_profile(a)
     ensure_spd(h)
     bs = congruence_chain(a.transpose(), h)
-    k = a.dimension
-    bound = sum(
-        max((j + 1 for j, b in enumerate(bs) if any(b.num[r])), default=0)
-        for r in range(k)
-    )
     combine = combiner(bs)
-    poly = det_poly(
-        lambda x: combine([comb(x, j + 1) for j in range(len(bs))]), bound
-    )
     degree = sum(m * size * size for _, size, m in profile.entries)
+    poly = det_poly(
+        lambda x: combine([comb(x, j + 1) for j in range(len(bs))]), degree + 1
+    )
     if poly.degree() != degree:
         raise CrossCheckError(
             f"power-sum determinant degree {poly.degree()} "

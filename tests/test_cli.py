@@ -1017,6 +1017,28 @@ def test_unipotent_power_that_is_not_unipotent_exits_3(
     assert err == "internal cross-check failure: claimed unipotent power is not unipotent\n"
 
 
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path):
+    """`selftest --max-size 100000` builds matrices far past 256 MiB.  In a
+    child capped there by RLIMIT_AS, the MemoryError ends the run with one
+    line on stderr and exit 2, not a traceback."""
+    import resource
+
+    src = str(Path(plovkit.__file__).resolve().parents[1])
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "plovkit.cli", "selftest",
+         "--max-size", "100000", "--cases", "1"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=10, preexec_fn=cap,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: out of memory\n"
+    )
+
+
 def test_model_scan_past_the_limit_exits_2_at_once(tmp_path):
     """[7] pairs two 7 x 7 blocks: a scan of 30,137,596 tuples, which
     would exhaust memory.  It runs in a child capped at 1 GiB of address

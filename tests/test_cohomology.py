@@ -42,7 +42,8 @@ from plovkit.errors import (
 )
 from plovkit import cohomology
 from plovkit.cohomology import nilpotent_chain, scan_size
-from plovkit.exact import combiner
+from plovkit import exact
+from plovkit.exact import combiner, interpolate_checked
 from plovkit.plov import second_compound_block_sizes
 from plovkit.randgen import paired_unipotent, random_paired_unipotent, randgen_two_form
 from plovkit.selfcheck import literal_scan, wedge_coefficient
@@ -316,7 +317,7 @@ def test_delta_rejects_non_unipotent():
     with pytest.raises(NotUnipotentError):
         nilpotent_chain(m, h)
     with pytest.raises(NotUnipotentError):
-        intersection_poly(nilpotent_chain(m, h))
+        intersection_poly(nilpotent_chain(m, h), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +362,7 @@ def test_intersection_sign_bookkeeping_oracle():
 
 
 def test_intersection_delta_self_wedge_closed_form():
-    result = intersection_poly(nilpotent_chain(quad_block(), TwoForm.standard(2)))
+    result = intersection_poly(nilpotent_chain(quad_block(), TwoForm.standard(2)), 5)
     # -(1/6) n^2 (n^2 + 11), degree 4 with leading coefficient -1/6
     assert result == poly_n(0, 0, Fraction(-11, 6), 0, Fraction(-1, 6))
     assert result.degree() == 4
@@ -378,7 +379,7 @@ def test_intersection_poly_verification_node(monkeypatch):
     )
     chain = nilpotent_chain(RatMatrix.identity(2), TwoForm(1, {(1, 2): 1}))
     with pytest.raises(CrossCheckError, match="intersection_poly"):
-        intersection_poly(chain)
+        intersection_poly(chain, 2)
 
 
 def test_intersection_arity_checks():
@@ -433,10 +434,48 @@ def test_intersection_poly_matches_literal_wedge_of_telescoped_sum():
         g = rng.randint(1, 4)
         m, _ = random_paired_unipotent(rng, g)
         h = rng.choice([TwoForm.standard(g), randgen_two_form(rng, g)])
-        poly = intersection_poly(nilpotent_chain(m, h))
+        poly = intersection_poly(
+            nilpotent_chain(m, h), plov_of(half_profile(jordan_profile(m))) + 1
+        )
         for x in range(7):
             literal = TwoForm._of(telescoped_delta(m, h, x))
             assert poly(x) == wedge_coefficient([literal] * g)
+
+
+def test_plov_bound_gives_the_polynomial_of_the_chain_length_bound():
+    # plov_via_model interpolates on plov + 1; the looser g * len(chain),
+    # from entries of degree at most len(chain), must give the same poly
+    rng = random.Random(76)
+    for _ in range(10):
+        g = rng.randint(1, 4)
+        m, _ = random_paired_unipotent(rng, g)
+        plov = plov_of(half_profile(jordan_profile(m)))
+        for h in (TwoForm.standard(g), randgen_two_form(rng, g)):
+            chain = nilpotent_chain(m, h)
+            literal = interpolate_checked(
+                lambda x: math.factorial(g) * pfaffian(TwoForm._of(delta(chain, x))),
+                g * len(chain),
+                "chain length bound",
+            )
+            assert intersection_poly(chain, plov + 1) == literal
+
+
+def test_both_interpolations_take_their_degree_from_the_profile(monkeypatch):
+    # one node past the proved degree, so that a larger degree stays
+    # visible: sum k_i^2 + 2 values for power_sum_det, plov + 2 for
+    # plov_via_model
+    counts = []
+    interpolate = exact._interpolate
+
+    def counting(values, var):
+        counts.append(len(values))
+        return interpolate(values, var)
+
+    monkeypatch.setattr(exact, "_interpolate", counting)
+    for k in (8, 14):
+        power_sum_det(RatMatrix.jordan_block(1, k), RatMatrix.identity(k))
+    plov_via_model(paired_unipotent([6]), TwoForm.standard(6))
+    assert counts == [8 * 8 + 2, 14 * 14 + 2, 36 + 2]
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +668,9 @@ def test_scan_clean_on_random_paired_profiles():
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: intersection_poly([]), DimensionMismatchError),
+        (lambda: intersection_poly([], 0), DimensionMismatchError),
         (lambda: scan_chain([]), DimensionMismatchError),
-        (lambda: intersection_poly([TwoForm.standard(1), TwoForm.standard(2)]),
+        (lambda: intersection_poly([TwoForm.standard(1), TwoForm.standard(2)], 0),
          DimensionMismatchError),
         (lambda: scan_chain([TwoForm.standard(2), TwoForm.standard(1)]),
          DimensionMismatchError),
@@ -672,6 +711,13 @@ def test_scan_size_counts_the_tuples_above_the_middle():
             assert scan_size(g, kf) == brute, (g, kf)
     assert scan_size(6, 10) == 841_324
     assert scan_size(7, 12) == 30_137_596
+
+
+def test_scan_size_refuses_a_genus_below_1_or_a_negative_kf():
+    for genus, kf in ((0, 3), (-1, 2), (1, -1), (0, 0)):
+        with pytest.raises(PreconditionError, match="scan_size"):
+            scan_size(genus, kf)
+    assert scan_size(1, 0) == 0
 
 
 def test_scan_size_is_the_length_of_every_scan_up_to_genus_4():

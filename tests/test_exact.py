@@ -26,7 +26,13 @@ from plovkit import (
     quasi_unipotency,
     rank_exact,
 )
-from plovkit.errors import CrossCheckError, DimensionMismatchError, PreconditionError
+from plovkit.cohomology import scan_size
+from plovkit.errors import (
+    CrossCheckError,
+    DimensionMismatchError,
+    PlovkitError,
+    PreconditionError,
+)
 from plovkit.cyclotomic import euler_phi
 from plovkit import exact
 from plovkit.exact import MERSENNE_EXPONENTS, _char_poly_mod, _interpolate, _moduli
@@ -833,3 +839,93 @@ def test_verdict_cache_hits_across_constructions():
 def test_out_of_contract_calls_raise_library_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RatMatrix.identity(0),
+        lambda: RatMatrix.identity(-1),
+        lambda: RatMatrix.zero(0),
+        lambda: RatMatrix((), 1),
+        lambda: RatMatrix(((1, 2),)),
+        lambda: RatMatrix(((1, 2), (3,))),
+        lambda: RatMatrix.from_rows([]),
+        lambda: RatMatrix.from_rows([[1], [2]]),
+        lambda: RatMatrix.block_diag(),
+    ],
+)
+def test_empty_and_non_square_storage_is_refused(build):
+    with pytest.raises(DimensionMismatchError, match="square and nonempty"):
+        build()
+
+
+def test_constructors_return_a_matrix_or_raise_a_library_error():
+    """Derandomized property over the matrix constructors and `scan_size`
+    on dimensions 0-4, ragged rows, zero and negative integers and
+    inexact scalars.  Each call returns a square nonempty matrix (or a
+    nonnegative int), raises a `PlovkitError` other than
+    `CrossCheckError`, or raises TypeError exactly when an entry is not
+    an exact rational (not an int, for the integer rows of the raw
+    constructor).  A returned matrix then goes through `det_exact` and
+    `quasi_unipotency`.  The zero denominator, which raises
+    ZeroDivisionError, is pinned in `test_storage_is_canonical`."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    ints = st.integers(-4, 4)
+    scalars = st.one_of(
+        ints,
+        st.builds(Fraction, ints, st.integers(1, 4)),
+        st.floats(-4, 4, allow_nan=False),
+    )
+    grids = st.lists(st.lists(scalars, max_size=4), max_size=4)
+    square = st.integers(1, 3).flatmap(
+        lambda k: st.lists(st.lists(ints, min_size=k, max_size=k), min_size=k, max_size=k)
+    )
+    sizes = st.integers(-2, 4)
+    calls = st.one_of(
+        st.tuples(
+            st.just(RatMatrix),
+            grids.map(lambda rows: tuple(map(tuple, rows))),
+            st.integers(-3, 3).filter(bool),
+        ),
+        st.tuples(st.just(RatMatrix.from_rows), grids),
+        st.tuples(st.sampled_from([RatMatrix.identity, RatMatrix.zero]), sizes),
+        st.lists(square.map(RatMatrix.from_rows), max_size=3).map(
+            lambda blocks: (RatMatrix.block_diag, *blocks)
+        ),
+        st.tuples(st.just(scan_size), sizes, sizes),
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(calls)
+    def check(call):
+        build, *args = call
+        exact_types = int if build is RatMatrix else (int, Fraction)
+        inexact = any(
+            not isinstance(x, exact_types)
+            for arg in args
+            if isinstance(arg, (list, tuple))
+            for row in arg
+            for x in row
+        )
+        try:
+            out = build(*args)
+        except TypeError:
+            assert inexact, call
+            return
+        except PlovkitError as exc:
+            assert not isinstance(exc, CrossCheckError), call
+            assert not inexact, call
+            return
+        assert not inexact, call
+        if build is scan_size:
+            assert type(out) is int and out >= 0, call
+            return
+        k = out.dimension
+        assert k >= 1 and all(len(row) == k for row in out.num), call
+        det_exact(out)
+        quasi_unipotency(out)
+
+    check()

@@ -28,7 +28,7 @@ from plovkit.errors import (
     NotUnipotentError,
     PreconditionError,
 )
-from plovkit.exact import _interpolate, congruence_chain
+from plovkit.exact import _interpolate, combiner, congruence_chain, det_poly
 from plovkit.powersum import ensure_spd
 from plovkit.randgen import (
     conjugate,
@@ -219,6 +219,34 @@ def test_degree_law_random():
         a, sizes = random_unipotent(rng, k)
         result = power_sum_det(a, RatMatrix.identity(k))
         assert result.degree == sum(s * s for s in sizes)
+
+
+def row_degree_bound(bs):
+    """A bound on deg det S from the chain alone: row r of
+    S(x) = sum_j C(x, j + 1) B_j has degree at most the largest j + 1
+    with row r of B_j nonzero, and the row degrees add up."""
+    return sum(
+        max((j + 1 for j, b in enumerate(bs) if any(b.num[r])), default=0)
+        for r in range(bs[0].dimension)
+    )
+
+
+def test_profile_bound_gives_the_polynomial_of_the_row_degree_bound():
+    # power_sum_det interpolates on sum k_i^2 + 1; the looser row bound,
+    # read off the chain without the profile, must give the same P(n)
+    rng = random.Random(49)
+    for _ in range(16):
+        k = rng.randint(1, 8)
+        a, sizes = random_unipotent(rng, k)
+        h = random_spd(rng, k)
+        bs = congruence_chain(a.transpose(), h)
+        combine = combiner(bs)
+        bound = row_degree_bound(bs)
+        assert bound >= sum(s * s for s in sizes)
+        literal = det_poly(
+            lambda x: combine([comb(x, j + 1) for j in range(len(bs))]), bound
+        )
+        assert power_sum_det(a, h).poly == literal
 
 
 def test_degree_independent_of_form():
