@@ -37,7 +37,6 @@ from .cyclotomic import (
     QuasiUnipotencyVerdict,
     cyclotomic_poly,
     euler_phi,
-    is_unipotent,
     quasi_unipotency,
     unipotent_power,
 )

@@ -535,16 +535,16 @@ class _Parser(argparse.ArgumentParser):
             raise SystemExit(1)
 
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def _in_range(low: int, high: int):
+    """argparse type: an integer from `low` to `high`."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {low}..{high}, got {value}")
         return value
 
     return parse
@@ -577,7 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--h", choices=["identity", "random"], default="identity")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_at_least(1), default=9)
+    # each sample adds one literal sum and one report entry
+    p.add_argument("--samples", type=_in_range(1, 10_000), default=9)
     p.set_defaults(fn=cmd_powersum)
 
     p = sub.add_parser("growth", help="growth exponents in chosen exterior degrees")
@@ -595,9 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the documented randomized check suite")
     p.add_argument("--out")
-    # the self-checks draw dimensions up to max_size (3 where a law needs it)
-    p.add_argument("--max-size", type=_at_least(2), default=8, dest="max_size")
-    p.add_argument("--cases", type=_at_least(1), default=50)
+    # the self-checks draw dimensions up to max_size (3 where a law needs it);
+    # the run time grows steeply with max_size and linearly with cases
+    p.add_argument("--max-size", type=_in_range(2, 20), default=8, dest="max_size")
+    p.add_argument("--cases", type=_in_range(1, 1000), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_selftest)
 

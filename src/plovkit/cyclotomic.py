@@ -13,6 +13,10 @@ A matrix with a non-integer characteristic polynomial is reported as not
 quasi-unipotent with the full characteristic polynomial as residual:
 eigenvalues of a quasi-unipotent matrix are algebraic integers, and no
 analogous circle criterion exists for algebraic non-integers.
+
+The trace witness: once the factorization is exact, a power P of M is
+unipotent exactly when tr P = K (K roots of unity sum to K only when all
+are 1).  Caller matrices are proved unipotent by `jordan`'s rank sequence.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from math import lcm, log10
 from typing import Optional
 
 from .errors import CrossCheckError, NotQuasiUnipotentError, PreconditionError
-from .exact import RatMatrix, UniPoly, char_poly, mat_mul, mat_pow
+from .exact import RatMatrix, UniPoly, char_poly, mat_pow
 
 # verdicts are cached per matrix so that one `analyze` computes each once;
 # the bound keeps a long-running process from holding every matrix it saw
@@ -125,21 +129,6 @@ class QuasiUnipotencyVerdict:
     residual: Optional[UniPoly] = None
 
 
-def is_unipotent(m: RatMatrix) -> bool:
-    """True when (M - I)^K = 0, checked by repeated squaring.  M - I is
-    nilpotent exactly when the integer matrix num - den*I is."""
-    k = m.dimension
-    b = RatMatrix(m.num) - RatMatrix.identity(k) * m.den
-    power = 1
-    while True:
-        if not any(map(any, b.num)):
-            return True
-        if power >= k:
-            return False
-        b = mat_mul(b, b)
-        power *= 2
-
-
 @lru_cache(maxsize=VERDICT_CACHE_SIZE)
 def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
     """Decide quasi-unipotency by stripping cyclotomic factors from the
@@ -148,13 +137,9 @@ def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
     The verdict is total: non-integral characteristic polynomials yield an
     immediate negative with the characteristic polynomial as residual.
     An integral one is stripped on integer coefficient lists; every Phi_n
-    is monic, so each division is exact in Z.  The minimality of the
-    returned order N (the lcm of the cyclotomic indices present) is
-    checked on P = M^(N/q) for each prime q dividing N.  The division
-    proves that the eigenvalues of P are K roots of unity, and K roots of
-    unity sum to K only when all of them are 1, so tr P = K means P is
-    unipotent and raises CrossCheckError, at the cost of one power and
-    one trace per prime.
+    is monic, so each division is exact in Z.  The least order N (the lcm
+    of the cyclotomic indices present) is checked by the trace witness:
+    tr M^(N/q) = K for a prime q dividing N raises CrossCheckError.
     """
     char = char_poly(m)
     if not char.is_integral():
@@ -210,9 +195,9 @@ def _name(p: UniPoly) -> str:
 
 
 def unipotent_power(m: RatMatrix) -> tuple[int, RatMatrix]:
-    """Return (N, M^N) where N is the least exponent making M unipotent."""
+    """(N, M^N) for the least N making M unipotent; tr M^N != K raises."""
     verdict = require_quasi_unipotent(m)
     u = mat_pow(m, verdict.order)
-    if not is_unipotent(u):
+    if u.trace() != u.dimension:
         raise CrossCheckError("claimed unipotent power is not unipotent")
     return verdict.order, u

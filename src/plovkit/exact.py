@@ -173,7 +173,8 @@ class RatMatrix:
     gcd(den, every entry of ``num``) = 1, so equal matrices have equal
     fields, and equality and hashing work by value.  ``RatMatrix(num, den)``
     takes k >= 1 integer row tuples of length k (a non-integer raises
-    TypeError, any other shape DimensionMismatchError) and reduces them;
+    TypeError, a zero ``den`` PreconditionError, any other shape
+    DimensionMismatchError) and reduces them;
     every constructor goes through it, and `from_rows` builds a matrix
     from rational entries.
     """
@@ -183,8 +184,6 @@ class RatMatrix:
 
     def __post_init__(self):
         den = self.den
-        if den == 0:
-            raise ZeroDivisionError("matrix denominator is zero")
         try:
             # with den = 1 this only checks that every entry is an integer
             g = gcd(den, *itertools.chain.from_iterable(self.num))
@@ -192,6 +191,8 @@ class RatMatrix:
             raise TypeError(
                 "RatMatrix rows hold ints; build rational entries with from_rows"
             ) from None
+        if den == 0:
+            raise PreconditionError("matrix denominator is zero")
         if {*map(len, self.num)} != {len(self.num)}:
             raise DimensionMismatchError("matrix must be square and nonempty")
         if den < 0:

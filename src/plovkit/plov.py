@@ -95,15 +95,18 @@ def max_minor_degree(block_sizes: Sequence[int], r: int) -> int:
     that strictly fall, so the max adds up the r largest increments over
     all blocks (a prefix of each block's own); each block given t_i > 0
     rows re-verifies its leading coefficient."""
-    total = sum(block_sizes)
+    sizes = list(block_sizes)
+    if min(sizes, default=1) < 1:
+        raise PreconditionError(f"block sizes must be at least 1, got {sizes}")
+    total = sum(sizes)
     if not 0 <= r <= total:
         raise DimensionMismatchError(f"degree {r} out of range 0..{total}")
     steps = sorted(
-        ((k - 2 * t - 1, i) for i, k in enumerate(block_sizes) for t in range(k)),
+        ((k - 2 * t - 1, i) for i, k in enumerate(sizes) for t in range(k)),
         reverse=True,
     )
     rows = Counter(i for _, i in steps[:r])
-    return sum(_single_block_minor_degree(block_sizes[i], t) for i, t in rows.items())
+    return sum(_single_block_minor_degree(sizes[i], t) for i, t in rows.items())
 
 
 def growth_exponent(m: RatMatrix, r: int) -> int:
@@ -126,6 +129,8 @@ def second_compound_block_sizes(block_sizes: Sequence[int]) -> list[int]:
     J_{a+b-1-2t} (t = 0..min(a, b)-1).  The sizes are re-verified to fill
     C(d, 2), d = sum of the input sizes."""
     sizes = list(block_sizes)
+    if min(sizes, default=1) < 1:
+        raise PreconditionError(f"block sizes must be at least 1, got {sizes}")
     out: list[int] = []
     for i, a in enumerate(sizes):
         out.extend(range(2 * a - 3, 0, -4))

@@ -107,10 +107,10 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
 def power_sum_brute(a: RatMatrix, h: RatMatrix, n: int) -> list[Fraction]:
     """Literal summation oracle: [det S(1), ..., det S(n)] with
     S(x) = sum_{m=0}^{x-1} (A^m)^T H A^m, from one pass over the partial
-    sums and no symbolic shortcut."""
+    sums and no symbolic shortcut.  A literal sum holds for any square H,
+    so H is not checked for positive definiteness here."""
     if a.dimension != h.dimension:
         raise DimensionMismatchError("matrix and form dimensions differ")
-    ensure_spd(h)
     if n < 1:
         raise PreconditionError("need at least one summand")
     k = a.dimension

@@ -256,19 +256,21 @@ QUAD_SHEARED = {"matrix": [[1, 1, 0, -1], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 
 
 @pytest.mark.parametrize("command", ["powersum", "model"])
 def test_each_op_proves_unipotency_once(tmp_path, capsys, monkeypatch, command):
-    # unipotent_power's cross-check is the one is_unipotent call, and the
-    # rank sequence of the one profile is the gate of the rest
-    import plovkit.cyclotomic
+    # unipotent_power checks its power by the trace alone, the rank sequence
+    # of the one profile is the one unipotency proof, and a powersum op
+    # checks its form once
     import plovkit.jordan
+    import plovkit.powersum
 
-    proofs = count_calls(monkeypatch, plovkit.cyclotomic, "is_unipotent")
     ranks = count_calls(monkeypatch, plovkit.jordan, "_block_size_counts")
+    spd = count_calls(monkeypatch, plovkit.powersum, "ensure_spd")
     docs = [QUAD, QUAD_SHEARED, ORDER_SIX]
     for i, doc in enumerate(docs):
         path = write_doc(tmp_path, doc, f"input{i}.json")
         code, _, _ = run_cli([command, "--input", path], capsys)
         assert code == 0
-    assert (len(proofs), len(ranks)) == (len(docs), len(docs))
+    forms = len(docs) if command == "powersum" else 0
+    assert (len(ranks), len(spd)) == (len(docs), forms)
 
 
 def test_model_builds_the_chain_once(tmp_path, capsys, monkeypatch):
@@ -1009,57 +1011,80 @@ def test_unipotent_power_that_is_not_unipotent_exits_3(
 ):
     import plovkit.cyclotomic
 
-    monkeypatch.setattr(plovkit.cyclotomic, "is_unipotent", lambda m: False)
-    path = write_doc(tmp_path, QUAD)
+    # ORDER_SIX's order is 6; doubling M^6 gives the claimed power trace 2K
+    real = plovkit.cyclotomic.mat_pow
+    monkeypatch.setattr(
+        plovkit.cyclotomic, "mat_pow", lambda a, e: real(a, e) * (2 if e == 6 else 1)
+    )
+    path = write_doc(tmp_path, ORDER_SIX)
     code, out, err = run_cli([command, "--input", path], capsys)
     assert code == 3
     assert out == ""
     assert err == "internal cross-check failure: claimed unipotent power is not unipotent\n"
 
 
-def test_running_out_of_memory_exits_2_with_one_line(tmp_path):
-    """`selftest --max-size 100000` builds matrices far past 256 MiB.  In a
-    child capped there by RLIMIT_AS, the MemoryError ends the run with one
-    line on stderr and exit 2, not a traceback."""
+def run_capped(args, cwd, limit):
+    """Run the CLI in a fresh interpreter capped at `limit` bytes of address
+    space by RLIMIT_AS, with a 10 s timeout, so that a missing guard fails
+    the test, not the machine."""
     import resource
 
     src = str(Path(plovkit.__file__).resolve().parents[1])
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    done = subprocess.run(
-        [sys.executable, "-m", "plovkit.cli", "selftest",
-         "--max-size", "100000", "--cases", "1"],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), text=True,
+    return subprocess.run(
+        [sys.executable, "-m", "plovkit.cli", *args],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=src), text=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=10, preexec_fn=cap,
     )
+
+
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path):
+    """A 2000 x 2000 input of "1/2" strings needs one string and one
+    Fraction per entry, far past 256 MiB.  In a child capped there, the
+    MemoryError ends the run with one line on stderr and exit 2, not a
+    traceback."""
+    row = "[" + ",".join(['"1/2"'] * 2000) + "]"
+    path = tmp_path / "input.json"
+    path.write_text('{"matrix": [' + ",".join([row] * 2000) + "]}")
+    done = run_capped(["analyze", "--input", str(path)], tmp_path, 2**28)
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", "error: out of memory\n"
     )
+
+
+@pytest.mark.parametrize(
+    "flag, ceiling, command",
+    [
+        ("--max-size", 20, ["selftest"]),
+        ("--cases", 1000, ["selftest"]),
+        ("--samples", 10_000, ["powersum", "--input", "input.json"]),
+    ],
+)
+def test_flag_past_its_ceiling_exits_1_at_once(tmp_path, flag, ceiling, command):
+    """The ceiling itself parses; one past it is refused on one line with
+    exit 1, before any work, in a child capped at 1 GiB."""
+    write_doc(tmp_path, {"matrix": [[1, 1], [0, 1]]}, "input.json")
+    args = build_parser().parse_args([*command, flag, str(ceiling)])
+    assert getattr(args, flag[2:].replace("-", "_")) == ceiling
+    done = run_capped([*command, flag, str(ceiling + 1)], tmp_path, 2**30)
+    assert_one_line_exit_1(done)
+    assert f"{flag}: must be " in done.stderr and f"got {ceiling + 1}" in done.stderr
 
 
 def test_model_scan_past_the_limit_exits_2_at_once(tmp_path):
     """[7] pairs two 7 x 7 blocks: a scan of 30,137,596 tuples, which
     would exhaust memory.  It runs in a child capped at 1 GiB of address
     space, so a missing guard fails the test, not the machine."""
-    import resource
     import time
 
     from plovkit.randgen import paired_unipotent
 
     path = write_doc(tmp_path, {"matrix": enc_matrix(paired_unipotent([7]))})
-    src = str(Path(plovkit.__file__).resolve().parents[1])
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
     start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "plovkit.cli", "model", "--input", path],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), text=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=10, preexec_fn=cap,
-    )
+    done = run_capped(["model", "--input", path], tmp_path, 2**30)
     elapsed = time.perf_counter() - start
     assert done.returncode == 2
     assert done.stdout == ""

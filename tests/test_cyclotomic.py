@@ -12,7 +12,6 @@ from plovkit import (
     char_poly,
     cyclotomic_poly,
     euler_phi,
-    is_unipotent,
     mat_pow,
     quasi_unipotency,
     unipotent_power,
@@ -212,7 +211,6 @@ def test_power_is_unipotent_property():
         if not v.is_quasi_unipotent:
             continue
         n, u = unipotent_power(m)
-        assert is_unipotent(u)
         k = m.dimension
         nil = u - RatMatrix.identity(k)
         assert mat_pow(nil, k) == RatMatrix.zero(k)
@@ -244,18 +242,13 @@ def test_verdict_cache_serves_repeats():
 
 def test_order_minimality_failure_is_settled_by_the_trace(monkeypatch):
     # an order twice the true one: M^(order/2) is unipotent, so its trace is
-    # K, which raises by itself, without an is_unipotent call
+    # K, which raises by itself
     block = RatMatrix.block_diag(
         RatMatrix.companion(cyclotomic_poly(3)),
         RatMatrix.companion(cyclotomic_poly(4)),
         RatMatrix.jordan_block(1, 2),
     )
     m = conjugate(block, random_unimodular(random.Random(15), 6))
-    calls = []
-    real_is_unipotent = cyclotomic.is_unipotent
-    monkeypatch.setattr(
-        cyclotomic, "is_unipotent", lambda p: calls.append(p) or real_is_unipotent(p)
-    )
     monkeypatch.setattr(cyclotomic, "lcm", lambda *ns: 2 * lcm(*ns))
     quasi_unipotency.cache_clear()
     with pytest.raises(
@@ -263,7 +256,6 @@ def test_order_minimality_failure_is_settled_by_the_trace(monkeypatch):
         match="^order minimality check failed: a proper divisor already works$",
     ):
         quasi_unipotency(m)
-    assert calls == []
     quasi_unipotency.cache_clear()
 
 
@@ -278,7 +270,8 @@ def test_a_power_of_trace_k_fails_the_order_minimality_check(monkeypatch):
     fake = RatMatrix.block_diag(
         RatMatrix.from_rows([[2, 0], [0, 0]]), RatMatrix.identity(k - 2)
     )
-    assert fake.trace() == k and not is_unipotent(fake)
+    assert fake.trace() == k
+    assert mat_pow(fake - RatMatrix.identity(k), k) != RatMatrix.zero(k)
     monkeypatch.setattr(cyclotomic, "mat_pow", lambda a, e: fake)
     quasi_unipotency.cache_clear()
     with pytest.raises(
@@ -291,7 +284,7 @@ def test_a_power_of_trace_k_fails_the_order_minimality_check(monkeypatch):
 
 def test_order_minimality_check_costs_one_power_per_prime(monkeypatch):
     # a conjugated dimension-18 matrix of order 12 = 2^2 * 3: two powers,
-    # M^6 and M^4, and the trace rules both out without is_unipotent
+    # M^6 and M^4, and the trace rules both out
     block = RatMatrix.block_diag(
         RatMatrix.companion(cyclotomic_poly(12)),
         RatMatrix.companion(cyclotomic_poly(4)),
@@ -301,25 +294,22 @@ def test_order_minimality_check_costs_one_power_per_prime(monkeypatch):
         RatMatrix.jordan_block(1, 5),
     )
     m = conjugate(block, random_unimodular(random.Random(12), 18))
-    counts = {"is_unipotent": 0, "mat_pow": 0}
-    for name in counts:
-        real = getattr(cyclotomic, name)
-
-        def counted(*args, name=name, real=real):
-            counts[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(cyclotomic, name, counted)
+    powers = []
+    real = cyclotomic.mat_pow
+    monkeypatch.setattr(
+        cyclotomic, "mat_pow", lambda a, e: powers.append(e) or real(a, e)
+    )
     quasi_unipotency.cache_clear()
     verdict = quasi_unipotency(m)
     assert verdict.order == 12 and m.dimension == 18
-    assert counts == {"is_unipotent": 0, "mat_pow": 2}
+    assert sorted(powers) == [4, 6]
 
 
 def test_trace_witness_agrees_with_is_unipotent():
     # "unipotent => trace K" always holds; the converse holds for
     # quasi-unipotent matrices (roots of unity summing to K are all 1), and
-    # the order minimality check rests on it alone
+    # the order minimality check and `unipotent_power` rest on it alone;
+    # the reference is the definition (P - I)^K = 0
     rng = random.Random(2024)
     seen = set()
     for _ in range(200):
@@ -328,7 +318,7 @@ def test_trace_witness_agrees_with_is_unipotent():
         for e in range(1, 2 * order + 1):
             if 2 * order % e == 0:
                 p = mat_pow(m, e)
-                unipotent = is_unipotent(p)
+                unipotent = mat_pow(p - RatMatrix.identity(k), k) == RatMatrix.zero(k)
                 assert (p.trace() == k) == unipotent, (m, e)
                 seen.add(unipotent)
     assert seen == {True, False}

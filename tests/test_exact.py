@@ -20,16 +20,18 @@ from plovkit import (
     cyclotomic_poly,
     det_exact,
     det_poly,
-    is_unipotent,
     mat_mul,
     mat_pow,
     quasi_unipotency,
     rank_exact,
+    unipotent_block_profile,
 )
 from plovkit.cohomology import scan_size
+from plovkit.plov import max_minor_degree, second_compound_block_sizes
 from plovkit.errors import (
     CrossCheckError,
     DimensionMismatchError,
+    NotUnipotentError,
     PlovkitError,
     PreconditionError,
 )
@@ -697,8 +699,11 @@ def frac_is_unipotent(rows):
     return not any(any(row) for row in power)
 
 
-def test_is_unipotent_matches_fraction_reference():
+def test_unipotent_block_profile_matches_fraction_reference():
+    # the rank sequence raises NotUnipotentError exactly when the literal
+    # (M - I)^K, multiplied out in Fractions, is nonzero
     rng = random.Random(809)
+    seen = set()
     for _ in range(40):
         k = rng.randint(1, 6)
         # a rational conjugate of an upper-triangular matrix with diagonal
@@ -719,7 +724,14 @@ def test_is_unipotent_matches_fraction_reference():
             if det_exact(s):
                 break
         m = conjugate(RatMatrix.from_rows(upper), s)
-        assert is_unipotent(m) == frac_is_unipotent(m.entries)
+        try:
+            unipotent_block_profile(m)
+            unipotent = True
+        except NotUnipotentError:
+            unipotent = False
+        assert unipotent == frac_is_unipotent(m.entries)
+        seen.add(unipotent)
+    assert seen == {True, False}
 
 
 def assert_canonical(m):
@@ -739,7 +751,7 @@ def test_storage_is_canonical():
     # Fraction rows would run through the integer kernel unnoticed
     with pytest.raises(TypeError):
         RatMatrix(((Fraction(1, 2), 0), (0, 1)))
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(PreconditionError, match="^matrix denominator is zero$"):
         RatMatrix(((1,),), 0)
     rng = random.Random(810)
     for _ in range(30):
@@ -861,15 +873,15 @@ def test_empty_and_non_square_storage_is_refused(build):
 
 
 def test_constructors_return_a_matrix_or_raise_a_library_error():
-    """Derandomized property over the matrix constructors and `scan_size`
-    on dimensions 0-4, ragged rows, zero and negative integers and
-    inexact scalars.  Each call returns a square nonempty matrix (or a
-    nonnegative int), raises a `PlovkitError` other than
+    """Derandomized property over the matrix constructors, `scan_size`,
+    `max_minor_degree` and `second_compound_block_sizes` on dimensions and
+    sizes -2..4, ragged rows, zero and negative integers and inexact
+    scalars.  Each call returns a square nonempty matrix (or a nonnegative
+    int, or block sizes of at least 1), raises a `PlovkitError` other than
     `CrossCheckError`, or raises TypeError exactly when an entry is not
     an exact rational (not an int, for the integer rows of the raw
-    constructor).  A returned matrix then goes through `det_exact` and
-    `quasi_unipotency`.  The zero denominator, which raises
-    ZeroDivisionError, is pinned in `test_storage_is_canonical`."""
+    constructor).  A block size below 1 never returns.  A returned matrix
+    then goes through `det_exact` and `quasi_unipotency`."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -888,7 +900,7 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
         st.tuples(
             st.just(RatMatrix),
             grids.map(lambda rows: tuple(map(tuple, rows))),
-            st.integers(-3, 3).filter(bool),
+            st.integers(-3, 3),
         ),
         st.tuples(st.just(RatMatrix.from_rows), grids),
         st.tuples(st.sampled_from([RatMatrix.identity, RatMatrix.zero]), sizes),
@@ -896,6 +908,8 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
             lambda blocks: (RatMatrix.block_diag, *blocks)
         ),
         st.tuples(st.just(scan_size), sizes, sizes),
+        st.tuples(st.just(max_minor_degree), st.lists(sizes, max_size=4), sizes),
+        st.tuples(st.just(second_compound_block_sizes), st.lists(sizes, max_size=4)),
     )
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
@@ -908,6 +922,7 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
             for arg in args
             if isinstance(arg, (list, tuple))
             for row in arg
+            if isinstance(row, (list, tuple))
             for x in row
         )
         try:
@@ -920,8 +935,13 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
             assert not inexact, call
             return
         assert not inexact, call
-        if build is scan_size:
+        if build in (max_minor_degree, second_compound_block_sizes):
+            assert min(args[0], default=1) >= 1, call
+        if build in (scan_size, max_minor_degree):
             assert type(out) is int and out >= 0, call
+            return
+        if build is second_compound_block_sizes:
+            assert all(type(s) is int and s >= 1 for s in out), call
             return
         k = out.dimension
         assert k >= 1 and all(len(row) == k for row in out.num), call

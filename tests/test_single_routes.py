@@ -15,7 +15,9 @@ go through `exact.mat_pow` alone.  A `TwoForm` is built, read and handed
 to `pfaffian` or `pullback2`, with no arithmetic of its own; Delta_x and
 the polarized wedges are built inside `intersection_poly` and
 `scan_chain` alone.  The records keep only the members some route
-reads, and the degree of the zero polynomial is the int -1.
+reads, and the degree of the zero polynomial is the int -1.  A power the
+verdict claims unipotent is checked by its trace, so no module tests
+nilpotency by squaring, and `plovkit` exports no `is_unipotent`.
 """
 
 import ast
@@ -195,3 +197,28 @@ def test_records_keep_only_what_the_routes_read():
     scan_fields = {f.name for f in dataclasses.fields(plovkit.VanishingScanReport)}
     assert scan_fields == {"kf", "scanned", "violations"}
     assert list(inspect.signature(random_unimodular).parameters) == ["rng", "k"]
+
+
+def test_no_module_tests_nilpotency_by_squaring():
+    # squaring serves binary powers in `exact.mat_pow` alone: a claimed
+    # power is checked by its trace, a caller's matrix by the rank sequence
+    def callee(call):
+        return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+    def squares(call):
+        args = [ast.dump(a) for a in call.args]
+        if callee(call) == "mat_mul":
+            return len(args) == 2 and args[0] == args[1]
+        return callee(call) == "mat_pow" and args[1:] == [ast.dump(ast.Constant(2))]
+
+    squarers = {
+        f"{name}:{fn.name}"
+        for name, tree in parsed_sources()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and squares(node)
+    }
+    assert squarers == {"exact.py:mat_pow"}
+    assert not hasattr(plovkit, "is_unipotent")
+    assert not hasattr(plovkit.cyclotomic, "is_unipotent")
