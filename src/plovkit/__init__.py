@@ -52,8 +52,7 @@ from .plov import (
     AnalysisReport,
     BoundCheck,
     analyze,
-    growth_exponent,
-    max_block_compound2,
+    max_minor_degree,
     plov_of,
     second_compound_block_sizes,
 )

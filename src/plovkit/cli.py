@@ -24,11 +24,12 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional, Sequence
 
 from . import __version__
 from .cohomology import TwoForm, plov_via_model, scan_chain
-from .cyclotomic import QuasiUnipotencyVerdict, require_quasi_unipotent, unipotent_power
+from .cyclotomic import unipotent_power
 from .errors import (
     CrossCheckError,
     InputFormatError,
@@ -136,13 +137,14 @@ def enc_poly(p: UniPoly):
     }
 
 
-def enc_verdict(v: QuasiUnipotencyVerdict):
-    """A positive verdict: `analyze` raises on a negative one."""
+def enc_verdict(p: JordanProfile):
+    """The verdict read off the profile: Phi_n has multiplicity sum k*m."""
     return {
-        "is_quasi_unipotent": v.is_quasi_unipotent,
-        "order": v.order,
+        "is_quasi_unipotent": True,
+        "order": p.order,
         "cyclotomic_factorization": [
-            {"order": n, "multiplicity": m} for n, m in v.cyclotomic_factorization
+            {"order": n, "multiplicity": sum(k * m for _, k, m in entries)}
+            for n, entries in groupby(p.entries, lambda e: e[0])
         ],
     }
 
@@ -169,7 +171,7 @@ def enc_analysis(report: AnalysisReport):
     return {
         "dimension": report.dimension,
         "genus": report.genus,
-        "verdict": enc_verdict(report.verdict),
+        "verdict": enc_verdict(report.profile),
         "profile": enc_profile(report.profile),
         "pseudo_analytic": report.pseudo_analytic,
         "half_profile": enc_half(report.half) if report.half else None,
@@ -346,7 +348,7 @@ def cmd_analyze(args) -> int:
     emit(report, args.out)
     lines = [
         f"dimension {result.dimension} (g = {result.genus}): quasi-unipotent, "
-        f"order {result.verdict.order}",
+        f"order {result.profile.order}",
         f"pseudo-analytic: {result.pseudo_analytic}",
     ]
     if result.pseudo_analytic:
@@ -414,12 +416,12 @@ def cmd_powersum(args) -> int:
 def cmd_growth(args) -> int:
     name, matrix = _load(args.input)
     degrees = _parse_degrees(args.degrees, matrix.dimension)
-    order = require_quasi_unipotent(matrix).order
-    sizes = jordan_profile(matrix).unipotent_block_sizes()
+    profile = jordan_profile(matrix)
+    sizes = profile.unipotent_block_sizes()
     exponents = {r: max_minor_degree(sizes, r) for r in degrees}
     report = base_report("growth", name, matrix)
     report["growth"] = {
-        "unipotent_order": order,
+        "unipotent_order": profile.order,
         "exponents": {str(r): e for r, e in sorted(exponents.items())},
     }
     emit(report, args.out)

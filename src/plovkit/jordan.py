@@ -14,6 +14,7 @@ differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .cyclotomic import cyclotomic_poly, euler_phi, require_quasi_unipotent
 from .errors import (
@@ -32,11 +33,17 @@ class JordanProfile:
     ``entries`` holds (order n, block size k, multiplicity m) triples,
     sorted, with distinct (n, k) keys; m counts the blocks of size k at
     each single primitive n-th root of unity (equal across conjugates).
-    The reconstruction identity sum phi(n)*k*m = dimension always holds.
+    sum phi(n)*k*m = dimension always holds, and Phi_n divides the
+    characteristic polynomial sum k*m times over the entries of order n.
     """
 
     entries: tuple[tuple[int, int, int], ...]
     dimension: int
+
+    @property
+    def order(self) -> int:
+        """The least N with M^N unipotent: the lcm of the orders present."""
+        return lcm(*(n for n, _, _ in self.entries))
 
     def unipotent_block_sizes(self) -> list[int]:
         """Block sizes of the unipotent iterate M^N, with multiplicity:

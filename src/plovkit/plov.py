@@ -28,6 +28,9 @@ J_{2a-3-4t} and J_a (x) J_b is the sum of J_{a+b-1-2t}.  `analyze` reads
 the largest second-compound block off the profile this way; the oracle
 `selfcheck.max_block_compound2_literal` takes rank sequences on the
 literal compound instead.
+
+`analyze` reads its verdict off its one profile.  In any dimension the
+exponent is `max_minor_degree(jordan_profile(m).unipotent_block_sizes(), r)`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
-from .cyclotomic import QuasiUnipotencyVerdict, require_quasi_unipotent
 from .errors import (
     CrossCheckError,
     DimensionMismatchError,
@@ -109,17 +111,6 @@ def max_minor_degree(block_sizes: Sequence[int], r: int) -> int:
     return sum(_single_block_minor_degree(sizes[i], t) for i, t in rows.items())
 
 
-def growth_exponent(m: RatMatrix, r: int) -> int:
-    """Growth exponent in exterior degree r: the maximum degree in n over
-    all r-by-r minors of U^n, the n-th power of the unipotent iterate
-    U = M^N.  Along that iterate the r-th compound of M^n grows
-    like n to this exponent.  The block sizes of U are read off the
-    Jordan profile of M, as in `analyze`."""
-    if not 1 <= r <= m.dimension:
-        raise DimensionMismatchError(f"degree {r} out of range 1..{m.dimension}")
-    return max_minor_degree(jordan_profile(m).unipotent_block_sizes(), r)
-
-
 def second_compound_block_sizes(block_sizes: Sequence[int]) -> list[int]:
     """Jordan block sizes (descending, with multiplicity) of the second
     compound of a unipotent U with the given block sizes, by sl_2
@@ -144,18 +135,6 @@ def second_compound_block_sizes(block_sizes: Sequence[int]) -> list[int]:
     return sorted(out, reverse=True)
 
 
-def max_block_compound2(m: RatMatrix) -> int:
-    """Maximum Jordan block size of the second compound of M along the
-    unipotent iterate, read off the Jordan profile of M by Clebsch-Gordan
-    (`second_compound_block_sizes`).  For pseudo-analytic M this equals
-    2*kJ + 1 where kJ + 1 is the largest half-profile block.  The literal
-    construction is the oracle `selfcheck.max_block_compound2_literal`."""
-    if m.dimension < 2:
-        raise PreconditionError("second compound requires dimension >= 2")
-    sizes = jordan_profile(m).unipotent_block_sizes()
-    return max(second_compound_block_sizes(sizes))
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     """One verified inequality or identity, with the law spelled out."""
@@ -176,7 +155,6 @@ class AnalysisReport:
 
     dimension: int
     genus: int
-    verdict: QuasiUnipotencyVerdict
     profile: JordanProfile
     pseudo_analytic: bool
     half: Optional[HalfProfile]
@@ -190,7 +168,8 @@ class AnalysisReport:
 
 
 def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisReport:
-    """Run the full pipeline on an even-dimensional matrix.
+    """Run the full pipeline on an even-dimensional matrix, reading every
+    invariant (the verdict's order included) off one `jordan_profile` call.
 
     Raises NotQuasiUnipotentError or OddDimensionError; a quasi-unipotent
     but non-pseudo-analytic input still yields a report, with the
@@ -200,7 +179,6 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
     if dim % 2:
         raise OddDimensionError(f"dimension {dim} is odd; expected 2g")
     g = dim // 2
-    verdict = require_quasi_unipotent(m)
     profile = jordan_profile(m)
     pseudo = pseudo_analytic_check(profile)
     half = half_profile(profile) if pseudo else None
@@ -258,7 +236,6 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
     return AnalysisReport(
         dimension=dim,
         genus=g,
-        verdict=verdict,
         profile=profile,
         pseudo_analytic=pseudo,
         half=half,

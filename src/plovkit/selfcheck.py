@@ -48,7 +48,7 @@ from .exact import (
     submatrix,
 )
 from .jordan import jordan_profile, unipotent_block_profile
-from .plov import growth_exponent, max_block_compound2
+from .plov import max_minor_degree, second_compound_block_sizes
 from .powersum import power_sum_brute, power_sum_det
 
 
@@ -129,12 +129,13 @@ def wedge_coefficient(forms: Sequence[TwoForm]) -> Fraction:
 
 
 def growth_exponent_by_minors(m: RatMatrix, r: int) -> int:
-    """Direct oracle for `growth_exponent`: enumerate every r-by-r minor
-    of U^n and take the maximum degree in n.  Each minor is interpolated
-    from its values on the literal powers U^x (built by `mat_mul`); entry
-    (i, j) of U^n has degree at most rowdeg[i], the largest d with row i
-    of (U-I)^d nonzero, so a minor on the rows I has degree at most the
-    sum of rowdeg[i] over I.  Exponential in the dimension; intended for
+    """Direct oracle for `plov.max_minor_degree` on the block sizes of
+    M's profile: enumerate every r-by-r minor of U^n and take the maximum
+    degree in n.  Each minor is interpolated from its values on the
+    literal powers U^x (built by `mat_mul`); entry (i, j) of U^n has
+    degree at most rowdeg[i], the largest d with row i of (U-I)^d
+    nonzero, so a minor on the rows I has degree at most the sum of
+    rowdeg[i] over I.  Exponential in the dimension; intended for
     cross-checks on small matrices."""
     if not 1 <= r <= m.dimension:
         raise DimensionMismatchError(f"degree {r} out of range 1..{m.dimension}")
@@ -166,8 +167,9 @@ def growth_exponent_by_minors(m: RatMatrix, r: int) -> int:
 
 
 def max_block_compound2_literal(m: RatMatrix) -> int:
-    """Oracle for `max_block_compound2`: rank sequences on the literal
-    second compound of the unipotent iterate."""
+    """Oracle for the largest of `plov.second_compound_block_sizes` on
+    the block sizes of M's profile: rank sequences on the literal second
+    compound of the unipotent iterate."""
     if m.dimension < 2:
         raise PreconditionError("second compound requires dimension >= 2")
     _, u = unipotent_power(m)
@@ -404,8 +406,9 @@ def _power_sum_brute(rng: random.Random, max_size: int) -> bool:
 def _growth_exponents(rng: random.Random, max_size: int) -> bool:
     dim = rng.randint(2, min(5, max_size))
     m, _ = randgen.random_unipotent(rng, dim)
+    sizes = jordan_profile(m).unipotent_block_sizes()
     for r in range(1, dim + 1):
-        if growth_exponent(m, r) != growth_exponent_by_minors(m, r):
+        if max_minor_degree(sizes, r) != growth_exponent_by_minors(m, r):
             return False
     return True
 
@@ -414,10 +417,11 @@ def _second_compound_blocks(rng: random.Random, max_size: int) -> bool:
     genus = rng.randint(1, min(4, max_size // 2))
     m, half_sizes = randgen.random_paired_unipotent(rng, genus)
     kj = max(half_sizes) - 1
-    if growth_exponent(m, 2) != 2 * kj:
+    sizes = jordan_profile(m).unipotent_block_sizes()
+    if max_minor_degree(sizes, 2) != 2 * kj:
         return False
     literal = max_block_compound2_literal(m)
-    return literal == 2 * kj + 1 == max_block_compound2(m)
+    return literal == 2 * kj + 1 == max(second_compound_block_sizes(sizes))
 
 
 def _model_triangle(rng: random.Random, max_size: int) -> bool:

@@ -13,10 +13,8 @@ from plovkit import (
     RatMatrix,
     UniPoly,
     analyze,
-    growth_exponent,
     half_profile,
     jordan_profile,
-    max_block_compound2,
     plov_of,
     plov_via_model,
     power_sum_brute,
@@ -163,11 +161,12 @@ def test_criterion_06_second_compound_growth():
         for m, half_sizes in cases:
             g = m.dimension // 2
             kj = max(half_sizes) - 1
-            assert growth_exponent(m, 2) == 2 * kj
-            assert max_block_compound2(m) == 2 * kj + 1
+            report = analyze(m)
+            assert report.exponents[2] == 2 * kj
+            assert report.max_block_compound2 == 2 * kj + 1
             assert max_block_compound2_literal(m) == 2 * kj + 1
             for r in range(1, g + 1):
-                assert growth_exponent(m, 2 * r) <= 2 * r * (g - r)
+                assert report.exponents[2 * r] <= 2 * r * (g - r)
 
 
 def test_criterion_07_compound_preserves_quasi_unipotency():

@@ -273,6 +273,22 @@ def test_each_op_proves_unipotency_once(tmp_path, capsys, monkeypatch, command):
     assert (len(ranks), len(spd)) == (len(docs), forms)
 
 
+@pytest.mark.parametrize("command", ["analyze", "growth", "powersum", "model"])
+def test_each_op_asks_for_its_verdict_once(tmp_path, capsys, monkeypatch, command):
+    # analyze and growth read the verdict off their one profile, powersum
+    # and model off their one unipotent power
+    import plovkit.cyclotomic
+
+    calls = count_calls(monkeypatch, plovkit.cyclotomic, "quasi_unipotency")
+    degrees = ["--degrees", "1,2"] if command == "growth" else []
+    docs = [QUAD, QUAD_SHEARED, ORDER_SIX]
+    for i, doc in enumerate(docs):
+        path = write_doc(tmp_path, doc, f"input{i}.json")
+        code, _, _ = run_cli([command, "--input", path, *degrees], capsys)
+        assert code == 0
+    assert len(calls) == len(docs)
+
+
 def test_model_builds_the_chain_once(tmp_path, capsys, monkeypatch):
     import plovkit.exact
 

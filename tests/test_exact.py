@@ -872,16 +872,27 @@ def test_empty_and_non_square_storage_is_refused(build):
         build()
 
 
+def test_euler_phi_takes_integers_only():
+    assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    for inexact in (1.5, 6.0, Fraction(6)):
+        with pytest.raises(TypeError):
+            euler_phi(inexact)
+    assert type(euler_phi(True)) is int and euler_phi(True) == 1
+    with pytest.raises(PreconditionError):
+        euler_phi(False)
+
+
 def test_constructors_return_a_matrix_or_raise_a_library_error():
     """Derandomized property over the matrix constructors, `scan_size`,
-    `max_minor_degree` and `second_compound_block_sizes` on dimensions and
-    sizes -2..4, ragged rows, zero and negative integers and inexact
-    scalars.  Each call returns a square nonempty matrix (or a nonnegative
-    int, or block sizes of at least 1), raises a `PlovkitError` other than
-    `CrossCheckError`, or raises TypeError exactly when an entry is not
-    an exact rational (not an int, for the integer rows of the raw
-    constructor).  A block size below 1 never returns.  A returned matrix
-    then goes through `det_exact` and `quasi_unipotency`."""
+    `max_minor_degree`, `second_compound_block_sizes` and `euler_phi` on
+    dimensions and sizes -2..4, ragged rows, zero and negative integers,
+    bools and inexact scalars.  Each call returns a square nonempty matrix
+    (or a nonnegative int, a positive int totient, or block sizes of at
+    least 1), raises a `PlovkitError` other than `CrossCheckError`, or
+    raises TypeError exactly when an entry or argument is not an exact
+    rational (not an int, for the integer rows of the raw constructor and
+    for `euler_phi`).  A block size below 1 never returns.  A returned
+    matrix then goes through `det_exact` and `quasi_unipotency`."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -910,6 +921,10 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
         st.tuples(st.just(scan_size), sizes, sizes),
         st.tuples(st.just(max_minor_degree), st.lists(sizes, max_size=4), sizes),
         st.tuples(st.just(second_compound_block_sizes), st.lists(sizes, max_size=4)),
+        st.tuples(
+            st.just(euler_phi),
+            st.one_of(sizes, st.booleans(), st.floats(-4, 4, allow_nan=False)),
+        ),
     )
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
@@ -924,7 +939,7 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
             for row in arg
             if isinstance(row, (list, tuple))
             for x in row
-        )
+        ) or any(isinstance(arg, float) for arg in args)
         try:
             out = build(*args)
         except TypeError:
@@ -942,6 +957,9 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
             return
         if build is second_compound_block_sizes:
             assert all(type(s) is int and s >= 1 for s in out), call
+            return
+        if build is euler_phi:
+            assert type(out) is int and out >= 1, call
             return
         k = out.dimension
         assert k >= 1 and all(len(row) == k for row in out.num), call

@@ -23,11 +23,13 @@ from plovkit.errors import (
     NotUnipotentError,
     OddDimensionError,
 )
+from plovkit.cli import enc_verdict
 from plovkit.jordan import JordanProfile
 from plovkit.randgen import (
     conjugate,
     random_integer_matrix,
     random_mixed_matrix,
+    random_pseudo_analytic,
     random_quasi_unipotent,
     random_unimodular,
     random_unipotent,
@@ -102,11 +104,43 @@ def test_profile_accepts_rational_entries():
     assert jordan_profile(m).entries == ((1, 2, 1),)
 
 
+def test_the_verdict_read_off_the_profile_is_the_verdict():
+    # the order is the lcm of the orders present, and Phi_n divides the
+    # characteristic polynomial sum k*m times over the entries of order n
+    rng = random.Random(2301)
+    cases = [random_quasi_unipotent(rng, rng.randint(1, 8)) for _ in range(60)]
+    for _ in range(60):
+        m, _ = random_pseudo_analytic(
+            rng, rng.randint(1, 4), conjugated=True, allow_orders=(1, 2, 3, 4, 6)
+        )
+        cases.append(m)
+    orders = set()
+    for m in cases:
+        verdict = quasi_unipotency(m)
+        profile = jordan_profile(m)
+        mult = {}
+        for n, k, count in profile.entries:
+            mult[n] = mult.get(n, 0) + k * count
+        assert profile.order == verdict.order
+        assert tuple(sorted(mult.items())) == verdict.cyclotomic_factorization
+        assert enc_verdict(profile) == {
+            "is_quasi_unipotent": True,
+            "order": verdict.order,
+            "cyclotomic_factorization": [
+                {"order": n, "multiplicity": c}
+                for n, c in verdict.cyclotomic_factorization
+            ],
+        }
+        orders.add(profile.order)
+    assert {1, 2, 3, 4, 6, 12} <= orders
+
+
 def test_unipotent_block_profile_agrees_with_general_route():
     rng = random.Random(15)
     for _ in range(10):
         m, _ = random_unipotent(rng, rng.randint(1, 6))
         assert unipotent_block_profile(m) == jordan_profile(m)
+        assert unipotent_block_profile(m).order == 1
     with pytest.raises(NotUnipotentError):
         unipotent_block_profile(RatMatrix.jordan_block(-1, 2))
 

@@ -14,11 +14,10 @@ import pytest
 from plovkit import (
     RatMatrix,
     analyze,
-    growth_exponent,
     half_profile,
     jordan_profile,
     mat_pow,
-    max_block_compound2,
+    max_minor_degree,
     plov_of,
     second_compound_block_sizes,
     unipotent_block_profile,
@@ -31,7 +30,7 @@ from plovkit.errors import (
     PreconditionError,
 )
 from plovkit.jordan import HalfProfile
-from plovkit.plov import _single_block_minor_degree, max_minor_degree
+from plovkit.plov import _single_block_minor_degree
 from plovkit.randgen import (
     conjugate,
     random_paired_unipotent,
@@ -52,6 +51,12 @@ from plovkit.selfcheck import (
 
 def blocks(*sizes):
     return unipotent_from_sizes(list(sizes))
+
+
+def exponent(m, r):
+    """The growth exponent of M in degree r, in any dimension, read off
+    the block sizes of its profile."""
+    return max_minor_degree(jordan_profile(m).unipotent_block_sizes(), r)
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +100,14 @@ def test_plov_bounds_random():
 def test_exponent_degree_one_is_block_size_minus_one():
     for k in (1, 2, 3, 4):
         m = blocks(k, k)
-        assert growth_exponent(m, 1) == k - 1
+        assert exponent(m, 1) == k - 1
 
 
 def test_exponent_degree_two_doubles_half_block():
     rng = random.Random(22)
     for _ in range(10):
         m, half_sizes = random_paired_unipotent(rng, rng.randint(1, 5))
-        assert growth_exponent(m, 2) == 2 * (max(half_sizes) - 1)
+        assert exponent(m, 2) == 2 * (max(half_sizes) - 1)
 
 
 def test_exponent_three_three_blocks_all_degrees_frozen_from_oracle():
@@ -110,7 +115,7 @@ def test_exponent_three_three_blocks_all_degrees_frozen_from_oracle():
     m = blocks(3, 3)
     oracle = {r: growth_exponent_by_minors(m, r) for r in range(1, 7)}
     assert oracle == {1: 2, 2: 4, 3: 4, 4: 4, 5: 2, 6: 0}
-    assert {r: growth_exponent(m, r) for r in range(1, 7)} == oracle
+    assert {r: exponent(m, r) for r in range(1, 7)} == oracle
     # of the two candidate shorthand formulas for the degree-4 exponent,
     # the oracle agrees with the half-block reading max(4*(k1-2)) = 4 and
     # disagrees with the doubled reading 2*(k1+k2-2) = 8
@@ -125,7 +130,7 @@ def test_exponent_matches_minor_enumeration_random():
         dim = rng.randint(2, 5)
         m, _ = random_unipotent(rng, dim)
         for r in range(1, dim + 1):
-            assert growth_exponent(m, r) == growth_exponent_by_minors(m, r)
+            assert exponent(m, r) == growth_exponent_by_minors(m, r)
 
 
 def test_exponent_on_quasi_unipotent_iterate():
@@ -133,7 +138,7 @@ def test_exponent_on_quasi_unipotent_iterate():
     m = rational_root_block(3, 2)
     cube = mat_pow(m, 3)
     for r in range(1, 5):
-        assert growth_exponent(m, r) == growth_exponent_by_minors(cube, r)
+        assert exponent(m, r) == growth_exponent_by_minors(cube, r)
 
 
 def test_analyze_exponents_match_minor_enumeration_on_quasi_unipotent():
@@ -148,11 +153,11 @@ def test_analyze_exponents_match_minor_enumeration_on_quasi_unipotent():
             rng, genus, conjugated=True, allow_orders=(1, 2, 3, 4, 6)
         )
         report = analyze(m)
-        orders.add(report.verdict.order)
-        mixed += len(report.verdict.cyclotomic_factorization) > 1
+        orders.add(report.profile.order)
+        mixed += len({n for n, _, _ in report.profile.entries}) > 1
         for r in range(1, 2 * genus + 1):
             assert report.exponents[r] == growth_exponent_by_minors(m, r)
-            assert growth_exponent(m, r) == report.exponents[r]
+            assert exponent(m, r) == report.exponents[r]
     assert len(orders) > 2 and mixed
 
 
@@ -162,9 +167,9 @@ def test_exponent_bounds_even_and_odd():
         g = rng.randint(1, 5)
         m, _ = random_paired_unipotent(rng, g)
         for r in range(1, g + 1):
-            even = growth_exponent(m, 2 * r)
+            even = exponent(m, 2 * r)
             assert even <= 2 * r * (g - r)
-            odd = growth_exponent(m, 2 * r - 1)
+            odd = exponent(m, 2 * r - 1)
             assert odd <= r * (g - r) + (r - 1) * (g - r + 1)
 
 
@@ -198,9 +203,11 @@ def test_max_minor_degree_rejects_more_rows_than_the_dimension():
 
 def test_exponent_rejects_bad_degree():
     with pytest.raises(DimensionMismatchError):
-        growth_exponent(RatMatrix.identity(2), 0)
+        analyze(RatMatrix.identity(2), [0])
     with pytest.raises(DimensionMismatchError):
-        growth_exponent(RatMatrix.identity(2), 3)
+        analyze(RatMatrix.identity(2), [3])
+    with pytest.raises(DimensionMismatchError):
+        exponent(RatMatrix.identity(3), 4)
 
 
 @pytest.mark.parametrize(
@@ -212,7 +219,7 @@ def test_exponent_rejects_bad_degree():
         ),
         (lambda: analyze(RatMatrix.identity(2), [0]), DimensionMismatchError),
         (lambda: _single_block_minor_degree(2, 3), DimensionMismatchError),
-        (lambda: max_block_compound2(RatMatrix.identity(1)), PreconditionError),
+        (lambda: second_compound_block_sizes([2, 0]), PreconditionError),
         (
             lambda: max_block_compound2_literal(RatMatrix.identity(1)),
             PreconditionError,
@@ -226,6 +233,10 @@ def test_out_of_contract_calls_raise_library_errors(call, error):
 
 # ---------------------------------------------------------------------------
 # second compound block sizes
+
+
+def max_block_compound2(m):
+    return analyze(m).max_block_compound2
 
 
 def test_max_block_compound2_examples():
@@ -335,7 +346,7 @@ def test_non_quasi_unipotent_error_names_the_residual(route):
 def test_analyze_order_two_paired_blocks():
     neg = RatMatrix.jordan_block(-1, 2)
     report = analyze(RatMatrix.block_diag(neg, neg))
-    assert report.verdict.order == 2
+    assert report.profile.order == 2
     assert report.profile.entries == ((2, 2, 2),)
     assert report.pseudo_analytic
     assert report.plov == 4 and report.kJ == 1

@@ -107,12 +107,13 @@ FAULTS = {
         lambda real: _replaced(real, poly=lambda r: _plus_one(r.poly)),
     ),
     "growth_exponent_matches_minor_enumeration": (
-        "growth_exponent",
+        "max_minor_degree",
         lambda real: _shifted(real, 1),
     ),
+    # the largest second-compound block doubled
     "second_compound_growth_and_blocks": (
-        "max_block_compound2",
-        lambda real: _shifted(real, 1),
+        "second_compound_block_sizes",
+        _double_first,
     ),
     "model_degree_ceiling_and_triangle": (
         "plov_via_model",

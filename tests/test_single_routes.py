@@ -2,7 +2,9 @@
 
 A negative quasi-unipotency verdict becomes `NotQuasiUnipotentError` in
 one place, `cyclotomic.require_quasi_unipotent`, which every caller goes
-through.  Likewise `NotUnipotentError` comes only from the rank sequence
+through: `jordan_profile` and `unipotent_power` ask for the verdict, and
+every other route reads it off the one profile or power they return, so
+`plovkit` keeps no per-matrix wrapper that rebuilds the profile.  Likewise `NotUnipotentError` comes only from the rank sequence
 in `jordan`, and `NotPseudoAnalyticError` only from `jordan.half_profile`;
 the model entries take the matrix and the form, and no chain beside
 them.  Polynomials are rebuilt from exact values only through
@@ -89,6 +91,30 @@ def test_not_quasi_unipotent_error_is_raised_once():
     raises = raise_sites("NotQuasiUnipotentError")
     assert len(raises) == 1, raises
     assert raises[0].startswith("cyclotomic.py:")
+
+
+def test_only_the_profile_and_the_power_ask_for_the_verdict():
+    import dataclasses
+
+    users = {
+        name
+        for name, tree in parsed_sources()
+        for node in ast.walk(tree)
+        if references(node, "require_quasi_unipotent")
+    }
+    assert users == {"cyclotomic.py", "jordan.py"}
+    wrappers = {"growth_exponent", "max_block_compound2"}
+    defined = {
+        f"{name}:{node.name}"
+        for name, tree in parsed_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in wrappers
+    }
+    assert defined == set()
+    assert not any(hasattr(plovkit, name) for name in wrappers)
+    assert hasattr(plovkit, "max_minor_degree")
+    fields = {f.name for f in dataclasses.fields(plovkit.AnalysisReport)}
+    assert "verdict" not in fields and "profile" in fields
 
 
 @pytest.mark.parametrize("error", ["NotUnipotentError", "NotPseudoAnalyticError"])
