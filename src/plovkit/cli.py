@@ -25,6 +25,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import groupby
+from math import gcd
 from typing import Optional, Sequence
 
 from . import __version__
@@ -120,18 +121,28 @@ def parse_input(data: bytes | str) -> tuple[Optional[str], RatMatrix]:
 # JSON encoding of exact values
 
 
+def enc_ratio(n: int, d: int):
+    """n/d for d > 0: an int when d divides n, else "p/q" in lowest terms.
+    Matrices and polynomials are encoded from their integer storage over
+    one denominator, without a `Fraction` per entry."""
+    g = gcd(n, d)
+    return n // g if g == d else f"{n // g}/{d // g}"
+
+
 def enc_frac(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return enc_ratio(x.numerator, x.denominator)
 
 
 def enc_matrix(m: RatMatrix):
-    return [[enc_frac(x) for x in row] for row in m.entries]
+    den = m.den
+    return [[enc_ratio(x, den) for x in row] for row in m.num]
 
 
 def enc_poly(p: UniPoly):
+    den = p.den
     return {
         "variable": p.var,
-        "coefficients": [enc_frac(c) for c in p.coeffs],
+        "coefficients": [enc_ratio(c, den) for c in p.num],
         "degree": None if p.is_zero() else p.degree(),
         "text": str(p),
     }

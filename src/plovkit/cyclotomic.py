@@ -71,7 +71,7 @@ def cyclotomic_poly(n: int) -> UniPoly:
     """The n-th cyclotomic polynomial in t: monic, integer coefficients,
     degree phi(n).  Results are memoized, and the memo is a pure cache
     (results are identical with and without it)."""
-    return UniPoly.from_coeffs(_cyclotomic_ints(n), "t")
+    return UniPoly(_cyclotomic_ints(n), 1, "t")
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +147,7 @@ def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
     char = char_poly(m)
     if not char.is_integral():
         return QuasiUnipotencyVerdict(False, residual=char)
-    p = [int(c) for c in char.coeffs]
+    p = list(char.num)
     factors: list[tuple[int, int]] = []
     for n in _candidate_indices(m.dimension):
         phi_n = _cyclotomic_ints(n)
@@ -160,7 +160,7 @@ def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
         if len(p) == 1:
             break
     if len(p) != 1:
-        return QuasiUnipotencyVerdict(False, residual=UniPoly.from_coeffs(p, "t"))
+        return QuasiUnipotencyVerdict(False, residual=UniPoly(tuple(p), 1, "t"))
     order = lcm(*(n for n, _ in factors))
     for q in _prime_factors(order):
         if mat_pow(m, order // q).trace() == m.dimension:
@@ -187,11 +187,12 @@ def require_quasi_unipotent(m: RatMatrix) -> QuasiUnipotencyVerdict:
 
 def _name(p: UniPoly) -> str:
     """str(p), or, when a coefficient is past the int-to-str digit limit,
-    p's degree and the digit count of its largest numerator or denominator."""
+    p's degree and the digit count of the largest of its integer
+    coefficients `num` and their denominator `den`."""
     try:
         return str(p)
     except ValueError:
-        big = max(max(abs(c.numerator), c.denominator) for c in p.coeffs)
+        big = max(p.den, *map(abs, p.num))
         e = int(log10(big))  # off by at most one; the comparisons settle it
         digits = e + (big >= 10**e) + (big >= 10 ** (e + 1))
         return f"of degree {p.degree()} with coefficients of up to {digits} digits"

@@ -4,20 +4,23 @@ Everything in this package is computed exactly over Q; no floating
 point appears anywhere.  This module is the substrate shared by the rest
 of the library:
 
-  * `UniPoly` -- dense univariate polynomial over Q with
-    `fractions.Fraction` coefficients, a value type that is built from
-    coefficients or by interpolation, evaluated and printed, whose
-    `degree()` is an int (-1 for the zero polynomial); its variable tag
-    ('t' for characteristic polynomials, 'n' for growth polynomials)
-    names the indeterminate in `str` and in reports,
-  * `RatMatrix` -- immutable square matrices over Q, stored as integer
-    rows `num` over one positive common denominator `den` in lowest
-    terms, so the matrix kernel (products, powers, sums, minors,
-    eliminations) runs on Python ints, and so do the 2-forms of
+  * `UniPoly` -- dense univariate polynomial over Q, stored as integer
+    coefficients `num` over one positive common denominator `den` in
+    lowest terms, a value type that is built from coefficients or by
+    interpolation, evaluated (Horner's rule on ints, one `Fraction` at
+    the end) and printed, whose `degree()` is an int (-1 for the zero
+    polynomial); `.coeffs` is a cached read-only view of the
+    coefficients as `Fraction`s, read by `str` and by the oracles, and
+    its variable tag ('t' for characteristic polynomials, 'n' for growth
+    polynomials) names the indeterminate in `str` and in reports,
+  * `RatMatrix` -- immutable square matrices over Q, stored the same
+    way, as integer rows `num` over one positive common denominator
+    `den` in lowest terms, so the matrix kernel (products, powers, sums,
+    minors, eliminations) runs on Python ints, and so do the 2-forms of
     `cohomology`, which are skew-symmetric `RatMatrix`es; `.entries` is
     a cached read-only view of the same matrix as rows of `Fraction`s,
-    read by the report encoder (`cli.enc_matrix`), by `randgen` and by
-    the oracles in `selfcheck`, never by the kernel,
+    read by `randgen` and by the oracles in `selfcheck`, never by the
+    kernel or the report encoder,
   * sums of pullbacks, the symmetric S(n) of `powersum` and the
     alternating Delta_n of `cohomology`: `congruence_chain`, the D^i X
     of D X = M X M^T - X, weighted by one `combiner`,
@@ -66,45 +69,87 @@ def _frac(x: Scalar) -> Fraction:
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Dense univariate polynomial over Q.
+    """Dense univariate polynomial over Q, stored as integer coefficients
+    over one common denominator: coefficient i is ``num[i] / den``.
 
-    ``coeffs[i]`` is the coefficient of the i-th power of the variable;
-    the trailing coefficient is nonzero unless the polynomial is zero.
-    The variable tag names the indeterminate in `str` and in reports.
-    There is no polynomial arithmetic: a `UniPoly` is built, evaluated
-    at exact rationals and printed, and compares and hashes by value.
+    The storage is canonical: ``num`` has no trailing zeros, ``den`` is
+    positive and gcd(den, every coefficient) = 1, so equal polynomials
+    have equal fields, and equality and hashing work by value.
+    ``UniPoly(num, den, var)`` takes integer coefficients, lowest degree
+    first (a non-integer coefficient or denominator raises TypeError, a
+    zero ``den`` PreconditionError) and reduces them; `from_coeffs` builds
+    a polynomial from rational coefficients.  The variable tag names the
+    indeterminate in `str` and in reports.  There is no polynomial
+    arithmetic: a `UniPoly` is built, evaluated at exact rationals and
+    printed.
     """
 
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
     var: str = "t"
+
+    def __post_init__(self):
+        den = self.den
+        try:
+            num = tuple(self.num)
+            # with den = 1 this only checks that every coefficient is an integer
+            g = gcd(den, *num)
+        except TypeError:
+            raise TypeError(
+                "UniPoly coefficients are ints over an int denominator; "
+                "build rational coefficients with from_coeffs"
+            ) from None
+        if den == 0:
+            raise PreconditionError("polynomial denominator is zero")
+        while num and not num[-1]:
+            num = num[:-1]
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple(c // g for c in num)
+            object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "num", num)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as `Fraction`s, lowest degree first, built on
+        first use."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[Scalar], var: str = "t") -> "UniPoly":
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return UniPoly(tuple(cs), var)
+        den = lcm(*(c.denominator for c in cs))
+        return UniPoly(
+            tuple(c.numerator * (den // c.denominator) for c in cs), den, var
+        )
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.num[-1], self.den) if self.num else Fraction(0)
 
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def __call__(self, x: Scalar) -> Fraction:
+        """p(x) by Horner's rule on ints: with x = a/b in lowest terms and
+        d the degree, b^d * den * p(x) = sum_i num[i] a^i b^(d - i), and
+        one `Fraction` is built at the end."""
         x = _frac(x)
-        value = Fraction(0)
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
+        a, b = x.numerator, x.denominator
+        value, power = 0, 1
+        for c in reversed(self.num):
+            value = value * a + c * power
+            power *= b
+        return Fraction(value * b, self.den * power)  # power = b^(d + 1)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -136,12 +181,13 @@ def _interpolate(values: Sequence[Scalar], var: str) -> UniPoly:
     Forward differences give the coefficients a_i in the binomial basis,
     p(x) = sum_i a_i C(x, i), and Horner's rule with
     C(x, i+1) = C(x, i) (x - i) / (i + 1) expands them; no polynomial
-    division is needed.  Denominators are cleared once and D! is divided
-    out at the end, so the loops run on integers.
+    division is needed.  Denominators are cleared once, and the integer
+    coefficients of lcm(denominators) * D! * p are returned over that
+    denominator, so the loops and the result stay on integers.
     """
     d = len(values) - 1
     scale = lcm(*(v.denominator for v in values))
-    diffs = [int(v * scale) for v in values]
+    diffs = [v.numerator * (scale // v.denominator) for v in values]
     newton = []
     while diffs:
         newton.append(diffs[0])
@@ -156,8 +202,7 @@ def _interpolate(values: Sequence[Scalar], var: str) -> UniPoly:
         shifted[0] += newton[i] * weight
         acc = shifted
         weight *= i
-    denominator = scale * factorial(d)
-    return UniPoly.from_coeffs((Fraction(c, denominator) for c in acc), var)
+    return UniPoly(tuple(acc), scale * factorial(d), var)
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +293,16 @@ class RatMatrix:
             raise PreconditionError(
                 "companion matrix needs a monic nonconstant polynomial"
             )
-        return RatMatrix.from_rows(
-            [
-                [
-                    -p.coeffs[i]
-                    if j == d - 1
-                    else 1
-                    if i == j + 1
-                    else 0
+        num, den = p.num, p.den
+        return RatMatrix(
+            tuple(
+                tuple(
+                    -num[i] if j == d - 1 else den if i == j + 1 else 0
                     for j in range(d)
-                ]
+                )
                 for i in range(d)
-            ]
+            ),
+            den,
         )
 
     @staticmethod
@@ -559,7 +602,8 @@ def char_poly(m: RatMatrix) -> UniPoly:
     one Hessenberg reduction per prime; one prime unless B is past the
     table), combined by the Chinese remainder theorem and read as the
     residue of least absolute value, which is exact.  The trace law
-    c_(K-1) = -tr(num), taken on the integer rows, is re-verified.
+    c_(K-1) = -tr(num), taken on the integer rows, is re-verified.  The
+    result holds the integers c_k den^k over the denominator den^K.
     """
     k = m.dimension
     num = m.num
@@ -582,21 +626,20 @@ def char_poly(m: RatMatrix) -> UniPoly:
             f"char_poly: trace law c_(K-1) = -tr(M) fails at dimension {k}"
         )
     den = m.den
-    return UniPoly(
-        tuple(Fraction(c, den ** (k - i)) for i, c in enumerate(coeffs)), "t"
-    )
+    return UniPoly(tuple(c * den**i for i, c in enumerate(coeffs)), den**k, "t")
 
 
 def poly_at_matrix(p: UniPoly, m: RatMatrix) -> RatMatrix:
-    """Evaluate a polynomial at a square matrix (Horner scheme)."""
+    """Evaluate a polynomial at a square matrix (Horner scheme on the
+    integer coefficients, divided by the denominator at the end)."""
     k = m.dimension
     result = RatMatrix.zero(k)
     ident = RatMatrix.identity(k)
-    for c in reversed(p.coeffs):
+    for c in reversed(p.num):
         result = mat_mul(result, m)
         if c:
             result = result + ident * c
-    return result
+    return RatMatrix(result.num, result.den * p.den)
 
 
 def submatrix(

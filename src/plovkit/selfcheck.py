@@ -315,7 +315,7 @@ def _det_poly(rng: random.Random, max_size: int) -> bool:
     def at(x: int) -> RatMatrix:
         return RatMatrix.from_rows([[p(x) for p in row] for row in rows])
 
-    bound = sum(max(0, *(len(p.coeffs) - 1 for p in row)) for row in rows)
+    bound = sum(max(0, *(p.degree() for p in row)) for row in rows)
     p = det_poly(at, bound)
     for _ in range(10):
         x = rng.randint(-30, 30)
@@ -351,7 +351,7 @@ def _check_cyclotomic_products(rng: random.Random, max_size: int, cases: int) ->
         product = [1]
         for d in range(1, n + 1):
             if n % d == 0:
-                phi = cyclotomic_poly(d).coeffs
+                phi = cyclotomic_poly(d).num
                 out = [0] * (len(product) + len(phi) - 1)
                 for i, a in enumerate(product):
                     for j, b in enumerate(phi):

@@ -104,6 +104,110 @@ def test_interpolate_recovers_polynomial():
     assert _interpolate([0, 0, 0], "t").is_zero()
 
 
+def test_unipoly_storage_is_canonical():
+    p = UniPoly((-2, 0, 6, 0, 0), -4, "n")
+    assert (p.num, p.den, p.var) == ((1, 0, -3), 2, "n")
+    assert p == UniPoly.from_coeffs([Fraction(1, 2), 0, Fraction(-3, 2)], "n")
+    assert hash(p) == hash(UniPoly.from_coeffs([Fraction(2, 4), 0, Fraction(-6, 4)], "n"))
+    assert p.coeffs == (Fraction(1, 2), Fraction(0), Fraction(-3, 2))
+    assert p.leading() == Fraction(-3, 2) and not p.is_integral()
+    zero = UniPoly((0, 0), 6)
+    assert (zero.num, zero.den) == ((), 1) and zero == UniPoly.from_coeffs([])
+    assert UniPoly([4, 2], 2).num == (2, 1)  # any iterable; stored as a tuple
+    # `.coeffs` is built on first use, so a polynomial that is only
+    # evaluated holds ints alone
+    q = UniPoly((1, 2, 3), 5)
+    q(Fraction(-1, 3))
+    assert "coeffs" not in vars(q)
+
+
+@pytest.mark.parametrize(
+    "num, den, error",
+    [
+        ((1,), 0, PreconditionError),
+        ((), 0, PreconditionError),
+        ((Fraction(1, 2),), 1, TypeError),
+        ((1.0,), 1, TypeError),
+        ((1,), 2.0, TypeError),
+        ((1,), Fraction(2), TypeError),
+        # the field layout before integer storage: (coeffs, var)
+        ((Fraction(1, 2),), "t", TypeError),
+        ((1, 2), "n", TypeError),
+        ((), "t", TypeError),
+        (3, 1, TypeError),
+    ],
+)
+def test_unipoly_refuses_bad_storage(num, den, error):
+    with pytest.raises(error):
+        UniPoly(num, den)
+
+
+def fraction_horner(coeffs, x):
+    """Independent evaluation oracle: Horner's rule on `Fraction`s."""
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+def lagrange_coeffs(values):
+    """Independent interpolation oracle: the Lagrange basis at the nodes
+    0..D, multiplied out on `Fraction` coefficient lists."""
+    total = [Fraction(0)] * len(values)
+    for j, v in enumerate(values):
+        basis = [Fraction(1)]
+        for m in range(len(values)):
+            if m != j:
+                scale = Fraction(1, j - m)
+                basis = [
+                    (a - m * b) * scale
+                    for a, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])
+                ]
+        total = [t + v * b for t, b in zip(total, basis)]
+    return total
+
+
+def test_evaluation_matches_fraction_horner():
+    rng = random.Random(2405)
+    polys = [UniPoly.from_coeffs([]), UniPoly.from_coeffs([Fraction(-5, 3)])]
+    for _ in range(120):
+        polys.append(
+            UniPoly.from_coeffs(
+                [
+                    Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                    for _ in range(rng.randint(1, 9))
+                ],
+                rng.choice("tn"),
+            )
+        )
+    points = [0, 1, -1, 7, -13, Fraction(1, 2), Fraction(-1, 2), Fraction(-7, 3)]
+    for p in polys:
+        xs = points + [
+            rng.randint(-50, 50),
+            Fraction(rng.randint(-50, 50), rng.randint(2, 9)) or Fraction(1, 3),
+        ]
+        for x in xs:
+            got = p(x)
+            assert type(got) is Fraction
+            assert got == fraction_horner(p.coeffs, x), (p, x)
+    assert UniPoly.from_coeffs([])(Fraction(-3, 4)) == 0
+
+
+def test_interpolate_agrees_with_the_fraction_route():
+    rng = random.Random(2406)
+    for _ in range(60):
+        values = [
+            Fraction(rng.randint(-40, 40), rng.randint(1, 10))
+            for _ in range(rng.randint(1, 8))
+        ]
+        p = _interpolate(values, "n")
+        rebuilt = UniPoly.from_coeffs(lagrange_coeffs(values), "n")
+        assert p == rebuilt
+        assert (p.num, p.den) == (rebuilt.num, rebuilt.den)
+        assert UniPoly.from_coeffs(p.coeffs, "n") == p
+        assert [p(x) for x in range(len(values))] == values
+
+
 # ---------------------------------------------------------------------------
 # matrix products and powers
 
@@ -883,16 +987,21 @@ def test_euler_phi_takes_integers_only():
 
 
 def test_constructors_return_a_matrix_or_raise_a_library_error():
-    """Derandomized property over the matrix constructors, `scan_size`,
-    `max_minor_degree`, `second_compound_block_sizes` and `euler_phi` on
-    dimensions and sizes -2..4, ragged rows, zero and negative integers,
-    bools and inexact scalars.  Each call returns a square nonempty matrix
-    (or a nonnegative int, a positive int totient, or block sizes of at
-    least 1), raises a `PlovkitError` other than `CrossCheckError`, or
-    raises TypeError exactly when an entry or argument is not an exact
-    rational (not an int, for the integer rows of the raw constructor and
-    for `euler_phi`).  A block size below 1 never returns.  A returned
-    matrix then goes through `det_exact` and `quasi_unipotency`."""
+    """Derandomized property over the matrix and polynomial constructors
+    (`UniPoly`, `UniPoly.from_coeffs`, `RatMatrix.companion`),
+    `scan_size`, `max_minor_degree`, `second_compound_block_sizes` and
+    `euler_phi` on dimensions and sizes -2..4, ragged rows, coefficient
+    lists of length 0..4 with trailing zeros, denominators -3..3, zero
+    and negative integers, bools and inexact scalars.  Each call returns
+    a square nonempty matrix (or a canonical polynomial with the given
+    coefficients, a nonnegative int, a positive int totient, or block
+    sizes of at least 1), raises a `PlovkitError` other than
+    `CrossCheckError`, or raises TypeError exactly when an entry or
+    argument is not an exact rational (not an int, for the integer
+    storage of the raw constructors and for `euler_phi`).  A block size
+    below 1 never returns.  A returned matrix then goes through
+    `det_exact` and `quasi_unipotency`, and a companion matrix has the
+    polynomial as its characteristic polynomial."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -903,6 +1012,13 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
         st.floats(-4, 4, allow_nan=False),
     )
     grids = st.lists(st.lists(scalars, max_size=4), max_size=4)
+    exact_scalars = st.one_of(ints, st.builds(Fraction, ints, st.integers(1, 4)))
+    # trailing zeros are drawn often, so trimming is exercised
+    with_zeros = lambda cs: st.lists(st.just(0), max_size=2).map(lambda z: cs + z)
+    coeff_lists = st.lists(scalars, max_size=4).flatmap(with_zeros)
+    exact_lists = st.lists(exact_scalars, max_size=4).flatmap(with_zeros)
+    int_lists = st.lists(ints, max_size=4).flatmap(with_zeros)
+    monic_or_not = st.one_of(exact_lists, exact_lists.map(lambda cs: [*cs, 1]))
     square = st.integers(1, 3).flatmap(
         lambda k: st.lists(st.lists(ints, min_size=k, max_size=k), min_size=k, max_size=k)
     )
@@ -914,6 +1030,13 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
             st.integers(-3, 3),
         ),
         st.tuples(st.just(RatMatrix.from_rows), grids),
+        st.tuples(
+            st.just(UniPoly),
+            st.one_of(int_lists, coeff_lists).map(tuple),
+            st.one_of(st.integers(-3, 3), st.floats(-3, 3, allow_nan=False)),
+        ),
+        st.tuples(st.just(UniPoly.from_coeffs), coeff_lists),
+        st.tuples(st.just(RatMatrix.companion), monic_or_not.map(UniPoly.from_coeffs)),
         st.tuples(st.sampled_from([RatMatrix.identity, RatMatrix.zero]), sizes),
         st.lists(square.map(RatMatrix.from_rows), max_size=3).map(
             lambda blocks: (RatMatrix.block_diag, *blocks)
@@ -927,19 +1050,25 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
         ),
     )
 
-    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
     @hypothesis.given(calls)
     def check(call):
         build, *args = call
-        exact_types = int if build is RatMatrix else (int, Fraction)
-        inexact = any(
-            not isinstance(x, exact_types)
-            for arg in args
-            if isinstance(arg, (list, tuple))
-            for row in arg
-            if isinstance(row, (list, tuple))
-            for x in row
-        ) or any(isinstance(arg, float) for arg in args)
+        exact_types = int if build in (RatMatrix, UniPoly) else (int, Fraction)
+        if build in (UniPoly, UniPoly.from_coeffs):
+            leaves = args[0]
+        else:
+            leaves = [
+                x
+                for arg in args
+                if isinstance(arg, (list, tuple))
+                for row in arg
+                if isinstance(row, (list, tuple))
+                for x in row
+            ]
+        inexact = any(not isinstance(x, exact_types) for x in leaves) or any(
+            isinstance(arg, float) for arg in args
+        )
         try:
             out = build(*args)
         except TypeError:
@@ -961,9 +1090,24 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
         if build is euler_phi:
             assert type(out) is int and out >= 1, call
             return
+        if build in (UniPoly, UniPoly.from_coeffs):
+            num, den = out.num, out.den
+            assert type(num) is tuple and all(type(c) is int for c in num), call
+            assert type(den) is int and den >= 1 and gcd(den, *num) == 1, call
+            assert not num or num[-1] != 0, call
+            scale = args[1] if build is UniPoly else 1
+            expected = [Fraction(c, scale) for c in args[0]]
+            while expected and expected[-1] == 0:
+                expected.pop()
+            assert list(out.coeffs) == expected, call
+            assert out.degree() == len(expected) - 1, call
+            assert out.is_integral() == all(c.denominator == 1 for c in expected), call
+            return
         k = out.dimension
         assert k >= 1 and all(len(row) == k for row in out.num), call
         det_exact(out)
         quasi_unipotency(out)
+        if build is RatMatrix.companion:
+            assert char_poly(out) == args[0], call
 
     check()
