@@ -41,7 +41,6 @@ from .cyclotomic import (
     unipotent_power,
 )
 from .jordan import (
-    HalfProfile,
     JordanProfile,
     half_profile,
     jordan_profile,

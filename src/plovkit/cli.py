@@ -38,7 +38,7 @@ from .errors import (
     PlovkitError,
 )
 from .exact import RatMatrix, UniPoly
-from .jordan import HalfProfile, JordanProfile, jordan_profile
+from .jordan import JordanProfile, jordan_profile
 from .plov import AnalysisReport, analyze, max_minor_degree
 from .powersum import power_sum_brute, power_sum_det
 
@@ -169,12 +169,10 @@ def enc_profile(p: JordanProfile):
     }
 
 
-def enc_half(h: HalfProfile):
+def enc_half(half, genus: int):
     return {
-        "genus": h.genus,
-        "entries": [
-            {"order": n, "size": k, "count": c} for n, k, c in h.entries
-        ],
+        "genus": genus,
+        "entries": [{"order": n, "size": k, "count": c} for n, k, c in half],
     }
 
 
@@ -185,7 +183,7 @@ def enc_analysis(report: AnalysisReport):
         "verdict": enc_verdict(report.profile),
         "profile": enc_profile(report.profile),
         "pseudo_analytic": report.pseudo_analytic,
-        "half_profile": enc_half(report.half) if report.half else None,
+        "half_profile": enc_half(report.half, report.genus) if report.half else None,
         "plov": report.plov,
         "kJ": report.kJ,
         "kf": report.kf,

@@ -68,27 +68,20 @@ def _prime_factors(n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> UniPoly:
-    """The n-th cyclotomic polynomial in t: monic, integer coefficients,
-    degree phi(n).  Results are memoized, and the memo is a pure cache
-    (results are identical with and without it)."""
-    return UniPoly(_cyclotomic_ints(n), 1, "t")
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_ints(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, lowest degree first: t^n - 1 divided
-    by Phi_d for every proper divisor d of n, on integer lists.  Every
-    division must be exact, and the degree must come out as phi(n)."""
+    """The n-th cyclotomic polynomial in t, monic of degree phi(n): t^n - 1
+    divided by Phi_d for every proper divisor d of n, on the integer
+    coefficients `num`.  Every division must be exact, and the degree must
+    come out as phi(n).  The memo is a pure cache."""
     if n < 1:
         raise PreconditionError("cyclotomic index must be positive")
     p = [-1] + [0] * (n - 1) + [1]
     for d in _proper_divisors(n):
-        p = _divide_monic(p, _cyclotomic_ints(d))
+        p = _divide_monic(p, cyclotomic_poly(d).num)
         if p is None:
             raise CrossCheckError(f"Phi_{d} leaves a remainder in t^{n} - 1")
     if len(p) - 1 != euler_phi(n):
         raise CrossCheckError(f"cyclotomic polynomial {n} has the wrong degree")
-    return tuple(p)
+    return UniPoly(tuple(p), 1, "t")
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +143,7 @@ def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
     p = list(char.num)
     factors: list[tuple[int, int]] = []
     for n in _candidate_indices(m.dimension):
-        phi_n = _cyclotomic_ints(n)
+        phi_n = cyclotomic_poly(n).num
         mult = 0
         while (q := _divide_monic(p, phi_n)) is not None:
             p = q

@@ -174,9 +174,9 @@ class UniPoly:
         return text
 
 
-def _interpolate(values: Sequence[Scalar], var: str) -> UniPoly:
-    """The polynomial of degree < len(values) that takes values[x] at
-    x = 0, 1, ..., D.
+def _interpolate(values: Sequence[Scalar]) -> UniPoly:
+    """The polynomial in n of degree < len(values) that takes values[x]
+    at x = 0, 1, ..., D.
 
     Forward differences give the coefficients a_i in the binomial basis,
     p(x) = sum_i a_i C(x, i), and Horner's rule with
@@ -202,7 +202,7 @@ def _interpolate(values: Sequence[Scalar], var: str) -> UniPoly:
         shifted[0] += newton[i] * weight
         acc = shifted
         weight *= i
-    return UniPoly(tuple(acc), scale * factorial(d), var)
+    return UniPoly(tuple(acc), scale * factorial(d), "n")
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +656,7 @@ def interpolate_checked(
     raises a CrossCheckError naming `caller`."""
     if degree_bound < 0:
         raise PreconditionError("degree bound must be nonnegative")
-    p = _interpolate([value_at(x) for x in range(degree_bound + 1)], "n")
+    p = _interpolate([value_at(x) for x in range(degree_bound + 1)])
     if p(degree_bound + 1) != value_at(degree_bound + 1):
         raise CrossCheckError(
             f"{caller} verification node mismatch (degree bound too small?)"

@@ -8,7 +8,8 @@ depends only on block sizes, which agree across conjugates.
 For each cyclotomic index n in the factorization, with B = Phi_n(M), the
 number of blocks of size >= j at each primitive n-th root of unity is
 (rank B^(j-1) - rank B^j) / phi(n); the profile is assembled from these
-differences.
+differences.  A conjugate half is read off the profile: an order-n
+entry's phi(n)*m blocks of size k split evenly between the two halves.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     NotPseudoAnalyticError,
     NotUnipotentError,
     OddDimensionError,
+    PreconditionError,
 )
 from .exact import RatMatrix, mat_mul, poly_at_matrix, rank_exact
 
@@ -35,10 +37,24 @@ class JordanProfile:
     each single primitive n-th root of unity (equal across conjugates).
     sum phi(n)*k*m = dimension always holds, and Phi_n divides the
     characteristic polynomial sum k*m times over the entries of order n.
+    The constructor checks the positive ints, the key order and the fill:
+    a non-int raises TypeError, any other failure PreconditionError.
     """
 
     entries: tuple[tuple[int, int, int], ...]
     dimension: int
+
+    def __post_init__(self):
+        flat = [v for entry in self.entries for v in entry]
+        if not all(isinstance(v, int) for v in [self.dimension, *flat]):
+            raise TypeError("Jordan profile entries and dimension are ints")
+        keys = [(n, k) for n, k, _ in self.entries]
+        if min(flat, default=1) < 1 or keys != sorted(set(keys)) or (
+            sum(euler_phi(n) * k * m for n, k, m in self.entries) != self.dimension
+        ):
+            raise PreconditionError(
+                f"{self.entries} is not a Jordan profile of dimension {self.dimension}"
+            )
 
     @property
     def order(self) -> int:
@@ -52,16 +68,6 @@ class JordanProfile:
         for n, k, m in self.entries:
             sizes.extend([k] * (euler_phi(n) * m))
         return sorted(sizes, reverse=True)
-
-
-@dataclass(frozen=True)
-class HalfProfile:
-    """Block data of one conjugate half J when the full Jordan form is
-    J + conj(J); ``entries`` are (order, size, count) triples and the
-    genus g = sum of size*count equals half the ambient dimension."""
-
-    entries: tuple[tuple[int, int, int], ...]
-    genus: int
 
 
 def _block_size_counts(b: RatMatrix, phi: int, algebraic_mult: int | None,
@@ -105,11 +111,10 @@ def jordan_profile(m: RatMatrix) -> JordanProfile:
         b = poly_at_matrix(cyclotomic_poly(n), m)
         counts = _block_size_counts(b, euler_phi(n), mult, k_dim)
         entries.extend((n, size, c) for size, c in sorted(counts.items()))
-    profile = JordanProfile(tuple(sorted(entries)), k_dim)
-    total = sum(euler_phi(n) * k * m for n, k, m in profile.entries)
-    if total != k_dim:
+    # checked before the record checks itself: a fault here is arithmetic
+    if sum(euler_phi(n) * k * c for n, k, c in entries) != k_dim:
         raise CrossCheckError("Jordan profile does not fill the dimension")
-    return profile
+    return JordanProfile(tuple(sorted(entries)), k_dim)
 
 
 def unipotent_block_profile(m: RatMatrix) -> JordanProfile:
@@ -133,24 +138,15 @@ def pseudo_analytic_check(profile: JordanProfile) -> bool:
     return all(m % 2 == 0 for n, _, m in profile.entries if n <= 2)
 
 
-def half_profile(profile: JordanProfile) -> HalfProfile:
-    """Extract one conjugate half of a pseudo-analytic profile.
-
-    Orders 1 and 2 contribute count = m/2; an order n >= 3 entry carries
-    m blocks at each of the phi(n) conjugate primitive roots, of which
-    half belong to each conjugate half, so count = m*phi(n)/2.
-    """
+def half_profile(profile: JordanProfile) -> tuple[tuple[int, int, int], ...]:
+    """One conjugate half of a pseudo-analytic profile, as (order, size,
+    count) triples: an order-n entry has m blocks at each of the phi(n)
+    primitive roots, and half of its phi(n)*m blocks lie in each half, so
+    count = phi(n)*m/2 and the counts fill half the dimension."""
     if profile.dimension % 2:
         raise OddDimensionError("half profile requires even ambient dimension")
     if not pseudo_analytic_check(profile):
         raise NotPseudoAnalyticError(
             "odd multiplicity at a real eigenvalue: no conjugate splitting"
         )
-    entries = []
-    for n, k, m in profile.entries:
-        count = m // 2 if n <= 2 else m * euler_phi(n) // 2
-        entries.append((n, k, count))
-    genus = sum(k * count for _, k, count in entries)
-    if genus != profile.dimension // 2:
-        raise CrossCheckError("half profile does not fill half the dimension")
-    return HalfProfile(tuple(entries), genus)
+    return tuple((n, k, euler_phi(n) * m // 2) for n, k, m in profile.entries)

@@ -2,10 +2,11 @@
 
 For a quasi-unipotent matrix acting on a 2g-dimensional space whose
 Jordan profile splits into conjugate halves with block sizes k_i, the
-polynomial volume growth is sum k_i^2.  The growth exponent in exterior
-degree r is the degree in n of the fastest-growing r-by-r minor of the
-n-th power of the unipotent iterate U; the entries of U^n = sum_i C(n,i)
-(U-I)^i are polynomials in n.
+polynomial volume growth is sum k_i^2, which `plov_of` sums over the
+(order, size, count) triples `half_profile` reads off the profile.  The
+growth exponent in exterior degree r is the degree in n of the
+fastest-growing r-by-r minor of the n-th power of the unipotent iterate
+U; the entries of U^n = sum_i C(n,i) (U-I)^i are polynomials in n.
 
 Minors of a block-diagonal unipotent matrix vanish unless the row and
 column sets meet every block in equal numbers, so the maximal minor
@@ -49,18 +50,13 @@ from .errors import (
     PreconditionError,
 )
 from .exact import RatMatrix, det_exact
-from .jordan import (
-    HalfProfile,
-    JordanProfile,
-    half_profile,
-    jordan_profile,
-    pseudo_analytic_check,
-)
+from .jordan import JordanProfile, half_profile, jordan_profile, pseudo_analytic_check
 
 
-def plov_of(half: HalfProfile) -> int:
-    """Polynomial volume growth from one conjugate half: sum count * k^2."""
-    return sum(count * k * k for _, k, count in half.entries)
+def plov_of(half: Sequence[tuple[int, int, int]]) -> int:
+    """Polynomial volume growth from the (order, size, count) triples of
+    one conjugate half: sum count * k^2."""
+    return sum(count * k * k for _, k, count in half)
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +153,7 @@ class AnalysisReport:
     genus: int
     profile: JordanProfile
     pseudo_analytic: bool
-    half: Optional[HalfProfile]
+    half: Optional[tuple[tuple[int, int, int], ...]]
     plov: Optional[int]
     kJ: Optional[int]
     kf: Optional[int]
@@ -183,7 +179,7 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
     pseudo = pseudo_analytic_check(profile)
     half = half_profile(profile) if pseudo else None
     plov = plov_of(half) if pseudo else None
-    kj = max(k for _, k, _ in half.entries) - 1 if pseudo else None
+    kj = max(k for _, k, _ in half) - 1 if pseudo else None
     kf = 2 * kj if pseudo else None
     max_block_n1 = 2 * kj + 1 if pseudo else None
 

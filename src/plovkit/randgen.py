@@ -12,7 +12,7 @@ from fractions import Fraction
 from .cohomology import TwoForm
 from .cyclotomic import cyclotomic_poly, euler_phi
 from .errors import PreconditionError
-from .exact import RatMatrix, mat_mul
+from .exact import RatMatrix, UniPoly, char_poly, mat_mul, poly_at_matrix
 
 # unimodular basis changes stay small so that conjugated matrices keep
 # manageable integer entries
@@ -47,25 +47,13 @@ def random_unimodular(rng: random.Random, k: int) -> RatMatrix:
 
 
 def invert_unimodular(s: RatMatrix) -> RatMatrix:
-    """Exact inverse by Gauss-Jordan elimination (any invertible input)."""
-    k = s.dimension
-    left = [list(row) for row in s.entries]
-    right = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if left[r][col]), None)
-        if piv is None:
-            raise PreconditionError("matrix is singular")
-        left[col], left[piv] = left[piv], left[col]
-        right[col], right[piv] = right[piv], right[col]
-        inv = 1 / left[col][col]
-        left[col] = [v * inv for v in left[col]]
-        right[col] = [v * inv for v in right[col]]
-        for r in range(k):
-            if r != col and left[r][col]:
-                f = left[r][col]
-                left[r] = [a - f * b for a, b in zip(left[r], left[col])]
-                right[r] = [a - f * b for a, b in zip(right[r], right[col])]
-    return RatMatrix.from_rows(right)
+    """Exact inverse of any invertible input, by Cayley-Hamilton: with
+    char_poly(s) = sum c_i t^i, S^-1 = -(c_1 + c_2 S + ... + c_K S^(K-1))
+    / c_0, evaluated on the integer coefficients by `poly_at_matrix`."""
+    p = char_poly(s)
+    if not p.num[0]:
+        raise PreconditionError("matrix is singular")
+    return poly_at_matrix(UniPoly(p.num[1:], -p.num[0]), s)
 
 
 def conjugate(m: RatMatrix, s: RatMatrix) -> RatMatrix:

@@ -467,9 +467,9 @@ def test_both_interpolations_take_their_degree_from_the_profile(monkeypatch):
     counts = []
     interpolate = exact._interpolate
 
-    def counting(values, var):
+    def counting(values):
         counts.append(len(values))
-        return interpolate(values, var)
+        return interpolate(values)
 
     monkeypatch.setattr(exact, "_interpolate", counting)
     for k in (8, 14):

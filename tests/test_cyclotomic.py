@@ -83,7 +83,7 @@ def test_divide_monic_exact_and_inexact():
 def test_cyclotomic_inexact_division_is_cross_check_failure(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_divide_monic", lambda p, q: None)
     with pytest.raises(CrossCheckError):
-        cyclotomic._cyclotomic_ints.__wrapped__(6)
+        cyclotomic.cyclotomic_poly.__wrapped__(6)
 
 
 def test_cyclotomic_degree_and_integrality():

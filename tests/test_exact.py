@@ -99,9 +99,9 @@ def test_interpolate_recovers_polynomial():
         # exactly enough nodes, then surplus nodes, which change nothing
         for nodes in (len(p.coeffs) or 1, len(p.coeffs) + 3):
             values = [p(x) for x in range(nodes)]
-            assert _interpolate(values, "n") == p
-    assert _interpolate([5], "t") == UniPoly.from_coeffs([5], "t")
-    assert _interpolate([0, 0, 0], "t").is_zero()
+            assert _interpolate(values) == p
+    assert _interpolate([5]) == UniPoly.from_coeffs([5], "n")
+    assert _interpolate([0, 0, 0]).is_zero()
 
 
 def test_unipoly_storage_is_canonical():
@@ -200,7 +200,7 @@ def test_interpolate_agrees_with_the_fraction_route():
             Fraction(rng.randint(-40, 40), rng.randint(1, 10))
             for _ in range(rng.randint(1, 8))
         ]
-        p = _interpolate(values, "n")
+        p = _interpolate(values)
         rebuilt = UniPoly.from_coeffs(lagrange_coeffs(values), "n")
         assert p == rebuilt
         assert (p.num, p.den) == (rebuilt.num, rebuilt.den)
@@ -416,7 +416,7 @@ def node_oracle(m):
     ]
     scale = m.den**k
     return UniPoly.from_coeffs(
-        (c / scale for c in _interpolate(values, "t").coeffs), "t"
+        (c / scale for c in _interpolate(values).coeffs), "t"
     )
 
 

@@ -17,14 +17,19 @@ from plovkit import (
     rank_exact,
     unipotent_block_profile,
 )
+from plovkit import jordan
 from plovkit.errors import (
+    CrossCheckError,
     NotPseudoAnalyticError,
     NotQuasiUnipotentError,
     NotUnipotentError,
     OddDimensionError,
+    PlovkitError,
+    PreconditionError,
 )
 from plovkit.cli import enc_verdict
 from plovkit.jordan import JordanProfile
+from plovkit.plov import plov_of
 from plovkit.randgen import (
     conjugate,
     random_integer_matrix,
@@ -187,15 +192,14 @@ def test_pseudo_analytic_examples():
 
 
 def test_half_profile_examples():
-    half = half_profile(JordanProfile(((1, 2, 2),), 4))
-    assert half.entries == ((1, 2, 1),) and half.genus == 2
-
-    half6 = half_profile(JordanProfile(((6, 1, 1),), 2))
-    assert half6.entries == ((6, 1, 1),) and half6.genus == 1
+    # count = phi(n) * m / 2, at the real orders as at the others
+    assert half_profile(JordanProfile(((1, 2, 2),), 4)) == ((1, 2, 1),)
+    assert half_profile(JordanProfile(((2, 1, 4),), 4)) == ((2, 1, 2),)
+    assert half_profile(JordanProfile(((6, 1, 1),), 2)) == ((6, 1, 1),)
+    assert half_profile(JordanProfile(((5, 2, 1),), 8)) == ((5, 2, 2),)
 
     g = 5
-    ident = half_profile(JordanProfile(((1, 1, 2 * g),), 2 * g))
-    assert ident.entries == ((1, 1, g),) and ident.genus == g
+    assert half_profile(JordanProfile(((1, 1, 2 * g),), 2 * g)) == ((1, 1, g),)
 
 
 def test_half_profile_rejections():
@@ -220,7 +224,7 @@ def test_half_then_double_round_trip():
         profile = jordan_profile(m)
         assert pseudo_analytic_check(profile)
         half = half_profile(profile)
-        assert sorted(k for _, k, c in half.entries for _ in range(c)) == sorted(sizes)
+        assert sorted(k for _, k, c in half for _ in range(c)) == sorted(sizes)
 
 
 def test_doubled_matrix_always_pseudo_analytic():
@@ -234,3 +238,98 @@ def test_doubled_matrix_always_pseudo_analytic():
             continue
         doubled = RatMatrix.block_diag(c, c)
         assert pseudo_analytic_check(jordan_profile(doubled))
+
+
+# ---------------------------------------------------------------------------
+# the record checks itself
+
+
+@pytest.mark.parametrize(
+    "entries, dimension",
+    [
+        (((1, 1, 2),), 4),  # fills 2
+        (((0, 1, 1),), 1),  # order 0
+        (((1, -2, 2),), -4),  # negative size
+        (((1, 1, 0),), 0),  # zero multiplicity
+        (((1, 2, 1), (1, 1, 1)), 3),  # unsorted keys
+        (((1, 1, 1), (1, 1, 1)), 2),  # repeated key
+    ],
+)
+def test_profile_refuses_malformed_entries(entries, dimension):
+    with pytest.raises(PreconditionError):
+        JordanProfile(entries, dimension)
+
+
+def test_jordan_profile_fill_fault_is_a_cross_check(monkeypatch):
+    # an internal fault stays exit 3: `jordan_profile` checks the fill
+    # before the record's own check could blame the caller
+    counts = jordan._block_size_counts
+
+    def dropping(*args):
+        out = counts(*args)
+        size = max(out)
+        out[size] -= 1
+        return {s: c for s, c in out.items() if c}
+
+    monkeypatch.setattr(jordan, "_block_size_counts", dropping)
+    m = RatMatrix.block_diag(RatMatrix.jordan_block(1, 3), RatMatrix.identity(1))
+    with pytest.raises(CrossCheckError, match="does not fill the dimension"):
+        jordan_profile(m)
+
+
+def test_profile_routes_return_or_raise_a_library_error():
+    """Derandomized property over `JordanProfile(entries, dimension)` with
+    0-3 entries, n in -1..7, k and m in -1..4, dimension in -1..12 or the
+    entries' own fill, and at most one value turned into a float.
+    Building raises TypeError exactly when a value is a float.  Otherwise
+    building, `order`, `unipotent_block_sizes`, `pseudo_analytic_check`,
+    `half_profile` and `plov_of` each return or raise a `PlovkitError`
+    other than `CrossCheckError`; a returned order is at least 1, the
+    block sizes fill the dimension, and a returned half fills half of it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    triples = st.tuples(st.integers(-1, 7), st.integers(-1, 4), st.integers(-1, 4))
+
+    def call(fn, *args):
+        try:
+            return fn(*args)
+        except PlovkitError as exc:
+            assert not isinstance(exc, CrossCheckError), (fn, args)
+            return None
+
+    @hypothesis.example([(1, 1, 2)], 4, None)
+    @hypothesis.example([(0, 1, 1)], 1, None)
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(
+        st.lists(triples, max_size=3),
+        st.one_of(st.integers(-1, 12), st.none()),
+        st.one_of(st.none(), st.integers(0, 12)),
+    )
+    def check(raw, dimension, float_at):
+        if dimension is None:  # often fills, so that the profile builds
+            dimension = sum(euler_phi(max(n, 1)) * k * m for n, k, m in raw)
+        values = [dimension, *(v for entry in raw for v in entry)]
+        inexact = float_at is not None and float_at < len(values)
+        if inexact:
+            values[float_at] = float(values[float_at])
+        dimension, *flat = values
+        entries = tuple(tuple(flat[i : i + 3]) for i in range(0, len(flat), 3))
+        try:
+            profile = call(JordanProfile, entries, dimension)
+        except TypeError:
+            assert inexact, (entries, dimension)
+            return
+        assert not inexact, (entries, dimension)
+        if profile is None:
+            return
+        order = call(lambda: profile.order)
+        assert order is None or order >= 1, profile
+        sizes = call(profile.unipotent_block_sizes)
+        assert sizes is None or sum(sizes) == dimension, profile
+        call(pseudo_analytic_check, profile)
+        half = call(half_profile, profile)
+        if half is not None:
+            assert 2 * sum(k * count for _, k, count in half) == dimension, profile
+            call(plov_of, half)
+
+    check()

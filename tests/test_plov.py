@@ -29,7 +29,7 @@ from plovkit.errors import (
     OddDimensionError,
     PreconditionError,
 )
-from plovkit.jordan import HalfProfile
+from plovkit.jordan import JordanProfile
 from plovkit.plov import _single_block_minor_degree
 from plovkit.randgen import (
     conjugate,
@@ -64,22 +64,27 @@ def exponent(m, r):
 
 
 def test_plov_even_golden_family():
-    # half profile with m blocks of size 2: growth 4m = 2g for g = 2m
+    # m blocks of size 2 in each half: growth 4m = 2g for g = 2m
     for m in range(1, 5):
-        half = HalfProfile(((1, 2, m),), 2 * m)
-        assert plov_of(half) == 4 * m == 2 * half.genus
+        g = 2 * m
+        half = half_profile(JordanProfile(((1, 2, 2 * m),), 2 * g))
+        assert half == ((1, 2, m),)
+        assert plov_of(half) == 4 * m == 2 * g
 
 
 def test_plov_odd_golden_family():
     # (m-1) blocks of size 2 plus one of size 1: growth 2g - 1 for g = 2m - 1
     for m in range(2, 5):
-        half = HalfProfile(((1, 1, 1), (1, 2, m - 1)), 2 * m - 1)
-        assert plov_of(half) == 4 * (m - 1) + 1 == 2 * half.genus - 1
+        g = 2 * m - 1
+        half = half_profile(JordanProfile(((1, 1, 2), (1, 2, 2 * (m - 1))), 2 * g))
+        assert half == ((1, 1, 1), (1, 2, m - 1))
+        assert plov_of(half) == 4 * (m - 1) + 1 == 2 * g - 1
 
 
 def test_plov_identity():
     for g in range(1, 6):
-        assert plov_of(HalfProfile(((1, 1, g),), g)) == g
+        half = half_profile(JordanProfile(((1, 1, 2 * g),), 2 * g))
+        assert half == ((1, 1, g),) and plov_of(half) == g
 
 
 def test_plov_bounds_random():
@@ -88,7 +93,8 @@ def test_plov_bounds_random():
         m, half_sizes = random_paired_unipotent(rng, rng.randint(1, 6))
         half = half_profile(jordan_profile(m))
         value = plov_of(half)
-        g = half.genus
+        g = sum(k * count for _, k, count in half)
+        assert g == m.dimension // 2
         assert g <= value <= g * g
         assert value == sum(k * k for k in half_sizes)
 

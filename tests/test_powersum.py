@@ -147,7 +147,7 @@ def test_entry_degree_law_single_block():
                 assert bs[top].entries[i - 1][j - 1] == comb(top, i - 1)
                 for s in range(top + 1, len(bs)):
                     assert bs[s].entries[i - 1][j - 1] == 0
-                p = _interpolate([v.entries[i - 1][j - 1] for v in values], "n")
+                p = _interpolate([v.entries[i - 1][j - 1] for v in values])
                 assert p.degree() == i + j - 1
                 assert p.leading() == Fraction(
                     1, factorial(i - 1) * factorial(j - 1) * (i + j - 1)

@@ -19,7 +19,11 @@ the polarized wedges are built inside `intersection_poly` and
 `scan_chain` alone.  The records keep only the members some route
 reads, and the degree of the zero polynomial is the int -1.  A power the
 verdict claims unipotent is checked by its trace, so no module tests
-nilpotency by squaring, and `plovkit` exports no `is_unipotent`.
+nilpotency by squaring, and `plovkit` exports no `is_unipotent`.  One
+conjugate half is read off the `JordanProfile` as triples, with no
+record of its own; Phi_n is built by `cyclotomic.cyclotomic_poly` alone;
+`_interpolate` builds polynomials in n only; and `randgen` inverts by
+Cayley-Hamilton on `exact.char_poly` and `exact.poly_at_matrix`.
 """
 
 import ast
@@ -218,7 +222,6 @@ def test_records_keep_only_what_the_routes_read():
     assert zero.degree() == -1 and type(zero.degree()) is int
     assert not hasattr(plovkit.UniPoly, "coefficient")
     assert not hasattr(plovkit.JordanProfile, "max_block_size")
-    assert not hasattr(plovkit.HalfProfile, "max_block_size")
     assert not hasattr(plovkit.AnalysisReport, "all_bounds_hold")
     scan_fields = {f.name for f in dataclasses.fields(plovkit.VanishingScanReport)}
     assert scan_fields == {"kf", "scanned", "violations"}
@@ -248,3 +251,33 @@ def test_no_module_tests_nilpotency_by_squaring():
     assert squarers == {"exact.py:mat_pow"}
     assert not hasattr(plovkit, "is_unipotent")
     assert not hasattr(plovkit.cyclotomic, "is_unipotent")
+
+
+def test_one_half_record_one_cyclotomic_table_one_interpolation_variable():
+    import inspect
+
+    from plovkit import exact
+
+    assert not hasattr(plovkit, "HalfProfile")
+    assert not hasattr(plovkit.jordan, "HalfProfile")
+    assert not hasattr(plovkit.cyclotomic, "_cyclotomic_ints")
+    assert list(inspect.signature(exact._interpolate).parameters) == ["values"]
+
+
+def test_the_inverse_is_one_char_poly_and_one_polynomial_evaluation(monkeypatch):
+    from plovkit import randgen
+
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(randgen, "char_poly", counting(randgen.char_poly))
+    monkeypatch.setattr(randgen, "poly_at_matrix", counting(randgen.poly_at_matrix))
+    s = plovkit.RatMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 3, 1]])
+    randgen.invert_unimodular(s)
+    assert sorted(calls) == ["char_poly", "poly_at_matrix"]
