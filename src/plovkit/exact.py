@@ -63,6 +63,12 @@ def _frac(x: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__!r}")
 
 
+def _matrix(m: "RatMatrix") -> "RatMatrix":
+    if isinstance(m, RatMatrix):
+        return m
+    raise TypeError(f"expected a RatMatrix, got {type(m).__name__!r}")
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials
 
@@ -501,7 +507,7 @@ def det_exact(m: RatMatrix) -> Fraction:
 def rank_exact(m: RatMatrix) -> int:
     """Rank over Q: the rank of the integer rows, read off the
     fraction-free row echelon form."""
-    return _echelon(m.num)[0]
+    return _echelon(_matrix(m).num)[0]
 
 
 #: The exponents e of every Mersenne prime 2^e - 1 up to e = 4423, the
@@ -632,7 +638,7 @@ def char_poly(m: RatMatrix) -> UniPoly:
 def poly_at_matrix(p: UniPoly, m: RatMatrix) -> RatMatrix:
     """Evaluate a polynomial at a square matrix (Horner scheme on the
     integer coefficients, divided by the denominator at the end)."""
-    k = m.dimension
+    k = _matrix(m).dimension
     result = RatMatrix.zero(k)
     ident = RatMatrix.identity(k)
     for c in reversed(p.num):

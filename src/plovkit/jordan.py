@@ -143,6 +143,8 @@ def half_profile(profile: JordanProfile) -> tuple[tuple[int, int, int], ...]:
     count) triples: an order-n entry has m blocks at each of the phi(n)
     primitive roots, and half of its phi(n)*m blocks lie in each half, so
     count = phi(n)*m/2 and the counts fill half the dimension."""
+    if not isinstance(profile, JordanProfile):
+        raise TypeError(f"expected a JordanProfile, got {type(profile).__name__!r}")
     if profile.dimension % 2:
         raise OddDimensionError("half profile requires even ambient dimension")
     if not pseudo_analytic_check(profile):

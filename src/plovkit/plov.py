@@ -16,9 +16,10 @@ minor on rows I and columns J is a polynomial of degree sum(J) - sum(I)
 whose leading coefficient is det(1/(j-i)!), nonzero exactly when the
 sorted rows and columns interleave (i_b <= j_b).  The extreme choice
 I = {1..r'}, J = {k-r'+1..k} therefore realizes the maximum degree
-r'(k - r'); the nonvanishing of its leading coefficient is re-verified
-at runtime.  As r'(k - r') is concave in r' (increments k - 2r' - 1),
-the best split of r rows over the blocks takes the r largest increments.
+r'(k - r'): its leading coefficient is the hook product
+prod_{i<r'} i!/(k - r' + i)!, which is never 0.  As r'(k - r') is
+concave in r' (increments k - 2r' - 1), the best split of r rows over
+the blocks takes the r largest increments.
 The oracle `selfcheck.growth_exponent_by_minors` enumerates every minor
 instead, each interpolated from its exact values on the literal powers
 U^x at integer nodes.
@@ -36,11 +37,7 @@ exponent is `max_minor_degree(jordan_profile(m).unipotent_block_sizes(), r)`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import factorial
 from typing import Optional, Sequence
 
 from .errors import (
@@ -49,41 +46,18 @@ from .errors import (
     OddDimensionError,
     PreconditionError,
 )
-from .exact import RatMatrix, det_exact
+from .exact import RatMatrix
 from .jordan import JordanProfile, half_profile, jordan_profile, pseudo_analytic_check
 
 
 def plov_of(half: Sequence[tuple[int, int, int]]) -> int:
     """Polynomial volume growth from the (order, size, count) triples of
     one conjugate half: sum count * k^2."""
-    return sum(count * k * k for _, k, count in half)
-
-
-@lru_cache(maxsize=None)
-def _single_block_minor_degree(k: int, r: int) -> int:
-    """Max degree over r-by-r minors of the binomial power matrix of a
-    single size-k block, with the leading coefficient of the extreme
-    minor re-verified to be nonzero."""
-    if r == 0:
-        return 0
-    if not 1 <= r <= k:
-        raise DimensionMismatchError("minor order out of range for block size")
-    rows = range(1, r + 1)
-    cols = range(k - r + 1, k + 1)
-    lead = det_exact(
-        RatMatrix.from_rows(
-            [
-                [
-                    Fraction(1, factorial(j - i)) if j >= i else Fraction(0)
-                    for j in cols
-                ]
-                for i in rows
-            ]
+    if any(len(entry) != 3 for entry in half):
+        raise PreconditionError(
+            f"half profile entries are (order, size, count) triples, got {half}"
         )
-    )
-    if lead == 0:
-        raise CrossCheckError("extreme minor has vanishing leading coefficient")
-    return r * (k - r)
+    return sum(count * k * k for _, k, count in half)
 
 
 def max_minor_degree(block_sizes: Sequence[int], r: int) -> int:
@@ -91,20 +65,17 @@ def max_minor_degree(block_sizes: Sequence[int], r: int) -> int:
     iterate: the max of sum t_i (k_i - t_i) over t_i <= k_i rows with
     sum t_i = r.  Each term is concave in t_i, with increments k_i - 2t - 1
     that strictly fall, so the max adds up the r largest increments over
-    all blocks (a prefix of each block's own); each block given t_i > 0
-    rows re-verifies its leading coefficient."""
+    all blocks (a prefix of each block's own).  The extreme minor of a
+    block given t rows has the hook product prod_{i<t} i!/(k - t + i)!
+    as its leading coefficient, which is never 0."""
     sizes = list(block_sizes)
     if min(sizes, default=1) < 1:
         raise PreconditionError(f"block sizes must be at least 1, got {sizes}")
     total = sum(sizes)
     if not 0 <= r <= total:
         raise DimensionMismatchError(f"degree {r} out of range 0..{total}")
-    steps = sorted(
-        ((k - 2 * t - 1, i) for i, k in enumerate(sizes) for t in range(k)),
-        reverse=True,
-    )
-    rows = Counter(i for _, i in steps[:r])
-    return sum(_single_block_minor_degree(sizes[i], t) for i, t in rows.items())
+    steps = sorted((k - 2 * t - 1 for k in sizes for t in range(k)), reverse=True)
+    return sum(steps[:r])
 
 
 def second_compound_block_sizes(block_sizes: Sequence[int]) -> list[int]:

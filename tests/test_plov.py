@@ -8,17 +8,23 @@ agree with it everywhere it is feasible.
 
 import itertools
 import random
+from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from plovkit import (
     RatMatrix,
+    UniPoly,
     analyze,
+    det_exact,
     half_profile,
     jordan_profile,
     mat_pow,
     max_minor_degree,
     plov_of,
+    poly_at_matrix,
+    rank_exact,
     second_compound_block_sizes,
     unipotent_block_profile,
     unipotent_power,
@@ -30,7 +36,6 @@ from plovkit.errors import (
     PreconditionError,
 )
 from plovkit.jordan import JordanProfile
-from plovkit.plov import _single_block_minor_degree
 from plovkit.randgen import (
     conjugate,
     random_paired_unipotent,
@@ -224,7 +229,7 @@ def test_exponent_rejects_bad_degree():
             DimensionMismatchError,
         ),
         (lambda: analyze(RatMatrix.identity(2), [0]), DimensionMismatchError),
-        (lambda: _single_block_minor_degree(2, 3), DimensionMismatchError),
+        (lambda: max_minor_degree([2], 3), DimensionMismatchError),
         (lambda: second_compound_block_sizes([2, 0]), PreconditionError),
         (
             lambda: max_block_compound2_literal(RatMatrix.identity(1)),
@@ -235,6 +240,40 @@ def test_exponent_rejects_bad_degree():
 def test_out_of_contract_calls_raise_library_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: plov_of([(1, 2)]), PreconditionError),
+        (lambda: half_profile(None), TypeError),
+        (lambda: rank_exact(None), TypeError),
+        (lambda: poly_at_matrix(UniPoly.from_coeffs([1, 1]), None), TypeError),
+    ],
+    ids=["short-triple", "profile-none", "rank-none", "poly-at-none"],
+)
+def test_malformed_arguments_raise_a_library_error_or_type_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_extreme_minor_leading_coefficient_is_the_hook_product():
+    # det [1/(c + j - i)!] over t rows, c = k - t, is prod_{i<t} i!/(c + i)!
+    # (Frame-Robinson-Thrall), so `max_minor_degree` never checks it
+    for k in range(1, 31):
+        for t in range(1, k + 1):
+            c = k - t
+            lead = RatMatrix.from_rows(
+                [
+                    [
+                        Fraction(1, factorial(c + j - i)) if c + j >= i else 0
+                        for j in range(t)
+                    ]
+                    for i in range(t)
+                ]
+            )
+            hook = prod(Fraction(factorial(i), factorial(c + i)) for i in range(t))
+            assert det_exact(lead) == hook, (k, t)
 
 
 # ---------------------------------------------------------------------------

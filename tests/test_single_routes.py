@@ -22,8 +22,9 @@ verdict claims unipotent is checked by its trace, so no module tests
 nilpotency by squaring, and `plovkit` exports no `is_unipotent`.  One
 conjugate half is read off the `JordanProfile` as triples, with no
 record of its own; Phi_n is built by `cyclotomic.cyclotomic_poly` alone;
-`_interpolate` builds polynomials in n only; and `randgen` inverts by
-Cayley-Hamilton on `exact.char_poly` and `exact.poly_at_matrix`.
+`_interpolate` builds polynomials in n only; `randgen` inverts by
+Cayley-Hamilton on `exact.char_poly` and `exact.poly_at_matrix`; and
+`plov` reads growth exponents off the block sizes, with no determinant.
 """
 
 import ast
@@ -107,7 +108,7 @@ def test_only_the_profile_and_the_power_ask_for_the_verdict():
         if references(node, "require_quasi_unipotent")
     }
     assert users == {"cyclotomic.py", "jordan.py"}
-    wrappers = {"growth_exponent", "max_block_compound2"}
+    wrappers = {"growth_exponent", "max_block_compound2", "_single_block_minor_degree"}
     defined = {
         f"{name}:{node.name}"
         for name, tree in parsed_sources()
@@ -281,3 +282,10 @@ def test_the_inverse_is_one_char_poly_and_one_polynomial_evaluation(monkeypatch)
     s = plovkit.RatMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 3, 1]])
     randgen.invert_unimodular(s)
     assert sorted(calls) == ["char_poly", "poly_at_matrix"]
+
+
+def test_growth_exponents_take_no_determinant():
+    plov = dict(parsed_sources())["plov.py"]
+    assert not any(references(node, "det_exact") for node in ast.walk(plov))
+    # the walk sees names
+    assert any(references(node, "max_minor_degree") for node in ast.walk(plov))
