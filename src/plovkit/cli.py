@@ -23,6 +23,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import gcd
@@ -211,12 +212,24 @@ def base_report(command: str, name: Optional[str], matrix: Optional[RatMatrix]):
     return report
 
 
+@dataclass(frozen=True)
+class ScannedEntries:
+    """The (tuple, value) pairs of a vanishing scan, held in a report as
+    `scan_chain` returns them: tuples of ints of one length, and
+    `Fraction` values.  `encode_report` writes them as the list of entries
+    {"tuple": [...], "value": ...}, with each value an int or a "p/q"
+    string, so no entry is built as a dict."""
+
+    pairs: Sequence[tuple[tuple[int, ...], Fraction]]
+
+
 _quote = json.encoder.encode_basestring_ascii
 
 
 def encode_report(report: dict) -> str:
     """The text of `json.dumps(report, indent=2, sort_keys=True)`, built
-    as one list of parts joined once.  A value no report holds (a float,
+    as one list of parts joined once; `ScannedEntries` are written as the
+    list of their entry dicts would be.  A value no report holds (a float,
     a tuple, a non-string key) raises `CrossCheckError`."""
     parts: list[str] = []
     put = parts.append
@@ -248,7 +261,30 @@ def encode_report(report: dict) -> str:
                 enc(x, inner)
                 sep = "," + inner
             put(nl + "]")
-        elif t is dict or t is list:
+        elif t is ScannedEntries and v.pairs:
+            # every entry has one shape, so one template at this indent
+            # writes them all: the entry at inner, its keys at field and
+            # its indices at index.  It is rebuilt only when the value
+            # changes, and the scan's zeros share one value.
+            inner = nl + "  "
+            field = inner + "  "
+            index = field + "  "
+            indices = ("," + index).join(["%d"] * len(v.pairs[0][0]))
+            head = "{" + field + '"tuple": [' + index + indices
+            head += field + "]," + field + '"value": '
+            sep = "[" + inner
+            last = None
+            for combo, value in v.pairs:
+                if value is not last:
+                    if type(value) is not Fraction:
+                        raise TypeError(f"scanned value {value!r}")
+                    last, text = value, enc_frac(value)
+                    text = _quote(text) if type(text) is str else int.__repr__(text)
+                    entry = head + text + inner + "}"
+                put(sep + entry % combo)
+                sep = "," + inner
+            put(nl + "]")
+        elif t is dict or t is list or t is ScannedEntries:
             put("{}" if t is dict else "[]")
         elif v is None or t is bool:
             put("null" if v is None else "true" if v else "false")
@@ -475,9 +511,7 @@ def cmd_model(args) -> int:
             "matches_profile": model.matches_profile,
             "vanishing_scan": {
                 "kf": scan.kf,
-                "scanned": [
-                    {"tuple": list(t), "value": enc_frac(v)} for t, v in scan.scanned
-                ],
+                "scanned": ScannedEntries(scan.scanned),
                 "violations": [list(t) for t in scan.violations],
             },
         }

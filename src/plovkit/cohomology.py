@@ -27,6 +27,12 @@ model-side volume growth.  For one form w the top coefficient of w^g is
 g! * Pf(A_w), so `intersection_poly` evaluates that at the nodes
 x = 0..D, D = plov + 1 from M's half profile, and interpolates.
 
+`pfaffian` works on the integer rows alone: for A = num/den it returns
+the integer Pf(num), and Pf(A) = Pf(num)/den^g.  Its callers carry den^g.
+Both put every Pfaffian over den^g for the chain's common denominator
+den, so their sums stay in integers: `intersection_poly` divides its
+interpolated polynomial once, and `scan_chain` each multiset's value.
+
 The vanishing scan needs mixed products of chain forms.  2-forms
 commute, so such a product depends only on the multiset alpha of its
 factors, and by polarization of the symmetric g-linear top wedge
@@ -35,20 +41,23 @@ factors, and by polarization of the symmetric g-linear top wedge
         = sum_{0 != beta <= alpha} (-1)^(g - |beta|) prod_i C(alpha_i, beta_i)
           * Pf(sum_i beta_i w_i)
 
-(in `scan_chain`); the Pfaffians are shared across multisets.  The
-literal wedge expansion, `selfcheck.wedge_coefficient`, is the oracle
-for both Pfaffian routes, in the self-test and the tests.  Intersection
-numbers are kept as raw wedge coefficients, since every contract here
-concerns degrees and vanishing only.
+(`_polarization`, once per multiset in `scan_chain`); the Pfaffians are
+shared across multisets.  The ordered tuples then take the value of
+their multiset.  The literal wedge expansion,
+`selfcheck.wedge_coefficient`, is the oracle for both Pfaffian routes,
+in the self-test and the tests.  Intersection numbers are kept as raw
+wedge coefficients, since every contract here concerns degrees and
+vanishing only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
-from typing import Optional, Sequence
+from math import comb, factorial, lcm, prod
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     CrossCheckError,
@@ -154,17 +163,20 @@ def _chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
     return [TwoForm._of(x) for x in congruence_chain(m, h.matrix)]
 
 
-def pfaffian(form: TwoForm) -> Fraction:
-    """Pfaffian of the skew matrix A of the form, so that the top
-    coefficient of form^g is g! * pfaffian(form).
+def pfaffian(form: TwoForm) -> int:
+    """Pf(num) for the skew matrix A = num/den of the form: an integer,
+    with Pf(A) = Pf(num)/den^g, so that the top coefficient of form^g is
+    g! * Pf(num)/den^g.  The callers carry den^g.
 
     Fraction-free skew elimination on the integer rows: pivot on the 2x2
     block (k, k+1) with p = a[k][k+1], swapping index k+1 with a later
     one (a sign flip) when that entry is zero, and replace each trailing
     entry a[i][j] by (p a[i][j] + a[k+1][i] a[k][j] - a[k][i] a[k+1][j])
     divided by the previous pivot.  The division is exact, since every
-    entry is then the Pfaffian of A on the pivot indices so far and i, j;
-    the last pivot is Pf(num), and Pf(A) = Pf(num) / den^g."""
+    entry is then the Pfaffian of num on the pivot indices so far and
+    i, j; the last pivot is Pf(num).  The update is skew in (i, j), so
+    only the entries above the diagonal are kept, and a swap moves them
+    with the sign of the entries it carries below the diagonal."""
     a = [list(row) for row in form.matrix.num]
     n = len(a)
     sign = 1
@@ -173,27 +185,52 @@ def pfaffian(form: TwoForm) -> Fraction:
         row_k = a[k]
         pivot = next((j for j in range(k + 1, n) if row_k[j]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != k + 1:
-            a[k + 1], a[pivot] = a[pivot], a[k + 1]
-            for row in a[k:]:
-                row[k + 1], row[pivot] = row[pivot], row[k + 1]
+            row_k1, row_p = a[k + 1], a[pivot]
+            row_k[k + 1], row_k[pivot] = row_k[pivot], row_k[k + 1]
+            for i in range(k + 2, pivot):
+                row_k1[i], a[i][pivot] = -a[i][pivot], -row_k1[i]
+            row_k1[pivot] = -row_k1[pivot]
+            row_k1[pivot + 1 :], row_p[pivot + 1 :] = (
+                row_p[pivot + 1 :],
+                row_k1[pivot + 1 :],
+            )
             sign = -sign
         row_k1 = a[k + 1]
         p = row_k[k + 1]
-        tail_k, tail_k1 = row_k[k + 2 :], row_k1[k + 2 :]
-        # the update is skew in (i, j), so updating whole trailing rows
-        # keeps the matrix skew; a row with u = w = 0 is only rescaled
-        for i in range(k + 2, n):
+        tail_k, tail_k1 = row_k[k + 3 :], row_k1[k + 3 :]
+        # row i takes the columns j > i, at tail offset i - k - 2
+        for i in range(k + 2, n - 1):
             u, w = row_k1[i], row_k[i]
             if not u and not w and p == prev:
                 continue
-            a[i][k + 2 :] = [
+            row = a[i]
+            at = i - k - 2
+            row[i + 1 :] = [
                 (p * x + u * y - w * z) // prev
-                for x, y, z in zip(a[i][k + 2 :], tail_k, tail_k1)
+                for x, y, z in zip(row[i + 1 :], tail_k[at:], tail_k1[at:])
             ]
         prev = p
-    return Fraction(sign * prev, form.matrix.den**form.genus)
+    return sign * prev
+
+
+def _common_pfaffian(
+    chain: Sequence[TwoForm],
+) -> tuple[Callable[[Sequence[int]], int], int]:
+    """(pf, den^g) for the chain's common denominator den: pf(w) is the
+    integer den^g * Pf(sum_i w_i chain[i]), from one `combiner` over the
+    chain and one `pfaffian` per call.  A sum over den' | den has
+    Pf = Pf(num)/den'^g, so its Pf(num) is scaled by (den/den')^g."""
+    combine = combiner([f.matrix for f in chain])
+    genus = chain[0].genus
+    den = lcm(*(f.matrix.den for f in chain))
+
+    def pf(weights: Sequence[int]) -> int:
+        form = combine(weights)
+        return pfaffian(TwoForm._of(form)) * (den // form.den) ** genus
+
+    return pf, den**genus
 
 
 def intersection_poly(chain: Sequence[TwoForm], degree_bound: int) -> UniPoly:
@@ -206,17 +243,18 @@ def intersection_poly(chain: Sequence[TwoForm], degree_bound: int) -> UniPoly:
     has degree at most g + sum k(k - 1)/2 over M's blocks (a change of
     basis scales it by a constant): plov for a paired profile, and
     `plov_via_model` passes degree_bound = plov + 1.  It is interpolated
-    from g! * Pf(Delta_x) at x = 0..degree_bound, with every Delta_x from
-    one combiner over the chain, and one extra node re-verifies it."""
-    combine = combiner([f.matrix for f in chain])
-    genus = chain[0].genus
-    scale = factorial(genus)
+    from the integers g! * den^g * Pf(Delta_x) at x = 0..degree_bound,
+    den the chain's common denominator, with every Delta_x from one
+    combiner over the chain, and one extra node re-verifies it; the
+    polynomial is divided by den^g once."""
+    pf, den_g = _common_pfaffian(chain)
+    scale = factorial(chain[0].genus)
 
-    def top(x: int) -> Fraction:
-        weights = [comb(x, i + 1) for i in range(len(chain))]
-        return scale * pfaffian(TwoForm._of(combine(weights)))
+    def top(x: int) -> int:
+        return scale * pf([comb(x, i + 1) for i in range(len(chain))])
 
-    return interpolate_checked(top, degree_bound, "intersection_poly")
+    poly = interpolate_checked(top, degree_bound, "intersection_poly")
+    return UniPoly(poly.num, poly.den * den_g, "n")
 
 
 @dataclass(frozen=True)
@@ -318,14 +356,34 @@ def vanishing_scan(m: RatMatrix, h: TwoForm) -> VanishingScanReport:
     return scan_chain(nilpotent_chain(m, h))
 
 
+def _polarization(alpha: Sequence[int], pf: Callable[[tuple[int, ...]], int]) -> int:
+    """sum_{0 != beta <= alpha} (-1)^(g - |beta|) prod_i C(alpha_i, beta_i)
+    * pf(beta), g = |alpha|: the top coefficient of prod_i w_i^alpha_i,
+    on the scale of pf."""
+    g = sum(alpha)
+    total = 0
+    for beta in itertools.product(*(range(a + 1) for a in alpha)):
+        weight = sum(beta)
+        if weight:
+            term = pf(beta)
+            if term:
+                term *= prod(map(comb, alpha, beta))
+                total += term if (g - weight) % 2 == 0 else -term
+    return total
+
+
 def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
     """The scan over the products of any nonempty family of forms of one
-    genus, in the role of the chain.  Each multiset alpha of indices is
-    evaluated once, by polarization over one combiner, with the Pfaffians
-    memoized by beta and shared within the scan.  A scan of more than
-    `SCAN_LIMIT` tuples raises `PreconditionError` before any is
-    evaluated."""
-    combine = combiner([f.matrix for f in chain])
+    genus, in the role of the chain.
+
+    Each multiset alpha of indices above the threshold is evaluated once,
+    in integers, by `_polarization` over den^g * Pf(sum_i beta_i w_i), den
+    the chain's common denominator; the Pfaffians are memoized by beta and
+    shared within the scan, and each multiset's sum is divided by den^g
+    once.  The ordered tuples are then listed in lexicographic order with
+    the value of their multiset.  A scan of more than `SCAN_LIMIT` tuples
+    raises `PreconditionError` before any is evaluated."""
+    pf, den_g = _common_pfaffian(chain)
     kf = len(chain) - 1
     g = chain[0].genus
     size = scan_size(g, kf)
@@ -333,34 +391,29 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
         raise PreconditionError(
             f"vanishing scan of {size} products exceeds the limit of {SCAN_LIMIT}"
         )
-    pfaffians: dict[tuple[int, ...], Fraction] = {}
-    values: dict[tuple[int, ...], Fraction] = {}
+    memo = functools.cache(pf)
+    # a multiset is keyed by sum_i (g + 1)^i over its indices, so that the
+    # key of an ordered tuple is a running sum; the zeros share one value
+    place = [(g + 1) ** i for i in range(kf + 1)]
+    least = g * kf // 2 + 1  # the least index sum above the threshold
+    zero = Fraction(0)
+    values: dict[int, Fraction] = {}
+    for key in itertools.combinations_with_replacement(range(kf + 1), g):
+        if sum(key) >= least:
+            total = _polarization([key.count(i) for i in range(kf + 1)], memo)
+            values[sum(map(place.__getitem__, key))] = (
+                Fraction(total, den_g) if total else zero
+            )
     scanned = []
-    violations = []
-    for combo in itertools.product(range(kf + 1), repeat=g):
-        if 2 * sum(combo) <= g * kf:
-            continue
-        key = tuple(sorted(combo))
-        value = values.get(key)
-        if value is None:
-            alpha = [combo.count(i) for i in range(kf + 1)]
-            value = Fraction(0)
-            for beta in itertools.product(*(range(a + 1) for a in alpha)):
-                weight = sum(beta)
-                if not weight:
-                    continue
-                pf = pfaffians.get(beta)
-                if pf is None:
-                    pf = pfaffians[beta] = pfaffian(TwoForm._of(combine(beta)))
-                if pf:
-                    term = prod(comb(a, b) for a, b in zip(alpha, beta)) * pf
-                    value += term if (g - weight) % 2 == 0 else -term
-            values[key] = value
-        scanned.append((combo, value))
-        if value != 0:
-            violations.append(combo)
-    return VanishingScanReport(
-        kf=kf,
-        scanned=tuple(scanned),
-        violations=tuple(violations),
+    for head in itertools.product(range(kf + 1), repeat=g - 1):
+        base = sum(map(place.__getitem__, head))
+        scanned += [
+            ((*head, last), values[base + place[last]])
+            for last in range(max(0, least - sum(head)), kf + 1)
+        ]
+    violations = (
+        tuple(combo for combo, value in scanned if value)
+        if any(values.values())
+        else ()
     )
+    return VanishingScanReport(kf=kf, scanned=tuple(scanned), violations=violations)

@@ -366,7 +366,7 @@ class RatMatrix:
 
 
 def _check_same_dim(a: RatMatrix, b: RatMatrix) -> None:
-    if a.dimension != b.dimension:
+    if _matrix(a).dimension != _matrix(b).dimension:
         raise DimensionMismatchError(
             f"dimension mismatch: {a.dimension} vs {b.dimension}"
         )
@@ -396,6 +396,7 @@ def mat_pow(a: RatMatrix, e: int) -> RatMatrix:
     """a**e by binary exponentiation; a**0 is the identity.  The result
     starts from a power of a, never from I, so a**e costs
     e.bit_length() + popcount(e) - 2 products."""
+    a = _matrix(a)
     if e < 0:
         raise PreconditionError("negative matrix power")
     if e == 0:
@@ -499,7 +500,7 @@ def _echelon(num: Sequence[Sequence[int]]) -> tuple[int, int]:
 def det_exact(m: RatMatrix) -> Fraction:
     """Exact determinant: det(num) / den^k, with det(num) read off the
     fraction-free row echelon form."""
-    rank, last = _echelon(m.num)
+    rank, last = _echelon(_matrix(m).num)
     k = m.dimension
     return Fraction(last, m.den**k) if rank == k else Fraction(0)
 
@@ -611,7 +612,7 @@ def char_poly(m: RatMatrix) -> UniPoly:
     c_(K-1) = -tr(num), taken on the integer rows, is re-verified.  The
     result holds the integers c_k den^k over the denominator den^K.
     """
-    k = m.dimension
+    k = _matrix(m).dimension
     num = m.num
     bound = 1
     for row in num:

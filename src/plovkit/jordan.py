@@ -128,6 +128,12 @@ def unipotent_block_profile(m: RatMatrix) -> JordanProfile:
     return JordanProfile(entries, k_dim)
 
 
+def _profile(profile: JordanProfile) -> JordanProfile:
+    if isinstance(profile, JordanProfile):
+        return profile
+    raise TypeError(f"expected a JordanProfile, got {type(profile).__name__!r}")
+
+
 def pseudo_analytic_check(profile: JordanProfile) -> bool:
     """True when the profile can split as two complex-conjugate halves.
 
@@ -135,7 +141,7 @@ def pseudo_analytic_check(profile: JordanProfile) -> bool:
     multiplicity; for order >= 3 the primitive roots are non-real and
     Galois-paired with their conjugates, so no condition arises.
     """
-    return all(m % 2 == 0 for n, _, m in profile.entries if n <= 2)
+    return all(m % 2 == 0 for n, _, m in _profile(profile).entries if n <= 2)
 
 
 def half_profile(profile: JordanProfile) -> tuple[tuple[int, int, int], ...]:
@@ -143,9 +149,7 @@ def half_profile(profile: JordanProfile) -> tuple[tuple[int, int, int], ...]:
     count) triples: an order-n entry has m blocks at each of the phi(n)
     primitive roots, and half of its phi(n)*m blocks lie in each half, so
     count = phi(n)*m/2 and the counts fill half the dimension."""
-    if not isinstance(profile, JordanProfile):
-        raise TypeError(f"expected a JordanProfile, got {type(profile).__name__!r}")
-    if profile.dimension % 2:
+    if _profile(profile).dimension % 2:
         raise OddDimensionError("half profile requires even ambient dimension")
     if not pseudo_analytic_check(profile):
         raise NotPseudoAnalyticError(

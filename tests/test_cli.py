@@ -1021,6 +1021,54 @@ def test_model_nonzero_scanned_value_exits_3(tmp_path, capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("values", ["mixed", "empty"])
+def test_model_scanned_entries_match_json_dumps(tmp_path, capsys, monkeypatch, values):
+    # the scanned entries come from one template, not from dicts: the
+    # report must equal json.dumps of the dict form, for 0, a negative
+    # int and "p/q" values, and for an empty scan
+    import dataclasses
+
+    import plovkit.cli
+    from plovkit.randgen import paired_unipotent
+
+    real = plovkit.cli.scan_chain
+    cycle = (Fraction(0), Fraction(-3), Fraction(5, 7), Fraction(-5, 7))
+    fake = {}
+
+    def rewritten(chain):
+        report = real(chain)
+        if values == "empty":
+            scanned = ()
+        else:
+            scanned = tuple(
+                (t, cycle[i % len(cycle)]) for i, (t, _) in enumerate(report.scanned)
+            )
+        fake["scan"] = dataclasses.replace(
+            report, scanned=scanned, violations=tuple(t for t, v in scanned if v)
+        )
+        return fake["scan"]
+
+    monkeypatch.setattr(plovkit.cli, "scan_chain", rewritten)
+    path = write_doc(tmp_path, {"matrix": enc_matrix(paired_unipotent([2, 1]))})
+    code, out, _ = run_cli(["model", "--input", path], capsys)
+    scan = fake["scan"]
+    assert code == (3 if scan.violations else 0)
+    assert len(scan.scanned) == (0 if values == "empty" else 10)
+    old_dict_form = json.loads(out)
+    old_dict_form["model"]["vanishing_scan"]["scanned"] = [
+        {
+            "tuple": list(t),
+            "value": v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}",
+        }
+        for t, v in scan.scanned
+    ]
+    assert out == json.dumps(old_dict_form, indent=2, sort_keys=True) + "\n"
+    if values == "empty":
+        assert '"scanned": [],' in out
+    else:
+        assert '"value": "-5/7"' in out and '"value": -3' in out
+
+
 @pytest.mark.parametrize("command", ["powersum", "model"])
 def test_unipotent_power_that_is_not_unipotent_exits_3(
     tmp_path, capsys, monkeypatch, command

@@ -76,6 +76,12 @@ def telescoped_delta(m, h, x):
     return acc
 
 
+def pf_value(form):
+    """Pf(A) = Pf(num)/den^g for the skew matrix A = num/den of the form;
+    `pfaffian` returns the integer Pf(num)."""
+    return Fraction(pfaffian(form), form.matrix.den**form.genus)
+
+
 def random_rational_form(rng, g):
     """2-form with rational coefficients and a random density."""
     density = rng.choice([0.2, 0.5, 0.9])
@@ -396,7 +402,7 @@ def test_pfaffian_matches_literal_wedge():
     for _ in range(60):
         g = rng.randint(1, 5)
         w = random_rational_form(rng, g)
-        assert math.factorial(g) * pfaffian(w) == wedge_coefficient([w] * g)
+        assert math.factorial(g) * pf_value(w) == wedge_coefficient([w] * g)
 
 
 def test_pfaffian_small_cases():
@@ -405,7 +411,11 @@ def test_pfaffian_small_cases():
     assert pfaffian(TwoForm(2, {(2, 3): 1, (2, 4): 5, (3, 4): 2})) == 0
     # the standard form needs a pivot swap at every block
     assert pfaffian(TwoForm.standard(3)) == -1
-    assert pfaffian(TwoForm(2, {(1, 2): 3, (3, 4): Fraction(1, 2)})) == Fraction(3, 2)
+    # Pf(A) = 3/2 for A = num/2: Pf(num) = 6 * 1, carried over 2^2
+    form = TwoForm(2, {(1, 2): 3, (3, 4): Fraction(1, 2)})
+    assert form.matrix.den == 2
+    assert pfaffian(form) == 6
+    assert pf_value(form) == Fraction(3, 2)
 
 
 def test_pfaffian_with_pivot_swap_matches_literal_wedge():
@@ -420,26 +430,32 @@ def test_pfaffian_with_pivot_swap_matches_literal_wedge():
         scaled = rescaled(w, d)
         assert scaled.matrix.den > 1
         pf = pfaffian(w)
-        assert pf != 0 and pf.denominator == 1
-        assert pfaffian(scaled) == pf / math.prod(d)
+        assert pf != 0 and type(pf) is int and w.matrix.den == 1
+        assert pf_value(scaled) == Fraction(pf, math.prod(d))
         for form in (w, scaled):
-            assert math.factorial(6) * pfaffian(form) == wedge_coefficient([form] * 6)
+            assert math.factorial(6) * pf_value(form) == wedge_coefficient([form] * 6)
 
 
 def test_intersection_poly_matches_literal_wedge_of_telescoped_sum():
     # independent of both the chain and the Pfaffian: Delta_x is the sum
     # of pullbacks along M^m, wedged literally
     rng = random.Random(72)
+    denominators = set()
     for _ in range(10):
         g = rng.randint(1, 4)
         m, _ = random_paired_unipotent(rng, g)
         h = rng.choice([TwoForm.standard(g), randgen_two_form(rng, g)])
-        poly = intersection_poly(
-            nilpotent_chain(m, h), plov_of(half_profile(jordan_profile(m))) + 1
-        )
-        for x in range(7):
-            literal = TwoForm._of(telescoped_delta(m, h, x))
-            assert poly(x) == wedge_coefficient([literal] * g)
+        plov = plov_of(half_profile(jordan_profile(m)))
+        # a rational form puts the chain over a denominator, whose g-th
+        # power intersection_poly carries and divides once
+        for form in (h, dense_rational_form(rng, g)):
+            chain = nilpotent_chain(m, form)
+            denominators.update(f.matrix.den for f in chain)
+            poly = intersection_poly(chain, plov + 1)
+            for x in range(7):
+                literal = TwoForm._of(telescoped_delta(m, form, x))
+                assert poly(x) == wedge_coefficient([literal] * g)
+    assert max(denominators) > 1
 
 
 def test_plov_bound_gives_the_polynomial_of_the_chain_length_bound():
@@ -453,7 +469,7 @@ def test_plov_bound_gives_the_polynomial_of_the_chain_length_bound():
         for h in (TwoForm.standard(g), randgen_two_form(rng, g)):
             chain = nilpotent_chain(m, h)
             literal = interpolate_checked(
-                lambda x: math.factorial(g) * pfaffian(TwoForm._of(delta(chain, x))),
+                lambda x: math.factorial(g) * pf_value(TwoForm._of(delta(chain, x))),
                 g * len(chain),
                 "chain length bound",
             )
@@ -739,3 +755,37 @@ def test_scan_past_the_limit_is_refused_before_it_runs(monkeypatch):
     limit = f"{size} products exceeds the limit of {size - 1}$"
     with pytest.raises(PreconditionError, match=limit):
         scan_chain(chain)
+
+
+def test_scan_evaluates_each_multiset_once_and_each_beta_once(monkeypatch):
+    # paired [4, 1]: 7,678 ordered tuples above the threshold, but the
+    # polarization sum runs once per multiset and the Pfaffian elimination
+    # once per beta <= some such multiset (the memo's entries)
+    g = 5
+    chain = nilpotent_chain(paired_unipotent([4, 1]), TwoForm.standard(g))
+    kf = len(chain) - 1
+    above = [
+        key
+        for key in itertools.combinations_with_replacement(range(kf + 1), g)
+        if 2 * sum(key) > g * kf
+    ]
+    betas = {
+        beta
+        for key in above
+        for beta in itertools.product(*(range(key.count(i) + 1) for i in range(kf + 1)))
+        if any(beta)
+    }
+    counts = {"_polarization": 0, "pfaffian": 0}
+    for name in counts:
+        real = getattr(cohomology, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cohomology, name, counting)
+    report = scan_chain(chain)
+    assert len(report.scanned) == scan_size(g, kf) == 7678
+    assert report.violations == ()
+    assert counts == {"_polarization": len(above), "pfaffian": len(betas)}
+    assert (len(above), len(betas)) == (215, 473)

@@ -17,13 +17,17 @@ from plovkit import (
     RatMatrix,
     UniPoly,
     analyze,
+    char_poly,
     det_exact,
     half_profile,
     jordan_profile,
+    mat_mul,
     mat_pow,
     max_minor_degree,
     plov_of,
     poly_at_matrix,
+    pseudo_analytic_check,
+    quasi_unipotency,
     rank_exact,
     second_compound_block_sizes,
     unipotent_block_profile,
@@ -249,8 +253,29 @@ def test_out_of_contract_calls_raise_library_errors(call, error):
         (lambda: half_profile(None), TypeError),
         (lambda: rank_exact(None), TypeError),
         (lambda: poly_at_matrix(UniPoly.from_coeffs([1, 1]), None), TypeError),
+        (lambda: det_exact(None), TypeError),
+        (lambda: mat_mul(RatMatrix.identity(2), None), TypeError),
+        (lambda: mat_pow(None, 2), TypeError),
+        (lambda: char_poly(None), TypeError),
+        (lambda: jordan_profile(None), TypeError),
+        (lambda: analyze(None), TypeError),
+        (lambda: quasi_unipotency(None), TypeError),
+        (lambda: pseudo_analytic_check(None), TypeError),
     ],
-    ids=["short-triple", "profile-none", "rank-none", "poly-at-none"],
+    ids=[
+        "short-triple",
+        "profile-none",
+        "rank-none",
+        "poly-at-none",
+        "det-none",
+        "mat-mul-none",
+        "mat-pow-none",
+        "char-poly-none",
+        "jordan-profile-none",
+        "analyze-none",
+        "quasi-unipotency-none",
+        "pseudo-analytic-none",
+    ],
 )
 def test_malformed_arguments_raise_a_library_error_or_type_error(call, error):
     with pytest.raises(error):

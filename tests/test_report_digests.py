@@ -95,6 +95,9 @@ def _cases() -> list[tuple[str, object, list[str]]]:
                 ["model", "--form", "random", "--seed", str(i)],
             )
         )
+    # the scan-heavy shape of the model benchmark: 7,678 scanned products
+    m = randgen.paired_unipotent([4, 1])
+    cases.append(("model-standard-06-g5", m, ["model"]))
     # the dimensions the powersum benchmark reaches: conjugated inputs of
     # dimension 6-8 and the single block [8]
     for i, dim in enumerate((6, 7, 8), start=5):

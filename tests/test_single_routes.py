@@ -16,7 +16,8 @@ built, evaluated and printed, with no ring operations, and matrix powers
 go through `exact.mat_pow` alone.  A `TwoForm` is built, read and handed
 to `pfaffian` or `pullback2`, with no arithmetic of its own; Delta_x and
 the polarized wedges are built inside `intersection_poly` and
-`scan_chain` alone.  The records keep only the members some route
+`scan_chain` alone, through their private helpers `_common_pfaffian`
+and, for the scan, `_polarization`.  The records keep only the members some route
 reads, and the degree of the zero polynomial is the int -1.  A power the
 verdict claims unipotent is checked by its trace, so no module tests
 nilpotency by squaring, and `plovkit` exports no `is_unipotent`.  One

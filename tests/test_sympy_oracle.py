@@ -6,8 +6,9 @@
 `det_exact` and `rank_exact` read one fraction-free row echelon form;
 sympy's Bareiss determinant and rank check them on rank-deficient
 rational products with shuffled columns.
-`pfaffian` eliminates fraction-free on 2x2 blocks; its square is
-checked against sympy's determinant of the skew matrix.
+`pfaffian` eliminates fraction-free on 2x2 blocks of the integer rows;
+its Pf(num), over den^g, is squared and checked against sympy's
+determinant of the skew matrix.
 `jordan_profile` reads block sizes off rank sequences; sympy's Jordan
 form of the unipotent iterate gives them independently.
 The library itself stays stdlib-only: this module is test-only and is
@@ -121,7 +122,8 @@ def test_pfaffian_squared_matches_sympy_determinant():
         for (i, j), v in coeffs.items():
             skew[i - 1, j - 1] = to_sympy(v)
             skew[j - 1, i - 1] = -to_sympy(v)
-        pf = pfaffian(TwoForm(g, coeffs))
+        form = TwoForm(g, coeffs)
+        pf = Fraction(pfaffian(form), form.matrix.den**g)
         assert to_sympy(pf * pf) == skew.det(method="bareiss")
 
 
@@ -136,7 +138,7 @@ def test_pfaffian_squared_matches_sympy_determinant_after_pivot_swap():
             for (i, j), v in form.items():
                 skew[i - 1, j - 1] = to_sympy(v)
                 skew[j - 1, i - 1] = -to_sympy(v)
-            pf = pfaffian(form)
+            pf = Fraction(pfaffian(form), form.matrix.den**6)
             assert pf != 0
             assert to_sympy(pf * pf) == skew.det(method="bareiss")
 
