@@ -50,12 +50,13 @@ _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # input parsing
 
 
-def parse_entry(raw, row: int, col: int) -> Fraction:
+def parse_entry(raw, row: int, col: int) -> int | Fraction:
+    """An int entry as it is, a "p" or "p/q" string as a `Fraction`."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
     position = f"row {row + 1}, column {col + 1}"
     if isinstance(raw, bool):
         raise InputFormatError(f"boolean entry at {position}")
-    if isinstance(raw, int):
-        return Fraction(raw)
     if isinstance(raw, float):
         raise InputFormatError(
             f"floating-point entry at {position}; use an integer or 'p/q' string"
@@ -298,8 +299,8 @@ def encode_report(report: dict) -> str:
     return "".join(parts)
 
 
-def _write(stream, text: str) -> None:
-    """Write and flush `text` to a standard stream, or raise OSError.
+def _write(stream, *texts: str) -> None:
+    """Write `texts` to a standard stream and flush it, or raise OSError.
 
     A stream is None when its descriptor was closed at startup.  After a
     failed write the descriptor points at the null device: the flush at
@@ -307,7 +308,8 @@ def _write(stream, text: str) -> None:
     if stream is None:
         raise OSError(errno.EBADF, "stream closed at startup")
     try:
-        stream.write(text)
+        for text in texts:
+            stream.write(text)
         stream.flush()
     except OSError as exc:
         try:
@@ -321,13 +323,15 @@ def _write(stream, text: str) -> None:
 
 
 def emit(report: dict, out_path: Optional[str]) -> None:
-    text = encode_report(report) + "\n"
+    """Write the report's text, then its final newline: no copy is made."""
+    text = encode_report(report)
     try:
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
+                fh.write("\n")
         else:
-            _write(sys.stdout, text)
+            _write(sys.stdout, text, "\n")
     except OSError as exc:
         raise InputFormatError(f"cannot write report: {exc}")
 

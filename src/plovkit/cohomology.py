@@ -69,7 +69,7 @@ from .exact import (
     RatMatrix,
     Scalar,
     UniPoly,
-    _frac,
+    _scalar,
     combiner,
     congruence_chain,
     interpolate_checked,
@@ -106,7 +106,7 @@ class TwoForm:
                     f"{pair!r} is not an index pair 1 <= i < j <= {2 * genus}"
                 )
             i, j = pair
-            v = _frac(value)
+            v = _scalar(value)
             rows[i - 1][j - 1], rows[j - 1][i - 1] = v, -v
         object.__setattr__(self, "matrix", RatMatrix.from_rows(rows))
 
@@ -141,10 +141,16 @@ class TwoForm:
         return not any(map(any, self.matrix.num))
 
 
+def _form(form: TwoForm) -> TwoForm:
+    if isinstance(form, TwoForm):
+        return form
+    raise TypeError(f"expected a TwoForm, got {type(form).__name__!r}")
+
+
 def pullback2(m: RatMatrix, form: TwoForm) -> TwoForm:
     """Pullback of a 2-form along M, e_i ^ e_j |-> (M e_i) ^ (M e_j)
     extended bilinearly: the congruence M A M^T on its skew matrix A."""
-    return TwoForm._of(mat_mul(mat_mul(m, form.matrix), m.transpose()))
+    return TwoForm._of(mat_mul(mat_mul(m, _form(form).matrix), m.transpose()))
 
 
 def nilpotent_chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
@@ -158,7 +164,7 @@ def nilpotent_chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
 
 def _chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
     """`nilpotent_chain` for an M already proved unipotent."""
-    if h.is_zero():
+    if _form(h).is_zero():
         raise DegenerateFormError("the 2-form must be nonzero")
     return [TwoForm._of(x) for x in congruence_chain(m, h.matrix)]
 
@@ -177,7 +183,7 @@ def pfaffian(form: TwoForm) -> int:
     i, j; the last pivot is Pf(num).  The update is skew in (i, j), so
     only the entries above the diagonal are kept, and a swap moves them
     with the sign of the entries it carries below the diagonal."""
-    a = [list(row) for row in form.matrix.num]
+    a = [list(row) for row in _form(form).matrix.num]
     n = len(a)
     sign = 1
     prev = 1
@@ -222,7 +228,7 @@ def _common_pfaffian(
     integer den^g * Pf(sum_i w_i chain[i]), from one `combiner` over the
     chain and one `pfaffian` per call.  A sum over den' | den has
     Pf = Pf(num)/den'^g, so its Pf(num) is scaled by (den/den')^g."""
-    combine = combiner([f.matrix for f in chain])
+    combine = combiner([_form(f).matrix for f in chain])
     genus = chain[0].genus
     den = lcm(*(f.matrix.den for f in chain))
 

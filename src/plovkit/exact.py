@@ -16,11 +16,11 @@ of the library:
   * `RatMatrix` -- immutable square matrices over Q, stored the same
     way, as integer rows `num` over one positive common denominator
     `den` in lowest terms, so the matrix kernel (products, powers, sums,
-    minors, eliminations) runs on Python ints, and so do the 2-forms of
-    `cohomology`, which are skew-symmetric `RatMatrix`es; `.entries` is
-    a cached read-only view of the same matrix as rows of `Fraction`s,
-    read by `randgen` and by the oracles in `selfcheck`, never by the
-    kernel or the report encoder,
+    minors, eliminations, polynomials at a matrix by Horner's rule with
+    one division at the end) runs on Python ints, as do the 2-forms of
+    `cohomology`, skew-symmetric `RatMatrix`es; `.entries` is a cached
+    read-only view of the matrix as rows of `Fraction`s, read by `randgen`
+    and the `selfcheck` oracles, never by the kernel or report encoder,
   * sums of pullbacks, the symmetric S(n) of `powersum` and the
     alternating Delta_n of `cohomology`: `congruence_chain`, the D^i X
     of D X = M X M^T - X, weighted by one `combiner`,
@@ -55,11 +55,10 @@ from .errors import CrossCheckError, DimensionMismatchError, PreconditionError
 Scalar = Union[int, Fraction]
 
 
-def _frac(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
+def _scalar(x: Scalar) -> Scalar:
+    """x as it is: an int or a `Fraction`, both with .numerator and .denominator."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__!r}")
 
 
@@ -125,7 +124,7 @@ class UniPoly:
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[Scalar], var: str = "t") -> "UniPoly":
-        cs = [_frac(c) for c in coeffs]
+        cs = [_scalar(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         return UniPoly(
             tuple(c.numerator * (den // c.denominator) for c in cs), den, var
@@ -149,7 +148,7 @@ class UniPoly:
         """p(x) by Horner's rule on ints: with x = a/b in lowest terms and
         d the degree, b^d * den * p(x) = sum_i num[i] a^i b^(d - i), and
         one `Fraction` is built at the end."""
-        x = _frac(x)
+        x = _scalar(x)
         a, b = x.numerator, x.denominator
         value, power = 0, 1
         for c in reversed(self.num):
@@ -262,7 +261,7 @@ class RatMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Scalar]]) -> "RatMatrix":
-        grid = [[_frac(x) for x in row] for row in rows]
+        grid = [[_scalar(x) for x in row] for row in rows]
         den = lcm(*(c.denominator for row in grid for c in row))
         return RatMatrix(
             tuple(
@@ -283,7 +282,7 @@ class RatMatrix:
     @staticmethod
     def jordan_block(eigenvalue: Scalar, size: int) -> "RatMatrix":
         """Upper-triangular Jordan block with 1 on the superdiagonal."""
-        e = _frac(eigenvalue)
+        e = _scalar(eigenvalue)
         return RatMatrix.from_rows(
             [
                 [e if i == j else 1 if j == i + 1 else 0 for j in range(size)]
@@ -355,7 +354,7 @@ class RatMatrix:
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
             return mat_mul(self, other)
-        c = _frac(other)
+        c = _scalar(other)
         return RatMatrix(
             tuple(tuple(c.numerator * x for x in row) for row in self.num),
             self.den * c.denominator,
@@ -372,24 +371,27 @@ def _check_same_dim(a: RatMatrix, b: RatMatrix) -> None:
         )
 
 
-def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Exact matrix product: the integer rows are multiplied and the
-    denominators too, then reduced by one gcd pass (none when the product
-    of the denominators is 1).  Zero entries are skipped, which keeps
-    products of the sparse nilpotent matrices used elsewhere cheap."""
-    _check_same_dim(a, b)
-    k = a.dimension
-    brows = b.num
+def _row_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
+    """The product of two square integer matrices, as lists of ints.  Zero
+    entries are skipped, which keeps sparse nilpotent products cheap."""
+    k = len(b)
     out = []
-    for arow in a.num:
+    for arow in a:
         acc = [0] * k
         for idx, aval in enumerate(arow):
             if aval:
-                for j, bval in enumerate(brows[idx]):
+                for j, bval in enumerate(b[idx]):
                     if bval:
                         acc[j] += aval * bval
-        out.append(tuple(acc))
-    return RatMatrix(tuple(out), a.den * b.den)
+        out.append(acc)
+    return out
+
+
+def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Exact matrix product: the integer rows and the denominators are
+    multiplied, then reduced by one gcd pass (none when both are 1)."""
+    _check_same_dim(a, b)
+    return RatMatrix(tuple(map(tuple, _row_product(a.num, b.num))), a.den * b.den)
 
 
 def mat_pow(a: RatMatrix, e: int) -> RatMatrix:
@@ -637,16 +639,22 @@ def char_poly(m: RatMatrix) -> UniPoly:
 
 
 def poly_at_matrix(p: UniPoly, m: RatMatrix) -> RatMatrix:
-    """Evaluate a polynomial at a square matrix (Horner scheme on the
-    integer coefficients, divided by the denominator at the end)."""
-    k = _matrix(m).dimension
-    result = RatMatrix.zero(k)
-    ident = RatMatrix.identity(k)
-    for c in reversed(p.num):
-        result = mat_mul(result, m)
-        if c:
-            result = result + ident * c
-    return RatMatrix(result.num, result.den * p.den)
+    """p(M) by Horner's rule on the integer rows: for M = num/den and p of
+    degree d over P, den^d P p(M) = sum_i c_i num^i den^(d - i).  Starting
+    from c_d num + c_(d-1) den I takes d - 1 products, and one `RatMatrix`
+    is built at the end."""
+    num, den = _matrix(m).num, m.den
+    top, *rest = p.num[::-1] or (0,)
+    rows = num if rest else RatMatrix.identity(len(num)).num
+    acc = [[top * x for x in row] for row in rows]
+    scale = 1  # den^(d - i) at c_i
+    for step, c in enumerate(rest):
+        if step:
+            acc = _row_product(acc, num)
+        scale *= den
+        for i, row in enumerate(acc):
+            row[i] += c * scale
+    return RatMatrix(tuple(map(tuple, acc)), scale * p.den)
 
 
 def submatrix(

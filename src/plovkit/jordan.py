@@ -25,7 +25,7 @@ from .errors import (
     OddDimensionError,
     PreconditionError,
 )
-from .exact import RatMatrix, mat_mul, poly_at_matrix, rank_exact
+from .exact import RatMatrix, _matrix, mat_mul, poly_at_matrix, rank_exact
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,9 @@ def _block_size_counts(b: RatMatrix, phi: int, algebraic_mult: int | None,
         prev_rank = r
         if prev_rank > target:
             power = mat_mul(power, b)
-    counts: dict[int, int] = {}
-    for size in range(1, len(ge_counts) + 1):
-        ge_here = ge_counts[size - 1]
-        ge_next = ge_counts[size] if size < len(ge_counts) else 0
-        if ge_here - ge_next:
-            counts[size] = ge_here - ge_next
-    return counts
+    ge_counts.append(0)
+    pairs = zip(ge_counts, ge_counts[1:])
+    return {size: ge - gt for size, (ge, gt) in enumerate(pairs, 1) if ge != gt}
 
 
 def jordan_profile(m: RatMatrix) -> JordanProfile:
@@ -121,7 +117,7 @@ def unipotent_block_profile(m: RatMatrix) -> JordanProfile:
     """Jordan profile of a matrix claimed unipotent, without the cyclotomic
     search.  Its rank sequence of M - I is the one proof of the claim, so
     it gates every caller: a stall above rank 0 raises NotUnipotentError."""
-    k_dim = m.dimension
+    k_dim = _matrix(m).dimension
     b = m - RatMatrix.identity(k_dim)
     counts = _block_size_counts(b, 1, None, k_dim)
     entries = tuple((1, size, c) for size, c in sorted(counts.items()))

@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import plovkit
+from plovkit import cli
 from plovkit.cli import build_parser, enc_matrix, encode_report, main, parse_input
 from plovkit.errors import CrossCheckError, InputFormatError, OddDimensionError
 from plovkit.exact import RatMatrix
@@ -47,6 +49,32 @@ def test_parse_rational_strings():
     _, m = parse_input(json.dumps({"matrix": [["1/2", 0], [0, 2]]}))
     assert m.entries[0][0] == Fraction(1, 2)
     assert m.entries[1][1] == 2
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [[1, 2], [3, 4]],
+        [[-1, 0, -7], [0, -12, 5], [2, 0, -1]],
+        [["3", "-4"], ["0", "1"]],
+        [["1/2", "-3/4"], ["5/6", "-7/8"]],
+        [[1, "-1/2", "3"], ["4/6", -5, 0], [0, "12/8", 7]],
+        [[10**30, -(10**30)], ["1/99", "-99/1"]],
+    ],
+    ids=["ints", "negative-ints", "p-strings", "p-q-strings", "mixed", "large"],
+)
+def test_parsed_matrix_is_the_canonical_matrix_of_the_fractions(grid):
+    # an int entry is read as it is, with no Fraction per entry
+    _, m = parse_input(json.dumps({"matrix": grid}))
+    expected = RatMatrix.from_rows([[Fraction(x) for x in row] for row in grid])
+    assert m == expected and (m.num, m.den) == (expected.num, expected.den)
+    assert type(m.den) is int and all(type(x) is int for row in m.num for x in row)
+
+
+@pytest.mark.parametrize("inexact", [1.5, 2.0, Decimal("1.5"), Decimal(2)])
+def test_from_rows_refuses_inexact_entries(inexact):
+    with pytest.raises(TypeError, match="exact rational"):
+        RatMatrix.from_rows([[1, inexact], [0, 1]])
 
 
 def test_parse_rejects_non_square():
@@ -515,6 +543,43 @@ class _FullStream(io.StringIO):
 
     def write(self, text):
         raise OSError(28, "No space left on device")
+
+
+def test_emit_writes_the_encoded_text_itself_then_the_newline(tmp_path, monkeypatch):
+    # the report text is written as encode_report returns it, never
+    # copied to append the final newline
+    marker = "".join(["{", "report", "}"])
+    monkeypatch.setattr(cli, "encode_report", lambda report: marker)
+
+    class Recorder:
+        def __init__(self):
+            self.writes, self.flushes = [], 0
+
+        def write(self, text):
+            self.writes.append(text)
+
+        def flush(self):
+            self.flushes += 1
+
+    stream = Recorder()
+    monkeypatch.setattr(sys, "stdout", stream)
+    cli.emit({}, None)
+    assert stream.writes == [marker, "\n"] and stream.writes[0] is marker
+    assert stream.flushes == 1
+    written = []
+    real_open = open
+
+    def recording_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        real_write = fh.write
+        fh.write = lambda text: written.append(text) or real_write(text)
+        return fh
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    out = tmp_path / "report.json"
+    cli.emit({}, str(out))
+    assert written == [marker, "\n"] and written[0] is marker
+    assert out.read_text() == marker + "\n"
 
 
 def test_unwritable_stderr_keeps_the_exit_code(tmp_path, capsys, monkeypatch):

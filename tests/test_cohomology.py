@@ -696,6 +696,17 @@ def test_scan_clean_on_random_paired_profiles():
          OddDimensionError),
         (lambda: vanishing_scan(RatMatrix.jordan_block(-1, 2), TwoForm.standard(1)),
          NotUnipotentError),
+        # a None where a matrix or a form belongs is a TypeError
+        (lambda: pfaffian(None), TypeError),
+        (lambda: pullback2(RatMatrix.identity(2), None), TypeError),
+        (lambda: plov_via_model(None, TwoForm.standard(1)), TypeError),
+        (lambda: plov_via_model(RatMatrix.identity(2), None), TypeError),
+        (lambda: vanishing_scan(None, TwoForm.standard(1)), TypeError),
+        (lambda: vanishing_scan(RatMatrix.identity(2), None), TypeError),
+        (lambda: scan_chain([TwoForm.standard(1), None]), TypeError),
+        (lambda: scan_chain([None]), TypeError),
+        (lambda: intersection_poly([TwoForm.standard(1), None], 1), TypeError),
+        (lambda: intersection_poly([None], 1), TypeError),
     ],
 )
 def test_out_of_contract_calls_raise_library_errors(call, error):

@@ -794,6 +794,76 @@ def test_mat_pow_product_count(monkeypatch):
         assert len(calls) == e.bit_length() + e.bit_count() - 2, e
 
 
+def frac_poly_at(coeffs, rows):
+    """Reference p(M): Horner's rule on Fraction grids."""
+    k = len(rows)
+    acc = [[Fraction(0)] * k for _ in range(k)]
+    for c in reversed(coeffs):
+        acc = frac_mul(acc, rows)
+        for i in range(k):
+            acc[i][i] += c
+    return acc
+
+
+def test_poly_at_matrix_matches_fraction_horner():
+    rng = random.Random(639)
+    polys = [
+        UniPoly(()),
+        UniPoly.from_coeffs([5]),
+        UniPoly.from_coeffs([Fraction(-7, 3)]),
+        UniPoly.from_coeffs([Fraction(1, 2), 0, Fraction(-3, 4)]),
+        UniPoly.from_coeffs([0, Fraction(5, 6), Fraction(2, 9), 0, Fraction(-7, 4)]),
+        *(cyclotomic_poly(n) for n in range(1, 31)),
+    ]
+    for k in (1, 2, 3, 4, 5, 6, 6):
+        rows = [
+            [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 6])) for _ in range(k)]
+            for _ in range(k)
+        ]
+        rows[0][0] = Fraction(1, 5)  # den > 1
+        m = RatMatrix.from_rows(rows)
+        assert m.den > 1
+        for p in polys:
+            out = exact.poly_at_matrix(p, m)
+            assert out == RatMatrix.from_rows(frac_poly_at(p.coeffs, m.entries)), (p, m)
+            assert_canonical(out)
+        # Cayley-Hamilton
+        assert exact.poly_at_matrix(char_poly(m), m) == RatMatrix.zero(k)
+    # a random polynomial at an integer matrix, which has den = 1
+    ints = RatMatrix.from_rows([[2, -1, 0], [3, 0, 1], [-4, 5, 1]])
+    for d in range(8):
+        p = UniPoly.from_coeffs(
+            [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(d + 1)]
+        )
+        assert exact.poly_at_matrix(p, ints) == RatMatrix.from_rows(
+            frac_poly_at(p.coeffs, ints.entries)
+        )
+
+
+def test_poly_at_matrix_makes_d_minus_one_products_and_one_matrix(monkeypatch):
+    m = RatMatrix.from_rows([[Fraction(1, 2), 1, 0], [0, 2, -1], [3, 0, Fraction(1, 3)]])
+    products, built = [], []
+    real_product, real_init = exact._row_product, RatMatrix.__post_init__
+    monkeypatch.setattr(
+        exact, "_row_product", lambda a, b: products.append(1) or real_product(a, b)
+    )
+    monkeypatch.setattr(
+        RatMatrix, "__post_init__", lambda self: built.append(1) or real_init(self)
+    )
+    non_monic = UniPoly((1, 2, 3, 4, 5, 6), 7)
+    for p in [*(cyclotomic_poly(n) for n in range(1, 13)), non_monic]:
+        d = p.degree()
+        assert d >= 1
+        products.clear()
+        built.clear()
+        exact.poly_at_matrix(p, m)
+        assert (len(products), len(built)) == (d - 1, 1), p
+    # mat_mul runs on the same integer-row product
+    products.clear()
+    mat_mul(m, m)
+    assert len(products) == 1
+
+
 def frac_is_unipotent(rows):
     k = len(rows)
     nil = [[c - (i == j) for j, c in enumerate(row)] for i, row in enumerate(rows)]

@@ -19,6 +19,7 @@ from plovkit import (
     analyze,
     char_poly,
     det_exact,
+    ensure_spd,
     half_profile,
     jordan_profile,
     mat_mul,
@@ -26,6 +27,8 @@ from plovkit import (
     max_minor_degree,
     plov_of,
     poly_at_matrix,
+    power_sum_brute,
+    power_sum_det,
     pseudo_analytic_check,
     quasi_unipotency,
     rank_exact,
@@ -261,6 +264,12 @@ def test_out_of_contract_calls_raise_library_errors(call, error):
         (lambda: analyze(None), TypeError),
         (lambda: quasi_unipotency(None), TypeError),
         (lambda: pseudo_analytic_check(None), TypeError),
+        (lambda: unipotent_block_profile(None), TypeError),
+        (lambda: ensure_spd(None), TypeError),
+        (lambda: power_sum_det(None, RatMatrix.identity(2)), TypeError),
+        (lambda: power_sum_det(RatMatrix.identity(2), None), TypeError),
+        (lambda: power_sum_brute(None, RatMatrix.identity(2), 2), TypeError),
+        (lambda: power_sum_brute(RatMatrix.identity(2), None, 2), TypeError),
     ],
     ids=[
         "short-triple",
@@ -275,6 +284,12 @@ def test_out_of_contract_calls_raise_library_errors(call, error):
         "analyze-none",
         "quasi-unipotency-none",
         "pseudo-analytic-none",
+        "unipotent-profile-none",
+        "ensure-spd-none",
+        "power-sum-det-matrix-none",
+        "power-sum-det-form-none",
+        "power-sum-brute-matrix-none",
+        "power-sum-brute-form-none",
     ],
 )
 def test_malformed_arguments_raise_a_library_error_or_type_error(call, error):
