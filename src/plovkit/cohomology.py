@@ -259,7 +259,9 @@ def intersection_poly(chain: Sequence[TwoForm], degree_bound: int) -> UniPoly:
     def top(x: int) -> int:
         return scale * pf([comb(x, i + 1) for i in range(len(chain))])
 
-    poly = interpolate_checked(top, degree_bound, "intersection_poly")
+    poly = interpolate_checked(
+        top, degree_bound, f"intersection_poly at dimension {2 * chain[0].genus}"
+    )
     return UniPoly(poly.num, poly.den * den_g, "n")
 
 

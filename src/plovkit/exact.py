@@ -31,13 +31,17 @@ of the library:
     integer rows modulo a Mersenne prime above twice a Hadamard bound on
     the coefficients (several primes joined by the Chinese remainder
     theorem when the bound is past the table), which is exact,
-  * polynomials rebuilt from exact values at the nodes 0..D by a single
-    interpolation routine (forward differences into the binomial basis,
-    expanded by Horner's rule) that `interpolate_checked` re-verifies at
-    the node D + 1, naming its caller when they differ; `det_poly` and
+  * polynomials rebuilt from exact values at D + 1 consecutive nodes by a
+    single interpolation routine (forward differences into the binomial
+    basis at the first node, expanded by Horner's rule) that
+    `interpolate_checked` re-verifies at one more node, naming its
+    caller, the node and the dimension when they differ.  The nodes are
+    0..D, or, for a caller that has proved p(-x) = parity * p(x), centred
+    at 0 with a value computed at x >= 0 only; `det_poly` and
     `cohomology.intersection_poly` are both built on it, and their product
     callers read D off the Jordan profile: sum k_i^2 + 1 in
-    `powersum.power_sum_det`, plov + 1 in `cohomology.plov_via_model`.
+    `powersum.power_sum_det` (centred nodes, parity (-1)^K), plov + 1 in
+    `cohomology.plov_via_model` (nodes 0..D).
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import CrossCheckError, DimensionMismatchError, PreconditionError
 
@@ -179,16 +183,17 @@ class UniPoly:
         return text
 
 
-def _interpolate(values: Sequence[Scalar]) -> UniPoly:
-    """The polynomial in n of degree < len(values) that takes values[x]
-    at x = 0, 1, ..., D.
+def _interpolate(values: Sequence[Scalar], start: int = 0) -> UniPoly:
+    """The polynomial in n of degree < len(values) that takes values[i]
+    at x = start + i, for i = 0, 1, ..., D.
 
     Forward differences give the coefficients a_i in the binomial basis,
-    p(x) = sum_i a_i C(x, i), and Horner's rule with
-    C(x, i+1) = C(x, i) (x - i) / (i + 1) expands them; no polynomial
-    division is needed.  Denominators are cleared once, and the integer
-    coefficients of lcm(denominators) * D! * p are returned over that
-    denominator, so the loops and the result stay on integers.
+    p(x) = sum_i a_i C(x - start, i), and Horner's rule with
+    C(x - start, i+1) = C(x - start, i) (x - start - i) / (i + 1) expands
+    them; no polynomial division is needed.  Denominators are cleared
+    once, and the integer coefficients of lcm(denominators) * D! * p are
+    returned over that denominator, so the loops and the result stay on
+    integers.
     """
     d = len(values) - 1
     scale = lcm(*(v.denominator for v in values))
@@ -197,13 +202,13 @@ def _interpolate(values: Sequence[Scalar]) -> UniPoly:
     while diffs:
         newton.append(diffs[0])
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    # scale * d! * p(x) = sum_i newton[i] * (d!/i!) * x(x-1)...(x-i+1)
+    # scale * d! * p(x) = sum_i newton[i] * (d!/i!) * prod_{j<i} (x - start - j)
     acc: list[int] = []
     weight = 1  # d!/i!
     for i in range(d, -1, -1):
         shifted = [0] + acc
         for j, c in enumerate(acc):
-            shifted[j] -= i * c
+            shifted[j] -= (start + i) * c
         shifted[0] += newton[i] * weight
         acc = shifted
         weight *= i
@@ -664,25 +669,59 @@ def submatrix(
 
 
 def interpolate_checked(
-    value_at: Callable[[int], Scalar], degree_bound: int, caller: str
+    value_at: Callable[[int], Scalar],
+    degree_bound: int,
+    caller: str,
+    parity: Optional[int] = None,
 ) -> UniPoly:
-    """The polynomial in n through value_at(x) at x = 0..degree_bound,
-    re-verified at one more node: an undersized bound (a caller bug)
-    raises a CrossCheckError naming `caller`."""
+    """The polynomial p in n of degree at most D = degree_bound through
+    value_at(x) at D + 1 consecutive nodes, re-verified at one more node:
+    an undersized bound (a caller bug) raises a CrossCheckError naming
+    `caller`, the check node and, on the mirrored route, the law.
+
+    Without `parity` the nodes are x = 0..D.  With parity = +1 or -1 the
+    caller vouches for p(-x) = parity * p(x): the nodes are centred,
+    x = -floor(D/2) .. D - floor(D/2), value_at runs at x >= 0 only and
+    each negative node takes parity * p(-x).  The check node
+    D - floor(D/2) + 1 is always a computed value, so a wrong parity
+    fails there like an undersized bound."""
     if degree_bound < 0:
         raise PreconditionError("degree bound must be nonnegative")
-    p = _interpolate([value_at(x) for x in range(degree_bound + 1)])
-    if p(degree_bound + 1) != value_at(degree_bound + 1):
+    if parity is None:
+        start = 0
+        values = [value_at(x) for x in range(degree_bound + 1)]
+        law = ""
+    elif parity in (1, -1):
+        start = -(degree_bound // 2)
+        computed = [value_at(x) for x in range(degree_bound + start + 1)]
+        values = [parity * computed[-x] for x in range(start, 0)] + computed
+        law = f" with P(-x) = {'+' if parity > 0 else '-'}P(x)"
+    else:
+        raise PreconditionError(f"parity must be +1 or -1, got {parity!r}")
+    p = _interpolate(values, start)
+    node = start + degree_bound + 1
+    if p(node) != value_at(node):
         raise CrossCheckError(
-            f"{caller} verification node mismatch (degree bound too small?)"
+            f"{caller}: interpolant on nodes {start}..{node - 1}{law} misses "
+            f"the check node x = {node} (degree bound too small?)"
         )
     return p
 
 
-def det_poly(matrix_at: Callable[[int], RatMatrix], degree_bound: int) -> UniPoly:
+def det_poly(
+    matrix_at: Callable[[int], RatMatrix],
+    degree_bound: int,
+    parity: Optional[int] = None,
+) -> UniPoly:
     """Exact determinant, as a polynomial in n, of a matrix whose entries
     are polynomials in n; ``matrix_at(x)`` is that matrix at the integer x.
-    Interpolated from exact determinants at n = 0..degree_bound."""
+    Interpolated from exact determinants at n = 0..degree_bound, or, when
+    the caller vouches for det(-x) = parity * det(x), at the centred nodes
+    of `interpolate_checked`, with a determinant at x >= 0 only."""
+    dimension = matrix_at(0).dimension
     return interpolate_checked(
-        lambda x: det_exact(matrix_at(x)), degree_bound, "det_poly"
+        lambda x: det_exact(matrix_at(x)),
+        degree_bound,
+        f"det_poly at dimension {dimension}",
+        parity,
     )

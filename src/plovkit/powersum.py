@@ -15,7 +15,10 @@ B_s = D^s H of `exact.congruence_chain` (on A^T), and P(n) is
 interpolated from exact determinants of S at integer nodes, with S
 evaluated by one `exact.combiner`.  A is proved unipotent once, by the
 rank sequence of A - I that also yields the sizes k_i
-(`jordan.unipotent_block_profile`).
+(`jordan.unipotent_block_profile`).  Since S(n + 1) - S(n) = (A^n)^T H A^n
+and S(0) = 0 hold for every integer n, S(-n) = -(A^-n)^T S(n) A^-n, and
+det A = 1 gives P(-n) = (-1)^K P(n) for K = dim A: the nodes are centred
+at 0, and only those at n >= 0 take a determinant.
 
 Hermitian forms are restricted to rational symmetric positive definite
 matrices so that all arithmetic stays in Q; the degree law is insensitive
@@ -80,9 +83,11 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     one combiner.  In a Jordan basis, entry (i, j) of S(x) has degree at
     most d_i + d_j + 1, d_i the depth of i in its block, so det S has
     degree at most sum k_i^2 over the blocks (a change of basis scales it
-    by a constant); it is interpolated on that bound plus one.  The degree
-    must equal sum k_i^2, read by `unipotent_block_profile`, which is also
-    the gate that proves A unipotent; a mismatch raises CrossCheckError.
+    by a constant); it is interpolated on that bound plus one, at nodes
+    centred at 0 with P(-x) = (-1)^K P(x) filling the negative ones, and
+    re-verified at a node past them.  The degree must equal sum k_i^2,
+    read by `unipotent_block_profile`, which is also the gate that proves
+    A unipotent, and so the mirror law; a mismatch raises CrossCheckError.
     """
     if _matrix(a).dimension != _matrix(h).dimension:
         raise DimensionMismatchError("matrix and form dimensions differ")
@@ -92,7 +97,9 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     combine = combiner(bs)
     degree = sum(m * size * size for _, size, m in profile.entries)
     poly = det_poly(
-        lambda x: combine([comb(x, j + 1) for j in range(len(bs))]), degree + 1
+        lambda x: combine([comb(x, j + 1) for j in range(len(bs))]),
+        degree + 1,
+        parity=(-1) ** a.dimension,
     )
     if poly.degree() != degree:
         raise CrossCheckError(

@@ -1032,6 +1032,28 @@ def test_powersum_brute_force_mismatch_exits_3(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_powersum_wrong_mirror_law_exits_3_naming_the_node(tmp_path, capsys, monkeypatch):
+    import plovkit.powersum
+
+    real = plovkit.powersum.det_poly
+
+    def flipped(matrix_at, degree_bound, parity):
+        return real(matrix_at, degree_bound, parity=-parity)
+
+    monkeypatch.setattr(plovkit.powersum, "det_poly", flipped)
+    path = write_doc(tmp_path, QUAD)
+    code, out, err = run_cli(["powersum", "--input", path], capsys)
+    assert code == 3
+    assert out == ""
+    # [2, 2]: degree bound 9, nodes -4..5, check node 6; the flipped law
+    # is the one named
+    assert err.splitlines() == [
+        "internal cross-check failure: det_poly at dimension 4: interpolant "
+        "on nodes -4..5 with P(-x) = -P(x) misses the check node x = 6 "
+        "(degree bound too small?)"
+    ]
+
+
 def test_analyze_failing_bound_check_exits_3(tmp_path, capsys, monkeypatch):
     import dataclasses
 

@@ -483,9 +483,9 @@ def test_both_interpolations_take_their_degree_from_the_profile(monkeypatch):
     counts = []
     interpolate = exact._interpolate
 
-    def counting(values):
+    def counting(values, start):
         counts.append(len(values))
-        return interpolate(values)
+        return interpolate(values, start)
 
     monkeypatch.setattr(exact, "_interpolate", counting)
     for k in (8, 14):

@@ -100,6 +100,9 @@ def test_interpolate_recovers_polynomial():
         for nodes in (len(p.coeffs) or 1, len(p.coeffs) + 3):
             values = [p(x) for x in range(nodes)]
             assert _interpolate(values) == p
+            for start in (-7, -1, 4):
+                values = [p(start + x) for x in range(nodes)]
+                assert _interpolate(values, start) == p
     assert _interpolate([5]) == UniPoly.from_coeffs([5], "n")
     assert _interpolate([0, 0, 0]).is_zero()
 
@@ -660,6 +663,27 @@ def test_det_poly_undersized_bound_fails_loudly():
     with pytest.raises(CrossCheckError, match="det_poly"):
         det_poly(at, 2)  # true degree is 4
     assert det_poly(at, 4) == poly_n(0, 0, 0, 0, 1)
+
+
+def test_det_poly_mirrored_route_takes_no_negative_node():
+    # det diag(x^2 + 1, x) = x^3 + x is odd, det diag(x^2 + 1, x^2) even
+    def at(x, power):
+        asked.append(x)
+        return RatMatrix.from_rows([[x * x + 1, 0], [0, x**power]])
+
+    cases = ((1, -1, poly_n(0, 1, 0, 1)), (2, 1, poly_n(0, 0, 1, 0, 1)))
+    for power, parity, expected in cases:
+        asked = []
+        bound = 2 + power
+        assert det_poly(lambda x: at(x, power), bound, parity=parity) == expected
+        # nodes -floor(B/2)..B - floor(B/2) and the check node, all at x >= 0
+        assert min(asked) == 0 and max(asked) == bound - bound // 2 + 1
+        with pytest.raises(CrossCheckError, match=r"with P\(-x\) = [+-]P\(x\)"):
+            det_poly(lambda x: at(x, power), bound, parity=-parity)
+        with pytest.raises(CrossCheckError, match="^det_poly at dimension 2: "):
+            det_poly(lambda x: at(x, power), bound - 2, parity=parity)
+    with pytest.raises(PreconditionError, match="parity"):
+        det_poly(lambda x: RatMatrix.identity(1), 2, parity=0)
 
 
 def test_rank_on_rational_entries():

@@ -45,6 +45,7 @@ from plovkit.errors import (
 from plovkit.jordan import JordanProfile
 from plovkit.randgen import (
     conjugate,
+    paired_unipotent,
     random_paired_unipotent,
     random_partition,
     random_pseudo_analytic,
@@ -391,6 +392,25 @@ def test_analyze_identity():
     assert report.kJ == 0 and report.kf == 0 and report.max_block_n1 == 1
     assert report.exponents[1] == 0
     assert all(c.holds for c in report.bound_checks)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_quadratic_case_bound_holds_at_its_witness_and_fails_one_past(
+    monkeypatch, g
+):
+    # kf = 2; a computed profile never breaks the law, so plov_of is
+    # replaced: the check must hold at its equality witness and fail one
+    # past it
+    import plovkit.plov
+
+    witness = 2 * (g // 2) + g
+    m = paired_unipotent([2] + [1] * (g - 2))  # dimension 2g
+    for plov, holds in ((witness, True), (witness + 1, False)):
+        monkeypatch.setattr(plovkit.plov, "plov_of", lambda half, plov=plov: plov)
+        report = analyze(m)
+        assert (report.genus, report.kf, report.plov) == (g, 2, plov)
+        checks = {c.name: c.holds for c in report.bound_checks}
+        assert checks["quadratic_case_bound"] is holds
 
 
 def test_analyze_even_golden_case():

@@ -19,11 +19,14 @@ from plovkit import (
     half_profile,
     jordan_profile,
     mat_mul,
+    mat_pow,
     plov_of,
     power_sum_brute,
     power_sum_det,
 )
+from plovkit import exact, powersum
 from plovkit.errors import (
+    CrossCheckError,
     NotSymmetricPositiveDefiniteError,
     NotUnipotentError,
     PreconditionError,
@@ -32,6 +35,7 @@ from plovkit.exact import _interpolate, combiner, congruence_chain, det_poly
 from plovkit.powersum import ensure_spd
 from plovkit.randgen import (
     conjugate,
+    invert_unimodular,
     random_paired_unipotent,
     random_spd,
     random_unimodular,
@@ -296,6 +300,64 @@ def test_degree_doubling_against_half_profile():
         result = power_sum_det(m, RatMatrix.identity(m.dimension))
         half = half_profile(jordan_profile(m))
         assert result.degree == 2 * plov_of(half)
+
+
+def generalized_comb(x, j):
+    """C(x, j) at every integer x: (-1)^j C(j - x - 1, j) for x < 0."""
+    return comb(x, j) if x >= 0 else (-1) ** j * comb(j - x - 1, j)
+
+
+def test_power_sum_at_negative_n_is_the_mirrored_congruence():
+    # S(n + 1) - S(n) = (A^n)^T H A^n and S(0) = 0 at every integer n, so
+    # S(-x) = -(A^-x)^T S(x) A^-x, and det A = 1 gives
+    # det S(-x) = (-1)^k det S(x): the law power_sum_det's nodes rely on
+    rng = random.Random(50)
+    for k in range(1, 8):
+        a, _ = random_unipotent(rng, k)
+        inverse = invert_unimodular(a)
+        for h in (RatMatrix.identity(k), random_spd(rng, k)):
+            bs = power_sum_matrix(a, h)
+            combine = combiner(bs)
+
+            def at(x):
+                return combine([generalized_comb(x, j + 1) for j in range(len(bs))])
+
+            for x in range(1, 7):
+                inv_x = mat_pow(inverse, x)
+                mirrored = mat_mul(mat_mul(inv_x.transpose(), at(x)), inv_x)
+                assert at(-x) == mirrored * -1
+                assert det_exact(at(-x)) == (-1) ** k * det_exact(at(x))
+
+
+@pytest.mark.parametrize("sizes", [[3], [4], [2, 1]])
+def test_a_wrong_mirror_sign_fails_at_the_check_node(monkeypatch, sizes):
+    real = powersum.det_poly
+
+    def flipped(matrix_at, degree_bound, parity):
+        return real(matrix_at, degree_bound, parity=-parity)
+
+    monkeypatch.setattr(powersum, "det_poly", flipped)
+    k = sum(sizes)
+    with pytest.raises(CrossCheckError, match=rf"^det_poly at dimension {k}: .*x = "):
+        power_sum_det(unipotent_from_sizes(sizes), RatMatrix.identity(k))
+
+
+def test_det_poly_takes_a_determinant_at_the_nonnegative_nodes_only(monkeypatch):
+    # nodes -floor(B/2)..B - floor(B/2) for B = k^2 + 1, and one check
+    # node past them: 35 determinants on [8] and 101 on [14] (67 and 199
+    # on the nodes 0..B + 1); ensure_spd's minors are not counted here
+    counts = []
+    real = exact.det_exact
+
+    def counting(m):
+        counts[-1] += 1
+        return real(m)
+
+    monkeypatch.setattr(exact, "det_exact", counting)
+    for k in (8, 14):
+        counts.append(0)
+        power_sum_det(RatMatrix.jordan_block(1, k), RatMatrix.identity(k))
+    assert counts == [35, 101]
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,11 @@ def test_one_half_record_one_cyclotomic_table_one_interpolation_variable():
     assert not hasattr(plovkit, "HalfProfile")
     assert not hasattr(plovkit.jordan, "HalfProfile")
     assert not hasattr(plovkit.cyclotomic, "_cyclotomic_ints")
-    assert list(inspect.signature(exact._interpolate).parameters) == ["values"]
+    # a start node, and no variable tag
+    assert list(inspect.signature(exact._interpolate).parameters) == [
+        "values",
+        "start",
+    ]
 
 
 def test_the_inverse_is_one_char_poly_and_one_polynomial_evaluation(monkeypatch):
