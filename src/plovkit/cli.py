@@ -44,6 +44,7 @@ from .plov import AnalysisReport, analyze, max_minor_degree
 from .powersum import power_sum_brute, power_sum_det
 
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_SLICE = 256 * 1024  # most characters `_write` hands a stream at once
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +301,17 @@ def encode_report(report: dict) -> str:
 
 
 def _write(stream, *texts: str) -> None:
-    """Write `texts` to a standard stream and flush it, or raise OSError.
+    """Write `texts` to a stream, each in `_SLICE`s, and flush it, or raise OSError.
 
     A stream is None when its descriptor was closed at startup.  After a
-    failed write the descriptor points at the null device: the flush at
-    exit would otherwise fail again on what the stream still buffers."""
+    failed write the descriptor points at the null device: a later flush
+    would otherwise fail again on what the stream still buffers."""
     if stream is None:
         raise OSError(errno.EBADF, "stream closed at startup")
     try:
         for text in texts:
-            stream.write(text)
+            for start in range(0, len(text), _SLICE):
+                stream.write(text[start : start + _SLICE])
         stream.flush()
     except OSError as exc:
         try:
@@ -323,15 +325,12 @@ def _write(stream, *texts: str) -> None:
 
 
 def emit(report: dict, out_path: Optional[str]) -> None:
-    """Write the report's text, then its final newline: no copy is made."""
+    """Write the report's text, then its final newline, through `_write`."""
     text = encode_report(report)
     try:
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                fh.write("\n")
-        else:
-            _write(sys.stdout, text, "\n")
+        out = open(out_path, "w", encoding="utf-8") if out_path else None
+        with out or contextlib.nullcontext(sys.stdout) as stream:
+            _write(stream, text, "\n")
     except OSError as exc:
         raise InputFormatError(f"cannot write report: {exc}")
 
@@ -388,13 +387,22 @@ def _parse_degrees(text: Optional[str], dimension: int) -> Optional[list[int]]:
     return degrees
 
 
+def _finish(args, name, matrix, section: dict, lines: list[str], failure="") -> int:
+    """The one tail of every subcommand: the report of `args.command` with
+    `section` merged in, written by `emit`, then the summary `lines`.  A
+    `failure` raises `CrossCheckError` after both, for exit 3."""
+    report = base_report(args.command, name, matrix)
+    report.update(section)
+    emit(report, args.out)
+    summary(lines)
+    if failure:
+        raise CrossCheckError(failure)
+    return 0
+
+
 def cmd_analyze(args) -> int:
     name, matrix = _load(args.input)
-    degrees = _parse_degrees(args.degrees, matrix.dimension)
-    report = base_report("analyze", name, matrix)
-    result = analyze(matrix, degrees)
-    report["analysis"] = enc_analysis(result)
-    emit(report, args.out)
+    result = analyze(matrix, _parse_degrees(args.degrees, matrix.dimension))
     lines = [
         f"dimension {result.dimension} (g = {result.genus}): quasi-unipotent, "
         f"order {result.profile.order}",
@@ -410,11 +418,10 @@ def cmd_analyze(args) -> int:
         lines.append(f"bound checks: {held}/{len(result.bound_checks)} hold")
     else:
         lines.append("bound checks: none (they need a pseudo-analytic profile)")
-    summary(lines)
-    failed = [c.name for c in result.bound_checks if not c.holds]
-    if failed:
-        raise CrossCheckError(f"bound checks failed: {', '.join(failed)}")
-    return 0
+    failed = ", ".join(c.name for c in result.bound_checks if not c.holds)
+    failure = failed and f"bound checks failed: {failed}"
+    section = {"analysis": enc_analysis(result)}
+    return _finish(args, name, matrix, section, lines, failure)
 
 
 def cmd_powersum(args) -> int:
@@ -437,8 +444,8 @@ def cmd_powersum(args) -> int:
             {"n": n, "value": enc_frac(brute), "matches": result.poly(n) == brute}
             for n, brute in enumerate(power_sum_brute(u, h, args.samples), start=1)
         ]
-        report = base_report("powersum", name, matrix)
-        report["powersum"] = {
+        all_match = all(c["matches"] for c in checks)
+        section = {
             "unipotent_order": order,
             "form": h_desc,
             "form_matrix": enc_matrix(h),
@@ -448,18 +455,13 @@ def cmd_powersum(args) -> int:
             "profile_degree": result.degree,
             "brute_force_checks": checks,
         }
-        emit(report, args.out)
-        all_match = all(c["matches"] for c in checks)
-        summary(
-            [
-                f"power-sum determinant degree {result.degree} "
-                f"(leading coefficient {enc_frac(result.leading_coeff)})",
-                f"brute-force agreement at n = 1..{args.samples}: {all_match}",
-            ]
-        )
-    if not all_match:
-        raise CrossCheckError("symbolic power sum disagrees with brute force")
-    return 0
+        lines = [
+            f"power-sum determinant degree {result.degree} "
+            f"(leading coefficient {section['leading_coeff']})",
+            f"brute-force agreement at n = 1..{args.samples}: {all_match}",
+        ]
+        failure = "" if all_match else "symbolic power sum disagrees with brute force"
+        return _finish(args, name, matrix, {"powersum": section}, lines, failure)
 
 
 def cmd_growth(args) -> int:
@@ -467,20 +469,16 @@ def cmd_growth(args) -> int:
     degrees = _parse_degrees(args.degrees, matrix.dimension)
     profile = jordan_profile(matrix)
     sizes = profile.unipotent_block_sizes()
-    exponents = {r: max_minor_degree(sizes, r) for r in degrees}
-    report = base_report("growth", name, matrix)
-    report["growth"] = {
+    exponents = sorted({r: max_minor_degree(sizes, r) for r in degrees}.items())
+    section = {
         "unipotent_order": profile.order,
-        "exponents": {str(r): e for r, e in sorted(exponents.items())},
+        "exponents": {str(r): e for r, e in exponents},
     }
-    emit(report, args.out)
-    summary(
-        [
-            "growth exponents along the unipotent iterate: "
-            + ", ".join(f"r={r}: n^{e}" for r, e in sorted(exponents.items()))
-        ]
-    )
-    return 0
+    lines = [
+        "growth exponents along the unipotent iterate: "
+        + ", ".join(f"r={r}: n^{e}" for r, e in exponents)
+    ]
+    return _finish(args, name, matrix, {"growth": section}, lines)
 
 
 def cmd_model(args) -> int:
@@ -501,9 +499,9 @@ def cmd_model(args) -> int:
         form_desc = f"random (seed {args.seed})"
     model = plov_via_model(u, form)
     scan = scan_chain(model.chain)
+    bad = len(scan.violations)
     with _unlimited_digits():
-        report = base_report("model", name, matrix)
-        report["model"] = {
+        section = {
             "unipotent_order": order,
             "form": form_desc,
             "form_coefficients": [
@@ -519,20 +517,14 @@ def cmd_model(args) -> int:
                 "violations": [list(t) for t in scan.violations],
             },
         }
-        emit(report, args.out)
-        summary(
-            [
-                f"model growth degree {model.degree} "
-                f"(profile value {model.profile_plov}, equality: {model.matches_profile})",
-                f"vanishing scan: {len(scan.scanned)} products above threshold, "
-                f"{len(scan.violations)} violations",
-            ]
-        )
-    if scan.violations:
-        raise CrossCheckError(
-            f"vanishing scan: {len(scan.violations)} nonzero products above the threshold"
-        )
-    return 0
+        lines = [
+            f"model growth degree {model.degree} "
+            f"(profile value {model.profile_plov}, equality: {model.matches_profile})",
+            f"vanishing scan: {len(scan.scanned)} products above threshold, "
+            f"{bad} violations",
+        ]
+        failure = bad and f"vanishing scan: {bad} nonzero products above the threshold"
+        return _finish(args, name, matrix, {"model": section}, lines, failure)
 
 
 def cmd_selftest(args) -> int:
@@ -540,25 +532,23 @@ def cmd_selftest(args) -> int:
 
     results = run_selftest(max_size=args.max_size, cases=args.cases, seed=args.seed)
     passed = sum(1 for r in results if r.passed)
-    report = base_report("selftest", None, None)
-    report["selftest"] = {
+    section = {
         "max_size": args.max_size,
         "cases": args.cases,
         "seed": args.seed,
         "suite_size": SELFTEST_SUITE_SIZE,
         "passed": passed,
         "checks": [
-            {"name": r.name, "passed": r.passed, "cases": r.cases}
-            for r in results
+            {"name": r.name, "passed": r.passed, "cases": r.cases} for r in results
         ],
     }
-    emit(report, args.out)
-    for r in results:
-        summary([f"[{'PASS' if r.passed else 'FAIL'}] {r.name} ({r.cases} cases)"])
-    summary([f"passed {passed}/{SELFTEST_SUITE_SIZE} checks"])
-    if passed != SELFTEST_SUITE_SIZE:
-        raise CrossCheckError("self-test failures")
-    return 0
+    lines = [
+        f"[{'PASS' if r.passed else 'FAIL'}] {r.name} ({r.cases} cases)"
+        for r in results
+    ]
+    lines.append(f"passed {passed}/{SELFTEST_SUITE_SIZE} checks")
+    failure = "" if passed == SELFTEST_SUITE_SIZE else "self-test failures"
+    return _finish(args, None, None, {"selftest": section}, lines, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -614,43 +604,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"plovkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag that several subcommands share is declared once, in a parent
+    inp, out, seed = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    inp.add_argument("--input", required=True, help="input JSON file")
+    out.add_argument("--out", help="write the report here instead of stdout")
+    seed.add_argument("--seed", type=int, default=0, help="seed of the random draws")
 
-    p = sub.add_parser("analyze", help="full invariant pipeline")
-    p.add_argument("--input", required=True, help="input JSON file")
-    p.add_argument("--out", help="write the report here instead of stdout")
+    def command(fn, text: str, *parents):
+        p = sub.add_parser(fn.__name__[4:], parents=parents, help=text)  # cmd_<name>
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command(cmd_analyze, "full invariant pipeline", inp, out)
     p.add_argument("--degrees", help="comma-separated exterior degrees (default 1..2g)")
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("powersum", help="determinant of the transpose power sum")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out")
+    p = command(cmd_powersum, "determinant of the transpose power sum", inp, out, seed)
     p.add_argument("--h", choices=["identity", "random"], default="identity")
-    p.add_argument("--seed", type=int, default=0)
     # each sample adds one literal sum and one report entry
     p.add_argument("--samples", type=_in_range(1, 10_000), default=9)
-    p.set_defaults(fn=cmd_powersum)
-
-    p = sub.add_parser("growth", help="growth exponents in chosen exterior degrees")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out")
+    p = command(cmd_growth, "growth exponents in chosen exterior degrees", inp, out)
     p.add_argument("--degrees", required=True)
-    p.set_defaults(fn=cmd_growth)
-
-    p = sub.add_parser("model", help="exterior-algebra intersection model")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out")
+    p = command(cmd_model, "exterior-algebra intersection model", inp, out, seed)
     p.add_argument("--form", choices=["standard", "random"], default="standard")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_model)
-
-    p = sub.add_parser("selftest", help="run the documented randomized check suite")
-    p.add_argument("--out")
+    p = command(cmd_selftest, "run the documented randomized check suite", out, seed)
     # the self-checks draw dimensions up to max_size (3 where a law needs it);
     # the run time grows steeply with max_size and linearly with cases
     p.add_argument("--max-size", type=_in_range(2, 20), default=8, dest="max_size")
     p.add_argument("--cases", type=_in_range(1, 1000), default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_selftest)
 
     return parser
 

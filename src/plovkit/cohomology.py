@@ -69,6 +69,7 @@ from .exact import (
     RatMatrix,
     Scalar,
     UniPoly,
+    _expect,
     _scalar,
     combiner,
     congruence_chain,
@@ -141,16 +142,11 @@ class TwoForm:
         return not any(map(any, self.matrix.num))
 
 
-def _form(form: TwoForm) -> TwoForm:
-    if isinstance(form, TwoForm):
-        return form
-    raise TypeError(f"expected a TwoForm, got {type(form).__name__!r}")
-
-
 def pullback2(m: RatMatrix, form: TwoForm) -> TwoForm:
     """Pullback of a 2-form along M, e_i ^ e_j |-> (M e_i) ^ (M e_j)
     extended bilinearly: the congruence M A M^T on its skew matrix A."""
-    return TwoForm._of(mat_mul(mat_mul(m, _form(form).matrix), m.transpose()))
+    a = _expect(form, TwoForm).matrix
+    return TwoForm._of(mat_mul(mat_mul(m, a), m.transpose()))
 
 
 def nilpotent_chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
@@ -164,7 +160,7 @@ def nilpotent_chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
 
 def _chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
     """`nilpotent_chain` for an M already proved unipotent."""
-    if _form(h).is_zero():
+    if _expect(h, TwoForm).is_zero():
         raise DegenerateFormError("the 2-form must be nonzero")
     return [TwoForm._of(x) for x in congruence_chain(m, h.matrix)]
 
@@ -183,7 +179,7 @@ def pfaffian(form: TwoForm) -> int:
     i, j; the last pivot is Pf(num).  The update is skew in (i, j), so
     only the entries above the diagonal are kept, and a swap moves them
     with the sign of the entries it carries below the diagonal."""
-    a = [list(row) for row in _form(form).matrix.num]
+    a = [list(row) for row in _expect(form, TwoForm).matrix.num]
     n = len(a)
     sign = 1
     prev = 1
@@ -228,7 +224,7 @@ def _common_pfaffian(
     integer den^g * Pf(sum_i w_i chain[i]), from one `combiner` over the
     chain and one `pfaffian` per call.  A sum over den' | den has
     Pf = Pf(num)/den'^g, so its Pf(num) is scaled by (den/den')^g."""
-    combine = combiner([_form(f).matrix for f in chain])
+    combine = combiner([_expect(f, TwoForm).matrix for f in chain])
     genus = chain[0].genus
     den = lcm(*(f.matrix.den for f in chain))
 

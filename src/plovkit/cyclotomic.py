@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm, log10
+from math import lcm
 from typing import Optional
 
 from .errors import CrossCheckError, NotQuasiUnipotentError, PreconditionError
@@ -186,8 +186,10 @@ def _name(p: UniPoly) -> str:
         return str(p)
     except ValueError:
         big = max(p.den, *map(abs, p.num))
-        e = int(log10(big))  # off by at most one; the comparisons settle it
-        digits = e + (big >= 10**e) + (big >= 10 ** (e + 1))
+        # 301029995 / 10**9 < log10(2), so this undercounts; the loop settles it
+        digits = (big.bit_length() - 1) * 301029995 // 10**9 + 1
+        while big >= 10**digits:
+            digits += 1
         return f"of degree {p.degree()} with coefficients of up to {digits} digits"
 
 

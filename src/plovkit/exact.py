@@ -66,10 +66,12 @@ def _scalar(x: Scalar) -> Scalar:
     raise TypeError(f"expected an exact rational, got {type(x).__name__!r}")
 
 
-def _matrix(m: "RatMatrix") -> "RatMatrix":
-    if isinstance(m, RatMatrix):
-        return m
-    raise TypeError(f"expected a RatMatrix, got {type(m).__name__!r}")
+def _expect(value, cls: type):
+    """`value` when it is a `cls`, else TypeError: the one type guard of
+    the records the routes take (`RatMatrix`, `JordanProfile`, `TwoForm`)."""
+    if isinstance(value, cls):
+        return value
+    raise TypeError(f"expected a {cls.__name__}, got {type(value).__name__!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +372,7 @@ class RatMatrix:
 
 
 def _check_same_dim(a: RatMatrix, b: RatMatrix) -> None:
-    if _matrix(a).dimension != _matrix(b).dimension:
+    if _expect(a, RatMatrix).dimension != _expect(b, RatMatrix).dimension:
         raise DimensionMismatchError(
             f"dimension mismatch: {a.dimension} vs {b.dimension}"
         )
@@ -403,7 +405,7 @@ def mat_pow(a: RatMatrix, e: int) -> RatMatrix:
     """a**e by binary exponentiation; a**0 is the identity.  The result
     starts from a power of a, never from I, so a**e costs
     e.bit_length() + popcount(e) - 2 products."""
-    a = _matrix(a)
+    a = _expect(a, RatMatrix)
     if e < 0:
         raise PreconditionError("negative matrix power")
     if e == 0:
@@ -507,7 +509,7 @@ def _echelon(num: Sequence[Sequence[int]]) -> tuple[int, int]:
 def det_exact(m: RatMatrix) -> Fraction:
     """Exact determinant: det(num) / den^k, with det(num) read off the
     fraction-free row echelon form."""
-    rank, last = _echelon(_matrix(m).num)
+    rank, last = _echelon(_expect(m, RatMatrix).num)
     k = m.dimension
     return Fraction(last, m.den**k) if rank == k else Fraction(0)
 
@@ -515,7 +517,7 @@ def det_exact(m: RatMatrix) -> Fraction:
 def rank_exact(m: RatMatrix) -> int:
     """Rank over Q: the rank of the integer rows, read off the
     fraction-free row echelon form."""
-    return _echelon(_matrix(m).num)[0]
+    return _echelon(_expect(m, RatMatrix).num)[0]
 
 
 #: The exponents e of every Mersenne prime 2^e - 1 up to e = 4423, the
@@ -619,7 +621,7 @@ def char_poly(m: RatMatrix) -> UniPoly:
     c_(K-1) = -tr(num), taken on the integer rows, is re-verified.  The
     result holds the integers c_k den^k over the denominator den^K.
     """
-    k = _matrix(m).dimension
+    k = _expect(m, RatMatrix).dimension
     num = m.num
     bound = 1
     for row in num:
@@ -648,7 +650,7 @@ def poly_at_matrix(p: UniPoly, m: RatMatrix) -> RatMatrix:
     degree d over P, den^d P p(M) = sum_i c_i num^i den^(d - i).  Starting
     from c_d num + c_(d-1) den I takes d - 1 products, and one `RatMatrix`
     is built at the end."""
-    num, den = _matrix(m).num, m.den
+    num, den = _expect(m, RatMatrix).num, m.den
     top, *rest = p.num[::-1] or (0,)
     rows = num if rest else RatMatrix.identity(len(num)).num
     acc = [[top * x for x in row] for row in rows]

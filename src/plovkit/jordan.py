@@ -25,7 +25,7 @@ from .errors import (
     OddDimensionError,
     PreconditionError,
 )
-from .exact import RatMatrix, _matrix, mat_mul, poly_at_matrix, rank_exact
+from .exact import RatMatrix, _expect, mat_mul, poly_at_matrix, rank_exact
 
 
 @dataclass(frozen=True)
@@ -117,17 +117,11 @@ def unipotent_block_profile(m: RatMatrix) -> JordanProfile:
     """Jordan profile of a matrix claimed unipotent, without the cyclotomic
     search.  Its rank sequence of M - I is the one proof of the claim, so
     it gates every caller: a stall above rank 0 raises NotUnipotentError."""
-    k_dim = _matrix(m).dimension
+    k_dim = _expect(m, RatMatrix).dimension
     b = m - RatMatrix.identity(k_dim)
     counts = _block_size_counts(b, 1, None, k_dim)
     entries = tuple((1, size, c) for size, c in sorted(counts.items()))
     return JordanProfile(entries, k_dim)
-
-
-def _profile(profile: JordanProfile) -> JordanProfile:
-    if isinstance(profile, JordanProfile):
-        return profile
-    raise TypeError(f"expected a JordanProfile, got {type(profile).__name__!r}")
 
 
 def pseudo_analytic_check(profile: JordanProfile) -> bool:
@@ -137,7 +131,8 @@ def pseudo_analytic_check(profile: JordanProfile) -> bool:
     multiplicity; for order >= 3 the primitive roots are non-real and
     Galois-paired with their conjugates, so no condition arises.
     """
-    return all(m % 2 == 0 for n, _, m in _profile(profile).entries if n <= 2)
+    entries = _expect(profile, JordanProfile).entries
+    return all(m % 2 == 0 for n, _, m in entries if n <= 2)
 
 
 def half_profile(profile: JordanProfile) -> tuple[tuple[int, int, int], ...]:
@@ -145,7 +140,7 @@ def half_profile(profile: JordanProfile) -> tuple[tuple[int, int, int], ...]:
     count) triples: an order-n entry has m blocks at each of the phi(n)
     primitive roots, and half of its phi(n)*m blocks lie in each half, so
     count = phi(n)*m/2 and the counts fill half the dimension."""
-    if _profile(profile).dimension % 2:
+    if _expect(profile, JordanProfile).dimension % 2:
         raise OddDimensionError("half profile requires even ambient dimension")
     if not pseudo_analytic_check(profile):
         raise NotPseudoAnalyticError(

@@ -46,7 +46,7 @@ from .errors import (
     OddDimensionError,
     PreconditionError,
 )
-from .exact import RatMatrix, _matrix
+from .exact import RatMatrix, _expect
 from .jordan import JordanProfile, half_profile, jordan_profile, pseudo_analytic_check
 
 
@@ -142,7 +142,7 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
     but non-pseudo-analytic input still yields a report, with the
     half-profile invariants and the bound checks absent.
     """
-    dim = _matrix(m).dimension
+    dim = _expect(m, RatMatrix).dimension
     if dim % 2:
         raise OddDimensionError(f"dimension {dim} is odd; expected 2g")
     g = dim // 2

@@ -41,7 +41,7 @@ from .errors import (
 from .exact import (
     RatMatrix,
     UniPoly,
-    _matrix,
+    _expect,
     combiner,
     congruence_chain,
     det_exact,
@@ -55,7 +55,7 @@ from .jordan import unipotent_block_profile
 def ensure_spd(h: RatMatrix) -> RatMatrix:
     """Validate symmetry and positive definiteness exactly (Sylvester:
     every leading principal minor is strictly positive)."""
-    k = _matrix(h).dimension
+    k = _expect(h, RatMatrix).dimension
     if h != h.transpose():
         raise NotSymmetricPositiveDefiniteError("matrix is not symmetric")
     idx = list(range(k))
@@ -89,7 +89,7 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     read by `unipotent_block_profile`, which is also the gate that proves
     A unipotent, and so the mirror law; a mismatch raises CrossCheckError.
     """
-    if _matrix(a).dimension != _matrix(h).dimension:
+    if _expect(a, RatMatrix).dimension != _expect(h, RatMatrix).dimension:
         raise DimensionMismatchError("matrix and form dimensions differ")
     profile = unipotent_block_profile(a)
     ensure_spd(h)
@@ -117,7 +117,7 @@ def power_sum_brute(a: RatMatrix, h: RatMatrix, n: int) -> list[Fraction]:
     S(x) = sum_{m=0}^{x-1} (A^m)^T H A^m, from one pass over the partial
     sums and no symbolic shortcut.  A literal sum holds for any square H,
     so H is not checked for positive definiteness here."""
-    if _matrix(a).dimension != _matrix(h).dimension:
+    if _expect(a, RatMatrix).dimension != _expect(h, RatMatrix).dimension:
         raise DimensionMismatchError("matrix and form dimensions differ")
     if n < 1:
         raise PreconditionError("need at least one summand")

@@ -11,8 +11,8 @@ tests import the oracles from here.
 Each check draws its cases from an explicit seeded generator and compares
 an implementation route against an independent one (brute-force sums,
 literal minor enumeration, pointwise evaluation).  Most checks are one
-case predicate under `_each`, the one sampling loop: it draws a weighted
-share of `cases` instances up to `max_size` and stops at the first
+case predicate under `_each`, the one sampling loop: it draws a whole
+percentage of `cases` instances up to `max_size` and stops at the first
 failure.  `selftest` always runs every check, so the suite size is fixed.
 """
 
@@ -271,12 +271,12 @@ Outcome = tuple[bool, int]
 Check = Callable[[random.Random, int, int], Outcome]
 
 
-def _each(weight: float, case: Callable[[random.Random, int], bool]) -> Check:
-    """The check that draws max(3, int(cases * weight)) cases and judges
+def _each(percent: int, case: Callable[[random.Random, int], bool]) -> Check:
+    """The check that draws max(3, cases * percent // 100) cases and judges
     each with `case(rng, max_size)`, stopping at the first failure."""
 
     def check(rng: random.Random, max_size: int, cases: int) -> Outcome:
-        count = max(3, int(cases * weight))
+        count = max(3, cases * percent // 100)
         return all(case(rng, max_size) for _ in range(count)), count
 
     return check
@@ -451,7 +451,7 @@ def _vanishing_scan(rng: random.Random, max_size: int) -> bool:
 
 
 def _check_vanishing_scan(rng: random.Random, max_size: int, cases: int) -> Outcome:
-    passed, count = _each(0.1, _vanishing_scan)(rng, max_size, cases)
+    passed, count = _each(10, _vanishing_scan)(rng, max_size, cases)
     if not passed:
         return False, count
     # on a chain every scanned value is 0; random forms in its place give
@@ -480,21 +480,21 @@ def _pullback_functorial(rng: random.Random, max_size: int) -> bool:
 
 #: The documented suite: every `selftest` run executes exactly these.
 SELFTEST_CHECKS: tuple[tuple[str, Check], ...] = (
-    ("power_sum_matrix_matches_direct_sums", _each(0.15, _power_sum_matrix)),
-    ("det_poly_matches_pointwise_det", _each(0.2, _det_poly)),
-    ("char_poly_similarity_invariant", _each(0.3, _char_poly_similarity)),
-    ("rank_nullity_consistency", _each(0.3, _rank_nullity)),
+    ("power_sum_matrix_matches_direct_sums", _each(15, _power_sum_matrix)),
+    ("det_poly_matches_pointwise_det", _each(20, _det_poly)),
+    ("char_poly_similarity_invariant", _each(30, _char_poly_similarity)),
+    ("rank_nullity_consistency", _each(30, _rank_nullity)),
     ("cyclotomic_product_identity", _check_cyclotomic_products),
-    ("quasi_unipotency_matches_second_compound", _each(0.3, _compound_equivalence)),
-    ("jordan_profile_similarity_invariant", _each(0.3, _profile_similarity)),
-    ("power_sum_degree_law", _each(1.0, _power_sum_degree_law)),
-    ("power_sum_form_independence", _each(0.15, _power_sum_h_independence)),
-    ("power_sum_matches_brute_force", _each(0.15, _power_sum_brute)),
-    ("growth_exponent_matches_minor_enumeration", _each(0.1, _growth_exponents)),
-    ("second_compound_growth_and_blocks", _each(0.1, _second_compound_blocks)),
-    ("model_degree_ceiling_and_triangle", _each(0.1, _model_triangle)),
+    ("quasi_unipotency_matches_second_compound", _each(30, _compound_equivalence)),
+    ("jordan_profile_similarity_invariant", _each(30, _profile_similarity)),
+    ("power_sum_degree_law", _each(100, _power_sum_degree_law)),
+    ("power_sum_form_independence", _each(15, _power_sum_h_independence)),
+    ("power_sum_matches_brute_force", _each(15, _power_sum_brute)),
+    ("growth_exponent_matches_minor_enumeration", _each(10, _growth_exponents)),
+    ("second_compound_growth_and_blocks", _each(10, _second_compound_blocks)),
+    ("model_degree_ceiling_and_triangle", _each(10, _model_triangle)),
     ("vanishing_scan_clean", _check_vanishing_scan),
-    ("pullback_power_functoriality", _each(0.2, _pullback_functorial)),
+    ("pullback_power_functoriality", _each(20, _pullback_functorial)),
 )
 
 SELFTEST_SUITE_SIZE = len(SELFTEST_CHECKS)

@@ -1,6 +1,7 @@
 """Tests for cyclotomic polynomials and the quasi-unipotency verdict."""
 
 import random
+import sys
 from fractions import Fraction
 from math import lcm, prod
 
@@ -322,3 +323,23 @@ def test_trace_witness_agrees_with_is_unipotent():
                 assert (p.trace() == k) == unipotent, (m, e)
                 seen.add(unipotent)
     assert seen == {True, False}
+
+
+def test_residual_name_counts_digits_in_integers():
+    # past the int-to-str limit `_name` reports the digit count of the
+    # largest coefficient or denominator, counted from its bit length and
+    # settled by comparisons; len(str(x)) with the limit lifted is the
+    # reference, at both sides of each power of ten
+    values = [x for k in [*range(4295, 4306), 5001] for x in (10**k - 1, 10**k)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [len(str(x)) for x in values]
+        sys.set_int_max_str_digits(640)  # the least limit: every value is past it
+        for x, digits in zip(values, expected):
+            for p in (UniPoly((x, 1)), UniPoly((1, 1), x)):
+                assert cyclotomic._name(p) == (
+                    f"of degree 1 with coefficients of up to {digits} digits"
+                )
+    finally:
+        sys.set_int_max_str_digits(limit)

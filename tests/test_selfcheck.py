@@ -7,6 +7,7 @@ in `plovkit.selfcheck`, and must report `passed is False`.
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import random
 
@@ -167,3 +168,20 @@ def test_a_failed_check_exits_3_with_the_report(tmp_path, capsys, monkeypatch):
     assert err.splitlines()[-1] == "internal cross-check failure: self-test failures"
     assert f"[FAIL] {name}" in err
 
+
+
+def test_integer_percentages_draw_what_the_float_weights_drew():
+    # the draw counts were max(3, int(cases * weight)) on the float weights
+    # below; every percentage the suite uses must draw the same counts, so
+    # the pinned reports above stand for any --cases
+    weights = {10: 0.1, 15: 0.15, 20: 0.2, 30: 0.3, 100: 1.0}
+    percents = {
+        inspect.getclosurevars(check).nonlocals.get("percent")
+        for _, check in SELFTEST_CHECKS
+    } - {None}
+    # the vanishing scan draws `_each(10, ...)` inside its own check
+    assert percents == set(weights)
+    for percent, weight in weights.items():
+        check = selfcheck._each(percent, lambda rng, max_size: True)
+        for cases in range(1, 1001):
+            assert check(None, 2, cases) == (True, max(3, int(cases * weight)))

@@ -26,6 +26,9 @@ record of its own; Phi_n is built by `cyclotomic.cyclotomic_poly` alone;
 `_interpolate` builds polynomials in n only; `randgen` inverts by
 Cayley-Hamilton on `exact.char_poly` and `exact.poly_at_matrix`; and
 `plov` reads growth exponents off the block sizes, with no determinant.
+Records are type-checked by one guard, `exact._expect`.  The CLI builds
+and writes every report through one tail, `cli._finish`, and one writer,
+`cli._write`, and declares each flag its subcommands share once.
 """
 
 import ast
@@ -294,3 +297,57 @@ def test_growth_exponents_take_no_determinant():
     assert not any(references(node, "det_exact") for node in ast.walk(plov))
     # the walk sees names
     assert any(references(node, "max_minor_degree") for node in ast.walk(plov))
+
+
+def test_one_type_guard_per_kind_of_argument():
+    # a guard is a function that returns its argument when isinstance holds
+    # and raises TypeError otherwise; records (RatMatrix, JordanProfile,
+    # TwoForm) share `exact._expect`, and scalars have `exact._scalar`
+    guards = {
+        f"{name}:{fn.name}"
+        for name, tree in parsed_sources()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and len(fn.body) >= 2
+        and isinstance(fn.body[-2], ast.If)
+        and isinstance(fn.body[-2].test, ast.Call)
+        and references(fn.body[-2].test.func, "isinstance")
+        and isinstance(fn.body[-1], ast.Raise)
+        and raised_name(fn.body[-1].exc) == "TypeError"
+    }
+    assert guards == {"exact.py:_expect", "exact.py:_scalar"}
+
+
+def test_the_cli_builds_and_writes_each_report_in_one_place():
+    # every subcommand ends in `_finish`, the one caller of `base_report`
+    # and `emit`; `_write` is the one function that writes to a stream
+    cli = dict(parsed_sources())["cli.py"]
+    functions = [fn for fn in ast.walk(cli) if isinstance(fn, ast.FunctionDef)]
+
+    def callers(name):
+        return sorted(
+            fn.name
+            for fn in functions
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and references(node.func, name)
+        )
+
+    assert callers("base_report") == callers("emit") == ["_finish"]
+    commands = sorted(fn.name for fn in functions if fn.name.startswith("cmd_"))
+    assert len(commands) == 5
+    assert callers("_finish") == commands
+    assert callers("write") == ["_write"]
+
+
+def test_each_shared_flag_is_declared_once():
+    # --input, --out and --seed mean the same in every subcommand that takes
+    # them; --degrees is optional in analyze and required in growth
+    cli = dict(parsed_sources())["cli.py"]
+    declared = [
+        node.args[0].value
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Call)
+        and references(node.func, "add_argument")
+        and isinstance(node.args[0], ast.Constant)
+    ]
+    assert [declared.count(flag) for flag in ("--input", "--out", "--seed")] == [1, 1, 1]
