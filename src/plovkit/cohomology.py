@@ -42,8 +42,10 @@ factors, and by polarization of the symmetric g-linear top wedge
           * Pf(sum_i beta_i w_i)
 
 (`_polarization`, once per multiset in `scan_chain`); the Pfaffians are
-shared across multisets.  The ordered tuples then take the value of
-their multiset.  The literal wedge expansion,
+shared across multisets, and one whose weighted forms all leave some
+row empty is 0 by their row supports, with no elimination (355 of the
+473 on paired [4, 1]).  The ordered tuples then take the value of their
+multiset.  The literal wedge expansion,
 `selfcheck.wedge_coefficient`, is the oracle for both Pfaffian routes,
 in the self-test and the tests.  Intersection numbers are kept as raw
 wedge coefficients, since every contract here concerns degrees and
@@ -176,9 +178,10 @@ def pfaffian(form: TwoForm) -> int:
     entry a[i][j] by (p a[i][j] + a[k+1][i] a[k][j] - a[k][i] a[k+1][j])
     divided by the previous pivot.  The division is exact, since every
     entry is then the Pfaffian of num on the pivot indices so far and
-    i, j; the last pivot is Pf(num).  The update is skew in (i, j), so
-    only the entries above the diagonal are kept, and a swap moves them
-    with the sign of the entries it carries below the diagonal."""
+    i, j; the last pivot is Pf(num).  A row with a[k][i] = a[k+1][i] = 0
+    is only rescaled by p / prev.  The update is skew in (i, j), so only
+    the entries above the diagonal are kept, and a swap moves them with
+    the sign of the entries it carries below the diagonal."""
     a = [list(row) for row in _expect(form, TwoForm).matrix.num]
     n = len(a)
     sign = 1
@@ -205,14 +208,15 @@ def pfaffian(form: TwoForm) -> int:
         # row i takes the columns j > i, at tail offset i - k - 2
         for i in range(k + 2, n - 1):
             u, w = row_k1[i], row_k[i]
-            if not u and not w and p == prev:
-                continue
             row = a[i]
-            at = i - k - 2
-            row[i + 1 :] = [
-                (p * x + u * y - w * z) // prev
-                for x, y, z in zip(row[i + 1 :], tail_k[at:], tail_k1[at:])
-            ]
+            if u or w:
+                at = i - k - 2
+                row[i + 1 :] = [
+                    (p * x + u * y - w * z) // prev
+                    for x, y, z in zip(row[i + 1 :], tail_k[at:], tail_k1[at:])
+                ]
+            elif p != prev:
+                row[i + 1 :] = [p * x // prev for x in row[i + 1 :]]
         prev = p
     return sign * prev
 
@@ -222,13 +226,20 @@ def _common_pfaffian(
 ) -> tuple[Callable[[Sequence[int]], int], int]:
     """(pf, den^g) for the chain's common denominator den: pf(w) is the
     integer den^g * Pf(sum_i w_i chain[i]), from one `combiner` over the
-    chain and one `pfaffian` per call.  A sum over den' | den has
-    Pf = Pf(num)/den'^g, so its Pf(num) is scaled by (den/den')^g."""
+    chain and at most one `pfaffian` per call.  A sum over den' | den has
+    Pf = Pf(num)/den'^g, so its Pf(num) is scaled by (den/den')^g.  When
+    the forms of nonzero weight leave a row empty, by their nonzero-row
+    bitmasks, pf is 0 with no sum built; a row that only cancels is left
+    to `pfaffian`."""
     combine = combiner([_expect(f, TwoForm).matrix for f in chain])
     genus = chain[0].genus
     den = lcm(*(f.matrix.den for f in chain))
+    rows = [sum(1 << i for i, r in enumerate(f.matrix.num) if any(r)) for f in chain]
+    full = (1 << 2 * genus) - 1
 
     def pf(weights: Sequence[int]) -> int:
+        if functools.reduce(int.__or__, itertools.compress(rows, weights), 0) != full:
+            return 0  # a row of the sum is zero
         form = combine(weights)
         return pfaffian(TwoForm._of(form)) * (den // form.den) ** genus
 
@@ -286,11 +297,12 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
     profile = unipotent_block_profile(m)
     expected = plov_of(half_profile(profile))
     chain = tuple(_chain(m, h))
+    where = f"plov_via_model at dimension {m.dimension}"
     largest = max(second_compound_block_sizes(profile.unipotent_block_sizes()))
     if len(chain) > largest:
         raise CrossCheckError(
-            f"nilpotent chain of length {len(chain)} exceeds the largest "
-            f"second-compound block {largest}"
+            f"{where}: nilpotent chain of length {len(chain)} exceeds the "
+            f"largest second-compound block {largest} (len(chain) <= 2kJ + 1)"
         )
     poly = intersection_poly(chain, expected + 1)
     if poly.is_zero():
@@ -300,7 +312,8 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
     degree = poly.degree()
     if degree > expected:
         raise CrossCheckError(
-            f"model degree {degree} exceeds profile bound {expected}"
+            f"{where}: model degree {degree} exceeds profile bound {expected} "
+            "(deg top(Delta_n^g) <= sum k_i^2)"
         )
     return ModelGrowthResult(
         degree=degree,
@@ -384,8 +397,10 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
     in integers, by `_polarization` over den^g * Pf(sum_i beta_i w_i), den
     the chain's common denominator; the Pfaffians are memoized by beta and
     shared within the scan, and each multiset's sum is divided by den^g
-    once.  The ordered tuples are then listed in lexicographic order with
-    the value of their multiset.  A scan of more than `SCAN_LIMIT` tuples
+    once.  Only a memo entry whose weighted forms cover all 2g rows is
+    eliminated (118 of 473 on paired [4, 1]); no value is inferred.  The
+    ordered tuples are then listed in lexicographic order with the value
+    of their multiset.  A scan of more than `SCAN_LIMIT` tuples
     raises `PreconditionError` before any is evaluated."""
     pf, den_g = _common_pfaffian(chain)
     kf = len(chain) - 1

@@ -1054,6 +1054,41 @@ def test_powersum_wrong_mirror_law_exits_3_naming_the_node(tmp_path, capsys, mon
     ]
 
 
+def test_model_chain_past_the_compound_block_exits_3_naming_the_law(
+    tmp_path, capsys, monkeypatch
+):
+    import plovkit.cohomology
+
+    monkeypatch.setattr(plovkit.cohomology, "second_compound_block_sizes", lambda s: [2])
+    path = write_doc(tmp_path, QUAD)
+    code, out, err = run_cli(["model", "--input", path], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "internal cross-check failure: plov_via_model at dimension 4: nilpotent "
+        "chain of length 3 exceeds the largest second-compound block 2 "
+        "(len(chain) <= 2kJ + 1)"
+    ]
+
+
+def test_model_degree_past_the_profile_bound_exits_3_naming_the_law(
+    tmp_path, capsys, monkeypatch
+):
+    import plovkit.cohomology
+
+    real = plovkit.cohomology.plov_of
+    monkeypatch.setattr(plovkit.cohomology, "plov_of", lambda half: real(half) - 1)
+    path = write_doc(tmp_path, QUAD)
+    code, out, err = run_cli(["model", "--input", path], capsys)
+    assert code == 3
+    assert out == ""
+    # [2, 2]: plov 4, lowered to 3; the interpolation bound 4 still holds
+    assert err.splitlines() == [
+        "internal cross-check failure: plov_via_model at dimension 4: model "
+        "degree 4 exceeds profile bound 3 (deg top(Delta_n^g) <= sum k_i^2)"
+    ]
+
+
 def test_analyze_failing_bound_check_exits_3(tmp_path, capsys, monkeypatch):
     import dataclasses
 

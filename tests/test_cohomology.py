@@ -125,6 +125,53 @@ def swap_forcing_form(rng, g):
             return TwoForm(g, a)
 
 
+def scan_multisets_and_betas(g, kf):
+    """The multisets of g indices in 0..kf above the scan's threshold, and
+    the nonzero beta <= some such multiset (the scan's Pfaffian weights)."""
+    above = [
+        key
+        for key in itertools.combinations_with_replacement(range(kf + 1), g)
+        if 2 * sum(key) > g * kf
+    ]
+    betas = {
+        beta
+        for key in above
+        for beta in itertools.product(*(range(key.count(i) + 1) for i in range(kf + 1)))
+        if any(beta)
+    }
+    return above, betas
+
+
+def weighted_rows_cover(forms, beta):
+    """Whether the forms with a nonzero weight in beta together have a
+    nonzero entry in every row."""
+    rows = {
+        r
+        for form, b in zip(forms, beta)
+        if b
+        for r, row in enumerate(form.matrix.num)
+        if any(row)
+    }
+    return len(rows) == forms[0].matrix.dimension
+
+
+def sparse_form(rng, g, live, den=1):
+    """Random integer 2-form over den on the pairs inside the index set
+    ``live`` (1-based), nonzero on every row of ``live``; the other rows
+    are empty."""
+    live = sorted(live)
+    while True:
+        coeffs = {
+            (i, j): Fraction(rng.choice([-1, 1]) * rng.randint(1, 3), den)
+            for i in live
+            for j in live
+            if i < j and rng.random() < 0.6
+        }
+        form = TwoForm(g, coeffs)
+        if all(any(form.matrix.num[i - 1]) for i in live):
+            return form
+
+
 def rescaled(form, d):
     """D A D for D = diag(1/d_1, ..., 1/d_2g): coefficient (i, j) divided
     by d_i * d_j.  Every sub-Pfaffian keeps its vanishing, and the
@@ -770,24 +817,17 @@ def test_scan_past_the_limit_is_refused_before_it_runs(monkeypatch):
 
 def test_scan_evaluates_each_multiset_once_and_each_beta_once(monkeypatch):
     # paired [4, 1]: 7,678 ordered tuples above the threshold, but the
-    # polarization sum runs once per multiset and the Pfaffian elimination
-    # once per beta <= some such multiset (the memo's entries)
+    # polarization sum runs once per multiset, each beta <= some such
+    # multiset is checked against the row supports once (the memo's
+    # entries), and the elimination runs only for the beta whose weighted
+    # forms leave no row empty
     g = 5
     chain = nilpotent_chain(paired_unipotent([4, 1]), TwoForm.standard(g))
     kf = len(chain) - 1
-    above = [
-        key
-        for key in itertools.combinations_with_replacement(range(kf + 1), g)
-        if 2 * sum(key) > g * kf
-    ]
-    betas = {
-        beta
-        for key in above
-        for beta in itertools.product(*(range(key.count(i) + 1) for i in range(kf + 1)))
-        if any(beta)
-    }
-    counts = {"_polarization": 0, "pfaffian": 0}
-    for name in counts:
+    above, betas = scan_multisets_and_betas(g, kf)
+    covering = [beta for beta in betas if weighted_rows_cover(chain, beta)]
+    counts = {"_polarization": 0, "pfaffian": 0, "pf": 0}
+    for name in ("_polarization", "pfaffian"):
         real = getattr(cohomology, name)
 
         def counting(*args, _real=real, _name=name):
@@ -795,8 +835,96 @@ def test_scan_evaluates_each_multiset_once_and_each_beta_once(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(cohomology, name, counting)
+    real_common = cohomology._common_pfaffian
+
+    def counted_common(chain):
+        pf, den_g = real_common(chain)
+
+        def counted(weights):
+            counts["pf"] += 1
+            return pf(weights)
+
+        return counted, den_g
+
+    monkeypatch.setattr(cohomology, "_common_pfaffian", counted_common)
     report = scan_chain(chain)
     assert len(report.scanned) == scan_size(g, kf) == 7678
     assert report.violations == ()
-    assert counts == {"_polarization": len(above), "pfaffian": len(betas)}
-    assert (len(above), len(betas)) == (215, 473)
+    assert counts == {
+        "_polarization": len(above),
+        "pf": len(betas),
+        "pfaffian": len(covering),
+    }
+    assert (len(above), len(betas), len(covering)) == (215, 473, 118)
+
+
+def test_scan_of_sparse_families_matches_literal_scan_on_both_sides_of_the_support():
+    # each form lives on a random set of rows, so some weighted sums leave
+    # a row empty (Pf = 0 from the supports) and others cover every row
+    # (Pf from the elimination); the values must be the literal wedges
+    rng = random.Random(75)
+    nonzero = 0
+    for trial in range(8):
+        g = 2 + trial % 2
+        k = 2 * g
+        family = [
+            sparse_form(rng, g, rng.sample(range(1, k + 1), rng.randint(2, k - 1)),
+                        den=rng.choice([1, 1, 2, 3]))
+            for _ in range(3)
+        ]
+        family.append(sparse_form(rng, g, range(1, k + 1)))
+        rng.shuffle(family)
+        _, betas = scan_multisets_and_betas(g, len(family) - 1)
+        covering = [beta for beta in betas if weighted_rows_cover(family, beta)]
+        assert 0 < len(covering) < len(betas)
+        expected = literal_scan(family)
+        assert scan_chain(family).scanned == expected
+        nonzero += sum(1 for _, value in expected if value)
+    assert nonzero > 0
+
+
+def test_row_emptied_by_cancellation_is_left_to_the_elimination(monkeypatch):
+    # w0 = e12 + e34 and w1 = e13 - e12 cover every row between them, but
+    # w0 + w1 = e13 + e34 has row 2 zero by cancellation: its Pfaffian is
+    # 0 from the elimination, not from the supports
+    w0 = TwoForm(2, {(1, 2): 1, (3, 4): 1})
+    w1 = TwoForm(2, {(1, 3): 1, (1, 2): -1})
+    assert weighted_rows_cover([w0, w1], (1, 1))
+    calls = []
+    real = cohomology.pfaffian
+
+    def counting(form):
+        calls.append(form)
+        return real(form)
+
+    monkeypatch.setattr(cohomology, "pfaffian", counting)
+    pf, den_g = cohomology._common_pfaffian([w0, w1])
+    assert (pf((1, 1)), den_g) == (0, 1)
+    assert calls == [TwoForm(2, {(1, 3): 1, (3, 4): 1})]
+    assert wedge_coefficient([TwoForm._of(w0.matrix + w1.matrix)] * 2) == 0
+    # w1 alone leaves row 4 empty: 0 with no elimination
+    assert pf((0, 1)) == 0 and len(calls) == 1
+    assert pf((1, 0)) == 1 and len(calls) == 2
+    assert scan_chain([w0, w1]).scanned == literal_scan([w0, w1])
+
+
+def test_intersection_poly_at_zero_weights_needs_no_elimination(monkeypatch):
+    # Delta_0 = 0: every weight C(0, i+1) is 0, so the node x = 0 is 0 by
+    # the supports, and only the nodes 1..D+1 (with the check node) are
+    # eliminated
+    chain = nilpotent_chain(paired_unipotent([3, 1]), TwoForm.standard(4))
+    pf, _ = cohomology._common_pfaffian(chain)
+    calls = []
+    real = cohomology.pfaffian
+
+    def counting(form):
+        calls.append(form)
+        return real(form)
+
+    monkeypatch.setattr(cohomology, "pfaffian", counting)
+    assert pf([0] * len(chain)) == 0 and calls == []
+    degree_bound = 11
+    poly = intersection_poly(chain, degree_bound)
+    assert poly(0) == 0
+    assert len(calls) == degree_bound + 1
+    assert not any(form.is_zero() for form in calls)

@@ -143,6 +143,42 @@ def test_pfaffian_squared_matches_sympy_determinant_after_pivot_swap():
             assert to_sympy(pf * pf) == skew.det(method="bareiss")
 
 
+def test_pfaffian_squared_matches_sympy_determinant_on_rescale_only_rows():
+    # sparse forms, g = 2..7, whose first pivot p = num[0][1] has |p| >= 2
+    # while some later row has a zero head (num[0][i] = num[1][i] = 0):
+    # that row meets a step with p != prev = 1 and is only rescaled; half
+    # of the forms have entries over 2 or 3
+    rng = random.Random(305)
+    nonzero = 0
+    for g in range(2, 8):
+        k = 2 * g
+        for trial in range(4):
+            density = rng.choice([0.15, 0.25, 0.35, 0.5])
+            dens = (1, 2, 3) if trial % 2 else (1,)
+            while True:
+                coeffs = {
+                    (i, j): Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.choice(dens))
+                    for i in range(1, k + 1)
+                    for j in range(i + 1, k + 1)
+                    if rng.random() < density
+                }
+                coeffs[(1, 2)] = Fraction(rng.choice([-1, 1]) * rng.randint(2, 5))
+                head = rng.randint(3, k)
+                coeffs.pop((1, head), None)
+                coeffs.pop((2, head), None)
+                form = TwoForm(g, coeffs)
+                if abs(form.matrix.num[0][1]) >= 2:
+                    break
+            skew = sympy.zeros(k, k)
+            for (i, j), v in form.items():
+                skew[i - 1, j - 1] = to_sympy(v)
+                skew[j - 1, i - 1] = -to_sympy(v)
+            pf = Fraction(pfaffian(form), form.matrix.den**g)
+            nonzero += pf != 0
+            assert to_sympy(pf * pf) == skew.det(method="bareiss")
+    assert nonzero >= 6
+
+
 def jordan_block_sizes(j) -> list[int]:
     """Block sizes of a sympy Jordan form, read off its superdiagonal."""
     sizes = [1]
