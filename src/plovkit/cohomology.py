@@ -88,8 +88,9 @@ Pair = tuple[int, int]
 class TwoForm:
     """Alternating 2-form with rational coefficients on ordered pairs
     (i, j), 1 <= i < j <= 2g, held as its skew-symmetric matrix A with
-    A[i-1][j-1] = the coefficient of e_i ^ e_j = -A[j-1][i-1].  Every key
-    must be such a pair, whatever its value.  Equality and hashing go by
+    A[i-1][j-1] = the coefficient of e_i ^ e_j = -A[j-1][i-1].  The
+    coefficients come as a dict (else TypeError), and every key must be
+    such a pair, whatever its value.  Equality and hashing go by
     the matrix, so they work by value."""
 
     matrix: RatMatrix
@@ -98,7 +99,7 @@ class TwoForm:
         if genus < 1:
             raise PreconditionError("genus must be positive")
         rows = [[0] * (2 * genus) for _ in range(2 * genus)]
-        for pair, value in (coeffs or {}).items():
+        for pair, value in _expect({} if coeffs is None else coeffs, dict).items():
             if not (
                 isinstance(pair, tuple)
                 and len(pair) == 2

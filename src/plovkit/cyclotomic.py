@@ -47,11 +47,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _proper_divisors(n: int) -> list[int]:
-    divs = [d for d in range(1, n // 2 + 1) if n % d == 0]
-    return divs
-
-
 def _prime_factors(n: int) -> list[int]:
     primes = []
     p = 2
@@ -75,7 +70,7 @@ def cyclotomic_poly(n: int) -> UniPoly:
     if n < 1:
         raise PreconditionError("cyclotomic index must be positive")
     p = [-1] + [0] * (n - 1) + [1]
-    for d in _proper_divisors(n):
+    for d in [d for d in range(1, n // 2 + 1) if n % d == 0]:
         p = _divide_monic(p, cyclotomic_poly(d).num)
         if p is None:
             raise CrossCheckError(f"Phi_{d} leaves a remainder in t^{n} - 1")

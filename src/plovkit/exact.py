@@ -35,13 +35,12 @@ of the library:
     single interpolation routine (forward differences into the binomial
     basis at the first node, expanded by Horner's rule) that
     `interpolate_checked` re-verifies at one more node, naming its
-    caller, the node and the dimension when they differ.  The nodes are
-    0..D, or, for a caller that has proved p(-x) = parity * p(x), centred
-    at 0 with a value computed at x >= 0 only; `det_poly` and
-    `cohomology.intersection_poly` are both built on it, and their product
-    callers read D off the Jordan profile: sum k_i^2 + 1 in
-    `powersum.power_sum_det` (centred nodes, parity (-1)^K), plov + 1 in
-    `cohomology.plov_via_model` (nodes 0..D).
+    caller, the node and the dimension when they differ.  One node rule:
+    the nodes start at 0, or at -floor(D/2) for a caller that has proved
+    p(-x) = parity * p(x), and every value is computed at x >= 0, a
+    negative node taking parity * p(-x).  `det_poly` and
+    `cohomology.intersection_poly` are built on it; each caller states
+    its own degree bound.
 """
 
 from __future__ import annotations
@@ -68,10 +67,29 @@ def _scalar(x: Scalar) -> Scalar:
 
 def _expect(value, cls: type):
     """`value` when it is a `cls`, else TypeError: the one type guard of
-    the records the routes take (`RatMatrix`, `JordanProfile`, `TwoForm`)."""
+    the records the routes take (`RatMatrix`, `UniPoly`, `JordanProfile`,
+    `TwoForm` and its coefficient dict)."""
     if isinstance(value, cls):
         return value
     raise TypeError(f"expected a {cls.__name__}, got {type(value).__name__!r}")
+
+
+def _lowest_terms(den: int, values: Iterable[int], kind: str, constructor: str) -> int:
+    """gcd(den, *values) with the sign of den: the divisor that leaves the
+    integer storage of a `UniPoly` or `RatMatrix` in lowest terms over a
+    positive denominator.  A non-int raises TypeError, a zero den
+    PreconditionError."""
+    try:
+        # with den = 1 this only checks that every value is an integer
+        g = gcd(den, *values)
+    except TypeError:
+        raise TypeError(
+            f"a {kind} is stored as ints over an int denominator; "
+            f"build rational values with {constructor}"
+        ) from None
+    if den == 0:
+        raise PreconditionError(f"{kind} denominator is zero")
+    return -g if den < 0 else g
 
 
 # ---------------------------------------------------------------------------
@@ -100,25 +118,13 @@ class UniPoly:
     var: str = "t"
 
     def __post_init__(self):
-        den = self.den
-        try:
-            num = tuple(self.num)
-            # with den = 1 this only checks that every coefficient is an integer
-            g = gcd(den, *num)
-        except TypeError:
-            raise TypeError(
-                "UniPoly coefficients are ints over an int denominator; "
-                "build rational coefficients with from_coeffs"
-            ) from None
-        if den == 0:
-            raise PreconditionError("polynomial denominator is zero")
+        num = tuple(self.num)
+        g = _lowest_terms(self.den, num, "polynomial", "UniPoly.from_coeffs")
         while num and not num[-1]:
             num = num[:-1]
-        if den < 0:
-            g = -g
         if g != 1:
             num = tuple(c // g for c in num)
-            object.__setattr__(self, "den", den // g)
+            object.__setattr__(self, "den", self.den // g)
         object.__setattr__(self, "num", num)
 
     @cached_property
@@ -240,25 +246,15 @@ class RatMatrix:
     den: int = 1
 
     def __post_init__(self):
-        den = self.den
-        try:
-            # with den = 1 this only checks that every entry is an integer
-            g = gcd(den, *itertools.chain.from_iterable(self.num))
-        except TypeError:
-            raise TypeError(
-                "RatMatrix rows hold ints; build rational entries with from_rows"
-            ) from None
-        if den == 0:
-            raise PreconditionError("matrix denominator is zero")
+        flat = itertools.chain.from_iterable(self.num)
+        g = _lowest_terms(self.den, flat, "matrix", "RatMatrix.from_rows")
         if {*map(len, self.num)} != {len(self.num)}:
             raise DimensionMismatchError("matrix must be square and nonempty")
-        if den < 0:
-            g = -g
         if g != 1:
             object.__setattr__(
                 self, "num", tuple(tuple(x // g for x in row) for row in self.num)
             )
-            object.__setattr__(self, "den", den // g)
+            object.__setattr__(self, "den", self.den // g)
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -300,7 +296,7 @@ class RatMatrix:
     @staticmethod
     def companion(p: UniPoly) -> "RatMatrix":
         """Companion matrix of a monic polynomial of degree >= 1."""
-        d = p.degree()
+        d = _expect(p, UniPoly).degree()
         if d < 1 or p.leading() != 1:
             raise PreconditionError(
                 "companion matrix needs a monic nonconstant polynomial"
@@ -319,7 +315,7 @@ class RatMatrix:
 
     @staticmethod
     def block_diag(*blocks: "RatMatrix") -> "RatMatrix":
-        k = sum(b.dimension for b in blocks)
+        k = sum(_expect(b, RatMatrix).dimension for b in blocks)
         den = lcm(*(b.den for b in blocks))
         rows = [[0] * k for _ in range(k)]
         offset = 0
@@ -651,7 +647,7 @@ def poly_at_matrix(p: UniPoly, m: RatMatrix) -> RatMatrix:
     from c_d num + c_(d-1) den I takes d - 1 products, and one `RatMatrix`
     is built at the end."""
     num, den = _expect(m, RatMatrix).num, m.den
-    top, *rest = p.num[::-1] or (0,)
+    top, *rest = _expect(p, UniPoly).num[::-1] or (0,)
     rows = num if rest else RatMatrix.identity(len(num)).num
     acc = [[top * x for x in row] for row in rows]
     scale = 1  # den^(d - i) at c_i
@@ -681,28 +677,23 @@ def interpolate_checked(
     an undersized bound (a caller bug) raises a CrossCheckError naming
     `caller`, the check node and, on the mirrored route, the law.
 
-    Without `parity` the nodes are x = 0..D.  With parity = +1 or -1 the
-    caller vouches for p(-x) = parity * p(x): the nodes are centred,
-    x = -floor(D/2) .. D - floor(D/2), value_at runs at x >= 0 only and
-    each negative node takes parity * p(-x).  The check node
-    D - floor(D/2) + 1 is always a computed value, so a wrong parity
-    fails there like an undersized bound."""
+    The nodes are x = start..start + D: start = 0, or -floor(D/2) when
+    the caller vouches for p(-x) = parity * p(x) with the int parity +1
+    or -1 (any other parity but None raises PreconditionError).  value_at
+    runs at x >= 0 only, and each negative node takes parity * p(-x).
+    The check node start + D + 1 is always a computed value, so a wrong
+    parity fails there like an undersized bound."""
     if degree_bound < 0:
         raise PreconditionError("degree bound must be nonnegative")
-    if parity is None:
-        start = 0
-        values = [value_at(x) for x in range(degree_bound + 1)]
-        law = ""
-    elif parity in (1, -1):
-        start = -(degree_bound // 2)
-        computed = [value_at(x) for x in range(degree_bound + start + 1)]
-        values = [parity * computed[-x] for x in range(start, 0)] + computed
-        law = f" with P(-x) = {'+' if parity > 0 else '-'}P(x)"
-    else:
+    if parity not in (None, 1, -1) or not isinstance(parity, (int, type(None))):
         raise PreconditionError(f"parity must be +1 or -1, got {parity!r}")
+    start = -(degree_bound // 2) if parity else 0
+    computed = [value_at(x) for x in range(start + degree_bound + 1)]
+    values = [parity * computed[-x] for x in range(start, 0)] + computed
     p = _interpolate(values, start)
     node = start + degree_bound + 1
     if p(node) != value_at(node):
+        law = f" with P(-x) = {'+' if parity > 0 else '-'}P(x)" if parity else ""
         raise CrossCheckError(
             f"{caller}: interpolant on nodes {start}..{node - 1}{law} misses "
             f"the check node x = {node} (degree bound too small?)"
@@ -717,13 +708,13 @@ def det_poly(
 ) -> UniPoly:
     """Exact determinant, as a polynomial in n, of a matrix whose entries
     are polynomials in n; ``matrix_at(x)`` is that matrix at the integer x.
-    Interpolated from exact determinants at n = 0..degree_bound, or, when
-    the caller vouches for det(-x) = parity * det(x), at the centred nodes
-    of `interpolate_checked`, with a determinant at x >= 0 only."""
-    dimension = matrix_at(0).dimension
+    Interpolated by `interpolate_checked` from exact determinants at its
+    nodes, centred when the caller vouches for det(-x) = parity * det(x),
+    with one matrix per node; the one at 0 also names the dimension."""
+    first = _expect(matrix_at(0), RatMatrix)
     return interpolate_checked(
-        lambda x: det_exact(matrix_at(x)),
+        lambda x: det_exact(matrix_at(x) if x else first),
         degree_bound,
-        f"det_poly at dimension {dimension}",
+        f"det_poly at dimension {first.dimension}",
         parity,
     )

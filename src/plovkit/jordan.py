@@ -37,8 +37,8 @@ class JordanProfile:
     each single primitive n-th root of unity (equal across conjugates).
     sum phi(n)*k*m = dimension always holds, and Phi_n divides the
     characteristic polynomial sum k*m times over the entries of order n.
-    The constructor checks the positive ints, the key order and the fill:
-    a non-int raises TypeError, any other failure PreconditionError.
+    The constructor checks the triples of positive ints, the key order and
+    the fill: a non-int raises TypeError, any other failure PreconditionError.
     """
 
     entries: tuple[tuple[int, int, int], ...]
@@ -48,9 +48,12 @@ class JordanProfile:
         flat = [v for entry in self.entries for v in entry]
         if not all(isinstance(v, int) for v in [self.dimension, *flat]):
             raise TypeError("Jordan profile entries and dimension are ints")
-        keys = [(n, k) for n, k, _ in self.entries]
-        if min(flat, default=1) < 1 or keys != sorted(set(keys)) or (
-            sum(euler_phi(n) * k * m for n, k, m in self.entries) != self.dimension
+        keys = [tuple(entry[:2]) for entry in self.entries]
+        if (
+            {*map(len, self.entries)} - {3}
+            or min(flat, default=1) < 1
+            or keys != sorted(set(keys))
+            or sum(euler_phi(n) * k * m for n, k, m in self.entries) != self.dimension
         ):
             raise PreconditionError(
                 f"{self.entries} is not a Jordan profile of dimension {self.dimension}"

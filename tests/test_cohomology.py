@@ -754,6 +754,9 @@ def test_scan_clean_on_random_paired_profiles():
         (lambda: scan_chain([None]), TypeError),
         (lambda: intersection_poly([TwoForm.standard(1), None], 1), TypeError),
         (lambda: intersection_poly([None], 1), TypeError),
+        # the coefficients of a form come as a dict
+        (lambda: TwoForm(1, -1), TypeError),
+        (lambda: TwoForm(1, [((1, 2), 1)]), TypeError),
     ],
 )
 def test_out_of_contract_calls_raise_library_errors(call, error):

@@ -37,7 +37,13 @@ from plovkit.errors import (
 )
 from plovkit.cyclotomic import euler_phi
 from plovkit import exact
-from plovkit.exact import MERSENNE_EXPONENTS, _char_poly_mod, _interpolate, _moduli
+from plovkit.exact import (
+    MERSENNE_EXPONENTS,
+    _char_poly_mod,
+    _interpolate,
+    _moduli,
+    poly_at_matrix,
+)
 from plovkit.randgen import conjugate, random_integer_matrix, random_unimodular
 from plovkit.selfcheck import compound_matrix
 
@@ -117,6 +123,7 @@ def test_unipoly_storage_is_canonical():
     zero = UniPoly((0, 0), 6)
     assert (zero.num, zero.den) == ((), 1) and zero == UniPoly.from_coeffs([])
     assert UniPoly([4, 2], 2).num == (2, 1)  # any iterable; stored as a tuple
+    assert UniPoly(iter([4, 2, 0]), 2).num == (2, 1)  # read once
     # `.coeffs` is built on first use, so a polynomial that is only
     # evaluated holds ints alone
     q = UniPoly((1, 2, 3), 5)
@@ -1044,6 +1051,17 @@ def test_verdict_cache_hits_across_constructions():
         (lambda: compound_matrix(RatMatrix.identity(2), 0), DimensionMismatchError),
         (lambda: euler_phi(0), PreconditionError),
         (lambda: cyclotomic_poly(0), PreconditionError),
+        # a None where a polynomial or a matrix belongs is a TypeError
+        (lambda: poly_at_matrix(None, RatMatrix.identity(2)), TypeError),
+        (lambda: RatMatrix.companion(None), TypeError),
+        (lambda: RatMatrix.block_diag(None), TypeError),
+        (lambda: RatMatrix.block_diag(RatMatrix.identity(1), None), TypeError),
+        (lambda: det_poly(lambda x: x, 1), TypeError),
+        # a parity is the int +1 or -1, not a float or a Fraction equal to one
+        (lambda: det_poly(lambda x: RatMatrix.identity(1), 2, 1.0),
+         PreconditionError),
+        (lambda: det_poly(lambda x: RatMatrix.identity(1), 2, Fraction(-1)),
+         PreconditionError),
     ],
 )
 def test_out_of_contract_calls_raise_library_errors(call, error):
@@ -1086,14 +1104,15 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
     `scan_size`, `max_minor_degree`, `second_compound_block_sizes` and
     `euler_phi` on dimensions and sizes -2..4, ragged rows, coefficient
     lists of length 0..4 with trailing zeros, denominators -3..3, zero
-    and negative integers, bools and inexact scalars.  Each call returns
-    a square nonempty matrix (or a canonical polynomial with the given
+    and negative integers, bools, inexact scalars, and None for the
+    companion polynomial or a diagonal block.  Each call returns a square
+    nonempty matrix (or a canonical polynomial with the given
     coefficients, a nonnegative int, a positive int totient, or block
     sizes of at least 1), raises a `PlovkitError` other than
     `CrossCheckError`, or raises TypeError exactly when an entry or
     argument is not an exact rational (not an int, for the integer
-    storage of the raw constructors and for `euler_phi`).  A block size
-    below 1 never returns.  A returned matrix then goes through
+    storage of the raw constructors and for `euler_phi`) or is None.  A
+    block size below 1 never returns.  A returned matrix then goes through
     `det_exact` and `quasi_unipotency`, and a companion matrix has the
     polynomial as its characteristic polynomial."""
     hypothesis = pytest.importorskip("hypothesis")
@@ -1130,9 +1149,12 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
             st.one_of(st.integers(-3, 3), st.floats(-3, 3, allow_nan=False)),
         ),
         st.tuples(st.just(UniPoly.from_coeffs), coeff_lists),
-        st.tuples(st.just(RatMatrix.companion), monic_or_not.map(UniPoly.from_coeffs)),
+        st.tuples(
+            st.just(RatMatrix.companion),
+            st.one_of(st.none(), monic_or_not.map(UniPoly.from_coeffs)),
+        ),
         st.tuples(st.sampled_from([RatMatrix.identity, RatMatrix.zero]), sizes),
-        st.lists(square.map(RatMatrix.from_rows), max_size=3).map(
+        st.lists(st.one_of(st.none(), square.map(RatMatrix.from_rows)), max_size=3).map(
             lambda blocks: (RatMatrix.block_diag, *blocks)
         ),
         st.tuples(st.just(scan_size), sizes, sizes),
@@ -1160,19 +1182,19 @@ def test_constructors_return_a_matrix_or_raise_a_library_error():
                 if isinstance(row, (list, tuple))
                 for x in row
             ]
-        inexact = any(not isinstance(x, exact_types) for x in leaves) or any(
-            isinstance(arg, float) for arg in args
+        mistyped = any(not isinstance(x, exact_types) for x in leaves) or any(
+            isinstance(arg, float) or arg is None for arg in args
         )
         try:
             out = build(*args)
         except TypeError:
-            assert inexact, call
+            assert mistyped, call
             return
         except PlovkitError as exc:
             assert not isinstance(exc, CrossCheckError), call
-            assert not inexact, call
+            assert not mistyped, call
             return
-        assert not inexact, call
+        assert not mistyped, call
         if build in (max_minor_degree, second_compound_block_sizes):
             assert min(args[0], default=1) >= 1, call
         if build in (scan_size, max_minor_degree):

@@ -253,6 +253,10 @@ def test_doubled_matrix_always_pseudo_analytic():
         (((1, 1, 0),), 0),  # zero multiplicity
         (((1, 2, 1), (1, 1, 1)), 3),  # unsorted keys
         (((1, 1, 1), (1, 1, 1)), 2),  # repeated key
+        (((1, 2),), 2),  # a pair, not a triple
+        (((1, 1, 2, 0),), 2),  # four values
+        (((1, 1, 1), (2,)), 1),  # a triple and a single value
+        (((),), 0),  # an empty entry
     ],
 )
 def test_profile_refuses_malformed_entries(entries, dimension):
@@ -279,8 +283,9 @@ def test_jordan_profile_fill_fault_is_a_cross_check(monkeypatch):
 
 def test_profile_routes_return_or_raise_a_library_error():
     """Derandomized property over `JordanProfile(entries, dimension)` with
-    0-3 entries, n in -1..7, k and m in -1..4, dimension in -1..12 or the
-    entries' own fill, and at most one value turned into a float.
+    0-3 entries, each a triple with n in -1..7, k and m in -1..4, or a
+    tuple of 2-4 values in -1..7, dimension in -1..12 or the triples' own
+    fill, and at most one value turned into a float.
     Building raises TypeError exactly when a value is a float.  Otherwise
     building, `order`, `unipotent_block_sizes`, `pseudo_analytic_check`,
     `half_profile` and `plov_of` each return or raise a `PlovkitError`
@@ -289,6 +294,9 @@ def test_profile_routes_return_or_raise_a_library_error():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     triples = st.tuples(st.integers(-1, 7), st.integers(-1, 4), st.integers(-1, 4))
+    shapes = st.one_of(
+        triples, st.lists(st.integers(-1, 7), min_size=2, max_size=4).map(tuple)
+    )
 
     def call(fn, *args):
         try:
@@ -301,19 +309,21 @@ def test_profile_routes_return_or_raise_a_library_error():
     @hypothesis.example([(0, 1, 1)], 1, None)
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
     @hypothesis.given(
-        st.lists(triples, max_size=3),
+        st.lists(shapes, max_size=3),
         st.one_of(st.integers(-1, 12), st.none()),
         st.one_of(st.none(), st.integers(0, 12)),
     )
     def check(raw, dimension, float_at):
         if dimension is None:  # often fills, so that the profile builds
-            dimension = sum(euler_phi(max(n, 1)) * k * m for n, k, m in raw)
+            whole = [entry for entry in raw if len(entry) == 3]
+            dimension = sum(euler_phi(max(n, 1)) * k * m for n, k, m in whole)
         values = [dimension, *(v for entry in raw for v in entry)]
         inexact = float_at is not None and float_at < len(values)
         if inexact:
             values[float_at] = float(values[float_at])
         dimension, *flat = values
-        entries = tuple(tuple(flat[i : i + 3]) for i in range(0, len(flat), 3))
+        rest = iter(flat)  # the drawn shapes, refilled
+        entries = tuple(tuple(next(rest) for _ in entry) for entry in raw)
         try:
             profile = call(JordanProfile, entries, dimension)
         except TypeError:

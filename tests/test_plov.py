@@ -413,6 +413,56 @@ def test_quadratic_case_bound_holds_at_its_witness_and_fails_one_past(
         assert checks["quadratic_case_bound"] is holds
 
 
+@pytest.mark.parametrize("half_sizes", [[1], [2], [3], [3, 1], [2, 2, 1]])
+def test_volume_growth_bound_holds_at_its_witness_and_fails_one_past(
+    monkeypatch, half_sizes
+):
+    import plovkit.plov
+
+    g, kf = sum(half_sizes), 2 * (max(half_sizes) - 1)
+    witness = g + g * kf // 2
+    m = paired_unipotent(half_sizes)
+    for plov, holds in ((witness, True), (witness + 1, False)):
+        monkeypatch.setattr(plovkit.plov, "plov_of", lambda half, plov=plov: plov)
+        report = analyze(m)
+        assert (report.genus, report.kf, report.plov) == (g, kf, plov)
+        checks = {c.name: c.holds for c in report.bound_checks}
+        assert checks["volume_growth_upper_bound"] is holds
+
+
+@pytest.mark.parametrize("half_sizes", [[1, 1], [2, 1], [3, 1, 1], [2, 2, 1, 1]])
+def test_even_degree_exponent_bounds_hold_at_their_witness_and_fail_one_past(
+    monkeypatch, half_sizes
+):
+    # exponent[r] = 2*(r/2)*(g - r/2) + past for every even r
+    import plovkit.plov
+
+    g = sum(half_sizes)
+    m = paired_unipotent(half_sizes)
+    for past, holds in ((0, True), (1, False)):
+        witness = lambda sizes, r, past=past: 2 * (r // 2) * (g - r // 2) + past
+        monkeypatch.setattr(plovkit.plov, "max_minor_degree", witness)
+        checks = {c.name: c.holds for c in analyze(m).bound_checks}
+        evens = [f"even_degree_exponent_bound_r{r}" for r in range(2, 2 * g + 1, 2)]
+        assert [checks[name] for name in evens] == [holds] * g
+
+
+@pytest.mark.parametrize("half_sizes", [[1], [2, 1], [3], [3, 2, 1]])
+def test_compound2_block_identity_holds_at_2kj_plus_1_only(monkeypatch, half_sizes):
+    import plovkit.plov
+
+    kj = max(half_sizes) - 1
+    m = paired_unipotent(half_sizes)
+    for block, holds in ((2 * kj, False), (2 * kj + 1, True), (2 * kj + 2, False)):
+        monkeypatch.setattr(
+            plovkit.plov, "second_compound_block_sizes", lambda sizes, b=block: [b]
+        )
+        report = analyze(m)
+        assert (report.kJ, report.max_block_compound2) == (kj, block)
+        checks = {c.name: c.holds for c in report.bound_checks}
+        assert checks["compound2_block_identity"] is holds
+
+
 def test_analyze_even_golden_case():
     report = analyze(blocks(2, 2))
     assert report.plov == 4

@@ -9,7 +9,10 @@ in `jordan`, and `NotPseudoAnalyticError` only from `jordan.half_profile`;
 the model entries take the matrix and the form, and no chain beside
 them.  Polynomials are rebuilt from exact values only through
 `exact.interpolate_checked`, which re-verifies them at one more node, so
-no module but `exact` references the private `_interpolate`.  Both sums
+no module but `exact` references the private `_interpolate`; its nodes
+follow one rule, with no branch on a missing parity, and `det_poly` asks
+for each node's matrix once.  A zero denominator is refused in one place,
+the lowest-terms rule that `UniPoly` and `RatMatrix` share.  Both sums
 of pullbacks, S(n) in `powersum` and Delta_n in `cohomology`, are built
 from `exact.congruence_chain` and `exact.combiner`.  A `UniPoly` is
 built, evaluated and printed, with no ring operations, and matrix powers
@@ -351,3 +354,55 @@ def test_each_shared_flag_is_declared_once():
         and isinstance(node.args[0], ast.Constant)
     ]
     assert [declared.count(flag) for flag in ("--input", "--out", "--seed")] == [1, 1, 1]
+
+
+def test_checked_interpolation_has_one_node_rule():
+    exact = dict(parsed_sources())["exact.py"]
+    fn = next(
+        node
+        for node in ast.walk(exact)
+        if isinstance(node, ast.FunctionDef) and node.name == "interpolate_checked"
+    )
+    none_tests = [
+        node.lineno
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(references(x, "parity") for x in (node.left, *node.comparators))
+    ]
+    assert none_tests == []
+    assert any(references(node, "parity") for node in ast.walk(fn))  # sees names
+
+
+def test_a_zero_denominator_is_refused_in_one_place():
+    def says(node, text):
+        return any(
+            isinstance(c, ast.Constant) and isinstance(c.value, str) and text in c.value
+            for c in ast.walk(node)
+        )
+
+    sites = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and says(node.exc, "denominator is zero")
+    ]
+    assert len(sites) == 1 and sites[0].startswith("exact.py:"), sites
+    zeros = ((plovkit.UniPoly, (1,), "polynomial"), (plovkit.RatMatrix, ((1,),), "matrix"))
+    for build, num, kind in zeros:
+        with pytest.raises(plovkit.PreconditionError, match=f"^{kind} denominator"):
+            build(num, 0)
+
+
+def test_det_poly_asks_for_each_node_matrix_once():
+    # det diag(x^2 + 1, x) = x^3 + x; nodes start..start + 3, then the check
+    def at(x):
+        asked.append(x)
+        return plovkit.RatMatrix.from_rows([[x * x + 1, 0], [0, x]])
+
+    for parity, start in ((None, 0), (-1, -1)):
+        asked = []
+        plovkit.det_poly(at, 3, parity=parity)
+        assert asked == list(range(start + 5)), (parity, asked)
