@@ -19,8 +19,8 @@ of the library:
     minors, eliminations, polynomials at a matrix by Horner's rule with
     one division at the end) runs on Python ints, as do the 2-forms of
     `cohomology`, skew-symmetric `RatMatrix`es; `.entries` is a cached
-    read-only view of the matrix as rows of `Fraction`s, read by `randgen`
-    and the `selfcheck` oracles, never by the kernel or report encoder,
+    read-only view of the matrix as rows of `Fraction`s, read by the
+    `selfcheck` oracles, never by the kernel or report encoder,
   * sums of pullbacks, the symmetric S(n) of `powersum` and the
     alternating Delta_n of `cohomology`: `congruence_chain`, the D^i X
     of D X = M X M^T - X, weighted by one `combiner`,

@@ -34,13 +34,13 @@ from math import comb
 
 from .errors import (
     CrossCheckError,
-    DimensionMismatchError,
     NotSymmetricPositiveDefiniteError,
     PreconditionError,
 )
 from .exact import (
     RatMatrix,
     UniPoly,
+    _check_same_dim,
     _expect,
     combiner,
     congruence_chain,
@@ -89,8 +89,7 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     read by `unipotent_block_profile`, which is also the gate that proves
     A unipotent, and so the mirror law; a mismatch raises CrossCheckError.
     """
-    if _expect(a, RatMatrix).dimension != _expect(h, RatMatrix).dimension:
-        raise DimensionMismatchError("matrix and form dimensions differ")
+    _check_same_dim(a, h)
     profile = unipotent_block_profile(a)
     ensure_spd(h)
     bs = congruence_chain(a.transpose(), h)
@@ -117,8 +116,7 @@ def power_sum_brute(a: RatMatrix, h: RatMatrix, n: int) -> list[Fraction]:
     S(x) = sum_{m=0}^{x-1} (A^m)^T H A^m, from one pass over the partial
     sums and no symbolic shortcut.  A literal sum holds for any square H,
     so H is not checked for positive definiteness here."""
-    if _expect(a, RatMatrix).dimension != _expect(h, RatMatrix).dimension:
-        raise DimensionMismatchError("matrix and form dimensions differ")
+    _check_same_dim(a, h)
     if n < 1:
         raise PreconditionError("need at least one summand")
     k = a.dimension

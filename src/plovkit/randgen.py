@@ -7,7 +7,6 @@ reproducible; no global random state is touched.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .cohomology import TwoForm
 from .cyclotomic import cyclotomic_poly, euler_phi
@@ -19,21 +18,26 @@ from .exact import RatMatrix, UniPoly, char_poly, mat_mul, poly_at_matrix
 _SHEAR_RANGE = (-2, 2)
 
 
-def random_partition(rng: random.Random, total: int) -> list[int]:
-    """Random composition of `total` into positive parts, sorted descending."""
+def _composition(rng: random.Random, total: int) -> list[int]:
+    """Random composition of `total` into positive parts, in draw order."""
     parts = []
     remaining = total
     while remaining:
         part = rng.randint(1, remaining)
         parts.append(part)
         remaining -= part
-    return sorted(parts, reverse=True)
+    return parts
+
+
+def random_partition(rng: random.Random, total: int) -> list[int]:
+    """Random composition of `total` into positive parts, sorted descending."""
+    return sorted(_composition(rng, total), reverse=True)
 
 
 def random_unimodular(rng: random.Random, k: int) -> RatMatrix:
     """Random integer matrix with determinant +-1 (products of k + 3
     shears and row swaps)."""
-    rows = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
     for _ in range(k + 3):
         if k >= 2 and rng.random() < 0.25:
             i, j = rng.sample(range(k), 2)
@@ -43,7 +47,7 @@ def random_unimodular(rng: random.Random, k: int) -> RatMatrix:
             c = rng.randint(*_SHEAR_RANGE)
             if c:
                 rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    return RatMatrix.from_rows(rows)
+    return RatMatrix(tuple(map(tuple, rows)))
 
 
 def invert_unimodular(s: RatMatrix) -> RatMatrix:
@@ -62,9 +66,7 @@ def conjugate(m: RatMatrix, s: RatMatrix) -> RatMatrix:
 
 
 def unipotent_from_sizes(sizes: list[int]) -> RatMatrix:
-    return RatMatrix.block_diag(
-        *(RatMatrix.jordan_block(1, k) for k in sizes)
-    )
+    return RatMatrix.block_diag(*(RatMatrix.jordan_block(1, k) for k in sizes))
 
 
 def random_unipotent(
@@ -82,30 +84,21 @@ def random_unipotent(
 def random_spd(rng: random.Random, dimension: int) -> RatMatrix:
     """G^T G + I for a random integer G: symmetric positive definite even
     when G is singular."""
-    g = RatMatrix.from_rows(
-        [
-            [rng.randint(-3, 3) for _ in range(dimension)]
-            for _ in range(dimension)
-        ]
-    )
+    g = random_integer_matrix(rng, dimension)
     return mat_mul(g.transpose(), g) + RatMatrix.identity(dimension)
 
 
 def rational_root_block(order: int, size: int) -> RatMatrix:
     """Rational matrix whose Jordan profile is the single entry
     (order, size, 1): companion blocks of the order-th cyclotomic
-    polynomial on the diagonal, identity links above."""
+    polynomial on the diagonal (integral: Phi_n is monic), identity links
+    above.  Orders 1 and 2 give J_size(1) and J_size(-1)."""
     comp = RatMatrix.companion(cyclotomic_poly(order))
     d = comp.dimension
-    k = d * size
-    rows = [[Fraction(0)] * k for _ in range(k)]
-    for b in range(size):
-        for i in range(d):
-            for j in range(d):
-                rows[b * d + i][b * d + j] = comp.entries[i][j]
-            if b + 1 < size:
-                rows[b * d + i][(b + 1) * d + i] = Fraction(1)
-    return RatMatrix.from_rows(rows)
+    rows = [list(row) for row in RatMatrix.block_diag(*[comp] * size).num]
+    for i in range(d * (size - 1)):
+        rows[i][i + d] = 1
+    return RatMatrix(tuple(map(tuple, rows)))
 
 
 def random_pseudo_analytic(
@@ -117,10 +110,10 @@ def random_pseudo_analytic(
     """Random 2g-dimensional matrix whose profile splits into conjugate
     halves; returns the matrix and the half block sizes (descending).
 
-    Real-eigenvalue blocks (orders 1 and 2) are inserted twice; an order
-    with totient 2 contributes a single rational block of dimension 2k,
-    which already pairs its two conjugate roots.  With orders restricted
-    to {1} this is exactly J + J for a unipotent J.
+    Every block is a `rational_root_block`.  Real-eigenvalue blocks
+    (orders 1 and 2) are inserted twice; an order with totient 2 gives one
+    block of dimension 2k, which already pairs its two conjugate roots.
+    With orders restricted to {1} this is exactly J + J for a unipotent J.
     """
     orders = [n for n in allow_orders if euler_phi(n) <= 2]
     if not orders:
@@ -133,11 +126,8 @@ def random_pseudo_analytic(
         size = rng.randint(1, remaining)
         half_sizes.append(size)
         remaining -= size
-        if order <= 2:
-            block = RatMatrix.jordan_block(1 if order == 1 else -1, size)
-            pieces.extend([block, block])
-        else:
-            pieces.append(rational_root_block(order, size))
+        block = rational_root_block(order, size)
+        pieces += [block] * (2 // euler_phi(order))
     m = RatMatrix.block_diag(*pieces)
     if m.dimension != 2 * genus:
         raise AssertionError("pseudo-analytic construction has wrong size")
@@ -162,12 +152,9 @@ def random_paired_unipotent(
 
 
 def random_integer_matrix(rng: random.Random, dimension: int, span: int = 3) -> RatMatrix:
-    return RatMatrix.from_rows(
-        [
-            [rng.randint(-span, span) for _ in range(dimension)]
-            for _ in range(dimension)
-        ]
-    )
+    """Entries drawn from -span..span, row by row."""
+    rows = [[rng.randint(-span, span) for _ in range(dimension)] for _ in range(dimension)]
+    return RatMatrix(tuple(map(tuple, rows)))
 
 
 def random_quasi_unipotent(rng: random.Random, dimension: int) -> RatMatrix:
@@ -198,11 +185,7 @@ def random_mixed_matrix(rng: random.Random, dimension: int) -> RatMatrix:
     if rng.random() < 0.5:
         return random_quasi_unipotent(rng, dimension)
     pieces = [RatMatrix.from_rows([[0, 1], [1, 1]])]  # trace grows: not QU
-    remaining = dimension - 2
-    while remaining:
-        size = rng.randint(1, remaining)
-        pieces.append(RatMatrix.jordan_block(1, size))
-        remaining -= size
+    pieces += [RatMatrix.jordan_block(1, k) for k in _composition(rng, dimension - 2)]
     m = RatMatrix.block_diag(*pieces)
     return conjugate(m, random_unimodular(rng, dimension))
 

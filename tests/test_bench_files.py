@@ -53,6 +53,8 @@ def test_bench_file_has_the_core_schema(path):
     assert_fields(doc, TOP, path.name)
     assert_fields(doc["host"], HOST, f"{path.name} host")
     assert doc["series"], path.name
+    # the commit of each tree, when the file records it
+    assert all(v is None or isinstance(v, str) for v in doc.get("trees", {}).values())
     for i, series in enumerate(doc["series"]):
         where = f"{path.name} series {i}"
         assert_fields(series, SERIES, where)

@@ -5,6 +5,8 @@ replaced by a fake or a stub so that nothing is timed."""
 import ast
 import importlib.util
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,6 +63,8 @@ def test_pairs_alternate_the_first_tree_and_write_the_core_schema(tmp_path, monk
     test_bench_files.test_bench_file_has_the_core_schema(out)
     doc = json.loads(out.read_text())
     assert doc["command"].endswith(f"--seconds {seconds} --trace 0")
+    # neither fake tree is a git checkout
+    assert doc["trees"] == {"parent": None, "change": None}
     assert [(s["workload"], s["seeds"], s["purpose"]) for s in doc["series"]] == [
         ("model", "7-9", "claim"), ("screen", "7-8", "no-regression check"),
     ]
@@ -147,3 +151,27 @@ def test_pairs_imports_only_the_standard_library():
         if isinstance(node, ast.ImportFrom) and node.level == 0
     ]
     assert names and all(n.split(".")[0] in sys.stdlib_module_names for n in names)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_trees_records_the_commit_of_a_git_checkout_and_null_otherwise(tmp_path, monkeypatch):
+    parent, change = fake_tree(tmp_path / "a"), fake_tree(tmp_path / "b")
+    git = ["git", "-C", str(change), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "tree"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, stdout=subprocess.PIPE,
+                          text=True).stdout.strip()
+    # a folder inside a checkout is not a checkout of its own
+    inner = fake_tree(change / "inner")
+    assert (pairs.tree_commit(change), pairs.tree_commit(inner)) == (head, None)
+
+    def fake_run(tree, workload, seed, seconds):
+        return {"exit": 0, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"ops_per_s": 1.0}}
+
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    assert pairs.main(["--parent", str(parent), "--change", str(change), "--label", "g",
+                       "--workload", "model:1", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "BENCH_g.json").read_text())
+    assert doc["trees"] == {"parent": None, "change": head}

@@ -27,8 +27,12 @@ nilpotency by squaring, and `plovkit` exports no `is_unipotent`.  One
 conjugate half is read off the `JordanProfile` as triples, with no
 record of its own; Phi_n is built by `cyclotomic.cyclotomic_poly` alone;
 `_interpolate` builds polynomials in n only; `randgen` inverts by
-Cayley-Hamilton on `exact.char_poly` and `exact.poly_at_matrix`; and
-`plov` reads growth exponents off the block sizes, with no determinant.
+Cayley-Hamilton on `exact.char_poly` and `exact.poly_at_matrix`, builds
+its matrices from integer rows and the kernel's constructors, with no
+`Fraction` and no `.entries`, and draws every random integer matrix
+through `random_integer_matrix`; `powersum` guards its dimensions with
+`exact._check_same_dim`; and `plov` reads growth exponents off the block
+sizes, with no determinant.
 Records are type-checked by one guard, `exact._expect`.  The CLI builds
 and writes every report through one tail, `cli._finish`, and one writer,
 `cli._write`, and declares each flag its subcommands share once.
@@ -406,3 +410,30 @@ def test_det_poly_asks_for_each_node_matrix_once():
         asked = []
         plovkit.det_poly(at, 3, parity=parity)
         assert asked == list(range(start + 5)), (parity, asked)
+
+
+
+@pytest.mark.parametrize("name", ["Fraction", "entries"])
+def test_randgen_builds_from_integer_rows(name):
+    randgen = dict(parsed_sources())["randgen.py"]
+    assert not any(references(node, name) for node in ast.walk(randgen))
+    assert any(references(node, "RatMatrix") for node in ast.walk(randgen))  # sees names
+
+
+def test_random_spd_draws_through_random_integer_matrix():
+    randgen = dict(parsed_sources())["randgen.py"]
+    spd = next(
+        node
+        for node in ast.walk(randgen)
+        if isinstance(node, ast.FunctionDef) and node.name == "random_spd"
+    )
+    assert any(
+        isinstance(node, ast.Call) and references(node.func, "random_integer_matrix")
+        for node in ast.walk(spd)
+    )
+
+
+def test_powersum_guards_dimensions_through_the_shared_check():
+    raises = raise_sites("DimensionMismatchError")
+    assert raises  # the walk sees raises
+    assert [site for site in raises if site.startswith("powersum.py:")] == []

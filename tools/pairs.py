@@ -18,7 +18,9 @@ interquartile range of the parent's runs, the ratio of the medians and
 how many pairs the change won, by the direction that the change tree's
 `BENCHMARK.json` gives.  All raw runs go to `BENCH_<label>.json` in the
 core schema that `tests/test_bench_files.py` pins, with the summary of
-each series beside its runs.  The file is rewritten after every run, so
+each series beside its runs and, under `trees`, the commit each tree had
+checked out (`git rev-parse HEAD`), or null for a tree that is not the
+root of a git checkout.  The file is rewritten after every run, so
 an interrupted series keeps the runs made so far.
 
 Stdlib only.  Exit 0 when every run gave correct answers, 1 otherwise.
@@ -66,6 +68,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int | float) -> dict
         "failed": int(doc.get("failed", 0)),
         "metrics": {k: v["value"] for k, v in doc.get("metrics", {}).items()},
     }
+
+
+def tree_commit(tree: Path) -> str | None:
+    """The HEAD commit of ``tree`` when it is the root of a git checkout,
+    else None (a copy made by `git archive`, or a folder inside another
+    checkout)."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(tree), "rev-parse", "--show-toplevel", "HEAD"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+    except OSError:
+        return None
+    lines = proc.stdout.splitlines()
+    if proc.returncode or len(lines) != 2 or Path(lines[0]).resolve() != tree.resolve():
+        return None
+    return lines[1]
 
 
 def benchmark(tree: Path) -> tuple[dict[str, str], int | float]:
@@ -162,6 +181,7 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count() or 1,
         },
         "command": COMMAND.format(seconds=seconds),
+        "trees": {name: tree_commit(path) for name, path in trees.items()},
         "series": [],
     }
     out = args.out_dir / f"BENCH_{args.label}.json"
