@@ -30,7 +30,13 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import __version__
-from .cohomology import TwoForm, plov_via_model, scan_chain
+from .cohomology import (
+    TwoForm,
+    VanishingScanReport,
+    plov_via_model,
+    scan_chain,
+    scan_size,
+)
 from .cyclotomic import unipotent_power
 from .errors import (
     CrossCheckError,
@@ -216,13 +222,13 @@ def base_report(command: str, name: Optional[str], matrix: Optional[RatMatrix]):
 
 @dataclass(frozen=True)
 class ScannedEntries:
-    """The (tuple, value) pairs of a vanishing scan, held in a report as
-    `scan_chain` returns them: tuples of ints of one length, and
-    `Fraction` values.  `encode_report` writes them as the list of entries
-    {"tuple": [...], "value": ...}, with each value an int or a "p/q"
-    string, so no entry is built as a dict."""
+    """The ordered tuples of a vanishing scan, held in a report as the
+    `VanishingScanReport` that `scan_chain` returns, with one `Fraction`
+    value per multiset.  `encode_report` writes them as the list of
+    entries {"tuple": [...], "value": ...}, with each value an int or a
+    "p/q" string, so no entry is built as a dict."""
 
-    pairs: Sequence[tuple[tuple[int, ...], Fraction]]
+    scan: VanishingScanReport
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -263,30 +269,53 @@ def encode_report(report: dict) -> str:
                 enc(x, inner)
                 sep = "," + inner
             put(nl + "]")
-        elif t is ScannedEntries and v.pairs:
-            # every entry has one shape, so one template at this indent
-            # writes them all: the entry at inner, its keys at field and
-            # its indices at index.  It is rebuilt only when the value
-            # changes, and the scan's zeros share one value.
+        elif t is ScannedEntries:
+            # every entry has one shape: the entry at inner, its keys at
+            # field and its indices at index.  Each head's text is built
+            # once; a head whose values are all 0 is written in one join,
+            # and any other entry by entry, its value text rebuilt only
+            # when the value changes.
+            scan = v.scan
             inner = nl + "  "
             field = inner + "  "
             index = field + "  "
-            indices = ("," + index).join(["%d"] * len(v.pairs[0][0]))
-            head = "{" + field + '"tuple": [' + index + indices
-            head += field + "]," + field + '"value": '
+            comma = "," + inner
+            lasts = [str(i) for i in range(scan.kf + 1)]
+            digits = [i + "," + index for i in lasts]
+            start = "{" + field + '"tuple": [' + index
+            tail = field + "]," + field + '"value": '
+            zero_end = tail + "0" + inner + "}"
             sep = "[" + inner
+            count = 0
             last = None
-            for combo, value in v.pairs:
-                if value is not last:
-                    if type(value) is not Fraction:
-                        raise TypeError(f"scanned value {value!r}")
-                    last, text = value, enc_frac(value)
-                    text = _quote(text) if type(text) is str else int.__repr__(text)
-                    entry = head + text + inner + "}"
-                put(sep + entry % combo)
-                sep = "," + inner
-            put(nl + "]")
-        elif t is dict or t is list or t is ScannedEntries:
+            for head, first, values in scan.heads():
+                prefix = start + "".join(map(digits.__getitem__, head))
+                if values is None:
+                    zeros = lasts[first:]
+                    count += len(zeros)
+                    joint = zero_end + comma + prefix
+                    put(sep + prefix + joint.join(zeros) + zero_end)
+                    sep = comma
+                    continue
+                count += len(values)
+                for at, value in enumerate(values, first):
+                    if value is not last:
+                        if type(value) is not Fraction:
+                            raise TypeError(f"scanned value {value!r}")
+                        last, text = value, enc_frac(value)
+                        text = _quote(text) if type(text) is str else int.__repr__(text)
+                        end = tail + text + inner + "}"
+                    put(sep + prefix + lasts[at] + end)
+                    sep = comma
+            expected = scan_size(scan.genus, scan.kf)
+            if count != expected:
+                raise CrossCheckError(
+                    f"emit: vanishing scan of genus {scan.genus} and kf {scan.kf} "
+                    f"wrote {count} entries, not scan_size = {expected} "
+                    "(one per ordered tuple above the threshold)"
+                )
+            put(nl + "]" if count else "[]")
+        elif t is dict or t is list:
             put("{}" if t is dict else "[]")
         elif v is None or t is bool:
             put("null" if v is None else "true" if v else "false")
@@ -513,15 +542,15 @@ def cmd_model(args) -> int:
             "matches_profile": model.matches_profile,
             "vanishing_scan": {
                 "kf": scan.kf,
-                "scanned": ScannedEntries(scan.scanned),
+                "scanned": ScannedEntries(scan),
                 "violations": [list(t) for t in scan.violations],
             },
         }
+        size = scan_size(scan.genus, scan.kf)
         lines = [
             f"model growth degree {model.degree} "
             f"(profile value {model.profile_plov}, equality: {model.matches_profile})",
-            f"vanishing scan: {len(scan.scanned)} products above threshold, "
-            f"{bad} violations",
+            f"vanishing scan: {size} products above threshold, {bad} violations",
         ]
         failure = bad and f"vanishing scan: {bad} nonzero products above the threshold"
         return _finish(args, name, matrix, {"model": section}, lines, failure)

@@ -16,9 +16,10 @@ divisor class
     Delta_x = sum_{i=0}^{kf} C(x, i+1) N^i H,   N = pullback2(M, .) - id,
 
 at each integer x >= 0.  The chain [H, N H, N^2 H, ...] is
-`exact.congruence_chain` and the weighted sums come from
-`exact.combiner`, the pair that also builds the symmetric power sum
-S(n) in `powersum`.  M is proved unipotent once per entry point, by
+`exact.congruence_chain`, which also builds the symmetric power sum
+S(n) in `powersum`; the weighted sums are integer rows over the chain's
+common denominator, added up for each Pfaffian with no matrix built.
+M is proved unipotent once per entry point, by
 the rank sequence of `jordan.unipotent_block_profile`; `plov_via_model`
 returns its chain for `scan_chain` to reuse.  The top self-intersection
 of Delta_x (the coefficient of e_1 ^ ... ^ e_2g in the g-fold wedge) is
@@ -39,15 +40,22 @@ factors, and by polarization of the symmetric g-linear top wedge
 
     top(prod_i w_i^alpha_i)
         = sum_{0 != beta <= alpha} (-1)^(g - |beta|) prod_i C(alpha_i, beta_i)
-          * Pf(sum_i beta_i w_i)
+          * Pf(sum_i beta_i w_i),
 
-(`_polarization`, once per multiset in `scan_chain`); the Pfaffians are
-shared across multisets, and one whose weighted forms all leave some
-row empty is 0 by their row supports, with no elimination (355 of the
-473 on paired [4, 1]).  The ordered tuples then take the value of their
-multiset.  The literal wedge expansion,
+which is the mixed forward difference of order alpha at 0 of
+F(beta) = Pf(sum_i beta_i w_i), with F(0) = 0.  `scan_chain` fills F
+once on the beta below some multiset above the threshold and takes the
+differences one index at a time, in place, so every multiset's value
+comes out of one table; a beta whose weighted forms all leave some row
+empty is 0 by their row supports, with no elimination (355 of the 473
+on paired [4, 1]).  The report keeps one value per multiset, and the
+ordered tuples, which take the value of their multiset, are listed
+only on demand: head by head for the report's encoder, or all at once
+as ``scanned``.  The literal wedge expansion,
 `selfcheck.wedge_coefficient`, is the oracle for both Pfaffian routes,
-in the self-test and the tests.  Intersection numbers are kept as raw
+in the self-test and the tests, and `selfcheck.polarization`, the sum
+above term by term, the reference for each multiset of the table.
+Intersection numbers are kept as raw
 wedge coefficients, since every contract here concerns degrees and
 vanishing only.
 """
@@ -58,8 +66,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
-from typing import Callable, Optional, Sequence
+from math import comb, factorial, lcm
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     CrossCheckError,
@@ -73,7 +81,6 @@ from .exact import (
     UniPoly,
     _expect,
     _scalar,
-    combiner,
     congruence_chain,
     interpolate_checked,
     mat_mul,
@@ -171,19 +178,26 @@ def _chain(m: RatMatrix, h: TwoForm) -> list[TwoForm]:
 def pfaffian(form: TwoForm) -> int:
     """Pf(num) for the skew matrix A = num/den of the form: an integer,
     with Pf(A) = Pf(num)/den^g, so that the top coefficient of form^g is
-    g! * Pf(num)/den^g.  The callers carry den^g.
+    g! * Pf(num)/den^g.  The callers carry den^g.  `_pfaffian_rows` on a
+    copy of the integer rows."""
+    return _pfaffian_rows([list(row) for row in _expect(form, TwoForm).matrix.num])
 
-    Fraction-free skew elimination on the integer rows: pivot on the 2x2
-    block (k, k+1) with p = a[k][k+1], swapping index k+1 with a later
-    one (a sign flip) when that entry is zero, and replace each trailing
-    entry a[i][j] by (p a[i][j] + a[k+1][i] a[k][j] - a[k][i] a[k+1][j])
-    divided by the previous pivot.  The division is exact, since every
-    entry is then the Pfaffian of num on the pivot indices so far and
-    i, j; the last pivot is Pf(num).  A row with a[k][i] = a[k+1][i] = 0
-    is only rescaled by p / prev.  The update is skew in (i, j), so only
-    the entries above the diagonal are kept, and a swap moves them with
-    the sign of the entries it carries below the diagonal."""
-    a = [list(row) for row in _expect(form, TwoForm).matrix.num]
+
+def _pfaffian_rows(a: list[list[int]]) -> int:
+    """Pf of the skew integer matrix whose entries above the diagonal are
+    those of the rows ``a``, which it overwrites; the entries on and below
+    the diagonal are never read.
+
+    Fraction-free skew elimination: pivot on the 2x2 block (k, k+1) with
+    p = a[k][k+1], swapping index k+1 with a later one (a sign flip) when
+    that entry is zero, and replace each trailing entry a[i][j] by
+    (p a[i][j] + a[k+1][i] a[k][j] - a[k][i] a[k+1][j]) divided by the
+    previous pivot.  The division is exact, since every entry is then the
+    Pfaffian on the pivot indices so far and i, j; the last pivot is the
+    Pfaffian.  A row with a[k][i] = a[k+1][i] = 0 is only rescaled by
+    p / prev.  The update is skew in (i, j), so only the entries above the
+    diagonal are kept, and a swap moves them with the sign of the entries
+    it carries below the diagonal."""
     n = len(a)
     sign = 1
     prev = 1
@@ -226,25 +240,42 @@ def _common_pfaffian(
     chain: Sequence[TwoForm],
 ) -> tuple[Callable[[Sequence[int]], int], int]:
     """(pf, den^g) for the chain's common denominator den: pf(w) is the
-    integer den^g * Pf(sum_i w_i chain[i]), from one `combiner` over the
-    chain and at most one `pfaffian` per call.  A sum over den' | den has
-    Pf = Pf(num)/den'^g, so its Pf(num) is scaled by (den/den')^g.  When
-    the forms of nonzero weight leave a row empty, by their nonzero-row
+    integer den^g * Pf(sum_i w_i chain[i]), which is Pf(sum_i w_i den
+    chain[i]).  The chain's entries above the diagonal are put over den
+    once, and a call adds up those of the forms with a nonzero weight into
+    integer rows for `_pfaffian_rows`, with no matrix built.  When the
+    forms of nonzero weight leave a row empty, by their nonzero-row
     bitmasks, pf is 0 with no sum built; a row that only cancels is left
-    to `pfaffian`."""
-    combine = combiner([_expect(f, TwoForm).matrix for f in chain])
-    genus = chain[0].genus
-    den = lcm(*(f.matrix.den for f in chain))
-    rows = [sum(1 << i for i, r in enumerate(f.matrix.num) if any(r)) for f in chain]
-    full = (1 << 2 * genus) - 1
+    to the elimination.  A chain of no forms or of mixed genus raises
+    DimensionMismatchError."""
+    mats = [_expect(f, TwoForm).matrix for f in chain]
+    dims = {m.dimension for m in mats}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"chain of forms on dimensions {sorted(dims)}")
+    (n,) = dims
+    den = lcm(*(m.den for m in mats))
+    terms = [
+        [
+            (at, v * (den // m.den))
+            for at, v in enumerate(itertools.chain(*m.num))
+            if v and at % n > at // n
+        ]
+        for m in mats
+    ]
+    rows = [sum(1 << i for i, r in enumerate(m.num) if any(r)) for m in mats]
+    full = (1 << n) - 1
 
     def pf(weights: Sequence[int]) -> int:
         if functools.reduce(int.__or__, itertools.compress(rows, weights), 0) != full:
             return 0  # a row of the sum is zero
-        form = combine(weights)
-        return pfaffian(TwoForm._of(form)) * (den // form.den) ** genus
+        acc = [0] * (n * n)
+        for w, term in zip(weights, terms):
+            if w:
+                for at, v in term:
+                    acc[at] += w * v
+        return _pfaffian_rows([acc[r : r + n] for r in range(0, n * n, n)])
 
-    return pf, den**genus
+    return pf, den ** (n // 2)
 
 
 def intersection_poly(chain: Sequence[TwoForm], degree_bound: int) -> UniPoly:
@@ -258,9 +289,9 @@ def intersection_poly(chain: Sequence[TwoForm], degree_bound: int) -> UniPoly:
     basis scales it by a constant): plov for a paired profile, and
     `plov_via_model` passes degree_bound = plov + 1.  It is interpolated
     from the integers g! * den^g * Pf(Delta_x) at x = 0..degree_bound,
-    den the chain's common denominator, with every Delta_x from one
-    combiner over the chain, and one extra node re-verifies it; the
-    polynomial is divided by den^g once."""
+    den the chain's common denominator, with every Delta_x summed by
+    `_common_pfaffian` as integer rows, and one extra node re-verifies
+    it; the polynomial is divided by den^g once."""
     pf, den_g = _common_pfaffian(chain)
     scale = factorial(chain[0].genus)
 
@@ -355,15 +386,52 @@ def scan_size(genus: int, kf: int) -> int:
 @dataclass(frozen=True)
 class VanishingScanReport:
     """Scan of the products N^{i_1} H ^ ... ^ N^{i_g} H over the tuples
-    whose index sum exceeds g*kf/2.
+    of g = ``genus`` indices in 0..``kf`` whose index sum exceeds g*kf/2.
 
-    ``scanned`` lists (tuple, value) pairs in lexicographic order;
-    ``violations`` collects the tuples with a nonzero value (expected
-    empty)."""
+    ``values`` holds one (multiset, value) pair for every multiset above
+    the threshold, each a nondecreasing index tuple, in lexicographic
+    order: an ordered tuple takes the value of its multiset.
+    ``violations`` collects the ordered tuples with a nonzero value
+    (expected empty), in lexicographic order.  `heads` and ``scanned``
+    write the ordered tuples out from ``values``."""
 
     kf: int
-    scanned: tuple[tuple[tuple[int, ...], Fraction], ...]
+    genus: int
+    values: tuple[tuple[tuple[int, ...], Fraction], ...]
     violations: tuple[tuple[int, ...], ...]
+
+    def heads(
+        self,
+    ) -> Iterator[tuple[tuple[int, ...], int, Optional[tuple[Fraction, ...]]]]:
+        """(head, first, values) for every head (i_1, ..., i_{g-1}) in
+        lexicographic order that starts a tuple above the threshold: the
+        tuples (*head, last) above it are those with first <= last <= kf,
+        and ``values`` lists their values, or is None when all are 0."""
+        kf, g = self.kf, self.genus
+        least = g * kf // 2 + 1
+        nonzero = {key: value for key, value in self.values if value}
+        zero = Fraction(0)
+        for head in itertools.product(range(kf + 1), repeat=g - 1):
+            first = max(0, least - sum(head))
+            if first > kf:
+                continue
+            values = None
+            if nonzero:
+                keys = [tuple(sorted((*head, last))) for last in range(first, kf + 1)]
+                if not nonzero.keys().isdisjoint(keys):
+                    values = tuple(nonzero.get(key, zero) for key in keys)
+            yield head, first, values
+
+    @functools.cached_property
+    def scanned(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+        """The (tuple, value) pairs of every ordered tuple above the
+        threshold, in lexicographic order, listed on first use."""
+        zeros = (Fraction(0),) * (self.kf + 1)
+        return tuple(
+            ((*head, last), value)
+            for head, first, values in self.heads()
+            for last, value in enumerate(values or zeros[first:], first)
+        )
 
 
 def vanishing_scan(m: RatMatrix, h: TwoForm) -> VanishingScanReport:
@@ -374,35 +442,21 @@ def vanishing_scan(m: RatMatrix, h: TwoForm) -> VanishingScanReport:
     return scan_chain(nilpotent_chain(m, h))
 
 
-def _polarization(alpha: Sequence[int], pf: Callable[[tuple[int, ...]], int]) -> int:
-    """sum_{0 != beta <= alpha} (-1)^(g - |beta|) prod_i C(alpha_i, beta_i)
-    * pf(beta), g = |alpha|: the top coefficient of prod_i w_i^alpha_i,
-    on the scale of pf."""
-    g = sum(alpha)
-    total = 0
-    for beta in itertools.product(*(range(a + 1) for a in alpha)):
-        weight = sum(beta)
-        if weight:
-            term = pf(beta)
-            if term:
-                term *= prod(map(comb, alpha, beta))
-                total += term if (g - weight) % 2 == 0 else -term
-    return total
-
-
 def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
     """The scan over the products of any nonempty family of forms of one
     genus, in the role of the chain.
 
-    Each multiset alpha of indices above the threshold is evaluated once,
-    in integers, by `_polarization` over den^g * Pf(sum_i beta_i w_i), den
-    the chain's common denominator; the Pfaffians are memoized by beta and
-    shared within the scan, and each multiset's sum is divided by den^g
-    once.  Only a memo entry whose weighted forms cover all 2g rows is
-    eliminated (118 of 473 on paired [4, 1]); no value is inferred.  The
-    ordered tuples are then listed in lexicographic order with the value
-    of their multiset.  A scan of more than `SCAN_LIMIT` tuples
-    raises `PreconditionError` before any is evaluated."""
+    Every value is computed, in integers, from F(beta) = den^g *
+    Pf(sum_i beta_i w_i), den the chain's common denominator: the top
+    coefficient of prod_i w_i^alpha_i over den^g is the mixed forward
+    difference of F at 0 of order alpha, by polarization.  F is filled
+    once on the beta below some multiset above the threshold (473 on
+    paired [4, 1], of which the 118 whose weighted forms cover all 2g
+    rows are eliminated), with F(0) = 0; then the differences are taken
+    one index at a time, in place, sum_beta |beta| subtractions in all.
+    Each multiset's entry is divided by den^g once.  No value is inferred.
+    A scan of more than `SCAN_LIMIT` tuples raises `PreconditionError`
+    before any is evaluated."""
     pf, den_g = _common_pfaffian(chain)
     kf = len(chain) - 1
     g = chain[0].genus
@@ -411,29 +465,40 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
         raise PreconditionError(
             f"vanishing scan of {size} products exceeds the limit of {SCAN_LIMIT}"
         )
-    memo = functools.cache(pf)
-    # a multiset is keyed by sum_i (g + 1)^i over its indices, so that the
-    # key of an ordered tuple is a running sum; the zeros share one value
+    # beta is keyed by sum_i beta_i (g + 1)^i, so that beta - e_i has the
+    # key less place[i]; beta lies below a multiset above the threshold
+    # when padding it with g - |beta| copies of kf takes it above
     place = [(g + 1) ** i for i in range(kf + 1)]
     least = g * kf // 2 + 1  # the least index sum above the threshold
+    table = {0: 0}
+    layers = [[[] for _ in range(g + 1)] for _ in range(kf + 1)]  # [i][beta_i]
+    above = []  # (multiset, key) for |beta| = g, in lexicographic order
+    for k in range(1, g + 1):
+        for key in itertools.combinations_with_replacement(range(kf + 1), k):
+            if sum(key) + (g - k) * kf >= least:
+                beta = [key.count(i) for i in range(kf + 1)]
+                at = sum(map(place.__getitem__, key))
+                table[at] = pf(beta)
+                for i in set(key):
+                    layers[i][beta[i]].append(at)
+                if k == g:
+                    above.append((key, at))
+    # along index i, pass t subtracts from each entry with beta_i >= t the
+    # one below it, from the top down; after g passes the entry with
+    # beta_i = b holds the b-th difference at beta_i = 0
+    for i, by_count in enumerate(layers):
+        step = place[i]
+        for t in range(1, g + 1):
+            for b in range(g, t - 1, -1):
+                for at in by_count[b]:
+                    table[at] -= table[at - step]
     zero = Fraction(0)
-    values: dict[int, Fraction] = {}
-    for key in itertools.combinations_with_replacement(range(kf + 1), g):
-        if sum(key) >= least:
-            total = _polarization([key.count(i) for i in range(kf + 1)], memo)
-            values[sum(map(place.__getitem__, key))] = (
-                Fraction(total, den_g) if total else zero
-            )
-    scanned = []
-    for head in itertools.product(range(kf + 1), repeat=g - 1):
-        base = sum(map(place.__getitem__, head))
-        scanned += [
-            ((*head, last), values[base + place[last]])
-            for last in range(max(0, least - sum(head)), kf + 1)
-        ]
-    violations = (
-        tuple(combo for combo, value in scanned if value)
-        if any(values.values())
-        else ()
+    values = [
+        (key, Fraction(table[at], den_g) if table[at] else zero) for key, at in above
+    ]
+    violations = sorted(
+        {t for key, value in values if value for t in itertools.permutations(key)}
     )
-    return VanishingScanReport(kf=kf, scanned=tuple(scanned), violations=violations)
+    return VanishingScanReport(
+        kf=kf, genus=g, values=tuple(values), violations=tuple(violations)
+    )

@@ -23,7 +23,8 @@ of the library:
     `selfcheck` oracles, never by the kernel or report encoder,
   * sums of pullbacks, the symmetric S(n) of `powersum` and the
     alternating Delta_n of `cohomology`: `congruence_chain`, the D^i X
-    of D X = M X M^T - X, weighted by one `combiner`,
+    of D X = M X M^T - X, weighted by one `combiner` for S(n) (Delta_n's
+    integer rows are summed in `cohomology`, for its Pfaffians),
   * one fraction-free (Bareiss) row echelon routine on the integer rows,
     which gives both the exact determinant, det(num) / den^K, and the
     exact rank, rank(num),
@@ -235,7 +236,8 @@ class RatMatrix:
     The storage is canonical: ``den`` is positive and
     gcd(den, every entry of ``num``) = 1, so equal matrices have equal
     fields, and equality and hashing work by value.  ``RatMatrix(num, den)``
-    takes k >= 1 integer row tuples of length k (a non-integer raises
+    takes k >= 1 integer rows of length k, stored as tuples whatever
+    iterables they come in (a non-integer raises
     TypeError, a zero ``den`` PreconditionError, any other shape
     DimensionMismatchError) and reduces them;
     every constructor goes through it, and `from_rows` builds a matrix
@@ -246,6 +248,9 @@ class RatMatrix:
     den: int = 1
 
     def __post_init__(self):
+        if type(self.num) is not tuple or {*map(type, self.num)} - {tuple}:
+            # rows given as lists (or other iterables) are stored as tuples
+            object.__setattr__(self, "num", tuple(map(tuple, self.num)))
         flat = itertools.chain.from_iterable(self.num)
         g = _lowest_terms(self.den, flat, "matrix", "RatMatrix.from_rows")
         if {*map(len, self.num)} != {len(self.num)}:

@@ -2,9 +2,10 @@
 
 The oracles are the literal constructions that the fast routes of the
 product modules stand in for: the compound matrix of all minors, the
-ordered wedge expansion, growth exponents from every minor, rank
-sequences on the literal second compound, the power-sum closed forms,
-a reduced-echelon nullity and the literal vanishing scan.  No product
+ordered wedge expansion, the polarization sum of one multiset, growth
+exponents from every minor, rank sequences on the literal second
+compound, the power-sum closed forms, a reduced-echelon nullity and the
+literal vanishing scan.  No product
 module imports this one; the CLI loads it only for `selftest`, and the
 tests import the oracles from here.
 
@@ -100,7 +101,7 @@ def _merge_sign(indices: tuple[int, ...], pair: Pair) -> int:
 def wedge_coefficient(forms: Sequence[TwoForm]) -> Fraction:
     """Top wedge coefficient of g constant 2-forms on a genus-g space, by
     literal expansion over the sets of indices used so far: the oracle for
-    g! * pfaffian and for the polarization in `scan_chain`."""
+    g! * pfaffian and for the values of `scan_chain`."""
     if not forms:
         raise DimensionMismatchError("need at least one form")
     g = forms[0].genus
@@ -233,6 +234,22 @@ def _kernel_dimension(m: RatMatrix) -> int:
         r += 1
         col += 1
     return k - pivots
+
+
+def polarization(alpha: Sequence[int], pf: Callable[[tuple[int, ...]], int]) -> int:
+    """sum_{0 != beta <= alpha} (-1)^(g - |beta|) prod_i C(alpha_i, beta_i)
+    * pf(beta), g = |alpha|, term by term: for pf(beta) = den^g *
+    Pf(sum_i beta_i w_i), the top coefficient of prod_i w_i^alpha_i times
+    den^g.  The per-multiset reference for the difference table of
+    `scan_chain`."""
+    g = sum(alpha)
+    total = 0
+    for beta in itertools.product(*(range(a + 1) for a in alpha)):
+        weight = sum(beta)
+        if weight:
+            term = pf(beta) * prod(map(comb, alpha, beta))
+            total += term if (g - weight) % 2 == 0 else -term
+    return total
 
 
 def literal_scan(chain) -> tuple:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -1122,10 +1123,12 @@ def test_model_nonzero_scanned_value_exits_3(tmp_path, capsys, monkeypatch):
     real = plovkit.cli.scan_chain
 
     def failing(chain):
+        # the multiset {1, 2} of the quad block's scan gets the value 1, so
+        # both of its orderings are violations
         report = real(chain)
-        (first, _), *rest = report.scanned
+        (first, _), *rest = report.values
         return dataclasses.replace(
-            report, scanned=((first, Fraction(1)), *rest), violations=(first,)
+            report, values=((first, Fraction(1)), *rest), violations=((1, 2), (2, 1))
         )
 
     monkeypatch.setattr(plovkit.cli, "scan_chain", failing)
@@ -1135,60 +1138,109 @@ def test_model_nonzero_scanned_value_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     scan = json.loads(out_path.read_text())["model"]["vanishing_scan"]
-    assert scan["violations"] == [[1, 2]]
-    assert scan["scanned"][0] == {"tuple": [1, 2], "value": 1}
-    assert "3 products above threshold, 1 violations" in err
+    assert scan["violations"] == [[1, 2], [2, 1]]
+    assert scan["scanned"] == [
+        {"tuple": [1, 2], "value": 1},
+        {"tuple": [2, 1], "value": 1},
+        {"tuple": [2, 2], "value": 0},
+    ]
+    assert "3 products above threshold, 2 violations" in err
     assert err.splitlines()[-1] == (
-        "internal cross-check failure: vanishing scan: 1 nonzero products above the threshold"
+        "internal cross-check failure: vanishing scan: 2 nonzero products above the threshold"
     )
 
 
-@pytest.mark.parametrize("values", ["mixed", "empty"])
+def _scan_dict_form(report):
+    """The scanned entries of a scan as dicts, from the multiset values
+    alone: every ordered tuple above the threshold, in lexicographic
+    order, with the value of its sorted tuple."""
+    values = dict(report.values)
+    g, kf = report.genus, report.kf
+    return [
+        {
+            "tuple": list(t),
+            "value": v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}",
+        }
+        for t in itertools.product(range(kf + 1), repeat=g)
+        if 2 * sum(t) > g * kf
+        for v in [values[tuple(sorted(t))]]
+    ]
+
+
+@pytest.mark.parametrize("values", ["mixed", "zero", "empty"])
 def test_model_scanned_entries_match_json_dumps(tmp_path, capsys, monkeypatch, values):
-    # the scanned entries come from one template, not from dicts: the
-    # report must equal json.dumps of the dict form, for 0, a negative
-    # int and "p/q" values, and for an empty scan
+    # the scanned entries are written head by head from the multiset
+    # values, not from dicts: the report must equal json.dumps of the dict
+    # form when one head mixes 0 with a negative int and "p/q" values and
+    # other heads are all 0, when every head is all 0, and for an empty scan
     import dataclasses
 
     import plovkit.cli
     from plovkit.randgen import paired_unipotent
 
     real = plovkit.cli.scan_chain
-    cycle = (Fraction(0), Fraction(-3), Fraction(5, 7), Fraction(-5, 7))
     fake = {}
 
     def rewritten(chain):
         report = real(chain)
-        if values == "empty":
-            scanned = ()
-        else:
-            scanned = tuple(
-                (t, cycle[i % len(cycle)]) for i, (t, _) in enumerate(report.scanned)
+        if values == "mixed":
+            # the last head (kf, kf) has the lasts 0..kf: its 2nd to 4th
+            # entries get -3, 5/7 and -5/7, and every other multiset 0
+            kf = report.kf
+            odd = {
+                (i, kf, kf): v
+                for i, v in zip((1, 2, 3), (Fraction(-3), Fraction(5, 7), Fraction(-5, 7)))
+            }
+            report = dataclasses.replace(
+                report,
+                values=tuple((key, odd.get(key, Fraction(0))) for key, _ in report.values),
+                violations=tuple(
+                    t for t in itertools.product(range(kf + 1), repeat=3)
+                    if tuple(sorted(t)) in odd
+                ),
             )
-        fake["scan"] = dataclasses.replace(
-            report, scanned=scanned, violations=tuple(t for t, v in scanned if v)
-        )
-        return fake["scan"]
+        fake["scan"] = report
+        return report
 
     monkeypatch.setattr(plovkit.cli, "scan_chain", rewritten)
-    path = write_doc(tmp_path, {"matrix": enc_matrix(paired_unipotent([2, 1]))})
+    shape = [1, 1, 1] if values == "empty" else [3]  # the identity has kf = 0
+    path = write_doc(tmp_path, {"matrix": enc_matrix(paired_unipotent(shape))})
     code, out, _ = run_cli(["model", "--input", path], capsys)
     scan = fake["scan"]
-    assert code == (3 if scan.violations else 0)
-    assert len(scan.scanned) == (0 if values == "empty" else 10)
+    assert code == (3 if values == "mixed" else 0)
+    entries = _scan_dict_form(scan)
+    assert len(entries) == {"mixed": 53, "zero": 53, "empty": 0}[values]
     old_dict_form = json.loads(out)
-    old_dict_form["model"]["vanishing_scan"]["scanned"] = [
-        {
-            "tuple": list(t),
-            "value": v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}",
-        }
-        for t, v in scan.scanned
-    ]
+    old_dict_form["model"]["vanishing_scan"]["scanned"] = entries
     assert out == json.dumps(old_dict_form, indent=2, sort_keys=True) + "\n"
     if values == "empty":
         assert '"scanned": [],' in out
-    else:
+    elif values == "mixed":
         assert '"value": "-5/7"' in out and '"value": -3' in out
+        by_head = {head: v for head, _, v in scan.heads()}
+        assert by_head[(4, 4)] == (0, -3, Fraction(5, 7), Fraction(-5, 7), 0)
+        assert None in by_head.values()  # heads written in bulk
+    else:
+        assert all(v is None for _, _, v in scan.heads())
+
+
+def test_model_scan_entries_other_than_scan_size_exit_3(tmp_path, capsys, monkeypatch):
+    # a head dropped from the scan's listing leaves fewer entries than
+    # scan_size counts, and the encoder refuses to write the report
+    from plovkit.cohomology import VanishingScanReport
+
+    real = VanishingScanReport.heads
+    monkeypatch.setattr(
+        VanishingScanReport, "heads", lambda self: itertools.islice(real(self), 1, None)
+    )
+    path = write_doc(tmp_path, QUAD)
+    code, out, err = run_cli(["model", "--input", path], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "internal cross-check failure: emit: vanishing scan of genus 2 and kf 2 "
+        "wrote 2 entries, not scan_size = 3 (one per ordered tuple above the threshold)"
+    ]
 
 
 @pytest.mark.parametrize("command", ["powersum", "model"])

@@ -46,7 +46,7 @@ from plovkit import exact
 from plovkit.exact import combiner, interpolate_checked
 from plovkit.plov import second_compound_block_sizes
 from plovkit.randgen import paired_unipotent, random_paired_unipotent, randgen_two_form
-from plovkit.selfcheck import literal_scan, wedge_coefficient
+from plovkit.selfcheck import literal_scan, polarization, wedge_coefficient
 
 
 def poly_n(*coeffs):
@@ -140,6 +140,27 @@ def scan_multisets_and_betas(g, kf):
         if any(beta)
     }
     return above, betas
+
+
+def assert_values_match_both_references(family):
+    """Every multiset value of the scan of ``family`` equals the
+    polarization sum of its multiset, term by term, and the literal
+    wedge of its factors.  Returns how many are nonzero."""
+    report = scan_chain(family)
+    pf, den_g = cohomology._common_pfaffian(family)
+    kf, g = len(family) - 1, family[0].genus
+    above, _ = scan_multisets_and_betas(g, kf)
+    assert [key for key, _ in report.values] == above
+    for key, value in report.values:
+        alpha = [key.count(i) for i in range(kf + 1)]
+        assert value == Fraction(polarization(alpha, pf), den_g), key
+        assert value == wedge_coefficient([family[i] for i in key]), key
+    return sum(1 for _, value in report.values if value)
+
+
+def upper(rows):
+    """The entries above the diagonal of square rows, row by row."""
+    return [list(row[i + 1 :]) for i, row in enumerate(rows)]
 
 
 def weighted_rows_cover(forms, beta):
@@ -427,9 +448,7 @@ def test_intersection_poly_verification_node(monkeypatch):
     # on this chain Delta_x = x * e1^e2, so the fake Pfaffian is 2^x
     import plovkit.cohomology as cohomology
 
-    monkeypatch.setattr(
-        cohomology, "pfaffian", lambda form: Fraction(2 ** int(form.matrix.entries[0][1]))
-    )
+    monkeypatch.setattr(cohomology, "_pfaffian_rows", lambda rows: 2 ** rows[0][1])
     chain = nilpotent_chain(RatMatrix.identity(2), TwoForm(1, {(1, 2): 1}))
     with pytest.raises(CrossCheckError, match="intersection_poly"):
         intersection_poly(chain, 2)
@@ -678,20 +697,20 @@ def test_scan_threshold_is_strict():
 
 def test_polarized_wedge_matches_literal_wedge():
     # arbitrary forms, not from a chain, so most products are nonzero; the
-    # reversed family scans the multisets below the middle
+    # reversed family scans the multisets below the middle.  Each value of
+    # the difference table must equal both the polarization sum of its
+    # multiset and the literal wedge, and each ordered tuple its multiset's
     rng = random.Random(72)
     nonzero = total = 0
     for g in range(2, 6):
         forms = [dense_rational_form(rng, g) for _ in range(3)]
         for family in (forms, forms[::-1]):
-            oracle = {}
-            for combo, value in scan_chain(family).scanned:
-                multiset = tuple(sorted(combo))
-                if multiset not in oracle:
-                    oracle[multiset] = wedge_coefficient([family[i] for i in multiset])
-                    nonzero += value != 0
-                    total += 1
-                assert value == oracle[multiset]
+            nonzero += assert_values_match_both_references(family)
+            report = scan_chain(family)
+            total += len(report.values)
+            by_multiset = dict(report.values)
+            for combo, value in report.scanned:
+                assert value == by_multiset[tuple(sorted(combo))]
     assert nonzero > total // 2
 
 
@@ -812,32 +831,42 @@ def test_scan_past_the_limit_is_refused_before_it_runs(monkeypatch):
     monkeypatch.setattr(cohomology, "SCAN_LIMIT", size)
     assert len(scan_chain(chain).scanned) == size
     monkeypatch.setattr(cohomology, "SCAN_LIMIT", size - 1)
-    monkeypatch.setattr(cohomology, "pfaffian", None)
+    monkeypatch.setattr(cohomology, "_pfaffian_rows", None)
     limit = f"{size} products exceeds the limit of {size - 1}$"
     with pytest.raises(PreconditionError, match=limit):
         scan_chain(chain)
 
 
 def test_scan_evaluates_each_multiset_once_and_each_beta_once(monkeypatch):
-    # paired [4, 1]: 7,678 ordered tuples above the threshold, but the
-    # polarization sum runs once per multiset, each beta <= some such
-    # multiset is checked against the row supports once (the memo's
-    # entries), and the elimination runs only for the beta whose weighted
-    # forms leave no row empty
+    # paired [4, 1]: 7,678 ordered tuples above the threshold, 215
+    # multisets.  Each beta <= some such multiset is checked against the
+    # row supports once (the table's entries), the elimination runs only
+    # for the beta whose weighted forms leave no row empty, and the
+    # differences take one subtraction per unit of |beta| over the table
     g = 5
     chain = nilpotent_chain(paired_unipotent([4, 1]), TwoForm.standard(g))
     kf = len(chain) - 1
     above, betas = scan_multisets_and_betas(g, kf)
     covering = [beta for beta in betas if weighted_rows_cover(chain, beta)]
-    counts = {"_polarization": 0, "pfaffian": 0, "pf": 0}
-    for name in ("_polarization", "pfaffian"):
-        real = getattr(cohomology, name)
+    counts = {"_pfaffian_rows": 0, "pf": 0, "subtractions": 0}
 
-        def counting(*args, _real=real, _name=name):
-            counts[_name] += 1
-            return _real(*args)
+    class Counted(int):
+        # a table entry that counts the subtractions made on it
+        def __sub__(self, other):
+            counts["subtractions"] += 1
+            return Counted(int.__sub__(self, other))
 
-        monkeypatch.setattr(cohomology, name, counting)
+        def __rsub__(self, other):
+            counts["subtractions"] += 1
+            return Counted(int.__sub__(other, self))
+
+    real_rows = cohomology._pfaffian_rows
+
+    def counting(rows):
+        counts["_pfaffian_rows"] += 1
+        return real_rows(rows)
+
+    monkeypatch.setattr(cohomology, "_pfaffian_rows", counting)
     real_common = cohomology._common_pfaffian
 
     def counted_common(chain):
@@ -845,20 +874,22 @@ def test_scan_evaluates_each_multiset_once_and_each_beta_once(monkeypatch):
 
         def counted(weights):
             counts["pf"] += 1
-            return pf(weights)
+            return Counted(pf(weights))
 
         return counted, den_g
 
     monkeypatch.setattr(cohomology, "_common_pfaffian", counted_common)
     report = scan_chain(chain)
     assert len(report.scanned) == scan_size(g, kf) == 7678
+    assert [key for key, _ in report.values] == above
     assert report.violations == ()
     assert counts == {
-        "_polarization": len(above),
         "pf": len(betas),
-        "pfaffian": len(covering),
+        "_pfaffian_rows": len(covering),
+        "subtractions": sum(map(sum, betas)),
     }
     assert (len(above), len(betas), len(covering)) == (215, 473, 118)
+    assert sum(map(sum, betas)) <= g * len(betas)
 
 
 def test_scan_of_sparse_families_matches_literal_scan_on_both_sides_of_the_support():
@@ -882,6 +913,9 @@ def test_scan_of_sparse_families_matches_literal_scan_on_both_sides_of_the_suppo
         assert 0 < len(covering) < len(betas)
         expected = literal_scan(family)
         assert scan_chain(family).scanned == expected
+        assert assert_values_match_both_references(family) == len(
+            {tuple(sorted(t)) for t, value in expected if value}
+        )
         nonzero += sum(1 for _, value in expected if value)
     assert nonzero > 0
 
@@ -894,16 +928,16 @@ def test_row_emptied_by_cancellation_is_left_to_the_elimination(monkeypatch):
     w1 = TwoForm(2, {(1, 3): 1, (1, 2): -1})
     assert weighted_rows_cover([w0, w1], (1, 1))
     calls = []
-    real = cohomology.pfaffian
+    real = cohomology._pfaffian_rows
 
-    def counting(form):
-        calls.append(form)
-        return real(form)
+    def counting(rows):
+        calls.append(upper(rows))
+        return real(rows)
 
-    monkeypatch.setattr(cohomology, "pfaffian", counting)
+    monkeypatch.setattr(cohomology, "_pfaffian_rows", counting)
     pf, den_g = cohomology._common_pfaffian([w0, w1])
     assert (pf((1, 1)), den_g) == (0, 1)
-    assert calls == [TwoForm(2, {(1, 3): 1, (3, 4): 1})]
+    assert calls == [upper(TwoForm(2, {(1, 3): 1, (3, 4): 1}).matrix.num)]
     assert wedge_coefficient([TwoForm._of(w0.matrix + w1.matrix)] * 2) == 0
     # w1 alone leaves row 4 empty: 0 with no elimination
     assert pf((0, 1)) == 0 and len(calls) == 1
@@ -918,16 +952,16 @@ def test_intersection_poly_at_zero_weights_needs_no_elimination(monkeypatch):
     chain = nilpotent_chain(paired_unipotent([3, 1]), TwoForm.standard(4))
     pf, _ = cohomology._common_pfaffian(chain)
     calls = []
-    real = cohomology.pfaffian
+    real = cohomology._pfaffian_rows
 
-    def counting(form):
-        calls.append(form)
-        return real(form)
+    def counting(rows):
+        calls.append(upper(rows))
+        return real(rows)
 
-    monkeypatch.setattr(cohomology, "pfaffian", counting)
+    monkeypatch.setattr(cohomology, "_pfaffian_rows", counting)
     assert pf([0] * len(chain)) == 0 and calls == []
     degree_bound = 11
     poly = intersection_poly(chain, degree_bound)
     assert poly(0) == 0
     assert len(calls) == degree_bound + 1
-    assert not any(form.is_zero() for form in calls)
+    assert all(any(map(any, rows)) for rows in calls)

@@ -944,6 +944,20 @@ def assert_canonical(m):
     assert gcd(m.den, *(x for row in m.num for x in row)) == 1
 
 
+def test_rows_given_as_lists_are_stored_as_tuples():
+    # the storage is tuples whatever iterables the rows come in, so a
+    # matrix built from lists equals and hashes like the same rows as tuples
+    listed = RatMatrix([[1, 2], [3, 4]])
+    assert type(listed.num) is tuple and {*map(type, listed.num)} == {tuple}
+    assert listed == RatMatrix.from_rows([[1, 2], [3, 4]]) == RatMatrix(((1, 2), (3, 4)))
+    assert hash(listed) == hash(RatMatrix(((1, 2), (3, 4))))
+    mixed = RatMatrix(([2, 4], (6, 8)), 4)
+    assert mixed.num == ((1, 2), (3, 4)) and mixed.den == 2
+    assert len({listed, mixed, RatMatrix.from_rows([[1, 2], [3, 4]])}) == 2
+    with pytest.raises(TypeError):
+        RatMatrix([1, 2])
+
+
 def test_storage_is_canonical():
     half = RatMatrix.from_rows([[Fraction(2, 4), 0], [0, Fraction(-6, 4)]])
     same = RatMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(-3, 2)]])

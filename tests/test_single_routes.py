@@ -13,14 +13,17 @@ no module but `exact` references the private `_interpolate`; its nodes
 follow one rule, with no branch on a missing parity, and `det_poly` asks
 for each node's matrix once.  A zero denominator is refused in one place,
 the lowest-terms rule that `UniPoly` and `RatMatrix` share.  Both sums
-of pullbacks, S(n) in `powersum` and Delta_n in `cohomology`, are built
-from `exact.congruence_chain` and `exact.combiner`.  A `UniPoly` is
+of pullbacks, S(n) in `powersum` and Delta_n in `cohomology`, take their
+chain from `exact.congruence_chain`; S(n) is summed by `exact.combiner`,
+and Delta_n and the scan's sums by `cohomology._common_pfaffian` alone,
+as the integer rows that `_pfaffian_rows` eliminates.  A `UniPoly` is
 built, evaluated and printed, with no ring operations, and matrix powers
 go through `exact.mat_pow` alone.  A `TwoForm` is built, read and handed
 to `pfaffian` or `pullback2`, with no arithmetic of its own; Delta_x and
 the polarized wedges are built inside `intersection_poly` and
-`scan_chain` alone, through their private helpers `_common_pfaffian`
-and, for the scan, `_polarization`.  The records keep only the members some route
+`scan_chain` alone, through their private helper `_common_pfaffian`,
+and the scan keeps one value per multiset, listing the ordered tuples
+only on demand.  The records keep only the members some route
 reads, and the degree of the zero polynomial is the int -1.  A power the
 verdict claims unipotent is checked by its trace, so no module tests
 nilpotency by squaring, and `plovkit` exports no `is_unipotent`.  One
@@ -170,7 +173,7 @@ def test_only_exact_references_the_raw_interpolation():
     assert users == {"exact.py"}
 
 
-def test_sums_of_pullbacks_share_one_chain_and_one_combiner():
+def test_sums_of_pullbacks_share_one_chain():
     trees = dict(parsed_sources())
     functions = {
         node.name
@@ -186,14 +189,30 @@ def test_sums_of_pullbacks_share_one_chain_and_one_combiner():
     )
     methods = {node.name for node in two_form.body if isinstance(node, ast.FunctionDef)}
     assert "combination" not in methods
-    for module in ("powersum.py", "cohomology.py"):
-        imported = {
+    imported = {
+        module: {
             alias.name
             for node in ast.walk(trees[module])
             if isinstance(node, ast.ImportFrom) and node.module == "exact"
             for alias in node.names
         }
-        assert {"congruence_chain", "combiner"} <= imported, module
+        for module in ("powersum.py", "cohomology.py")
+    }
+    assert {"congruence_chain", "combiner"} <= imported["powersum.py"]
+    assert "congruence_chain" in imported["cohomology.py"]
+    # Delta_n is summed as integer rows, with no matrix per sum: only the
+    # public `pfaffian` and the sums of `_common_pfaffian` reach the
+    # elimination
+    cohomology = trees["cohomology.py"]
+    assert not any(references(node, "combiner") for node in ast.walk(cohomology))
+    eliminating = {
+        fn.name
+        for fn in ast.walk(cohomology)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and references(node.func, "_pfaffian_rows")
+    }
+    assert eliminating == {"pfaffian", "_common_pfaffian", "pf"}
 
 
 def test_polynomials_have_no_ring_operations_and_matrices_no_power_operator():
@@ -224,6 +243,7 @@ def test_two_forms_have_no_arithmetic_and_the_scan_polarizes_inline():
 
 def test_records_keep_only_what_the_routes_read():
     import dataclasses
+    import functools
     import inspect
 
     from plovkit.randgen import random_unimodular
@@ -236,7 +256,12 @@ def test_records_keep_only_what_the_routes_read():
     assert not hasattr(plovkit.JordanProfile, "max_block_size")
     assert not hasattr(plovkit.AnalysisReport, "all_bounds_hold")
     scan_fields = {f.name for f in dataclasses.fields(plovkit.VanishingScanReport)}
-    assert scan_fields == {"kf", "scanned", "violations"}
+    assert scan_fields == {"kf", "genus", "values", "violations"}
+    # the ordered tuples are listed on demand, from the multiset values
+    assert isinstance(
+        inspect.getattr_static(plovkit.VanishingScanReport, "scanned"),
+        functools.cached_property,
+    )
     assert list(inspect.signature(random_unimodular).parameters) == ["rng", "k"]
 
 
