@@ -17,8 +17,8 @@ divisor class
 
 at each integer x >= 0.  The chain [H, N H, N^2 H, ...] is
 `exact.congruence_chain`, which also builds the symmetric power sum
-S(n) in `powersum`; the weighted sums are integer rows over the chain's
-common denominator, added up for each Pfaffian with no matrix built.
+S(n) in `powersum`; both are weighted by the one chain sum of `exact`,
+as integer rows, here summed for each Pfaffian with no matrix built.
 M is proved unipotent once per entry point, by
 the rank sequence of `jordan.unipotent_block_profile`; `plov_via_model`
 returns its chain for `scan_chain` to reuse.  The top self-intersection
@@ -66,7 +66,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -79,8 +79,10 @@ from .exact import (
     RatMatrix,
     Scalar,
     UniPoly,
+    _chain_terms,
     _expect,
     _scalar,
+    _weighted_rows,
     congruence_chain,
     interpolate_checked,
     mat_mul,
@@ -241,39 +243,23 @@ def _common_pfaffian(
 ) -> tuple[Callable[[Sequence[int]], int], int]:
     """(pf, den^g) for the chain's common denominator den: pf(w) is the
     integer den^g * Pf(sum_i w_i chain[i]), which is Pf(sum_i w_i den
-    chain[i]).  The chain's entries above the diagonal are put over den
-    once, and a call adds up those of the forms with a nonzero weight into
-    integer rows for `_pfaffian_rows`, with no matrix built.  When the
-    forms of nonzero weight leave a row empty, by their nonzero-row
-    bitmasks, pf is 0 with no sum built; a row that only cancels is left
-    to the elimination.  A chain of no forms or of mixed genus raises
-    DimensionMismatchError."""
+    chain[i]).  The terms above the diagonal, from `_chain_terms` once,
+    are summed by `_weighted_rows` for `_pfaffian_rows`, with no matrix
+    built.  When the forms of nonzero weight leave a row empty, by their
+    nonzero-row bitmasks, pf is 0 with no sum built; a row that only
+    cancels is left to the elimination.  A chain of no forms or of mixed
+    genus raises DimensionMismatchError."""
     mats = [_expect(f, TwoForm).matrix for f in chain]
-    dims = {m.dimension for m in mats}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"chain of forms on dimensions {sorted(dims)}")
-    (n,) = dims
-    den = lcm(*(m.den for m in mats))
-    terms = [
-        [
-            (at, v * (den // m.den))
-            for at, v in enumerate(itertools.chain(*m.num))
-            if v and at % n > at // n
-        ]
-        for m in mats
-    ]
+    den, terms = _chain_terms(mats)
+    n = mats[0].dimension
+    terms = [[(at, v) for at, v in term if at % n > at // n] for term in terms]
     rows = [sum(1 << i for i, r in enumerate(m.num) if any(r)) for m in mats]
     full = (1 << n) - 1
 
     def pf(weights: Sequence[int]) -> int:
         if functools.reduce(int.__or__, itertools.compress(rows, weights), 0) != full:
             return 0  # a row of the sum is zero
-        acc = [0] * (n * n)
-        for w, term in zip(weights, terms):
-            if w:
-                for at, v in term:
-                    acc[at] += w * v
-        return _pfaffian_rows([acc[r : r + n] for r in range(0, n * n, n)])
+        return _pfaffian_rows(_weighted_rows(terms, weights, n))
 
     return pf, den ** (n // 2)
 
@@ -356,9 +342,9 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
     )
 
 
-#: The most ordered tuples `scan_chain` evaluates: it keeps every one, so
-#: a larger scan (two paired 7 x 7 blocks give 30,137,596) would exhaust
-#: memory.
+#: The most ordered tuples a scan may have.  It keeps one value per
+#: multiset, but `heads()`, ``scanned`` and the encoder list every tuple,
+#: and 30,137,596 (two paired 7 x 7 blocks) would exhaust memory.
 SCAN_LIMIT = 10**6
 
 
@@ -390,15 +376,33 @@ class VanishingScanReport:
 
     ``values`` holds one (multiset, value) pair for every multiset above
     the threshold, each a nondecreasing index tuple, in lexicographic
-    order: an ordered tuple takes the value of its multiset.
-    ``violations`` collects the ordered tuples with a nonzero value
-    (expected empty), in lexicographic order.  `heads` and ``scanned``
-    write the ordered tuples out from ``values``."""
+    order: an ordered tuple takes the value of its multiset.  Any other
+    keys raise PreconditionError.  ``violations``, `heads` and
+    ``scanned`` write the ordered tuples out from ``values``."""
 
     kf: int
     genus: int
     values: tuple[tuple[tuple[int, ...], Fraction], ...]
-    violations: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        kf, g = self.kf, self.genus
+        # pair[:1], not unpacking, so that a malformed pair is a mismatch
+        if g < 1 or kf < 0 or [pair[:1] for pair in self.values] != [
+            (key,)
+            for key in itertools.combinations_with_replacement(range(kf + 1), g)
+            if 2 * sum(key) > g * kf
+        ]:
+            raise PreconditionError(
+                f"a scan of genus {g} and kf {kf} needs genus >= 1, kf >= 0 and "
+                "values keyed by the multisets above the threshold, in order"
+            )
+
+    @functools.cached_property
+    def violations(self) -> tuple[tuple[int, ...], ...]:
+        """The ordered tuples with a nonzero value (expected none), in
+        lexicographic order."""
+        nonzero = (key for key, value in self.values if value)
+        return tuple(sorted({t for key in nonzero for t in itertools.permutations(key)}))
 
     def heads(
         self,
@@ -455,8 +459,8 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
     rows are eliminated), with F(0) = 0; then the differences are taken
     one index at a time, in place, sum_beta |beta| subtractions in all.
     Each multiset's entry is divided by den^g once.  No value is inferred.
-    A scan of more than `SCAN_LIMIT` tuples raises `PreconditionError`
-    before any is evaluated."""
+    A scan of more than `SCAN_LIMIT` ordered tuples, which its report
+    lists, raises `PreconditionError` before any is evaluated."""
     pf, den_g = _common_pfaffian(chain)
     kf = len(chain) - 1
     g = chain[0].genus
@@ -493,12 +497,7 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
                 for at in by_count[b]:
                     table[at] -= table[at - step]
     zero = Fraction(0)
-    values = [
+    values = tuple(
         (key, Fraction(table[at], den_g) if table[at] else zero) for key, at in above
-    ]
-    violations = sorted(
-        {t for key, value in values if value for t in itertools.permutations(key)}
     )
-    return VanishingScanReport(
-        kf=kf, genus=g, values=tuple(values), violations=tuple(violations)
-    )
+    return VanishingScanReport(kf=kf, genus=g, values=values)

@@ -23,8 +23,8 @@ of the library:
     `selfcheck` oracles, never by the kernel or report encoder,
   * sums of pullbacks, the symmetric S(n) of `powersum` and the
     alternating Delta_n of `cohomology`: `congruence_chain`, the D^i X
-    of D X = M X M^T - X, weighted by one `combiner` for S(n) (Delta_n's
-    integer rows are summed in `cohomology`, for its Pfaffians),
+    of D X = M X M^T - X, weighted by one chain sum for both:
+    `_chain_terms` over the common denominator, `_weighted_rows` per sum,
   * one fraction-free (Bareiss) row echelon routine on the integer rows,
     which gives both the exact determinant, det(num) / den^K, and the
     exact rank, rank(num),
@@ -439,33 +439,29 @@ def congruence_chain(m: RatMatrix, x: RatMatrix) -> list[RatMatrix]:
     )
 
 
-def combiner(mats: Sequence[RatMatrix]) -> Callable[[Sequence[int]], RatMatrix]:
-    """The map from integer weights w, one per matrix, to sum_i w_i mats[i].
-    The nonzero entries are put over one common denominator once, and a
-    call adds up the entries of the matrices with a nonzero weight.  Mixed
-    dimensions, no matrices, or weights of another length raise
-    DimensionMismatchError."""
+def _chain_terms(mats: Sequence[RatMatrix]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(den, terms): den the common denominator of k x k matrices, terms[i]
+    the nonzero (r*k + c, den * mats[i][r][c]).  No matrices or mixed
+    dimensions raise DimensionMismatchError."""
     dims = {m.dimension for m in mats}
     if len(dims) != 1:
-        raise DimensionMismatchError(f"combiner: dimensions {sorted(dims)}")
-    (k,) = dims
+        raise DimensionMismatchError(f"chain of matrices on dimensions {sorted(dims)}")
     den = lcm(*(m.den for m in mats))
-    terms = [
-        [(i, v * (den // m.den)) for i, v in enumerate(itertools.chain(*m.num)) if v]
+    return den, [
+        [(at, v * (den // m.den)) for at, v in enumerate(itertools.chain(*m.num)) if v]
         for m in mats
     ]
 
-    def combine(weights: Sequence[int]) -> RatMatrix:
-        if len(weights) != len(terms):
-            raise DimensionMismatchError(f"combiner: {len(weights)} weights")
-        acc = [0] * (k * k)
-        for w, term in zip(weights, terms):
-            if w:
-                for i, v in term:
-                    acc[i] += w * v
-        return RatMatrix(tuple(tuple(acc[r : r + k]) for r in range(0, k * k, k)), den)
 
-    return combine
+def _weighted_rows(terms: Sequence, weights: Iterable[int], k: int) -> list[list[int]]:
+    """sum_i weights[i] terms[i] as k integer rows, over the den of
+    `_chain_terms`; a zero weight adds nothing."""
+    acc = [0] * (k * k)
+    for w, term in zip(weights, terms):
+        if w:
+            for at, v in term:
+                acc[at] += w * v
+    return [acc[r : r + k] for r in range(0, k * k, k)]
 
 
 def _echelon(num: Sequence[Sequence[int]]) -> tuple[int, int]:

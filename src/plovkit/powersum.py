@@ -13,7 +13,7 @@ With D X = A^T X A - X, sum_{m<n} (A^m)^T X A^m = sum_s C(n, s + 1) D^s X
 for every X, so S(n) = sum_s C(n, s + 1) B_s with the constant matrices
 B_s = D^s H of `exact.congruence_chain` (on A^T), and P(n) is
 interpolated from exact determinants of S at integer nodes, with S
-evaluated by one `exact.combiner`.  A is proved unipotent once, by the
+summed by `exact`'s one chain sum.  A is proved unipotent once, by the
 rank sequence of A - I that also yields the sizes k_i
 (`jordan.unipotent_block_profile`).  Since S(n + 1) - S(n) = (A^n)^T H A^n
 and S(0) = 0 hold for every integer n, S(-n) = -(A^-n)^T S(n) A^-n, and
@@ -41,8 +41,9 @@ from .exact import (
     RatMatrix,
     UniPoly,
     _check_same_dim,
+    _chain_terms,
     _expect,
-    combiner,
+    _weighted_rows,
     congruence_chain,
     det_exact,
     det_poly,
@@ -79,26 +80,29 @@ class PowerSumResult:
 def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     """det S(n) with the degree law re-verified at runtime.
 
-    S(x) is evaluated from the B_j of `exact.congruence_chain` on A^T by
-    one combiner.  In a Jordan basis, entry (i, j) of S(x) has degree at
-    most d_i + d_j + 1, d_i the depth of i in its block, so det S has
-    degree at most sum k_i^2 over the blocks (a change of basis scales it
-    by a constant); it is interpolated on that bound plus one, at nodes
-    centred at 0 with P(-x) = (-1)^K P(x) filling the negative ones, and
-    re-verified at a node past them.  The degree must equal sum k_i^2,
+    S(x) is the chain sum of the B_j of `exact.congruence_chain` on A^T:
+    `_chain_terms` once, `_weighted_rows` at each node.  In a Jordan
+    basis, entry (i, j) of S(x) has degree at most d_i + d_j + 1, d_i the
+    depth of i in its block, so det S has degree at most sum k_i^2 over
+    the blocks (a change of basis scales it by a constant); it is
+    interpolated on that bound plus one, at nodes centred at 0 with
+    P(-x) = (-1)^K P(x) filling the negative ones, and re-verified at a
+    node past them.  The degree must equal sum k_i^2,
     read by `unipotent_block_profile`, which is also the gate that proves
     A unipotent, and so the mirror law; a mismatch raises CrossCheckError.
     """
     _check_same_dim(a, h)
     profile = unipotent_block_profile(a)
     ensure_spd(h)
-    bs = congruence_chain(a.transpose(), h)
-    combine = combiner(bs)
+    den, terms = _chain_terms(congruence_chain(a.transpose(), h))
+    k = a.dimension
     degree = sum(m * size * size for _, size, m in profile.entries)
     poly = det_poly(
-        lambda x: combine([comb(x, j + 1) for j in range(len(bs))]),
+        lambda x: RatMatrix(
+            _weighted_rows(terms, [comb(x, j + 1) for j in range(len(terms))], k), den
+        ),
         degree + 1,
-        parity=(-1) ** a.dimension,
+        parity=(-1) ** k,
     )
     if poly.degree() != degree:
         raise CrossCheckError(

@@ -1124,12 +1124,10 @@ def test_model_nonzero_scanned_value_exits_3(tmp_path, capsys, monkeypatch):
 
     def failing(chain):
         # the multiset {1, 2} of the quad block's scan gets the value 1, so
-        # both of its orderings are violations
+        # both of its orderings are violations, read off the values
         report = real(chain)
         (first, _), *rest = report.values
-        return dataclasses.replace(
-            report, values=((first, Fraction(1)), *rest), violations=((1, 2), (2, 1))
-        )
+        return dataclasses.replace(report, values=((first, Fraction(1)), *rest))
 
     monkeypatch.setattr(plovkit.cli, "scan_chain", failing)
     path = write_doc(tmp_path, QUAD)
@@ -1194,10 +1192,10 @@ def test_model_scanned_entries_match_json_dumps(tmp_path, capsys, monkeypatch, v
             report = dataclasses.replace(
                 report,
                 values=tuple((key, odd.get(key, Fraction(0))) for key, _ in report.values),
-                violations=tuple(
-                    t for t in itertools.product(range(kf + 1), repeat=3)
-                    if tuple(sorted(t)) in odd
-                ),
+            )
+            assert report.violations == tuple(
+                t for t in itertools.product(range(kf + 1), repeat=3)
+                if tuple(sorted(t)) in odd
             )
         fake["scan"] = report
         return report

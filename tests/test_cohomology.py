@@ -6,6 +6,7 @@ for the divisor classes, hand sign bookkeeping for small wedges, and the
 literal wedge expansion for the Pfaffian route.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -18,6 +19,7 @@ from plovkit import (
     RatMatrix,
     TwoForm,
     UniPoly,
+    VanishingScanReport,
     half_profile,
     intersection_poly,
     jordan_profile,
@@ -43,7 +45,7 @@ from plovkit.errors import (
 from plovkit import cohomology
 from plovkit.cohomology import nilpotent_chain, scan_size
 from plovkit import exact
-from plovkit.exact import combiner, interpolate_checked
+from plovkit.exact import interpolate_checked
 from plovkit.plov import second_compound_block_sizes
 from plovkit.randgen import paired_unipotent, random_paired_unipotent, randgen_two_form
 from plovkit.selfcheck import literal_scan, polarization, wedge_coefficient
@@ -59,10 +61,12 @@ def quad_block():
 
 
 def delta(chain, x):
-    """The skew matrix of Delta_x = sum_i C(x, i+1) chain[i], by the call
-    `intersection_poly` makes."""
-    weights = [math.comb(x, i + 1) for i in range(len(chain))]
-    return combiner([f.matrix for f in chain])(weights)
+    """The skew matrix of Delta_x = sum_i C(x, i+1) chain[i], summed
+    literally through `+` and scalar `*`."""
+    total = RatMatrix.zero(chain[0].matrix.dimension)
+    for i, form in enumerate(chain):
+        total = total + form.matrix * math.comb(x, i + 1)
+    return total
 
 
 def telescoped_delta(m, h, x):
@@ -230,12 +234,12 @@ def test_two_form_compares_and_hashes_by_value():
         g = rng.randint(1, 3)
         h, w = random_rational_form(rng, g), randgen_two_form(rng, g)
         x = rng.randint(-3, 5)
-        combined = combiner([h.matrix, w.matrix, h.matrix])([x - 1, 0, 1])
+        combined = h.matrix * (x - 1) + w.matrix * 0 + h.matrix * 1
         assert combined == x * h.matrix == h.matrix * x
         assert hash(combined) == hash(h.matrix * x)
         assert len({combined, x * h.matrix, h.matrix * x}) == 1
-        assert combiner([h.matrix, w.matrix])([2, -1]) == h.matrix + h.matrix - w.matrix
-        assert combiner([h.matrix, w.matrix])([0, 0]) == TwoForm(g).matrix
+        assert h.matrix * 2 + w.matrix * -1 == h.matrix + h.matrix - w.matrix
+        assert h.matrix * 0 + w.matrix * 0 == TwoForm(g).matrix
         # items() lists the nonzero coefficients in lexicographic order
         items = h.items()
         assert [p for p, _ in items] == sorted(p for p, _ in items)
@@ -745,6 +749,44 @@ def test_scan_clean_on_random_paired_profiles():
         report = vanishing_scan(m, TwoForm.standard(g))
         assert report.violations == ()
         assert [t for t, _ in report.scanned] == sorted(t for t, _ in report.scanned)
+
+
+def test_scan_record_refuses_values_off_the_multisets_above_the_threshold():
+    # a multiset missing from the values would be listed as 0, so a record
+    # that drops one would encode as a clean scan
+    report = vanishing_scan(paired_unipotent([3]), TwoForm.standard(3))
+    values = report.values
+    middle = len(values) // 2
+    assert 0 < middle < len(values) - 1
+    wrong = [
+        (),
+        values[:middle] + values[middle + 1 :],
+        values[::-1],
+        values + (((0, 0, 0), Fraction(0)),),
+        values[:1] * len(values),
+    ]
+    for bad in wrong:
+        with pytest.raises(PreconditionError, match="multisets above the threshold"):
+            dataclasses.replace(report, values=bad)
+    for kf, genus in ((-1, 1), (0, 0)):
+        with pytest.raises(PreconditionError, match="multisets above the threshold"):
+            VanishingScanReport(kf=kf, genus=genus, values=())
+    assert VanishingScanReport(kf=0, genus=1, values=()).scanned == ()
+
+
+def test_scan_record_reads_its_violations_off_the_values():
+    # a nonzero value makes every ordering of its multiset a violation
+    report = vanishing_scan(paired_unipotent([3]), TwoForm.standard(3))
+    assert report.violations == ()
+    key = next(k for k, _ in report.values if len(set(k)) == 3)
+    bad = dataclasses.replace(
+        report,
+        values=tuple(
+            (k, Fraction(2, 3) if k == key else v) for k, v in report.values
+        ),
+    )
+    assert bad.violations == tuple(sorted(itertools.permutations(key)))
+    assert [t for t, v in bad.scanned if v] == list(bad.violations)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ characteristic polynomials, and reduced-echelon kernels for rank-nullity.
 
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -982,9 +982,10 @@ def test_storage_is_canonical():
             assert_canonical(m)
 
 
-def test_congruence_chain_and_combiner_sum_pullbacks():
+def test_congruence_chain_and_weighted_rows_sum_pullbacks():
     # sum_{j<n} M^j X (M^j)^T, summed literally, against the chain weighted
-    # by C(n, i + 1); rational unipotent M and rational X
+    # by C(n, i + 1) as integer rows over its common denominator; rational
+    # unipotent M and rational X
     rng = random.Random(820)
     for _ in range(40):
         k = rng.randint(1, 6)
@@ -996,10 +997,11 @@ def test_congruence_chain_and_combiner_sum_pullbacks():
         x = RatMatrix.from_rows(mixed_rows(rng, k))
         chain = exact.congruence_chain(m, x)
         assert chain[0] == x and 1 <= len(chain) <= 2 * k - 1
-        combine = exact.combiner(chain)
+        den, terms = exact._chain_terms(chain)
         literal, power = RatMatrix.zero(k), RatMatrix.identity(k)
         for n in range(6):
-            assert combine([comb(n, i + 1) for i in range(len(chain))]) == literal
+            weights = [comb(n, i + 1) for i in range(len(chain))]
+            assert RatMatrix(exact._weighted_rows(terms, weights, k), den) == literal
             literal = literal + mat_mul(mat_mul(power, x), power.transpose())
             power = mat_mul(power, m)
 
@@ -1011,37 +1013,44 @@ def test_congruence_chain_raises_past_the_nilpotency_bound():
             exact.congruence_chain(two, RatMatrix.identity(k))
 
 
-def test_combiner_rejects_mixed_dimensions_and_wrong_weight_lengths():
+def test_chain_terms_rejects_mixed_dimensions_and_no_matrices():
     with pytest.raises(DimensionMismatchError):
-        exact.combiner([RatMatrix.identity(2), RatMatrix.identity(3)])
+        exact._chain_terms([RatMatrix.identity(2), RatMatrix.identity(3)])
     with pytest.raises(DimensionMismatchError):
-        exact.combiner([])
-    combine = exact.combiner([RatMatrix.identity(2), RatMatrix.zero(2)])
-    for weights in ([1], [1, 2, 3], []):
-        with pytest.raises(DimensionMismatchError):
-            combine(weights)
+        exact._chain_terms([])
+    # the nonzero entries at r*k + c, over the common denominator 6
+    third = RatMatrix.from_rows([[0, Fraction(1, 3)], [Fraction(-1, 2), 0]])
+    assert exact._chain_terms([RatMatrix.identity(2), third]) == (
+        6,
+        [[(0, 6), (3, 6)], [(1, 2), (2, -3)]],
+    )
 
 
-def test_combiner_is_canonical_over_mixed_denominators():
+def test_weighted_rows_match_the_literal_sum_over_mixed_denominators():
     rng = random.Random(830)
     for _ in range(30):
         k = rng.randint(1, 5)
         mats = [RatMatrix.from_rows(mixed_rows(rng, k)) for _ in range(3)]
         mats.append(mats[0] * Fraction(1, rng.randint(2, 9)))
-        combine = exact.combiner(mats)
+        den, terms = exact._chain_terms(mats)
+        assert den == lcm(*(m.den for m in mats))
         weights = [rng.randint(-3, 3) for _ in mats]
         expected = RatMatrix.zero(k)
         for w, m in zip(weights, mats):
             expected = expected + m * w
-        total = combine(weights)
-        assert total == expected
-        assert_canonical(total)
-        zero = combine([0] * len(mats))
-        assert zero == RatMatrix.zero(k) and zero.den == 1
-    # weights that cancel, or that clear the common denominator, give den 1
+        rows = exact._weighted_rows(terms, weights, k)
+        assert [[Fraction(v, den) for v in row] for row in rows] == [
+            list(row) for row in expected.entries
+        ]
+        assert_canonical(RatMatrix(rows, den))
+        assert exact._weighted_rows(terms, [0] * len(mats), k) == [[0] * k] * k
+    # weights that cancel give zero rows, and rows that clear the common
+    # denominator reduce to den 1
     half = RatMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(1, 6)]])
-    assert exact.combiner([half, half * 2])([2, -1]) == RatMatrix.zero(2)
-    cleared = exact.combiner([half, half * 3])([6, 0])
+    den, terms = exact._chain_terms([half, half * 2])
+    assert exact._weighted_rows(terms, [2, -1], 2) == [[0, 0], [0, 0]]
+    den, terms = exact._chain_terms([half, half * 3])
+    cleared = RatMatrix(exact._weighted_rows(terms, [6, 0], 2), den)
     assert (cleared.num, cleared.den) == (((3, 2), (0, 1)), 1)
 
 

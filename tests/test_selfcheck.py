@@ -10,6 +10,7 @@ import hashlib
 import inspect
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -122,7 +123,9 @@ FAULTS = {
     ),
     "vanishing_scan_clean": (
         "scan_chain",
-        lambda real: _replaced(real, violations=lambda r: (r.scanned[0][0],)),
+        lambda real: _replaced(
+            real, values=lambda r: ((r.values[0][0], Fraction(1)), *r.values[1:])
+        ),
     ),
     "pullback_power_functoriality": (
         "pullback2",

@@ -14,19 +14,23 @@ follow one rule, with no branch on a missing parity, and `det_poly` asks
 for each node's matrix once.  A zero denominator is refused in one place,
 the lowest-terms rule that `UniPoly` and `RatMatrix` share.  Both sums
 of pullbacks, S(n) in `powersum` and Delta_n in `cohomology`, take their
-chain from `exact.congruence_chain`; S(n) is summed by `exact.combiner`,
-and Delta_n and the scan's sums by `cohomology._common_pfaffian` alone,
-as the integer rows that `_pfaffian_rows` eliminates.  A `UniPoly` is
+chain from `exact.congruence_chain` and are weighted by one chain sum,
+`exact._chain_terms` and `exact._weighted_rows`, which both import: no
+module defines a `combiner`, and only `exact` takes the lcm of
+denominators.  Delta_n and the scan's sums go through
+`cohomology._common_pfaffian` alone, as the integer rows that
+`_pfaffian_rows` eliminates.  A `UniPoly` is
 built, evaluated and printed, with no ring operations, and matrix powers
 go through `exact.mat_pow` alone.  A `TwoForm` is built, read and handed
 to `pfaffian` or `pullback2`, with no arithmetic of its own; Delta_x and
 the polarized wedges are built inside `intersection_poly` and
 `scan_chain` alone, through their private helper `_common_pfaffian`,
-and the scan keeps one value per multiset, listing the ordered tuples
-only on demand.  The records keep only the members some route
-reads, and the degree of the zero polynomial is the int -1.  A power the
-verdict claims unipotent is checked by its trace, so no module tests
-nilpotency by squaring, and `plovkit` exports no `is_unipotent`.  One
+and the scan keeps one value per multiset, listing the ordered tuples,
+and the violations among them, only on demand.  The records keep only
+the members some route reads, and the degree of the zero polynomial is
+the int -1.  A power the verdict claims unipotent is checked by its
+trace, so no module tests nilpotency by squaring, and `plovkit`
+exports no `is_unipotent`.  One
 conjugate half is read off the `JordanProfile` as triples, with no
 record of its own; Phi_n is built by `cyclotomic.cyclotomic_poly` alone;
 `_interpolate` builds polynomials in n only; `randgen` inverts by
@@ -198,13 +202,27 @@ def test_sums_of_pullbacks_share_one_chain():
         }
         for module in ("powersum.py", "cohomology.py")
     }
-    assert {"congruence_chain", "combiner"} <= imported["powersum.py"]
-    assert "congruence_chain" in imported["cohomology.py"]
+    chain_sum = {"congruence_chain", "_chain_terms", "_weighted_rows"}
+    assert chain_sum <= imported["powersum.py"]
+    assert chain_sum <= imported["cohomology.py"]
+    assert "combiner" not in functions and not hasattr(plovkit.exact, "combiner")
+    assert not any(
+        references(node, "combiner") for tree in trees.values() for node in ast.walk(tree)
+    )
+    # a chain's common denominator is formed in `exact` alone
+    over_denominators = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and references(node.func, "lcm")
+        and any(references(sub, "den") for sub in ast.walk(node))
+    }
+    assert over_denominators == {"exact.py"}
     # Delta_n is summed as integer rows, with no matrix per sum: only the
     # public `pfaffian` and the sums of `_common_pfaffian` reach the
     # elimination
     cohomology = trees["cohomology.py"]
-    assert not any(references(node, "combiner") for node in ast.walk(cohomology))
     eliminating = {
         fn.name
         for fn in ast.walk(cohomology)
@@ -237,8 +255,10 @@ def test_two_forms_have_no_arithmetic_and_the_scan_polarizes_inline():
     assert functions & {"delta_at", "polarized_wedge"} == set()
     assert "scan_chain" in functions
     assert not hasattr(plovkit, "delta_at")
-    combine = plovkit.exact.combiner([plovkit.RatMatrix.identity(2)])
-    assert not hasattr(combine, "count") and not hasattr(combine, "dimension")
+    # the chain sum hands out plain terms and integer rows, no matrix object
+    den, terms = plovkit.exact._chain_terms([plovkit.RatMatrix.identity(2)])
+    assert (den, terms) == (1, [[(0, 1), (3, 1)]])
+    assert plovkit.exact._weighted_rows(terms, [2], 2) == [[2, 0], [0, 2]]
 
 
 def test_records_keep_only_what_the_routes_read():
@@ -256,12 +276,14 @@ def test_records_keep_only_what_the_routes_read():
     assert not hasattr(plovkit.JordanProfile, "max_block_size")
     assert not hasattr(plovkit.AnalysisReport, "all_bounds_hold")
     scan_fields = {f.name for f in dataclasses.fields(plovkit.VanishingScanReport)}
-    assert scan_fields == {"kf", "genus", "values", "violations"}
-    # the ordered tuples are listed on demand, from the multiset values
-    assert isinstance(
-        inspect.getattr_static(plovkit.VanishingScanReport, "scanned"),
-        functools.cached_property,
-    )
+    assert scan_fields == {"kf", "genus", "values"}
+    # the ordered tuples, and the violations among them, are listed on
+    # demand from the multiset values
+    for name in ("scanned", "violations"):
+        assert isinstance(
+            inspect.getattr_static(plovkit.VanishingScanReport, name),
+            functools.cached_property,
+        )
     assert list(inspect.signature(random_unimodular).parameters) == ["rng", "k"]
 
 
