@@ -12,6 +12,7 @@ the package does not import; the CLI loads it only for `selftest`.
 from .errors import (
     CrossCheckError,
     DegenerateFormError,
+    DegreeBoundError,
     DimensionMismatchError,
     InputFormatError,
     NotPseudoAnalyticError,

@@ -25,14 +25,16 @@ returns its chain for `scan_chain` to reuse.  The top self-intersection
 of Delta_x (the coefficient of e_1 ^ ... ^ e_2g in the g-fold wedge) is
 a polynomial in x, reported in the variable n, whose degree is the
 model-side volume growth.  For one form w the top coefficient of w^g is
-g! * Pf(A_w), so `intersection_poly` evaluates that at the nodes
-x = 0..D, D = plov + 1 from M's half profile, and interpolates.
+g! * Pf(A_w), so `intersection_poly` interpolates that on D + 1 nodes,
+D = plov + 1, centred at 0 by Pf(Delta_{-x}) = (-1)^g Pf(Delta_x).
 
 `pfaffian` works on the integer rows alone: for A = num/den it returns
 the integer Pf(num), and Pf(A) = Pf(num)/den^g.  Its callers carry den^g.
 Both put every Pfaffian over den^g for the chain's common denominator
 den, so their sums stay in integers: `intersection_poly` divides its
 interpolated polynomial once, and `scan_chain` each multiset's value.
+They split Pf by the blocks of the chain's support graph, with a
+half-size determinant per 2-coloured block; `pfaffian` does not.
 
 The vanishing scan needs mixed products of chain forms.  2-forms
 commute, so such a product depends only on the multiset alpha of its
@@ -48,14 +50,14 @@ once on the beta below some multiset above the threshold and takes the
 differences one index at a time, in place, so every multiset's value
 comes out of one table; a beta whose weighted forms all leave some row
 empty is 0 by their row supports, with no elimination (355 of the 473
-on paired [4, 1]).  The report keeps one value per multiset, and the
-ordered tuples, which take the value of their multiset, are listed
-only on demand: head by head for the report's encoder, or all at once
-as ``scanned``.  The literal wedge expansion,
-`selfcheck.wedge_coefficient`, is the oracle for both Pfaffian routes,
-in the self-test and the tests, and `selfcheck.polarization`, the sum
-above term by term, the reference for each multiset of the table.
-Intersection numbers are kept as raw
+on paired [4, 1]; the others are a 4 x 4 and a 1 x 1 determinant).
+The report keeps one value per multiset, and the ordered
+tuples, which take the value of their multiset, are listed only on
+demand: head by head for the report's encoder, or all at once as
+``scanned``.  The literal wedge expansion, `selfcheck.wedge_coefficient`,
+is the oracle for both Pfaffian routes, in the self-test and the tests,
+and `selfcheck.polarization`, the sum above term by term, the reference
+for each multiset of the table.  Intersection numbers are kept as raw
 wedge coefficients, since every contract here concerns degrees and
 vanishing only.
 """
@@ -72,6 +74,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .errors import (
     CrossCheckError,
     DegenerateFormError,
+    DegreeBoundError,
     DimensionMismatchError,
     PreconditionError,
 )
@@ -80,6 +83,7 @@ from .exact import (
     Scalar,
     UniPoly,
     _chain_terms,
+    _echelon,
     _expect,
     _scalar,
     _weighted_rows,
@@ -238,33 +242,73 @@ def _pfaffian_rows(a: list[list[int]]) -> int:
     return sign * prev
 
 
+def _block_pfaffian(rows: list[list[int]], bipartite: bool) -> int:
+    """Pf of a block: det of its P x Q rows if bipartite, else eliminated."""
+    if bipartite:
+        rank, last = _echelon(rows)
+        return last if rank == len(rows) else 0
+    return _pfaffian_rows(rows)
+
+
 def _common_pfaffian(
     chain: Sequence[TwoForm],
 ) -> tuple[Callable[[Sequence[int]], int], int]:
     """(pf, den^g) for the chain's common denominator den: pf(w) is the
     integer den^g * Pf(sum_i w_i chain[i]), which is Pf(sum_i w_i den
     chain[i]).  The terms above the diagonal, from `_chain_terms` once,
-    are summed by `_weighted_rows` for `_pfaffian_rows`, with no matrix
-    built.  When the forms of nonzero weight leave a row empty, by their
-    nonzero-row bitmasks, pf is 0 with no sum built; a row that only
-    cancels is left to the elimination.  A chain of no forms or of mixed
-    genus raises DimensionMismatchError."""
+    are split by the components of the union of the forms' supports:
+    Pf = sign(sigma) prod Pf(block), sigma listing them in turn.  A block
+    2-coloured by sides P, Q of one size, listed p1, q1, p2, ..., has Pf =
+    det of its P x Q block; an odd one, or unequal sides, make pf 0.
+    `_weighted_rows` sums each block's rows for `_block_pfaffian` unless
+    the forms of nonzero weight leave a row empty, by their row bitmasks
+    (pf is then 0; a row that only cancels is left to the elimination).
+    No forms or mixed genus raise DimensionMismatchError."""
     mats = [_expect(f, TwoForm).matrix for f in chain]
     den, terms = _chain_terms(mats)
     n = mats[0].dimension
-    terms = [[(at, v) for at, v in term if at % n > at // n] for term in terms]
+    terms = [[(*divmod(at, n), v) for at, v in t if at % n > at // n] for t in terms]
+    edges = [(r, c) for r, c, _ in itertools.chain(*terms)]
+    adjacent = [{u for e in edges if v in e for u in e if u != v} for v in range(n)]
+    side, order, blocks = {}, [], []  # blocks: (size, bipartite, terms by form)
+    for root in itertools.filterfalse(side.__contains__, range(n)):
+        side[root], comp = 0, [root]
+        for v in comp:  # breadth first, 2-colouring as it goes
+            for u in adjacent[v] - side.keys():
+                side[u] = 1 - side[v]
+                comp.append(u)
+        halves = [sorted(v for v in comp if side[v] == s) for s in (0, 1)]
+        if any(side[u] == side[v] for v in comp for u in adjacent[v]):
+            halves = [sorted(comp)]
+            side.update(dict.fromkeys(comp, 0))  # no term of it is transposed
+        if len(comp) % 2 or len(comp) != len(halves) * (size := len(halves[0])):
+            return (lambda weights: 0), den ** (n // 2)
+        order += itertools.chain(*zip(*halves))
+        at = {v: i for half in halves for i, v in enumerate(half)}
+        local = [
+            [(at[c] * size + at[r], -v) if side[r] else (at[r] * size + at[c], v)
+             for r, c, v in term if r in at]
+            for term in terms
+        ]
+        blocks.append((size, len(halves) == 2, local))
+    sign = (-1) ** sum(x > y for i, x in enumerate(order) for y in order[i + 1 :])
     rows = [sum(1 << i for i, r in enumerate(m.num) if any(r)) for m in mats]
     full = (1 << n) - 1
 
     def pf(weights: Sequence[int]) -> int:
         if functools.reduce(int.__or__, itertools.compress(rows, weights), 0) != full:
             return 0  # a row of the sum is zero
-        return _pfaffian_rows(_weighted_rows(terms, weights, n))
+        value = sign
+        for size, bipartite, local in blocks:
+            value *= _block_pfaffian(_weighted_rows(local, weights, size), bipartite)
+        return value
 
     return pf, den ** (n // 2)
 
 
-def intersection_poly(chain: Sequence[TwoForm], degree_bound: int) -> UniPoly:
+def intersection_poly(
+    chain: Sequence[TwoForm], degree_bound: int, parity: Optional[int] = None
+) -> UniPoly:
     """The raw top coefficient of Delta_n^g for chain = nilpotent_chain(M, H)
     as a polynomial in n (no normalization; only degrees and vanishing are
     contractual).
@@ -274,19 +318,18 @@ def intersection_poly(chain: Sequence[TwoForm], degree_bound: int) -> UniPoly:
     has degree at most g + sum k(k - 1)/2 over M's blocks (a change of
     basis scales it by a constant): plov for a paired profile, and
     `plov_via_model` passes degree_bound = plov + 1.  It is interpolated
-    from the integers g! * den^g * Pf(Delta_x) at x = 0..degree_bound,
-    den the chain's common denominator, with every Delta_x summed by
-    `_common_pfaffian` as integer rows, and one extra node re-verifies
-    it; the polynomial is divided by den^g once."""
+    from the integers g! * den^g * Pf(Delta_x), den the chain's common
+    denominator, on nodes centred at 0 if the caller vouches for parity,
+    Pf(Delta_{-x}) = parity * Pf(Delta_x) ((-1)^g for the chain of M), and
+    re-verified at one more node (DegreeBoundError); then divided by den^g."""
     pf, den_g = _common_pfaffian(chain)
     scale = factorial(chain[0].genus)
 
     def top(x: int) -> int:
         return scale * pf([comb(x, i + 1) for i in range(len(chain))])
 
-    poly = interpolate_checked(
-        top, degree_bound, f"intersection_poly at dimension {2 * chain[0].genus}"
-    )
+    where = f"intersection_poly at dimension {2 * chain[0].genus}"
+    poly = interpolate_checked(top, degree_bound, where, parity)
     return UniPoly(poly.num, poly.den * den_g, "n")
 
 
@@ -307,7 +350,8 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
     wedge of Delta_n.  Always at most the profile value sum k_i^2; whether
     equality holds depends on the chosen form and is reported as a flag,
     not asserted.  Its gate is M's Jordan profile, through
-    `unipotent_block_profile` and `half_profile`.
+    `unipotent_block_profile` and `half_profile`, which proves its degree
+    bound and (det M = 1) its mirror law, so a miss is a CrossCheckError.
 
     The chain is also checked against the paper's bound on Jordan blocks
     of N^1 inside Lambda^2 H^1: its length is at most the largest block of
@@ -322,7 +366,10 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
             f"{where}: nilpotent chain of length {len(chain)} exceeds the "
             f"largest second-compound block {largest} (len(chain) <= 2kJ + 1)"
         )
-    poly = intersection_poly(chain, expected + 1)
+    try:
+        poly = intersection_poly(chain, expected + 1, (-1) ** h.genus)
+    except DegreeBoundError as exc:
+        raise CrossCheckError(str(exc)) from exc
     if poly.is_zero():
         raise DegenerateFormError(
             "top self-intersection of Delta_n is identically zero"
@@ -455,8 +502,8 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
     coefficient of prod_i w_i^alpha_i over den^g is the mixed forward
     difference of F at 0 of order alpha, by polarization.  F is filled
     once on the beta below some multiset above the threshold (473 on
-    paired [4, 1], of which the 118 whose weighted forms cover all 2g
-    rows are eliminated), with F(0) = 0; then the differences are taken
+    paired [4, 1]; the 118 whose forms cover all 2g rows take a 4 x 4
+    and a 1 x 1 determinant), with F(0) = 0; then the differences are taken
     one index at a time, in place, sum_beta |beta| subtractions in all.
     Each multiset's entry is divided by den^g once.  No value is inferred.
     A scan of more than `SCAN_LIMIT` ordered tuples, which its report

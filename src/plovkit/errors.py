@@ -47,5 +47,9 @@ class DegenerateFormError(PreconditionError):
     intersection."""
 
 
+class DegreeBoundError(PreconditionError):
+    """A caller's degree bound is too small: the check node is missed."""
+
+
 class CrossCheckError(PlovkitError):
     """An internal re-verification failed; this signals an arithmetic bug."""

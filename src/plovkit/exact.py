@@ -54,7 +54,12 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import CrossCheckError, DimensionMismatchError, PreconditionError
+from .errors import (
+    CrossCheckError,
+    DegreeBoundError,
+    DimensionMismatchError,
+    PreconditionError,
+)
 
 Scalar = Union[int, Fraction]
 
@@ -675,8 +680,8 @@ def interpolate_checked(
 ) -> UniPoly:
     """The polynomial p in n of degree at most D = degree_bound through
     value_at(x) at D + 1 consecutive nodes, re-verified at one more node:
-    an undersized bound (a caller bug) raises a CrossCheckError naming
-    `caller`, the check node and, on the mirrored route, the law.
+    an undersized bound (the caller's error) raises DegreeBoundError
+    naming `caller`, the check node and, on the mirrored route, the law.
 
     The nodes are x = start..start + D: start = 0, or -floor(D/2) when
     the caller vouches for p(-x) = parity * p(x) with the int parity +1
@@ -695,7 +700,7 @@ def interpolate_checked(
     node = start + degree_bound + 1
     if p(node) != value_at(node):
         law = f" with P(-x) = {'+' if parity > 0 else '-'}P(x)" if parity else ""
-        raise CrossCheckError(
+        raise DegreeBoundError(
             f"{caller}: interpolant on nodes {start}..{node - 1}{law} misses "
             f"the check node x = {node} (degree bound too small?)"
         )

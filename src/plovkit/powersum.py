@@ -34,6 +34,7 @@ from math import comb
 
 from .errors import (
     CrossCheckError,
+    DegreeBoundError,
     NotSymmetricPositiveDefiniteError,
     PreconditionError,
 )
@@ -87,9 +88,9 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     the blocks (a change of basis scales it by a constant); it is
     interpolated on that bound plus one, at nodes centred at 0 with
     P(-x) = (-1)^K P(x) filling the negative ones, and re-verified at a
-    node past them.  The degree must equal sum k_i^2,
-    read by `unipotent_block_profile`, which is also the gate that proves
-    A unipotent, and so the mirror law; a mismatch raises CrossCheckError.
+    node past them (a miss is a CrossCheckError).  The degree must equal
+    sum k_i^2 by `unipotent_block_profile`, the gate that proves A
+    unipotent and so the mirror law, or CrossCheckError is raised.
     """
     _check_same_dim(a, h)
     profile = unipotent_block_profile(a)
@@ -97,13 +98,15 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     den, terms = _chain_terms(congruence_chain(a.transpose(), h))
     k = a.dimension
     degree = sum(m * size * size for _, size, m in profile.entries)
-    poly = det_poly(
-        lambda x: RatMatrix(
-            _weighted_rows(terms, [comb(x, j + 1) for j in range(len(terms))], k), den
-        ),
-        degree + 1,
-        parity=(-1) ** k,
-    )
+
+    def sum_at(x: int) -> RatMatrix:
+        weights = [comb(x, j + 1) for j in range(len(terms))]
+        return RatMatrix(_weighted_rows(terms, weights, k), den)
+
+    try:
+        poly = det_poly(sum_at, degree + 1, parity=(-1) ** k)
+    except DegreeBoundError as exc:  # the bound and the parity are laws
+        raise CrossCheckError(str(exc)) from exc
     if poly.degree() != degree:
         raise CrossCheckError(
             f"power-sum determinant degree {poly.degree()} "

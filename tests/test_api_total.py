@@ -13,8 +13,8 @@ made.  The pools are built once, so a draw is a choice of index.
 
 The two exports that take a caller's degree bound, `det_poly` and
 `intersection_poly`, re-verify their interpolant at one more node and
-refuse an undersized bound with a `CrossCheckError` naming it; that is
-their documented contract, pinned in `test_exact` and `test_cohomology`.
+refuse an undersized bound with a `DegreeBoundError`, a
+`PreconditionError`, so no export is allowed a `CrossCheckError`.
 """
 
 import inspect
@@ -40,7 +40,6 @@ EXPORTS = sorted(
     for name, obj in vars(plovkit).items()
     if callable(obj) and not name.startswith("_") and not inspect.ismodule(obj)
 )
-BOUNDED = {"det_poly", "intersection_poly"}
 #: the pool kind an annotation names, the most specific first
 ANNOTATED = (
     ("Sequence[TwoForm]", "family"),
@@ -184,7 +183,7 @@ def test_every_export_is_total():
         except TypeError:
             pass
         except CrossCheckError as exc:
-            assert name in BOUNDED and "degree bound too small" in str(exc), (name, args, exc)
+            raise AssertionError((name, args)) from exc
         except PlovkitError:
             pass
 

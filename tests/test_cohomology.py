@@ -3,7 +3,9 @@ Pfaffians, intersection numbers, and the vanishing scan.
 
 Oracles: literal substitution for pullbacks, summation over matrix powers
 for the divisor classes, hand sign bookkeeping for small wedges, and the
-literal wedge expansion for the Pfaffian route.
+literal wedge expansion for the Pfaffian route, and the plain
+elimination `pfaffian` for the product over the blocks of the support
+graph.
 """
 
 import dataclasses
@@ -36,6 +38,7 @@ from plovkit import (
 from plovkit.errors import (
     CrossCheckError,
     DegenerateFormError,
+    DegreeBoundError,
     DimensionMismatchError,
     NotPseudoAnalyticError,
     NotUnipotentError,
@@ -160,11 +163,6 @@ def assert_values_match_both_references(family):
         assert value == Fraction(polarization(alpha, pf), den_g), key
         assert value == wedge_coefficient([family[i] for i in key]), key
     return sum(1 for _, value in report.values if value)
-
-
-def upper(rows):
-    """The entries above the diagonal of square rows, row by row."""
-    return [list(row[i + 1 :]) for i, row in enumerate(rows)]
 
 
 def weighted_rows_cover(forms, beta):
@@ -449,13 +447,62 @@ def test_intersection_delta_self_wedge_closed_form():
 
 def test_intersection_poly_verification_node(monkeypatch):
     # values that no polynomial of degree <= D takes at 0..D+1 must raise;
-    # on this chain Delta_x = x * e1^e2, so the fake Pfaffian is 2^x
-    import plovkit.cohomology as cohomology
-
-    monkeypatch.setattr(cohomology, "_pfaffian_rows", lambda rows: 2 ** rows[0][1])
+    # on this chain Delta_x = x * e1^e2, one bipartite block B = [[x]], so
+    # the fake Pfaffian is 3^x (0 at x = 0, by the row supports).  A
+    # caller's bound is the caller's error; the bound and mirror law of
+    # `plov_via_model` are proved, so there a miss is a cross-check
+    # failure, with the same text
+    with pytest.raises(DegreeBoundError, match="^intersection_poly at dimension 2: "):
+        intersection_poly([TwoForm.standard(1)], 0)
+    monkeypatch.setattr(
+        cohomology, "_block_pfaffian", lambda rows, bipartite: 3 ** rows[0][0]
+    )
     chain = nilpotent_chain(RatMatrix.identity(2), TwoForm(1, {(1, 2): 1}))
-    with pytest.raises(CrossCheckError, match="intersection_poly"):
+    with pytest.raises(DegreeBoundError, match="intersection_poly") as caught:
         intersection_poly(chain, 2)
+    assert isinstance(caught.value, PreconditionError)
+    with pytest.raises(CrossCheckError) as caught:
+        plov_via_model(RatMatrix.identity(2), TwoForm(1, {(1, 2): 1}))
+    assert str(caught.value) == (
+        "intersection_poly at dimension 2: interpolant on nodes -1..1 with "
+        "P(-x) = -P(x) misses the check node x = 2 (degree bound too small?)"
+    )
+    assert isinstance(caught.value.__cause__, DegreeBoundError)
+
+
+@pytest.mark.parametrize("sizes", [[3, 1], [4, 1]])
+def test_intersection_poly_mirrored_nodes_give_the_same_polynomial(sizes, monkeypatch):
+    # Pf(Delta_{-x}) = (-1)^g Pf(Delta_x): with the parity, the nodes are
+    # -floor(D/2)..D - floor(D/2) and only x = 1..D - floor(D/2) + 1 are
+    # eliminated; the opposite parity misses the check node
+    g = sum(sizes)
+    chain = nilpotent_chain(paired_unipotent(sizes), TwoForm.standard(g))
+    bound = plov_of(half_profile(jordan_profile(paired_unipotent(sizes)))) + 1
+    plain = intersection_poly(chain, bound)
+    nodes = []
+    real = cohomology._common_pfaffian
+
+    def recording(chain):
+        pf, den_g = real(chain)
+        return (lambda weights: nodes.append(weights[0]) or pf(weights)), den_g
+
+    monkeypatch.setattr(cohomology, "_common_pfaffian", recording)
+    assert intersection_poly(chain, bound, (-1) ** g) == plain
+    assert nodes == list(range(bound - bound // 2 + 2))
+    with pytest.raises(DegreeBoundError, match=r"with P\(-x\) = [+-]P\(x\)"):
+        intersection_poly(chain, bound, -((-1) ** g))
+    assert plov_via_model(paired_unipotent(sizes), TwoForm.standard(g)).poly == plain
+
+
+def test_model_wrong_mirror_law_is_a_cross_check_failure(monkeypatch):
+    real = cohomology.intersection_poly
+
+    def flipped(chain, degree_bound, parity):
+        return real(chain, degree_bound, -parity)
+
+    monkeypatch.setattr(cohomology, "intersection_poly", flipped)
+    with pytest.raises(CrossCheckError, match=r"^intersection_poly at dimension 4: .*x = "):
+        plov_via_model(quad_block(), TwoForm.standard(2))
 
 
 def test_intersection_arity_checks():
@@ -882,15 +929,18 @@ def test_scan_past_the_limit_is_refused_before_it_runs(monkeypatch):
 def test_scan_evaluates_each_multiset_once_and_each_beta_once(monkeypatch):
     # paired [4, 1]: 7,678 ordered tuples above the threshold, 215
     # multisets.  Each beta <= some such multiset is checked against the
-    # row supports once (the table's entries), the elimination runs only
+    # row supports once (the table's entries), the blocks are valued only
     # for the beta whose weighted forms leave no row empty, and the
-    # differences take one subtraction per unit of |beta| over the table
+    # differences take one subtraction per unit of |beta| over the table.
+    # The supports split into one bipartite block per Jordan block, so
+    # each such beta takes a 4 x 4 and a 1 x 1 determinant (all nonzero)
+    # and no Pfaffian elimination
     g = 5
     chain = nilpotent_chain(paired_unipotent([4, 1]), TwoForm.standard(g))
     kf = len(chain) - 1
     above, betas = scan_multisets_and_betas(g, kf)
     covering = [beta for beta in betas if weighted_rows_cover(chain, beta)]
-    counts = {"_pfaffian_rows": 0, "pf": 0, "subtractions": 0}
+    counts = {"blocks": [], "pf": 0, "subtractions": 0}
 
     class Counted(int):
         # a table entry that counts the subtractions made on it
@@ -902,13 +952,14 @@ def test_scan_evaluates_each_multiset_once_and_each_beta_once(monkeypatch):
             counts["subtractions"] += 1
             return Counted(int.__sub__(other, self))
 
-    real_rows = cohomology._pfaffian_rows
+    real_block = cohomology._block_pfaffian
 
-    def counting(rows):
-        counts["_pfaffian_rows"] += 1
-        return real_rows(rows)
+    def counting(rows, bipartite):
+        counts["blocks"].append((len(rows), bipartite))
+        return real_block(rows, bipartite)
 
-    monkeypatch.setattr(cohomology, "_pfaffian_rows", counting)
+    monkeypatch.setattr(cohomology, "_block_pfaffian", counting)
+    monkeypatch.setattr(cohomology, "_pfaffian_rows", None)
     real_common = cohomology._common_pfaffian
 
     def counted_common(chain):
@@ -927,7 +978,7 @@ def test_scan_evaluates_each_multiset_once_and_each_beta_once(monkeypatch):
     assert report.violations == ()
     assert counts == {
         "pf": len(betas),
-        "_pfaffian_rows": len(covering),
+        "blocks": [(4, True), (1, True)] * len(covering),
         "subtractions": sum(map(sum, betas)),
     }
     assert (len(above), len(betas), len(covering)) == (215, 473, 118)
@@ -965,45 +1016,179 @@ def test_scan_of_sparse_families_matches_literal_scan_on_both_sides_of_the_suppo
 def test_row_emptied_by_cancellation_is_left_to_the_elimination(monkeypatch):
     # w0 = e12 + e34 and w1 = e13 - e12 cover every row between them, but
     # w0 + w1 = e13 + e34 has row 2 zero by cancellation: its Pfaffian is
-    # 0 from the elimination, not from the supports
+    # 0 from the elimination, not from the supports.  The supports make
+    # the path 2 - 1 - 3 - 4, one bipartite block with sides {1, 4} and
+    # {2, 3}, so the elimination is that of B = rows (1, 4) x columns (2, 3)
     w0 = TwoForm(2, {(1, 2): 1, (3, 4): 1})
     w1 = TwoForm(2, {(1, 3): 1, (1, 2): -1})
     assert weighted_rows_cover([w0, w1], (1, 1))
     calls = []
-    real = cohomology._pfaffian_rows
+    real = cohomology._block_pfaffian
 
-    def counting(rows):
-        calls.append(upper(rows))
-        return real(rows)
+    def counting(rows, bipartite):
+        calls.append((rows, bipartite))
+        return real(rows, bipartite)
 
-    monkeypatch.setattr(cohomology, "_pfaffian_rows", counting)
+    monkeypatch.setattr(cohomology, "_block_pfaffian", counting)
     pf, den_g = cohomology._common_pfaffian([w0, w1])
     assert (pf((1, 1)), den_g) == (0, 1)
-    assert calls == [upper(TwoForm(2, {(1, 3): 1, (3, 4): 1}).matrix.num)]
+    assert calls == [([[0, 1], [0, -1]], True)]
     assert wedge_coefficient([TwoForm._of(w0.matrix + w1.matrix)] * 2) == 0
     # w1 alone leaves row 4 empty: 0 with no elimination
     assert pf((0, 1)) == 0 and len(calls) == 1
-    assert pf((1, 0)) == 1 and len(calls) == 2
+    assert pf((1, 0)) == 1 and calls[1:] == [([[1, 0], [0, -1]], True)]
     assert scan_chain([w0, w1]).scanned == literal_scan([w0, w1])
 
 
 def test_intersection_poly_at_zero_weights_needs_no_elimination(monkeypatch):
     # Delta_0 = 0: every weight C(0, i+1) is 0, so the node x = 0 is 0 by
     # the supports, and only the nodes 1..D+1 (with the check node) are
-    # eliminated
+    # eliminated, each as a 3 x 3 and a 1 x 1 determinant (paired [3, 1]
+    # is two bipartite blocks); with the mirror law only 1..D - floor(D/2) + 1
     chain = nilpotent_chain(paired_unipotent([3, 1]), TwoForm.standard(4))
     pf, _ = cohomology._common_pfaffian(chain)
     calls = []
-    real = cohomology._pfaffian_rows
+    real = cohomology._block_pfaffian
 
-    def counting(rows):
-        calls.append(upper(rows))
-        return real(rows)
+    def counting(rows, bipartite):
+        calls.append((rows, bipartite))
+        return real(rows, bipartite)
 
-    monkeypatch.setattr(cohomology, "_pfaffian_rows", counting)
+    monkeypatch.setattr(cohomology, "_block_pfaffian", counting)
     assert pf([0] * len(chain)) == 0 and calls == []
     degree_bound = 11
     poly = intersection_poly(chain, degree_bound)
     assert poly(0) == 0
-    assert len(calls) == degree_bound + 1
-    assert all(any(map(any, rows)) for rows in calls)
+    shapes = [(len(rows), bipartite) for rows, bipartite in calls]
+    assert shapes == [(3, True), (1, True)] * (degree_bound + 1)
+    assert all(any(map(any, rows)) for rows, _ in calls)
+    del calls[:]
+    assert intersection_poly(chain, degree_bound, 1) == poly
+    assert len(calls) == 2 * (degree_bound - degree_bound // 2 + 1)
+
+
+# ---------------------------------------------------------------------------
+# The blocks of the support graph
+
+
+def form_on_edges(rng, g, edges, den=1):
+    """Random integer 2-form over den, nonzero on exactly the given
+    1-based pairs (i, j), i != j, in either order."""
+    coeffs = {}
+    for i, j in edges:
+        value = Fraction(rng.choice([-1, 1]) * rng.randint(1, 3), den)
+        coeffs[(i, j) if i < j else (j, i)] = value
+    return TwoForm(g, coeffs)
+
+
+def family_on(rng, g, pairs, size=3, den=1):
+    """``size`` forms on random subsets of ``pairs``, the last on all of
+    them, so that the union of their supports is ``pairs``."""
+    family = [
+        form_on_edges(rng, g, [p for p in pairs if rng.random() < 0.5] or pairs[:1], den)
+        for _ in range(size - 1)
+    ]
+    return family + [form_on_edges(rng, g, pairs, den)]
+
+
+def inside(*blocks):
+    """The pairs inside each block of 1-based indices."""
+    return [pair for block in blocks for pair in itertools.combinations(block, 2)]
+
+
+def between(left, right):
+    """The pairs joining the index sets ``left`` and ``right``."""
+    return [(i, j) for i in left for j in right]
+
+
+def weighted_sum(family, weights):
+    """sum_i weights[i] family[i], summed literally through `+` and `*`."""
+    total = RatMatrix.zero(family[0].matrix.dimension)
+    for w, form in zip(weights, family):
+        total = total + form.matrix * w
+    return TwoForm._of(total)
+
+
+def blocks_against_references(family, rng, monkeypatch, trials=6):
+    """pf(w) of `_common_pfaffian` at random weights equals the plain
+    elimination `pfaffian` and the literal wedge of the literal weighted
+    sum, and at g <= 3 the scan equals the literal scan.  Returns the
+    (size, bipartite) of every block valued, in order."""
+    g = family[0].genus
+    calls = []
+    real = cohomology._block_pfaffian
+
+    def recording(rows, bipartite):
+        calls.append((len(rows), bipartite))
+        return real(rows, bipartite)
+
+    monkeypatch.setattr(cohomology, "_block_pfaffian", recording)
+    pf, den_g = cohomology._common_pfaffian(family)
+    for _ in range(trials):
+        weights = [rng.randint(1, 3) for _ in family]
+        total = weighted_sum(family, weights)
+        value = Fraction(pf(weights), den_g)
+        assert value == pf_value(total), weights
+        assert value * math.factorial(g) == wedge_coefficient([total] * g), weights
+    if g <= 3:
+        assert scan_chain(family).scanned == literal_scan(family)
+    return calls
+
+
+def test_block_diagonal_forms_under_a_permutation_match_the_references(monkeypatch):
+    # blocks of sizes 2 and 2g - 2 on a random relabelling of the indices:
+    # the pair is one edge (a bipartite block of m = 1), the dense rest a
+    # block with triangles, eliminated as a whole
+    rng = random.Random(3701)
+    for trial in range(6):
+        g = 2 + trial % 3
+        labels = rng.sample(range(1, 2 * g + 1), 2 * g)
+        pairs = inside(labels[:2], labels[2:])
+        family = family_on(rng, g, pairs, den=rng.choice([1, 2, 3]))
+        calls = blocks_against_references(family, rng, monkeypatch)
+        expected = {(1, True), (2 * g - 2, False)} if g > 2 else {(1, True)}
+        assert set(calls) == expected, (g, calls)
+
+
+def test_bipartite_forms_with_equal_sides_take_one_determinant(monkeypatch):
+    rng = random.Random(3702)
+    for trial in range(6):
+        g = 1 + trial % 4
+        labels = rng.sample(range(1, 2 * g + 1), 2 * g)
+        family = family_on(rng, g, between(labels[:g], labels[g:]), den=rng.choice([1, 6]))
+        calls = blocks_against_references(family, rng, monkeypatch)
+        assert set(calls) == {(g, True)}, (g, calls)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_unequal_sides_and_odd_blocks_are_zero_with_no_elimination(g, monkeypatch):
+    # sides of g - 1 and g + 1 indices, then (from g = 3, so that no index
+    # is alone) a triangle beside a dense block of 2g - 3: neither has a
+    # perfect matching, though the forms cover every row
+    rng = random.Random(3703 + g)
+    labels = rng.sample(range(1, 2 * g + 1), 2 * g)
+    families = [family_on(rng, g, between(labels[: g - 1], labels[g - 1 :]))]
+    if g > 2:
+        families.append(family_on(rng, g, inside(labels[:3], labels[3:]), den=2))
+    for family in families:
+        assert weighted_rows_cover(family, [1] * len(family))
+        assert blocks_against_references(family, rng, monkeypatch) == []
+
+
+def test_a_form_joining_two_blocks_makes_one_block(monkeypatch):
+    # two bipartite blocks, each of 2 + 2 indices, then one form with a
+    # pair across them: the union is one block, still bipartite when the
+    # pair joins opposite sides and eliminated as a whole when it closes
+    # an odd cycle
+    rng = random.Random(3704)
+    g = 4
+    labels = rng.sample(range(1, 9), 8)
+    a, b = (labels[:2], labels[2:4]), (labels[4:6], labels[6:])
+    family = family_on(rng, g, between(*a) + between(*b), den=3)
+    calls = blocks_against_references(family, rng, monkeypatch)
+    assert set(calls) == {(2, True)}
+    across = [(a[0][0], b[1][0])], [(a[0][0], b[0][0]), (a[0][0], a[0][1])]
+    for pairs, bipartite in zip(across, (True, False)):
+        joined = family + [form_on_edges(rng, g, pairs)]
+        calls = blocks_against_references(joined, rng, monkeypatch)
+        assert set(calls) == {(4 if bipartite else 8, bipartite)}, calls

@@ -30,6 +30,7 @@ from plovkit.cohomology import scan_size
 from plovkit.plov import max_minor_degree, second_compound_block_sizes
 from plovkit.errors import (
     CrossCheckError,
+    DegreeBoundError,
     DimensionMismatchError,
     NotUnipotentError,
     PlovkitError,
@@ -664,11 +665,16 @@ def test_det_poly_rejects_negative_bound():
 
 
 def test_det_poly_undersized_bound_fails_loudly():
+    # the bound is the caller's, so its miss is a PreconditionError
     def at(x):
         return RatMatrix.from_rows([[x * x, 0], [0, x * x]])
 
-    with pytest.raises(CrossCheckError, match="det_poly"):
+    with pytest.raises(DegreeBoundError, match="det_poly") as caught:
         det_poly(at, 2)  # true degree is 4
+    assert isinstance(caught.value, PreconditionError)
+    assert not isinstance(caught.value, CrossCheckError)
+    with pytest.raises(DegreeBoundError, match="check node x = 2"):
+        det_poly(lambda x: RatMatrix.from_rows([[x, 1], [0, x]]), 1)
     assert det_poly(at, 4) == poly_n(0, 0, 0, 0, 1)
 
 
@@ -685,9 +691,9 @@ def test_det_poly_mirrored_route_takes_no_negative_node():
         assert det_poly(lambda x: at(x, power), bound, parity=parity) == expected
         # nodes -floor(B/2)..B - floor(B/2) and the check node, all at x >= 0
         assert min(asked) == 0 and max(asked) == bound - bound // 2 + 1
-        with pytest.raises(CrossCheckError, match=r"with P\(-x\) = [+-]P\(x\)"):
+        with pytest.raises(DegreeBoundError, match=r"with P\(-x\) = [+-]P\(x\)"):
             det_poly(lambda x: at(x, power), bound, parity=-parity)
-        with pytest.raises(CrossCheckError, match="^det_poly at dimension 2: "):
+        with pytest.raises(DegreeBoundError, match="^det_poly at dimension 2: "):
             det_poly(lambda x: at(x, power), bound - 2, parity=parity)
     with pytest.raises(PreconditionError, match="parity"):
         det_poly(lambda x: RatMatrix.identity(1), 2, parity=0)

@@ -18,8 +18,9 @@ chain from `exact.congruence_chain` and are weighted by one chain sum,
 `exact._chain_terms` and `exact._weighted_rows`, which both import: no
 module defines a `combiner`, and only `exact` takes the lcm of
 denominators.  Delta_n and the scan's sums go through
-`cohomology._common_pfaffian` alone, as the integer rows that
-`_pfaffian_rows` eliminates.  A `UniPoly` is
+`cohomology._common_pfaffian` alone, as integer rows split by the
+blocks of their support graph, which `_block_pfaffian` values by
+`exact._echelon` or `_pfaffian_rows`, the only two kernels.  A `UniPoly` is
 built, evaluated and printed, with no ring operations, and matrix powers
 go through `exact.mat_pow` alone.  A `TwoForm` is built, read and handed
 to `pfaffian` or `pullback2`, with no arithmetic of its own; Delta_x and
@@ -220,17 +221,23 @@ def test_sums_of_pullbacks_share_one_chain():
     }
     assert over_denominators == {"exact.py"}
     # Delta_n is summed as integer rows, with no matrix per sum: only the
-    # public `pfaffian` and the sums of `_common_pfaffian` reach the
-    # elimination
+    # public `pfaffian` and the one block rule of `_common_pfaffian`
+    # reach an elimination, and the block rule takes its determinants
+    # from `exact._echelon`, so no third kernel exists
     cohomology = trees["cohomology.py"]
-    eliminating = {
-        fn.name
-        for fn in ast.walk(cohomology)
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and references(node.func, "_pfaffian_rows")
-    }
-    assert eliminating == {"pfaffian", "_common_pfaffian", "pf"}
+
+    def callers(kernel):
+        return {
+            fn.name
+            for fn in ast.walk(cohomology)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and references(node.func, kernel)
+        }
+
+    assert callers("_pfaffian_rows") == {"pfaffian", "_block_pfaffian"}
+    assert callers("_echelon") == {"_block_pfaffian"}
+    assert callers("_block_pfaffian") == {"_common_pfaffian", "pf"}
 
 
 def test_polynomials_have_no_ring_operations_and_matrices_no_power_operator():
