@@ -122,7 +122,9 @@ def parse_input(data: bytes | str) -> tuple[Optional[str], RatMatrix]:
                 f"non-square matrix: row {i + 1} has {len(row)} entries, "
                 f"expected {k}"
             )
-        rows.append([parse_entry(x, i, j) for j, x in enumerate(row)])
+        if {*map(type, row)} != {int}:  # else `from_rows` takes the ints as they are
+            row = [parse_entry(x, i, j) for j, x in enumerate(row)]
+        rows.append(row)
     return name, RatMatrix.from_rows(rows)
 
 
@@ -237,8 +239,12 @@ _quote = json.encoder.encode_basestring_ascii
 def encode_report(report: dict) -> str:
     """The text of `json.dumps(report, indent=2, sort_keys=True)`, built
     as one list of parts joined once; `ScannedEntries` are written as the
-    list of their entry dicts would be.  A value no report holds (a float,
-    a tuple, a non-string key) raises `CrossCheckError`."""
+    list of their entry dicts would be, one `VanishingScanReport.blocks`
+    block at a time: a block whose values are all 0 as one join of the
+    texts of its suffixes, which are built once per report.  A value no
+    report holds (a float, a tuple, a non-string key) raises
+    `CrossCheckError`, and so does a listing of other than `scan_size`
+    entries."""
     parts: list[str] = []
     put = parts.append
 
@@ -271,10 +277,11 @@ def encode_report(report: dict) -> str:
             put(nl + "]")
         elif t is ScannedEntries:
             # every entry has one shape: the entry at inner, its keys at
-            # field and its indices at index.  Each head's text is built
-            # once; a head whose values are all 0 is written in one join,
-            # and any other entry by entry, its value text rebuilt only
-            # when the value changes.
+            # field and its indices at index.  A block's prefix text is
+            # built once, and the texts of its last one or two indices once
+            # per report for each sum they need; a block whose values are
+            # all 0 is written in one join, and any other entry by entry,
+            # its value text rebuilt only when the value changes.
             scan = v.scan
             inner = nl + "  "
             field = inner + "  "
@@ -282,30 +289,37 @@ def encode_report(report: dict) -> str:
             comma = "," + inner
             lasts = [str(i) for i in range(scan.kf + 1)]
             digits = [i + "," + index for i in lasts]
+            # the text of a suffix (i, j) is digits[i] + lasts[j], of (i,) lasts[i]
+            firsts = digits if scan.genus > 1 else [""] * len(lasts)
             start = "{" + field + '"tuple": [' + index
             tail = field + "]," + field + '"value": '
             zero_end = tail + "0" + inner + "}"
+            texts: dict[int, list[str]] = {}
             sep = "[" + inner
             count = 0
             last = None
-            for head, first, values in scan.heads():
-                prefix = start + "".join(map(digits.__getitem__, head))
+            for prefix, need, values in scan.blocks():
+                suffixes = texts.get(need)
+                if suffixes is None:
+                    suffixes = texts[need] = [
+                        firsts[s[0]] + lasts[s[-1]] for s in scan.suffixes(need)
+                    ]
+                head = start + "".join(map(digits.__getitem__, prefix))
+                count += len(suffixes)
                 if values is None:
-                    zeros = lasts[first:]
-                    count += len(zeros)
-                    joint = zero_end + comma + prefix
-                    put(sep + prefix + joint.join(zeros) + zero_end)
+                    put(sep + head)
+                    put((zero_end + comma + head).join(suffixes))
+                    put(zero_end)
                     sep = comma
                     continue
-                count += len(values)
-                for at, value in enumerate(values, first):
+                for suffix, value in zip(suffixes, values):
                     if value is not last:
                         if type(value) is not Fraction:
                             raise TypeError(f"scanned value {value!r}")
                         last, text = value, enc_frac(value)
                         text = _quote(text) if type(text) is str else int.__repr__(text)
                         end = tail + text + inner + "}"
-                    put(sep + prefix + lasts[at] + end)
+                    put(sep + head + suffix + end)
                     sep = comma
             expected = scan_size(scan.genus, scan.kf)
             if count != expected:

@@ -274,7 +274,13 @@ class RatMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Scalar]]) -> "RatMatrix":
-        grid = [[_scalar(x) for x in row] for row in rows]
+        """The matrix of rational entries.  When every entry is of type
+        int, the rows are stored as they are; otherwise each entry goes
+        through `_scalar`, and a bool is stored as the int it equals."""
+        grid = [list(row) for row in rows]
+        if {*map(type, itertools.chain.from_iterable(grid))} == {int}:
+            return RatMatrix(grid)
+        grid = [[_scalar(x) for x in row] for row in grid]
         den = lcm(*(c.denominator for row in grid for c in row))
         return RatMatrix(
             tuple(

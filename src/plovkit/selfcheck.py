@@ -36,7 +36,12 @@ from .cohomology import (
     scan_chain,
 )
 from .cyclotomic import cyclotomic_poly, quasi_unipotency, unipotent_power
-from .errors import CrossCheckError, DimensionMismatchError, PreconditionError
+from .errors import (
+    CrossCheckError,
+    DegreeBoundError,
+    DimensionMismatchError,
+    PreconditionError,
+)
 from .exact import (
     RatMatrix,
     UniPoly,
@@ -136,8 +141,9 @@ def growth_exponent_by_minors(m: RatMatrix, r: int) -> int:
     literal powers U^x (built by `mat_mul`); entry (i, j) of U^n has
     degree at most rowdeg[i], the largest d with row i of (U-I)^d
     nonzero, so a minor on the rows I has degree at most the sum of
-    rowdeg[i] over I.  Exponential in the dimension; intended for
-    cross-checks on small matrices."""
+    rowdeg[i] over I, and a minor that misses that bound at its check
+    node raises CrossCheckError.  Exponential in the dimension; intended
+    for cross-checks on small matrices."""
     if not 1 <= r <= m.dimension:
         raise DimensionMismatchError(f"degree {r} out of range 1..{m.dimension}")
     _, u = unipotent_power(m)
@@ -158,9 +164,10 @@ def growth_exponent_by_minors(m: RatMatrix, r: int) -> int:
     for rows in itertools.combinations(range(k), r):
         bound = sum(rowdeg[i] for i in rows)
         for cols in itertools.combinations(range(k), r):
-            minor = det_poly(
-                lambda x: submatrix(powers[x], rows, cols), bound
-            )
+            try:  # the bound is a law, so a miss is a bug
+                minor = det_poly(lambda x: submatrix(powers[x], rows, cols), bound)
+            except DegreeBoundError as exc:
+                raise CrossCheckError(str(exc)) from exc
             best = max(best, minor.degree())
     if best < 0:
         raise CrossCheckError("all minors vanished (impossible: U^0 = I)")

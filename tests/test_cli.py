@@ -78,6 +78,32 @@ def test_from_rows_refuses_inexact_entries(inexact):
         RatMatrix.from_rows([[1, inexact], [0, 1]])
 
 
+def test_from_rows_stores_a_bool_as_its_int():
+    # only entries of type exactly int skip the conversion; a bool goes
+    # through it and is stored as the int it equals
+    m = RatMatrix.from_rows([[True]])
+    assert m.num == ((1,),) and type(m.num[0][0]) is int
+    mixed = RatMatrix.from_rows([[False, True], [1, 0]])
+    assert mixed.num == ((0, 1), (1, 0))
+    assert all(type(x) is int for row in mixed.num for x in row)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (True, "boolean entry at row 2, column 1"),
+        (1.0, "floating-point entry at row 2, column 1; use an integer or 'p/q' string"),
+    ],
+    ids=["bool", "float"],
+)
+def test_parse_rejects_a_bool_or_float_in_an_integer_grid(entry, message):
+    # every other row holds only ints, which skip the per-entry parse
+    grid = [[1, 2, 3], [entry, 1, 0], [0, 0, 1]]
+    with pytest.raises(InputFormatError) as exc:
+        parse_input(json.dumps({"matrix": grid}))
+    assert str(exc.value) == message
+
+
 def test_parse_rejects_non_square():
     with pytest.raises(InputFormatError, match="non-square"):
         parse_input(json.dumps({"matrix": [[1, 2, 3]]}))
@@ -1167,10 +1193,10 @@ def _scan_dict_form(report):
 
 @pytest.mark.parametrize("values", ["mixed", "zero", "empty"])
 def test_model_scanned_entries_match_json_dumps(tmp_path, capsys, monkeypatch, values):
-    # the scanned entries are written head by head from the multiset
+    # the scanned entries are written block by block from the multiset
     # values, not from dicts: the report must equal json.dumps of the dict
-    # form when one head mixes 0 with a negative int and "p/q" values and
-    # other heads are all 0, when every head is all 0, and for an empty scan
+    # form when one block mixes 0 with a negative int and "p/q" values and
+    # other blocks are all 0, when every block is all 0, and for an empty scan
     import dataclasses
 
     import plovkit.cli
@@ -1182,8 +1208,8 @@ def test_model_scanned_entries_match_json_dumps(tmp_path, capsys, monkeypatch, v
     def rewritten(chain):
         report = real(chain)
         if values == "mixed":
-            # the last head (kf, kf) has the lasts 0..kf: its 2nd to 4th
-            # entries get -3, 5/7 and -5/7, and every other multiset 0
+            # the multisets (1, kf, kf), (2, kf, kf) and (3, kf, kf) get
+            # -3, 5/7 and -5/7, and every other multiset 0
             kf = report.kf
             odd = {
                 (i, kf, kf): v
@@ -1215,29 +1241,76 @@ def test_model_scanned_entries_match_json_dumps(tmp_path, capsys, monkeypatch, v
         assert '"scanned": [],' in out
     elif values == "mixed":
         assert '"value": "-5/7"' in out and '"value": -3' in out
-        by_head = {head: v for head, _, v in scan.heads()}
-        assert by_head[(4, 4)] == (0, -3, Fraction(5, 7), Fraction(-5, 7), 0)
-        assert None in by_head.values()  # heads written in bulk
+        blocks = {prefix: (need, v) for prefix, need, v in scan.blocks()}
+        need, last = blocks[(4,)]  # the tuples (4, i, j) with i + j >= 3
+        assert dict(zip(scan.suffixes(need), last)) == {
+            (0, 3): 0, (0, 4): 0, (1, 2): 0, (1, 3): 0, (1, 4): -3,
+            (2, 1): 0, (2, 2): 0, (2, 3): 0, (2, 4): Fraction(5, 7),
+            (3, 0): 0, (3, 1): 0, (3, 2): 0, (3, 3): 0, (3, 4): Fraction(-5, 7),
+            (4, 0): 0, (4, 1): -3, (4, 2): Fraction(5, 7), (4, 3): Fraction(-5, 7),
+            (4, 4): 0,
+        }
+        assert None in [v for _, v in blocks.values()]  # blocks written in bulk
     else:
-        assert all(v is None for _, _, v in scan.heads())
+        assert all(v is None for _, _, v in scan.blocks())
+
+
+#: every shape of the `model` benchmark, then g = 2, and g = 1 and
+#: g = 3 with kf = 0 (an empty scan)
+SCAN_SHAPES = [
+    [3], [2, 2], [3, 1], [2, 2, 1], [3, 1, 1], [2, 2, 1, 1], [4], [3, 2], [2, 2, 2],
+    [3, 1, 1, 1], [3, 2, 1], [4, 1], [2], [1], [1, 1, 1],
+]
+
+
+@pytest.mark.parametrize("shape", SCAN_SHAPES, ids=map(str, SCAN_SHAPES))
+def test_model_scan_section_is_json_dumps_of_its_dict_form(
+    tmp_path, capsys, monkeypatch, shape
+):
+    # the block listing must write the same text as json.dumps of one
+    # dict per ordered tuple, for every suffix length and block count
+    import plovkit.cli
+    from plovkit.cohomology import scan_size
+    from plovkit.randgen import paired_unipotent
+
+    real = plovkit.cli.scan_chain
+    seen = []
+
+    def scan_chain(chain):
+        seen.append(real(chain))
+        return seen[-1]
+
+    monkeypatch.setattr(plovkit.cli, "scan_chain", scan_chain)
+    path = write_doc(tmp_path, {"matrix": enc_matrix(paired_unipotent(shape))})
+    code, out, _ = run_cli(["model", "--input", path], capsys)
+    assert code == 0
+    [scan] = seen
+    assert scan.genus == sum(shape)
+    entries = _scan_dict_form(scan)
+    assert len(entries) == scan_size(scan.genus, scan.kf)
+    assert bool(entries) == (scan.kf > 0)
+    dict_form = json.loads(out)
+    dict_form["model"]["vanishing_scan"]["scanned"] = entries
+    assert out == json.dumps(dict_form, indent=2, sort_keys=True) + "\n"
 
 
 def test_model_scan_entries_other_than_scan_size_exit_3(tmp_path, capsys, monkeypatch):
-    # a head dropped from the scan's listing leaves fewer entries than
+    # a block dropped from the scan's listing leaves fewer entries than
     # scan_size counts, and the encoder refuses to write the report
     from plovkit.cohomology import VanishingScanReport
 
-    real = VanishingScanReport.heads
+    real = VanishingScanReport.blocks
     monkeypatch.setattr(
-        VanishingScanReport, "heads", lambda self: itertools.islice(real(self), 1, None)
+        VanishingScanReport, "blocks", lambda self: itertools.islice(real(self), 1, None)
     )
     path = write_doc(tmp_path, QUAD)
     code, out, err = run_cli(["model", "--input", path], capsys)
     assert code == 3
     assert out == ""
+    # at genus 2 the one block is every tuple
     assert err.splitlines() == [
         "internal cross-check failure: emit: vanishing scan of genus 2 and kf 2 "
-        "wrote 2 entries, not scan_size = 3 (one per ordered tuple above the threshold)"
+        "wrote 0 entries, not scan_size = 3 (one per ordered tuple above the threshold)"
     ]
 
 

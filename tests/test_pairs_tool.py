@@ -84,6 +84,25 @@ def test_a_workload_without_a_pair_count_is_refused(tmp_path, capsys):
     assert "'model' is not NAME:PAIRS" in capsys.readouterr().err
 
 
+def test_a_missing_out_dir_is_made_before_the_first_run(tmp_path, monkeypatch):
+    parent, change = fake_tree(tmp_path / "a"), fake_tree(tmp_path / "b")
+    out_dir = tmp_path / "new" / "dir"
+    ran = []
+
+    def fake_run(tree, workload, seed, seconds):
+        ran.append(tree)
+        return {"exit": 0, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"ops_per_s": 1.0}}
+
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    code = pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
+                       "--workload", "model:2", "--seed", "1", "--out-dir", str(out_dir)])
+    assert code == 0
+    assert len(ran) == 4
+    doc = json.loads((out_dir / "BENCH_t.json").read_text())
+    assert len(doc["series"][0]["runs"]) == 4
+
+
 # prints a progress line and then, last, one JSON line in run.py's format,
 # with values that echo its arguments
 STUB_RUN = """\

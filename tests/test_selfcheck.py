@@ -188,3 +188,21 @@ def test_integer_percentages_draw_what_the_float_weights_drew():
         check = selfcheck._each(percent, lambda rng, max_size: True)
         for cases in range(1, 1001):
             assert check(None, 2, cases) == (True, max(3, int(cases * weight)))
+
+
+def test_minor_oracle_turns_a_missed_degree_bound_into_a_cross_check(monkeypatch):
+    # each minor's degree bound is a law (a sum of row degrees), so a
+    # missed check node in the oracle is a bug: a CrossCheckError with the
+    # same text, from the DegreeBoundError
+    from plovkit.errors import CrossCheckError, DegreeBoundError
+
+    text = "det_poly: the value at the check node is not the interpolant's"
+
+    def missed(at, bound, parity=None):
+        raise DegreeBoundError(text)
+
+    monkeypatch.setattr(selfcheck, "det_poly", missed)
+    with pytest.raises(CrossCheckError) as exc:
+        selfcheck.growth_exponent_by_minors(RatMatrix.jordan_block(1, 2), 1)
+    assert str(exc.value) == text
+    assert type(exc.value.__cause__) is DegreeBoundError

@@ -16,7 +16,8 @@ the machine's speed does not favour either tree.
 For each workload and metric it prints the median of each tree, the
 interquartile range of the parent's runs, the ratio of the medians and
 how many pairs the change won, by the direction that the change tree's
-`BENCHMARK.json` gives.  All raw runs go to `BENCH_<label>.json` in the
+`BENCHMARK.json` gives.  All raw runs go to `BENCH_<label>.json` in
+`--out-dir` (made if missing; the working directory by default), in the
 core schema that `tests/test_bench_files.py` pins, with the summary of
 each series beside its runs and, under `trees`, the commit each tree had
 checked out (`git rev-parse HEAD`), or null for a tree that is not the
@@ -184,6 +185,7 @@ def main(argv=None) -> int:
         "trees": {name: tree_commit(path) for name, path in trees.items()},
         "series": [],
     }
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / f"BENCH_{args.label}.json"
     ok = True
     for workload, pairs in plan:
