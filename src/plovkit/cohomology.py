@@ -34,7 +34,8 @@ Both put every Pfaffian over den^g for the chain's common denominator
 den, so their sums stay in integers: `intersection_poly` divides its
 interpolated polynomial once, and `scan_chain` each multiset's value.
 They split Pf by the blocks of the chain's support graph, with a
-half-size determinant per 2-coloured block; `pfaffian` does not.
+half-size determinant per 2-coloured block; `pfaffian` does not.  That
+evaluator is kept for the last chain, so the two share one build.
 
 The vanishing scan needs mixed products of chain forms.  2-forms
 commute, so such a product depends only on the multiset alpha of its
@@ -46,7 +47,8 @@ factors, and by polarization of the symmetric g-linear top wedge
 
 which is the mixed forward difference of order alpha at 0 of
 F(beta) = Pf(sum_i beta_i w_i), with F(0) = 0.  `scan_chain` fills F
-once on the beta below some multiset above the threshold and takes the
+once on the beta below some multiset above the threshold, grown depth
+first so that none is made and then dropped, and takes the
 differences one index at a time, in place, so every multiset's value
 comes out of one table; a beta whose weighted forms all leave some row
 empty is 0 by their row supports, with no elimination (355 of the 473
@@ -251,8 +253,9 @@ def _block_pfaffian(rows: list[list[int]], bipartite: bool) -> int:
     return _pfaffian_rows(rows)
 
 
+@functools.lru_cache(maxsize=1)
 def _common_pfaffian(
-    chain: Sequence[TwoForm],
+    chain: tuple[TwoForm, ...],
 ) -> tuple[Callable[[Sequence[int]], int], int]:
     """(pf, den^g) for the chain's common denominator den: pf(w) is the
     integer den^g * Pf(sum_i w_i chain[i]), which is Pf(sum_i w_i den
@@ -264,13 +267,17 @@ def _common_pfaffian(
     `_weighted_rows` sums each block's rows for `_block_pfaffian` unless
     the forms of nonzero weight leave a row empty, by their row bitmasks
     (pf is then 0; a row that only cancels is left to the elimination).
-    No forms or mixed genus raise DimensionMismatchError."""
+    No forms or mixed genus raise DimensionMismatchError.  A one-entry
+    memo by the chain's forms, equal by value, so `plov_via_model` and
+    the `scan_chain` of its chain build it once."""
     mats = [_expect(f, TwoForm).matrix for f in chain]
     den, terms = _chain_terms(mats)
     n = mats[0].dimension
     terms = [[(*divmod(at, n), v) for at, v in t if at % n > at // n] for t in terms]
-    edges = [(r, c) for r, c, _ in itertools.chain(*terms)]
-    adjacent = [{u for e in edges if v in e for u in e if u != v} for v in range(n)]
+    adjacent = [set() for _ in range(n)]
+    for r, c, _ in itertools.chain(*terms):
+        adjacent[r].add(c)
+        adjacent[c].add(r)
     side, order, blocks = {}, [], []  # blocks: (size, bipartite, terms by form)
     for root in itertools.filterfalse(side.__contains__, range(n)):
         side[root], comp = 0, [root]
@@ -323,7 +330,7 @@ def intersection_poly(
     denominator, on nodes centred at 0 if the caller vouches for parity,
     Pf(Delta_{-x}) = parity * Pf(Delta_x) ((-1)^g for the chain of M), and
     re-verified at one more node (DegreeBoundError); then divided by den^g."""
-    pf, den_g = _common_pfaffian(chain)
+    pf, den_g = _common_pfaffian(tuple(chain))
     scale = factorial(chain[0].genus)
 
     def top(x: int) -> int:
@@ -523,12 +530,14 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
     difference of F at 0 of order alpha, by polarization.  F is filled
     once on the beta below some multiset above the threshold (473 on
     paired [4, 1]; the 118 whose forms cover all 2g rows take a 4 x 4
-    and a 1 x 1 determinant), with F(0) = 0; then the differences are taken
-    one index at a time, in place, sum_beta |beta| subtractions in all.
+    and a 1 x 1 determinant), with F(0) = 0, each beta grown depth first
+    from the one below it, so no multiset is made and then dropped; then
+    the differences are taken one index at a time, in place, sum_beta
+    |beta| subtractions in all.
     Each multiset's entry is divided by den^g once.  No value is inferred.
     A scan of more than `SCAN_LIMIT` ordered tuples, which its report
     lists, raises `PreconditionError` before any is evaluated."""
-    pf, den_g = _common_pfaffian(chain)
+    pf, den_g = _common_pfaffian(tuple(chain))
     kf = len(chain) - 1
     g = chain[0].genus
     size = scan_size(g, kf)
@@ -538,22 +547,31 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
         )
     # beta is keyed by sum_i beta_i (g + 1)^i, so that beta - e_i has the
     # key less place[i]; beta lies below a multiset above the threshold
-    # when padding it with g - |beta| copies of kf takes it above
+    # when padding it with g - |beta| copies of kf takes it above.  That
+    # sum never rises as a multiset grows, so they are grown depth first,
+    # each new index from the least that keeps the padded sum above
     place = [(g + 1) ** i for i in range(kf + 1)]
     least = g * kf // 2 + 1  # the least index sum above the threshold
     table = {0: 0}
     layers = [[[] for _ in range(g + 1)] for _ in range(kf + 1)]  # [i][beta_i]
     above = []  # (multiset, key) for |beta| = g, in lexicographic order
-    for k in range(1, g + 1):
-        for key in itertools.combinations_with_replacement(range(kf + 1), k):
-            if sum(key) + (g - k) * kf >= least:
-                beta = [key.count(i) for i in range(kf + 1)]
-                at = sum(map(place.__getitem__, key))
-                table[at] = pf(beta)
-                for i in set(key):
-                    layers[i][beta[i]].append(at)
-                if k == g:
-                    above.append((key, at))
+    beta = [0] * (kf + 1)
+
+    def grow(key: tuple, at: int, total: int) -> None:
+        k, last = len(key) + 1, key[-1] if key else 0
+        for j in range(max(last, least - total - (g - k) * kf), kf + 1):
+            beta[j] += 1
+            child, child_at = key + (j,), at + place[j]
+            table[child_at] = pf(beta)
+            for i in set(child):
+                layers[i][beta[i]].append(child_at)
+            if k == g:
+                above.append((child, child_at))
+            else:
+                grow(child, child_at, total + j)
+            beta[j] -= 1
+
+    grow((), 0, 0)
     # along index i, pass t subtracts from each entry with beta_i >= t the
     # one below it, from the top down; after g passes the entry with
     # beta_i = b holds the b-th difference at beta_i = 0

@@ -437,14 +437,20 @@ def congruence_chain(m: RatMatrix, x: RatMatrix) -> list[RatMatrix]:
     """[X, D X, D^2 X, ...] for D X = M X M^T - X, up to the last nonzero
     term, so that sum_{j<n} M^j X (M^j)^T = sum_i C(n, i + 1) D^i X.  For
     unipotent M = I + N, D = (1 + L)(1 + R) - 1 with the commuting
-    L X = N X and R X = X N^T, so D^(2K - 1) = 0; else CrossCheckError."""
-    mt = m.transpose()
+    L X = N X and R X = X N^T, so D^(2K - 1) = 0; else CrossCheckError.
+    On the integer rows, for M = num/d and X = x/e: D X is
+    (num x num^T - d^2 x) / (d^2 e), one `RatMatrix` per kept term."""
+    _check_same_dim(m, x)
+    num, d2 = m.num, m.den * m.den
+    num_t = tuple(zip(*num))
     chain = [x]
     for _ in range(2 * m.dimension - 1):
-        nxt = mat_mul(mat_mul(m, chain[-1]), mt) - chain[-1]
-        if not any(map(any, nxt.num)):
+        last = chain[-1].num
+        rows = _row_product(_row_product(num, last), num_t)
+        rows = [[p - d2 * q for p, q in zip(r, s)] for r, s in zip(rows, last)]
+        if not any(map(any, rows)):
             return chain
-        chain.append(nxt)
+        chain.append(RatMatrix(rows, chain[-1].den * d2))
     raise CrossCheckError(
         f"congruence_chain: D^(2K - 1) X is nonzero at dimension K = {m.dimension}"
     )

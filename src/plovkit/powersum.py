@@ -121,17 +121,17 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
 def power_sum_brute(a: RatMatrix, h: RatMatrix, n: int) -> list[Fraction]:
     """Literal summation oracle: [det S(1), ..., det S(n)] with
     S(x) = sum_{m=0}^{x-1} (A^m)^T H A^m, from one pass over the partial
-    sums and no symbolic shortcut.  A literal sum holds for any square H,
-    so H is not checked for positive definiteness here."""
+    sums and no symbolic shortcut: each term is A^T T A for the term T
+    before it, two `mat_mul`s, none after the last determinant.  A literal
+    sum holds for any square H, so H is not checked for definiteness."""
     _check_same_dim(a, h)
     if n < 1:
         raise PreconditionError("need at least one summand")
-    k = a.dimension
-    acc = RatMatrix.zero(k)
-    power = RatMatrix.identity(k)
-    dets = []
-    for _ in range(n):
-        acc = acc + mat_mul(mat_mul(power.transpose(), h), power)
+    a_t = a.transpose()
+    term = acc = h
+    dets = [det_exact(acc)]
+    for _ in range(n - 1):
+        term = mat_mul(mat_mul(a_t, term), a)
+        acc = acc + term
         dets.append(det_exact(acc))
-        power = mat_mul(power, a)
     return dets

@@ -354,6 +354,22 @@ def test_model_builds_the_chain_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_model_builds_one_pfaffian_evaluator(tmp_path, capsys, monkeypatch):
+    # intersection_poly and scan_chain share the one-entry memo of
+    # `_common_pfaffian`: its uncached body, counted by the `_chain_terms`
+    # it calls, runs once per command
+    import plovkit.cohomology
+    import plovkit.exact
+
+    plovkit.cohomology._common_pfaffian.cache_clear()
+    calls = count_calls(monkeypatch, plovkit.exact, "_chain_terms")
+    path = write_doc(tmp_path, QUAD)
+    code, _, _ = run_cli(["model", "--input", path], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    plovkit.cohomology._common_pfaffian.cache_clear()
+
+
 def test_model_standard_form(tmp_path, capsys):
     path = write_doc(tmp_path, QUAD)
     code, out, _ = run_cli(["model", "--input", path], capsys)

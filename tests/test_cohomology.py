@@ -154,7 +154,7 @@ def assert_values_match_both_references(family):
     polarization sum of its multiset, term by term, and the literal
     wedge of its factors.  Returns how many are nonzero."""
     report = scan_chain(family)
-    pf, den_g = cohomology._common_pfaffian(family)
+    pf, den_g = cohomology._common_pfaffian(tuple(family))
     kf, g = len(family) - 1, family[0].genus
     above, _ = scan_multisets_and_betas(g, kf)
     assert [key for key, _ in report.values] == above
@@ -985,6 +985,84 @@ def test_scan_evaluates_each_multiset_once_and_each_beta_once(monkeypatch):
     assert sum(map(sum, betas)) <= g * len(betas)
 
 
+def enumerate_then_filter(g, kf, f):
+    """The scan's table as it was built before the depth-first growth:
+    every multiset of 1..g indices in 0..kf generated, and kept when
+    padding it with kf takes it above the threshold, with F = ``f``; then
+    the same differences.  (betas in order, [(multiset, entry)] above)."""
+    place = [(g + 1) ** i for i in range(kf + 1)]
+    least = g * kf // 2 + 1
+    table = {0: 0}
+    layers = [[[] for _ in range(g + 1)] for _ in range(kf + 1)]
+    above, betas = [], []
+    for k in range(1, g + 1):
+        for key in itertools.combinations_with_replacement(range(kf + 1), k):
+            if sum(key) + (g - k) * kf >= least:
+                beta = [key.count(i) for i in range(kf + 1)]
+                at = sum(map(place.__getitem__, key))
+                table[at] = f(beta)
+                betas.append(tuple(beta))
+                for i in set(key):
+                    layers[i][beta[i]].append(at)
+                if k == g:
+                    above.append((key, at))
+    for i, by_count in enumerate(layers):
+        for t in range(1, g + 1):
+            for b in range(g, t - 1, -1):
+                for at in by_count[b]:
+                    table[at] -= table[at - place[i]]
+    return betas, [(key, table[at]) for key, at in above]
+
+
+def test_depth_first_table_equals_the_enumerate_then_filter_table(monkeypatch):
+    # for every g <= 6 and kf <= 12 the pruned growth values the same
+    # betas, each once, and gives the same entries, with the multisets
+    # above the threshold in the same order; F is a stand-in for the
+    # Pfaffians, not a polynomial, so a misplaced entry shows
+    def f(beta):
+        return sum(b * 7919**i for i, b in enumerate(beta)) ** 3 % 1_000_003
+
+    monkeypatch.setattr(cohomology, "SCAN_LIMIT", scan_size(6, 12))
+    for g in range(1, 7):
+        for kf in range(13):
+            seen = []
+
+            def recording(chain):
+                return (lambda beta: seen.append(tuple(beta)) or f(beta)), 1
+
+            monkeypatch.setattr(cohomology, "_common_pfaffian", recording)
+            report = scan_chain([TwoForm.standard(g)] * (kf + 1))
+            betas, above = enumerate_then_filter(g, kf, f)
+            assert len(seen) == len(set(seen)) and sorted(seen) == sorted(betas)
+            assert report.values == tuple((key, Fraction(v)) for key, v in above)
+
+
+def test_common_pfaffian_is_a_one_entry_memo_by_value(monkeypatch):
+    # an equal chain of other objects hits the memo; another chain builds
+    # anew, with its own Pfaffians, and takes the one entry.  Builds are
+    # counted by the `_chain_terms` of the uncached body
+    cohomology._common_pfaffian.cache_clear()
+    builds = []
+    real = cohomology._chain_terms
+    monkeypatch.setattr(
+        cohomology, "_chain_terms", lambda mats: builds.append(1) or real(mats)
+    )
+    chain = tuple(nilpotent_chain(paired_unipotent([3, 1]), TwoForm.standard(4)))
+    first = cohomology._common_pfaffian(chain)
+    equal = tuple(TwoForm._of(RatMatrix(f.matrix.num, f.matrix.den)) for f in chain)
+    assert equal == chain and equal[0] is not chain[0]
+    assert cohomology._common_pfaffian(equal) is first and len(builds) == 1
+    rng = random.Random(77)
+    other = tuple(dense_rational_form(rng, 3) for _ in range(3))
+    pf, den_g = cohomology._common_pfaffian(other)
+    assert len(builds) == 2
+    for _ in range(6):
+        weights = [rng.randint(0, 3) for _ in other]
+        assert Fraction(pf(weights), den_g) == pf_value(weighted_sum(other, weights))
+    assert cohomology._common_pfaffian(chain) is not first and len(builds) == 3
+    cohomology._common_pfaffian.cache_clear()
+
+
 def test_scan_of_sparse_families_matches_literal_scan_on_both_sides_of_the_support():
     # each form lives on a random set of rows, so some weighted sums leave
     # a row empty (Pf = 0 from the supports) and others cover every row
@@ -1030,7 +1108,7 @@ def test_row_emptied_by_cancellation_is_left_to_the_elimination(monkeypatch):
         return real(rows, bipartite)
 
     monkeypatch.setattr(cohomology, "_block_pfaffian", counting)
-    pf, den_g = cohomology._common_pfaffian([w0, w1])
+    pf, den_g = cohomology._common_pfaffian((w0, w1))
     assert (pf((1, 1)), den_g) == (0, 1)
     assert calls == [([[0, 1], [0, -1]], True)]
     assert wedge_coefficient([TwoForm._of(w0.matrix + w1.matrix)] * 2) == 0
@@ -1046,7 +1124,7 @@ def test_intersection_poly_at_zero_weights_needs_no_elimination(monkeypatch):
     # eliminated, each as a 3 x 3 and a 1 x 1 determinant (paired [3, 1]
     # is two bipartite blocks); with the mirror law only 1..D - floor(D/2) + 1
     chain = nilpotent_chain(paired_unipotent([3, 1]), TwoForm.standard(4))
-    pf, _ = cohomology._common_pfaffian(chain)
+    pf, _ = cohomology._common_pfaffian(tuple(chain))
     calls = []
     real = cohomology._block_pfaffian
 
@@ -1123,7 +1201,7 @@ def blocks_against_references(family, rng, monkeypatch, trials=6):
         return real(rows, bipartite)
 
     monkeypatch.setattr(cohomology, "_block_pfaffian", recording)
-    pf, den_g = cohomology._common_pfaffian(family)
+    pf, den_g = cohomology._common_pfaffian(tuple(family))
     for _ in range(trials):
         weights = [rng.randint(1, 3) for _ in family]
         total = weighted_sum(family, weights)

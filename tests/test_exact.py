@@ -1012,6 +1012,48 @@ def test_congruence_chain_and_weighted_rows_sum_pullbacks():
             power = mat_mul(power, m)
 
 
+def literal_congruence_chain(m, x):
+    """[X, D X, ...] for D X = M X M^T - X, built by `mat_mul` and `-`."""
+    chain = [x]
+    for _ in range(2 * m.dimension - 1):
+        nxt = mat_mul(mat_mul(m, chain[-1]), m.transpose()) - chain[-1]
+        if nxt == RatMatrix.zero(m.dimension):
+            break
+        chain.append(nxt)
+    return chain
+
+
+@pytest.mark.parametrize("den", [2, 3])
+def test_congruence_chain_on_integer_rows_equals_the_literal_chain(den):
+    # the chain works on the integer rows of M = num/den, D X = (num x
+    # num^T - den^2 x)/(den^2 e) for X = x/e; against the literal chain,
+    # on M with a skew X (the orientation of `cohomology`) and on A^T with
+    # a symmetric X (that of `powersum`)
+    rng = random.Random(840 + den)
+    lengths = []
+    for _ in range(12):
+        k = rng.randint(2, 6)
+        upper = [[int(i == j) for j in range(k)] for i in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                upper[i][j] = Fraction(rng.randint(-4, 4), den)
+        upper[0][1] = Fraction(1, den)
+        m = conjugate(RatMatrix.from_rows(upper), random_unimodular(rng, k))
+        assert m.den == den
+        rows = mixed_rows(rng, k)
+        skew = RatMatrix.from_rows(
+            [[rows[i][j] - rows[j][i] for j in range(k)] for i in range(k)]
+        )
+        symmetric = RatMatrix.from_rows(
+            [[rows[i][j] + rows[j][i] for j in range(k)] for i in range(k)]
+        )
+        for a, x in ((m, skew), (m.transpose(), symmetric)):
+            chain = exact.congruence_chain(a, x)
+            assert chain == literal_congruence_chain(a, x)
+            lengths.append(len(chain))
+    assert max(lengths) >= 5
+
+
 def test_congruence_chain_raises_past_the_nilpotency_bound():
     for k in (1, 2, 3):
         two = RatMatrix.identity(k) * 2

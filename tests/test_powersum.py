@@ -206,6 +206,18 @@ def test_power_sum_brute_trivial_cases():
     ]
 
 
+def test_power_sum_brute_takes_two_products_per_sample_past_the_first(monkeypatch):
+    # T -> A^T T A, then S + T, for each of the n - 1 samples after S(1) = H
+    calls = []
+    real = powersum.mat_mul
+    monkeypatch.setattr(powersum, "mat_mul", lambda x, y: calls.append(1) or real(x, y))
+    a = RatMatrix.jordan_block(1, 3)
+    for n in (1, 2, 7):
+        calls.clear()
+        assert power_sum_brute(a, RatMatrix.identity(3), n)[0] == 1
+        assert len(calls) == 2 * (n - 1)
+
+
 def test_oracle_equivalence_random():
     rng = random.Random(43)
     for _ in range(8):
