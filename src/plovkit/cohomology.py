@@ -46,32 +46,33 @@ factors, and by polarization of the symmetric g-linear top wedge
           * Pf(sum_i beta_i w_i),
 
 which is the mixed forward difference of order alpha at 0 of
-F(beta) = Pf(sum_i beta_i w_i), with F(0) = 0.  `scan_chain` fills F
-once on the beta below some multiset above the threshold, grown depth
-first so that none is made and then dropped, and takes the
-differences one index at a time, in place, so every multiset's value
-comes out of one table; a beta whose weighted forms all leave some row
-empty is 0 by their row supports, with no elimination (355 of the 473
-on paired [4, 1]; the others are a 4 x 4 and a 1 x 1 determinant).
-The report keeps one value per multiset, and the ordered
-tuples, which take the value of their multiset, are listed only on
-demand: block by block for the report's encoder, each block the tuples
-that share their first g - 2 indices, or all at once as ``scanned``.
-The literal wedge expansion, `selfcheck.wedge_coefficient`, is the
-oracle for both Pfaffian routes, in the self-test and the tests, and
-`selfcheck.polarization`, the sum above term by term, the reference
-for each multiset of the table.  Intersection numbers are kept as raw
-wedge coefficients, since every contract here concerns degrees and
-vanishing only.
+F(beta) = Pf(sum_i beta_i w_i), with F(0) = 0: alpha! times F's
+coefficient of beta^alpha, as F is homogeneous of degree g.  F is the
+product of its blocks' Pfaffians, so `scan_chain` fills one table per
+block, of the block's own degree and forms, grown depth first and
+differenced in place, divides each entry by gamma! to a coefficient and
+multiplies the blocks' polynomials on integers (on paired [4, 1], 117
+entries and 1, against 473 for one table over the whole chain).  The
+report keeps one value per multiset, and the ordered tuples, which take
+the value of their multiset, are listed only on demand: block by block
+for the report's encoder, each block the tuples that share their first
+g - 2 indices, or all at once as ``scanned``.  The literal wedge
+expansion, `selfcheck.wedge_coefficient`, is the oracle for both
+Pfaffian routes, in the self-test and the tests, and
+`selfcheck.polarization`, the sum above term by term, the reference for
+each multiset value.  Intersection numbers are kept as raw wedge
+coefficients, since every contract here concerns degrees and vanishing
+only.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -256,20 +257,22 @@ def _block_pfaffian(rows: list[list[int]], bipartite: bool) -> int:
 @functools.lru_cache(maxsize=1)
 def _common_pfaffian(
     chain: tuple[TwoForm, ...],
-) -> tuple[Callable[[Sequence[int]], int], int]:
-    """(pf, den^g) for the chain's common denominator den: pf(w) is the
-    integer den^g * Pf(sum_i w_i chain[i]), which is Pf(sum_i w_i den
-    chain[i]).  The terms above the diagonal, from `_chain_terms` once,
-    are split by the components of the union of the forms' supports:
-    Pf = sign(sigma) prod Pf(block), sigma listing them in turn.  A block
-    2-coloured by sides P, Q of one size, listed p1, q1, p2, ..., has Pf =
-    det of its P x Q block; an odd one, or unequal sides, make pf 0.
-    `_weighted_rows` sums each block's rows for `_block_pfaffian` unless
-    the forms of nonzero weight leave a row empty, by their row bitmasks
-    (pf is then 0; a row that only cancels is left to the elimination).
-    No forms or mixed genus raise DimensionMismatchError.  A one-entry
-    memo by the chain's forms, equal by value, so `plov_via_model` and
-    the `scan_chain` of its chain build it once."""
+) -> tuple[Callable[[Sequence[int]], int], int, int, list[tuple]]:
+    """(pf, den^g, sign, blocks) for the chain's common denominator den:
+    pf(w) is the integer den^g * Pf(sum_i w_i chain[i]), which is
+    Pf(sum_i w_i den chain[i]).  The terms above the diagonal, from
+    `_chain_terms` once, are split by the components of the union of the
+    forms' supports: Pf = sign(sigma) prod Pf(block), sigma listing them in
+    turn.  A block 2-coloured by sides P, Q of one size, listed p1, q1, p2,
+    ..., has Pf = det of its P x Q block; an odd one, or unequal sides,
+    make pf 0 (sign 0, no blocks).  A block is (k, active, evaluate): its Pf
+    has degree k = half its size in the weights of its ``active`` forms,
+    and evaluate(w) is 0 if they leave a row of it empty, by their row
+    bitmasks (a row that only cancels is left to the elimination), else a
+    one-row block's entry or `_block_pfaffian` of `_weighted_rows`.  No
+    forms or mixed genus raise DimensionMismatchError.  A one-entry memo by
+    the chain's forms, equal by value, so `plov_via_model` and the
+    `scan_chain` of its chain build it once."""
     mats = [_expect(f, TwoForm).matrix for f in chain]
     den, terms = _chain_terms(mats)
     n = mats[0].dimension
@@ -278,7 +281,15 @@ def _common_pfaffian(
     for r, c, _ in itertools.chain(*terms):
         adjacent[r].add(c)
         adjacent[c].add(r)
-    side, order, blocks = {}, [], []  # blocks: (size, bipartite, terms by form)
+
+    def evaluate(size, bipartite, local, masks, full, weights):
+        if functools.reduce(int.__or__, itertools.compress(masks, weights), 0) != full:
+            return 0  # a row of the block's sum is zero
+        if size == 1:
+            return sum(w * v for w, term in zip(weights, local) for _, v in term)
+        return _block_pfaffian(_weighted_rows(local, weights, size), bipartite)
+
+    side, order, blocks = {}, [], []
     for root in itertools.filterfalse(side.__contains__, range(n)):
         side[root], comp = 0, [root]
         for v in comp:  # breadth first, 2-colouring as it goes
@@ -290,7 +301,7 @@ def _common_pfaffian(
             halves = [sorted(comp)]
             side.update(dict.fromkeys(comp, 0))  # no term of it is transposed
         if len(comp) % 2 or len(comp) != len(halves) * (size := len(halves[0])):
-            return (lambda weights: 0), den ** (n // 2)
+            return (lambda weights: 0), den ** (n // 2), 0, []
         order += itertools.chain(*zip(*halves))
         at = {v: i for half in halves for i, v in enumerate(half)}
         local = [
@@ -298,20 +309,16 @@ def _common_pfaffian(
              for r, c, v in term if r in at]
             for term in terms
         ]
-        blocks.append((size, len(halves) == 2, local))
+        masks = [sum({1 << v for r, c, _ in t if r in at for v in (r, c)}) for t in terms]
+        full = sum(1 << v for v in comp)
+        block = functools.partial(evaluate, size, len(halves) == 2, local, masks, full)
+        blocks.append((len(comp) // 2, tuple(i for i, t in enumerate(local) if t), block))
     sign = (-1) ** sum(x > y for i, x in enumerate(order) for y in order[i + 1 :])
-    rows = [sum(1 << i for i, r in enumerate(m.num) if any(r)) for m in mats]
-    full = (1 << n) - 1
 
-    def pf(weights: Sequence[int]) -> int:
-        if functools.reduce(int.__or__, itertools.compress(rows, weights), 0) != full:
-            return 0  # a row of the sum is zero
-        value = sign
-        for size, bipartite, local in blocks:
-            value *= _block_pfaffian(_weighted_rows(local, weights, size), bipartite)
-        return value
+    def pf(weights: Sequence[int]) -> int:  # stops at the first block that is 0
+        return functools.reduce(lambda v, b: v and v * b[2](weights), blocks, sign)
 
-    return pf, den ** (n // 2)
+    return pf, den ** (n // 2), sign, blocks
 
 
 def intersection_poly(
@@ -330,7 +337,7 @@ def intersection_poly(
     denominator, on nodes centred at 0 if the caller vouches for parity,
     Pf(Delta_{-x}) = parity * Pf(Delta_x) ((-1)^g for the chain of M), and
     re-verified at one more node (DegreeBoundError); then divided by den^g."""
-    pf, den_g = _common_pfaffian(tuple(chain))
+    pf, den_g, _, _ = _common_pfaffian(tuple(chain))
     scale = factorial(chain[0].genus)
 
     def top(x: int) -> int:
@@ -520,52 +527,34 @@ def vanishing_scan(m: RatMatrix, h: TwoForm) -> VanishingScanReport:
     return scan_chain(nilpotent_chain(m, h))
 
 
-def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
-    """The scan over the products of any nonempty family of forms of one
-    genus, in the role of the chain.
+def _factorials(key: tuple[int, ...]) -> int:
+    """alpha! = prod_i alpha_i! for the multiset ``key``."""
+    return prod(map(factorial, map(key.count, set(key))))
 
-    Every value is computed, in integers, from F(beta) = den^g *
-    Pf(sum_i beta_i w_i), den the chain's common denominator: the top
-    coefficient of prod_i w_i^alpha_i over den^g is the mixed forward
-    difference of F at 0 of order alpha, by polarization.  F is filled
-    once on the beta below some multiset above the threshold (473 on
-    paired [4, 1]; the 118 whose forms cover all 2g rows take a 4 x 4
-    and a 1 x 1 determinant), with F(0) = 0, each beta grown depth first
-    from the one below it, so no multiset is made and then dropped; then
-    the differences are taken one index at a time, in place, sum_beta
-    |beta| subtractions in all.
-    Each multiset's entry is divided by den^g once.  No value is inferred.
-    A scan of more than `SCAN_LIMIT` ordered tuples, which its report
-    lists, raises `PreconditionError` before any is evaluated."""
-    pf, den_g = _common_pfaffian(tuple(chain))
-    kf = len(chain) - 1
-    g = chain[0].genus
-    size = scan_size(g, kf)
-    if size > SCAN_LIMIT:
-        raise PreconditionError(
-            f"vanishing scan of {size} products exceeds the limit of {SCAN_LIMIT}"
-        )
-    # beta is keyed by sum_i beta_i (g + 1)^i, so that beta - e_i has the
-    # key less place[i]; beta lies below a multiset above the threshold
-    # when padding it with g - |beta| copies of kf takes it above.  That
-    # sum never rises as a multiset grows, so they are grown depth first,
-    # each new index from the least that keeps the padded sum above
-    place = [(g + 1) ** i for i in range(kf + 1)]
-    least = g * kf // 2 + 1  # the least index sum above the threshold
-    table = {0: 0}
-    layers = [[[] for _ in range(g + 1)] for _ in range(kf + 1)]  # [i][beta_i]
-    above = []  # (multiset, key) for |beta| = g, in lexicographic order
-    beta = [0] * (kf + 1)
+
+def _mixed_differences(f: Callable, k: int, active: Sequence[int], least: int) -> list:
+    """(multiset, value) for every multiset of k indices from ``active``
+    (ascending) with sum at least ``least``, in lexicographic order: the
+    mixed forward difference of f at 0 of that order, with f(0) = 0.  f is
+    filled once on the beta below such a multiset, grown depth first so
+    that none is made and then dropped; the differences are then taken
+    one index at a time, in place, sum_beta |beta| subtractions in all."""
+    # beta is keyed by sum_i beta_i (k + 1)^i, so beta - e_i is the key less
+    # place[i]; it is below such a multiset when padding it with top reaches least
+    top = active[-1]
+    place, beta = [(k + 1) ** i for i in range(top + 1)], [0] * (top + 1)
+    table, above = {0: 0}, []  # above: (multiset, key) for |beta| = k, in order
+    layers = [[[] for _ in range(k + 1)] for _ in range(top + 1)]  # [i][beta_i]
 
     def grow(key: tuple, at: int, total: int) -> None:
-        k, last = len(key) + 1, key[-1] if key else 0
-        for j in range(max(last, least - total - (g - k) * kf), kf + 1):
+        n, last = len(key) + 1, key[-1] if key else 0
+        for j in active[bisect_left(active, max(last, least - total - (k - n) * top)) :]:
             beta[j] += 1
             child, child_at = key + (j,), at + place[j]
-            table[child_at] = pf(beta)
+            table[child_at] = f(beta)
             for i in set(child):
                 layers[i][beta[i]].append(child_at)
-            if k == g:
+            if n == k:
                 above.append((child, child_at))
             else:
                 grow(child, child_at, total + j)
@@ -573,16 +562,67 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
 
     grow((), 0, 0)
     # along index i, pass t subtracts from each entry with beta_i >= t the
-    # one below it, from the top down; after g passes the entry with
+    # one below it, from the top down; after k passes the entry with
     # beta_i = b holds the b-th difference at beta_i = 0
     for i, by_count in enumerate(layers):
         step = place[i]
-        for t in range(1, g + 1):
-            for b in range(g, t - 1, -1):
+        for t in range(1, k + 1):
+            for b in range(k, t - 1, -1):
                 for at in by_count[b]:
                     table[at] -= table[at - step]
+    return [(key, table[at]) for key, at in above]
+
+
+def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
+    """The scan over the products of any nonempty family of forms of one
+    genus, in the role of the chain.
+
+    Every value is computed, in integers, from F(beta) = den^g *
+    Pf(sum_i beta_i w_i), den the chain's common denominator: the top
+    coefficient of prod_i w_i^alpha_i over den^g is the mixed forward
+    difference of F at 0 of order alpha, by polarization, which is alpha!
+    times F's coefficient of beta^alpha, F being homogeneous of degree g.
+    F = sign * prod_b F_b over the blocks of `_common_pfaffian`, so each
+    block fills a table by `_mixed_differences` on its k_b active indices,
+    pruned at the threshold less the other blocks at their largest (on
+    paired [4, 1], 117 beta and 83 4 x 4 determinants, and one entry of
+    the 1 x 1 block).  Each entry is divided by gamma! exactly, else
+    `CrossCheckError`; the quotients are multiplied on integers, dropping
+    partial products that cannot reach the threshold, and a multiset above
+    it takes sign * alpha! * its coefficient over den^g (0 if no splitting
+    reaches it).  No value is inferred.  A scan of more than `SCAN_LIMIT`
+    ordered tuples, which its report lists, raises `PreconditionError`
+    before any is evaluated."""
+    _, den_g, sign, blocks = _common_pfaffian(tuple(chain))
+    kf, g = len(chain) - 1, chain[0].genus
+    size = scan_size(g, kf)
+    if size > SCAN_LIMIT:
+        raise PreconditionError(
+            f"vanishing scan of {size} products exceeds the limit of {SCAN_LIMIT}"
+        )
+    least = g * kf // 2 + 1  # the least index sum above the threshold
+    reach = [k * active[-1] for k, active, _ in blocks]  # a block's largest sum
+    poly = {(): sign}
+    for b, (k, active, f) in enumerate(blocks):
+        rest, factor, grown = sum(reach[b + 1 :]), [], {}
+        for key, value in _mixed_differences(f, k, active, least - sum(reach) + reach[b]):
+            if value and value % (gamma := _factorials(key)):
+                raise CrossCheckError(
+                    f"scan_chain at dimension {2 * g}: block difference {value} at "
+                    f"{key} is not divisible by {gamma} (the mixed difference of an "
+                    "integer form is gamma! times its coefficient)"
+                )
+            factor += [(key, sum(key), value // gamma)] if value else []
+        for partial, c in poly.items():
+            for key, total, c_b in factor:
+                if sum(partial) + total + rest >= least:
+                    merged = tuple(sorted(partial + key))
+                    grown[merged] = grown.get(merged, 0) + c * c_b
+        poly = grown
     zero = Fraction(0)
     values = tuple(
-        (key, Fraction(table[at], den_g) if table[at] else zero) for key, at in above
+        (key, Fraction(poly[key] * _factorials(key), den_g) if key in poly else zero)
+        for key in itertools.combinations_with_replacement(range(kf + 1), g)
+        if 2 * sum(key) > g * kf
     )
     return VanishingScanReport(kf=kf, genus=g, values=values)

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -1130,6 +1131,38 @@ def test_model_degree_past_the_profile_bound_exits_3_naming_the_law(
         "internal cross-check failure: plov_via_model at dimension 4: model "
         "degree 4 exceeds profile bound 3 (deg top(Delta_n^g) <= sum k_i^2)"
     ]
+
+
+def test_model_block_value_not_a_polynomial_exits_3_naming_the_law(
+    tmp_path, capsys, monkeypatch
+):
+    # the scan's block evaluators (not pf, which the model's polynomial
+    # uses) gain 2^beta_top - 1: QUAD is one block of degree 2, whose
+    # difference of order (2, 2) then leaves a remainder by 2!
+    import plovkit.cohomology
+
+    real = plovkit.cohomology._common_pfaffian
+
+    def faked(chain):
+        pf, den_g, sign, blocks = real(chain)
+        blocks = [
+            (k, active, lambda beta, f=f, top=active[-1]: f(beta) + 2 ** beta[top] - 1)
+            for k, active, f in blocks
+        ]
+        return pf, den_g, sign, blocks
+
+    monkeypatch.setattr(plovkit.cohomology, "_common_pfaffian", faked)
+    path = write_doc(tmp_path, QUAD)
+    code, out, err = run_cli(["model", "--input", path], capsys)
+    assert code == 3
+    assert out == ""
+    [line] = err.splitlines()
+    assert re.fullmatch(
+        r"internal cross-check failure: scan_chain at dimension 4: block "
+        r"difference -?\d+ at \(2, 2\) is not divisible by 2 \(the mixed "
+        r"difference of an integer form is gamma! times its coefficient\)",
+        line,
+    )
 
 
 def test_analyze_failing_bound_check_exits_3(tmp_path, capsys, monkeypatch):

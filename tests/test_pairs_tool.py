@@ -172,17 +172,22 @@ def test_pairs_imports_only_the_standard_library():
     assert names and all(n.split(".")[0] in sys.stdlib_module_names for n in names)
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_trees_records_the_commit_of_a_git_checkout_and_null_otherwise(tmp_path, monkeypatch):
-    parent, change = fake_tree(tmp_path / "a"), fake_tree(tmp_path / "b")
-    git = ["git", "-C", str(change), "-c", "user.name=t", "-c", "user.email=t@t"]
+def committed_checkout(tree):
+    """Make ``tree`` a git checkout with all of its files committed; its HEAD."""
+    git = ["git", "-C", str(tree), "-c", "user.name=t", "-c", "user.email=t@t"]
     subprocess.run(git + ["init", "-q"], check=True)
     subprocess.run(git + ["add", "-A"], check=True)
     subprocess.run(git + ["commit", "-q", "-m", "tree"], check=True)
-    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, stdout=subprocess.PIPE,
+    return subprocess.run(git + ["rev-parse", "HEAD"], check=True, stdout=subprocess.PIPE,
                           text=True).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_trees_records_the_commit_of_a_git_checkout_and_null_otherwise(tmp_path, monkeypatch):
+    parent, change = fake_tree(tmp_path / "a"), fake_tree(tmp_path / "b")
     # a folder inside a checkout is not a checkout of its own
     inner = fake_tree(change / "inner")
+    head = committed_checkout(change)
     assert (pairs.tree_commit(change), pairs.tree_commit(inner)) == (head, None)
 
     def fake_run(tree, workload, seed, seconds):
@@ -194,3 +199,28 @@ def test_trees_records_the_commit_of_a_git_checkout_and_null_otherwise(tmp_path,
                        "--workload", "model:1", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "BENCH_g.json").read_text())
     assert doc["trees"] == {"parent": None, "change": head}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_checkout_with_uncommitted_changes_is_recorded_as_dirty(tmp_path, monkeypatch):
+    # an edited tracked file, or a new untracked one, means the runs were
+    # not made on HEAD: the commit is recorded with a -dirty mark
+    parent, change = fake_tree(tmp_path / "a"), fake_tree(tmp_path / "b")
+    head = committed_checkout(change)
+    assert pairs.tree_commit(change) == head
+    (change / "perfbench" / "run.py").write_text("# edited\n")
+    assert pairs.tree_commit(change) == f"{head}-dirty"
+    subprocess.run(["git", "-C", str(change), "checkout", "-q", "--", "."], check=True)
+    assert pairs.tree_commit(change) == head
+    (change / "new.py").write_text("")
+    assert pairs.tree_commit(change) == f"{head}-dirty"
+
+    def fake_run(tree, workload, seed, seconds):
+        return {"exit": 0, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"ops_per_s": 1.0}}
+
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    assert pairs.main(["--parent", str(parent), "--change", str(change), "--label", "d",
+                       "--workload", "model:1", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "BENCH_d.json").read_text())
+    assert doc["trees"] == {"parent": None, "change": f"{head}-dirty"}

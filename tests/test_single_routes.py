@@ -221,9 +221,10 @@ def test_sums_of_pullbacks_share_one_chain():
     }
     assert over_denominators == {"exact.py"}
     # Delta_n is summed as integer rows, with no matrix per sum: only the
-    # public `pfaffian` and the one block rule of `_common_pfaffian`
-    # reach an elimination, and the block rule takes its determinants
-    # from `exact._echelon`, so no third kernel exists
+    # public `pfaffian` and the one block rule of `_common_pfaffian`, in
+    # its block evaluator `evaluate`, reach an elimination, and the block
+    # rule takes its determinants from `exact._echelon`, so no third
+    # kernel exists
     cohomology = trees["cohomology.py"]
 
     def callers(kernel):
@@ -237,7 +238,7 @@ def test_sums_of_pullbacks_share_one_chain():
 
     assert callers("_pfaffian_rows") == {"pfaffian", "_block_pfaffian"}
     assert callers("_echelon") == {"_block_pfaffian"}
-    assert callers("_block_pfaffian") == {"_common_pfaffian", "pf"}
+    assert callers("_block_pfaffian") == {"_common_pfaffian", "evaluate"}
 
 
 def test_polynomials_have_no_ring_operations_and_matrices_no_power_operator():

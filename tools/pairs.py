@@ -20,8 +20,9 @@ how many pairs the change won, by the direction that the change tree's
 `--out-dir` (made if missing; the working directory by default), in the
 core schema that `tests/test_bench_files.py` pins, with the summary of
 each series beside its runs and, under `trees`, the commit each tree had
-checked out (`git rev-parse HEAD`), or null for a tree that is not the
-root of a git checkout.  The file is rewritten after every run, so
+checked out (`git rev-parse HEAD`, marked `-dirty` when the working tree
+differs from it), or null for a tree that is not the root of a git
+checkout.  The file is rewritten after every run, so
 an interrupted series keeps the runs made so far.
 
 Stdlib only.  Exit 0 when every run gave correct answers, 1 otherwise.
@@ -73,8 +74,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int | float) -> dict
 
 def tree_commit(tree: Path) -> str | None:
     """The HEAD commit of ``tree`` when it is the root of a git checkout,
-    else None (a copy made by `git archive`, or a folder inside another
-    checkout)."""
+    marked ``-dirty`` when `git status --porcelain` lists any change or
+    untracked file (what ran is then not that commit), else None (a copy
+    made by `git archive`, or a folder inside another checkout)."""
     try:
         proc = subprocess.run(
             ["git", "-C", str(tree), "rev-parse", "--show-toplevel", "HEAD"],
@@ -85,7 +87,9 @@ def tree_commit(tree: Path) -> str | None:
     lines = proc.stdout.splitlines()
     if proc.returncode or len(lines) != 2 or Path(lines[0]).resolve() != tree.resolve():
         return None
-    return lines[1]
+    status = subprocess.run(["git", "-C", str(tree), "status", "--porcelain"],
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    return lines[1] + ("-dirty" if status.returncode or status.stdout else "")
 
 
 def benchmark(tree: Path) -> tuple[dict[str, str], int | float]:
