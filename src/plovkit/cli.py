@@ -23,11 +23,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .cohomology import (
@@ -222,29 +221,52 @@ def base_report(command: str, name: Optional[str], matrix: Optional[RatMatrix]):
     return report
 
 
-@dataclass(frozen=True)
-class ScannedEntries:
-    """The ordered tuples of a vanishing scan, held in a report as the
-    `VanishingScanReport` that `scan_chain` returns, with one `Fraction`
-    value per multiset.  `encode_report` writes them as the list of
-    entries {"tuple": [...], "value": ...}, with each value an int or a
-    "p/q" string, so no entry is built as a dict."""
-
-    scan: VanishingScanReport
-
-
 _quote = json.encoder.encode_basestring_ascii
+
+
+@functools.lru_cache(maxsize=64)
+def _suffixes(kf: int, width: int, need: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        s for s in product(range(kf + 1), repeat=width) if sum(s) >= need
+    )
+
+
+def _scan_blocks(
+    scan: VanishingScanReport,
+) -> Iterator[tuple[tuple[int, ...], int, Optional[tuple[Fraction, ...]]]]:
+    """(prefix, need, values) for every prefix (i_1, ..., i_{g-2}) in
+    lexicographic order (the empty one when g <= 2) that starts a tuple
+    above the threshold: the tuples (*prefix, *suffix) above it are those
+    with ``suffix`` in ``_suffixes(kf, min(g, 2), need)``, and ``values``
+    lists their values, or is None when all are 0."""
+    kf, g = scan.kf, scan.genus
+    width = min(g, 2)
+    top = width * kf  # the largest sum of a suffix
+    least = g * kf // 2 + 1
+    nonzero = {key: value for key, value in scan.values if value}
+    zero = Fraction(0)
+    for prefix in product(range(kf + 1), repeat=g - width):
+        need = least - sum(prefix)
+        if need > top:
+            continue
+        need = need if need > 0 else 0
+        values = None
+        if nonzero:
+            keys = [tuple(sorted(prefix + s)) for s in _suffixes(kf, width, need)]
+            if not nonzero.keys().isdisjoint(keys):
+                values = tuple(nonzero.get(key, zero) for key in keys)
+        yield prefix, need, values
 
 
 def encode_report(report: dict) -> str:
     """The text of `json.dumps(report, indent=2, sort_keys=True)`, built
-    as one list of parts joined once; `ScannedEntries` are written as the
-    list of their entry dicts would be, one `VanishingScanReport.blocks`
-    block at a time: a block whose values are all 0 as one join of the
-    texts of its suffixes, which are built once per report.  A value no
-    report holds (a float, a tuple, a non-string key) raises
-    `CrossCheckError`, and so does a listing of other than `scan_size`
-    entries."""
+    as one list of parts joined once; a `VanishingScanReport` is written
+    as the list of its entries {"tuple": [...], "value": ...} would be,
+    one `_scan_blocks` block at a time: a block whose values are all 0 as
+    one join of the texts of its suffixes, which are built once per
+    report.  A value no report holds (a float, a tuple, a non-string key)
+    raises `CrossCheckError`, and so does a listing of other than
+    `scan_size` entries."""
     parts: list[str] = []
     put = parts.append
 
@@ -275,14 +297,14 @@ def encode_report(report: dict) -> str:
                 enc(x, inner)
                 sep = "," + inner
             put(nl + "]")
-        elif t is ScannedEntries:
+        elif t is VanishingScanReport:
             # every entry has one shape: the entry at inner, its keys at
             # field and its indices at index.  A block's prefix text is
             # built once, and the texts of its last one or two indices once
             # per report for each sum they need; a block whose values are
-            # all 0 is written in one join, and any other entry by entry,
-            # its value text rebuilt only when the value changes.
-            scan = v.scan
+            # all 0 is written in one join, and any other entry by entry.
+            scan = v
+            width = min(scan.genus, 2)
             inner = nl + "  "
             field = inner + "  "
             index = field + "  "
@@ -297,12 +319,12 @@ def encode_report(report: dict) -> str:
             texts: dict[int, list[str]] = {}
             sep = "[" + inner
             count = 0
-            last = None
-            for prefix, need, values in scan.blocks():
+            for prefix, need, values in _scan_blocks(scan):
                 suffixes = texts.get(need)
                 if suffixes is None:
                     suffixes = texts[need] = [
-                        firsts[s[0]] + lasts[s[-1]] for s in scan.suffixes(need)
+                        firsts[s[0]] + lasts[s[-1]]
+                        for s in _suffixes(scan.kf, width, need)
                     ]
                 head = start + "".join(map(digits.__getitem__, prefix))
                 count += len(suffixes)
@@ -313,13 +335,11 @@ def encode_report(report: dict) -> str:
                     sep = comma
                     continue
                 for suffix, value in zip(suffixes, values):
-                    if value is not last:
-                        if type(value) is not Fraction:
-                            raise TypeError(f"scanned value {value!r}")
-                        last, text = value, enc_frac(value)
-                        text = _quote(text) if type(text) is str else int.__repr__(text)
-                        end = tail + text + inner + "}"
-                    put(sep + head + suffix + end)
+                    if type(value) is not Fraction:
+                        raise TypeError(f"scanned value {value!r}")
+                    put(sep + head + suffix + tail)
+                    enc(enc_frac(value), inner)
+                    put(inner + "}")
                     sep = comma
             expected = scan_size(scan.genus, scan.kf)
             if count != expected:
@@ -556,7 +576,7 @@ def cmd_model(args) -> int:
             "matches_profile": model.matches_profile,
             "vanishing_scan": {
                 "kf": scan.kf,
-                "scanned": ScannedEntries(scan),
+                "scanned": scan,
                 "violations": [list(t) for t in scan.violations],
             },
         }

@@ -54,9 +54,9 @@ differenced in place, divides each entry by gamma! to a coefficient and
 multiplies the blocks' polynomials on integers (on paired [4, 1], 117
 entries and 1, against 473 for one table over the whole chain).  The
 report keeps one value per multiset, and the ordered tuples, which take
-the value of their multiset, are listed only on demand: block by block
-for the report's encoder, each block the tuples that share their first
-g - 2 indices, or all at once as ``scanned``.  The literal wedge
+the value of their multiset, are listed only on demand: all at once as
+``scanned``, or by `cli._scan_blocks` for the report, each block the
+tuples that share their first g - 2 indices.  The literal wedge
 expansion, `selfcheck.wedge_coefficient`, is the oracle for both
 Pfaffian routes, in the self-test and the tests, and
 `selfcheck.polarization`, the sum above term by term, the reference for
@@ -73,7 +73,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     CrossCheckError,
@@ -405,7 +405,7 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
 
 
 #: The most ordered tuples a scan may have.  It keeps one value per
-#: multiset, but `blocks()`, ``scanned`` and the encoder list every tuple,
+#: multiset, but ``scanned`` and `cli._scan_blocks` list every tuple,
 #: and 30,137,596 (two paired 7 x 7 blocks) would exhaust memory; the
 #: listing, not the scan, is what the limit guards.
 SCAN_LIMIT = 10**6
@@ -432,13 +432,6 @@ def scan_size(genus: int, kf: int) -> int:
     return ((kf + 1) ** genus - on_middle) // 2
 
 
-@functools.lru_cache(maxsize=64)
-def _suffixes(kf: int, width: int, need: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        s for s in itertools.product(range(kf + 1), repeat=width) if sum(s) >= need
-    )
-
-
 @dataclass(frozen=True)
 class VanishingScanReport:
     """Scan of the products N^{i_1} H ^ ... ^ N^{i_g} H over the tuples
@@ -447,10 +440,8 @@ class VanishingScanReport:
     ``values`` holds one (multiset, value) pair for every multiset above
     the threshold, each a nondecreasing index tuple, in lexicographic
     order: an ordered tuple takes the value of its multiset.  Any other
-    keys raise PreconditionError.  ``violations``, `blocks` and
-    ``scanned`` write the ordered tuples out from ``values``; a block is
-    every tuple above the threshold that shares its first g - 2 indices,
-    so the encoder writes the listing from a few cached suffix texts."""
+    keys raise PreconditionError.  ``violations`` and ``scanned`` write
+    the ordered tuples out from ``values``."""
 
     kf: int
     genus: int
@@ -476,46 +467,16 @@ class VanishingScanReport:
         nonzero = (key for key, value in self.values if value)
         return tuple(sorted({t for key in nonzero for t in itertools.permutations(key)}))
 
-    def blocks(
-        self,
-    ) -> Iterator[tuple[tuple[int, ...], int, Optional[tuple[Fraction, ...]]]]:
-        """(prefix, need, values) for every prefix (i_1, ..., i_{g-2}) in
-        lexicographic order (the empty one when g <= 2) that starts a tuple
-        above the threshold: the tuples (*prefix, *suffix) above it are
-        those with ``suffix`` in ``self.suffixes(need)``, and ``values``
-        lists their values, or is None when all are 0."""
-        kf, g = self.kf, self.genus
-        width = min(g, 2)
-        top = width * kf  # the largest sum of a suffix
-        least = g * kf // 2 + 1
-        nonzero = {key: value for key, value in self.values if value}
-        zero = Fraction(0)
-        for prefix in itertools.product(range(kf + 1), repeat=g - width):
-            need = least - sum(prefix)
-            if need > top:
-                continue
-            need = need if need > 0 else 0
-            values = None
-            if nonzero:
-                keys = [tuple(sorted(prefix + s)) for s in self.suffixes(need)]
-                if not nonzero.keys().isdisjoint(keys):
-                    values = tuple(nonzero.get(key, zero) for key in keys)
-            yield prefix, need, values
-
-    def suffixes(self, need: int) -> tuple[tuple[int, ...], ...]:
-        """The last min(g, 2) indices of a block's tuples, in lexicographic
-        order: those in 0..kf whose sum is at least ``need``."""
-        return _suffixes(self.kf, min(self.genus, 2), need)
-
     @functools.cached_property
     def scanned(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """The (tuple, value) pairs of every ordered tuple above the
         threshold, in lexicographic order, listed on first use."""
-        zeros = itertools.repeat(Fraction(0))
+        kf, g = self.kf, self.genus
+        values = dict(self.values)
         return tuple(
-            ((*prefix, *suffix), value)
-            for prefix, need, values in self.blocks()
-            for suffix, value in zip(self.suffixes(need), values or zeros)
+            (t, values[tuple(sorted(t))])
+            for t in itertools.product(range(kf + 1), repeat=g)
+            if 2 * sum(t) > g * kf
         )
 
 

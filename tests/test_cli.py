@@ -1290,9 +1290,9 @@ def test_model_scanned_entries_match_json_dumps(tmp_path, capsys, monkeypatch, v
         assert '"scanned": [],' in out
     elif values == "mixed":
         assert '"value": "-5/7"' in out and '"value": -3' in out
-        blocks = {prefix: (need, v) for prefix, need, v in scan.blocks()}
+        blocks = {prefix: (need, v) for prefix, need, v in cli._scan_blocks(scan)}
         need, last = blocks[(4,)]  # the tuples (4, i, j) with i + j >= 3
-        assert dict(zip(scan.suffixes(need), last)) == {
+        assert dict(zip(cli._suffixes(scan.kf, 2, need), last)) == {
             (0, 3): 0, (0, 4): 0, (1, 2): 0, (1, 3): 0, (1, 4): -3,
             (2, 1): 0, (2, 2): 0, (2, 3): 0, (2, 4): Fraction(5, 7),
             (3, 0): 0, (3, 1): 0, (3, 2): 0, (3, 3): 0, (3, 4): Fraction(-5, 7),
@@ -1301,7 +1301,23 @@ def test_model_scanned_entries_match_json_dumps(tmp_path, capsys, monkeypatch, v
         }
         assert None in [v for _, v in blocks.values()]  # blocks written in bulk
     else:
-        assert all(v is None for _, _, v in scan.blocks())
+        assert all(v is None for _, _, v in cli._scan_blocks(scan))
+
+
+def expand_scan_blocks(scan):
+    """The (tuple, value) pairs of `cli._scan_blocks`, each block expanded
+    by `cli._suffixes`.  Every block must hold a tuple, and its need must
+    be the least sum of its suffixes, so that no two needs name one list."""
+    width = min(scan.genus, 2)
+    pairs = []
+    for prefix, need, values in cli._scan_blocks(scan):
+        suffixes = cli._suffixes(scan.kf, width, need)
+        assert suffixes and need == min(map(sum, suffixes)), (prefix, need)
+        if values is None:
+            values = [Fraction(0)] * len(suffixes)
+        assert len(values) == len(suffixes), prefix
+        pairs += [((*prefix, *suffix), v) for suffix, v in zip(suffixes, values)]
+    return tuple(pairs)
 
 
 #: every shape of the `model` benchmark, then g = 2, and g = 1 and
@@ -1317,7 +1333,8 @@ def test_model_scan_section_is_json_dumps_of_its_dict_form(
     tmp_path, capsys, monkeypatch, shape
 ):
     # the block listing must write the same text as json.dumps of one
-    # dict per ordered tuple, for every suffix length and block count
+    # dict per ordered tuple, for every suffix length and block count, and
+    # list, expanded, the tuples and values of the plain listing
     import plovkit.cli
     from plovkit.cohomology import scan_size
     from plovkit.randgen import paired_unipotent
@@ -1335,6 +1352,7 @@ def test_model_scan_section_is_json_dumps_of_its_dict_form(
     assert code == 0
     [scan] = seen
     assert scan.genus == sum(shape)
+    assert expand_scan_blocks(scan) == scan.scanned
     entries = _scan_dict_form(scan)
     assert len(entries) == scan_size(scan.genus, scan.kf)
     assert bool(entries) == (scan.kf > 0)
@@ -1343,14 +1361,41 @@ def test_model_scan_section_is_json_dumps_of_its_dict_form(
     assert out == json.dumps(dict_form, indent=2, sort_keys=True) + "\n"
 
 
+def test_scan_blocks_list_the_scanned_tuples_of_random_families():
+    # families of dense forms are no chains, so most values are nonzero
+    # and vary within a block; kf = 0 scans nothing, g = 1 has no prefix
+    # and one index per suffix, g = 2 the empty prefix, and from g = 5 on
+    # a prefix can pass the threshold alone, so its need is clamped at 0
+    import random
+
+    from plovkit.cohomology import TwoForm, scan_chain
+
+    rng = random.Random(4201)
+    mixed = 0
+    for g in range(1, 7):
+        for den in (1, 2, 3):
+            for kf in range(4):
+                family = [
+                    TwoForm(g, {
+                        (i, j): Fraction(rng.randint(-3, 3), den)
+                        for i in range(1, 2 * g + 1)
+                        for j in range(i + 1, 2 * g + 1)
+                    })
+                    for _ in range(kf + 1)
+                ]
+                scan = scan_chain(family)
+                listed = expand_scan_blocks(scan)
+                assert listed == scan.scanned, (g, den, kf)
+                mixed += len({v for _, v in listed}) > 1
+    assert mixed > 0
+
+
 def test_model_scan_entries_other_than_scan_size_exit_3(tmp_path, capsys, monkeypatch):
     # a block dropped from the scan's listing leaves fewer entries than
     # scan_size counts, and the encoder refuses to write the report
-    from plovkit.cohomology import VanishingScanReport
-
-    real = VanishingScanReport.blocks
+    real = cli._scan_blocks
     monkeypatch.setattr(
-        VanishingScanReport, "blocks", lambda self: itertools.islice(real(self), 1, None)
+        cli, "_scan_blocks", lambda scan: itertools.islice(real(scan), 1, None)
     )
     path = write_doc(tmp_path, QUAD)
     code, out, err = run_cli(["model", "--input", path], capsys)

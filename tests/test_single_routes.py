@@ -27,7 +27,8 @@ to `pfaffian` or `pullback2`, with no arithmetic of its own; Delta_x and
 the polarized wedges are built inside `intersection_poly` and
 `scan_chain` alone, through their private helper `_common_pfaffian`,
 and the scan keeps one value per multiset, listing the ordered tuples,
-and the violations among them, only on demand.  The records keep only
+and the violations among them, only on demand; the report's listing of
+them by blocks is `cli._scan_blocks`, which only `encode_report` calls.  The records keep only
 the members some route reads, and the degree of the zero polynomial is
 the int -1.  A power the verdict claims unipotent is checked by its
 trace, so no module tests nilpotency by squaring, and `plovkit`
@@ -293,6 +294,32 @@ def test_records_keep_only_what_the_routes_read():
             functools.cached_property,
         )
     assert list(inspect.signature(random_unimodular).parameters) == ["rng", "k"]
+
+
+def test_the_scan_listing_is_laid_out_by_the_cli_alone():
+    # the report's blocks of tuples, and the suffixes that expand them,
+    # belong to the one module that writes them; the scan is a record
+    from plovkit import cli
+
+    for name in ("blocks", "suffixes"):
+        assert not hasattr(plovkit.VanishingScanReport, name)
+    assert not hasattr(cli, "ScannedEntries")
+    sources = dict(parsed_sources())
+    assert [
+        name
+        for name, tree in sources.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_suffixes"
+    ] == ["cli.py"]
+    callers = {
+        f"{name}:{fn.name}"
+        for name, tree in sources.items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and references(node.func, "_scan_blocks")
+    }
+    assert callers == {"cli.py:encode_report"}
 
 
 def test_no_module_tests_nilpotency_by_squaring():
