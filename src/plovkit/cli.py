@@ -49,7 +49,6 @@ from .plov import AnalysisReport, analyze, max_minor_degree
 from .powersum import power_sum_brute, power_sum_det
 
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-_SLICE = 256 * 1024  # most characters `_write` hands a stream at once
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +257,14 @@ def _scan_blocks(
         yield prefix, need, values
 
 
-def encode_report(report: dict) -> str:
-    """The text of `json.dumps(report, indent=2, sort_keys=True)`, built
-    as one list of parts joined once; a `VanishingScanReport` is written
-    as the list of its entries {"tuple": [...], "value": ...} would be,
-    one `_scan_blocks` block at a time: a block whose values are all 0 as
-    one join of the texts of its suffixes, which are built once per
-    report.  A value no report holds (a float, a tuple, a non-string key)
-    raises `CrossCheckError`, and so does a listing of other than
-    `scan_size` entries."""
+def encode_report(report: dict) -> list[str]:
+    """The parts of `json.dumps(report, indent=2, sort_keys=True)`, in
+    order; a `VanishingScanReport` is written as the list of its entries
+    {"tuple": [...], "value": ...} would be, one `_scan_blocks` block at a
+    time: a block whose values are all 0 as one join of the texts of its
+    suffixes, which are built once per report.  A value no report holds (a
+    float, a tuple, a non-string key) raises `CrossCheckError`, and so does
+    a listing of other than `scan_size` entries."""
     parts: list[str] = []
     put = parts.append
 
@@ -360,11 +358,11 @@ def encode_report(report: dict) -> str:
         enc(report, "\n")
     except TypeError as exc:  # also keys of mixed types, which do not sort
         raise CrossCheckError(f"emit: not a report value: {exc}")
-    return "".join(parts)
+    return parts
 
 
 def _write(stream, *texts: str) -> None:
-    """Write `texts` to a stream, each in `_SLICE`s, and flush it, or raise OSError.
+    """Write `texts` to a stream, one write each, and flush it, or raise OSError.
 
     A stream is None when its descriptor was closed at startup.  After a
     failed write the descriptor points at the null device: a later flush
@@ -373,8 +371,7 @@ def _write(stream, *texts: str) -> None:
         raise OSError(errno.EBADF, "stream closed at startup")
     try:
         for text in texts:
-            for start in range(0, len(text), _SLICE):
-                stream.write(text[start : start + _SLICE])
+            stream.write(text)
         stream.flush()
     except OSError as exc:
         try:
@@ -388,12 +385,12 @@ def _write(stream, *texts: str) -> None:
 
 
 def emit(report: dict, out_path: Optional[str]) -> None:
-    """Write the report's text, then its final newline, through `_write`."""
-    text = encode_report(report)
+    """Encode the whole report, then write its parts and newline by `_write`."""
+    parts = encode_report(report)
     try:
         out = open(out_path, "w", encoding="utf-8") if out_path else None
         with out or contextlib.nullcontext(sys.stdout) as stream:
-            _write(stream, text, "\n")
+            _write(stream, *parts, "\n")
     except OSError as exc:
         raise InputFormatError(f"cannot write report: {exc}")
 

@@ -590,10 +590,10 @@ class _FullStream(io.StringIO):
 
 
 def test_emit_writes_the_encoded_text_itself_then_the_newline(tmp_path, monkeypatch):
-    # the report text is written as encode_report returns it, never
-    # copied to append the final newline
-    marker = "".join(["{", "report", "}"])
-    monkeypatch.setattr(cli, "encode_report", lambda report: marker)
+    # the report's parts are written as encode_report returns them, never
+    # joined, and the final newline follows them
+    parts = ["".join(["{", "report"]), "x" * 600_000, "}"]
+    monkeypatch.setattr(cli, "encode_report", lambda report: parts)
 
     class Recorder:
         def __init__(self):
@@ -608,7 +608,8 @@ def test_emit_writes_the_encoded_text_itself_then_the_newline(tmp_path, monkeypa
     stream = Recorder()
     monkeypatch.setattr(sys, "stdout", stream)
     cli.emit({}, None)
-    assert stream.writes == [marker, "\n"] and stream.writes[0] is marker
+    assert stream.writes == [*parts, "\n"]
+    assert all(w is p for w, p in zip(stream.writes, parts))
     assert stream.flushes == 1
     written = []
     real_open = open
@@ -622,8 +623,9 @@ def test_emit_writes_the_encoded_text_itself_then_the_newline(tmp_path, monkeypa
     monkeypatch.setattr(cli, "open", recording_open, raising=False)
     out = tmp_path / "report.json"
     cli.emit({}, str(out))
-    assert written == [marker, "\n"] and written[0] is marker
-    assert out.read_text() == marker + "\n"
+    assert written == [*parts, "\n"]
+    assert all(w is p for w, p in zip(written, parts))
+    assert out.read_text() == "".join(parts) + "\n"
 
 
 def test_unwritable_stderr_keeps_the_exit_code(tmp_path, capsys, monkeypatch):
@@ -691,6 +693,66 @@ def test_closed_stdout_pipe_is_one_line_error(tmp_path):
     assert_one_line_exit_1(done)
     assert "error: cannot write report: " in done.stderr
     assert "Exception ignored" not in done.stderr
+
+
+def write_paired(tmp_path, sizes):
+    from plovkit.randgen import paired_unipotent
+
+    return write_doc(tmp_path, {"matrix": enc_matrix(paired_unipotent(sizes))})
+
+
+class _FailingStream(io.StringIO):
+    """A stream with no descriptor whose `fail_at`-th write fails as on a
+    full device."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.fail_at, self.writes = fail_at, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(28, "No space left on device")
+        return len(text)
+
+
+def test_a_write_failing_partway_through_a_report_is_one_line(tmp_path, capsys, monkeypatch):
+    # the report of paired [3,1,1,1] is written in many parts; a failure at
+    # the first, the second or a late one ends the same way
+    args = ["model", "--input", write_paired(tmp_path, [3, 1, 1, 1])]
+    counter = _FailingStream(None)
+    monkeypatch.setattr(sys, "stdout", counter)
+    assert main(args) == 0
+    parts = counter.writes
+    assert parts > 1000
+    capsys.readouterr()
+    for fail_at in (1, 2, parts * 3 // 4):
+        stream = _FailingStream(fail_at)
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(args) == 1
+        assert stream.writes == fail_at
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_large_report_to_a_full_device_or_closed_pipe_is_one_line(tmp_path):
+    # a 1.1 MB report fills the stream's buffer many times before the end
+    args = ["model", "--input", write_paired(tmp_path, [3, 1, 1, 1])]
+    with open("/dev/full", "w") as full:
+        on_full = run_process_to(full, args, tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        on_closed = run_process_to(write_end, args, tmp_path)
+    finally:
+        os.close(write_end)
+    for done in (on_full, on_closed):
+        assert_one_line_exit_1(done)
+        assert "error: cannot write report: " in done.stderr
+        assert "Exception ignored" not in done.stderr
 
 
 @pytest.mark.parametrize(
@@ -1011,7 +1073,8 @@ def test_encoder_matches_json_dumps():
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
     @hypothesis.given(values)
     def check(value):
-        assert encode_report(value) == json.dumps(value, indent=2, sort_keys=True)
+        text = "".join(encode_report(value))
+        assert text == json.dumps(value, indent=2, sort_keys=True)
 
     check()
 

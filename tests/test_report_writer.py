@@ -1,10 +1,10 @@
 """The one writer: `emit` hands a report to `--out` or stdout through
-`_write`, in slices of at most `cli._SLICE` characters, so no stream
-encodes a copy of the whole report at once.
+`_write`, one write per part of the encoder, so no single write holds
+the whole report and no join of it is made.
 
-The peak is measured, not assumed: a writer that encodes the whole text
-into one `bytes` object before writing it raises the traced heap by the
-report's size while `emit` runs.
+The peak is measured, not assumed: a writer that joins the parts, or
+encodes the whole text into one `bytes` object before writing it, raises
+the traced heap by the report's size.
 """
 
 import hashlib
@@ -30,16 +30,14 @@ class Recorder:
         self.flushes += 1
 
 
-def test_write_hands_a_long_text_over_in_slices():
-    size = cli._SLICE
-    long = "".join(str(i % 10) for i in range(2 * size + size // 2 + 3))
-    short = "x" * size
+def test_write_hands_each_text_over_as_it_is():
+    long = "".join(str(i % 10) for i in range(600_000))
+    texts = ["{", long, "x" * 1000, "", "\n"]
     stream = Recorder()
-    cli._write(stream, long, short, "\n")
-    assert [len(w) for w in stream.writes] == [size, size, size // 2 + 3, size, 1]
-    assert "".join(stream.writes) == long + short + "\n"
-    # a text of at most one slice is written as it is, not copied
-    assert stream.writes[3] is short
+    cli._write(stream, *texts)
+    # one write per text, short or long, of the text itself and in order
+    assert len(stream.writes) == len(texts)
+    assert all(w is t for w, t in zip(stream.writes, texts))
     assert stream.flushes == 1
 
 
@@ -65,6 +63,32 @@ def test_emit_raises_the_heap_by_under_a_quarter_of_the_report(tmp_path, monkeyp
     assert code == 0
     data = out.read_bytes()
     assert hashlib.sha256(data).hexdigest() == PAIRED_5_SHA256
-    # one copy of the report is its size, 4.1 MB; slices of 256 KiB keep
-    # the rise near 0.5 MB
+    # one copy of the report is its size, 4.1 MB; writing the encoder's
+    # parts as they are keeps the rise near 0.06 MB
     assert rise < len(data) / 4
+
+
+def test_encoding_and_writing_hold_one_copy_of_the_report(tmp_path, monkeypatch):
+    # tracing starts just before the real encoder runs and goes on through
+    # emit, so the peak it records holds the parts and whatever the write
+    # path copies of them; a join of the whole text would double it
+    real_encode = cli.encode_report
+
+    def trace_then_encode(report):
+        tracemalloc.start()
+        return real_encode(report)
+
+    monkeypatch.setattr(cli, "encode_report", trace_then_encode)
+    path = tmp_path / "paired5.json"
+    path.write_text(json.dumps({"matrix": enc_matrix(paired_unipotent([5]))}))
+    out = tmp_path / "report.json"
+    try:
+        code = main(["model", "--input", str(path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PAIRED_5_SHA256
+    # the parts alone come to about the report's size, 4.1 MB
+    assert peak < 1.5 * len(data)
