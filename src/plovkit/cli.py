@@ -259,105 +259,98 @@ def _scan_blocks(
 
 def encode_report(report: dict) -> list[str]:
     """The parts of `json.dumps(report, indent=2, sort_keys=True)`, in
-    order; a `VanishingScanReport` is written as the list of its entries
-    {"tuple": [...], "value": ...} would be, one `_scan_blocks` block at a
-    time: a block whose values are all 0 as one join of the texts of its
-    suffixes, which are built once per report.  A value no report holds (a
-    float, a tuple, a non-string key) raises `CrossCheckError`, and so does
-    a listing of other than `scan_size` entries."""
-    parts: list[str] = []
-    put = parts.append
+    order: the text outside the scan listings is laid out by joins, one
+    part between listings (the whole report when it holds no scan), and a
+    `VanishingScanReport` is listed as its entries {"tuple": [...],
+    "value": ...} would be, by `_scan_blocks` blocks, a block of all 0 in
+    one join of its suffixes' texts, which are built once per report.  A
+    value no report holds (a float, a tuple, a non-string key, a scanned
+    value other than a `Fraction`) raises `CrossCheckError`, and so does a
+    listing of other than `scan_size` entries.  The joins copy the text at
+    each level, so the traced heap of a report with no scan peaks near 3
+    times its size."""
+    scans: list[tuple[VanishingScanReport, str]] = []
 
-    def enc(v, nl: str) -> None:
+    def enc(v, nl: str) -> str:
         t = type(v)
         if t is str:
-            put(_quote(v))
-        elif t is int:
-            put(int.__repr__(v))
-        elif t is dict and v:
+            return _quote(v)
+        if t is int:
+            return int.__repr__(v)
+        if t is dict and v:
             inner = nl + "  "
-            sep = "{" + inner
-            for key in sorted(v):
-                if type(key) is not str:
-                    raise TypeError(f"key {key!r}")
-                put(sep + _quote(key) + ": ")
-                enc(v[key], inner)
-                sep = "," + inner
-            put(nl + "}")
-        elif t is list and v:
+            items = [_quote(key) + ": " + enc(v[key], inner) for key in sorted(v)]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        if t is list and v:
             inner = nl + "  "
-            if {*map(type, v)} == {int}:
-                put("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]")
-                return
-            sep = "[" + inner
-            for x in v:
-                put(sep)
-                enc(x, inner)
-                sep = "," + inner
-            put(nl + "]")
-        elif t is VanishingScanReport:
-            # every entry has one shape: the entry at inner, its keys at
-            # field and its indices at index.  A block's prefix text is
-            # built once, and the texts of its last one or two indices once
-            # per report for each sum they need; a block whose values are
-            # all 0 is written in one join, and any other entry by entry.
-            scan = v
-            width = min(scan.genus, 2)
-            inner = nl + "  "
-            field = inner + "  "
-            index = field + "  "
-            comma = "," + inner
-            lasts = [str(i) for i in range(scan.kf + 1)]
-            digits = [i + "," + index for i in lasts]
-            # the text of a suffix (i, j) is digits[i] + lasts[j], of (i,) lasts[i]
-            firsts = digits if scan.genus > 1 else [""] * len(lasts)
-            start = "{" + field + '"tuple": [' + index
-            tail = field + "]," + field + '"value": '
-            zero_end = tail + "0" + inner + "}"
-            texts: dict[int, list[str]] = {}
-            sep = "[" + inner
-            count = 0
-            for prefix, need, values in _scan_blocks(scan):
-                suffixes = texts.get(need)
-                if suffixes is None:
-                    suffixes = texts[need] = [
-                        firsts[s[0]] + lasts[s[-1]]
-                        for s in _suffixes(scan.kf, width, need)
-                    ]
-                head = start + "".join(map(digits.__getitem__, prefix))
-                count += len(suffixes)
-                if values is None:
-                    put(sep + head)
-                    put((zero_end + comma + head).join(suffixes))
-                    put(zero_end)
-                    sep = comma
-                    continue
-                for suffix, value in zip(suffixes, values):
-                    if type(value) is not Fraction:
-                        raise TypeError(f"scanned value {value!r}")
-                    put(sep + head + suffix + tail)
-                    enc(enc_frac(value), inner)
-                    put(inner + "}")
-                    sep = comma
-            expected = scan_size(scan.genus, scan.kf)
-            if count != expected:
-                raise CrossCheckError(
-                    f"emit: vanishing scan of genus {scan.genus} and kf {scan.kf} "
-                    f"wrote {count} entries, not scan_size = {expected} "
-                    "(one per ordered tuple above the threshold)"
-                )
-            put(nl + "]" if count else "[]")
-        elif t is dict or t is list:
-            put("{}" if t is dict else "[]")
-        elif v is None or t is bool:
-            put("null" if v is None else "true" if v else "false")
-        else:
-            raise TypeError(f"value {v!r} of type {t.__name__}")
+            ints = {*map(type, v)} == {int}
+            items = map(int.__repr__, v) if ints else [enc(x, inner) for x in v]
+            return "[" + inner + ("," + inner).join(items) + nl + "]"
+        if t is VanishingScanReport:
+            # the listing goes in at this cut, which no other text holds:
+            # `_quote` escapes every control character, and no int or literal has one
+            bad = [x for _, x in v.values if type(x) is not Fraction]
+            if bad:
+                raise TypeError(f"scanned value {bad[0]!r}")
+            scans.append((v, nl))
+            return "\x00"
+        if t is dict or t is list:
+            return "{}" if t is dict else "[]"
+        if v is None or t is bool:
+            return "null" if v is None else "true" if v else "false"
+        raise TypeError(f"value {v!r} of type {t.__name__}")
 
     try:
-        enc(report, "\n")
-    except TypeError as exc:  # also keys of mixed types, which do not sort
+        first, *cuts = enc(report, "\n").split("\x00")
+    except TypeError as exc:  # also keys `_quote` refuses or that do not sort
         raise CrossCheckError(f"emit: not a report value: {exc}")
+    parts = [first]
+    for (scan, nl), after in zip(scans, cuts):
+        # every entry has one shape: the entry at inner, its keys at field
+        # and its indices at index.  A block's prefix text is built once,
+        # and the texts of its last one or two indices once per report for
+        # each sum they need; a block whose values are all 0 is written in
+        # one join, and any other entry by entry.
+        width = min(scan.genus, 2)
+        inner = nl + "  "
+        field = inner + "  "
+        index = field + "  "
+        comma = "," + inner
+        lasts = [str(i) for i in range(scan.kf + 1)]
+        digits = [i + "," + index for i in lasts]
+        # the text of a suffix (i, j) is digits[i] + lasts[j], of (i,) lasts[i]
+        firsts = digits if scan.genus > 1 else [""] * len(lasts)
+        start = "{" + field + '"tuple": [' + index
+        tail = field + "]," + field + '"value": '
+        zero_end = tail + "0" + inner + "}"
+        texts: dict[int, list[str]] = {}
+        sep = "[" + inner
+        count = 0
+        for prefix, need, values in _scan_blocks(scan):
+            suffixes = texts.get(need)
+            if suffixes is None:
+                suffixes = texts[need] = [
+                    firsts[s[0]] + lasts[s[-1]]
+                    for s in _suffixes(scan.kf, width, need)
+                ]
+            head = start + "".join(map(digits.__getitem__, prefix))
+            count += len(suffixes)
+            if values is None:
+                parts += sep + head, (zero_end + comma + head).join(suffixes), zero_end
+                sep = comma
+                continue
+            for suffix, value in zip(suffixes, values):
+                encoded = enc(enc_frac(value), inner)
+                parts.append(sep + head + suffix + tail + encoded + inner + "}")
+                sep = comma
+        expected = scan_size(scan.genus, scan.kf)
+        if count != expected:
+            raise CrossCheckError(
+                f"emit: vanishing scan of genus {scan.genus} and kf {scan.kf} "
+                f"wrote {count} entries, not scan_size = {expected} "
+                "(one per ordered tuple above the threshold)"
+            )
+        parts += nl + "]" if count else "[]", after
     return parts
 
 
@@ -388,7 +381,7 @@ def emit(report: dict, out_path: Optional[str]) -> None:
     """Encode the whole report, then write its parts and newline by `_write`."""
     parts = encode_report(report)
     try:
-        out = open(out_path, "w", encoding="utf-8") if out_path else None
+        out = open(out_path, "w", encoding="utf-8") if out_path is not None else None
         with out or contextlib.nullcontext(sys.stdout) as stream:
             _write(stream, *parts, "\n")
     except OSError as exc:

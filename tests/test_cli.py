@@ -566,6 +566,16 @@ def test_unwritable_out_path_is_one_line_error(tmp_path):
     assert "cannot write report" in done.stderr
 
 
+def test_empty_out_path_is_one_line_error(tmp_path, capsys):
+    # an empty --out names no file: it is not stdout
+    path = write_doc(tmp_path, {"matrix": [[1, 1], [0, 1]]})
+    code, out, err = run_cli(["analyze", "--input", path, "--out", ""], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: cannot write report: ")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_full_stdout_is_one_line_error(tmp_path):
     # argparse itself swallows a failed write of --version or --help
@@ -1097,6 +1107,60 @@ def test_encoder_rejects_what_no_report_holds(value):
         encode_report(value)
 
 
+def _two_scans():
+    """A scan of paired [3], every value 0, and one of a dense family of
+    genus 2, whose values are mostly nonzero."""
+    import random
+
+    from plovkit.cohomology import TwoForm, scan_chain, vanishing_scan
+    from plovkit.randgen import paired_unipotent
+
+    rng = random.Random(45)
+    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    dense = [TwoForm(2, {p: Fraction(rng.randint(-3, 3), 2) for p in pairs}) for _ in range(3)]
+    return vanishing_scan(paired_unipotent([3]), TwoForm.standard(3)), scan_chain(dense)
+
+
+@pytest.mark.parametrize(
+    "value", [0.0, 0, 2, 0.5], ids=["zero-float", "zero-int", "int", "float"]
+)
+def test_encoder_checks_every_scanned_value(value):
+    # a value of 0 in any type but Fraction would go out by the all-zero
+    # template as 0, where json.dumps of the dict form says 0.0
+    import dataclasses
+
+    scan, _ = _two_scans()
+    (key, _), *rest = scan.values
+    scan = dataclasses.replace(scan, values=((key, value), *rest))
+    message = f"^emit: not a report value: scanned value {value!r}$"
+    with pytest.raises(CrossCheckError, match=message):
+        encode_report({"scanned": scan})
+
+
+def test_encoder_splices_several_scans_in_document_order():
+    # the scans stand at different depths, one twice, among texts that
+    # hold the marker's character; each listing goes in at its own cut
+    scan, dense = _two_scans()
+    assert any(v for _, v in dense.values) and not any(v for _, v in scan.values)
+    tree = {
+        "b": [dense, {"a": scan, "c": "\x00", "d": [dense, "\x00\ud800"]}],
+        "a": scan,
+        "\x00": [1, 2],
+    }
+    forms = {id(scan): _scan_dict_form(scan), id(dense): _scan_dict_form(dense)}
+
+    def dict_form(v):
+        if isinstance(v, dict):
+            return {k: dict_form(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [dict_form(x) for x in v]
+        return forms.get(id(v), v)
+
+    parts = encode_report(tree)
+    assert "".join(parts) == json.dumps(dict_form(tree), indent=2, sort_keys=True)
+    assert not any("\x00" in part for part in parts)
+
+
 def test_non_report_value_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     import plovkit.cli
 
@@ -1422,6 +1486,27 @@ def test_model_scan_section_is_json_dumps_of_its_dict_form(
     dict_form = json.loads(out)
     dict_form["model"]["vanishing_scan"]["scanned"] = entries
     assert out == json.dumps(dict_form, indent=2, sort_keys=True) + "\n"
+
+
+def test_model_report_with_the_cut_character_in_its_name(tmp_path, capsys, monkeypatch):
+    # the name is input from outside the program: a NUL, a lone surrogate
+    # and non-ASCII text in it are escaped, and never taken for the cut
+    # where the scan listing goes
+    from plovkit.randgen import paired_unipotent
+
+    real = cli.scan_chain
+    seen = []
+    monkeypatch.setattr(cli, "scan_chain", lambda c: seen.append(real(c)) or seen[-1])
+    name = "\x00 before \ud800 é ∞ \x00"
+    path = write_doc(tmp_path, {"name": name, "matrix": enc_matrix(paired_unipotent([3]))})
+    code, out, _ = run_cli(["model", "--input", path], capsys)
+    assert code == 0
+    [scan] = seen
+    dict_form = json.loads(out)
+    assert dict_form["input"]["name"] == name
+    dict_form["model"]["vanishing_scan"]["scanned"] = _scan_dict_form(scan)
+    assert out == json.dumps(dict_form, indent=2, sort_keys=True) + "\n"
+    assert '"name": "\\u0000 before \\ud800 \\u00e9 \\u221e \\u0000"' in out
 
 
 def test_scan_blocks_list_the_scanned_tuples_of_random_families():
