@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from itertools import groupby, product
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .cohomology import (
@@ -42,6 +42,7 @@ from .errors import (
     InputFormatError,
     OddDimensionError,
     PlovkitError,
+    PreconditionError,
 )
 from .exact import RatMatrix, UniPoly
 from .jordan import JordanProfile, jordan_profile
@@ -49,6 +50,12 @@ from .plov import AnalysisReport, analyze, max_minor_degree
 from .powersum import power_sum_brute, power_sum_det
 
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+#: The most ordered tuples a `model` report may list.  The scan keeps one
+#: value per multiset, but the report lists every ordered tuple, and
+#: 30,137,596 (two paired 7 x 7 blocks) would exhaust memory; the
+#: listing, not the scan, is what the limit guards.
+SCAN_LIMIT = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -230,45 +237,18 @@ def _suffixes(kf: int, width: int, need: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _scan_blocks(
-    scan: VanishingScanReport,
-) -> Iterator[tuple[tuple[int, ...], int, Optional[tuple[Fraction, ...]]]]:
-    """(prefix, need, values) for every prefix (i_1, ..., i_{g-2}) in
-    lexicographic order (the empty one when g <= 2) that starts a tuple
-    above the threshold: the tuples (*prefix, *suffix) above it are those
-    with ``suffix`` in ``_suffixes(kf, min(g, 2), need)``, and ``values``
-    lists their values, or is None when all are 0."""
-    kf, g = scan.kf, scan.genus
-    width = min(g, 2)
-    top = width * kf  # the largest sum of a suffix
-    least = g * kf // 2 + 1
-    nonzero = {key: value for key, value in scan.values if value}
-    zero = Fraction(0)
-    for prefix in product(range(kf + 1), repeat=g - width):
-        need = least - sum(prefix)
-        if need > top:
-            continue
-        need = need if need > 0 else 0
-        values = None
-        if nonzero:
-            keys = [tuple(sorted(prefix + s)) for s in _suffixes(kf, width, need)]
-            if not nonzero.keys().isdisjoint(keys):
-                values = tuple(nonzero.get(key, zero) for key in keys)
-        yield prefix, need, values
-
-
 def encode_report(report: dict) -> list[str]:
     """The parts of `json.dumps(report, indent=2, sort_keys=True)`, in
     order: the text outside the scan listings is laid out by joins, one
     part between listings (the whole report when it holds no scan), and a
     `VanishingScanReport` is listed as its entries {"tuple": [...],
-    "value": ...} would be, by `_scan_blocks` blocks, a block of all 0 in
-    one join of its suffixes' texts, which are built once per report.  A
-    value no report holds (a float, a tuple, a non-string key, a scanned
-    value other than a `Fraction`) raises `CrossCheckError`, and so does a
-    listing of other than `scan_size` entries.  The joins copy the text at
-    each level, so the traced heap of a report with no scan peaks near 3
-    times its size."""
+    "value": ...} would be, in blocks of the tuples that share their first
+    g - 2 indices, a block of all 0 in one join of its suffixes' texts,
+    which are built once per report.  A value no report holds (a float, a
+    tuple, a non-string key, a scanned value other than a `Fraction`)
+    raises `CrossCheckError`, and so does a listing of other than
+    `scan_size` entries.  The joins copy the text at each level, so the
+    traced heap of a report with no scan peaks near 3 times its size."""
     scans: list[tuple[VanishingScanReport, str]] = []
 
     def enc(v, nl: str) -> str:
@@ -307,46 +287,56 @@ def encode_report(report: dict) -> list[str]:
     parts = [first]
     for (scan, nl), after in zip(scans, cuts):
         # every entry has one shape: the entry at inner, its keys at field
-        # and its indices at index.  A block's prefix text is built once,
-        # and the texts of its last one or two indices once per report for
-        # each sum they need; a block whose values are all 0 is written in
-        # one join, and any other entry by entry.
-        width = min(scan.genus, 2)
+        # and its indices at index.  A block is the tuples (*prefix, *suffix)
+        # above the threshold for one prefix of g - 2 indices (none when
+        # g <= 2), the suffixes being `_suffixes(kf, width, need)`.  Its
+        # prefix text is built once, and the texts of its suffixes once per
+        # report for each sum they need; a block whose values are all 0 is
+        # written in one join, and any other entry by entry.
+        kf, g = scan.kf, scan.genus
+        width = min(g, 2)
+        least = g * kf // 2 + 1  # the least index sum above the threshold
+        nonzero = {key: value for key, value in scan.values if value}
         inner = nl + "  "
         field = inner + "  "
         index = field + "  "
         comma = "," + inner
-        lasts = [str(i) for i in range(scan.kf + 1)]
+        lasts = [str(i) for i in range(kf + 1)]
         digits = [i + "," + index for i in lasts]
         # the text of a suffix (i, j) is digits[i] + lasts[j], of (i,) lasts[i]
-        firsts = digits if scan.genus > 1 else [""] * len(lasts)
+        firsts = digits if g > 1 else [""] * len(lasts)
         start = "{" + field + '"tuple": [' + index
         tail = field + "]," + field + '"value": '
         zero_end = tail + "0" + inner + "}"
         texts: dict[int, list[str]] = {}
         sep = "[" + inner
         count = 0
-        for prefix, need, values in _scan_blocks(scan):
+        for prefix in product(range(kf + 1), repeat=g - width):
+            need = max(least - sum(prefix), 0)
+            if need > width * kf:  # past the largest sum of a suffix
+                continue
             suffixes = texts.get(need)
             if suffixes is None:
                 suffixes = texts[need] = [
                     firsts[s[0]] + lasts[s[-1]]
-                    for s in _suffixes(scan.kf, width, need)
+                    for s in _suffixes(kf, width, need)
                 ]
             head = start + "".join(map(digits.__getitem__, prefix))
             count += len(suffixes)
-            if values is None:
+            if nonzero:
+                keys = [tuple(sorted(prefix + s)) for s in _suffixes(kf, width, need)]
+            if not nonzero or nonzero.keys().isdisjoint(keys):
                 parts += sep + head, (zero_end + comma + head).join(suffixes), zero_end
                 sep = comma
                 continue
-            for suffix, value in zip(suffixes, values):
-                encoded = enc(enc_frac(value), inner)
+            for suffix, key in zip(suffixes, keys):
+                encoded = enc(enc_frac(nonzero.get(key, Fraction(0))), inner)
                 parts.append(sep + head + suffix + tail + encoded + inner + "}")
                 sep = comma
-        expected = scan_size(scan.genus, scan.kf)
+        expected = scan_size(g, kf)
         if count != expected:
             raise CrossCheckError(
-                f"emit: vanishing scan of genus {scan.genus} and kf {scan.kf} "
+                f"emit: vanishing scan of genus {g} and kf {kf} "
                 f"wrote {count} entries, not scan_size = {expected} "
                 "(one per ordered tuple above the threshold)"
             )
@@ -551,6 +541,11 @@ def cmd_model(args) -> int:
         form = randgen.randgen_two_form(random.Random(args.seed), genus)
         form_desc = f"random (seed {args.seed})"
     model = plov_via_model(u, form)
+    size = scan_size(genus, len(model.chain) - 1)
+    if size > SCAN_LIMIT:
+        raise PreconditionError(
+            f"vanishing scan of {size} products exceeds the limit of {SCAN_LIMIT}"
+        )
     scan = scan_chain(model.chain)
     bad = len(scan.violations)
     with _unlimited_digits():
@@ -570,7 +565,6 @@ def cmd_model(args) -> int:
                 "violations": [list(t) for t in scan.violations],
             },
         }
-        size = scan_size(scan.genus, scan.kf)
         lines = [
             f"model growth degree {model.degree} "
             f"(profile value {model.profile_plov}, equality: {model.matches_profile})",

@@ -53,10 +53,12 @@ block, of the block's own degree and forms, grown depth first and
 differenced in place, divides each entry by gamma! to a coefficient and
 multiplies the blocks' polynomials on integers (on paired [4, 1], 117
 entries and 1, against 473 for one table over the whole chain).  The
+scan has no size limit: its cost grows with the multisets above the
+threshold (155,629 on paired [8]), not with the ordered tuples.  The
 report keeps one value per multiset, and the ordered tuples, which take
 the value of their multiset, are listed only on demand: all at once as
-``scanned``, or by `cli._scan_blocks` for the report, each block the
-tuples that share their first g - 2 indices.  The literal wedge
+``scanned``, or by `cli.encode_report` for the report, which holds the
+limit on what it lists.  The literal wedge
 expansion, `selfcheck.wedge_coefficient`, is the oracle for both
 Pfaffian routes, in the self-test and the tests, and
 `selfcheck.polarization`, the sum above term by term, the reference for
@@ -404,13 +406,6 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
     )
 
 
-#: The most ordered tuples a scan may have.  It keeps one value per
-#: multiset, but ``scanned`` and `cli._scan_blocks` list every tuple,
-#: and 30,137,596 (two paired 7 x 7 blocks) would exhaust memory; the
-#: listing, not the scan, is what the limit guards.
-SCAN_LIMIT = 10**6
-
-
 def scan_size(genus: int, kf: int) -> int:
     """How many tuples in {0..kf}^genus have index sum above genus*kf/2.
 
@@ -551,16 +546,11 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
     `CrossCheckError`; the quotients are multiplied on integers, dropping
     partial products that cannot reach the threshold, and a multiset above
     it takes sign * alpha! * its coefficient over den^g (0 if no splitting
-    reaches it).  No value is inferred.  A scan of more than `SCAN_LIMIT`
-    ordered tuples, which its report lists, raises `PreconditionError`
-    before any is evaluated."""
+    reaches it).  No value is inferred.  There is no size limit: the
+    cost grows with the multisets above the threshold, 155,629 on paired
+    [8], and only a listing of the ordered tuples grows with their count."""
     _, den_g, sign, blocks = _common_pfaffian(tuple(chain))
     kf, g = len(chain) - 1, chain[0].genus
-    size = scan_size(g, kf)
-    if size > SCAN_LIMIT:
-        raise PreconditionError(
-            f"vanishing scan of {size} products exceeds the limit of {SCAN_LIMIT}"
-        )
     least = g * kf // 2 + 1  # the least index sum above the threshold
     reach = [k * active[-1] for k, active, _ in blocks]  # a block's largest sum
     poly = {(): sign}

@@ -1351,20 +1351,23 @@ def test_model_nonzero_scanned_value_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def _scan_dict_form(report):
-    """The scanned entries of a scan as dicts, from the multiset values
-    alone: every ordered tuple above the threshold, in lexicographic
-    order, with the value of its sorted tuple."""
-    values = dict(report.values)
-    g, kf = report.genus, report.kf
+    """The scanned entries of a scan as dicts, from `scanned`, the
+    reference listing: every ordered tuple above the threshold, in
+    lexicographic order, with the value of its multiset."""
     return [
         {
             "tuple": list(t),
             "value": v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}",
         }
-        for t in itertools.product(range(kf + 1), repeat=g)
-        if 2 * sum(t) > g * kf
-        for v in [values[tuple(sorted(t))]]
+        for t, v in report.scanned
     ]
+
+
+def assert_listing_is_json_dumps(scan):
+    """The encoder's text of a report that holds only ``scan`` is
+    json.dumps of `scanned`'s dict form."""
+    text = "".join(encode_report({"scanned": scan}))
+    assert text == json.dumps({"scanned": _scan_dict_form(scan)}, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("values", ["mixed", "zero", "empty"])
@@ -1415,36 +1418,23 @@ def test_model_scanned_entries_match_json_dumps(tmp_path, capsys, monkeypatch, v
     assert out == json.dumps(old_dict_form, indent=2, sort_keys=True) + "\n"
     if values == "empty":
         assert '"scanned": [],' in out
-    elif values == "mixed":
+    listed = json.loads(out)["model"]["vanishing_scan"]["scanned"]
+    by_prefix = {}
+    for entry in listed:
+        by_prefix.setdefault(entry["tuple"][0], {})[tuple(entry["tuple"][1:])] = entry["value"]
+    if values == "mixed":
         assert '"value": "-5/7"' in out and '"value": -3' in out
-        blocks = {prefix: (need, v) for prefix, need, v in cli._scan_blocks(scan)}
-        need, last = blocks[(4,)]  # the tuples (4, i, j) with i + j >= 3
-        assert dict(zip(cli._suffixes(scan.kf, 2, need), last)) == {
+        # the block (4, i, j) with i + j >= 3 mixes 0 with the other values
+        assert by_prefix[4] == {
             (0, 3): 0, (0, 4): 0, (1, 2): 0, (1, 3): 0, (1, 4): -3,
-            (2, 1): 0, (2, 2): 0, (2, 3): 0, (2, 4): Fraction(5, 7),
-            (3, 0): 0, (3, 1): 0, (3, 2): 0, (3, 3): 0, (3, 4): Fraction(-5, 7),
-            (4, 0): 0, (4, 1): -3, (4, 2): Fraction(5, 7), (4, 3): Fraction(-5, 7),
+            (2, 1): 0, (2, 2): 0, (2, 3): 0, (2, 4): "5/7",
+            (3, 0): 0, (3, 1): 0, (3, 2): 0, (3, 3): 0, (3, 4): "-5/7",
+            (4, 0): 0, (4, 1): -3, (4, 2): "5/7", (4, 3): "-5/7",
             (4, 4): 0,
         }
-        assert None in [v for _, v in blocks.values()]  # blocks written in bulk
-    else:
-        assert all(v is None for _, _, v in cli._scan_blocks(scan))
-
-
-def expand_scan_blocks(scan):
-    """The (tuple, value) pairs of `cli._scan_blocks`, each block expanded
-    by `cli._suffixes`.  Every block must hold a tuple, and its need must
-    be the least sum of its suffixes, so that no two needs name one list."""
-    width = min(scan.genus, 2)
-    pairs = []
-    for prefix, need, values in cli._scan_blocks(scan):
-        suffixes = cli._suffixes(scan.kf, width, need)
-        assert suffixes and need == min(map(sum, suffixes)), (prefix, need)
-        if values is None:
-            values = [Fraction(0)] * len(suffixes)
-        assert len(values) == len(suffixes), prefix
-        pairs += [((*prefix, *suffix), v) for suffix, v in zip(suffixes, values)]
-    return tuple(pairs)
+        assert set(by_prefix[0].values()) == {0}  # a block written in bulk
+    elif values == "zero":
+        assert {v for block in by_prefix.values() for v in block.values()} == {0}
 
 
 #: every shape of the `model` benchmark, then g = 2, and g = 1 and
@@ -1460,8 +1450,8 @@ def test_model_scan_section_is_json_dumps_of_its_dict_form(
     tmp_path, capsys, monkeypatch, shape
 ):
     # the block listing must write the same text as json.dumps of one
-    # dict per ordered tuple, for every suffix length and block count, and
-    # list, expanded, the tuples and values of the plain listing
+    # dict per ordered tuple of the plain listing, for every suffix length
+    # and block count
     import plovkit.cli
     from plovkit.cohomology import scan_size
     from plovkit.randgen import paired_unipotent
@@ -1479,7 +1469,7 @@ def test_model_scan_section_is_json_dumps_of_its_dict_form(
     assert code == 0
     [scan] = seen
     assert scan.genus == sum(shape)
-    assert expand_scan_blocks(scan) == scan.scanned
+    assert_listing_is_json_dumps(scan)
     entries = _scan_dict_form(scan)
     assert len(entries) == scan_size(scan.genus, scan.kf)
     assert bool(entries) == (scan.kf > 0)
@@ -1532,27 +1522,25 @@ def test_scan_blocks_list_the_scanned_tuples_of_random_families():
                     for _ in range(kf + 1)
                 ]
                 scan = scan_chain(family)
-                listed = expand_scan_blocks(scan)
-                assert listed == scan.scanned, (g, den, kf)
-                mixed += len({v for _, v in listed}) > 1
+                assert_listing_is_json_dumps(scan)
+                mixed += len({v for _, v in scan.scanned}) > 1
     assert mixed > 0
 
 
 def test_model_scan_entries_other_than_scan_size_exit_3(tmp_path, capsys, monkeypatch):
-    # a block dropped from the scan's listing leaves fewer entries than
-    # scan_size counts, and the encoder refuses to write the report
-    real = cli._scan_blocks
-    monkeypatch.setattr(
-        cli, "_scan_blocks", lambda scan: itertools.islice(real(scan), 1, None)
-    )
+    # a suffix dropped from each block of the scan's listing leaves fewer
+    # entries than scan_size counts, and the encoder refuses to write the
+    # report
+    real = cli._suffixes
+    monkeypatch.setattr(cli, "_suffixes", lambda *key: real(*key)[1:])
     path = write_doc(tmp_path, QUAD)
     code, out, err = run_cli(["model", "--input", path], capsys)
     assert code == 3
     assert out == ""
-    # at genus 2 the one block is every tuple
+    # at genus 2 the one block is every tuple, 3 of them
     assert err.splitlines() == [
         "internal cross-check failure: emit: vanishing scan of genus 2 and kf 2 "
-        "wrote 0 entries, not scan_size = 3 (one per ordered tuple above the threshold)"
+        "wrote 2 entries, not scan_size = 3 (one per ordered tuple above the threshold)"
     ]
 
 
@@ -1626,20 +1614,51 @@ def test_flag_past_its_ceiling_exits_1_at_once(tmp_path, flag, ceiling, command)
 
 
 def test_model_scan_past_the_limit_exits_2_at_once(tmp_path):
-    """[7] pairs two 7 x 7 blocks: a scan of 30,137,596 tuples, which
-    would exhaust memory.  It runs in a child capped at 1 GiB of address
-    space, so a missing guard fails the test, not the machine."""
+    """[7] pairs two 7 x 7 blocks: a listing of 30,137,596 tuples, which
+    would exhaust memory.  [4, 4] and [5, 2] list 2,683,117 and 2,254,921,
+    though the library scans them in a few hundredths of a second.  Each
+    runs in a child capped at 1 GiB of address space, so a missing guard
+    fails the test, not the machine."""
     import time
 
     from plovkit.randgen import paired_unipotent
 
-    path = write_doc(tmp_path, {"matrix": enc_matrix(paired_unipotent([7]))})
-    start = time.perf_counter()
-    done = run_capped(["model", "--input", path], tmp_path, 2**30)
-    elapsed = time.perf_counter() - start
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert done.stderr == (
-        "error: vanishing scan of 30137596 products exceeds the limit of 1000000\n"
-    )
-    assert elapsed < 1.0
+    for sizes, size in (([7], 30137596), ([4, 4], 2683117), ([5, 2], 2254921)):
+        path = write_doc(tmp_path, {"matrix": enc_matrix(paired_unipotent(sizes))})
+        out_path = tmp_path / "report.json"
+        start = time.perf_counter()
+        done = run_capped(
+            ["model", "--input", path, "--out", str(out_path)], tmp_path, 2**30
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 2, sizes
+        assert (done.stdout, out_path.exists()) == ("", False), sizes
+        assert done.stderr == (
+            f"error: vanishing scan of {size} products exceeds the limit of 1000000\n"
+        )
+        assert elapsed < 1.0, sizes
+
+
+def test_scan_past_the_limit_is_refused_before_it_runs(tmp_path, capsys, monkeypatch):
+    # at exactly its scan_size the report is written; one below, the run
+    # exits 2 with one line, no report bytes and no scan
+    from plovkit.cohomology import scan_size
+    from plovkit.randgen import paired_unipotent
+
+    real = cli.scan_chain
+    calls = []
+    monkeypatch.setattr(cli, "scan_chain", lambda c: calls.append(c) or real(c))
+    path = write_doc(tmp_path, {"matrix": enc_matrix(paired_unipotent([3]))})
+    size = scan_size(3, 4)  # kf = 4 on two paired 3 x 3 blocks
+    monkeypatch.setattr(cli, "SCAN_LIMIT", size)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(["model", "--input", path, "--out", str(out_path)], capsys)
+    assert (code, out, len(calls)) == (0, "", 1)
+    scanned = json.loads(out_path.read_text())["model"]["vanishing_scan"]["scanned"]
+    assert len(scanned) == size
+    assert f"vanishing scan: {size} products above threshold, 0 violations" in err
+    monkeypatch.setattr(cli, "SCAN_LIMIT", size - 1)
+    out_path.unlink()
+    code, out, err = run_cli(["model", "--input", path, "--out", str(out_path)], capsys)
+    assert (code, out, out_path.exists(), len(calls)) == (2, "", False, 1)
+    assert err == f"error: vanishing scan of {size} products exceeds the limit of {size - 1}\n"

@@ -920,16 +920,24 @@ def test_scan_size_is_the_length_of_every_scan_up_to_genus_4():
         assert scan_size(g, len(chain) - 1) == len(scan_chain(chain).scanned), sizes
 
 
-def test_scan_past_the_limit_is_refused_before_it_runs(monkeypatch):
-    chain = nilpotent_chain(paired_unipotent([3]), TwoForm.standard(3))
-    size = scan_size(3, len(chain) - 1)
-    monkeypatch.setattr(cohomology, "SCAN_LIMIT", size)
-    assert len(scan_chain(chain).scanned) == size
-    monkeypatch.setattr(cohomology, "SCAN_LIMIT", size - 1)
-    monkeypatch.setattr(cohomology, "_pfaffian_rows", None)
-    limit = f"{size} products exceeds the limit of {size - 1}$"
-    with pytest.raises(PreconditionError, match=limit):
-        scan_chain(chain)
+@pytest.mark.parametrize("sizes", [(4, 4), (5, 2), (5, 1, 1)])
+def test_the_library_scans_shapes_whose_listing_the_cli_refuses(sizes):
+    # the scan keeps one value per multiset and has no limit of its own:
+    # these list millions of ordered tuples, but scan 1,426 or 3,073
+    # multisets, a sample of them checked term by term
+    g = sum(sizes)
+    m, h = paired_unipotent(list(sizes)), TwoForm.standard(g)
+    chain = nilpotent_chain(m, h)
+    kf = len(chain) - 1
+    assert scan_size(g, kf) > 2 * 10**6
+    report = scan_chain(chain)
+    assert vanishing_scan(m, h) == report
+    assert len(report.values) == {8: 1426, 7: 3073}[g]
+    assert report.violations == ()
+    pf, den_g, _, _ = cohomology._common_pfaffian(tuple(chain))
+    for key, value in report.values[:: len(report.values) // 12] + report.values[-1:]:
+        alpha = [key.count(i) for i in range(kf + 1)]
+        assert value == Fraction(polarization(alpha, pf), den_g) == 0, key
 
 
 def block_multisets_and_betas(k, active, least):
@@ -1374,11 +1382,9 @@ def test_block_scan_equals_the_whole_chain_scan_on_every_model_shape():
 
 
 @pytest.mark.parametrize("sizes", [(4, 3), (4, 4), (5, 2)])
-def test_block_scan_equals_the_whole_chain_scan_on_large_paired_shapes(sizes, monkeypatch):
-    # [4, 4] and [5, 2] list 2,683,117 and 2,254,921 ordered tuples, past
-    # the limit, which guards only the listing; the values are compared
-    # multiset by multiset
-    monkeypatch.setattr(cohomology, "SCAN_LIMIT", 10**7)
+def test_block_scan_equals_the_whole_chain_scan_on_large_paired_shapes(sizes):
+    # [4, 4] and [5, 2] list 2,683,117 and 2,254,921 ordered tuples, which
+    # the CLI refuses to list; the values are compared multiset by multiset
     chain = seeded_chain(model_workload(), 1, sizes)
     report = scan_chain(chain)
     assert report.values == whole_chain_scan(chain)

@@ -26,9 +26,10 @@ go through `exact.mat_pow` alone.  A `TwoForm` is built, read and handed
 to `pfaffian` or `pullback2`, with no arithmetic of its own; Delta_x and
 the polarized wedges are built inside `intersection_poly` and
 `scan_chain` alone, through their private helper `_common_pfaffian`,
-and the scan keeps one value per multiset, listing the ordered tuples,
-and the violations among them, only on demand; the report's listing of
-them by blocks is `cli._scan_blocks`, which only `encode_report` calls.  The records keep only
+and the scan keeps one value per multiset, with no size limit, listing
+the ordered tuples, and the violations among them, only on demand; the
+report lists them by blocks in `cli.encode_report`'s one loop, and
+`cli.SCAN_LIMIT`, which `cmd_model` checks, bounds that listing alone.  The records keep only
 the members some route reads, and the degree of the zero polynomial is
 the int -1.  A power the verdict claims unipotent is checked by its
 trace, so no module tests nilpotency by squaring, and `plovkit`
@@ -317,9 +318,29 @@ def test_the_scan_listing_is_laid_out_by_the_cli_alone():
         for fn in tree.body
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and references(node.func, "_scan_blocks")
+        if isinstance(node, ast.Call) and references(node.func, "_suffixes")
     }
     assert callers == {"cli.py:encode_report"}
+    assert not hasattr(cli, "_scan_blocks")
+
+
+def test_the_scan_limit_bounds_the_cli_listing_alone():
+    # the limit is the report's: the library scan has none of its own
+    from plovkit import cli, cohomology
+
+    sources = dict(parsed_sources())
+    assert [
+        name
+        for name, tree in sources.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(references(t, "SCAN_LIMIT") for t in node.targets)
+    ] == ["cli.py"]
+    assert not any(
+        references(node, "SCAN_LIMIT") for node in ast.walk(sources["cohomology.py"])
+    )
+    assert not hasattr(cohomology, "SCAN_LIMIT")
+    assert cli.SCAN_LIMIT == 10**6
 
 
 def test_no_module_tests_nilpotency_by_squaring():
