@@ -51,14 +51,19 @@ coefficient of beta^alpha, as F is homogeneous of degree g.  F is the
 product of its blocks' Pfaffians, so `scan_chain` fills one table per
 block, of the block's own degree and forms, grown depth first and
 differenced in place, divides each entry by gamma! to a coefficient and
-multiplies the blocks' polynomials on integers (on paired [4, 1], 117
-entries and 1, against 473 for one table over the whole chain).  The
-scan has no size limit: its cost grows with the multisets above the
-threshold (155,629 on paired [8]), not with the ordered tuples.  The
-report keeps one value per multiset, and the ordered tuples, which take
-the value of their multiset, are listed only on demand: all at once as
-``scanned``, or by `cli.encode_report` for the report, which holds the
-limit on what it lists.  The literal wedge
+multiplies the blocks' polynomials on integers.  Each term of a
+2-coloured block's det(sum_i beta_i W_i) takes each row's entry from a
+form nonzero there, so the max-weight assignment of rows to columns, an
+entry weighing the largest such form (H. W. Kuhn, 1955), bounds the
+index sum of its nonzero coefficients.  On a paired chain with the
+standard form the blocks' bounds sum to plov - g, below the threshold:
+every value is then proved 0 from the chain's supports, and no table is
+filled.  The scan has no size limit: its cost grows with the multisets
+above the threshold (155,629 on paired [8]), not with the ordered
+tuples.  The report keeps one value per multiset, and the ordered
+tuples, which take the value of their multiset, are listed only on
+demand: all at once as ``scanned``, or by `cli.encode_report` for the
+report, which holds the limit on what it lists.  The literal wedge
 expansion, `selfcheck.wedge_coefficient`, is the oracle for both
 Pfaffian routes, in the self-test and the tests, and
 `selfcheck.polarization`, the sum above term by term, the reference for
@@ -256,6 +261,20 @@ def _block_pfaffian(rows: list[list[int]], bipartite: bool) -> int:
     return _pfaffian_rows(rows)
 
 
+def _assignment_bound(local: list, size: int) -> int:
+    """The max over bijections r |-> c_r of a P x Q block's rows onto its
+    columns of sum_r (the largest i with (r, c_r) in local[i]), -1 if none
+    meets only such entries: a DP over column sets, 2^size * size steps."""
+    weight = {at: i for i, term in enumerate(local) for at, _ in term}
+    best = [0]  # best[taken]: the first |taken| rows onto ``taken``, else -1
+    for taken in range(1, 1 << size):
+        r = (taken.bit_count() - 1) * size  # the last of those rows, at r + c
+        sums = [best[taken ^ 1 << c] + weight[r + c] for c in range(size)
+                if taken >> c & 1 and r + c in weight and best[taken ^ 1 << c] >= 0]
+        best.append(max(sums, default=-1))
+    return best[-1]
+
+
 @functools.lru_cache(maxsize=1)
 def _common_pfaffian(
     chain: tuple[TwoForm, ...],
@@ -267,11 +286,13 @@ def _common_pfaffian(
     forms' supports: Pf = sign(sigma) prod Pf(block), sigma listing them in
     turn.  A block 2-coloured by sides P, Q of one size, listed p1, q1, p2,
     ..., has Pf = det of its P x Q block; an odd one, or unequal sides,
-    make pf 0 (sign 0, no blocks).  A block is (k, active, evaluate): its Pf
-    has degree k = half its size in the weights of its ``active`` forms,
-    and evaluate(w) is 0 if they leave a row of it empty, by their row
-    bitmasks (a row that only cancels is left to the elimination), else a
-    one-row block's entry or `_block_pfaffian` of `_weighted_rows`.  No
+    make pf 0 (sign 0, no blocks).  A block is (k, active, evaluate, bound):
+    its Pf has degree k = half its size in the weights of its ``active``
+    forms, and evaluate(w) is 0 if they leave a row of it empty, by their
+    row bitmasks (a row that only cancels is left to the elimination), else
+    a one-row block's entry or `_block_pfaffian` of `_weighted_rows`.  No
+    coefficient of w^alpha in its Pf is nonzero with sum_i i alpha_i above
+    ``bound``: k * active[-1], or `_assignment_bound` if bipartite.  No
     forms or mixed genus raise DimensionMismatchError.  A one-entry memo by
     the chain's forms, equal by value, so `plov_via_model` and the
     `scan_chain` of its chain build it once."""
@@ -314,7 +335,9 @@ def _common_pfaffian(
         masks = [sum({1 << v for r, c, _ in t if r in at for v in (r, c)}) for t in terms]
         full = sum(1 << v for v in comp)
         block = functools.partial(evaluate, size, len(halves) == 2, local, masks, full)
-        blocks.append((len(comp) // 2, tuple(i for i, t in enumerate(local) if t), block))
+        k, active = len(comp) // 2, tuple(i for i, t in enumerate(local) if t)
+        bound = _assignment_bound(local, size) if len(halves) == 2 else k * active[-1]
+        blocks.append((k, active, block, bound))
     sign = (-1) ** sum(x > y for i, x in enumerate(order) for y in order[i + 1 :])
 
     def pf(weights: Sequence[int]) -> int:  # stops at the first block that is 0
@@ -361,6 +384,12 @@ class ModelGrowthResult:
     matches_profile: bool
     chain: tuple[TwoForm, ...]
 
+    def __post_init__(self):
+        d, plov = _expect(self.poly, UniPoly).degree(), self.profile_plov
+        if not self.degree == d <= plov or self.matches_profile != (d == plov):
+            raise PreconditionError("a model's degree must be its poly's, at most "
+                                    "profile_plov, and equal to it iff matches_profile")
+
 
 def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
     """Volume growth read off the model: the degree in n of the g-fold
@@ -388,22 +417,14 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
     except DegreeBoundError as exc:
         raise CrossCheckError(str(exc)) from exc
     if poly.is_zero():
-        raise DegenerateFormError(
-            "top self-intersection of Delta_n is identically zero"
-        )
+        raise DegenerateFormError("top self-intersection of Delta_n is identically zero")
     degree = poly.degree()
     if degree > expected:
         raise CrossCheckError(
             f"{where}: model degree {degree} exceeds profile bound {expected} "
             "(deg top(Delta_n^g) <= sum k_i^2)"
         )
-    return ModelGrowthResult(
-        degree=degree,
-        poly=poly,
-        profile_plov=expected,
-        matches_profile=degree == expected,
-        chain=chain,
-    )
+    return ModelGrowthResult(degree, poly, expected, degree == expected, chain)
 
 
 def scan_size(genus: int, kf: int) -> int:
@@ -538,23 +559,27 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
     coefficient of prod_i w_i^alpha_i over den^g is the mixed forward
     difference of F at 0 of order alpha, by polarization, which is alpha!
     times F's coefficient of beta^alpha, F being homogeneous of degree g.
-    F = sign * prod_b F_b over the blocks of `_common_pfaffian`, so each
-    block fills a table by `_mixed_differences` on its k_b active indices,
-    pruned at the threshold less the other blocks at their largest (on
-    paired [4, 1], 117 beta and 83 4 x 4 determinants, and one entry of
-    the 1 x 1 block).  Each entry is divided by gamma! exactly, else
-    `CrossCheckError`; the quotients are multiplied on integers, dropping
-    partial products that cannot reach the threshold, and a multiset above
-    it takes sign * alpha! * its coefficient over den^g (0 if no splitting
-    reaches it).  No value is inferred.  There is no size limit: the
-    cost grows with the multisets above the threshold, 155,629 on paired
-    [8], and only a listing of the ordered tuples grows with their count."""
+    F = sign * prod_b F_b over the blocks of `_common_pfaffian`, each with
+    a bound on its nonzero index sums.  If they sum below the threshold,
+    every value is 0 and no table is filled (paired [4, 1]: 12 + 0 < 16).
+    Else each block fills a table by `_mixed_differences` on its k_b
+    active indices, pruned at the threshold less the other blocks' bounds
+    (117 beta and one, with paired [4, 1]'s block [4] conjugated).  Each
+    entry is divided by gamma! exactly, else `CrossCheckError`; the
+    quotients are multiplied on integers, dropping partial products that
+    cannot reach the threshold, and a multiset above it takes sign *
+    alpha! * its coefficient over den^g (0 if no splitting reaches it).
+    No value is inferred.  There is no size limit: the cost grows with the
+    multisets above the threshold, 155,629 on paired [8], and only a
+    listing of the ordered tuples grows with their count."""
     _, den_g, sign, blocks = _common_pfaffian(tuple(chain))
     kf, g = len(chain) - 1, chain[0].genus
     least = g * kf // 2 + 1  # the least index sum above the threshold
-    reach = [k * active[-1] for k, active, _ in blocks]  # a block's largest sum
+    reach = [bound for *_, bound in blocks]  # a block's largest nonzero sum
     poly = {(): sign}
-    for b, (k, active, f) in enumerate(blocks):
+    if sum(reach) < least:  # every value is 0, proved from the supports
+        blocks, poly = [], {}
+    for b, (k, active, f, _) in enumerate(blocks):
         rest, factor, grown = sum(reach[b + 1 :]), [], {}
         for key, value in _mixed_differences(f, k, active, least - sum(reach) + reach[b]):
             if value and value % (gamma := _factorials(key)):

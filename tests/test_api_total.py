@@ -17,6 +17,7 @@ refuse an undersized bound with a `DegreeBoundError`, a
 `PreconditionError`, so no export is allowed a `CrossCheckError`.
 """
 
+import dataclasses
 import inspect
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ import plovkit
 from plovkit import (
     CrossCheckError,
     PlovkitError,
+    PreconditionError,
     RatMatrix,
     TwoForm,
     UniPoly,
@@ -189,3 +191,24 @@ def test_every_export_is_total():
 
     check()
     assert drawn == {name for name, _ in EXPORTS}
+
+
+def test_model_record_refuses_fields_that_disagree():
+    # each change leaves a record whose degree is not its polynomial's,
+    # exceeds its profile value, or disagrees with matches_profile: a
+    # library error each.  The same changes made consistent are kept
+    m, half = randgen.random_paired_unipotent(random.Random(5), 3)
+    model = plovkit.plov_via_model(m, TwoForm.standard(3))
+    assert model.matches_profile and model.degree == sum(k * k for k in half)
+    lower = UniPoly((1,) * model.degree, 1, "n")
+    for fields in [
+        {"degree": model.degree - 1, "matches_profile": False},
+        {"poly": lower, "matches_profile": False},
+        {"matches_profile": False},
+        {"profile_plov": model.degree + 1},
+        {"profile_plov": model.degree - 1, "matches_profile": False},
+    ]:
+        with pytest.raises(PreconditionError):
+            dataclasses.replace(model, **fields)
+    kept = dataclasses.replace(model, poly=lower, degree=model.degree - 1, matches_profile=False)
+    assert kept.degree == kept.poly.degree() < kept.profile_plov

@@ -1264,7 +1264,8 @@ def test_model_block_value_not_a_polynomial_exits_3_naming_the_law(
     tmp_path, capsys, monkeypatch
 ):
     # the scan's block evaluators (not pf, which the model's polynomial
-    # uses) gain 2^beta_top - 1: QUAD is one block of degree 2, whose
+    # uses) gain 2^beta_top - 1: QUAD_SHEARED is one block of degree 2 with
+    # an odd cycle, which no support bound spares the evaluation, and its
     # difference of order (2, 2) then leaves a remainder by 2!
     import plovkit.cohomology
 
@@ -1273,13 +1274,14 @@ def test_model_block_value_not_a_polynomial_exits_3_naming_the_law(
     def faked(chain):
         pf, den_g, sign, blocks = real(chain)
         blocks = [
-            (k, active, lambda beta, f=f, top=active[-1]: f(beta) + 2 ** beta[top] - 1)
-            for k, active, f in blocks
+            (k, active, lambda beta, f=f, top=active[-1]: f(beta) + 2 ** beta[top] - 1,
+             bound)
+            for k, active, f, bound in blocks
         ]
         return pf, den_g, sign, blocks
 
     monkeypatch.setattr(plovkit.cohomology, "_common_pfaffian", faked)
-    path = write_doc(tmp_path, QUAD)
+    path = write_doc(tmp_path, QUAD_SHEARED)
     code, out, err = run_cli(["model", "--input", path], capsys)
     assert code == 3
     assert out == ""

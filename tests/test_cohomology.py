@@ -11,6 +11,7 @@ graph.
 import dataclasses
 import importlib.util
 import itertools
+import json
 import math
 import random
 import re
@@ -52,7 +53,13 @@ from plovkit.cohomology import nilpotent_chain, scan_size
 from plovkit import exact
 from plovkit.exact import interpolate_checked
 from plovkit.plov import second_compound_block_sizes
-from plovkit.randgen import paired_unipotent, random_paired_unipotent, randgen_two_form
+from plovkit.randgen import (
+    conjugate,
+    paired_unipotent,
+    random_paired_unipotent,
+    random_unimodular,
+    randgen_two_form,
+)
 from plovkit.selfcheck import literal_scan, polarization, wedge_coefficient
 
 
@@ -967,37 +974,41 @@ def counting_blocks(monkeypatch, wrap):
     def wrapped(chain):
         pf, den_g, sign, blocks = real(chain)
         wrapped_blocks = [
-            (k, active, wrap(b, k, active, evaluate))
-            for b, (k, active, evaluate) in enumerate(blocks)
+            (k, active, wrap(b, k, active, evaluate), bound)
+            for b, (k, active, evaluate, bound) in enumerate(blocks)
         ]
         return pf, den_g, sign, wrapped_blocks
 
     monkeypatch.setattr(cohomology, "_common_pfaffian", wrapped)
 
 
+def conjugated_on(m, coords, seed):
+    """S M S^-1, S = `random_unimodular` of the given seed on the 0-based
+    ``coords`` and the identity elsewhere."""
+    inner = random_unimodular(random.Random(seed), len(coords))
+    rows = [[int(i == j) for j in range(m.dimension)] for i in range(m.dimension)]
+    for a, i in enumerate(coords):
+        for b, j in enumerate(coords):
+            rows[i][j] = inner.num[a][b]
+    return conjugate(m, RatMatrix.from_rows(rows))
+
+
 def test_scan_evaluates_each_multiset_once_and_each_beta_once(monkeypatch):
-    # paired [4, 1]: 7,678 ordered tuples above the threshold, 215
-    # multisets.  The supports split into one bipartite block per Jordan
-    # block: a 4 x 4 block of degree 4 on every chain form, and a 1 x 1
-    # block of degree 1 on form 0 alone.  Each block fills its own table,
-    # pruned at the threshold less the other block at its largest index:
-    # 117 beta for the 4 x 4 block (83 of them cover its rows and take a
-    # 4 x 4 determinant), and one for the 1 x 1 block, its entry with no
-    # elimination; before the split, one table of 473 beta took 118 4 x 4
-    # and 118 1 x 1 determinants.  The differences take one subtraction
-    # per unit of |beta| over each table
+    # paired [4, 1] with the standard form is two bipartite blocks, whose
+    # assignment bounds 12 and 0 sum below the least index sum 16 above the
+    # threshold: no block evaluator is called, and every value is 0.  With
+    # its block [4] conjugated (both copies, 8 indices) the chain keeps
+    # kf = 6, and its supports still split into a block of degree 4 on
+    # every chain form, now with an odd cycle and so bounded by 4 * kf =
+    # 24, and the 1 x 1 block of degree 1 on form 0 alone, bounded by 0.
+    # 7,678 ordered tuples lie above the threshold, 215 multisets.  Each
+    # block fills its own table, pruned at the threshold less the other
+    # block's bound: 117 beta for the 8-index block (the 103 that cover
+    # its rows eliminate it as a whole), and one for the 1 x 1 block, its
+    # entry with no elimination; one table over the whole chain would take
+    # 473 beta.  The differences take one subtraction per unit of |beta|
+    # over each table
     g = 5
-    chain = nilpotent_chain(paired_unipotent([4, 1]), TwoForm.standard(g))
-    kf = len(chain) - 1
-    above, whole = scan_multisets_and_betas(g, kf)
-    least = g * kf // 2 + 1
-    _, _, sign, blocks = cohomology._common_pfaffian(tuple(chain))
-    assert [(k, active) for k, active, _ in blocks] == [(4, tuple(range(kf + 1))), (1, (0,))]
-    rows = {r for r in range(10) if r % 5 < 4}  # both copies of the block [4]
-    tables = [
-        block_multisets_and_betas(4, range(kf + 1), least - 1 * 0)[1],
-        block_multisets_and_betas(1, (0,), least - 4 * kf)[1],
-    ]
     counts = {"entries": [[], []], "determinants": [], "subtractions": 0}
 
     class Counted(int):
@@ -1021,7 +1032,26 @@ def test_scan_evaluates_each_multiset_once_and_each_beta_once(monkeypatch):
 
     counting_blocks(monkeypatch, wrap)
     monkeypatch.setattr(cohomology, "_block_pfaffian", counting)
-    monkeypatch.setattr(cohomology, "_pfaffian_rows", None)
+    paired = nilpotent_chain(paired_unipotent([4, 1]), TwoForm.standard(g))
+    assert [bound for *_, bound in cohomology._common_pfaffian(tuple(paired))[3]] == [12, 0]
+    report = scan_chain(paired)
+    assert len(report.values) == 215 and not any(value for _, value in report.values)
+    assert counts == {"entries": [[], []], "determinants": [], "subtractions": 0}
+    rows = {r for r in range(10) if r % 5 < 4}  # both copies of the block [4]
+    m = conjugated_on(paired_unipotent([4, 1]), sorted(rows), 1)
+    chain = nilpotent_chain(m, TwoForm.standard(g))
+    kf = len(chain) - 1
+    above, whole = scan_multisets_and_betas(g, kf)
+    least = g * kf // 2 + 1
+    _, _, sign, blocks = cohomology._common_pfaffian(tuple(chain))
+    assert [(k, active, bound) for k, active, _, bound in blocks] == [
+        (4, tuple(range(kf + 1)), 4 * kf),
+        (1, (0,), 0),
+    ]
+    tables = [
+        block_multisets_and_betas(4, range(kf + 1), least - 0)[1],
+        block_multisets_and_betas(1, (0,), least - 4 * kf)[1],
+    ]
     report = scan_chain(chain)
     assert len(report.scanned) == scan_size(g, kf) == 7678
     assert [key for key, _ in report.values] == above
@@ -1034,9 +1064,9 @@ def test_scan_evaluates_each_multiset_once_and_each_beta_once(monkeypatch):
         for beta in tables[0]
         if rows <= {r for i, w in enumerate(beta) if w for r in support(chain[i])}
     ]
-    assert counts["determinants"] == [(4, True)] * len(covering)
+    assert counts["determinants"] == [(8, False)] * len(covering)
     assert counts["subtractions"] == sum(sum(map(sum, table)) for table in tables)
-    assert [len(table) for table in tables] == [117, 1] and len(covering) == 83
+    assert [len(table) for table in tables] == [117, 1] and len(covering) == 103
     assert (len(above), len(whole), sign) == (215, 473, 1)
 
 
@@ -1303,7 +1333,7 @@ def test_block_diagonal_forms_under_a_permutation_match_the_references(monkeypat
         expected = {(2 * g - 2, False)} if g > 2 else set()
         assert set(calls) == expected, (g, calls)
         blocks = cohomology._common_pfaffian(tuple(family))[3]
-        assert sorted(k for k, _, _ in blocks) == [1, g - 1]
+        assert sorted(k for k, *_ in blocks) == [1, g - 1]
 
 
 def test_bipartite_forms_with_equal_sides_take_one_determinant(monkeypatch):
@@ -1314,7 +1344,7 @@ def test_bipartite_forms_with_equal_sides_take_one_determinant(monkeypatch):
         family = family_on(rng, g, between(labels[:g], labels[g:]), den=rng.choice([1, 6]))
         calls = blocks_against_references(family, rng, monkeypatch)
         assert set(calls) == ({(g, True)} if g > 1 else set()), (g, calls)
-        assert [k for k, _, _ in cohomology._common_pfaffian(tuple(family))[3]] == [g]
+        assert [k for k, *_ in cohomology._common_pfaffian(tuple(family))[3]] == [g]
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
@@ -1457,8 +1487,17 @@ def test_block_scan_of_block_diagonal_families_matches_the_references():
 
 def test_a_block_value_that_is_not_a_polynomial_is_a_cross_check_failure(monkeypatch):
     # a block evaluator plus 2^beta_top - 1: its difference of order
-    # (top, ..., top) gains 1, so it is no longer a multiple of k!
-    chain = nilpotent_chain(paired_unipotent([3, 1]), TwoForm.standard(4))
+    # (top, ..., top) gains 1, so it is no longer a multiple of k!.  Paired
+    # [3, 1] is proved zero by its bounds 6 and 0 with no evaluation, so
+    # its block [3] is conjugated (both copies): a block of degree 3 with
+    # an odd cycle on forms 0..4, bounded by 12, and the 1 x 1 block
+    m = conjugated_on(paired_unipotent([3, 1]), [0, 1, 2, 4, 5, 6], 1)
+    chain = nilpotent_chain(m, TwoForm.standard(4))
+    blocks = cohomology._common_pfaffian(tuple(chain))[3]
+    assert [(k, active, bound) for k, active, _, bound in blocks] == [
+        (3, (0, 1, 2, 3, 4), 12),
+        (1, (0,), 0),
+    ]
 
     def wrap(b, k, active, evaluate):
         return lambda beta: evaluate(beta) + 2 ** beta[active[-1]] - 1
@@ -1471,3 +1510,118 @@ def test_a_block_value_that_is_not_a_polynomial_is_a_cross_check_failure(monkeyp
         r"gamma! times its coefficient\)$",
     ):
         scan_chain(chain)
+
+
+# ---------------------------------------------------------------------------
+# The support bound of each block, against the evaluated values
+
+
+def bipartite_family(rng, sides, kf):
+    """kf + 1 forms on a random relabelling of 1..2g, g = sum(sides), split
+    into one block per side length h joining h indices to h others.  Form
+    i takes each pair of a block with a probability falling from 0.9 at
+    i = 0 to 0.2 at i = kf, so that the largest form nonzero on an entry
+    differs from entry to entry; each form has its own denominator."""
+    g = sum(sides)
+    labels, at, pairs = rng.sample(range(1, 2 * g + 1), 2 * g), 0, []
+    for h in sides:
+        part, at = labels[at : at + 2 * h], at + 2 * h
+        pairs.append(between(part[:h], part[h:]))
+    return [
+        form_on_edges(
+            rng,
+            g,
+            [p for block in pairs for p in block if rng.random() < 0.9 - 0.7 * i / kf],
+            rng.choice([1, 2, 3]),
+        )
+        for i in range(kf + 1)
+    ]
+
+
+def test_scan_of_sparse_bipartite_families_matches_polarization_about_the_bound():
+    # families, not chains: many values above the threshold are nonzero.
+    # Every value equals the polarization sum of its multiset, and none
+    # lies above the blocks' summed bound.  The families cover the bound
+    # below the threshold (no table filled), on the least index sum above
+    # it (so `<=` in place of `<` at the early stop would zero a nonzero
+    # value) and above it, reached by a nonzero value
+    rng = random.Random(4711)
+    shapes = [(2,), (3,), (4,), (1, 1), (1, 2), (2, 2), (1, 3), (1, 1, 2)]
+    below = on_least = reached = nonzero = 0
+    for sides in shapes:
+        g = sum(sides)
+        for kf in range(2, 7 if g <= 3 else 5):
+            for _ in range(4):
+                family = bipartite_family(rng, sides, kf)
+                pf, den_g, _, blocks = cohomology._common_pfaffian(tuple(family))
+                bound, least = sum(b for *_, b in blocks), g * kf // 2 + 1
+                report = scan_chain(family)
+                for key, value in report.values:
+                    alpha = [key.count(i) for i in range(kf + 1)]
+                    assert value == Fraction(polarization(alpha, pf), den_g), (sides, key)
+                sums = {sum(key) for key, value in report.values if value}
+                assert max(sums, default=bound) <= bound, (sides, kf)
+                below += bound < least
+                on_least += bound == least and bool(sums)
+                reached += bound in sums
+                nonzero += sum(1 for _, value in report.values if value)
+    assert below >= 10 and on_least >= 5 and reached >= 30 and nonzero >= 300
+
+
+@pytest.mark.parametrize("sizes", [(3,), (2, 2), (3, 1), (4, 1), (3, 2, 1), (5,), (4, 3)])
+def test_the_bounds_of_a_paired_chain_are_plov_less_g_and_reached(sizes):
+    # the blocks' bounds sum to plov - g, below the threshold, and some
+    # multiset with exactly that index sum has a nonzero value, so no
+    # smaller bound is sound
+    g = sum(sizes)
+    chain = seeded_chain(model_workload(), 1, sizes)
+    pf, _, _, blocks = cohomology._common_pfaffian(tuple(chain))
+    kf, bound = len(chain) - 1, sum(b for *_, b in blocks)
+    assert bound == plov_of([(1, k, 1) for k in sizes]) - g < g * kf // 2 + 1
+    on_bound = (
+        [key.count(i) for i in range(kf + 1)]
+        for key in itertools.combinations_with_replacement(range(kf + 1), g)
+        if sum(key) == bound
+    )
+    assert any(polarization(alpha, pf) for alpha in on_bound)
+
+
+def test_scan_of_each_benchmark_model_shape_matches_polarization(
+    tmp_path, capsys, monkeypatch
+):
+    # the scan `plovkit model` makes, recorded from the CLI run, on every
+    # shape of the benchmark's `model` workload and the probe's [5] and
+    # [3, 3]; on [6], whose report lists 841,324 tuples, the CLI's two
+    # calls are made in the library.  A seeded sample of each scan's
+    # multisets is checked term by term, and the whole scan by literal
+    # wedges at g <= 3
+    import plovkit.cli
+
+    workloads, rng, scans = model_workload(), random.Random(9017), []
+    real = plovkit.cli.scan_chain
+
+    def recorded(chain):
+        scans.append(real(chain))
+        return scans[-1]
+
+    monkeypatch.setattr(plovkit.cli, "scan_chain", recorded)
+    for sizes in sorted(set(workloads.Model.classes)) + [(5,), (3, 3), (6,)]:
+        rows, _ = workloads.paired_unipotent(random.Random(rng.randrange(10**6)), sizes)
+        g = sum(sizes)
+        model = plov_via_model(RatMatrix.from_rows(rows), TwoForm.standard(g))
+        if g < 6:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps({"matrix": rows}))
+            assert plovkit.cli.main(["model", "--input", str(path), "--form", "standard"]) == 0
+            capsys.readouterr()
+            [report] = scans
+            scans.clear()
+        else:
+            report = scan_chain(model.chain)
+        pf, den_g, _, _ = cohomology._common_pfaffian(model.chain)
+        assert (report.kf, report.violations) == (len(model.chain) - 1, ())
+        for key, value in rng.sample(report.values, min(20, len(report.values))):
+            alpha = [key.count(i) for i in range(report.kf + 1)]
+            assert value == Fraction(polarization(alpha, pf), den_g) == 0, (sizes, key)
+        if g <= 3:
+            assert report.scanned == literal_scan(model.chain), sizes

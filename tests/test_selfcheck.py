@@ -117,9 +117,17 @@ FAULTS = {
         "second_compound_block_sizes",
         _double_first,
     ),
+    # one degree too many, in the polynomial and the profile value beside
+    # it alike: the record refuses a degree above its own profile value
     "model_degree_ceiling_and_triangle": (
         "plov_via_model",
-        lambda real: _replaced(real, degree=lambda r: r.profile_plov + 1),
+        lambda real: _replaced(
+            real,
+            poly=lambda r: UniPoly((0, *r.poly.num), r.poly.den, r.poly.var),
+            degree=lambda r: r.degree + 1,
+            profile_plov=lambda r: r.degree + 1,
+            matches_profile=lambda r: True,
+        ),
     ),
     "vanishing_scan_clean": (
         "scan_chain",
