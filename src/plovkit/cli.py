@@ -269,7 +269,7 @@ def encode_report(report: dict) -> list[str]:
         if t is VanishingScanReport:
             # the listing goes in at this cut, which no other text holds:
             # `_quote` escapes every control character, and no int or literal has one
-            bad = [x for _, x in v.values if type(x) is not Fraction]
+            bad = [x for _, x in v.nonzero if type(x) is not Fraction]
             if bad:
                 raise TypeError(f"scanned value {bad[0]!r}")
             scans.append((v, nl))
@@ -296,7 +296,7 @@ def encode_report(report: dict) -> list[str]:
         kf, g = scan.kf, scan.genus
         width = min(g, 2)
         least = g * kf // 2 + 1  # the least index sum above the threshold
-        nonzero = {key: value for key, value in scan.values if value}
+        nonzero = dict(scan.nonzero)
         inner = nl + "  "
         field = inner + "  "
         index = field + "  "

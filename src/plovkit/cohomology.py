@@ -58,12 +58,12 @@ entry weighing the largest such form (H. W. Kuhn, 1955), bounds the
 index sum of its nonzero coefficients.  On a paired chain with the
 standard form the blocks' bounds sum to plov - g, below the threshold:
 every value is then proved 0 from the chain's supports, and no table is
-filled.  The scan has no size limit: its cost grows with the multisets
-above the threshold (155,629 on paired [8]), not with the ordered
-tuples.  The report keeps one value per multiset, and the ordered
-tuples, which take the value of their multiset, are listed only on
-demand: all at once as ``scanned``, or by `cli.encode_report` for the
-report, which holds the limit on what it lists.  The literal wedge
+filled.  The report keeps only the multisets of nonzero value, the
+others above the threshold (155,629 on paired [8]) being 0 by absence,
+so the scan has no size limit: its cost is its proof and its tables.
+The ordered tuples, which take the value of their multiset, are listed
+only on demand: all at once as ``scanned``, or by `cli.encode_report`
+for the report, which holds the limit on what it lists.  The literal wedge
 expansion, `selfcheck.wedge_coefficient`, is the oracle for both
 Pfaffian routes, in the self-test and the tests, and
 `selfcheck.polarization`, the sum above term by term, the reference for
@@ -453,44 +453,46 @@ class VanishingScanReport:
     """Scan of the products N^{i_1} H ^ ... ^ N^{i_g} H over the tuples
     of g = ``genus`` indices in 0..``kf`` whose index sum exceeds g*kf/2.
 
-    ``values`` holds one (multiset, value) pair for every multiset above
-    the threshold, each a nondecreasing index tuple, in lexicographic
-    order: an ordered tuple takes the value of its multiset.  Any other
-    keys raise PreconditionError.  ``violations`` and ``scanned`` write
-    the ordered tuples out from ``values``."""
+    ``nonzero`` holds the (multiset, value) pairs of nonzero value, each a
+    nondecreasing index tuple above the threshold, in strictly increasing
+    order; any other multiset there is 0, and an ordered tuple takes the
+    value of its multiset.  Other entries, a stored 0 too, raise
+    PreconditionError.  ``violations`` and ``scanned`` list the tuples."""
 
     kf: int
     genus: int
-    values: tuple[tuple[tuple[int, ...], Fraction], ...]
+    nonzero: tuple[tuple[tuple[int, ...], Fraction], ...]
 
     def __post_init__(self):
-        kf, g = self.kf, self.genus
-        # pair[:1], not unpacking, so that a malformed pair is a mismatch
-        if g < 1 or kf < 0 or [pair[:1] for pair in self.values] != [
-            (key,)
-            for key in itertools.combinations_with_replacement(range(kf + 1), g)
-            if 2 * sum(key) > g * kf
-        ]:
-            raise PreconditionError(
-                f"a scan of genus {g} and kf {kf} needs genus >= 1, kf >= 0 and "
-                "values keyed by the multisets above the threshold, in order"
-            )
+        kf, g, last = self.kf, self.genus, ()
+        if g < 1 or kf < 0:
+            raise PreconditionError(f"a scan of genus {g}, kf {kf} needs genus >= 1, kf >= 0")
+        for entry in self.nonzero:
+            key = entry[0] if type(entry) is tuple and len(entry) == 2 else None
+            if not (type(key) is tuple and len(key) == g and {*map(type, key)} == {int}
+                    and all(0 <= i <= j for i, j in zip(key, key[1:] + (kf,)))
+                    and 2 * sum(key) > g * kf and key > last and entry[1] != 0):
+                raise PreconditionError(
+                    f"scan entry {entry!r} of genus {g} and kf {kf} is not a nonzero "
+                    "value at a multiset above the threshold, in order"
+                )
+            last = key
 
     @functools.cached_property
     def violations(self) -> tuple[tuple[int, ...], ...]:
         """The ordered tuples with a nonzero value (expected none), in
         lexicographic order."""
-        nonzero = (key for key, value in self.values if value)
-        return tuple(sorted({t for key in nonzero for t in itertools.permutations(key)}))
+        return tuple(sorted({t for key, _ in self.nonzero
+                             for t in itertools.permutations(key)}))
 
     @functools.cached_property
     def scanned(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """The (tuple, value) pairs of every ordered tuple above the
         threshold, in lexicographic order, listed on first use."""
         kf, g = self.kf, self.genus
-        values = dict(self.values)
+        values, zero = dict(self.nonzero), Fraction(0)
         return tuple(
-            (t, values[tuple(sorted(t))])
+            (t, values.get(tuple(sorted(t)), zero))
             for t in itertools.product(range(kf + 1), repeat=g)
             if 2 * sum(t) > g * kf
         )
@@ -567,18 +569,18 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
     (117 beta and one, with paired [4, 1]'s block [4] conjugated).  Each
     entry is divided by gamma! exactly, else `CrossCheckError`; the
     quotients are multiplied on integers, dropping partial products that
-    cannot reach the threshold, and a multiset above it takes sign *
-    alpha! * its coefficient over den^g (0 if no splitting reaches it).
-    No value is inferred.  There is no size limit: the cost grows with the
-    multisets above the threshold, 155,629 on paired [8], and only a
-    listing of the ordered tuples grows with their count."""
+    cannot reach the threshold, and each nonzero coefficient gives its
+    multiset sign * alpha! * it over den^g.  A multiset no splitting
+    reaches is 0 and is not stored, so the cost never grows with the
+    multisets above the threshold (155,629 on paired [8]); only a listing
+    of the ordered tuples grows with their count."""
     _, den_g, sign, blocks = _common_pfaffian(tuple(chain))
     kf, g = len(chain) - 1, chain[0].genus
     least = g * kf // 2 + 1  # the least index sum above the threshold
     reach = [bound for *_, bound in blocks]  # a block's largest nonzero sum
-    poly = {(): sign}
     if sum(reach) < least:  # every value is 0, proved from the supports
-        blocks, poly = [], {}
+        return VanishingScanReport(kf=kf, genus=g, nonzero=())
+    poly = {(): sign}
     for b, (k, active, f, _) in enumerate(blocks):
         rest, factor, grown = sum(reach[b + 1 :]), [], {}
         for key, value in _mixed_differences(f, k, active, least - sum(reach) + reach[b]):
@@ -595,10 +597,5 @@ def scan_chain(chain: Sequence[TwoForm]) -> VanishingScanReport:
                     merged = tuple(sorted(partial + key))
                     grown[merged] = grown.get(merged, 0) + c * c_b
         poly = grown
-    zero = Fraction(0)
-    values = tuple(
-        (key, Fraction(poly[key] * _factorials(key), den_g) if key in poly else zero)
-        for key in itertools.combinations_with_replacement(range(kf + 1), g)
-        if 2 * sum(key) > g * kf
-    )
-    return VanishingScanReport(kf=kf, genus=g, values=values)
+    nonzero = [(key, Fraction(c * _factorials(key), den_g)) for key, c in poly.items() if c]
+    return VanishingScanReport(kf=kf, genus=g, nonzero=tuple(sorted(nonzero)))

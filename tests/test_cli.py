@@ -17,7 +17,12 @@ import pytest
 import plovkit
 from plovkit import cli
 from plovkit.cli import build_parser, enc_matrix, encode_report, main, parse_input
-from plovkit.errors import CrossCheckError, InputFormatError, OddDimensionError
+from plovkit.errors import (
+    CrossCheckError,
+    InputFormatError,
+    OddDimensionError,
+    PreconditionError,
+)
 from plovkit.exact import RatMatrix
 
 
@@ -1121,27 +1126,44 @@ def _two_scans():
     return vanishing_scan(paired_unipotent([3]), TwoForm.standard(3)), scan_chain(dense)
 
 
-@pytest.mark.parametrize(
-    "value", [0.0, 0, 2, 0.5], ids=["zero-float", "zero-int", "int", "float"]
-)
+def _first_multiset_above(scan):
+    """The least multiset above the threshold of ``scan``, in lexicographic order."""
+    g, kf = scan.genus, scan.kf
+    above = itertools.combinations_with_replacement(range(kf + 1), g)
+    return next(key for key in above if 2 * sum(key) > g * kf)
+
+
+@pytest.mark.parametrize("value", [2, 0.5], ids=["int", "float"])
 def test_encoder_checks_every_scanned_value(value):
-    # a value of 0 in any type but Fraction would go out by the all-zero
-    # template as 0, where json.dumps of the dict form says 0.0
+    # a stored value in any type but Fraction is not a report value
     import dataclasses
 
     scan, _ = _two_scans()
-    (key, _), *rest = scan.values
-    scan = dataclasses.replace(scan, values=((key, value), *rest))
+    scan = dataclasses.replace(scan, nonzero=((_first_multiset_above(scan), value),))
     message = f"^emit: not a report value: scanned value {value!r}$"
     with pytest.raises(CrossCheckError, match=message):
         encode_report({"scanned": scan})
+
+
+@pytest.mark.parametrize(
+    "value", [0.0, 0, Fraction(0)], ids=["zero-float", "zero-int", "zero-fraction"]
+)
+def test_scan_record_refuses_a_stored_zero_before_the_encoder(value):
+    # a 0 is stored by its absence: a stored 0 in any type would go out by
+    # the all-zero template as 0, where json.dumps of the dict form says
+    # 0.0 for a float, so the record refuses it before any encoding
+    import dataclasses
+
+    scan, _ = _two_scans()
+    with pytest.raises(PreconditionError, match="a multiset above the threshold, in order"):
+        dataclasses.replace(scan, nonzero=((_first_multiset_above(scan), value),))
 
 
 def test_encoder_splices_several_scans_in_document_order():
     # the scans stand at different depths, one twice, among texts that
     # hold the marker's character; each listing goes in at its own cut
     scan, dense = _two_scans()
-    assert any(v for _, v in dense.values) and not any(v for _, v in scan.values)
+    assert dense.nonzero and scan.nonzero == ()
     tree = {
         "b": [dense, {"a": scan, "c": "\x00", "d": [dense, "\x00\ud800"]}],
         "a": scan,
@@ -1328,10 +1350,10 @@ def test_model_nonzero_scanned_value_exits_3(tmp_path, capsys, monkeypatch):
 
     def failing(chain):
         # the multiset {1, 2} of the quad block's scan gets the value 1, so
-        # both of its orderings are violations, read off the values
+        # both of its orderings are violations, read off the nonzero values
         report = real(chain)
-        (first, _), *rest = report.values
-        return dataclasses.replace(report, values=((first, Fraction(1)), *rest))
+        assert report.nonzero == () and _first_multiset_above(report) == (1, 2)
+        return dataclasses.replace(report, nonzero=(((1, 2), Fraction(1)),))
 
     monkeypatch.setattr(plovkit.cli, "scan_chain", failing)
     path = write_doc(tmp_path, QUAD)
@@ -1396,10 +1418,7 @@ def test_model_scanned_entries_match_json_dumps(tmp_path, capsys, monkeypatch, v
                 (i, kf, kf): v
                 for i, v in zip((1, 2, 3), (Fraction(-3), Fraction(5, 7), Fraction(-5, 7)))
             }
-            report = dataclasses.replace(
-                report,
-                values=tuple((key, odd.get(key, Fraction(0))) for key, _ in report.values),
-            )
+            report = dataclasses.replace(report, nonzero=tuple(sorted(odd.items())))
             assert report.violations == tuple(
                 t for t in itertools.product(range(kf + 1), repeat=3)
                 if tuple(sorted(t)) in odd

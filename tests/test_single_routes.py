@@ -286,9 +286,9 @@ def test_records_keep_only_what_the_routes_read():
     assert not hasattr(plovkit.JordanProfile, "max_block_size")
     assert not hasattr(plovkit.AnalysisReport, "all_bounds_hold")
     scan_fields = {f.name for f in dataclasses.fields(plovkit.VanishingScanReport)}
-    assert scan_fields == {"kf", "genus", "values"}
+    assert scan_fields == {"kf", "genus", "nonzero"}
     # the ordered tuples, and the violations among them, are listed on
-    # demand from the multiset values
+    # demand from the nonzero multiset values
     for name in ("scanned", "violations"):
         assert isinstance(
             inspect.getattr_static(plovkit.VanishingScanReport, name),
