@@ -297,6 +297,7 @@ def encode_report(report: dict) -> list[str]:
         width = min(g, 2)
         least = g * kf // 2 + 1  # the least index sum above the threshold
         nonzero = dict(scan.nonzero)
+        blocks = {t[: g - width] for t in scan.violations}  # the prefixes of nonzero values
         inner = nl + "  "
         field = inner + "  "
         index = field + "  "
@@ -323,13 +324,12 @@ def encode_report(report: dict) -> list[str]:
                 ]
             head = start + "".join(map(digits.__getitem__, prefix))
             count += len(suffixes)
-            if nonzero:
-                keys = [tuple(sorted(prefix + s)) for s in _suffixes(kf, width, need)]
-            if not nonzero or nonzero.keys().isdisjoint(keys):
+            if prefix not in blocks:
                 parts += sep + head, (zero_end + comma + head).join(suffixes), zero_end
                 sep = comma
                 continue
-            for suffix, key in zip(suffixes, keys):
+            for s, suffix in zip(_suffixes(kf, width, need), suffixes):
+                key = tuple(sorted(prefix + s))
                 encoded = enc(enc_frac(nonzero.get(key, Fraction(0))), inner)
                 parts.append(sep + head + suffix + tail + encoded + inner + "}")
                 sep = comma

@@ -375,20 +375,21 @@ def intersection_poly(
 
 @dataclass(frozen=True)
 class ModelGrowthResult:
-    """Degree of the g-fold self-intersection of Delta_n, with the
-    profile-side value it is compared against and the chain it came from."""
+    """The g-fold self-intersection of Delta_n, with the profile-side value
+    its degree is compared against and the chain it came from.  ``degree``
+    and ``matches_profile`` are read-only properties of ``poly``; a degree
+    above ``profile_plov`` raises PreconditionError."""
 
-    degree: int
     poly: UniPoly
     profile_plov: int
-    matches_profile: bool
     chain: tuple[TwoForm, ...]
 
     def __post_init__(self):
-        d, plov = _expect(self.poly, UniPoly).degree(), self.profile_plov
-        if not self.degree == d <= plov or self.matches_profile != (d == plov):
-            raise PreconditionError("a model's degree must be its poly's, at most "
-                                    "profile_plov, and equal to it iff matches_profile")
+        if _expect(self.poly, UniPoly).degree() > self.profile_plov:
+            raise PreconditionError("a model's degree must be at most its profile_plov")
+
+    degree = property(lambda self: self.poly.degree())
+    matches_profile = property(lambda self: self.degree == self.profile_plov)
 
 
 def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
@@ -418,13 +419,12 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
         raise CrossCheckError(str(exc)) from exc
     if poly.is_zero():
         raise DegenerateFormError("top self-intersection of Delta_n is identically zero")
-    degree = poly.degree()
-    if degree > expected:
+    if poly.degree() > expected:
         raise CrossCheckError(
-            f"{where}: model degree {degree} exceeds profile bound {expected} "
+            f"{where}: model degree {poly.degree()} exceeds profile bound {expected} "
             "(deg top(Delta_n^g) <= sum k_i^2)"
         )
-    return ModelGrowthResult(degree, poly, expected, degree == expected, chain)
+    return ModelGrowthResult(poly, expected, chain)
 
 
 def scan_size(genus: int, kf: int) -> int:

@@ -115,23 +115,25 @@ class BoundCheck:
 class AnalysisReport:
     """Full verdict record for one matrix.
 
-    The profile-derived fields (half, plov, kJ, kf, max_block_n1) are
-    None when the profile is not pseudo-analytic; everything else is
-    still computed.
+    The half-profile fields (half, plov, kJ) are None when the profile is
+    not pseudo-analytic, and so are kf = 2 kJ and max_block_n1 = 2 kJ + 1;
+    everything else is still computed.  dimension, genus, pseudo_analytic,
+    kf and max_block_n1 are read-only properties of the stored fields.
     """
 
-    dimension: int
-    genus: int
     profile: JordanProfile
-    pseudo_analytic: bool
     half: Optional[tuple[tuple[int, int, int], ...]]
     plov: Optional[int]
     kJ: Optional[int]
-    kf: Optional[int]
-    max_block_n1: Optional[int]
     max_block_compound2: int
     exponents: dict[int, int]
     bound_checks: tuple[BoundCheck, ...]
+
+    dimension = property(lambda self: self.profile.dimension)
+    genus = property(lambda self: self.dimension // 2)
+    pseudo_analytic = property(lambda self: self.half is not None)
+    kf = property(lambda self: None if self.kJ is None else 2 * self.kJ)
+    max_block_n1 = property(lambda self: None if self.kJ is None else 2 * self.kJ + 1)
 
 
 def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisReport:
@@ -151,8 +153,6 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
     half = half_profile(profile) if pseudo else None
     plov = plov_of(half) if pseudo else None
     kj = max(k for _, k, _ in half) - 1 if pseudo else None
-    kf = 2 * kj if pseudo else None
-    max_block_n1 = 2 * kj + 1 if pseudo else None
 
     if degrees is None:
         degrees = range(1, dim + 1)
@@ -171,10 +171,10 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
             BoundCheck(
                 "volume_growth_upper_bound",
                 "plov <= g + g*kf/2",
-                plov <= g + g * kf // 2,
+                plov <= g + g * kj,
             )
         )
-        if kf == 2:
+        if kj == 1:
             checks.append(
                 BoundCheck(
                     "quadratic_case_bound",
@@ -201,15 +201,10 @@ def analyze(m: RatMatrix, degrees: Optional[Sequence[int]] = None) -> AnalysisRe
         )
 
     return AnalysisReport(
-        dimension=dim,
-        genus=g,
         profile=profile,
-        pseudo_analytic=pseudo,
         half=half,
         plov=plov,
         kJ=kj,
-        kf=kf,
-        max_block_n1=max_block_n1,
         max_block_compound2=compound2_block,
         exponents=exponents,
         bound_checks=tuple(checks),

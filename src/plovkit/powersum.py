@@ -71,11 +71,13 @@ def ensure_spd(h: RatMatrix) -> RatMatrix:
 
 @dataclass(frozen=True)
 class PowerSumResult:
-    """det S(n) together with its verified degree data."""
+    """det S(n), whose degree and leading coefficient are read-only
+    properties of ``poly``."""
 
     poly: UniPoly
-    degree: int
-    leading_coeff: Fraction
+
+    degree = property(lambda self: self.poly.degree())
+    leading_coeff = property(lambda self: self.poly.leading())
 
 
 def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
@@ -112,10 +114,9 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
             f"power-sum determinant degree {poly.degree()} "
             f"differs from profile degree {degree}"
         )
-    leading = poly.leading()
-    if leading <= 0:
+    if poly.leading() <= 0:
         raise CrossCheckError("power-sum determinant has nonpositive leading term")
-    return PowerSumResult(poly=poly, degree=degree, leading_coeff=leading)
+    return PowerSumResult(poly=poly)
 
 
 def power_sum_brute(a: RatMatrix, h: RatMatrix, n: int) -> list[Fraction]:

@@ -194,21 +194,22 @@ def test_every_export_is_total():
 
 
 def test_model_record_refuses_fields_that_disagree():
-    # each change leaves a record whose degree is not its polynomial's,
-    # exceeds its profile value, or disagrees with matches_profile: a
-    # library error each.  The same changes made consistent are kept
+    # the degree and the match flag are read off the polynomial, so the one
+    # invariant left is the ceiling, a library error; neither can be set
     m, half = randgen.random_paired_unipotent(random.Random(5), 3)
     model = plovkit.plov_via_model(m, TwoForm.standard(3))
     assert model.matches_profile and model.degree == sum(k * k for k in half)
-    lower = UniPoly((1,) * model.degree, 1, "n")
     for fields in [
-        {"degree": model.degree - 1, "matches_profile": False},
-        {"poly": lower, "matches_profile": False},
-        {"matches_profile": False},
-        {"profile_plov": model.degree + 1},
-        {"profile_plov": model.degree - 1, "matches_profile": False},
+        {"profile_plov": model.degree - 1},
+        {"poly": UniPoly((1,) * (model.degree + 2), 1, "n")},
     ]:
         with pytest.raises(PreconditionError):
             dataclasses.replace(model, **fields)
-    kept = dataclasses.replace(model, poly=lower, degree=model.degree - 1, matches_profile=False)
-    assert kept.degree == kept.poly.degree() < kept.profile_plov
+    for name, value in [("degree", model.degree - 1), ("matches_profile", False)]:
+        with pytest.raises(TypeError):
+            dataclasses.replace(model, **{name: value})
+    lower = UniPoly((1,) * model.degree, 1, "n")
+    kept = dataclasses.replace(model, poly=lower)
+    assert kept.degree == model.degree - 1 and not kept.matches_profile
+    kept = dataclasses.replace(model, profile_plov=model.degree + 1)
+    assert kept.degree < kept.profile_plov and not kept.matches_profile

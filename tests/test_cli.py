@@ -1394,6 +1394,28 @@ def assert_listing_is_json_dumps(scan):
     assert text == json.dumps({"scanned": _scan_dict_form(scan)}, indent=2, sort_keys=True)
 
 
+@pytest.mark.parametrize("key, calls", [((8,) * 5, 18), ((4, 5, 6, 7, 8), 77)])
+def test_only_the_blocks_holding_a_nonzero_value_are_listed_entry_by_entry(
+    monkeypatch, key, calls
+):
+    # g = 5, kf = 8: 27,549 tuples in 694 blocks, by their first 3 indices.
+    # The suffixes are listed once for each of the 17 sums a block needs,
+    # and again for each block that holds a tuple of the one nonzero
+    # multiset: 1 for (8, 8, 8, 8, 8), 60 for (4, 5, 6, 7, 8), not all 694
+    from plovkit.cohomology import VanishingScanReport
+
+    scan = VanishingScanReport(kf=8, genus=5, nonzero=((key, Fraction(1)),))
+    real, seen = cli._suffixes, []
+
+    def counted(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_suffixes", counted)
+    assert_listing_is_json_dumps(scan)
+    assert len(seen) <= calls
+
+
 @pytest.mark.parametrize("values", ["mixed", "zero", "empty"])
 def test_model_scanned_entries_match_json_dumps(tmp_path, capsys, monkeypatch, values):
     # the scanned entries are written block by block from the multiset

@@ -49,6 +49,11 @@ def _plus_one(p):
     return UniPoly.from_coeffs([p.coeffs[0] + 1, *p.coeffs[1:]], p.var)
 
 
+def _times_n(p):
+    """The polynomial n * p, one degree above p."""
+    return UniPoly((0, *p.num), p.den, p.var)
+
+
 def _replaced(real, **fields):
     """`real` with each named field of its dataclass result replaced by
     the given function of that result."""
@@ -104,13 +109,14 @@ FAULTS = {
         "jordan_profile",
         lambda real: lambda m: (real(m), m.entries[0]),
     ),
+    # one degree too many: the record reads its degree off its polynomial
     "power_sum_degree_law": (
         "power_sum_det",
-        lambda real: _replaced(real, degree=lambda r: r.degree + 1),
+        lambda real: _replaced(real, poly=lambda r: _times_n(r.poly)),
     ),
     "power_sum_form_independence": (
         "power_sum_det",
-        lambda real: _replaced(real, degree=lambda r: r.degree + 1),
+        lambda real: _replaced(real, poly=lambda r: _times_n(r.poly)),
     ),
     "power_sum_matches_brute_force": (
         "power_sum_det",
@@ -126,15 +132,14 @@ FAULTS = {
         _double_first,
     ),
     # one degree too many, in the polynomial and the profile value beside
-    # it alike: the record refuses a degree above its own profile value
+    # it alike, so the two still match: the record refuses a degree above
+    # its own profile value
     "model_degree_ceiling_and_triangle": (
         "plov_via_model",
         lambda real: _replaced(
             real,
-            poly=lambda r: UniPoly((0, *r.poly.num), r.poly.den, r.poly.var),
-            degree=lambda r: r.degree + 1,
+            poly=lambda r: _times_n(r.poly),
             profile_plov=lambda r: r.degree + 1,
-            matches_profile=lambda r: True,
         ),
     ),
     # the value 1 at the first multiset above the threshold, which a clean

@@ -287,6 +287,19 @@ def test_records_keep_only_what_the_routes_read():
     assert not hasattr(plovkit.AnalysisReport, "all_bounds_hold")
     scan_fields = {f.name for f in dataclasses.fields(plovkit.VanishingScanReport)}
     assert scan_fields == {"kf", "genus", "nonzero"}
+    # each fact is stored once: what follows from another field is a
+    # read-only property of the record
+    for record, stored, derived in [
+        (plovkit.PowerSumResult, {"poly"}, ("degree", "leading_coeff")),
+        (plovkit.ModelGrowthResult, {"poly", "profile_plov", "chain"},
+         ("degree", "matches_profile")),
+        (plovkit.AnalysisReport,
+         {"profile", "half", "plov", "kJ", "max_block_compound2", "exponents", "bound_checks"},
+         ("dimension", "genus", "pseudo_analytic", "kf", "max_block_n1")),
+    ]:
+        assert {f.name for f in dataclasses.fields(record)} == stored
+        for name in derived:
+            assert isinstance(inspect.getattr_static(record, name), property)
     # the ordered tuples, and the violations among them, are listed on
     # demand from the nonzero multiset values
     for name in ("scanned", "violations"):
