@@ -28,7 +28,6 @@ from .exact import (
     UniPoly,
     char_poly,
     det_exact,
-    det_poly,
     mat_mul,
     mat_pow,
     poly_at_matrix,

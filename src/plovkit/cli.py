@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from itertools import groupby, product
 from math import gcd
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .cohomology import (
@@ -40,6 +40,7 @@ from .cyclotomic import unipotent_power
 from .errors import (
     CrossCheckError,
     InputFormatError,
+    NotUnipotentError,
     OddDimensionError,
     PlovkitError,
     PreconditionError,
@@ -467,21 +468,29 @@ def cmd_analyze(args) -> int:
     return _finish(args, name, matrix, section, lines, failure)
 
 
+def _on_unipotent_power(matrix: RatMatrix, run: Callable):
+    """(N, U, run(U)), U = M^N the least unipotent power.  A trace-K M tries
+    run(M) first: roots of unity summing to K are all 1, so its gate decides."""
+    if matrix.trace() == matrix.dimension:
+        with contextlib.suppress(NotUnipotentError):
+            return 1, matrix, run(matrix)
+    order, u = unipotent_power(matrix)
+    return order, u, run(u)
+
+
 def cmd_powersum(args) -> int:
     name, matrix = _load(args.input)
-    order, u = unipotent_power(matrix)
-    k = u.dimension
     if args.h == "identity":
-        h = RatMatrix.identity(k)
+        h = RatMatrix.identity(matrix.dimension)
         h_desc = "identity"
     else:
         import random
 
         from . import randgen
 
-        h = randgen.random_spd(random.Random(args.seed), k)
+        h = randgen.random_spd(random.Random(args.seed), matrix.dimension)
         h_desc = f"random (G^T G + I, seed {args.seed})"
-    result = power_sum_det(u, h)
+    order, u, result = _on_unipotent_power(matrix, lambda m: power_sum_det(m, h))
     with _unlimited_digits():
         checks = [
             {"n": n, "value": enc_frac(brute), "matches": result.poly(n) == brute}
@@ -526,10 +535,10 @@ def cmd_growth(args) -> int:
 
 def cmd_model(args) -> int:
     name, matrix = _load(args.input)
-    order, u = unipotent_power(matrix)
-    if u.dimension % 2:
-        raise OddDimensionError(f"dimension {u.dimension} is odd; expected 2g")
-    genus = u.dimension // 2
+    if matrix.dimension % 2:
+        unipotent_power(matrix)  # non-quasi-unipotency is reported first
+        raise OddDimensionError(f"dimension {matrix.dimension} is odd; expected 2g")
+    genus = matrix.dimension // 2
     if args.form == "standard":
         form = TwoForm.standard(genus)
         form_desc = "standard (sum of e_j ^ e_{g+j} in input coordinates)"
@@ -540,7 +549,7 @@ def cmd_model(args) -> int:
 
         form = randgen.randgen_two_form(random.Random(args.seed), genus)
         form_desc = f"random (seed {args.seed})"
-    model = plov_via_model(u, form)
+    order, _, model = _on_unipotent_power(matrix, lambda m: plov_via_model(m, form))
     size = scan_size(genus, len(model.chain) - 1)
     if size > SCAN_LIMIT:
         raise PreconditionError(

@@ -39,9 +39,9 @@ of the library:
     caller, the node and the dimension when they differ.  One node rule:
     the nodes start at 0, or at -floor(D/2) for a caller that has proved
     p(-x) = parity * p(x), and every value is computed at x >= 0, a
-    negative node taking parity * p(-x).  `det_poly` and
-    `cohomology.intersection_poly` are built on it; each caller states
-    its own degree bound.
+    negative node taking parity * p(-x).  `powersum.power_sum_det` and
+    `cohomology.intersection_poly` are built on it, each on the integer
+    rows of its sums; each caller states its own degree bound.
 """
 
 from __future__ import annotations
@@ -718,21 +718,3 @@ def interpolate_checked(
         )
     return p
 
-
-def det_poly(
-    matrix_at: Callable[[int], RatMatrix],
-    degree_bound: int,
-    parity: Optional[int] = None,
-) -> UniPoly:
-    """Exact determinant, as a polynomial in n, of a matrix whose entries
-    are polynomials in n; ``matrix_at(x)`` is that matrix at the integer x.
-    Interpolated by `interpolate_checked` from exact determinants at its
-    nodes, centred when the caller vouches for det(-x) = parity * det(x),
-    with one matrix per node; the one at 0 also names the dimension."""
-    first = _expect(matrix_at(0), RatMatrix)
-    return interpolate_checked(
-        lambda x: det_exact(matrix_at(x) if x else first),
-        degree_bound,
-        f"det_poly at dimension {first.dimension}",
-        parity,
-    )

@@ -12,18 +12,18 @@ disguise; both closed forms are oracles in `selfcheck`
 With D X = A^T X A - X, sum_{m<n} (A^m)^T X A^m = sum_s C(n, s + 1) D^s X
 for every X, so S(n) = sum_s C(n, s + 1) B_s with the constant matrices
 B_s = D^s H of `exact.congruence_chain` (on A^T), and P(n) is
-interpolated from exact determinants of S at integer nodes, with S
-summed by `exact`'s one chain sum.  A is proved unipotent once, by the
-rank sequence of A - I that also yields the sizes k_i
-(`jordan.unipotent_block_profile`).  Since S(n + 1) - S(n) = (A^n)^T H A^n
-and S(0) = 0 hold for every integer n, S(-n) = -(A^-n)^T S(n) A^-n, and
+interpolated from Bareiss determinants of its integer rows den * S(x),
+from `exact`'s one chain sum, and divided by den^K once.  A is proved
+unipotent once, by the rank sequence of A - I that also yields the sizes
+k_i (`jordan.unipotent_block_profile`).  As S(n + 1) - S(n) = (A^n)^T H A^n
+and S(0) = 0 for every integer n, S(-n) = -(A^-n)^T S(n) A^-n, and
 det A = 1 gives P(-n) = (-1)^K P(n) for K = dim A: the nodes are centred
 at 0, and only those at n >= 0 take a determinant.
 
 Hermitian forms are restricted to rational symmetric positive definite
 matrices so that all arithmetic stays in Q; the degree law is insensitive
 to this restriction.  `power_sum_brute` keeps a literal-summation oracle
-alongside the chain route.
+alongside the chain route, on integer rows over a running denominator.
 """
 
 from __future__ import annotations
@@ -43,12 +43,13 @@ from .exact import (
     UniPoly,
     _check_same_dim,
     _chain_terms,
+    _echelon,
     _expect,
+    _row_product,
     _weighted_rows,
     congruence_chain,
     det_exact,
-    det_poly,
-    mat_mul,
+    interpolate_checked,
     submatrix,
 )
 from .jordan import unipotent_block_profile
@@ -84,13 +85,13 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     """det S(n) with the degree law re-verified at runtime.
 
     S(x) is the chain sum of the B_j of `exact.congruence_chain` on A^T:
-    `_chain_terms` once, `_weighted_rows` at each node.  In a Jordan
-    basis, entry (i, j) of S(x) has degree at most d_i + d_j + 1, d_i the
-    depth of i in its block, so det S has degree at most sum k_i^2 over
-    the blocks (a change of basis scales it by a constant); it is
-    interpolated on that bound plus one, at nodes centred at 0 with
-    P(-x) = (-1)^K P(x) filling the negative ones, and re-verified at a
-    node past them (a miss is a CrossCheckError).  The degree must equal
+    `_chain_terms` once, `_echelon(_weighted_rows)` at each node.  Entry
+    (i, j) of S(x) has degree at most d_i + d_j + 1 in a Jordan basis, d_i
+    the depth of i in its block, so det S has degree at most sum k_i^2
+    (a change of basis scales it by a constant); it is interpolated on
+    that bound plus one, at nodes centred at 0 with P(-x) = (-1)^K P(x)
+    filling the negative ones, re-verified at a node past them (a miss is
+    a CrossCheckError) and divided by den^K.  The degree must equal
     sum k_i^2 by `unipotent_block_profile`, the gate that proves A
     unipotent and so the mirror law, or CrossCheckError is raised.
     """
@@ -101,12 +102,14 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
     k = a.dimension
     degree = sum(m * size * size for _, size, m in profile.entries)
 
-    def sum_at(x: int) -> RatMatrix:
+    def det_at(x: int) -> int:
         weights = [comb(x, j + 1) for j in range(len(terms))]
-        return RatMatrix(_weighted_rows(terms, weights, k), den)
+        rank, last = _echelon(_weighted_rows(terms, weights, k))
+        return last if rank == k else 0
 
+    where = f"power_sum_det at dimension {k}"
     try:
-        poly = det_poly(sum_at, degree + 1, parity=(-1) ** k)
+        poly = interpolate_checked(det_at, degree + 1, where, (-1) ** k)
     except DegreeBoundError as exc:  # the bound and the parity are laws
         raise CrossCheckError(str(exc)) from exc
     if poly.degree() != degree:
@@ -116,23 +119,25 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
         )
     if poly.leading() <= 0:
         raise CrossCheckError("power-sum determinant has nonpositive leading term")
-    return PowerSumResult(poly=poly)
+    return PowerSumResult(poly=UniPoly(poly.num, poly.den * den**k, "n"))
 
 
 def power_sum_brute(a: RatMatrix, h: RatMatrix, n: int) -> list[Fraction]:
     """Literal summation oracle: [det S(1), ..., det S(n)] with
     S(x) = sum_{m=0}^{x-1} (A^m)^T H A^m, from one pass over the partial
     sums and no symbolic shortcut: each term is A^T T A for the term T
-    before it, two `mat_mul`s, none after the last determinant.  A literal
-    sum holds for any square H, so H is not checked for definiteness."""
+    before it, two `_row_product`s on integer rows over the running den
+    den(H) den(A)^(2i), each det an `_echelon`.  A literal sum holds for
+    any square H, so H is not checked for definiteness."""
     _check_same_dim(a, h)
     if n < 1:
         raise PreconditionError("need at least one summand")
-    a_t = a.transpose()
-    term = acc = h
-    dets = [det_exact(acc)]
-    for _ in range(n - 1):
-        term = mat_mul(mat_mul(a_t, term), a)
-        acc = acc + term
-        dets.append(det_exact(acc))
+    a_t, d2, k = tuple(zip(*a.num)), a.den * a.den, a.dimension
+    term = acc = h.num
+    dets = [det_exact(h)]
+    for i in range(1, n):
+        term = _row_product(_row_product(a_t, term), a.num)
+        acc = [[d2 * s + t for s, t in zip(rs, rt)] for rs, rt in zip(acc, term)]
+        rank, last = _echelon(acc)
+        dets.append(Fraction(last, (h.den * d2**i) ** k) if rank == k else Fraction(0))
     return dets

@@ -3,9 +3,9 @@
 The oracles are the literal constructions that the fast routes of the
 product modules stand in for: the compound matrix of all minors, the
 ordered wedge expansion, the polarization sum of one multiset, growth
-exponents from every minor, rank sequences on the literal second
-compound, the power-sum closed forms, a reduced-echelon nullity and the
-literal vanishing scan.  No product
+exponents from every minor (each a `det_poly` of literal powers), rank
+sequences on the literal second compound, the power-sum closed forms, a
+reduced-echelon nullity and the literal vanishing scan.  No product
 module imports this one; the CLI loads it only for `selftest`, and the
 tests import the oracles from here.
 
@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import randgen
 from .cohomology import (
@@ -45,10 +45,11 @@ from .errors import (
 from .exact import (
     RatMatrix,
     UniPoly,
+    _expect,
     char_poly,
     congruence_chain,
     det_exact,
-    det_poly,
+    interpolate_checked,
     mat_mul,
     rank_exact,
     submatrix,
@@ -132,6 +133,25 @@ def wedge_coefficient(forms: Sequence[TwoForm]) -> Fraction:
         state = nxt
     top = tuple(range(1, 2 * g + 1))
     return state.get(top, Fraction(0))
+
+
+def det_poly(
+    matrix_at: Callable[[int], RatMatrix],
+    degree_bound: int,
+    parity: Optional[int] = None,
+) -> UniPoly:
+    """Exact determinant, as a polynomial in n, of a matrix whose entries
+    are polynomials in n; ``matrix_at(x)`` is that matrix at the integer x.
+    Interpolated by `interpolate_checked` from exact determinants at its
+    nodes, centred when the caller vouches for det(-x) = parity * det(x),
+    with one matrix per node; the one at 0 also names the dimension."""
+    first = _expect(matrix_at(0), RatMatrix)
+    return interpolate_checked(
+        lambda x: det_exact(matrix_at(x) if x else first),
+        degree_bound,
+        f"det_poly at dimension {first.dimension}",
+        parity,
+    )
 
 
 def growth_exponent_by_minors(m: RatMatrix, r: int) -> int:

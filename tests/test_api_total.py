@@ -11,10 +11,10 @@ parameter is drawn either from the part of the pool its annotation names
 or from the whole pool, so that both deep calls and wrong-typed ones are
 made.  The pools are built once, so a draw is a choice of index.
 
-The two exports that take a caller's degree bound, `det_poly` and
-`intersection_poly`, re-verify their interpolant at one more node and
-refuse an undersized bound with a `DegreeBoundError`, a
-`PreconditionError`, so no export is allowed a `CrossCheckError`.
+The export that takes a caller's degree bound, `intersection_poly`,
+re-verifies its interpolant at one more node and refuses an undersized
+bound with a `DegreeBoundError`, a `PreconditionError`, so no export is
+allowed a `CrossCheckError`.
 """
 
 import dataclasses

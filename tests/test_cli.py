@@ -336,18 +336,53 @@ def test_each_op_proves_unipotency_once(tmp_path, capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("command", ["analyze", "growth", "powersum", "model"])
 def test_each_op_asks_for_its_verdict_once(tmp_path, capsys, monkeypatch, command):
-    # analyze and growth read the verdict off their one profile, powersum
-    # and model off their one unipotent power
+    # analyze and growth read the verdict off their one profile; powersum
+    # and model prove a trace-K input unipotent by their own rank gate, with
+    # no verdict and no characteristic polynomial, and ask for the verdict
+    # of any other input once, for its one unipotent power
     import plovkit.cyclotomic
+    import plovkit.exact
 
-    calls = count_calls(monkeypatch, plovkit.cyclotomic, "quasi_unipotency")
+    plovkit.cyclotomic.quasi_unipotency.cache_clear()  # no verdict from another test
+    verdicts = count_calls(monkeypatch, plovkit.cyclotomic, "quasi_unipotency")
+    char_polys = count_calls(monkeypatch, plovkit.exact, "char_poly")
     degrees = ["--degrees", "1,2"] if command == "growth" else []
-    docs = [QUAD, QUAD_SHEARED, ORDER_SIX]
-    for i, doc in enumerate(docs):
+    counts = []
+    for i, doc in enumerate([QUAD, QUAD_SHEARED, ORDER_SIX]):
         path = write_doc(tmp_path, doc, f"input{i}.json")
+        verdicts.clear()
+        char_polys.clear()
         code, _, _ = run_cli([command, "--input", path, *degrees], capsys)
         assert code == 0
-    assert len(calls) == len(docs)
+        counts.append((len(verdicts), len(char_polys)))
+    if command in ("analyze", "growth"):
+        assert counts == [(1, 1)] * 3
+    else:
+        assert counts == [(0, 0), (0, 0), (1, 1)]
+
+
+@pytest.mark.parametrize(
+    "command, matrix",
+    [
+        ("powersum", [[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        ("model", [[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        ("model", [[2, 0, 0], [0, 0, 0], [0, 0, 1]]),
+    ],
+    ids=["powersum", "model", "model-odd"],
+)
+def test_a_trace_k_input_that_is_not_unipotent_is_reported_as_before(
+    tmp_path, capsys, monkeypatch, command, matrix
+):
+    # tr M = K, so the rank gate runs on M first; it stalls, and the
+    # fallback reports non-quasi-unipotency, before odd dimension too
+    import plovkit.jordan
+
+    gates = count_calls(monkeypatch, plovkit.jordan, "unipotent_block_profile")
+    path = write_doc(tmp_path, {"matrix": matrix})
+    code, out, err = run_cli([command, "--input", path], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: matrix is not quasi-unipotent; residual factor t^2 - 2*t\n"
+    assert len(gates) == (0 if len(matrix) % 2 else 1)
 
 
 def test_model_builds_the_chain_once(tmp_path, capsys, monkeypatch):
@@ -878,17 +913,22 @@ def test_residual_past_the_digit_limit_is_one_line_exit_2(tmp_path, command):
     )
 
 
+#: QUAD with the superdiagonal entries 10^3000 - 1
+HUGE_QUAD = [[1, 10**3000 - 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 10**3000 - 1], [0, 0, 0, 1]]
+
+
 @pytest.mark.parametrize(
     "command",
     [["analyze"], ["powersum", "--samples", "1"], ["growth", "--degrees", "1"], ["model"]],
     ids=["analyze", "powersum", "growth", "model"],
 )
 def test_char_poly_past_the_prime_table_is_one_line_exit_2(tmp_path, capsys, command):
-    # a valid unipotent input whose char_poly coefficient bound, 19,934
-    # bits, is past the 19,265 bits of the Mersenne prime table
-    b = 10**3000 - 1
-    quad = [[1, b, 0, 0], [0, 1, 0, 0], [0, 0, 1, b], [0, 0, 0, 1]]
-    path = write_doc(tmp_path, {"matrix": quad})
+    # a valid input whose char_poly coefficient bound, 19,934 bits, is past
+    # the 19,265 bits of the Mersenne prime table: unipotent for analyze
+    # and growth, negated (trace -K, order 2) for powersum and model, whose
+    # rank gate proves a unipotent input with no char_poly
+    sign = -1 if command[0] in ("powersum", "model") else 1
+    path = write_doc(tmp_path, {"matrix": [[sign * x for x in r] for r in HUGE_QUAD]})
     code, out, err = run_cli([*command, "--input", path], capsys)
     assert code == 2
     assert out == ""
@@ -896,6 +936,17 @@ def test_char_poly_past_the_prime_table_is_one_line_exit_2(tmp_path, capsys, com
         "error: char_poly: coefficient bound of 19934 bits exceeds the product"
         " of the Mersenne prime table\n"
     )
+
+
+@pytest.mark.parametrize("command", [["powersum", "--samples", "1"], ["model"]])
+def test_a_unipotent_input_past_the_prime_table_needs_no_char_poly(
+    tmp_path, capsys, command
+):
+    path = write_doc(tmp_path, {"matrix": HUGE_QUAD})
+    code, out, err = run_cli([*command, "--input", path], capsys)
+    assert code == 0
+    assert json.loads(out)[command[0]]["unipotent_order"] == 1
+    assert err.count("\n") == 2
 
 
 def test_parse_input_is_total_on_arbitrary_input():
@@ -1228,12 +1279,12 @@ def test_powersum_brute_force_mismatch_exits_3(tmp_path, capsys, monkeypatch):
 def test_powersum_wrong_mirror_law_exits_3_naming_the_node(tmp_path, capsys, monkeypatch):
     import plovkit.powersum
 
-    real = plovkit.powersum.det_poly
+    real = plovkit.powersum.interpolate_checked
 
-    def flipped(matrix_at, degree_bound, parity):
-        return real(matrix_at, degree_bound, parity=-parity)
+    def flipped(value_at, degree_bound, caller, parity):
+        return real(value_at, degree_bound, caller, -parity)
 
-    monkeypatch.setattr(plovkit.powersum, "det_poly", flipped)
+    monkeypatch.setattr(plovkit.powersum, "interpolate_checked", flipped)
     path = write_doc(tmp_path, QUAD)
     code, out, err = run_cli(["powersum", "--input", path], capsys)
     assert code == 3
@@ -1241,7 +1292,7 @@ def test_powersum_wrong_mirror_law_exits_3_naming_the_node(tmp_path, capsys, mon
     # [2, 2]: degree bound 9, nodes -4..5, check node 6; the flipped law
     # is the one named
     assert err.splitlines() == [
-        "internal cross-check failure: det_poly at dimension 4: interpolant "
+        "internal cross-check failure: power_sum_det at dimension 4: interpolant "
         "on nodes -4..5 with P(-x) = -P(x) misses the check node x = 6 "
         "(degree bound too small?)"
     ]

@@ -737,6 +737,42 @@ def test_consistency_triangle():
         assert 2 * model.degree == ps.degree == 2 * plov_of(half)
 
 
+#: the half block sizes of the `model` benchmark workload
+MODEL_WORKLOAD_SHAPES = [
+    (3,), (2, 2), (3, 1), (2, 2, 1), (3, 1, 1), (2, 2, 1, 1),
+    (4,), (3, 2), (2, 2, 2), (3, 1, 1, 1), (3, 2, 1), (4, 1),
+]
+
+
+def linked_unipotent(rng, sizes):
+    """Unipotent Jordan blocks whose superdiagonal entries are drawn from
+    +-1..+-12, as in the `model` workload."""
+    blocks = []
+    for k in sizes:
+        links = [rng.choice((-1, 1)) * rng.randint(1, 12) for _ in range(k - 1)]
+        rows = [[int(i == j) for j in range(k)] for i in range(k)]
+        for i, link in enumerate(links):
+            rows[i][i + 1] = link
+        blocks.append(RatMatrix(rows))
+    return RatMatrix.block_diag(*blocks)
+
+
+@pytest.mark.parametrize("sizes", MODEL_WORKLOAD_SHAPES, ids=str)
+def test_the_paired_model_is_g_factorial_times_the_half_power_sum(sizes):
+    # U = J + J on paired coordinates keeps the standard form's layout:
+    # Delta_x = [[0, S(x)], [-S(x)^T, 0]] with S(x) = sum_{m<x} J^m (J^m)^T,
+    # and Pf of that layout is (-1)^(g(g-1)/2) det S(x), times g! in the
+    # raw top coefficient; every coefficient must agree, not only degrees
+    rng = random.Random(5)
+    g = sum(sizes)
+    scale = (-1) ** (g * (g - 1) // 2) * math.factorial(g)
+    for _ in range(2):
+        j = linked_unipotent(rng, sizes)
+        model = plov_via_model(RatMatrix.block_diag(j, j), TwoForm.standard(g))
+        half = power_sum_det(j.transpose(), RatMatrix.identity(g))
+        assert model.poly.coeffs == tuple(scale * c for c in half.poly.coeffs)
+
+
 # ---------------------------------------------------------------------------
 # vanishing scan
 

@@ -19,7 +19,6 @@ from plovkit import (
     char_poly,
     cyclotomic_poly,
     det_exact,
-    det_poly,
     mat_mul,
     mat_pow,
     quasi_unipotency,
@@ -46,7 +45,7 @@ from plovkit.exact import (
     poly_at_matrix,
 )
 from plovkit.randgen import conjugate, random_integer_matrix, random_unimodular
-from plovkit.selfcheck import compound_matrix
+from plovkit.selfcheck import compound_matrix, det_poly
 
 
 def cofactor_det(rows):

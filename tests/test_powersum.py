@@ -31,7 +31,7 @@ from plovkit.errors import (
     NotUnipotentError,
     PreconditionError,
 )
-from plovkit.exact import _interpolate, congruence_chain, det_poly
+from plovkit.exact import _interpolate, congruence_chain
 from plovkit.powersum import ensure_spd
 from plovkit.randgen import (
     conjugate,
@@ -43,6 +43,7 @@ from plovkit.randgen import (
     unipotent_from_sizes,
 )
 from plovkit.selfcheck import (
+    det_poly,
     hilbert_det,
     hilbert_matrix,
     single_block_leading_coeff,
@@ -209,13 +210,53 @@ def test_power_sum_brute_trivial_cases():
 def test_power_sum_brute_takes_two_products_per_sample_past_the_first(monkeypatch):
     # T -> A^T T A, then S + T, for each of the n - 1 samples after S(1) = H
     calls = []
-    real = powersum.mat_mul
-    monkeypatch.setattr(powersum, "mat_mul", lambda x, y: calls.append(1) or real(x, y))
+    real = powersum._row_product
+    monkeypatch.setattr(
+        powersum, "_row_product", lambda x, y: calls.append(1) or real(x, y)
+    )
     a = RatMatrix.jordan_block(1, 3)
     for n in (1, 2, 7):
         calls.clear()
         assert power_sum_brute(a, RatMatrix.identity(3), n)[0] == 1
         assert len(calls) == 2 * (n - 1)
+
+
+def ratmatrix_partial_sums(a, h, n):
+    """[det S(1), ..., det S(n)] by `RatMatrix` partial sums, T -> A^T T A
+    and then S + T, each reduced to lowest terms by the matrix type."""
+    a_t = a.transpose()
+    term = acc = h
+    dets = [det_exact(acc)]
+    for _ in range(n - 1):
+        term = mat_mul(mat_mul(a_t, term), a)
+        acc = acc + term
+        dets.append(det_exact(acc))
+    return dets
+
+
+def test_rational_entries_match_the_ratmatrix_partial_sums():
+    # A = D^-1 U D for an integer unipotent U and a diagonal D, and H an
+    # integer SPD matrix over a denominator: both have den > 1, so the
+    # running denominator of the oracle and the chain's den^K are used
+    rng = random.Random(53)
+    tried = 0
+    for _ in range(10):
+        k = rng.randint(2, 6)
+        u, _ = random_unipotent(rng, k)
+        d = [rng.randint(1, 5) for _ in range(k)]
+        a = RatMatrix.from_rows(
+            [Fraction(x * d[c], d[r]) for c, x in enumerate(row)]
+            for r, row in enumerate(u.num)
+        )
+        h = random_spd(rng, k) * Fraction(1, rng.choice((2, 3, 5, 7)))
+        if a.den == 1 or h.den == 1:
+            continue
+        tried += 1
+        expected = ratmatrix_partial_sums(a, h, 9)
+        assert power_sum_brute(a, h, 9) == expected
+        poly = power_sum_det(a, h).poly
+        assert [poly(n) for n in range(1, 10)] == expected
+    assert tried == 9
 
 
 def test_oracle_equivalence_random():
@@ -350,29 +391,29 @@ def test_power_sum_at_negative_n_is_the_mirrored_congruence():
 
 @pytest.mark.parametrize("sizes", [[3], [4], [2, 1]])
 def test_a_wrong_mirror_sign_fails_at_the_check_node(monkeypatch, sizes):
-    real = powersum.det_poly
+    real = powersum.interpolate_checked
 
-    def flipped(matrix_at, degree_bound, parity):
-        return real(matrix_at, degree_bound, parity=-parity)
+    def flipped(value_at, degree_bound, caller, parity):
+        return real(value_at, degree_bound, caller, -parity)
 
-    monkeypatch.setattr(powersum, "det_poly", flipped)
+    monkeypatch.setattr(powersum, "interpolate_checked", flipped)
     k = sum(sizes)
-    with pytest.raises(CrossCheckError, match=rf"^det_poly at dimension {k}: .*x = "):
+    with pytest.raises(CrossCheckError, match=rf"^power_sum_det at dimension {k}: .*x = "):
         power_sum_det(unipotent_from_sizes(sizes), RatMatrix.identity(k))
 
 
 def test_det_poly_takes_a_determinant_at_the_nonnegative_nodes_only(monkeypatch):
     # nodes -floor(B/2)..B - floor(B/2) for B = k^2 + 1, and one check
-    # node past them: 35 determinants on [8] and 101 on [14] (67 and 199
+    # node past them: 35 eliminations on [8] and 101 on [14] (67 and 199
     # on the nodes 0..B + 1); ensure_spd's minors are not counted here
     counts = []
-    real = exact.det_exact
+    real = powersum._echelon
 
-    def counting(m):
+    def counting(rows):
         counts[-1] += 1
-        return real(m)
+        return real(rows)
 
-    monkeypatch.setattr(exact, "det_exact", counting)
+    monkeypatch.setattr(powersum, "_echelon", counting)
     for k in (8, 14):
         counts.append(0)
         power_sum_det(RatMatrix.jordan_block(1, k), RatMatrix.identity(k))

@@ -10,8 +10,8 @@ the model entries take the matrix and the form, and no chain beside
 them.  Polynomials are rebuilt from exact values only through
 `exact.interpolate_checked`, which re-verifies them at one more node, so
 no module but `exact` references the private `_interpolate`; its nodes
-follow one rule, with no branch on a missing parity, and `det_poly` asks
-for each node's matrix once.  A zero denominator is refused in one place,
+follow one rule, with no branch on a missing parity, and the oracle
+`selfcheck.det_poly` asks for each node's matrix once.  A zero denominator is refused in one place,
 the lowest-terms rule that `UniPoly` and `RatMatrix` share.  Both sums
 of pullbacks, S(n) in `powersum` and Delta_n in `cohomology`, take their
 chain from `exact.congruence_chain` and are weighted by one chain sum,
@@ -54,6 +54,7 @@ from pathlib import Path
 import pytest
 
 import plovkit
+import plovkit.selfcheck
 
 
 def parsed_sources():
@@ -524,7 +525,7 @@ def test_det_poly_asks_for_each_node_matrix_once():
 
     for parity, start in ((None, 0), (-1, -1)):
         asked = []
-        plovkit.det_poly(at, 3, parity=parity)
+        plovkit.selfcheck.det_poly(at, 3, parity=parity)
         assert asked == list(range(start + 5)), (parity, asked)
 
 

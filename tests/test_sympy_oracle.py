@@ -28,13 +28,13 @@ from plovkit import (  # noqa: E402
     UniPoly,
     char_poly,
     det_exact,
-    det_poly,
     jordan_profile,
     pfaffian,
     rank_exact,
     unipotent_power,
 )
 from plovkit.randgen import random_quasi_unipotent  # noqa: E402
+from plovkit.selfcheck import det_poly  # noqa: E402
 from tests.test_cohomology import rescaled, swap_forcing_form  # noqa: E402
 from tests.test_exact import (  # noqa: E402
     poly_rows_at,
