@@ -256,7 +256,7 @@ def _pfaffian_rows(a: list[list[int]]) -> int:
 def _block_pfaffian(rows: list[list[int]], bipartite: bool) -> int:
     """Pf of a block: det of its P x Q rows if bipartite, else eliminated."""
     if bipartite:
-        rank, last = _echelon(rows)
+        rank, last, _ = _echelon(rows)
         return last if rank == len(rows) else 0
     return _pfaffian_rows(rows)
 
@@ -400,9 +400,9 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
     `unipotent_block_profile` and `half_profile`, which proves its degree
     bound and (det M = 1) its mirror law, so a miss is a CrossCheckError.
 
-    The chain is also checked against the paper's bound on Jordan blocks
-    of N^1 inside Lambda^2 H^1: its length is at most the largest block of
-    the second compound, read off the same profile by Clebsch-Gordan."""
+    The chain is also checked against the paper's bound on Jordan blocks of
+    N^1 inside Lambda^2 H^1: its length is at most the largest second-compound
+    block (Clebsch-Gordan on the same profile), and equal to it at degree plov."""
     profile = unipotent_block_profile(m)
     expected = plov_of(half_profile(profile))
     chain = tuple(_chain(m, h))
@@ -423,6 +423,11 @@ def plov_via_model(m: RatMatrix, h: TwoForm) -> ModelGrowthResult:
         raise CrossCheckError(
             f"{where}: model degree {poly.degree()} exceeds profile bound {expected} "
             "(deg top(Delta_n^g) <= sum k_i^2)"
+        )
+    if poly.degree() == expected and len(chain) != largest:
+        raise CrossCheckError(
+            f"{where}: model degree {expected} from a nilpotent chain of length "
+            f"{len(chain)}, not {largest} (degree plov implies len(chain) = 2kJ + 1)"
         )
     return ModelGrowthResult(poly, expected, chain)
 

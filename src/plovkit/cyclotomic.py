@@ -16,7 +16,8 @@ analogous circle criterion exists for algebraic non-integers.
 
 The trace witness: once the factorization is exact, a power P of M is
 unipotent exactly when tr P = K (K roots of unity sum to K only when all
-are 1).  Caller matrices are proved unipotent by `jordan`'s rank sequence.
+are 1).  It runs in `quasi_unipotency` and `unipotent_power` alone: the
+rank sequences of `jordan` prove a profile's order and a caller's unipotency.
 """
 
 from __future__ import annotations
@@ -120,18 +121,8 @@ class QuasiUnipotencyVerdict:
     residual: Optional[UniPoly] = None
 
 
-@lru_cache(maxsize=VERDICT_CACHE_SIZE)
-def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
-    """Decide quasi-unipotency by stripping cyclotomic factors from the
-    characteristic polynomial.
-
-    The verdict is total: non-integral characteristic polynomials yield an
-    immediate negative with the characteristic polynomial as residual.
-    An integral one is stripped on integer coefficient lists; every Phi_n
-    is monic, so each division is exact in Z.  The least order N (the lcm
-    of the cyclotomic indices present) is checked by the trace witness:
-    tr M^(N/q) = K for a prime q dividing N raises CrossCheckError.
-    """
+def _stripped(m: RatMatrix) -> QuasiUnipotencyVerdict:
+    """`quasi_unipotency` before its trace witness, which proves the order least."""
     char = char_poly(m)
     if not char.is_integral():
         return QuasiUnipotencyVerdict(False, residual=char)
@@ -149,23 +140,38 @@ def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
             break
     if len(p) != 1:
         return QuasiUnipotencyVerdict(False, residual=UniPoly(tuple(p), 1, "t"))
-    order = lcm(*(n for n, _ in factors))
+    return QuasiUnipotencyVerdict(True, lcm(*(n for n, _ in factors)), tuple(sorted(factors)))
+
+
+@lru_cache(maxsize=VERDICT_CACHE_SIZE)
+def quasi_unipotency(m: RatMatrix) -> QuasiUnipotencyVerdict:
+    """Decide quasi-unipotency by stripping cyclotomic factors from the
+    characteristic polynomial.
+
+    The verdict is total: non-integral characteristic polynomials yield an
+    immediate negative with the characteristic polynomial as residual.
+    An integral one is stripped on integer coefficient lists; every Phi_n
+    is monic, so each division is exact in Z.  The least order N (the lcm
+    of the cyclotomic indices present) is checked by the trace witness:
+    tr M^(N/q) = K for a prime q dividing N raises CrossCheckError.
+    """
+    verdict = _stripped(m)
+    order = verdict.order or 1  # 1 has no prime factor: no witness to run
     for q in _prime_factors(order):
         if mat_pow(m, order // q).trace() == m.dimension:
             raise CrossCheckError(
                 "order minimality check failed: a proper divisor already works"
             )
-    return QuasiUnipotencyVerdict(
-        True,
-        order=order,
-        cyclotomic_factorization=tuple(sorted(factors)),
-    )
+    return verdict
 
 
 def require_quasi_unipotent(m: RatMatrix) -> QuasiUnipotencyVerdict:
     """The positive verdict of `quasi_unipotency`; a negative one raises
     NotQuasiUnipotentError naming the residual factor."""
-    verdict = quasi_unipotency(m)
+    return _positive(quasi_unipotency(m))
+
+
+def _positive(verdict: QuasiUnipotencyVerdict) -> QuasiUnipotencyVerdict:
     if not verdict.is_quasi_unipotent:
         raise NotQuasiUnipotentError(
             f"matrix is not quasi-unipotent; residual factor {_name(verdict.residual)}"

@@ -26,8 +26,8 @@ of the library:
     of D X = M X M^T - X, weighted by one chain sum for both:
     `_chain_terms` over the common denominator, `_weighted_rows` per sum,
   * one fraction-free (Bareiss) row echelon routine on the integer rows,
-    which gives both the exact determinant, det(num) / den^K, and the
-    exact rank, rank(num),
+    which gives the exact determinant, det(num) / den^K, the exact rank,
+    rank(num), and, pivot by pivot, the leading principal minors,
   * `char_poly` -- det(t*I - M) from one Hessenberg reduction of the
     integer rows modulo a Mersenne prime above twice a Hadamard bound on
     the coefficients (several primes joined by the Chinese remainder
@@ -481,7 +481,7 @@ def _weighted_rows(terms: Sequence, weights: Iterable[int], k: int) -> list[list
     return [acc[r : r + k] for r in range(0, k * k, k)]
 
 
-def _echelon(num: Sequence[Sequence[int]]) -> tuple[int, int]:
+def _echelon(num: Sequence[Sequence[int]]) -> tuple[int, int, list[int]]:
     """Fraction-free (Bareiss) row echelon form of an integer matrix.
 
     All arithmetic stays in Z with the usual Bareiss control on entry
@@ -489,14 +489,17 @@ def _echelon(num: Sequence[Sequence[int]]) -> tuple[int, int]:
     because every entry after a step is a minor of the matrix on the
     pivot rows and columns so far.  A row with a zero in the pivot column
     is only rescaled by pivot / prev, and left as it is when that is 1.
-    Returns (rank, last): `last` is the last pivot with the sign of the
-    row swaps, which is the determinant when the rank is full.
+    Returns (rank, last, minors): `last` is the last pivot with the sign of
+    the row swaps, which is the determinant when the rank is full, and
+    `minors` the pivots up to the first one found off the diagonal, which
+    are the leading principal minors of orders 1, 2, ...; the next is 0.
     """
     a = [list(row) for row in num]
     k = len(a)
     sign = 1
     prev = 1
     rank = 0
+    minors = []
     for col in range(k):
         piv = next((r for r in range(rank, k) if a[r][col]), None)
         if piv is None:
@@ -506,6 +509,8 @@ def _echelon(num: Sequence[Sequence[int]]) -> tuple[int, int]:
             sign = -sign
         crow = a[rank]
         pivot = crow[col]
+        if piv == col == len(minors):
+            minors.append(pivot)
         for r in range(rank + 1, k):
             arow = a[r]
             head = arow[col]
@@ -517,13 +522,13 @@ def _echelon(num: Sequence[Sequence[int]]) -> tuple[int, int]:
                     arow[c] = arow[c] * pivot // prev
         prev = pivot
         rank += 1
-    return rank, sign * prev
+    return rank, sign * prev, minors
 
 
 def det_exact(m: RatMatrix) -> Fraction:
     """Exact determinant: det(num) / den^k, with det(num) read off the
     fraction-free row echelon form."""
-    rank, last = _echelon(_expect(m, RatMatrix).num)
+    rank, last, _ = _echelon(_expect(m, RatMatrix).num)
     k = m.dimension
     return Fraction(last, m.den**k) if rank == k else Fraction(0)
 
@@ -676,12 +681,6 @@ def poly_at_matrix(p: UniPoly, m: RatMatrix) -> RatMatrix:
         for i, row in enumerate(acc):
             row[i] += c * scale
     return RatMatrix(tuple(map(tuple, acc)), scale * p.den)
-
-
-def submatrix(
-    m: RatMatrix, rows: Sequence[int], cols: Sequence[int]
-) -> RatMatrix:
-    return RatMatrix(tuple(tuple(m.num[i][j] for j in cols) for i in rows), m.den)
 
 
 def interpolate_checked(

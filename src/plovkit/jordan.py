@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .cyclotomic import cyclotomic_poly, euler_phi, require_quasi_unipotent
+from .cyclotomic import _positive, _stripped, cyclotomic_poly, euler_phi
 from .errors import (
     CrossCheckError,
     NotPseudoAnalyticError,
@@ -102,11 +102,14 @@ def _block_size_counts(b: RatMatrix, phi: int, algebraic_mult: int | None,
 
 
 def jordan_profile(m: RatMatrix) -> JordanProfile:
-    """Exact Jordan profile of a quasi-unipotent matrix via rank sequences."""
-    verdict = require_quasi_unipotent(m)
-    k_dim = m.dimension
+    """Exact Jordan profile of a quasi-unipotent matrix via rank sequences,
+    which prove its order with no trace witness: each drops at its first
+    step and reaches K - phi(n)*mult, and the fill forces the independent
+    generalized kernels of the coprime Phi_n(M) to fill the space, so every
+    eigenvalue is a primitive n-th root for a listed n."""
+    k_dim = _expect(m, RatMatrix).dimension
     entries: list[tuple[int, int, int]] = []
-    for n, mult in verdict.cyclotomic_factorization:
+    for n, mult in _positive(_stripped(m)).cyclotomic_factorization:
         b = poly_at_matrix(cyclotomic_poly(n), m)
         counts = _block_size_counts(b, euler_phi(n), mult, k_dim)
         entries.extend((n, size, c) for size, c in sorted(counts.items()))

@@ -50,20 +50,20 @@ from .exact import (
     congruence_chain,
     det_exact,
     interpolate_checked,
-    submatrix,
 )
 from .jordan import unipotent_block_profile
 
 
 def ensure_spd(h: RatMatrix) -> RatMatrix:
     """Validate symmetry and positive definiteness exactly (Sylvester:
-    every leading principal minor is strictly positive)."""
+    every leading principal minor is strictly positive), the minors read
+    off one elimination of the integer rows."""
     k = _expect(h, RatMatrix).dimension
     if h != h.transpose():
         raise NotSymmetricPositiveDefiniteError("matrix is not symmetric")
-    idx = list(range(k))
+    minors = _echelon(h.num)[2] + [0]  # the minor after the last one read is 0
     for t in range(1, k + 1):
-        if det_exact(submatrix(h, idx[:t], idx[:t])) <= 0:
+        if minors[t - 1] <= 0:
             raise NotSymmetricPositiveDefiniteError(
                 f"leading principal minor {t} is not positive"
             )
@@ -104,7 +104,7 @@ def power_sum_det(a: RatMatrix, h: RatMatrix) -> PowerSumResult:
 
     def det_at(x: int) -> int:
         weights = [comb(x, j + 1) for j in range(len(terms))]
-        rank, last = _echelon(_weighted_rows(terms, weights, k))
+        rank, last, _ = _echelon(_weighted_rows(terms, weights, k))
         return last if rank == k else 0
 
     where = f"power_sum_det at dimension {k}"
@@ -138,6 +138,6 @@ def power_sum_brute(a: RatMatrix, h: RatMatrix, n: int) -> list[Fraction]:
     for i in range(1, n):
         term = _row_product(_row_product(a_t, term), a.num)
         acc = [[d2 * s + t for s, t in zip(rs, rt)] for rs, rt in zip(acc, term)]
-        rank, last = _echelon(acc)
+        rank, last, _ = _echelon(acc)
         dets.append(Fraction(last, (h.den * d2**i) ** k) if rank == k else Fraction(0))
     return dets

@@ -52,7 +52,6 @@ from .exact import (
     interpolate_checked,
     mat_mul,
     rank_exact,
-    submatrix,
 )
 from .jordan import jordan_profile, unipotent_block_profile
 from .plov import max_minor_degree, second_compound_block_sizes
@@ -192,6 +191,11 @@ def growth_exponent_by_minors(m: RatMatrix, r: int) -> int:
     if best < 0:
         raise CrossCheckError("all minors vanished (impossible: U^0 = I)")
     return best
+
+
+def submatrix(m: RatMatrix, rows: Sequence[int], cols: Sequence[int]) -> RatMatrix:
+    """The minor's matrix of M on the given rows and columns."""
+    return RatMatrix(tuple(tuple(m.num[i][j] for j in cols) for i in rows), m.den)
 
 
 def max_block_compound2_literal(m: RatMatrix) -> int:
@@ -404,8 +408,13 @@ def _compound_equivalence(rng: random.Random, max_size: int) -> bool:
     # at dimension 2 the second compound is det M, so the law needs 3
     dim = min(rng.choice([4, 6]), max(3, max_size))
     m = randgen.random_mixed_matrix(rng, dim)
-    a = quasi_unipotency(m).is_quasi_unipotent
-    return a == quasi_unipotency(compound_matrix(m, 2)).is_quasi_unipotent
+    a, b = quasi_unipotency(m), quasi_unipotency(compound_matrix(m, 2))
+    if not a.is_quasi_unipotent:
+        return not b.is_quasi_unipotent
+    # the eigenvalues of Lambda^2 M are the products l_i l_j, so N_2 | N,
+    # and l_i^2 = (l_i l_j)(l_i l_k) / (l_j l_k) for K >= 3, so N | 2 N_2
+    n, n2 = a.order, b.order
+    return b.is_quasi_unipotent and n % n2 == 0 and 2 * n2 % n == 0
 
 
 def _profile_similarity(rng: random.Random, max_size: int) -> bool:
@@ -477,6 +486,13 @@ def _model_triangle(rng: random.Random, max_size: int) -> bool:
     model = plov_via_model(m, h)
     expected = sum(k * k for k in half_sizes)
     if model.degree > expected:
+        return False
+    # M = J + J keeps the form's layout, Delta_x = [[0, S], [-S^T, 0]] with
+    # S(x) = sum_{m<x} J^m (J^m)^T, whose Pfaffian is (-1)^(g(g-1)/2) det S
+    j = submatrix(m, range(genus), range(genus))
+    half = power_sum_det(j.transpose(), RatMatrix.identity(genus)).poly
+    scale = (-1) ** (genus * (genus - 1) // 2) * factorial(genus)
+    if model.poly.coeffs != tuple(scale * c for c in half.coeffs):
         return False
     if model.matches_profile:
         ps = power_sum_det(m, RatMatrix.identity(2 * genus))

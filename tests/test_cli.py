@@ -336,16 +336,18 @@ def test_each_op_proves_unipotency_once(tmp_path, capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("command", ["analyze", "growth", "powersum", "model"])
 def test_each_op_asks_for_its_verdict_once(tmp_path, capsys, monkeypatch, command):
-    # analyze and growth read the verdict off their one profile; powersum
-    # and model prove a trace-K input unipotent by their own rank gate, with
-    # no verdict and no characteristic polynomial, and ask for the verdict
-    # of any other input once, for its one unipotent power
+    # analyze and growth ask for no verdict: their one profile strips one
+    # characteristic polynomial and proves the order by its rank sequences;
+    # powersum and model prove a trace-K input unipotent by their own rank
+    # gate, with no verdict and no characteristic polynomial, and ask for
+    # the verdict of any other input once, for its one unipotent power
     import plovkit.cyclotomic
     import plovkit.exact
 
     plovkit.cyclotomic.quasi_unipotency.cache_clear()  # no verdict from another test
     verdicts = count_calls(monkeypatch, plovkit.cyclotomic, "quasi_unipotency")
     char_polys = count_calls(monkeypatch, plovkit.exact, "char_poly")
+    powers = count_calls(monkeypatch, plovkit.exact, "mat_pow")
     degrees = ["--degrees", "1,2"] if command == "growth" else []
     counts = []
     for i, doc in enumerate([QUAD, QUAD_SHEARED, ORDER_SIX]):
@@ -356,7 +358,8 @@ def test_each_op_asks_for_its_verdict_once(tmp_path, capsys, monkeypatch, comman
         assert code == 0
         counts.append((len(verdicts), len(char_polys)))
     if command in ("analyze", "growth"):
-        assert counts == [(1, 1)] * 3
+        assert counts == [(0, 1)] * 3
+        assert powers == []  # no trace witness
     else:
         assert counts == [(0, 0), (0, 0), (1, 1)]
 
@@ -383,6 +386,31 @@ def test_a_trace_k_input_that_is_not_unipotent_is_reported_as_before(
     assert (code, out) == (2, "")
     assert err == "error: matrix is not quasi-unipotent; residual factor t^2 - 2*t\n"
     assert len(gates) == (0 if len(matrix) % 2 else 1)
+
+
+@pytest.mark.parametrize("command", ["analyze", "growth"])
+@pytest.mark.parametrize(
+    "matrix, residual",
+    [
+        ([[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], "t^2 - t - 1"),
+        ([["1/2", 0], [0, 2]], "t^2 - 5/2*t + 1"),
+    ],
+    ids=["integral", "rational"],
+)
+def test_the_profile_routes_report_non_quasi_unipotency_as_before(
+    tmp_path, capsys, monkeypatch, command, matrix, residual
+):
+    # the profile strips with no witness and no verdict; a residual still
+    # ends in exit 2 and the one message of `cyclotomic`
+    import plovkit.cyclotomic
+
+    verdicts = count_calls(monkeypatch, plovkit.cyclotomic, "quasi_unipotency")
+    path = write_doc(tmp_path, {"matrix": matrix})
+    degrees = ["--degrees", "1,2"] if command == "growth" else []
+    code, out, err = run_cli([command, "--input", path, *degrees], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: matrix is not quasi-unipotent; residual factor {residual}\n"
+    assert verdicts == []
 
 
 def test_model_builds_the_chain_once(tmp_path, capsys, monkeypatch):
@@ -1312,6 +1340,25 @@ def test_model_chain_past_the_compound_block_exits_3_naming_the_law(
         "internal cross-check failure: plov_via_model at dimension 4: nilpotent "
         "chain of length 3 exceeds the largest second-compound block 2 "
         "(len(chain) <= 2kJ + 1)"
+    ]
+
+
+def test_model_degree_plov_on_a_short_chain_exits_3_naming_the_law(
+    tmp_path, capsys, monkeypatch
+):
+    # QUAD's chain has length 3 = 2kJ + 1; a largest block of 4 passes the
+    # bound len(chain) <= 4, and the degree, still plov, must then fail the
+    # equality
+    import plovkit.cohomology
+
+    monkeypatch.setattr(plovkit.cohomology, "second_compound_block_sizes", lambda s: [4])
+    path = write_doc(tmp_path, QUAD)
+    code, out, err = run_cli(["model", "--input", path], capsys)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "internal cross-check failure: plov_via_model at dimension 4: model "
+        "degree 4 from a nilpotent chain of length 3, not 4 (degree plov "
+        "implies len(chain) = 2kJ + 1)"
     ]
 
 

@@ -16,7 +16,7 @@ import plovkit
 #: Oracles in `plovkit.selfcheck`, keyed by the product module whose route
 #: each one checks; neither that module nor the package exports them.
 ORACLES = {
-    "exact": ["compound_matrix", "det_poly"],
+    "exact": ["compound_matrix", "det_poly", "submatrix"],
     "cohomology": ["wedge_coefficient", "_merge_sign"],
     "plov": ["growth_exponent_by_minors", "max_block_compound2_literal"],
     "powersum": ["single_block_leading_coeff", "hilbert_matrix", "hilbert_det"],

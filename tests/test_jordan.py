@@ -281,6 +281,64 @@ def test_jordan_profile_fill_fault_is_a_cross_check(monkeypatch):
         jordan_profile(m)
 
 
+#: J_2(1) + the companion of Phi_3, conjugated: char poly (t - 1)^2 Phi_3
+STRIPPED = ((1, 2), (3, 1))
+
+
+def _order_three_and_a_shear():
+    block = RatMatrix.block_diag(
+        RatMatrix.jordan_block(1, 2), RatMatrix.companion(cyclotomic_poly(3))
+    )
+    return conjugate(block, random_unimodular(random.Random(52), 4))
+
+
+def test_the_profile_proves_the_order_with_no_power(monkeypatch):
+    from plovkit import cyclotomic
+
+    powers = []
+    real = cyclotomic.mat_pow
+    monkeypatch.setattr(cyclotomic, "mat_pow", lambda a, e: powers.append(e) or real(a, e))
+    m = _order_three_and_a_shear()
+    assert jordan._stripped(m).cyclotomic_factorization == STRIPPED
+    profile = jordan_profile(m)
+    assert profile.entries == ((1, 2, 1), (3, 1, 1)) and profile.order == 3
+    assert powers == []
+
+
+@pytest.mark.parametrize(
+    "factors, law",
+    [
+        # (t - 1)^3: the rank sequence of M - I stalls above its target
+        (((1, 3), (3, 1)), "rank sequence"),
+        # (t - 1)^1: the kernels fill 3 of 4 dimensions
+        (((1, 1), (3, 1)), "does not fill"),
+        # Phi_4 for Phi_3: Phi_4(M) is invertible, no drop at the first step
+        (((1, 2), (4, 1)), "rank sequence"),
+        # Phi_3 left out: the kernels fill 2 of 4 dimensions
+        (((1, 2),), "does not fill"),
+    ],
+    ids=["multiplicity-high", "multiplicity-low", "wrong-order", "missing-order"],
+)
+def test_a_faked_factorization_fails_the_rank_sequences(monkeypatch, factors, law):
+    # no trace witness stands behind the stripped factorization: the rank
+    # sequences of the profile refuse one that is not M's, with no M^e taken
+    import dataclasses
+
+    from plovkit import cyclotomic
+
+    powers = []
+    real_pow, real_strip = cyclotomic.mat_pow, jordan._stripped
+    monkeypatch.setattr(cyclotomic, "mat_pow", lambda a, e: powers.append(e) or real_pow(a, e))
+    monkeypatch.setattr(
+        jordan,
+        "_stripped",
+        lambda m: dataclasses.replace(real_strip(m), cyclotomic_factorization=factors),
+    )
+    with pytest.raises(CrossCheckError, match=law):
+        jordan_profile(_order_three_and_a_shear())
+    assert powers == []
+
+
 def test_profile_routes_return_or_raise_a_library_error():
     """Derandomized property over `JordanProfile(entries, dimension)` with
     0-3 entries, each a triple with n in -1..7, k and m in -1..4, or a

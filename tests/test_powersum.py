@@ -82,6 +82,67 @@ def test_spd_rejects_asymmetric_and_indefinite():
         ensure_spd(RatMatrix.from_rows([[1, 2], [2, 1]]))
 
 
+@pytest.mark.parametrize(
+    "rows, t",
+    [
+        # minors 1, 0, 0: the second column has no pivot left at all
+        ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], 2),
+        # minors 1, 0, -1: the second pivot, 1, is found below, by a row swap
+        ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], 2),
+        # minors 2, 1, -2: the last pivot is negative
+        ([[2, 1, 0], [1, 1, 1], [0, 1, 0]], 3),
+        # minors 1/2, -3/4: over the denominator, every sign is kept
+        ([[Fraction(1, 2), 1], [1, Fraction(1, 2)]], 2),
+    ],
+    ids=["zero-skipped", "zero-swapped", "negative", "rational"],
+)
+def test_spd_names_the_first_minor_that_is_not_positive(rows, t):
+    with pytest.raises(NotSymmetricPositiveDefiniteError) as exc:
+        ensure_spd(RatMatrix.from_rows(rows))
+    assert str(exc.value) == f"leading principal minor {t} is not positive"
+
+
+def test_spd_names_the_minor_the_literal_minors_name():
+    # the oracle: each leading principal minor taken on its own
+    from plovkit.selfcheck import submatrix
+
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        g = RatMatrix.from_rows([[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)])
+        h = mat_mul(g.transpose(), g) + RatMatrix.from_rows(
+            [[rng.randint(-1, 1) * (i == j) for j in range(k)] for i in range(k)]
+        )
+        idx = range(k)
+        bad = next(
+            (t for t in range(1, k + 1) if det_exact(submatrix(h, idx[:t], idx[:t])) <= 0),
+            None,
+        )
+        seen.add(bad)
+        if bad is None:
+            assert ensure_spd(h) is h
+        else:
+            with pytest.raises(NotSymmetricPositiveDefiniteError, match=f"minor {bad} "):
+                ensure_spd(h)
+    assert {None, 1, 2} <= seen
+
+
+def test_spd_takes_one_elimination_and_no_determinant(monkeypatch):
+    eliminations = []
+    real = powersum._echelon
+    monkeypatch.setattr(
+        powersum, "_echelon", lambda num: eliminations.append(num) or real(num)
+    )
+    monkeypatch.setattr(powersum, "det_exact", None)
+    rng = random.Random(44)
+    for k in (1, 4, 8):
+        ensure_spd(random_spd(rng, k))
+    with pytest.raises(NotSymmetricPositiveDefiniteError):
+        ensure_spd(RatMatrix.from_rows([[2, 1, 0], [1, 1, 1], [0, 1, 0]]))
+    assert len(eliminations) == 4
+
+
 # ---------------------------------------------------------------------------
 # the power-sum matrix
 
@@ -405,7 +466,7 @@ def test_a_wrong_mirror_sign_fails_at_the_check_node(monkeypatch, sizes):
 def test_det_poly_takes_a_determinant_at_the_nonnegative_nodes_only(monkeypatch):
     # nodes -floor(B/2)..B - floor(B/2) for B = k^2 + 1, and one check
     # node past them: 35 eliminations on [8] and 101 on [14] (67 and 199
-    # on the nodes 0..B + 1); ensure_spd's minors are not counted here
+    # on the nodes 0..B + 1), after the one of ensure_spd's minors
     counts = []
     real = powersum._echelon
 
@@ -417,7 +478,7 @@ def test_det_poly_takes_a_determinant_at_the_nonnegative_nodes_only(monkeypatch)
     for k in (8, 14):
         counts.append(0)
         power_sum_det(RatMatrix.jordan_block(1, k), RatMatrix.identity(k))
-    assert counts == [35, 101]
+    assert counts == [1 + 35, 1 + 101]
 
 
 # ---------------------------------------------------------------------------

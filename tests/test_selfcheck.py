@@ -227,3 +227,47 @@ def test_minor_oracle_turns_a_missed_degree_bound_into_a_cross_check(monkeypatch
         selfcheck.growth_exponent_by_minors(RatMatrix.jordan_block(1, 2), 1)
     assert str(exc.value) == text
     assert type(exc.value.__cause__) is DegreeBoundError
+
+
+def _run_check(name, max_size=8, cases=50):
+    index = NAMES.index(name)
+    rng = random.Random((0, index, name).__repr__())
+    return SELFTEST_CHECKS[index][1](rng, max_size, cases)
+
+
+def test_the_model_check_fails_a_doubled_intersection_polynomial(monkeypatch):
+    # doubling keeps every degree, so the degree triangle alone lets it
+    # through; the identity with the half's power sum compares coefficients
+    import plovkit.cohomology as cohomology
+
+    real = cohomology.intersection_poly
+
+    def doubled(*args):
+        p = real(*args)
+        return UniPoly.from_coeffs([2 * c for c in p.coeffs], p.var)
+
+    name = "model_degree_ceiling_and_triangle"
+    assert _run_check(name)[0] is True
+    monkeypatch.setattr(cohomology, "intersection_poly", doubled)
+    m = selfcheck.randgen.paired_unipotent([2, 1])
+    model = cohomology.plov_via_model(m, TwoForm.standard(3))
+    assert model.matches_profile and model.degree == 5
+    assert _run_check(name)[0] is False
+
+
+def test_the_compound_check_fails_a_compound_of_the_cube(monkeypatch):
+    # Lambda^2 M^3 = (Lambda^2 M)^3 is quasi-unipotent exactly when M is,
+    # so the verdicts still agree; its order loses a factor 3 where N_2 has
+    # one, and N | 2 N_2 fails there
+    from plovkit.exact import mat_pow
+
+    name = "quasi_unipotency_matches_second_compound"
+    assert _run_check(name)[0] is True
+    real = selfcheck.compound_matrix
+    monkeypatch.setattr(selfcheck, "compound_matrix", lambda m, r: real(mat_pow(m, 3), r))
+    rng = random.Random(7)
+    for _ in range(20):
+        m = selfcheck.randgen.random_mixed_matrix(rng, 4)
+        both = [m, selfcheck.compound_matrix(m, 2)]
+        assert len({selfcheck.quasi_unipotency(v).is_quasi_unipotent for v in both}) == 1
+    assert _run_check(name)[0] is False

@@ -1,10 +1,13 @@
 """Jobs that keep one route each in `src/plovkit`, checked on its source.
 
 A negative quasi-unipotency verdict becomes `NotQuasiUnipotentError` in
-one place, `cyclotomic.require_quasi_unipotent`, which every caller goes
-through: `jordan_profile` and `unipotent_power` ask for the verdict, and
-every other route reads it off the one profile or power they return, so
-`plovkit` keeps no per-matrix wrapper that rebuilds the profile.  Likewise `NotUnipotentError` comes only from the rank sequence
+one place in `cyclotomic`, which every caller goes through.  The trace
+witness of the order runs in `quasi_unipotency` and `unipotent_power`
+alone: `unipotent_power` asks for the verdict, `jordan_profile` takes
+the stripped factorization with no witness and proves the order by its
+rank sequences, and every other route reads it off the one profile or
+power they return, so `plovkit` keeps no per-matrix wrapper that
+rebuilds the profile.  Likewise `NotUnipotentError` comes only from the rank sequence
 in `jordan`, and `NotPseudoAnalyticError` only from `jordan.half_profile`;
 the model entries take the matrix and the form, and no chain beside
 them.  Polynomials are rebuilt from exact values only through
@@ -123,13 +126,21 @@ def test_not_quasi_unipotent_error_is_raised_once():
 def test_only_the_profile_and_the_power_ask_for_the_verdict():
     import dataclasses
 
-    users = {
-        name
-        for name, tree in parsed_sources()
-        for node in ast.walk(tree)
-        if references(node, "require_quasi_unipotent")
-    }
-    assert users == {"cyclotomic.py", "jordan.py"}
+    def users(name):
+        return {
+            module
+            for module, tree in parsed_sources()
+            for node in ast.walk(tree)
+            if references(node, name)
+        }
+
+    # the power asks for the verdict, whose trace witness proves the order;
+    # the profile takes the verdict before its witness, `_stripped`, and
+    # proves the order by its rank sequences, so no route proves it twice
+    assert users("require_quasi_unipotent") == {"cyclotomic.py"}
+    assert users("_stripped") == {"cyclotomic.py", "jordan.py"}
+    assert users("quasi_unipotency") == {"__init__.py", "cyclotomic.py", "selfcheck.py"}
+    assert "jordan.py" not in users("mat_pow")
     wrappers = {"growth_exponent", "max_block_compound2", "_single_block_minor_degree"}
     defined = {
         f"{name}:{node.name}"
